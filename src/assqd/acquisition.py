@@ -180,40 +180,33 @@ def score_two_hop(
                               / (max(|E_S - H_mm|, eps) max(|E_S - H_kk|, eps))
     """
     one_hop = generate_candidates(ham, dominant, subspace, hops=1)
-    full = generate_candidates(ham, dominant, subspace, hops=2)
-    pure_two = full - one_hop
-    nu = coupling_map(ham, sol, dominant, one_hop)
-    e_s = sol.energy
-    scored = [
-        ScoredCandidate(
-            state=k,
-            diagonal=ham.diagonal(k),
-            coupling=nu[k],
-            score=en_score(e_s, ham.diagonal(k), nu[k], eps),
-        )
-        for k in sorted(one_hop)
-    ]
-    best: dict[BasisState, float] = {k: 0.0 for k in pure_two}
+    scored = score_candidates("en", ham, sol, dominant, one_hop, eps=eps)
+    pure_two: set[BasisState] = set()
     for m in one_hop:
-        nu_m_sq = abs(nu[m]) ** 2
+        pure_two.update(ham.neighbors(m))
+    pure_two.difference_update(one_hop, subspace.index)
+    e_s = sol.energy
+    best: dict[BasisState, float] = {k: 0.0 for k in pure_two}
+    for sc in scored:
+        nu_m_sq = abs(sc.coupling) ** 2
         if nu_m_sq == 0.0:
             continue
-        denom_m = max(abs(e_s - ham.diagonal(m)), eps)
+        denom_m = max(abs(e_s - sc.diagonal), eps)
         for x_mask in ham.offdiag_masks:
-            k = m ^ x_mask
+            k = sc.state ^ x_mask
             if k in best:
-                amp = ham._group_amplitude(x_mask, m)
+                amp = ham._group_amplitude(x_mask, sc.state)
                 value = abs(amp) ** 2 * nu_m_sq / denom_m
                 if value > best[k]:
                     best[k] = value
     for k in sorted(pure_two):
-        denom_k = max(abs(e_s - ham.diagonal(k)), eps)
+        h_kk = ham.diagonal(k)
         scored.append(
             ScoredCandidate(
                 state=k,
-                diagonal=ham.diagonal(k),
+                diagonal=h_kk,
                 coupling=0.0 + 0.0j,
-                score=best[k] / denom_k,
+                score=best[k] / max(abs(e_s - h_kk), eps),
             )
         )
     return scored

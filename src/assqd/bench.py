@@ -15,7 +15,6 @@ import json
 import math
 import statistics
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Iterable
 
@@ -23,12 +22,18 @@ from assqd.driver import (
     RunConfig,
     RunError,
     RunTrace,
+    method_kind,
     run_as_sqd,
     run_random_sqd,
     run_standard_sqd,
 )
 from assqd.models import ModelSpec, build_model, metadata_record
-from assqd.oracle import ConvergenceError, EigenpairSet, exact_lowest
+from assqd.oracle import (
+    ORACLE_MAX_QUBITS,
+    ConvergenceError,
+    EigenpairSet,
+    exact_lowest,
+)
 from assqd.pauli import PauliHamiltonian
 from assqd.sampling import CountsMultiset, contaminated_distribution, sample_counts
 
@@ -69,17 +74,14 @@ class ExperimentSpec:
     T: int = 10
     tau: float = 1e-4
     eps: float = 1e-8
-    workers: int = 1
 
     def __post_init__(self) -> None:
         if not self.sizes:
             raise ValueError("sizes must be nonempty")
-        if any(not 2 <= n <= 20 for n in self.sizes):
-            raise ValueError("sizes must lie within [2, 20]")
+        if any(not 2 <= n <= ORACLE_MAX_QUBITS for n in self.sizes):
+            raise ValueError(f"sizes must lie within [2, {ORACLE_MAX_QUBITS}]")
         if not self.seeds:
             raise ValueError("seeds must be nonempty")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
 
     def run_config(self, seed: int, kind: str = "en", hops: int = 1) -> RunConfig:
         return RunConfig(
@@ -167,16 +169,13 @@ def prepare_instance(
 def run_method(
     ham: PauliHamiltonian, counts: CountsMultiset, method: str, config: RunConfig
 ) -> RunTrace:
-    """Dispatch a method label to its driver entry point."""
-    if method == "standard":
+    """Run the loop kind that a method label names."""
+    kind = method_kind(method)
+    if kind == "standard":
         return run_standard_sqd(ham, counts, config.K)
-    if method == "random":
+    if kind == "random":
         return run_random_sqd(ham, counts, config)
-    if method.startswith("as-"):
-        return run_as_sqd(
-            ham, counts, dataclasses.replace(config, kind=method[3:])
-        )
-    raise ValueError(f"unknown method {method!r}")
+    return run_as_sqd(ham, counts, dataclasses.replace(config, kind=kind))
 
 
 def make_row(
@@ -254,28 +253,17 @@ def _sweep(
             bundles[(n, seed)] = prepare_instance(
                 spec.kind, n, seed, shots_for[n], spec.eta, oracle_cache
             )
-    cells = [
-        ((n, seed), method, h)
-        for (n, seed) in bundles
-        for method in methods
-        for h in hops
-    ]
-
-    def run_cell(cell):
-        (n, seed), method, h = cell
-        bundle = bundles[(n, seed)]
-        config = spec.run_config(seed=seed, hops=h)
-        row, trace = make_row(bundle, method, config, shots_for[n], spec.eta)
-        return (spec.kind, n, seed, method, h), row, trace
-
-    if spec.workers == 1:
-        results = [run_cell(c) for c in cells]
-    else:
-        with ThreadPoolExecutor(max_workers=spec.workers) as pool:
-            results = list(pool.map(run_cell, cells))
-    rows = _sorted_rows(row for _, row, _ in results)
-    traces = {key: trace for key, _, trace in results if trace is not None}
-    return rows, traces, bundles
+    rows: list[ResultRow] = []
+    traces: dict[CellKey, RunTrace] = {}
+    for (n, seed), bundle in bundles.items():
+        for method in methods:
+            for h in hops:
+                config = spec.run_config(seed=seed, hops=h)
+                row, trace = make_row(bundle, method, config, shots_for[n], spec.eta)
+                rows.append(row)
+                if trace is not None:
+                    traces[(spec.kind, n, seed, method, h)] = trace
+    return _sorted_rows(rows), traces, bundles
 
 
 def median_abs_error(errors: list[float]) -> float:
@@ -379,17 +367,13 @@ def experiment_hops(
     return rows, stats
 
 
-def _format_value(value: Any) -> str:
-    return str(value)
-
-
 def rows_to_csv(rows: list[ResultRow]) -> str:
     """Header plus one line per row, in CSV_COLUMNS order."""
     buf = io.StringIO()
     buf.write(",".join(CSV_COLUMNS) + "\n")
     for row in rows:
         record = dataclasses.asdict(row)
-        buf.write(",".join(_format_value(record[c]) for c in CSV_COLUMNS) + "\n")
+        buf.write(",".join(str(record[c]) for c in CSV_COLUMNS) + "\n")
     return buf.getvalue()
 
 

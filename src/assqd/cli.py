@@ -16,20 +16,21 @@ Global flags: --seed (disorder/sampling seed), --out (file; stdout otherwise),
 document (oracle, sample, run, ingest) always emit JSON. Repeating any
 invocation with identical flags reproduces identical output, except for the
 wall_ms timing field.
+
+One option stack (-K, -B, -T, --tau, --eps) serves every verb that runs the
+expansion loop.  run and ingest take --method from the driver's loop kinds
+and report that kind as config.kind; the trace's "method" is its label.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
-import sys
 from pathlib import Path
 from typing import Any
 
 import click
 
 from .bench import (
-    ABLATION_METHODS,
     DEFAULT_ETA,
     DEFAULT_SEEDS,
     ExperimentSpec,
@@ -37,14 +38,12 @@ from .bench import (
     experiment_ablation,
     experiment_hops,
     experiment_scaling,
-    prepare_instance,
     rows_to_csv,
     rows_to_json,
-    run_method,
 )
-from .driver import RunConfig, trace_to_json
+from .driver import METHOD_KINDS, RunConfig, run_as_sqd, trace_to_json
 from .models import ModelSpec, build_model, metadata_record
-from .oracle import exact_lowest, save_eigenpairs
+from .oracle import ORACLE_MAX_QUBITS, exact_lowest, save_eigenpairs
 from .pauli import format_hamiltonian, load_hamiltonian
 from .sampling import (
     contaminated_distribution,
@@ -54,9 +53,6 @@ from .sampling import (
 )
 
 _MODEL_KINDS = click.Choice(["heisenberg", "tfim"])
-_METHOD_NAMES = click.Choice(
-    ["standard", "en", "coupling_only", "denom_only", "diag_only", "random"]
-)
 
 
 def _emit(ctx: click.Context, text: str) -> None:
@@ -91,10 +87,6 @@ def _emit_table(
     else:
         _emit(ctx, rows_to_csv(rows))
         _sidecar(ctx, f".{label}.json", json.dumps(summaries, indent=2))
-
-
-def _method_label(method: str) -> str:
-    return method if method in ("standard", "random") else f"as-{method}"
 
 
 def _instance(kind: str, n: int, seed: int):
@@ -187,29 +179,41 @@ def sample(ctx: click.Context, kind: str, n: int, shots: int | None,
     _emit(ctx, counts_to_json(counts, bit_order=bit_order))
 
 
-def _run_options(fn):
-    fn = click.option("--hops", type=click.IntRange(1, 2), default=1,
-                      show_default=True, help="Candidate horizon.")(fn)
-    fn = click.option("--eps", type=float, default=1e-8, show_default=True,
-                      help="Score denominator floor.")(fn)
-    fn = click.option("--tau", type=float, default=1e-4, show_default=True,
-                      help="Dominant-support probability threshold.")(fn)
-    fn = click.option("-T", "T", type=int, default=10, show_default=True,
-                      help="Expansion iterations.")(fn)
-    fn = click.option("-B", "B", type=int, default=20, show_default=True,
-                      help="Basis states added per iteration.")(fn)
-    fn = click.option("-K", "K", type=int, default=50, show_default=True,
-                      help="Initial subspace size (top-K by count).")(fn)
-    fn = click.option("--method", type=_METHOD_NAMES, default="en",
-                      show_default=True, help="Expansion policy.")(fn)
-    return fn
+def _options(*options):
+    """Apply click options so that they list in the order given."""
+    def wrap(fn):
+        for option in reversed(options):
+            fn = option(fn)
+        return fn
+    return wrap
+
+
+_budget_options = _options(
+    click.option("-K", "K", type=int, default=RunConfig.K, show_default=True,
+                 help="Initial subspace size (top-K by count)."),
+    click.option("-B", "B", type=int, default=RunConfig.B, show_default=True,
+                 help="Basis states added per iteration."),
+    click.option("-T", "T", type=int, default=RunConfig.T, show_default=True,
+                 help="Expansion iterations."),
+    click.option("--tau", type=float, default=RunConfig.tau, show_default=True,
+                 help="Dominant-support probability threshold."),
+    click.option("--eps", type=float, default=RunConfig.eps, show_default=True,
+                 help="Score denominator floor."),
+)
+
+_run_options = _options(
+    click.option("--method", type=click.Choice(METHOD_KINDS), default="en",
+                 show_default=True, help="Expansion policy."),
+    _budget_options,
+    click.option("--hops", type=click.IntRange(1, 2), default=1,
+                 show_default=True, help="Candidate horizon."),
+)
 
 
 def _run_and_emit(
     ctx: click.Context,
     ham,
     counts,
-    method: str,
     config: RunConfig,
     model_metadata: dict[str, Any] | None,
     compute_exact: bool,
@@ -219,7 +223,7 @@ def _run_and_emit(
     if compute_exact:
         eig = exact_lowest(ham, count=2)
         e0, e1, degenerate = float(eig.e0), float(eig.e1), eig.degenerate_ground
-    trace = run_method(ham, counts, _method_label(method), config)
+    trace = run_as_sqd(ham, counts, config)
     payload = json.loads(trace_to_json(
         trace, config, model_metadata, e0=e0, e1=e1, degenerate_ground=degenerate,
     ))
@@ -244,10 +248,9 @@ def run(ctx: click.Context, hamiltonian: str, counts_file: str, method: str,
         raise click.UsageError(
             f"counts are for n={counts.n} but the Hamiltonian has n={ham.n}"
         )
-    config = RunConfig(K=K, B=B, T=T, tau=tau, eps=eps,
+    config = RunConfig(K=K, B=B, T=T, tau=tau, eps=eps, kind=method,
                        hops=hops, seed=ctx.obj["seed"])
-    _run_and_emit(ctx, ham, counts, method, config, None,
-                  compute_exact=not no_exact)
+    _run_and_emit(ctx, ham, counts, config, None, compute_exact=not no_exact)
 
 
 @main.command()
@@ -262,51 +265,38 @@ def ingest(ctx: click.Context, counts_file: str, kind: str, method: str,
 
     The qubit count is read from the counts file; the disorder instance is
     rebuilt from --kind and the global --seed, so the counts must have been
-    measured on that same instance.
+    measured on that same instance.  Beyond the oracle's qubit limit the
+    reference solve is skipped and e0, e1 and err are null.
     """
     counts = load_counts(counts_file)
     ham, spec, disorder = _instance(kind, counts.n, ctx.obj["seed"])
-    config = RunConfig(K=K, B=B, T=T, tau=tau, eps=eps,
+    config = RunConfig(K=K, B=B, T=T, tau=tau, eps=eps, kind=method,
                        hops=hops, seed=ctx.obj["seed"])
-    _run_and_emit(ctx, ham, counts, method, config,
-                  metadata_record(spec, disorder), compute_exact=True)
+    _run_and_emit(ctx, ham, counts, config, metadata_record(spec, disorder),
+                  compute_exact=counts.n <= ORACLE_MAX_QUBITS)
 
 
 def _sweep_options(default_sizes: str):
-    def wrap(fn):
-        fn = click.option("--workers", type=int, default=1, show_default=True,
-                          help="Concurrent sweep cells.")(fn)
-        fn = click.option("--eps", type=float, default=1e-8, show_default=True)(fn)
-        fn = click.option("--tau", type=float, default=1e-4, show_default=True)(fn)
-        fn = click.option("-T", "T", type=int, default=10, show_default=True)(fn)
-        fn = click.option("-B", "B", type=int, default=20, show_default=True)(fn)
-        fn = click.option("-K", "K", type=int, default=50, show_default=True)(fn)
-        fn = click.option("--eta", type=float, default=DEFAULT_ETA,
-                          show_default=True)(fn)
-        fn = click.option("--shots", type=int, default=None,
-                          help="Override the size-based shot default.")(fn)
-        fn = click.option("--include-16", is_flag=True,
-                          help="Append n=16 (iterative eigensolver; minutes).")(fn)
-        fn = click.option("--seeds", default=",".join(map(str, DEFAULT_SEEDS)),
-                          show_default=True,
-                          help="Comma-separated disorder seeds.")(fn)
-        fn = click.option("--sizes", default=default_sizes, show_default=True,
-                          help="Comma-separated system sizes.")(fn)
-        fn = click.option("--kind", type=_MODEL_KINDS, default="heisenberg",
-                          show_default=True)(fn)
-        return fn
-    return wrap
+    return _options(
+        click.option("--kind", type=_MODEL_KINDS, default="heisenberg",
+                     show_default=True),
+        click.option("--sizes", default=default_sizes, show_default=True,
+                     help="Comma-separated system sizes."),
+        click.option("--seeds", default=",".join(map(str, DEFAULT_SEEDS)),
+                     show_default=True, help="Comma-separated disorder seeds."),
+        click.option("--shots", type=int, default=None,
+                     help="Override the size-based shot default."),
+        click.option("--eta", type=float, default=DEFAULT_ETA, show_default=True),
+        _budget_options,
+    )
 
 
-def _build_spec(kind: str, sizes: str, seeds: str, include_16: bool,
-                shots: int | None, eta: float, K: int, B: int, T: int,
-                tau: float, eps: float, workers: int) -> ExperimentSpec:
-    size_tuple = _parse_sizes(sizes)
-    if include_16 and 16 not in size_tuple:
-        size_tuple = size_tuple + (16,)
+def _build_spec(kind: str, sizes: str, seeds: str, shots: int | None,
+                eta: float, K: int, B: int, T: int, tau: float,
+                eps: float) -> ExperimentSpec:
     return ExperimentSpec(
-        kind=kind, sizes=size_tuple, seeds=_parse_sizes(seeds), shots=shots,
-        eta=eta, K=K, B=B, T=T, tau=tau, eps=eps, workers=workers,
+        kind=kind, sizes=_parse_sizes(sizes), seeds=_parse_sizes(seeds),
+        shots=shots, eta=eta, K=K, B=B, T=T, tau=tau, eps=eps,
     )
 
 

@@ -1,14 +1,18 @@
 """Run orchestration: subspace seeding, iterative expansion, traces.
 
-Three entry points share one loop.  run_as_sqd seeds the subspace from
-the top-K observed bitstrings, then repeats T times: solve the restricted
+One loop serves every method.  run_as_sqd seeds the subspace from the
+top-K observed bitstrings, then repeats T times: solve the restricted
 problem, take the dominant support, generate connected candidates, score
-them under the configured acquisition variant, and add the best B.
-run_random_sqd is the identical loop with scores replaced by seeded
-uniform draws; run_standard_sqd stops after the initial solve (no
-expansion).  Every solve appends a trace record, so the energy trajectory
-is observable after the fact; the loop ends early, with the reason
-recorded, when the candidate pool comes up empty.
+them under the configured kind, and add the best B.  The kind is the only
+difference between methods: "standard" makes zero expansions, "random"
+ranks candidates by seeded uniform draws, and the acquisition kinds rank
+by the EN score or one of its ablations.  run_standard_sqd and
+run_random_sqd are one-line shorthands for those kinds, and
+method_label/method_kind map a kind to the label that rows and traces
+carry ("standard", "random", "as-<kind>") and back.  Every solve appends
+a trace record, so the energy trajectory is observable after the fact;
+the loop ends early, with the reason recorded, when the candidate pool
+comes up empty.
 """
 
 from __future__ import annotations
@@ -38,6 +42,9 @@ from assqd.subspace import (
     lowest_eigenpair,
 )
 
+# Loop variants: "standard" makes no expansion, the rest score candidates.
+METHOD_KINDS = ("standard",) + ACQUISITION_KINDS
+
 TERMINATION_BUDGET = "budget"
 TERMINATION_EMPTY = "empty-candidates"
 
@@ -62,8 +69,8 @@ class RunConfig:
             raise ValueError(f"tau must be in [0, 1), got {self.tau}")
         if self.eps <= 0:
             raise ValueError(f"eps must be positive, got {self.eps}")
-        if self.kind not in ACQUISITION_KINDS:
-            raise ValueError(f"unknown acquisition kind {self.kind!r}")
+        if self.kind not in METHOD_KINDS:
+            raise ValueError(f"unknown method kind {self.kind!r}")
         if self.hops not in (1, 2):
             raise ValueError(f"hops must be 1 or 2, got {self.hops}")
         if self.seed < 0:
@@ -111,50 +118,39 @@ class RunError(RuntimeError):
         self.records = records
 
 
+def method_label(kind: str) -> str:
+    """The method label that rows and traces carry for a loop kind."""
+    if kind not in METHOD_KINDS:
+        raise ValueError(f"unknown method kind {kind!r}")
+    return kind if kind in ("standard", "random") else f"as-{kind}"
+
+
+def method_kind(label: str) -> str:
+    """Inverse of :func:`method_label`."""
+    for kind in METHOD_KINDS:
+        if method_label(kind) == label:
+            return kind
+    raise ValueError(f"unknown method {label!r}")
+
+
 def run_standard_sqd(
     ham: PauliHamiltonian, counts: CountsMultiset, K: int
 ) -> RunTrace:
     """Solve once on the top-K observed states; no expansion."""
-    start = time.perf_counter()
-    sub = Subspace.from_states(top_k(counts, K))
-    sol = lowest_eigenpair(build_restricted(ham, sub))
-    wall_ms = (time.perf_counter() - start) * 1e3
-    record = IterationRecord(
-        iteration=0,
-        energy=sol.energy,
-        subspace_size=len(sub),
-        pool_size=0,
-        wall_ms=wall_ms,
-    )
-    return RunTrace(
-        method="standard",
-        records=(record,),
-        final_energy=sol.energy,
-        final_subspace=sub,
-        termination=TERMINATION_BUDGET,
-    )
-
-
-def run_as_sqd(
-    ham: PauliHamiltonian, counts: CountsMultiset, config: RunConfig
-) -> RunTrace:
-    """Iterative expansion under the configured acquisition variant."""
-    method = "random" if config.kind == "random" else f"as-{config.kind}"
-    return _expansion_loop(ham, counts, config, method)
+    return run_as_sqd(ham, counts, RunConfig(K=K, kind="standard"))
 
 
 def run_random_sqd(
     ham: PauliHamiltonian, counts: CountsMultiset, config: RunConfig
 ) -> RunTrace:
     """The same loop with candidate scores drawn uniformly at random."""
-    return _expansion_loop(
-        ham, counts, dataclasses.replace(config, kind="random"), "random"
-    )
+    return run_as_sqd(ham, counts, dataclasses.replace(config, kind="random"))
 
 
-def _expansion_loop(
-    ham: PauliHamiltonian, counts: CountsMultiset, config: RunConfig, method: str
+def run_as_sqd(
+    ham: PauliHamiltonian, counts: CountsMultiset, config: RunConfig
 ) -> RunTrace:
+    """The expansion loop, run as the configured kind."""
     start = time.perf_counter()
     sub = Subspace.from_states(top_k(counts, config.K))
     matrix = build_restricted(ham, sub)
@@ -175,7 +171,8 @@ def _expansion_loop(
     # each iteration draws fresh but the whole run is pinned by config.seed.
     rng_master = np.random.default_rng(config.seed)
     termination = TERMINATION_BUDGET
-    for it in range(1, config.T + 1):
+    expansions = 0 if config.kind == "standard" else config.T
+    for it in range(1, expansions + 1):
         start = time.perf_counter()
         try:
             dominant = dominant_support(sol, config.tau)
@@ -211,8 +208,6 @@ def _expansion_loop(
             matrix = extend_restricted(ham, matrix, added)
             sub = matrix.basis
             sol = lowest_eigenpair(matrix)
-        except RunError:
-            raise
         except Exception as exc:
             raise RunError(
                 f"iteration {it} failed: {exc}", tuple(records)
@@ -227,7 +222,7 @@ def _expansion_loop(
             )
         )
     return RunTrace(
-        method=method,
+        method=method_label(config.kind),
         records=tuple(records),
         final_energy=sol.energy,
         final_subspace=sub,

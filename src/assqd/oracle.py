@@ -16,9 +16,8 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse.linalg
 
-from assqd.pauli import PauliHamiltonian
+from assqd.pauli import DENSE_MAX_QUBITS, PauliHamiltonian
 
-ORACLE_DENSE_MAX = 12
 ORACLE_MAX_QUBITS = 20
 
 DEGENERACY_GAP = 1e-8
@@ -159,10 +158,10 @@ def exact_lowest(
     if count > (1 << ham.n):
         raise ValueError(f"count {count} too large for dimension {1 << ham.n}")
     if method is None:
-        method = "dense" if ham.n <= ORACLE_DENSE_MAX else "lanczos"
+        method = "dense" if ham.n <= DENSE_MAX_QUBITS else "lanczos"
     if method == "dense":
-        if ham.n > ORACLE_DENSE_MAX:
-            raise ValueError(f"dense route limited to n <= {ORACLE_DENSE_MAX}")
+        if ham.n > DENSE_MAX_QUBITS:
+            raise ValueError(f"dense route limited to n <= {DENSE_MAX_QUBITS}")
         vals, vecs = _dense_lowest(ham, count)
     elif method == "lanczos":
         vals, vecs = _lanczos_lowest(ham, count)

@@ -17,15 +17,17 @@ matrix except :meth:`PauliHamiltonian.dense_matrix`, a small-n test oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
 BasisState = int
 
 MAX_QUBITS = 63
+# Largest n whose full 2^n x 2^n matrix is built: the dense test oracle
+# and the reference oracle's dense eigh route share this one limit.
 DENSE_MAX_QUBITS = 12
 
 # Merged terms with |coefficient| below this are dropped at construction.
@@ -87,11 +89,6 @@ class PauliTerm:
         """Map |state> to (target, amplitude) under this term."""
         sign = -1.0 if (self.z_mask & state).bit_count() & 1 else 1.0
         return state ^ self.x_mask, sign * self.weight
-
-
-def apply_term(term: PauliTerm, state: BasisState) -> tuple[BasisState, complex]:
-    """Functional alias for :meth:`PauliTerm.apply`."""
-    return term.apply(state)
 
 
 @dataclass(frozen=True)
@@ -210,22 +207,6 @@ class PauliHamiltonian:
             dtype=dtype,
         )
         return xs, zs, ws
-
-
-def matrix_element(ham: PauliHamiltonian, k: BasisState, j: BasisState) -> complex:
-    return ham.matrix_element(k, j)
-
-
-def diagonal_element(ham: PauliHamiltonian, k: BasisState) -> float:
-    return ham.diagonal(k)
-
-
-def neighbors(ham: PauliHamiltonian, s: BasisState) -> set[BasisState]:
-    return ham.neighbors(s)
-
-
-def dense_matrix(ham: PauliHamiltonian) -> np.ndarray:
-    return ham.dense_matrix()
 
 
 def parse_hamiltonian(text: str) -> PauliHamiltonian:

@@ -20,7 +20,7 @@ from typing import IO, Any
 
 import numpy as np
 
-from assqd.pauli import BasisState
+from assqd.pauli import MAX_QUBITS, BasisState
 
 BIT_ORDERS = ("qubit0_first", "qubit0_last")
 
@@ -118,10 +118,12 @@ def _state_to_key(state: BasisState, n: int, bit_order: str) -> str:
 
 def parse_counts(obj: dict[str, Any]) -> CountsMultiset:
     """Build a CountsMultiset from a decoded counts JSON object."""
-    try:
-        n = int(obj["n"])
-    except KeyError:
-        raise ValueError("counts object missing field 'n'") from None
+    if "n" not in obj:
+        raise ValueError("counts object missing field 'n'")
+    n = obj["n"]
+    # bool is an int subclass; a JSON true must not pass as n = 1.
+    if isinstance(n, bool) or not isinstance(n, int) or not 1 <= n <= MAX_QUBITS:
+        raise ValueError(f"'n' must be an integer in [1, {MAX_QUBITS}], got {n!r}")
     bit_order = obj.get("bit_order", "qubit0_first")
     if bit_order not in BIT_ORDERS:
         raise ValueError(f"unknown bit_order {bit_order!r}")
@@ -131,7 +133,7 @@ def parse_counts(obj: dict[str, Any]) -> CountsMultiset:
     counts: dict[BasisState, int] = {}
     for key, value in raw.items():
         state = _key_to_state(key, n, bit_order)
-        if not isinstance(value, int) or value <= 0:
+        if isinstance(value, bool) or not isinstance(value, int) or value <= 0:
             raise ValueError(f"count for key {key!r} must be a positive integer")
         counts[state] = counts.get(state, 0) + value
     return CountsMultiset(counts=counts, n=n, total_shots=sum(counts.values()))

@@ -106,21 +106,12 @@ class DominantSupport:
 
 
 def build_restricted(ham: PauliHamiltonian, subspace: Subspace) -> RestrictedMatrix:
-    """Assemble H_S column by column over the Hamiltonian's x_masks."""
-    m = len(subspace)
-    if m == 0:
+    """Assemble H_S by extending the empty restricted matrix."""
+    if len(subspace) == 0:
         raise ValueError("subspace is empty")
-    index = subspace.index
     dtype = np.float64 if ham.is_real else np.complex128
-    entries = np.zeros((m, m), dtype=dtype)
-    masks = (0,) + ham.offdiag_masks
-    for j, s_j in enumerate(subspace.states):
-        for x_mask in masks:
-            i = index.get(s_j ^ x_mask)
-            if i is not None:
-                amp = ham._group_amplitude(x_mask, s_j)
-                entries[i, j] = amp.real if ham.is_real else amp
-    return RestrictedMatrix(entries=entries, basis=subspace)
+    empty = RestrictedMatrix(entries=np.zeros((0, 0), dtype=dtype), basis=Subspace(()))
+    return extend_restricted(ham, empty, subspace.states)
 
 
 def extend_restricted(
@@ -129,7 +120,8 @@ def extend_restricted(
     """Grow a restricted matrix in place of a full rebuild.
 
     The old block is copied verbatim; only the new rows/columns are
-    assembled.  Equivalent to build_restricted on the extended subspace.
+    assembled, column by column over the Hamiltonian's x_masks, and each
+    entry found is mirrored into its Hermitian partner.
     """
     extended = matrix.basis.extend(new_states)
     old_m, m = len(matrix.basis), len(extended)

@@ -34,7 +34,6 @@ from assqd.bench import (
 from assqd.cli import main as cli_main
 from assqd.models import ModelSpec, build_model
 from assqd.oracle import exact_lowest
-from assqd.pauli import dense_matrix, matrix_element
 from assqd.sampling import (
     CountsMultiset,
     contaminated_distribution,
@@ -117,11 +116,11 @@ def test_01_matrix_elements_match_dense_oracle():
     for trial in range(50):
         n = int(rng.integers(1, 7))
         ham = random_hamiltonian(n, int(rng.integers(4, 21)), rng)
-        dense = dense_matrix(ham)
+        dense = ham.dense_matrix()
         dim = 1 << n
         for k in range(dim):
             for j in range(dim):
-                delta = abs(matrix_element(ham, k, j) - dense[k, j])
+                delta = abs(ham.matrix_element(k, j) - dense[k, j])
                 worst = max(worst, delta)
         assert worst <= 1e-12, (
             f"trial {trial}: element mismatch {worst:.3e} beyond 1e-12"

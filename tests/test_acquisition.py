@@ -273,6 +273,9 @@ class TestScoreTwoHop:
         sub = sol.subspace
         one_hop = generate_candidates(ham, d, sub, hops=1)
         scored = score_two_hop(ham, sol, d, sub)
+        assert [sc.state for sc in scored] == sorted(one_hop) + sorted(
+            generate_candidates(ham, d, sub, hops=2) - one_hop
+        )
         for sc in scored:
             if sc.state not in one_hop:
                 assert sc.coupling == 0.0

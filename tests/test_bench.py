@@ -67,8 +67,6 @@ class TestSpecAndHelpers:
             ExperimentSpec(kind="heisenberg", sizes=(22,), seeds=(0,))
         with pytest.raises(ValueError):
             ExperimentSpec(kind="heisenberg", sizes=(4,), seeds=())
-        with pytest.raises(ValueError):
-            ExperimentSpec(kind="heisenberg", sizes=(4,), seeds=(0,), workers=0)
 
     def test_run_config_passthrough(self):
         spec = _tiny_spec(K=7, B=3, T=2, tau=1e-3, eps=1e-6)
@@ -197,13 +195,6 @@ class TestScalingSweep:
         rows, _ = sweep
         again, _ = experiment_scaling(_tiny_spec(sizes=(4, 6), seeds=(0, 1)))
         assert list(map(_strip_wall, rows)) == list(map(_strip_wall, again))
-
-    def test_worker_count_does_not_change_rows(self, sweep):
-        rows, _ = sweep
-        threaded, _ = experiment_scaling(
-            _tiny_spec(sizes=(4, 6), seeds=(0, 1), workers=3)
-        )
-        assert list(map(_strip_wall, rows)) == list(map(_strip_wall, threaded))
 
     def test_uncontaminated_exhaustive_sampling_reaches_floor(self):
         # eta=0 with a huge shot budget covers the ground support at n=4,

@@ -9,7 +9,7 @@ import pytest
 from click.testing import CliRunner
 
 from assqd.bench import CSV_COLUMNS, rows_from_csv
-from assqd.cli import _build_spec, main
+from assqd.cli import main
 from assqd.models import ModelSpec, build_model
 from assqd.oracle import exact_lowest, load_eigenpairs
 from assqd.pauli import parse_hamiltonian
@@ -165,7 +165,37 @@ class TestRunVerb:
         assert doc["records"][0]["subspace_size"] == 5
 
 
+_LABELS = {
+    "standard": "standard", "en": "as-en", "coupling_only": "as-coupling_only",
+    "denom_only": "as-denom_only", "diag_only": "as-diag_only", "random": "random",
+}
+
+
+@pytest.mark.parametrize("verb", ["run", "ingest"])
+@pytest.mark.parametrize("method", sorted(_LABELS))
+def test_config_kind_is_the_method_run(runner, artifacts, verb, method):
+    ham_path, counts_path = artifacts
+    files = [str(ham_path), str(counts_path)] if verb == "run" else [str(counts_path)]
+    result = _invoke(runner, ["--seed", "0", verb, *files, "--method", method,
+                              "-T", "2"])
+    doc = json.loads(result.output)
+    assert doc["method"] == _LABELS[method]
+    assert doc["config"]["kind"] == method
+
+
 class TestIngestVerb:
+    def test_beyond_oracle_limit_skips_reference(self, runner, tmp_path):
+        path = tmp_path / "wide.json"
+        path.write_text(counts_to_json(CountsMultiset(
+            counts={0b0101 << 18: 7, 0b1010: 5, 0b0110 << 9: 2}, n=22,
+            total_shots=14)))
+        result = _invoke(runner, ["ingest", str(path), "-T", "1"])
+        doc = json.loads(result.output)
+        assert doc["model"]["n"] == 22
+        assert doc["err"] is None
+        assert doc["reference"] == {"e0": None, "e1": None, "degenerate_ground": None}
+        assert [r["iteration"] for r in doc["records"]] == [0, 1]
+
     def test_noisy_counts_recover_reference(self, runner, tmp_path):
         ham, _ = build_model(ModelSpec(kind="heisenberg", n=6, seed=0))
         eig = exact_lowest(ham)
@@ -230,14 +260,6 @@ class TestSweepVerbs:
     def test_bad_sizes_list_rejected(self, runner):
         result = runner.invoke(main, ["bench", "--sizes", "4;6"])
         assert result.exit_code != 0
-
-    def test_include_16_appends_size(self):
-        spec = _build_spec(
-            kind="heisenberg", sizes="8", seeds="0", include_16=True,
-            shots=None, eta=0.2, K=50, B=20, T=10, tau=1e-4, eps=1e-8,
-            workers=1,
-        )
-        assert spec.sizes == (8, 16)
 
     def test_help_lists_all_verbs(self, runner):
         result = _invoke(runner, ["--help"])

@@ -9,9 +9,12 @@ import pytest
 
 import assqd.driver as driver_mod
 from assqd.driver import (
+    METHOD_KINDS,
     RunConfig,
     RunError,
     RunTrace,
+    method_kind,
+    method_label,
     run_as_sqd,
     run_random_sqd,
     run_standard_sqd,
@@ -63,6 +66,30 @@ class TestRunStandardSqd:
         err_standard = standard.final_energy - pairs.e0
         err_expanded = expanded.final_energy - pairs.e0
         assert err_expanded < err_standard
+
+    def test_is_the_loop_with_standard_kind(self, heisenberg8):
+        ham, _, counts = heisenberg8
+        standard = run_standard_sqd(ham, counts, K=50)
+        via_config = run_as_sqd(ham, counts, RunConfig(kind="standard", T=5))
+        assert len(via_config.records) == 1
+        assert via_config.method == "standard"
+        assert record_shape(via_config) == record_shape(standard)
+        assert via_config.final_energy == standard.final_energy
+
+
+class TestMethodLabels:
+    def test_labels_and_round_trip(self):
+        assert [method_label(k) for k in METHOD_KINDS] == [
+            "standard", "as-en", "as-coupling_only", "as-denom_only",
+            "as-diag_only", "random",
+        ]
+        for kind in METHOD_KINDS:
+            assert method_kind(method_label(kind)) == kind
+
+    @pytest.mark.parametrize("label", ["en", "as-random", "as-standard", "greedy"])
+    def test_unknown_label_rejected(self, label):
+        with pytest.raises(ValueError, match="unknown method"):
+            method_kind(label)
 
 
 class TestRunAsSqd:

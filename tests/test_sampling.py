@@ -8,6 +8,7 @@ import json
 import numpy as np
 import pytest
 
+from assqd.pauli import MAX_QUBITS
 from assqd.sampling import (
     CountsMultiset,
     ProbabilityModel,
@@ -155,6 +156,20 @@ class TestCountsFormat:
             parse_counts({"n": 2, "counts": {"01": 0}})
         with pytest.raises(ValueError, match="positive"):
             parse_counts({"n": 2, "counts": {"01": -3}})
+
+    def test_boolean_count_rejected(self):
+        with pytest.raises(ValueError, match="positive integer"):
+            parse_counts({"n": 2, "counts": {"01": True}})
+
+    @pytest.mark.parametrize("n", [True, False, 0, -1, MAX_QUBITS + 1, 2.0, "2", None])
+    def test_n_outside_range_or_not_an_integer_rejected(self, n):
+        with pytest.raises(ValueError, match="'n'"):
+            parse_counts({"n": n, "counts": {"01": 2}})
+
+    def test_n_at_max_qubits_accepted(self):
+        counts = parse_counts({"n": MAX_QUBITS, "counts": {"1" * MAX_QUBITS: 3}})
+        assert counts.counts == {(1 << MAX_QUBITS) - 1: 3}
+        assert parse_counts(json.loads(counts_to_json(counts))) == counts
 
     def test_missing_n_rejected(self):
         with pytest.raises(ValueError, match="'n'"):

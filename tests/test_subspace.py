@@ -9,7 +9,7 @@ import scipy.linalg
 import assqd.subspace as subspace_mod
 from assqd.models import ModelSpec, build_model
 from assqd.oracle import ConvergenceError, exact_lowest
-from assqd.pauli import parse_hamiltonian
+from assqd.pauli import PauliHamiltonian, PauliTerm, parse_hamiltonian
 from assqd.subspace import (
     RestrictedMatrix,
     Subspace,
@@ -66,16 +66,43 @@ class TestBuildRestricted:
                 for j, s_j in enumerate(order):
                     assert np.isclose(m.entries[i, j], dense[s_i, s_j], atol=1e-13)
 
+    @staticmethod
+    def _elementwise(h, states):
+        """The literal reference: one matrix_element call per entry."""
+        ref = np.array([[h.matrix_element(a, b) for b in states] for a in states])
+        return ref.real if h.is_real else ref
+
     def test_matches_elementwise_matrix_element(self):
         rng = np.random.default_rng(29)
-        h = random_hamiltonian(6, 18, rng)
-        states = tuple(int(s) for s in rng.choice(64, size=20, replace=False))
-        m = build_restricted(h, Subspace(states))
-        for i, s_i in enumerate(states):
-            for j, s_j in enumerate(states):
-                assert np.isclose(
-                    m.entries[i, j], h.matrix_element(s_i, s_j), atol=1e-13
-                )
+        for _ in range(10):
+            h = random_hamiltonian(6, 18, rng)
+            assert not h.is_real
+            states = tuple(int(s) for s in rng.choice(64, size=20, replace=False))
+            m = build_restricted(h, Subspace(states))
+            assert np.array_equal(m.entries, self._elementwise(h, states))
+
+    def test_real_matches_elementwise_matrix_element(self):
+        rng = np.random.default_rng(31)
+        for _ in range(10):
+            # Clearing z on the x bits turns every Y into X: all elements real.
+            h = PauliHamiltonian(6, [
+                PauliTerm(t.x_mask, t.z_mask & ~t.x_mask, t.coefficient)
+                for t in random_hamiltonian(6, 18, rng).terms
+            ])
+            assert h.is_real
+            states = tuple(int(s) for s in rng.choice(64, size=20, replace=False))
+            m = build_restricted(h, Subspace(states))
+            assert np.array_equal(m.entries, self._elementwise(h, states))
+
+    @pytest.mark.parametrize("kind", ["heisenberg", "tfim"])
+    def test_models_bit_identical_to_elementwise(self, kind):
+        ham, _ = build_model(ModelSpec(kind=kind, n=8, seed=1))
+        rng = np.random.default_rng(3)
+        states = tuple(int(s) for s in rng.choice(256, size=120, replace=False))
+        m = build_restricted(ham, Subspace(states))
+        ref = self._elementwise(ham, states)
+        assert m.entries.dtype == ref.dtype
+        assert m.entries.tobytes() == ref.tobytes()
 
     def test_empty_subspace_rejected(self):
         h = parse_hamiltonian("1.0 Z\n")
