@@ -69,11 +69,11 @@ class ExperimentSpec:
     seeds: tuple[int, ...] = DEFAULT_SEEDS
     shots: int | None = None
     eta: float = DEFAULT_ETA
-    K: int = 50
-    B: int = 20
-    T: int = 10
-    tau: float = 1e-4
-    eps: float = 1e-8
+    K: int = RunConfig.K
+    B: int = RunConfig.B
+    T: int = RunConfig.T
+    tau: float = RunConfig.tau
+    eps: float = RunConfig.eps
 
     def __post_init__(self) -> None:
         if not self.sizes:

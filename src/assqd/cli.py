@@ -70,11 +70,25 @@ def _sidecar(ctx: click.Context, suffix: str, text: str) -> None:
         Path(str(out) + suffix).write_text(text, encoding="utf-8")
 
 
-def _parse_sizes(text: str) -> tuple[int, ...]:
+def _int_list(ctx: click.Context, param: click.Parameter,
+              text: str) -> tuple[int, ...]:
     try:
-        return tuple(int(part) for part in text.split(",") if part.strip())
+        values = tuple(int(part) for part in text.split(",") if part.strip())
     except ValueError as exc:
         raise click.BadParameter(f"not a comma-separated integer list: {text!r}") from exc
+    if not values:
+        raise click.BadParameter("expected at least one integer")
+    return values
+
+
+def _sizes(ctx: click.Context, param: click.Parameter, text: str) -> tuple[int, ...]:
+    sizes = _int_list(ctx, param, text)
+    outside = [n for n in sizes if not 2 <= n <= ORACLE_MAX_QUBITS]
+    if outside:
+        raise click.BadParameter(
+            f"sizes must lie within [2, {ORACLE_MAX_QUBITS}], got {outside}"
+        )
+    return sizes
 
 
 def _emit_table(
@@ -135,7 +149,9 @@ def model(ctx: click.Context, kind: str, n: int) -> None:
 @click.option("--count", type=int, default=2, show_default=True,
               help="Number of lowest eigenpairs.")
 @click.option("--method", type=click.Choice(["dense", "lanczos"]), default=None,
-              help="Eigensolver; size-based choice when omitted.")
+              help="Eigensolver: dense eigh (n <= 12) or Lanczos on the "
+                   "CSR matrix (n <= 20); when omitted, dense for n <= 8 "
+                   "and Lanczos above.")
 @click.option("--tol", type=float, default=1e-9, show_default=True,
               help="Residual tolerance for each eigenpair.")
 @click.option("--pairs", type=click.Path(dir_okay=False), default=None,
@@ -189,12 +205,12 @@ def _options(*options):
 
 
 _budget_options = _options(
-    click.option("-K", "K", type=int, default=RunConfig.K, show_default=True,
-                 help="Initial subspace size (top-K by count)."),
-    click.option("-B", "B", type=int, default=RunConfig.B, show_default=True,
-                 help="Basis states added per iteration."),
-    click.option("-T", "T", type=int, default=RunConfig.T, show_default=True,
-                 help="Expansion iterations."),
+    click.option("-K", "K", type=click.IntRange(min=1), default=RunConfig.K,
+                 show_default=True, help="Initial subspace size (top-K by count)."),
+    click.option("-B", "B", type=click.IntRange(min=1), default=RunConfig.B,
+                 show_default=True, help="Basis states added per iteration."),
+    click.option("-T", "T", type=click.IntRange(min=1), default=RunConfig.T,
+                 show_default=True, help="Expansion iterations."),
     click.option("--tau", type=float, default=RunConfig.tau, show_default=True,
                  help="Dominant-support probability threshold."),
     click.option("--eps", type=float, default=RunConfig.eps, show_default=True,
@@ -216,11 +232,11 @@ def _run_and_emit(
     counts,
     config: RunConfig,
     model_metadata: dict[str, Any] | None,
-    compute_exact: bool,
+    compute_exact: bool = True,
 ) -> None:
     e0 = e1 = None
     degenerate = None
-    if compute_exact:
+    if compute_exact and ham.n <= ORACLE_MAX_QUBITS:
         eig = exact_lowest(ham, count=2)
         e0, e1, degenerate = float(eig.e0), float(eig.e1), eig.degenerate_ground
     trace = run_as_sqd(ham, counts, config)
@@ -241,7 +257,11 @@ def _run_and_emit(
 def run(ctx: click.Context, hamiltonian: str, counts_file: str, method: str,
         K: int, B: int, T: int, tau: float, eps: float, hops: int,
         no_exact: bool) -> None:
-    """One method on a Hamiltonian file plus a counts file (trace JSON)."""
+    """One method on a Hamiltonian file plus a counts file (trace JSON).
+
+    Beyond the oracle's qubit limit the reference solve is skipped, as
+    with --no-exact, and e0, e1 and err are null.
+    """
     ham = load_hamiltonian(hamiltonian)
     counts = load_counts(counts_file)
     if counts.n != ham.n:
@@ -272,8 +292,7 @@ def ingest(ctx: click.Context, counts_file: str, kind: str, method: str,
     ham, spec, disorder = _instance(kind, counts.n, ctx.obj["seed"])
     config = RunConfig(K=K, B=B, T=T, tau=tau, eps=eps, kind=method,
                        hops=hops, seed=ctx.obj["seed"])
-    _run_and_emit(ctx, ham, counts, config, metadata_record(spec, disorder),
-                  compute_exact=counts.n <= ORACLE_MAX_QUBITS)
+    _run_and_emit(ctx, ham, counts, config, metadata_record(spec, disorder))
 
 
 def _sweep_options(default_sizes: str):
@@ -281,22 +300,14 @@ def _sweep_options(default_sizes: str):
         click.option("--kind", type=_MODEL_KINDS, default="heisenberg",
                      show_default=True),
         click.option("--sizes", default=default_sizes, show_default=True,
-                     help="Comma-separated system sizes."),
+                     callback=_sizes, help="Comma-separated system sizes."),
         click.option("--seeds", default=",".join(map(str, DEFAULT_SEEDS)),
-                     show_default=True, help="Comma-separated disorder seeds."),
+                     show_default=True, callback=_int_list,
+                     help="Comma-separated disorder seeds."),
         click.option("--shots", type=int, default=None,
                      help="Override the size-based shot default."),
         click.option("--eta", type=float, default=DEFAULT_ETA, show_default=True),
         _budget_options,
-    )
-
-
-def _build_spec(kind: str, sizes: str, seeds: str, shots: int | None,
-                eta: float, K: int, B: int, T: int, tau: float,
-                eps: float) -> ExperimentSpec:
-    return ExperimentSpec(
-        kind=kind, sizes=_parse_sizes(sizes), seeds=_parse_sizes(seeds),
-        shots=shots, eta=eta, K=K, B=B, T=T, tau=tau, eps=eps,
     )
 
 
@@ -305,7 +316,7 @@ def _build_spec(kind: str, sizes: str, seeds: str, shots: int | None,
 @click.pass_context
 def bench(ctx: click.Context, **kwargs: Any) -> None:
     """Scaling sweep: standard vs random vs EN expansion, shared counts."""
-    rows, medians = experiment_scaling(_build_spec(**kwargs))
+    rows, medians = experiment_scaling(ExperimentSpec(**kwargs))
     _emit_table(ctx, rows, medians, "medians")
 
 
@@ -314,7 +325,7 @@ def bench(ctx: click.Context, **kwargs: Any) -> None:
 @click.pass_context
 def ablate(ctx: click.Context, **kwargs: Any) -> None:
     """Acquisition-variant sweep: en, coupling_only, denom_only, diag_only."""
-    rows, medians = experiment_ablation(_build_spec(**kwargs))
+    rows, medians = experiment_ablation(ExperimentSpec(**kwargs))
     _emit_table(ctx, rows, medians, "medians")
 
 
@@ -323,7 +334,7 @@ def ablate(ctx: click.Context, **kwargs: Any) -> None:
 @click.pass_context
 def hops(ctx: click.Context, **kwargs: Any) -> None:
     """Paired 1-hop vs 2-hop EN arms with iterations-to-threshold stats."""
-    rows, stats = experiment_hops(_build_spec(**kwargs))
+    rows, stats = experiment_hops(ExperimentSpec(**kwargs))
     _emit_table(ctx, rows, stats, "stats")
 
 

@@ -1,11 +1,16 @@
 """Reference eigenpairs of the full Hamiltonian, for benchmarking only.
 
-Two routes produce the lowest eigenpairs: a dense Hermitian solve for
-n <= 12 (4096-dim, cheap) and implicitly-restarted Lanczos (ARPACK via
-scipy) on a matrix-free product for 13 <= n <= 20, where dense storage is
-out of reach.  Every returned pair is verified against the residual bound
-``norm(H psi - E psi) <= tol`` regardless of route, so a silent
-misconvergence cannot leak into benchmark baselines.
+Two routes produce the lowest eigenpairs, chosen by size.  Above
+DEFAULT_DENSE_MAX_QUBITS, implicitly-restarted Lanczos (ARPACK via scipy)
+runs on H built once as a CSR matrix (:func:`sparse_matrix`), up to
+ORACLE_MAX_QUBITS = 20.  At and below it, where ARPACK's set-up costs more
+than the solve and tiny dimensions are out of its reach, a dense Hermitian
+solve runs; it stays selectable up to DENSE_MAX_QUBITS = 12 as the
+reference the tests compare the sparse route against.  Every returned pair
+is verified against the residual bound ``norm(H psi - E psi) <= tol``
+through :func:`apply_hamiltonian`, a term-by-term product that shares no
+code with the CSR builder, so neither a silent misconvergence nor a wrong
+matrix entry can leak into benchmark baselines.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 import scipy.sparse.linalg
 
 from assqd.pauli import DENSE_MAX_QUBITS, PauliHamiltonian
@@ -24,6 +30,15 @@ DEGENERACY_GAP = 1e-8
 
 # Iteration cap for the Lanczos route, in ARPACK restart cycles.
 LANCZOS_MAXITER = 20_000
+
+# Largest n the default route solves densely.  Measured per solve (CPU
+# time, one BLAS thread, Heisenberg, TFIM and a complex random Hamiltonian,
+# count 2 and 8): at n = 8 dense eigh takes 4.1-12.7 ms and CSR + ARPACK
+# 4.2-24.8 ms (ratio 0.96-1.96); at n = 9 dense 17-74 ms and sparse
+# 4.7-59 ms (ratio 0.26-0.81); at n = 12 dense 5.7-30 s and sparse
+# 0.03-0.51 s.  Every n above it keeps ARPACK's count < dim - 1 for the
+# largest count, 8.
+DEFAULT_DENSE_MAX_QUBITS = 8
 
 
 class ConvergenceError(RuntimeError):
@@ -101,19 +116,58 @@ def _dense_lowest(ham: PauliHamiltonian, count: int) -> tuple[np.ndarray, np.nda
     return vals, vecs
 
 
+def sparse_matrix(ham: PauliHamiltonian) -> scipy.sparse.csr_array:
+    """H as a CSR matrix, built directly in that format.
+
+    Each distinct x_mask is one block of entries: row i holds column
+    i ^ x_mask, whose value sums, in term order, the weights of that
+    x_mask's terms signed by the column state (the same arithmetic as
+    :meth:`PauliHamiltonian.dense_matrix`).  Every row has one entry per
+    block, so ``indptr`` is ``arange(dim + 1) * G`` for G distinct
+    x_masks; entries that cancel exactly are dropped at the end, in place.
+    Real values take 8 bytes and ``int32`` column indices 4, so the matrix
+    holds about G * 2^n * 12 bytes: ~13 MB for Heisenberg at n = 16
+    (G = 17), where XX + YY cancel on aligned neighbours and 9 entries per
+    row remain.
+    """
+    if ham.n > ORACLE_MAX_QUBITS:
+        raise ValueError(
+            f"sparse matrix limited to n <= {ORACLE_MAX_QUBITS}, got {ham.n}"
+        )
+    dim = 1 << ham.n
+    xs, zs, ws = ham._term_arrays
+    masks = np.unique(xs)
+    if dim * len(masks) > np.iinfo(np.int32).max:
+        raise ValueError(f"{dim * len(masks)} entries exceed int32 CSR indexing")
+    data = np.empty((dim, len(masks)), dtype=ws.dtype)
+    indices = np.empty((dim, len(masks)), dtype=np.int32)
+    idx = np.arange(dim, dtype=np.int64)
+    for g, x in enumerate(masks):
+        cols = idx ^ x
+        block = np.zeros(dim, dtype=ws.dtype)
+        in_group = xs == x
+        for z, w in zip(zs[in_group], ws[in_group]):
+            block += w * (1.0 - 2.0 * (np.bitwise_count(cols & z) & 1))
+        data[:, g] = block
+        indices[:, g] = cols
+    indptr = np.arange(dim + 1, dtype=np.int32) * np.int32(len(masks))
+    matrix = scipy.sparse.csr_array(
+        (data.reshape(-1), indices.reshape(-1), indptr), shape=(dim, dim)
+    )
+    matrix.eliminate_zeros()
+    return matrix
+
+
 def _lanczos_lowest(
     ham: PauliHamiltonian, count: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    dim = 1 << ham.n
-    dtype = np.float64 if ham.is_real else np.complex128
-    op = scipy.sparse.linalg.LinearOperator(
-        (dim, dim), matvec=lambda v: apply_hamiltonian(ham, v), dtype=dtype
-    )
+    matrix = sparse_matrix(ham)
+    dim = matrix.shape[0]
     rng = np.random.default_rng(0)
     v0 = rng.standard_normal(dim)
     try:
         vals, vecs = scipy.sparse.linalg.eigsh(
-            op,
+            matrix,
             k=count,
             which="SA",
             v0=v0,
@@ -149,7 +203,8 @@ def exact_lowest(
     """Residual-verified lowest eigenpairs of the full Hamiltonian.
 
     method selects the route explicitly ("dense" or "lanczos"); by
-    default n <= 12 goes dense and larger sizes go matrix-free Lanczos.
+    default n <= DEFAULT_DENSE_MAX_QUBITS goes dense and larger sizes go
+    Lanczos on the CSR matrix.
     """
     if ham.n > ORACLE_MAX_QUBITS:
         raise ValueError(f"oracle limited to n <= {ORACLE_MAX_QUBITS}, got {ham.n}")
@@ -158,12 +213,17 @@ def exact_lowest(
     if count > (1 << ham.n):
         raise ValueError(f"count {count} too large for dimension {1 << ham.n}")
     if method is None:
-        method = "dense" if ham.n <= DENSE_MAX_QUBITS else "lanczos"
+        method = "dense" if ham.n <= DEFAULT_DENSE_MAX_QUBITS else "lanczos"
     if method == "dense":
         if ham.n > DENSE_MAX_QUBITS:
             raise ValueError(f"dense route limited to n <= {DENSE_MAX_QUBITS}")
         vals, vecs = _dense_lowest(ham, count)
     elif method == "lanczos":
+        if count >= (1 << ham.n) - 1:
+            raise ValueError(
+                f"lanczos route needs count < dimension - 1, got count {count} "
+                f"at dimension {1 << ham.n}"
+            )
         vals, vecs = _lanczos_lowest(ham, count)
     else:
         raise ValueError(f"unknown method {method!r}")

@@ -263,7 +263,7 @@ def test_06_acquisition_ablation_ordering(ablate12):
 
 @pytest.mark.skipif(
     not os.environ.get("ASSQD_ACCEPT_N16"),
-    reason="n=16 ablation re-run is opt-in (set ASSQD_ACCEPT_N16=1; takes minutes)",
+    reason="n=16 ablation re-run is opt-in (set ASSQD_ACCEPT_N16=1; ~10 s)",
 )
 def test_06b_optional_ablation_at_n16(oracle_cache):
     spec = ExperimentSpec(kind="heisenberg", sizes=(16,), seeds=DEFAULT_SEEDS)

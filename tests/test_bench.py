@@ -68,6 +68,12 @@ class TestSpecAndHelpers:
         with pytest.raises(ValueError):
             ExperimentSpec(kind="heisenberg", sizes=(4,), seeds=())
 
+    def test_loop_defaults_are_run_config_defaults(self):
+        spec = ExperimentSpec(kind="heisenberg", sizes=(4,))
+        names = ("K", "B", "T", "tau", "eps")
+        assert {f: getattr(spec, f) for f in names} == {
+            f: getattr(RunConfig(), f) for f in names}
+
     def test_run_config_passthrough(self):
         spec = _tiny_spec(K=7, B=3, T=2, tau=1e-3, eps=1e-6)
         cfg = spec.run_config(seed=5, kind="coupling_only", hops=2)

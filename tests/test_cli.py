@@ -164,6 +164,38 @@ class TestRunVerb:
         assert doc["config"]["B"] == 2
         assert doc["records"][0]["subspace_size"] == 5
 
+    def test_beyond_oracle_limit_skips_reference(self, runner, tmp_path):
+        ham_path = tmp_path / "h22.txt"
+        _invoke(runner, ["--out", str(ham_path), "model", "heisenberg", "22"])
+        counts_path = tmp_path / "c22.json"
+        counts_path.write_text(counts_to_json(CountsMultiset(
+            counts={0b0101 << 18: 7, 0b1010: 5, 0b0110 << 9: 2}, n=22,
+            total_shots=14)))
+        result = _invoke(runner, ["run", str(ham_path), str(counts_path), "-T", "1"])
+        doc = json.loads(result.output)
+        assert doc["err"] is None
+        assert doc["reference"] == {"e0": None, "e1": None, "degenerate_ground": None}
+        assert [r["iteration"] for r in doc["records"]] == [0, 1]
+
+
+@pytest.mark.parametrize("flag", ["-K", "-B", "-T"])
+def test_budget_below_one_is_a_usage_error(runner, artifacts, flag):
+    ham_path, counts_path = artifacts
+    result = runner.invoke(main, ["run", str(ham_path), str(counts_path), flag, "0"])
+    assert result.exit_code == 2
+    assert "Usage:" in result.output
+    assert f"Invalid value for '{flag}'" in result.output
+    assert isinstance(result.exception, SystemExit)
+
+
+@pytest.mark.parametrize("sizes", ["22", "1", "4,21", ","])
+def test_sizes_outside_oracle_range_are_a_usage_error(runner, sizes):
+    result = runner.invoke(main, ["bench", "--sizes", sizes, "--seeds", "0"])
+    assert result.exit_code == 2
+    assert "Usage:" in result.output
+    assert "Invalid value for '--sizes'" in result.output
+    assert isinstance(result.exception, SystemExit)
+
 
 _LABELS = {
     "standard": "standard", "en": "as-en", "coupling_only": "as-coupling_only",

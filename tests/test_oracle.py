@@ -1,4 +1,4 @@
-"""Tests for the matrix-free product and reference eigensolves."""
+"""Tests for the matrix-free product, the CSR builder and reference eigensolves."""
 
 from __future__ import annotations
 
@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import assqd.oracle as oracle_mod
 from assqd.models import DisorderInstance, ModelSpec, build_model, tfim_chain
 from assqd.oracle import (
     ConvergenceError,
@@ -14,6 +15,7 @@ from assqd.oracle import (
     exact_lowest,
     load_eigenpairs,
     save_eigenpairs,
+    sparse_matrix,
 )
 from assqd.pauli import PauliHamiltonian, PauliTerm, parse_hamiltonian
 from conftest import random_hamiltonian
@@ -51,6 +53,36 @@ class TestApplyHamiltonian:
             apply_hamiltonian(h, np.zeros(3))
 
 
+class TestSparseMatrix:
+    def test_random_hamiltonians_match_dense_bit_for_bit(self):
+        rng = np.random.default_rng(41)
+        complex_count = 0
+        for _ in range(200):
+            n = int(rng.integers(1, 8))
+            h = random_hamiltonian(n, int(rng.integers(1, 4 * n + 4)), rng)
+            complex_count += not h.is_real
+            assert np.array_equal(sparse_matrix(h).toarray(), h.dense_matrix())
+        assert complex_count > 100
+
+    @pytest.mark.parametrize("kind", ["heisenberg", "tfim"])
+    @pytest.mark.parametrize("n", [6, 8, 10])
+    def test_models_match_dense_bit_for_bit(self, kind, n):
+        ham, _ = build_model(ModelSpec(kind=kind, n=n, seed=n))
+        matrix = sparse_matrix(ham)
+        assert matrix.indices.dtype == np.int32
+        assert np.array_equal(matrix.toarray(), ham.dense_matrix())
+
+    def test_cancelled_entries_dropped(self):
+        h = parse_hamiltonian("1.0 XX\n1.0 YY\n")
+        # XX + YY couples |01> and |10> only; its |00>/|11> entries cancel.
+        assert sparse_matrix(h).nnz == 2
+
+    def test_size_limit(self):
+        ham = PauliHamiltonian(21, [PauliTerm(0, 1, 1.0)])
+        with pytest.raises(ValueError, match="n <= 20"):
+            sparse_matrix(ham)
+
+
 class TestExactLowest:
     def test_heisenberg_n2_spectrum(self):
         ham, _ = build_model(ModelSpec(kind="heisenberg", n=2, seed=0, disorder_std=0.0))
@@ -82,6 +114,62 @@ class TestExactLowest:
         assert abs(dense.e0 - lanczos.e0) < 1e-8
         assert abs(dense.e1 - lanczos.e1) < 1e-8
         assert abs(np.vdot(dense.psi0, lanczos.psi0)) > 1.0 - 1e-8
+
+    def test_dense_lanczos_agreement_complex(self):
+        ham = random_hamiltonian(8, 40, np.random.default_rng(8))
+        assert not ham.is_real
+        dense = exact_lowest(ham, method="dense")
+        lanczos = exact_lowest(ham, method="lanczos")
+        assert abs(dense.e0 - lanczos.e0) <= 1e-10
+        assert abs(dense.e1 - lanczos.e1) <= 1e-10
+        assert abs(np.vdot(dense.psi0, lanczos.psi0)) >= 1.0 - 1e-8
+
+    @pytest.mark.parametrize("kind", ["heisenberg", "tfim"])
+    @pytest.mark.parametrize("n", [10, 12])
+    def test_default_route_never_builds_dense_matrix(self, monkeypatch, kind, n):
+        ham, _ = build_model(ModelSpec(kind=kind, n=n, seed=0))
+
+        def refuse(self):
+            raise AssertionError("dense matrix built")
+
+        monkeypatch.setattr(PauliHamiltonian, "dense_matrix", refuse)
+        pairs = exact_lowest(ham)
+        assert pairs.e0 < pairs.e1
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_tiny_dimensions_solve_dense_by_default(self, monkeypatch, n):
+        def refuse(ham):
+            raise AssertionError("sparse route taken")
+
+        monkeypatch.setattr(oracle_mod, "sparse_matrix", refuse)
+        ham = random_hamiltonian(n, 3 * n, np.random.default_rng(n))
+        expected = scipy.linalg.eigvalsh(ham.dense_matrix())
+        for count in range(2, min(8, 1 << n) + 1):
+            pairs = exact_lowest(ham, count=count)
+            assert np.allclose(pairs.energies, expected[:count], atol=1e-10)
+
+    def test_lanczos_route_rejects_tiny_dimension(self):
+        ham = random_hamiltonian(3, 9, np.random.default_rng(3))
+        with pytest.raises(ValueError, match="count < dimension - 1"):
+            exact_lowest(ham, count=7, method="lanczos")
+
+    @pytest.mark.parametrize("n", [8, 10])
+    def test_degenerate_ground_flagged_on_sparse_route(self, n):
+        ham = tfim_chain(n, 1.0, 0.0, DisorderInstance((0.0,) * n, 0))
+        pairs = exact_lowest(ham, method="lanczos")
+        assert pairs.degenerate_ground
+        assert abs(pairs.e0 + n) <= 1e-10
+        assert abs(pairs.e1 + n) <= 1e-10
+
+    # With one restart, ARPACK converges one of two pairs on the Heisenberg
+    # instance and none on the TFIM one.
+    @pytest.mark.parametrize("kind, finite", [("heisenberg", True), ("tfim", False)])
+    def test_arpack_non_convergence_raises(self, monkeypatch, kind, finite):
+        ham, _ = build_model(ModelSpec(kind=kind, n=12, seed=0))
+        monkeypatch.setattr(oracle_mod, "LANCZOS_MAXITER", 1)
+        with pytest.raises(ConvergenceError, match="restarts") as info:
+            exact_lowest(ham)
+        assert np.isfinite(info.value.achieved_residual) == finite
 
     def test_variational_floor(self):
         rng = np.random.default_rng(23)
