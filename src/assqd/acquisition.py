@@ -1,18 +1,19 @@
 """Candidate generation and perturbation-theoretic scoring.
 
 Candidates are the Hamiltonian-connected frontier of the dominant support
-D.  Each candidate k gets the second-order score
+D, as an ascending int64 array.  Each candidate k gets the second-order score
 
     a(k) = |nu_k|^2 / max(|E_S - H_kk|, eps),   nu_k = sum_{s in D} c_s <k|H|s>
 
 whose signed counterpart |nu_k|^2 / (E_S - H_kk) is the usual
 Epstein-Nesbet energy correction.  Ablation variants keep one factor each
 (coupling_only, denom_only, diag_only) and the random variant ranks by a
-seeded uniform draw.
+seeded uniform draw.  One :class:`CandidateScores` of aligned arrays holds them.
 
 Two scoring routes exist for nu on purpose: :func:`coupling` is the
-literal per-candidate sum, :func:`coupling_map` vectorizes over the
-Hamiltonian's masks.  Tests hold them equal; the driver uses the map.
+literal per-candidate sum, :func:`coupling_map` batches it over the
+Hamiltonian's masks with :meth:`PauliHamiltonian.amplitudes`.  Tests hold
+them equal bit for bit; the driver uses the map.
 """
 
 from __future__ import annotations
@@ -22,29 +23,44 @@ from dataclasses import dataclass
 import numpy as np
 
 from assqd.pauli import BasisState, PauliHamiltonian
-from assqd.subspace import DominantSupport, RestrictedSolution, Subspace
+from assqd.subspace import (
+    DominantSupport,
+    RestrictedSolution,
+    Subspace,
+    sorted_positions,
+)
 
 ACQUISITION_KINDS = ("en", "coupling_only", "denom_only", "diag_only", "random")
 
 DEFAULT_EPS = 1e-8
 
 
-@dataclass(frozen=True)
-class ScoredCandidate:
-    """A candidate state with its diagonal, coupling, and ranking key.
+@dataclass(frozen=True, eq=False)
+class CandidateScores:
+    """Candidate states with their diagonals, couplings and ranking keys.
 
-    score is nonnegative for every variant except diag_only, which ranks
-    by the raw (possibly negative) key -H_kk.
+    The four arrays are aligned.  score is nonnegative for every variant
+    except diag_only, which ranks by the raw (possibly negative) key -H_kk.
     """
 
-    state: BasisState
-    diagonal: float
-    coupling: complex
-    score: float
+    states: np.ndarray
+    diagonal: np.ndarray
+    coupling: np.ndarray
+    score: np.ndarray
 
     def __post_init__(self) -> None:
-        if not np.isfinite(self.score):
-            raise ValueError(f"score for state {self.state} is not finite")
+        bad = ~np.isfinite(self.score)
+        if bad.any():
+            raise ValueError(f"score for state {self.states[bad][0]} is not finite")
+
+    def __len__(self) -> int:
+        return len(self.states)
+
+
+def _step(ham: PauliHamiltonian, states: np.ndarray) -> np.ndarray:
+    """s XOR x_mask for every state and off-diagonal mask, repeats kept."""
+    masks = np.array(ham.offdiag_masks, dtype=np.int64)
+    return (states[:, None] ^ masks).ravel()
 
 
 def generate_candidates(
@@ -52,27 +68,19 @@ def generate_candidates(
     dominant: DominantSupport,
     subspace: Subspace,
     hops: int = 1,
-) -> set[BasisState]:
-    """Frontier of the dominant support, excluding the subspace.
+) -> np.ndarray:
+    """Frontier of the dominant support, excluding the subspace, ascending.
 
     hops=1 is the union of single-term neighborhoods of D.  hops=2 also
-    walks one more step from every 1-hop candidate (used by the horizon
+    steps once more from every 1-hop candidate (used by the horizon
     experiment); the result stays disjoint from the subspace.
     """
     if hops not in (1, 2):
         raise ValueError(f"hops must be 1 or 2, got {hops}")
-    index = subspace.index
-    one_hop: set[BasisState] = set()
-    for s in dominant.states:
-        one_hop.update(ham.neighbors(s))
-    one_hop.difference_update(index)
+    one_hop = np.setdiff1d(_step(ham, dominant.states), subspace.states)
     if hops == 1:
         return one_hop
-    frontier = set(one_hop)
-    for m in one_hop:
-        frontier.update(ham.neighbors(m))
-    frontier.difference_update(index)
-    return frontier
+    return np.union1d(one_hop, np.setdiff1d(_step(ham, one_hop), subspace.states))
 
 
 def coupling(
@@ -92,28 +100,35 @@ def coupling_map(
     ham: PauliHamiltonian,
     sol: RestrictedSolution,
     dominant: DominantSupport,
-    candidates: set[BasisState],
-) -> dict[BasisState, complex]:
-    """nu for every candidate at once, walking masks instead of pairs.
+    candidates: np.ndarray,
+) -> np.ndarray:
+    """nu for every candidate at once, aligned with the ascending candidates.
 
-    Cost is O(|D| * terms) rather than O(|candidates| * |D|); each
-    (s, x_mask) pair lands on exactly one target state.
+    Cost is O(|D| * terms) rather than O(|candidates| * |D|): each
+    (s, x_mask) pair lands on exactly one target state.  Pairs are summed
+    s-major in D's order, the order of the literal sum in :func:`coupling`.
     """
-    nu: dict[BasisState, complex] = {k: 0.0 + 0.0j for k in candidates}
-    for s in dominant.states:
-        c_s = sol.coefficient(s)
-        for x_mask in ham.offdiag_masks:
-            k = s ^ x_mask
-            if k in nu:
-                nu[k] += c_s * ham._group_amplitude(x_mask, s)
+    d = dominant.states
+    amps = np.array([ham.amplitudes(x_mask, d) for x_mask in ham.offdiag_masks]).T
+    c = sol.coefficients[sol.subspace.positions(d)][:, None]
+    # Each real operation rounds on its own, as in coupling()'s scalar
+    # products; numpy's vector complex multiply may fuse them.
+    real = c.real * amps.real - c.imag * amps.imag
+    terms = (real + 1j * (c.real * amps.imag + c.imag * amps.real)).ravel()
+    at = sorted_positions(candidates, _step(ham, d))
+    hit = at >= 0
+    nu = np.zeros(len(candidates), dtype=np.complex128)
+    np.add.at(nu, at[hit], terms[hit])
     return nu
 
 
-def en_score(e_s: float, h_kk: float, nu_k: complex, eps: float) -> float:
-    """|nu_k|^2 over the regularized diagonal gap."""
+def en_score(
+    e_s: float, h_kk: np.ndarray, nu_k: np.ndarray, eps: float
+) -> np.ndarray:
+    """|nu_k|^2 over the regularized diagonal gap, elementwise or scalar."""
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
-    return abs(nu_k) ** 2 / max(abs(e_s - h_kk), eps)
+    return np.abs(nu_k) ** 2 / np.maximum(np.abs(e_s - h_kk), eps)
 
 
 def signed_correction(e_s: float, h_kk: float, nu_k: complex) -> float:
@@ -126,41 +141,32 @@ def score_candidates(
     ham: PauliHamiltonian,
     sol: RestrictedSolution,
     dominant: DominantSupport,
-    candidates: set[BasisState],
+    candidates: np.ndarray,
     eps: float = DEFAULT_EPS,
     rng_seed: int | None = None,
-) -> list[ScoredCandidate]:
+) -> CandidateScores:
     """Score every candidate under one variant, in ascending-state order."""
     if kind not in ACQUISITION_KINDS:
         raise ValueError(f"unknown acquisition kind {kind!r}")
-    overlap = [k for k in candidates if k in sol.subspace.index]
-    if overlap:
-        raise ValueError(f"candidates intersect the subspace: {sorted(overlap)[:5]}")
-    ordered = sorted(candidates)
+    if kind == "random" and rng_seed is None:
+        raise ValueError("random scoring requires rng_seed")
+    candidates = np.unique(np.asarray(candidates, dtype=np.int64))
+    overlap = candidates[sol.subspace.positions(candidates) >= 0]
+    if len(overlap):
+        raise ValueError(f"candidates intersect the subspace: {overlap[:5].tolist()}")
     nu = coupling_map(ham, sol, dominant, candidates)
-    e_s = sol.energy
-    if kind == "random":
-        if rng_seed is None:
-            raise ValueError("random scoring requires rng_seed")
-        draws = np.random.default_rng(rng_seed).random(len(ordered))
-    scored = []
-    for pos, k in enumerate(ordered):
-        h_kk = ham.diagonal(k)
-        nu_k = nu[k]
-        if kind == "en":
-            score = en_score(e_s, h_kk, nu_k, eps)
-        elif kind == "coupling_only":
-            score = abs(nu_k) ** 2
-        elif kind == "denom_only":
-            score = 1.0 / max(abs(e_s - h_kk), eps)
-        elif kind == "diag_only":
-            score = -h_kk
-        else:
-            score = float(draws[pos])
-        scored.append(
-            ScoredCandidate(state=k, diagonal=h_kk, coupling=nu_k, score=score)
-        )
-    return scored
+    h_kk = ham.diagonal(candidates)
+    if kind == "en":
+        score = en_score(sol.energy, h_kk, nu, eps)
+    elif kind == "coupling_only":
+        score = np.abs(nu) ** 2
+    elif kind == "denom_only":
+        score = 1.0 / np.maximum(np.abs(sol.energy - h_kk), eps)
+    elif kind == "diag_only":
+        score = -h_kk
+    else:
+        score = np.random.default_rng(rng_seed).random(len(candidates))
+    return CandidateScores(states=candidates, diagonal=h_kk, coupling=nu, score=score)
 
 
 def score_two_hop(
@@ -169,8 +175,8 @@ def score_two_hop(
     dominant: DominantSupport,
     subspace: Subspace,
     eps: float = DEFAULT_EPS,
-) -> list[ScoredCandidate]:
-    """EN scoring over the 2-hop frontier.
+) -> CandidateScores:
+    """EN scoring over the 2-hop frontier: 1-hop states, then pure 2-hop.
 
     Direct (1-hop) candidates keep the ordinary EN score.  Pure 2-hop
     candidates have nu_k = 0 by construction, so they get a chained
@@ -181,40 +187,28 @@ def score_two_hop(
     """
     one_hop = generate_candidates(ham, dominant, subspace, hops=1)
     scored = score_candidates("en", ham, sol, dominant, one_hop, eps=eps)
-    pure_two: set[BasisState] = set()
-    for m in one_hop:
-        pure_two.update(ham.neighbors(m))
-    pure_two.difference_update(one_hop, subspace.index)
-    e_s = sol.energy
-    best: dict[BasisState, float] = {k: 0.0 for k in pure_two}
-    for sc in scored:
-        nu_m_sq = abs(sc.coupling) ** 2
-        if nu_m_sq == 0.0:
-            continue
-        denom_m = max(abs(e_s - sc.diagonal), eps)
-        for x_mask in ham.offdiag_masks:
-            k = sc.state ^ x_mask
-            if k in best:
-                amp = ham._group_amplitude(x_mask, sc.state)
-                value = abs(amp) ** 2 * nu_m_sq / denom_m
-                if value > best[k]:
-                    best[k] = value
-    for k in sorted(pure_two):
-        h_kk = ham.diagonal(k)
-        scored.append(
-            ScoredCandidate(
-                state=k,
-                diagonal=h_kk,
-                coupling=0.0 + 0.0j,
-                score=best[k] / max(abs(e_s - h_kk), eps),
-            )
-        )
-    return scored
+    pure_two = np.setdiff1d(_step(ham, one_hop), np.union1d(one_hop, subspace.states))
+    nu_m_sq = np.abs(scored.coupling) ** 2
+    denom_m = np.maximum(np.abs(sol.energy - scored.diagonal), eps)
+    best = np.zeros(len(pure_two))
+    for x_mask in ham.offdiag_masks:
+        at = sorted_positions(pure_two, one_hop ^ x_mask)
+        hit = at >= 0
+        amp = ham.amplitudes(x_mask, one_hop[hit])
+        np.maximum.at(best, at[hit], np.abs(amp) ** 2 * nu_m_sq[hit] / denom_m[hit])
+    h_kk = ham.diagonal(pure_two)
+    return CandidateScores(
+        states=np.concatenate([scored.states, pure_two]),
+        diagonal=np.concatenate([scored.diagonal, h_kk]),
+        coupling=np.concatenate([scored.coupling, np.zeros(len(pure_two), complex)]),
+        score=np.concatenate(
+            [scored.score, best / np.maximum(np.abs(sol.energy - h_kk), eps)]
+        ),
+    )
 
 
-def select_top_b(scored: list[ScoredCandidate], B: int) -> list[BasisState]:
+def select_top_b(scored: CandidateScores, B: int) -> np.ndarray:
     """Largest ranking keys first; ties go to the lower state value."""
     if B < 1:
         raise ValueError(f"B must be >= 1, got {B}")
-    ranked = sorted(scored, key=lambda sc: (-sc.score, sc.state))
-    return [sc.state for sc in ranked[:B]]
+    return scored.states[np.lexsort((scored.states, -scored.score))[:B]]

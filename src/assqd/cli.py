@@ -70,25 +70,19 @@ def _sidecar(ctx: click.Context, suffix: str, text: str) -> None:
         Path(str(out) + suffix).write_text(text, encoding="utf-8")
 
 
-def _int_list(ctx: click.Context, param: click.Parameter,
+def _int_list(low: int, high: float = float("inf")):
+    """Option callback: a nonempty comma-separated integer list in [low, high]."""
+    def parse(ctx: click.Context, param: click.Parameter,
               text: str) -> tuple[int, ...]:
-    try:
-        values = tuple(int(part) for part in text.split(",") if part.strip())
-    except ValueError as exc:
-        raise click.BadParameter(f"not a comma-separated integer list: {text!r}") from exc
-    if not values:
-        raise click.BadParameter("expected at least one integer")
-    return values
-
-
-def _sizes(ctx: click.Context, param: click.Parameter, text: str) -> tuple[int, ...]:
-    sizes = _int_list(ctx, param, text)
-    outside = [n for n in sizes if not 2 <= n <= ORACLE_MAX_QUBITS]
-    if outside:
-        raise click.BadParameter(
-            f"sizes must lie within [2, {ORACLE_MAX_QUBITS}], got {outside}"
-        )
-    return sizes
+        try:
+            values = tuple(int(part) for part in text.split(",") if part.strip())
+        except ValueError as exc:
+            raise click.BadParameter(f"not a comma-separated integer list: {text!r}") from exc
+        if not values or any(not low <= v <= high for v in values):
+            raise click.BadParameter(
+                f"expected one or more integers within [{low}, {high}], got {text!r}")
+        return values
+    return parse
 
 
 def _emit_table(
@@ -110,7 +104,7 @@ def _instance(kind: str, n: int, seed: int):
 
 
 @click.group()
-@click.option("--seed", type=int, default=0, show_default=True,
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True,
               help="Disorder/sampling seed for single-instance verbs.")
 @click.option("--out", type=click.Path(dir_okay=False), default=None,
               help="Output file; stdout when omitted.")
@@ -146,7 +140,7 @@ def model(ctx: click.Context, kind: str, n: int) -> None:
 @main.command()
 @click.argument("kind", type=_MODEL_KINDS)
 @click.argument("n", type=int)
-@click.option("--count", type=int, default=2, show_default=True,
+@click.option("--count", type=click.IntRange(2, 8), default=2, show_default=True,
               help="Number of lowest eigenpairs.")
 @click.option("--method", type=click.Choice(["dense", "lanczos"]), default=None,
               help="Eigensolver: dense eigh (n <= 12) or Lanczos on the "
@@ -177,10 +171,10 @@ def oracle(ctx: click.Context, kind: str, n: int, count: int,
 @main.command()
 @click.argument("kind", type=_MODEL_KINDS)
 @click.argument("n", type=int)
-@click.option("--shots", type=int, default=None,
+@click.option("--shots", type=click.IntRange(min=1), default=None,
               help="Shot count; size-based default (2000 for n<=10, else 3000).")
-@click.option("--eta", type=float, default=DEFAULT_ETA, show_default=True,
-              help="Excited-state contamination weight.")
+@click.option("--eta", type=click.FloatRange(0, 1), default=DEFAULT_ETA,
+              show_default=True, help="Excited-state contamination weight.")
 @click.option("--bit-order", type=click.Choice(["qubit0_first", "qubit0_last"]),
               default="qubit0_first", show_default=True,
               help="Bitstring key convention in the emitted counts JSON.")
@@ -211,9 +205,11 @@ _budget_options = _options(
                  show_default=True, help="Basis states added per iteration."),
     click.option("-T", "T", type=click.IntRange(min=1), default=RunConfig.T,
                  show_default=True, help="Expansion iterations."),
-    click.option("--tau", type=float, default=RunConfig.tau, show_default=True,
+    click.option("--tau", type=click.FloatRange(0, 1, max_open=True),
+                 default=RunConfig.tau, show_default=True,
                  help="Dominant-support probability threshold."),
-    click.option("--eps", type=float, default=RunConfig.eps, show_default=True,
+    click.option("--eps", type=click.FloatRange(min=0, min_open=True),
+                 default=RunConfig.eps, show_default=True,
                  help="Score denominator floor."),
 )
 
@@ -300,13 +296,15 @@ def _sweep_options(default_sizes: str):
         click.option("--kind", type=_MODEL_KINDS, default="heisenberg",
                      show_default=True),
         click.option("--sizes", default=default_sizes, show_default=True,
-                     callback=_sizes, help="Comma-separated system sizes."),
+                     callback=_int_list(2, ORACLE_MAX_QUBITS),
+                     help="Comma-separated system sizes."),
         click.option("--seeds", default=",".join(map(str, DEFAULT_SEEDS)),
-                     show_default=True, callback=_int_list,
+                     show_default=True, callback=_int_list(0),
                      help="Comma-separated disorder seeds."),
-        click.option("--shots", type=int, default=None,
+        click.option("--shots", type=click.IntRange(min=1), default=None,
                      help="Override the size-based shot default."),
-        click.option("--eta", type=float, default=DEFAULT_ETA, show_default=True),
+        click.option("--eta", type=click.FloatRange(0, 1), default=DEFAULT_ETA,
+                     show_default=True),
         _budget_options,
     )
 

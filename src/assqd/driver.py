@@ -152,7 +152,7 @@ def run_as_sqd(
 ) -> RunTrace:
     """The expansion loop, run as the configured kind."""
     start = time.perf_counter()
-    sub = Subspace.from_states(top_k(counts, config.K))
+    sub = Subspace(top_k(counts, config.K))
     matrix = build_restricted(ham, sub)
     try:
         sol = lowest_eigenpair(matrix)
@@ -189,25 +189,10 @@ def run_as_sqd(
                     config.kind, ham, sol, dominant, cands,
                     eps=config.eps, rng_seed=rng_seed,
                 )
-            pool_size = len(scored)
-            if pool_size == 0:
-                records.append(
-                    IterationRecord(
-                        iteration=it,
-                        energy=sol.energy,
-                        subspace_size=len(sub),
-                        pool_size=0,
-                        wall_ms=(time.perf_counter() - start) * 1e3,
-                    )
-                )
-                termination = TERMINATION_EMPTY
-                break
-            added = [
-                s for s in select_top_b(scored, config.B) if s not in sub.index
-            ]
-            matrix = extend_restricted(ham, matrix, added)
-            sub = matrix.basis
-            sol = lowest_eigenpair(matrix)
+            if len(scored):
+                matrix = extend_restricted(ham, matrix, select_top_b(scored, config.B))
+                sub = matrix.basis
+                sol = lowest_eigenpair(matrix)
         except Exception as exc:
             raise RunError(
                 f"iteration {it} failed: {exc}", tuple(records)
@@ -217,10 +202,13 @@ def run_as_sqd(
                 iteration=it,
                 energy=sol.energy,
                 subspace_size=len(sub),
-                pool_size=pool_size,
+                pool_size=len(scored),
                 wall_ms=(time.perf_counter() - start) * 1e3,
             )
         )
+        if len(scored) == 0:
+            termination = TERMINATION_EMPTY
+            break
     return RunTrace(
         method=method_label(config.kind),
         records=tuple(records),
@@ -245,7 +233,7 @@ def trace_to_json(
         "model": model_metadata,
         "records": [dataclasses.asdict(r) for r in trace.records],
         "final_energy": trace.final_energy,
-        "final_subspace": list(trace.final_subspace.states),
+        "final_subspace": trace.final_subspace.states.tolist(),
         "termination": trace.termination,
         "reference": {
             "e0": e0,

@@ -120,8 +120,8 @@ def sparse_matrix(ham: PauliHamiltonian) -> scipy.sparse.csr_array:
     """H as a CSR matrix, built directly in that format.
 
     Each distinct x_mask is one block of entries: row i holds column
-    i ^ x_mask, whose value sums, in term order, the weights of that
-    x_mask's terms signed by the column state (the same arithmetic as
+    i ^ x_mask, whose value is :meth:`PauliHamiltonian.amplitudes` of that
+    x_mask at the column state (the arithmetic, in term order, of
     :meth:`PauliHamiltonian.dense_matrix`).  Every row has one entry per
     block, so ``indptr`` is ``arange(dim + 1) * G`` for G distinct
     x_masks; entries that cancel exactly are dropped at the end, in place.
@@ -135,7 +135,7 @@ def sparse_matrix(ham: PauliHamiltonian) -> scipy.sparse.csr_array:
             f"sparse matrix limited to n <= {ORACLE_MAX_QUBITS}, got {ham.n}"
         )
     dim = 1 << ham.n
-    xs, zs, ws = ham._term_arrays
+    xs, _, ws = ham._term_arrays
     masks = np.unique(xs)
     if dim * len(masks) > np.iinfo(np.int32).max:
         raise ValueError(f"{dim * len(masks)} entries exceed int32 CSR indexing")
@@ -144,11 +144,7 @@ def sparse_matrix(ham: PauliHamiltonian) -> scipy.sparse.csr_array:
     idx = np.arange(dim, dtype=np.int64)
     for g, x in enumerate(masks):
         cols = idx ^ x
-        block = np.zeros(dim, dtype=ws.dtype)
-        in_group = xs == x
-        for z, w in zip(zs[in_group], ws[in_group]):
-            block += w * (1.0 - 2.0 * (np.bitwise_count(cols & z) & 1))
-        data[:, g] = block
+        data[:, g] = ham.amplitudes(x, cols)
         indices[:, g] = cols
     indptr = np.arange(dim + 1, dtype=np.int32) * np.int32(len(masks))
     matrix = scipy.sparse.csr_array(

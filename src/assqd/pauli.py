@@ -11,7 +11,9 @@ popcount:
     P |b> = i^{#Y} * (-1)^{popcount(z_mask & b)} |b XOR x_mask>
 
 using the convention Y|0> = i|1>, Y|1> = -i|0>, with the Z-type signs read
-from the *input* state.  Nothing here ever materializes the 2^n x 2^n
+from the *input* state.  Sets of basis states are int64 arrays, and one
+batch kernel, :meth:`PauliHamiltonian.amplitudes`, gives every matrix
+element the package uses.  Nothing here ever materializes the 2^n x 2^n
 matrix except :meth:`PauliHamiltonian.dense_matrix`, a small-n test oracle.
 """
 
@@ -158,16 +160,24 @@ class PauliHamiltonian:
         """<k|H|j>, summing only terms whose x_mask equals k XOR j."""
         return self._group_amplitude(k ^ j, j)
 
-    def diagonal(self, k: BasisState) -> float:
-        """<k|H|k>; only x_mask = 0 terms contribute, so it is real."""
-        total = 0.0
-        for z_mask, weight in self._groups.get(0, ()):
-            # x_mask = 0 implies no Y, so the weight is the real coefficient.
-            if (z_mask & k).bit_count() & 1:
-                total -= weight.real
-            else:
-                total += weight.real
-        return total
+    def amplitudes(self, x_mask: int, states) -> np.ndarray:
+        """<s XOR x_mask|H|s> for every s in an int64 array of states.
+
+        The x_mask's terms are summed in term order from zero, so each
+        entry equals :meth:`_group_amplitude` bit for bit.  float64 when H
+        is real, complex128 otherwise; the shape follows ``states``.
+        """
+        states = np.asarray(states, dtype=np.int64)
+        xs, zs, ws = self._term_arrays
+        in_group = xs == x_mask
+        out = np.zeros(states.shape, dtype=ws.dtype)
+        for z, w in zip(zs[in_group], ws[in_group]):
+            out += w * (1.0 - 2.0 * (np.bitwise_count(states & z) & 1))
+        return out
+
+    def diagonal(self, states) -> np.ndarray:
+        """<k|H|k> for every k in ``states``; x_mask = 0 terms are real."""
+        return self.amplitudes(0, states).real
 
     def neighbors(self, s: BasisState) -> set[BasisState]:
         """Basis states reachable from |s> by some off-diagonal term.

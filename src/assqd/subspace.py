@@ -1,17 +1,17 @@
 """Restricted Hamiltonians on selected basis sets and their ground pairs.
 
-The subspace is an ordered set of computational basis states; since those
-are orthonormal, the restricted problem is an ordinary (not generalized)
-Hermitian eigenproblem H_S c = E_S c.  Assembly exploits Pauli sparsity:
-entry (i, j) can only be nonzero when s_i XOR s_j matches some term's
-x_mask, so each column costs one lookup per distinct mask instead of m.
+The subspace is an int64 array of distinct basis states in insertion
+order, the restricted matrix's order; since those are orthonormal, the
+restricted problem is an ordinary (not generalized) Hermitian
+eigenproblem H_S c = E_S c.  Assembly exploits Pauli sparsity: entry
+(i, j) can only be nonzero when s_i XOR s_j matches some term's x_mask,
+so new columns take one :meth:`PauliHamiltonian.amplitudes` batch per
+distinct mask instead of m lookups each.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterable, Sequence
 
 import numpy as np
 import scipy.linalg
@@ -27,38 +27,46 @@ DENSE_SOLVE_MAX = 2000
 HERMITICITY_ATOL = 1e-12
 
 
-@dataclass(frozen=True)
-class Subspace:
-    """Ordered duplicate-free collection of basis states."""
+def sorted_positions(ascending: np.ndarray, states) -> np.ndarray:
+    """Index of each state in an ascending int64 array; -1 where absent."""
+    at = np.searchsorted(ascending, states)
+    # The -1 pad past the end matches no state, so a miss there is absent too.
+    return np.where(np.append(ascending, -1)[at] == states, at, -1)
 
-    states: tuple[BasisState, ...]
+
+@dataclass(frozen=True, eq=False)
+class Subspace:
+    """Distinct basis states as an int64 array, in insertion order."""
+
+    states: np.ndarray
 
     def __post_init__(self) -> None:
-        if len(set(self.states)) != len(self.states):
+        states = np.array(self.states, dtype=np.int64).reshape(-1)
+        states.flags.writeable = False
+        order = np.argsort(states)
+        ascending = states[order]
+        if np.any(ascending[1:] == ascending[:-1]):
             raise ValueError("subspace states must be unique")
+        object.__setattr__(self, "states", states)
+        # A trailing -1 turns sorted_positions' -1 (absent) into a row of -1.
+        object.__setattr__(self, "_rows", np.append(order, -1))
+        object.__setattr__(self, "_ascending", ascending)
 
-    @classmethod
-    def from_states(cls, states: Iterable[BasisState]) -> Subspace:
-        """Build from an iterable, keeping first-seen order, dropping repeats."""
-        seen: dict[BasisState, None] = {}
-        for s in states:
-            seen.setdefault(int(s), None)
-        return cls(tuple(seen))
-
-    @cached_property
-    def index(self) -> dict[BasisState, int]:
-        return {s: i for i, s in enumerate(self.states)}
+    def positions(self, states) -> np.ndarray:
+        """Row of each given state in the subspace order; -1 where absent."""
+        return self._rows[sorted_positions(self._ascending, states)]
 
     def __len__(self) -> int:
         return len(self.states)
 
     def __contains__(self, state: BasisState) -> bool:
-        return state in self.index
+        return bool(self.positions(state) >= 0)
 
-    def extend(self, new_states: Sequence[BasisState]) -> Subspace:
-        """Append states not already present, preserving both orders."""
-        added = [s for s in new_states if s not in self.index]
-        return Subspace(self.states + tuple(added))
+    def extend(self, new_states) -> Subspace:
+        """Append states not seen before, keeping first-seen order."""
+        joined = np.concatenate([self.states, np.asarray(new_states, dtype=np.int64)])
+        _, first = np.unique(joined, return_index=True)
+        return Subspace(joined[np.sort(first)])
 
 
 @dataclass(frozen=True)
@@ -94,15 +102,17 @@ class RestrictedSolution:
             raise ValueError(f"coefficients have norm {norm!r}, expected 1")
 
     def coefficient(self, state: BasisState) -> complex:
-        return self.coefficients[self.subspace.index[state]]
+        row = int(self.subspace.positions(state))
+        if row < 0:
+            raise KeyError(state)
+        return self.coefficients[row]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DominantSupport:
-    """States whose probability weight in the solution exceeds tau."""
+    """States whose probability weight exceeds tau, in the subspace order."""
 
-    states: tuple[BasisState, ...]
-    threshold: float
+    states: np.ndarray
 
 
 def build_restricted(ham: PauliHamiltonian, subspace: Subspace) -> RestrictedMatrix:
@@ -115,31 +125,32 @@ def build_restricted(ham: PauliHamiltonian, subspace: Subspace) -> RestrictedMat
 
 
 def extend_restricted(
-    ham: PauliHamiltonian, matrix: RestrictedMatrix, new_states: Sequence[BasisState]
+    ham: PauliHamiltonian, matrix: RestrictedMatrix, new_states
 ) -> RestrictedMatrix:
     """Grow a restricted matrix in place of a full rebuild.
 
     The old block is copied verbatim; only the new rows/columns are
-    assembled, column by column over the Hamiltonian's x_masks, and each
-    entry found is mirrored into its Hermitian partner.
+    assembled, one batch per x_mask: every new column j gets
+    <s_j XOR x_mask|H|s_j> at the row of s_j XOR x_mask, when that state
+    is in the subspace, and its Hermitian partner gets the conjugate.
     """
     extended = matrix.basis.extend(new_states)
     old_m, m = len(matrix.basis), len(extended)
     if m == old_m:
         return matrix
-    index = extended.index
     entries = np.zeros((m, m), dtype=matrix.entries.dtype)
     entries[:old_m, :old_m] = matrix.entries
-    masks = (0,) + ham.offdiag_masks
-    for j in range(old_m, m):
-        s_j = extended.states[j]
-        for x_mask in masks:
-            i = index.get(s_j ^ x_mask)
-            if i is not None:
-                amp = ham._group_amplitude(x_mask, s_j)
-                value = amp.real if ham.is_real else amp
-                entries[i, j] = value
-                entries[j, i] = np.conj(value)
+    cols = np.arange(old_m, m)
+    new = extended.states[old_m:]
+    for x_mask in (0,) + ham.offdiag_masks:
+        rows = extended.positions(new ^ x_mask)
+        hit = rows >= 0
+        i, j = rows[hit], cols[hit]
+        values = ham.amplitudes(x_mask, new[hit])
+        # The mirror goes first: where both states are new, the column's
+        # own amplitude is the one kept.
+        entries[j, i] = np.conj(values)
+        entries[i, j] = values
     return RestrictedMatrix(entries=entries, basis=extended)
 
 
@@ -176,7 +187,7 @@ def dominant_support(sol: RestrictedSolution, tau: float) -> DominantSupport:
     if not 0.0 <= tau < 1.0:
         raise ValueError(f"tau must be in [0, 1), got {tau}")
     weights = np.abs(sol.coefficients) ** 2
-    picked = [s for s, w in zip(sol.subspace.states, weights) if w > tau]
-    if not picked:
-        picked = [sol.subspace.states[int(np.argmax(weights))]]
-    return DominantSupport(states=tuple(picked), threshold=tau)
+    picked = sol.subspace.states[weights > tau]
+    if len(picked) == 0:
+        picked = sol.subspace.states[[int(np.argmax(weights))]]
+    return DominantSupport(states=picked)

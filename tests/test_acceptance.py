@@ -341,15 +341,16 @@ def test_09_en_ranking_beats_bottom_ranked_additions():
         if len(candidates) < 2:
             continue
         scored = score_candidates("en", ham, sol, dominant, candidates)
-        best = max(scored, key=lambda c: c.score)
-        worst = min(scored, key=lambda c: c.score)
-        if best.state == worst.state:
+        # argmax/argmin keep max()/min()'s first-extremum tie order.
+        best = int(scored.states[np.argmax(scored.score)])
+        worst = int(scored.states[np.argmin(scored.score)])
+        if best == worst:
             continue
         e_top = lowest_eigenpair(
-            extend_restricted(ham, matrix, [best.state])
+            extend_restricted(ham, matrix, [best])
         ).energy
         e_bot = lowest_eigenpair(
-            extend_restricted(ham, matrix, [worst.state])
+            extend_restricted(ham, matrix, [worst])
         ).energy
         trials += 1
         if e_top <= e_bot + 1e-12:

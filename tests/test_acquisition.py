@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from assqd.acquisition import (
-    ScoredCandidate,
+    CandidateScores,
     coupling,
     coupling_map,
     en_score,
@@ -32,19 +32,32 @@ def solve(ham, states):
     return lowest_eigenpair(build_restricted(ham, Subspace(tuple(states))))
 
 
+def support(*states):
+    return DominantSupport(states=np.array(states, dtype=np.int64))
+
+
+def ranked(states, score):
+    """Scores with placeholder diagonals and couplings, for select_top_b."""
+    zeros = np.zeros(len(states))
+    return CandidateScores(
+        states=np.array(states, dtype=np.int64), diagonal=zeros,
+        coupling=zeros.astype(complex), score=np.array(score, dtype=float),
+    )
+
+
 class TestGenerateCandidates:
     def test_heisenberg_ring_from_origin(self):
         ham, _ = build_model(
             ModelSpec(kind="heisenberg", n=3, seed=0, disorder_std=0.0)
         )
-        d = DominantSupport(states=(0,), threshold=0.0)
+        d = support(0)
         out = generate_candidates(ham, d, Subspace((0,)), hops=1)
-        assert out == {0b011, 0b110, 0b101}
+        assert out.tolist() == [0b011, 0b101, 0b110]
 
     def test_diagonal_hamiltonian_has_no_candidates(self):
         h = PauliHamiltonian(3, [PauliTerm(0, m, 1.0) for m in (1, 2, 4)])
-        d = DominantSupport(states=(0,), threshold=0.0)
-        assert generate_candidates(h, d, Subspace((0,))) == set()
+        d = support(0)
+        assert len(generate_candidates(h, d, Subspace((0,)))) == 0
 
     def test_disjoint_from_subspace(self):
         rng = np.random.default_rng(61)
@@ -55,23 +68,23 @@ class TestGenerateCandidates:
                 int(s) for s in rng.choice(1 << n, size=min(8, 1 << n), replace=False)
             )
             sub = Subspace(states)
-            d = DominantSupport(states=states[:3], threshold=0.0)
+            d = support(*states[:3])
             for hops in (1, 2):
                 cands = generate_candidates(h, d, sub, hops=hops)
-                assert cands.isdisjoint(states)
+                assert not np.isin(cands, states).any()
 
     def test_two_hop_contains_one_hop(self):
         ham, _ = build_model(ModelSpec(kind="heisenberg", n=5, seed=2))
         sub = Subspace((0, 3))
-        d = DominantSupport(states=(0, 3), threshold=0.0)
+        d = support(0, 3)
         one = generate_candidates(ham, d, sub, hops=1)
         two = generate_candidates(ham, d, sub, hops=2)
-        assert one <= two
+        assert np.isin(one, two).all()
         assert len(two) > len(one)
 
     def test_bad_hops_rejected(self):
         h = parse_hamiltonian("1.0 X\n")
-        d = DominantSupport(states=(0,), threshold=0.0)
+        d = support(0)
         with pytest.raises(ValueError, match="hops"):
             generate_candidates(h, d, Subspace((0,)), hops=3)
 
@@ -80,13 +93,13 @@ class TestCoupling:
     def test_uncoupled_candidate_is_zero(self):
         h = parse_hamiltonian("1.0 XX\n1.0 YY\n1.0 ZZ\n")
         sol = solve(h, (1, 2))
-        d = DominantSupport(states=(1, 2), threshold=0.0)
+        d = support(1, 2)
         assert coupling(h, sol, d, 0) == 0.0
 
     def test_single_dominant_state_gives_matrix_element(self):
         ham, _ = build_model(ModelSpec(kind="heisenberg", n=4, seed=1))
         sol = solve(ham, (0,))
-        d = DominantSupport(states=(0,), threshold=0.0)
+        d = support(0)
         for k in ham.neighbors(0):
             assert np.isclose(coupling(ham, sol, d, k), ham.matrix_element(k, 0))
 
@@ -104,10 +117,10 @@ class TestCoupling:
                 psi[s] = sol.coefficient(s)
             h_psi = h.dense_matrix() @ psi
             for k in range(1 << n):
-                if k in sol.subspace.index:
+                if k in sol.subspace:
                     continue
                 reference = h_psi[k]
-                if d.states == states:
+                if d.states.tolist() == list(states):
                     assert np.isclose(coupling(h, sol, d, k), reference, atol=1e-12)
 
     def test_map_matches_per_candidate_sums(self):
@@ -120,8 +133,8 @@ class TestCoupling:
             d = dominant_support(sol, 1e-4)
             cands = generate_candidates(h, d, sol.subspace)
             nu = coupling_map(h, sol, d, cands)
-            for k in cands:
-                assert np.isclose(nu[k], coupling(h, sol, d, k), atol=1e-13)
+            for k, nu_k in zip(cands.tolist(), nu):
+                assert np.isclose(nu_k, coupling(h, sol, d, k), atol=1e-13)
 
 
 class TestEnScore:
@@ -146,14 +159,15 @@ class TestEnScore:
         d = dominant_support(sol, 1e-4)
         cands = generate_candidates(ham, d, sol.subspace)
         eps = 1e-8
-        for sc in score_candidates("en", ham, sol, d, cands, eps=eps):
-            gap = abs(sol.energy - sc.diagonal)
+        sc = score_candidates("en", ham, sol, d, cands, eps=eps)
+        for diagonal, nu, score in zip(sc.diagonal, sc.coupling, sc.score):
+            gap = abs(sol.energy - diagonal)
             if gap > eps:
-                signed = signed_correction(sol.energy, sc.diagonal, sc.coupling)
+                signed = signed_correction(sol.energy, diagonal, nu)
                 # Below-energy diagonals give negative corrections.
-                if sc.diagonal > sol.energy:
+                if diagonal > sol.energy:
                     assert signed <= 0
-                assert np.isclose(sc.score, abs(signed))
+                assert np.isclose(score, abs(signed))
 
 
 class TestScoreCandidates:
@@ -166,41 +180,36 @@ class TestScoreCandidates:
 
     def test_en_matches_en_score_elementwise(self):
         ham, sol, d, cands = self._setup()
-        scored = score_candidates("en", ham, sol, d, cands, eps=1e-8)
-        for sc in scored:
-            assert np.isclose(
-                sc.score, en_score(sol.energy, sc.diagonal, sc.coupling, 1e-8)
-            )
+        sc = score_candidates("en", ham, sol, d, cands, eps=1e-8)
+        for diagonal, nu, score in zip(sc.diagonal, sc.coupling, sc.score):
+            assert np.isclose(score, en_score(sol.energy, diagonal, nu, 1e-8))
 
     def test_coupling_only_squares_nu(self):
         ham, sol, d, cands = self._setup()
-        for sc in score_candidates("coupling_only", ham, sol, d, cands):
-            assert np.isclose(sc.score, abs(sc.coupling) ** 2)
-            assert sc.score >= 0
+        sc = score_candidates("coupling_only", ham, sol, d, cands)
+        for nu, score in zip(sc.coupling, sc.score):
+            assert np.isclose(score, abs(nu) ** 2)
+            assert score >= 0
 
     def test_denom_only_ignores_coupling(self):
         ham, sol, d, cands = self._setup()
-        for sc in score_candidates("denom_only", ham, sol, d, cands, eps=1e-8):
-            assert np.isclose(
-                sc.score, 1.0 / max(abs(sol.energy - sc.diagonal), 1e-8)
-            )
+        sc = score_candidates("denom_only", ham, sol, d, cands, eps=1e-8)
+        for diagonal, score in zip(sc.diagonal, sc.score):
+            assert np.isclose(score, 1.0 / max(abs(sol.energy - diagonal), 1e-8))
 
     def test_diag_only_ranks_lowest_diagonal_first(self):
         diagonals = {0: 5.0, 1: -2.0, 2: 0.0}
-        scored = [
-            ScoredCandidate(state=s, diagonal=dv, coupling=0.0, score=-dv)
-            for s, dv in diagonals.items()
-        ]
+        scored = ranked(list(diagonals), [-dv for dv in diagonals.values()])
         picked = select_top_b(scored, 3)
-        assert [diagonals[s] for s in picked] == [-2.0, 0.0, 5.0]
+        assert [diagonals[s] for s in picked.tolist()] == [-2.0, 0.0, 5.0]
 
     def test_random_same_seed_same_order(self):
         ham, sol, d, cands = self._setup()
         a = score_candidates("random", ham, sol, d, cands, rng_seed=99)
         b = score_candidates("random", ham, sol, d, cands, rng_seed=99)
-        assert [sc.score for sc in a] == [sc.score for sc in b]
+        assert a.score.tolist() == b.score.tolist()
         c = score_candidates("random", ham, sol, d, cands, rng_seed=100)
-        assert [sc.score for sc in a] != [sc.score for sc in c]
+        assert a.score.tolist() != c.score.tolist()
 
     def test_random_requires_seed(self):
         ham, sol, d, cands = self._setup()
@@ -215,7 +224,7 @@ class TestScoreCandidates:
     def test_candidates_overlapping_subspace_rejected(self):
         ham, sol, d, cands = self._setup()
         with pytest.raises(ValueError, match="intersect"):
-            score_candidates("en", ham, sol, d, cands | {0})
+            score_candidates("en", ham, sol, d, np.append(cands, 0))
 
     def test_scale_covariance(self):
         rng = np.random.default_rng(79)
@@ -233,14 +242,15 @@ class TestScoreCandidates:
             d = dominant_support(sol, 1e-4)
             d_scaled = dominant_support(sol_scaled, 1e-4)
             cands = generate_candidates(h, d, sol.subspace)
-            if not cands:
+            if len(cands) == 0:
                 continue
             a = score_candidates("en", h, sol, d, cands)
             b = score_candidates("en", scaled, sol_scaled, d_scaled, cands)
-            assert select_top_b(a, len(cands)) == select_top_b(b, len(cands))
-            for x, y in zip(a, b):
-                if x.score > 1e-12:
-                    assert np.isclose(y.score / x.score, lam, rtol=1e-8)
+            assert (select_top_b(a, len(cands)).tolist()
+                    == select_top_b(b, len(cands)).tolist())
+            for x, y in zip(a.score, b.score):
+                if x > 1e-12:
+                    assert np.isclose(y / x, lam, rtol=1e-8)
 
     def test_top_en_beats_bottom_en_usually(self):
         rng = np.random.default_rng(83)
@@ -256,7 +266,7 @@ class TestScoreCandidates:
                 continue
             scored = score_candidates("en", h, sol, d, cands)
             ranked = select_top_b(scored, len(scored))
-            top, bottom = ranked[0], ranked[-1]
+            top, bottom = int(ranked[0]), int(ranked[-1])
             e_top = solve(h, states + (top,)).energy
             e_bottom = solve(h, states + (bottom,)).energy
             trials += 1
@@ -273,14 +283,14 @@ class TestScoreTwoHop:
         sub = sol.subspace
         one_hop = generate_candidates(ham, d, sub, hops=1)
         scored = score_two_hop(ham, sol, d, sub)
-        assert [sc.state for sc in scored] == sorted(one_hop) + sorted(
-            generate_candidates(ham, d, sub, hops=2) - one_hop
-        )
-        for sc in scored:
-            if sc.state not in one_hop:
-                assert sc.coupling == 0.0
-            assert sc.score >= 0
-            assert np.isfinite(sc.score)
+        assert scored.states.tolist() == one_hop.tolist() + np.setdiff1d(
+            generate_candidates(ham, d, sub, hops=2), one_hop
+        ).tolist()
+        for state, nu, score in zip(scored.states, scored.coupling, scored.score):
+            if state not in one_hop:
+                assert nu == 0.0
+            assert score >= 0
+            assert np.isfinite(score)
 
     def test_one_hop_entries_match_en_scoring(self):
         ham, _ = build_model(ModelSpec(kind="tfim", n=5, seed=3))
@@ -288,11 +298,10 @@ class TestScoreTwoHop:
         d = dominant_support(sol, 1e-4)
         sub = sol.subspace
         one_hop = generate_candidates(ham, d, sub, hops=1)
-        direct = {
-            sc.state: sc.score
-            for sc in score_candidates("en", ham, sol, d, one_hop)
-        }
-        chained = {sc.state: sc.score for sc in score_two_hop(ham, sol, d, sub)}
+        direct_scores = score_candidates("en", ham, sol, d, one_hop)
+        direct = dict(zip(direct_scores.states.tolist(), direct_scores.score))
+        chained_scores = score_two_hop(ham, sol, d, sub)
+        chained = dict(zip(chained_scores.states.tolist(), chained_scores.score))
         for state, score in direct.items():
             assert np.isclose(chained[state], score)
 
@@ -305,32 +314,26 @@ class TestScoreTwoHop:
         d = dominant_support(sol, 0.0)
         sub = sol.subspace
         one_hop = generate_candidates(h, d, sub, hops=1)
-        assert one_hop == {0b011, 0b110}
-        scored = {sc.state: sc for sc in score_two_hop(h, sol, d, sub)}
-        assert 0b101 in scored
-        assert scored[0b101].score > 0
-        assert scored[0b101].coupling == 0.0
+        assert one_hop.tolist() == [0b011, 0b110]
+        scored = score_two_hop(h, sol, d, sub)
+        assert 0b101 in scored.states
+        at = scored.states.tolist().index(0b101)
+        assert scored.score[at] > 0
+        assert scored.coupling[at] == 0.0
 
 
 class TestSelectTopB:
     def test_basic_selection(self):
-        scored = [
-            ScoredCandidate(state=4, diagonal=0.0, coupling=0.0, score=5.0),
-            ScoredCandidate(state=7, diagonal=0.0, coupling=0.0, score=3.0),
-            ScoredCandidate(state=1, diagonal=0.0, coupling=0.0, score=1.0),
-        ]
-        assert select_top_b(scored, 2) == [4, 7]
+        scored = ranked([4, 7, 1], [5.0, 3.0, 1.0])
+        assert select_top_b(scored, 2).tolist() == [4, 7]
 
     def test_fewer_candidates_than_b(self):
-        scored = [ScoredCandidate(state=2, diagonal=0.0, coupling=0.0, score=1.0)]
-        assert select_top_b(scored, 10) == [2]
+        scored = ranked([2], [1.0])
+        assert select_top_b(scored, 10).tolist() == [2]
 
     def test_tie_break_by_state(self):
-        scored = [
-            ScoredCandidate(state=9, diagonal=0.0, coupling=0.0, score=2.0),
-            ScoredCandidate(state=4, diagonal=0.0, coupling=0.0, score=2.0),
-        ]
-        assert select_top_b(scored, 1) == [4]
+        scored = ranked([9, 4], [2.0, 2.0])
+        assert select_top_b(scored, 1).tolist() == [4]
 
     def test_bad_b_rejected(self):
         with pytest.raises(ValueError, match="B"):

@@ -253,7 +253,7 @@ class TestHopsSweep:
         one = run_as_sqd(ham, counts, RunConfig(K=3, hops=1))
         two = run_as_sqd(ham, counts, RunConfig(K=3, hops=2))
         assert one.final_energy == two.final_energy
-        assert one.final_subspace.states == two.final_subspace.states
+        assert one.final_subspace.states.tolist() == two.final_subspace.states.tolist()
         assert one.termination == two.termination == "empty-candidates"
 
 

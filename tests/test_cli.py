@@ -197,6 +197,29 @@ def test_sizes_outside_oracle_range_are_a_usage_error(runner, sizes):
     assert isinstance(result.exception, SystemExit)
 
 
+_SWEEP = ["--sizes", "4", "--seeds", "0"]
+
+
+@pytest.mark.parametrize("args", [
+    pytest.param(["--seed", "-1", "sample", "heisenberg", "4"], id="seed"),
+    pytest.param(["bench", "--sizes", "4", "--seeds", "0,-1"], id="seeds"),
+    pytest.param(["sample", "heisenberg", "4", "--shots", "0"], id="sample-shots"),
+    pytest.param(["bench", *_SWEEP, "--shots", "0"], id="bench-shots"),
+    pytest.param(["sample", "heisenberg", "4", "--eta", "2"], id="sample-eta"),
+    pytest.param(["hops", *_SWEEP, "--eta", "-0.1"], id="hops-eta"),
+    pytest.param(["bench", *_SWEEP, "--tau", "1"], id="tau"),
+    pytest.param(["ablate", *_SWEEP, "--eps", "0"], id="eps"),
+    pytest.param(["oracle", "heisenberg", "4", "--count", "9"], id="count-9"),
+    pytest.param(["oracle", "heisenberg", "4", "--count", "1"], id="count-1"),
+])
+def test_out_of_range_value_is_a_usage_error(runner, args):
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert "Usage:" in result.output
+    assert "Invalid value for" in result.output
+    assert isinstance(result.exception, SystemExit)
+
+
 _LABELS = {
     "standard": "standard", "en": "as-en", "coupling_only": "as-coupling_only",
     "denom_only": "as-denom_only", "diag_only": "as-diag_only", "random": "random",

@@ -142,7 +142,7 @@ class TestRunAsSqd:
         a = run_as_sqd(ham, counts, config)
         b = run_as_sqd(ham, counts, config)
         assert record_shape(a) == record_shape(b)
-        assert a.final_subspace.states == b.final_subspace.states
+        assert a.final_subspace.states.tolist() == b.final_subspace.states.tolist()
         assert a.final_energy == b.final_energy
 
     def test_ablation_kinds_run(self, heisenberg8):
@@ -185,13 +185,13 @@ class TestRunRandomSqd:
         a = run_random_sqd(ham, counts, RunConfig(seed=5))
         b = run_random_sqd(ham, counts, RunConfig(seed=5))
         assert record_shape(a) == record_shape(b)
-        assert a.final_subspace.states == b.final_subspace.states
+        assert a.final_subspace.states.tolist() == b.final_subspace.states.tolist()
 
     def test_different_seed_differs(self, heisenberg8):
         ham, _, counts = heisenberg8
         a = run_random_sqd(ham, counts, RunConfig(seed=5))
         b = run_random_sqd(ham, counts, RunConfig(seed=6))
-        assert a.final_subspace.states != b.final_subspace.states
+        assert a.final_subspace.states.tolist() != b.final_subspace.states.tolist()
 
     def test_method_label(self, heisenberg8):
         ham, _, counts = heisenberg8
@@ -285,3 +285,31 @@ class TestRunConfig:
                 final_subspace=Subspace((0, 1)),
                 termination="budget",
             )
+
+
+class TestMaxQubits:
+    """The expansion path at n = MAX_QUBITS, where states use bit 62."""
+
+    @pytest.mark.parametrize("kind, hops", [("en", 1), ("random", 1), ("en", 2)])
+    def test_63_qubit_heisenberg_run(self, kind, hops):
+        ham, _ = build_model(ModelSpec(kind="heisenberg", n=63, seed=0))
+        top, high = 2**63 - 2, 1 << 62
+        counts = CountsMultiset(
+            counts={top: 5, high: 3, high | 0b1010: 2, high | 0b0101: 1},
+            n=63, total_shots=11,
+        )
+        config = RunConfig(K=4, B=10, T=3, kind=kind, hops=hops, seed=1)
+        trace = run_as_sqd(ham, counts, config)
+        energies = [r.energy for r in trace.records]
+        assert all(b <= a for a, b in zip(energies, energies[1:]))
+        assert trace.termination == "budget"
+        states = json.loads(trace_to_json(trace, config))["final_subspace"]
+        assert all(type(s) is int and 0 <= s < 2**63 for s in states)
+        assert {top, high} <= set(states)
+        assert len(set(states)) == len(states) == trace.records[-1].subspace_size
+        added = states[4:]
+        assert any(s >> 62 for s in added)
+        # The literal elementwise matrix on the final subspace has the
+        # trace's energy as its lowest eigenvalue.
+        ref = np.array([[ham.matrix_element(a, b) for b in states] for a in states])
+        assert np.isclose(np.linalg.eigvalsh(ref)[0], trace.final_energy, atol=1e-10)
