@@ -1,16 +1,19 @@
-"""Reference eigenpairs of the full Hamiltonian, for benchmarking only.
+"""Reference eigenpairs of the full Hamiltonian, and the one eigensolver.
 
-Two routes produce the lowest eigenpairs, chosen by size.  Above
-DEFAULT_DENSE_MAX_QUBITS, implicitly-restarted Lanczos (ARPACK via scipy)
-runs on H built once as a CSR matrix (:func:`sparse_matrix`), up to
+:func:`hermitian_lowest` gives the lowest eigenpairs of a Hermitian
+matrix, dense LAPACK for a dense array and seeded ARPACK Lanczos for a
+sparse one; the restricted solve of the expansion loop
+(:func:`assqd.subspace.lowest_eigenpair`) calls it too.  The oracle hands
+it one of two matrices, chosen by size.  Above DEFAULT_DENSE_MAX_QUBITS it
+is H built once as a CSR matrix (:func:`sparse_matrix`), up to
 ORACLE_MAX_QUBITS = 20.  At and below it, where ARPACK's set-up costs more
-than the solve and tiny dimensions are out of its reach, a dense Hermitian
-solve runs; it stays selectable up to DENSE_MAX_QUBITS = 12 as the
-reference the tests compare the sparse route against.  Every returned pair
-is verified against the residual bound ``norm(H psi - E psi) <= tol``
-through :func:`apply_hamiltonian`, a term-by-term product that shares no
-code with the CSR builder, so neither a silent misconvergence nor a wrong
-matrix entry can leak into benchmark baselines.
+than the solve and tiny dimensions are out of its reach, it is the dense
+matrix, selectable up to DENSE_MAX_QUBITS = 12 as the reference the tests
+compare the sparse route against.  Every returned pair is verified against
+the residual bound ``norm(H psi - E psi) <= tol`` through
+:func:`apply_hamiltonian`, a term-by-term product that shares no code with
+the CSR builder, so neither a silent misconvergence nor a wrong matrix
+entry can leak into benchmark baselines.
 """
 
 from __future__ import annotations
@@ -110,10 +113,43 @@ def fix_phase(vec: np.ndarray) -> np.ndarray:
     return rotated.real if np.allclose(rotated.imag, 0.0, atol=1e-12) else rotated
 
 
-def _dense_lowest(ham: PauliHamiltonian, count: int) -> tuple[np.ndarray, np.ndarray]:
-    dense = ham.dense_matrix()
-    vals, vecs = scipy.linalg.eigh(dense, subset_by_index=(0, count - 1))
-    return vals, vecs
+def hermitian_lowest(
+    matrix: np.ndarray | scipy.sparse.sparray, count: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Lowest count eigenpairs of a Hermitian matrix, ascending.
+
+    A dense array goes to LAPACK (``scipy.linalg.eigh``); a sparse one to
+    implicitly-restarted Lanczos (ARPACK ``eigsh``) from a start vector
+    drawn with seed 0, so a repeated call returns the same bits whatever
+    ran before it.  The pairs are not residual-checked here; callers check
+    them against their own bound.
+    """
+    if not scipy.sparse.issparse(matrix):
+        return scipy.linalg.eigh(matrix, subset_by_index=(0, count - 1))
+    dim = matrix.shape[0]
+    v0 = np.random.default_rng(0).standard_normal(dim)
+    try:
+        vals, vecs = scipy.sparse.linalg.eigsh(
+            matrix, k=count, which="SA", v0=v0,
+            ncv=min(dim, max(2 * count + 1, 40)), maxiter=LANCZOS_MAXITER,
+        )
+    except scipy.sparse.linalg.ArpackNoConvergence as exc:
+        if len(exc.eigenvalues) == 0:
+            raise ConvergenceError(
+                f"Lanczos found no eigenpairs within {LANCZOS_MAXITER} restarts",
+                float("inf"),
+            ) from exc
+        worst = max(
+            float(np.linalg.norm(matrix @ vec - val * vec))
+            for val, vec in zip(exc.eigenvalues, exc.eigenvectors.T)
+        )
+        raise ConvergenceError(
+            f"Lanczos converged only {len(exc.eigenvalues)}/{count} pairs "
+            f"within {LANCZOS_MAXITER} restarts",
+            worst,
+        ) from exc
+    order = np.argsort(vals)
+    return vals[order], vecs[:, order]
 
 
 def sparse_matrix(ham: PauliHamiltonian) -> scipy.sparse.csr_array:
@@ -154,42 +190,6 @@ def sparse_matrix(ham: PauliHamiltonian) -> scipy.sparse.csr_array:
     return matrix
 
 
-def _lanczos_lowest(
-    ham: PauliHamiltonian, count: int
-) -> tuple[np.ndarray, np.ndarray]:
-    matrix = sparse_matrix(ham)
-    dim = matrix.shape[0]
-    rng = np.random.default_rng(0)
-    v0 = rng.standard_normal(dim)
-    try:
-        vals, vecs = scipy.sparse.linalg.eigsh(
-            matrix,
-            k=count,
-            which="SA",
-            v0=v0,
-            ncv=min(dim, max(2 * count + 1, 40)),
-            maxiter=LANCZOS_MAXITER,
-        )
-    except scipy.sparse.linalg.ArpackNoConvergence as exc:
-        if len(exc.eigenvalues) == 0:
-            raise ConvergenceError(
-                f"Lanczos found no eigenpairs within {LANCZOS_MAXITER} restarts",
-                float("inf"),
-            ) from exc
-        worst = max(
-            float(np.linalg.norm(apply_hamiltonian(ham, exc.eigenvectors[:, i]) -
-                                 exc.eigenvalues[i] * exc.eigenvectors[:, i]))
-            for i in range(exc.eigenvectors.shape[1])
-        )
-        raise ConvergenceError(
-            f"Lanczos converged only {len(exc.eigenvalues)}/{count} pairs "
-            f"within {LANCZOS_MAXITER} restarts",
-            worst,
-        ) from exc
-    order = np.argsort(vals)
-    return vals[order], vecs[:, order]
-
-
 def exact_lowest(
     ham: PauliHamiltonian,
     count: int = 2,
@@ -213,14 +213,14 @@ def exact_lowest(
     if method == "dense":
         if ham.n > DENSE_MAX_QUBITS:
             raise ValueError(f"dense route limited to n <= {DENSE_MAX_QUBITS}")
-        vals, vecs = _dense_lowest(ham, count)
+        vals, vecs = hermitian_lowest(ham.dense_matrix(), count)
     elif method == "lanczos":
         if count >= (1 << ham.n) - 1:
             raise ValueError(
                 f"lanczos route needs count < dimension - 1, got count {count} "
                 f"at dimension {1 << ham.n}"
             )
-        vals, vecs = _lanczos_lowest(ham, count)
+        vals, vecs = hermitian_lowest(sparse_matrix(ham), count)
     else:
         raise ValueError(f"unknown method {method!r}")
 

@@ -9,6 +9,9 @@ for bit.
 
 from __future__ import annotations
 
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,7 +24,10 @@ from assqd.acquisition import (
     generate_candidates,
     select_top_b,
 )
-from assqd.pauli import PauliHamiltonian, PauliTerm
+from assqd.driver import METHOD_KINDS, RunConfig, run_as_sqd
+from assqd.oracle import exact_lowest
+from assqd.pauli import MAX_QUBITS, PauliHamiltonian, PauliTerm
+from assqd.sampling import BIT_ORDERS, CountsMultiset, counts_to_json, parse_counts
 from assqd.subspace import (
     Subspace,
     build_restricted,
@@ -122,3 +128,32 @@ def test_select_top_b_matches_literal_sort(entries, B):
     )
     literal = [s for s, _ in sorted(entries, key=lambda e: (-e[1], e[0]))][:B]
     assert select_top_b(scored, B).tolist() == literal
+
+
+@st.composite
+def counts_multisets(draw, n: int) -> CountsMultiset:
+    tallies = draw(st.dictionaries(st.integers(0, (1 << n) - 1),
+                                   st.integers(1, 1000), min_size=1, max_size=20))
+    return CountsMultiset(counts=tallies, n=n, total_shots=sum(tallies.values()))
+
+
+@PROPERTY
+@given(st.data(), st.sampled_from(BIT_ORDERS))
+def test_counts_json_round_trip(data, bit_order):
+    counts = data.draw(counts_multisets(data.draw(st.integers(1, MAX_QUBITS))))
+    assert parse_counts(json.loads(counts_to_json(counts, bit_order))) == counts
+
+
+# Seven full runs per example: fewer examples keep the suite fast.
+@settings(PROPERTY, max_examples=10)
+@pytest.mark.parametrize("real", [True, False])
+@given(data=st.data())
+def test_every_kind_stays_above_the_ground_energy(real, data):
+    ham = data.draw(hamiltonians(real))
+    counts = data.draw(counts_multisets(ham.n))
+    e0 = exact_lowest(ham).e0
+    config = RunConfig(K=data.draw(st.integers(1, 16)), B=data.draw(st.integers(1, 8)),
+                       T=data.draw(st.integers(1, 3)))
+    for kind in METHOD_KINDS:
+        trace = run_as_sqd(ham, counts, dataclasses.replace(config, kind=kind))
+        assert trace.final_energy >= e0 - 1e-9

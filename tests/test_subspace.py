@@ -2,14 +2,21 @@
 
 from __future__ import annotations
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
 
+import assqd.oracle as oracle_mod
 import assqd.subspace as subspace_mod
+from assqd.bench import make_row, prepare_instance
+from assqd.driver import RunConfig, RunError, run_as_sqd
 from assqd.models import ModelSpec, build_model
 from assqd.oracle import ConvergenceError, exact_lowest
 from assqd.pauli import PauliHamiltonian, PauliTerm, parse_hamiltonian
+from assqd.sampling import CountsMultiset
 from assqd.subspace import (
     RestrictedMatrix,
     Subspace,
@@ -19,6 +26,13 @@ from assqd.subspace import (
     lowest_eigenpair,
 )
 from conftest import random_hamiltonian
+
+
+def _with_odd_y(ham: PauliHamiltonian) -> PauliHamiltonian:
+    """The same Hamiltonian plus one Y on qubit 0, which makes it complex."""
+    complex_ham = PauliHamiltonian(ham.n, list(ham.terms) + [PauliTerm(1, 1, 0.7)])
+    assert not complex_ham.is_real
+    return complex_ham
 
 
 class TestSubspace:
@@ -194,15 +208,31 @@ class TestLowestEigenpair:
         sol = lowest_eigenpair(build_restricted(ham, full))
         assert abs(sol.energy - exact_lowest(ham).e0) <= 1e-10
 
-    def test_iterative_path_matches_dense(self, monkeypatch):
+    @pytest.mark.parametrize("odd_y", [False, True], ids=["real", "complex"])
+    def test_iterative_path_matches_dense(self, monkeypatch, odd_y):
         rng = np.random.default_rng(53)
         h = random_hamiltonian(7, 25, rng)
+        if odd_y:
+            h = _with_odd_y(h)
         states = tuple(int(s) for s in rng.choice(128, size=40, replace=False))
         m = build_restricted(h, Subspace(states))
         dense_sol = lowest_eigenpair(m)
         monkeypatch.setattr(subspace_mod, "DENSE_SOLVE_MAX", 10)
         iter_sol = lowest_eigenpair(m)
         assert np.isclose(iter_sol.energy, dense_sol.energy, atol=1e-9)
+
+    @pytest.mark.parametrize("odd_y", [False, True], ids=["real", "complex"])
+    def test_iterative_path_is_deterministic(self, monkeypatch, odd_y):
+        # Unseeded ARPACK starts each call from its own evolving random
+        # state; the seeded start vector makes repeated solves bit-identical.
+        ham, _ = build_model(ModelSpec(kind="heisenberg", n=10, seed=0))
+        if odd_y:
+            ham = _with_odd_y(ham)
+        m = build_restricted(ham, Subspace(tuple(range(300))))
+        monkeypatch.setattr(subspace_mod, "DENSE_SOLVE_MAX", 10)
+        first, second = lowest_eigenpair(m), lowest_eigenpair(m)
+        assert first.energy.hex() == second.energy.hex()
+        assert first.coefficients.tobytes() == second.coefficients.tobytes()
 
     def test_phase_fix(self):
         rng = np.random.default_rng(59)
@@ -248,3 +278,40 @@ class TestDominantSupport:
         sol = self._solution([1.0], (0,))
         with pytest.raises(ValueError, match="tau"):
             dominant_support(sol, 1.0)
+
+
+class TestRestrictedNonConvergence:
+    """ARPACK out of restarts on the sparse restricted route.
+
+    With one restart the full n = 10 Heisenberg basis (m = 1024) converges
+    no pair, so the failure must surface as ConvergenceError, then as a
+    RunError before any record, then as an error row of a sweep.
+    """
+
+    @pytest.fixture(scope="class")
+    def bundle(self):
+        bundle = prepare_instance("heisenberg", 10, 0, 400, 0.2)
+        full = CountsMultiset(counts=dict.fromkeys(range(1024), 1), n=10,
+                              total_shots=1024)
+        return dataclasses.replace(bundle, counts=full)
+
+    @pytest.fixture(autouse=True)
+    def one_restart(self, monkeypatch):
+        monkeypatch.setattr(oracle_mod, "LANCZOS_MAXITER", 1)
+        monkeypatch.setattr(subspace_mod, "DENSE_SOLVE_MAX", 10)
+
+    def test_lowest_eigenpair_raises(self, bundle):
+        m = build_restricted(bundle.ham, Subspace(tuple(range(1024))))
+        with pytest.raises(ConvergenceError, match="restarts"):
+            lowest_eigenpair(m)
+
+    def test_run_fails_before_any_record(self, bundle):
+        with pytest.raises(RunError, match="restarts") as info:
+            run_as_sqd(bundle.ham, bundle.counts, RunConfig(K=1024))
+        assert info.value.records == ()
+
+    def test_sweep_row_records_the_error(self, bundle):
+        row, trace = make_row(bundle, "as-en", RunConfig(K=1024), shots=1024, eta=0.2)
+        assert trace is None
+        assert math.isnan(row.E_est)
+        assert row.terminated.startswith("error: ") and "restarts" in row.terminated
