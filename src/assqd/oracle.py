@@ -87,7 +87,13 @@ class EigenpairSet:
 
 
 def apply_hamiltonian(ham: PauliHamiltonian, v: np.ndarray) -> np.ndarray:
-    """H @ v without materializing H: one XOR-gather per Pauli term."""
+    """H @ v without materializing H: one XOR-gather per distinct x_mask.
+
+    Each mask's terms are summed into one amplitude per source state
+    i ^ x_mask (signed by that source state) before the gather, with code
+    of its own, so the residual check shares nothing with the CSR builder
+    or :meth:`PauliHamiltonian.amplitudes`.
+    """
     v = np.asarray(v)
     dim = 1 << ham.n
     if v.shape != (dim,):
@@ -95,11 +101,13 @@ def apply_hamiltonian(ham: PauliHamiltonian, v: np.ndarray) -> np.ndarray:
     xs, zs, ws = ham._term_arrays
     out = np.zeros(dim, dtype=np.result_type(v.dtype, ws.dtype, np.float64))
     idx = np.arange(dim, dtype=np.int64)
-    for x, z, w in zip(xs, zs, ws):
+    for x in np.unique(xs):
         src = idx ^ x
-        # Sign of each term amplitude is set by the source state.
-        signs = 1.0 - 2.0 * (np.bitwise_count(src & z) & 1)
-        out += w * signs * v[src]
+        in_mask = xs == x
+        amp = np.zeros(dim, dtype=ws.dtype)
+        for z, w in zip(zs[in_mask], ws[in_mask]):
+            amp += np.where(np.bitwise_count(src & z) & 1, -w, w)
+        out += amp * v[src]
     return out
 
 
@@ -127,6 +135,11 @@ def hermitian_lowest(
     if not scipy.sparse.issparse(matrix):
         return scipy.linalg.eigh(matrix, subset_by_index=(0, count - 1))
     dim = matrix.shape[0]
+    # ARPACK stops with "starting vector is zero" when A v0 = 0; every
+    # vector is an eigenvector of the zero matrix.  (count_nonzero would
+    # sort the caller's indices in place, which moves the product's bits.)
+    if not matrix.data.any():
+        return np.zeros(count), np.eye(dim, count, dtype=matrix.dtype)
     v0 = np.random.default_rng(0).standard_normal(dim)
     try:
         vals, vecs = scipy.sparse.linalg.eigsh(

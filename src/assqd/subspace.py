@@ -3,13 +3,16 @@
 The subspace is an int64 array of distinct basis states in insertion
 order, the restricted matrix's order; since those are orthonormal, the
 restricted problem is an ordinary (not generalized) Hermitian
-eigenproblem H_S c = E_S c.  Assembly exploits Pauli sparsity: entry
-(i, j) can only be nonzero when s_i XOR s_j matches some term's x_mask,
-so new columns take one :meth:`PauliHamiltonian.amplitudes` batch per
-distinct mask instead of m lookups each.  The ground pair comes from
+eigenproblem H_S c = E_S c.  Entry (i, j) can only be nonzero when
+s_i XOR s_j matches some term's x_mask, so H_S has a handful of entries
+per column (4.7 at m = 100 to 8.2 at m = 850 on the n = 12 Heisenberg
+chain) and is kept as (row, col, value) triplets: an extension appends
+one :meth:`PauliHamiltonian.amplitudes` batch per distinct mask for the
+new columns and copies nothing.  The ground pair comes from
 :func:`assqd.oracle.hermitian_lowest`, the solver the reference oracle
-uses: dense up to DENSE_SOLVE_MAX states, seeded Lanczos on a CSR copy
-beyond, so a repeated solve returns the same bits on either route.
+uses: dense LAPACK on the scattered triplets up to DENSE_SOLVE_MAX
+states, seeded Lanczos on a CSR matrix built from them beyond, so a
+repeated solve returns the same bits on either route.
 """
 
 from __future__ import annotations
@@ -22,11 +25,19 @@ import scipy.sparse
 from assqd.oracle import ConvergenceError, fix_phase, hermitian_lowest
 from assqd.pauli import BasisState, PauliHamiltonian
 
-# Dense eigensolve up to this subspace size, seeded ARPACK beyond.  The
-# value is unmeasured, and no benchmark workload crosses it (the largest
-# subspace there holds 850 states); measuring the crossover belongs to the
-# sparse restricted core.
-DENSE_SOLVE_MAX = 2000
+# Dense eigensolve up to this subspace size, seeded CSR Lanczos beyond.
+# Measured per solve (CPU ms on an Intel Xeon, one OpenBLAS thread, on
+# prefixes of the expand-wide subspace of seed 0; dense route / sparse
+# route):
+#
+#   m                        100        150        250        300        850
+#   Heisenberg n = 12     0.4 / 1.5  0.8 / 2.4  2.7 / 3.3  4.1 / 3.4  57 / 4.8
+#   TFIM n = 14           0.5 / 2.0  1.1 / 2.1  2.7 / 3.1  3.7 / 3.3  59 / 5.0
+#   Heisenberg + Y0       1.2 / 5.1  2.9 / 7.6  9.9 / 7.8   15 / 8.6 272 / 11
+#
+# Real matrices cross over between 250 and 300 states, complex (odd-Y)
+# ones between 200 and 250.
+DENSE_SOLVE_MAX = 250
 
 HERMITICITY_ATOL = 1e-12
 
@@ -73,21 +84,37 @@ class Subspace:
         return Subspace(joined[np.sort(first)])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RestrictedMatrix:
-    """H projected onto a subspace: entries[i, j] = <s_i|H|s_j>."""
+    """H projected onto a subspace, as (row, col, value) triplets.
 
-    entries: np.ndarray
+    value = <s_row|H|s_col> for every entry the x_mask structure can make
+    nonzero (an exact cancellation stays as a stored zero); no (row, col)
+    pair appears twice.  Rows and columns follow the subspace order.
+    """
+
+    rows: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray
     basis: Subspace
 
     def __post_init__(self) -> None:
+        if not len(self.rows) == len(self.cols) == len(self.values):
+            raise ValueError("rows, cols and values must have equal lengths")
+
+    def dense(self) -> np.ndarray:
+        """The m x m matrix, zero off the stored entries."""
         m = len(self.basis)
-        if self.entries.shape != (m, m):
-            raise ValueError("entries shape does not match subspace size")
-        if not np.allclose(
-            self.entries, self.entries.conj().T, atol=HERMITICITY_ATOL
-        ):
-            raise ValueError("restricted matrix is not Hermitian")
+        out = np.zeros((m, m), dtype=self.values.dtype)
+        out[self.rows, self.cols] = self.values
+        return out
+
+    def sparse(self) -> scipy.sparse.csr_array:
+        """The same matrix in CSR form, column indices sorted per row."""
+        m = len(self.basis)
+        return scipy.sparse.csr_array(
+            (self.values, (self.rows, self.cols)), shape=(m, m)
+        )
 
 
 @dataclass(frozen=True)
@@ -124,7 +151,9 @@ def build_restricted(ham: PauliHamiltonian, subspace: Subspace) -> RestrictedMat
     if len(subspace) == 0:
         raise ValueError("subspace is empty")
     dtype = np.float64 if ham.is_real else np.complex128
-    empty = RestrictedMatrix(entries=np.zeros((0, 0), dtype=dtype), basis=Subspace(()))
+    no_index = np.zeros(0, dtype=np.int64)
+    empty = RestrictedMatrix(rows=no_index, cols=no_index,
+                             values=np.zeros(0, dtype=dtype), basis=Subspace(()))
     return extend_restricted(ham, empty, subspace.states)
 
 
@@ -133,41 +162,52 @@ def extend_restricted(
 ) -> RestrictedMatrix:
     """Grow a restricted matrix in place of a full rebuild.
 
-    The old block is copied verbatim; only the new rows/columns are
+    The old triplets are kept as they are; only the new columns are
     assembled, one batch per x_mask: every new column j gets
     <s_j XOR x_mask|H|s_j> at the row of s_j XOR x_mask, when that state
-    is in the subspace, and its Hermitian partner gets the conjugate.
+    is in the subspace.  An old row's entry is mirrored (conjugated) into
+    the new row, which no old column saw; an entry between two new states
+    comes from its own column on both sides, so the pair is checked for
+    Hermiticity there, the only place the two sides are computed apart.
     """
     extended = matrix.basis.extend(new_states)
     old_m, m = len(matrix.basis), len(extended)
     if m == old_m:
         return matrix
-    entries = np.zeros((m, m), dtype=matrix.entries.dtype)
-    entries[:old_m, :old_m] = matrix.entries
     cols = np.arange(old_m, m)
     new = extended.states[old_m:]
+    hits = []
     for x_mask in (0,) + ham.offdiag_masks:
         rows = extended.positions(new ^ x_mask)
         hit = rows >= 0
-        i, j = rows[hit], cols[hit]
-        values = ham.amplitudes(x_mask, new[hit])
-        # The mirror goes first: where both states are new, the column's
-        # own amplitude is the one kept.
-        entries[j, i] = np.conj(values)
-        entries[i, j] = values
-    return RestrictedMatrix(entries=entries, basis=extended)
+        hits.append((rows[hit], cols[hit], ham.amplitudes(x_mask, new[hit])))
+    i, j, values = (np.concatenate(part) for part in zip(*hits))
+    old = i < old_m
+    # Between two new states, (i, j) and its partner (j, i) are both here:
+    # s_i = s_j XOR x_mask, so column i found row j through the same mask.
+    inner_i, inner_j, inner = i[~old], j[~old], values[~old]
+    key = inner_i * m + inner_j
+    order = np.argsort(key)
+    partner = order[np.searchsorted(key, inner_j * m + inner_i, sorter=order)]
+    if not np.allclose(inner, np.conj(inner[partner]), atol=HERMITICITY_ATOL):
+        raise ValueError("restricted matrix is not Hermitian")
+    return RestrictedMatrix(
+        rows=np.concatenate([matrix.rows, i, j[old]]),
+        cols=np.concatenate([matrix.cols, j, i[old]]),
+        values=np.concatenate([matrix.values, values, np.conj(values[old])]),
+        basis=extended,
+    )
 
 
 def lowest_eigenpair(matrix: RestrictedMatrix) -> RestrictedSolution:
     """Algebraically smallest eigenpair, residual-verified, phase-fixed."""
-    entries = matrix.entries
     operator = (
-        entries if len(entries) <= DENSE_SOLVE_MAX else scipy.sparse.csr_array(entries)
+        matrix.dense() if len(matrix.basis) <= DENSE_SOLVE_MAX else matrix.sparse()
     )
     vals, vecs = hermitian_lowest(operator, 1)
     energy, vec = float(vals[0]), vecs[:, 0]
     vec = vec / np.linalg.norm(vec)
-    residual = float(np.linalg.norm(entries @ vec - energy * vec))
+    residual = float(np.linalg.norm(operator @ vec - energy * vec))
     bound = 1e-9 * max(1.0, abs(energy))
     if residual > bound:
         raise ConvergenceError(

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import assqd.driver as driver_mod
+import assqd.subspace as subspace_mod
 from assqd.driver import (
     METHOD_KINDS,
     RunConfig,
@@ -24,6 +25,7 @@ from assqd.models import DisorderInstance, ModelSpec, build_model, heisenberg_ch
 from assqd.oracle import exact_lowest
 from assqd.pauli import PauliHamiltonian, PauliTerm
 from assqd.sampling import CountsMultiset, contaminated_distribution, sample_counts
+from assqd.subspace import build_restricted, lowest_eigenpair
 
 
 def record_shape(trace):
@@ -313,3 +315,19 @@ class TestMaxQubits:
         # trace's energy as its lowest eigenvalue.
         ref = np.array([[ham.matrix_element(a, b) for b in states] for a in states])
         assert np.isclose(np.linalg.eigvalsh(ref)[0], trace.final_energy, atol=1e-10)
+
+    def test_63_qubit_run_past_the_solver_crossover(self, monkeypatch):
+        ham, _ = build_model(ModelSpec(kind="heisenberg", n=63, seed=0))
+        high = 1 << 62
+        counts = CountsMultiset(
+            counts={2**63 - 2: 5, high: 3, high | 0b1010: 2, high | 0b0101: 1},
+            n=63, total_shots=11,
+        )
+        trace = run_as_sqd(ham, counts, RunConfig(K=4, B=100, T=5, seed=1))
+        final = trace.final_subspace
+        assert len(final) > subspace_mod.DENSE_SOLVE_MAX
+        assert any(s >> 62 for s in final.states[4:].tolist())
+        # The same subspace solved on the dense route.
+        monkeypatch.setattr(subspace_mod, "DENSE_SOLVE_MAX", len(final))
+        dense = lowest_eigenpair(build_restricted(ham, final))
+        assert abs(dense.energy - trace.final_energy) <= 1e-9

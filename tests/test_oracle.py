@@ -13,6 +13,7 @@ from assqd.oracle import (
     EigenpairSet,
     apply_hamiltonian,
     exact_lowest,
+    hermitian_lowest,
     load_eigenpairs,
     save_eigenpairs,
     sparse_matrix,
@@ -81,6 +82,19 @@ class TestSparseMatrix:
         ham = PauliHamiltonian(21, [PauliTerm(0, 1, 1.0)])
         with pytest.raises(ValueError, match="n <= 20"):
             sparse_matrix(ham)
+
+
+class TestHermitianLowest:
+    def test_sparse_input_left_as_given(self):
+        # One block per x_mask leaves column indices unsorted; sorting
+        # them in place would change the products' rounding, and E0's bits.
+        ham, _ = build_model(ModelSpec(kind="heisenberg", n=10, seed=0))
+        matrix = sparse_matrix(ham)
+        indices, data = matrix.indices.copy(), matrix.data.copy()
+        assert not matrix.has_sorted_indices
+        hermitian_lowest(matrix, 2)
+        assert np.array_equal(matrix.indices, indices)
+        assert np.array_equal(matrix.data, data)
 
 
 class TestExactLowest:

@@ -11,12 +11,14 @@ from __future__ import annotations
 
 import dataclasses
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import assqd.subspace as subspace_mod
 from assqd.acquisition import (
     CandidateScores,
     coupling,
@@ -87,12 +89,32 @@ def test_restricted_assembly_equals_elementwise_matrix_elements(data):
     states = _states(data.draw, ham.n, min_size=1)
     ref = np.array([[ham.matrix_element(a, b) for b in states] for a in states])
     built = build_restricted(ham, Subspace(states))
-    assert np.array_equal(built.entries, ref)
+    assert np.array_equal(built.dense(), ref)
     split = data.draw(st.integers(1, len(states)))
     grown = extend_restricted(ham, build_restricted(ham, Subspace(states[:split])),
                               states[split:])
     assert grown.basis.states.tolist() == states
-    assert np.array_equal(grown.entries, ref)
+    assert np.array_equal(grown.dense(), ref)
+
+
+@PROPERTY
+@pytest.mark.parametrize("real", [True, False])
+@given(data=st.data())
+def test_split_extension_across_the_solver_crossover(real, data):
+    ham = data.draw(hamiltonians(real))
+    assume(ham.n >= 2)
+    states = _states(data.draw, ham.n, min_size=4)
+    split = data.draw(st.integers(2, len(states) - 1))
+    base = build_restricted(ham, Subspace(states[:split]))
+    grown = extend_restricted(ham, base, states[split:])
+    ref = np.array([[ham.matrix_element(a, b) for b in states] for a in states])
+    assert np.array_equal(grown.dense(), ref)
+    dense = lowest_eigenpair(grown)
+    # At the patched crossover the base would still solve densely; the
+    # grown matrix runs seeded Lanczos on its CSR form.
+    with mock.patch.object(subspace_mod, "DENSE_SOLVE_MAX", split):
+        sparse = lowest_eigenpair(grown)
+    assert abs(sparse.energy - dense.energy) <= 1e-9
 
 
 @PROPERTY

@@ -60,13 +60,13 @@ class TestBuildRestricted:
     def test_single_bond_pair(self):
         h = parse_hamiltonian("1.0 XX\n1.0 YY\n1.0 ZZ\n")
         m = build_restricted(h, Subspace((1, 2)))
-        assert np.allclose(m.entries, [[-1.0, 2.0], [2.0, -1.0]])
+        assert np.allclose(m.dense(), [[-1.0, 2.0], [2.0, -1.0]])
 
     def test_singleton_is_diagonal_entry(self):
         h = parse_hamiltonian("1.0 ZZ\n0.5 ZI\n")
         m = build_restricted(h, Subspace((3,)))
-        assert m.entries.shape == (1, 1)
-        assert np.isclose(m.entries[0, 0], h.diagonal(3))
+        assert m.dense().shape == (1, 1)
+        assert np.isclose(m.dense()[0, 0], h.diagonal(3))
 
     def test_full_basis_matches_dense(self):
         rng = np.random.default_rng(19)
@@ -74,11 +74,11 @@ class TestBuildRestricted:
             n = int(rng.integers(2, 6))
             h = random_hamiltonian(n, 10, rng)
             order = [int(s) for s in rng.permutation(1 << n)]
-            m = build_restricted(h, Subspace(tuple(order)))
+            got = build_restricted(h, Subspace(tuple(order))).dense()
             dense = h.dense_matrix()
             for i, s_i in enumerate(order):
                 for j, s_j in enumerate(order):
-                    assert np.isclose(m.entries[i, j], dense[s_i, s_j], atol=1e-13)
+                    assert np.isclose(got[i, j], dense[s_i, s_j], atol=1e-13)
 
     @staticmethod
     def _elementwise(h, states):
@@ -93,7 +93,7 @@ class TestBuildRestricted:
             assert not h.is_real
             states = tuple(int(s) for s in rng.choice(64, size=20, replace=False))
             m = build_restricted(h, Subspace(states))
-            assert np.array_equal(m.entries, self._elementwise(h, states))
+            assert np.array_equal(m.dense(), self._elementwise(h, states))
 
     def test_real_matches_elementwise_matrix_element(self):
         rng = np.random.default_rng(31)
@@ -106,28 +106,45 @@ class TestBuildRestricted:
             assert h.is_real
             states = tuple(int(s) for s in rng.choice(64, size=20, replace=False))
             m = build_restricted(h, Subspace(states))
-            assert np.array_equal(m.entries, self._elementwise(h, states))
+            assert np.array_equal(m.dense(), self._elementwise(h, states))
 
     @pytest.mark.parametrize("kind", ["heisenberg", "tfim"])
     def test_models_bit_identical_to_elementwise(self, kind):
         ham, _ = build_model(ModelSpec(kind=kind, n=8, seed=1))
         rng = np.random.default_rng(3)
         states = tuple(int(s) for s in rng.choice(256, size=120, replace=False))
-        m = build_restricted(ham, Subspace(states))
+        got = build_restricted(ham, Subspace(states)).dense()
         ref = self._elementwise(ham, states)
-        assert m.entries.dtype == ref.dtype
-        assert m.entries.tobytes() == ref.tobytes()
+        assert got.dtype == ref.dtype
+        assert got.tobytes() == ref.tobytes()
 
     def test_empty_subspace_rejected(self):
         h = parse_hamiltonian("1.0 Z\n")
         with pytest.raises(ValueError, match="empty"):
             build_restricted(h, Subspace(()))
 
-    def test_hermiticity_enforced_on_type(self):
+    def test_hermiticity_enforced_on_type(self, monkeypatch):
+        # Skew one direction of every off-diagonal pair: the amplitude of
+        # the column whose state is the smaller of the two.  The relative
+        # error, 5e-4, is far beyond the check's tolerance.
+        h = parse_hamiltonian("1.0 XX\n1.0 YY\n1.0 ZZ\n")
+        amplitudes = PauliHamiltonian.amplitudes
+
+        def skewed(self, x_mask, states):
+            states = np.asarray(states, dtype=np.int64)
+            out = amplitudes(self, x_mask, states)
+            return out + 1e-3 * ((x_mask != 0) & (states < (states ^ x_mask)))
+
+        monkeypatch.setattr(PauliHamiltonian, "amplitudes", skewed)
+        # |01> and |10> couple through XX + YY; both sides are new here.
         with pytest.raises(ValueError, match="Hermitian"):
-            RestrictedMatrix(
-                entries=np.array([[0.0, 1.0], [2.0, 0.0]]), basis=Subspace((0, 1))
-            )
+            build_restricted(h, Subspace((1, 2)))
+        with pytest.raises(ValueError, match="Hermitian"):
+            extend_restricted(h, build_restricted(h, Subspace((0,))), [1, 2])
+        # An old row's entry is mirrored from the new column, so an
+        # old/new pair is Hermitian by construction.
+        grown = extend_restricted(h, build_restricted(h, Subspace((1,))), [2]).dense()
+        assert np.array_equal(grown, grown.T)
 
 
 class TestExtendRestricted:
@@ -142,7 +159,7 @@ class TestExtendRestricted:
             grown = extend_restricted(h, base, extra)
             rebuilt = build_restricted(h, Subspace(base_states).extend(extra))
             assert grown.basis.states.tolist() == rebuilt.basis.states.tolist()
-            assert np.allclose(grown.entries, rebuilt.entries, atol=1e-13)
+            assert np.allclose(grown.dense(), rebuilt.dense(), atol=1e-13)
 
     def test_no_new_states_returns_same_matrix(self):
         h = parse_hamiltonian("1.0 ZZ\n")
@@ -159,15 +176,16 @@ class TestLowestEigenpair:
         assert np.allclose(sol.coefficients, expected)
 
     def test_one_by_one(self):
-        m = RestrictedMatrix(entries=np.array([[4.5]]), basis=Subspace((6,)))
+        m = RestrictedMatrix(rows=np.array([0]), cols=np.array([0]),
+                             values=np.array([4.5]), basis=Subspace((6,)))
         sol = lowest_eigenpair(m)
         assert np.isclose(sol.energy, 4.5)
         assert np.allclose(sol.coefficients, [1.0])
 
     def test_diagonal_matrix(self):
-        m = RestrictedMatrix(
-            entries=np.diag([3.0, -5.0, 2.0]), basis=Subspace((0, 1, 2))
-        )
+        m = RestrictedMatrix(rows=np.arange(3), cols=np.arange(3),
+                             values=np.array([3.0, -5.0, 2.0]),
+                             basis=Subspace((0, 1, 2)))
         sol = lowest_eigenpair(m)
         assert np.isclose(sol.energy, -5.0)
         assert np.allclose(np.abs(sol.coefficients), [0.0, 1.0, 0.0])
@@ -178,7 +196,7 @@ class TestLowestEigenpair:
         states = tuple(int(s) for s in rng.choice(64, size=25, replace=False))
         m = build_restricted(h, Subspace(states))
         sol = lowest_eigenpair(m)
-        rayleigh = np.vdot(sol.coefficients, m.entries @ sol.coefficients).real
+        rayleigh = np.vdot(sol.coefficients, m.dense() @ sol.coefficients).real
         assert np.isclose(rayleigh, sol.energy, atol=1e-10)
 
     def test_variational_bound(self):
@@ -233,6 +251,16 @@ class TestLowestEigenpair:
         first, second = lowest_eigenpair(m), lowest_eigenpair(m)
         assert first.energy.hex() == second.energy.hex()
         assert first.coefficients.tobytes() == second.coefficients.tobytes()
+
+    def test_zero_matrix_on_sparse_route(self, monkeypatch):
+        # XXX maps 0, 1, 2 onto 7, 6, 5, none of them kept: H_S = 0, on
+        # which ARPACK itself stops ("starting vector is zero").
+        m = build_restricted(parse_hamiltonian("1.0 XXX\n"), Subspace((0, 1, 2)))
+        assert not m.dense().any()
+        monkeypatch.setattr(subspace_mod, "DENSE_SOLVE_MAX", 2)
+        sol = lowest_eigenpair(m)
+        assert sol.energy == 0.0
+        assert np.isclose(np.linalg.norm(sol.coefficients), 1.0)
 
     def test_phase_fix(self):
         rng = np.random.default_rng(59)
