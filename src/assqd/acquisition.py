@@ -11,9 +11,11 @@ Epstein-Nesbet energy correction.  Ablation variants keep one factor each
 seeded uniform draw.  One :class:`CandidateScores` of aligned arrays holds them.
 
 Two scoring routes exist for nu on purpose: :func:`coupling` is the
-literal per-candidate sum, :func:`coupling_map` batches it over the
-Hamiltonian's masks with :meth:`PauliHamiltonian.amplitudes`.  Tests hold
-them equal bit for bit; the driver uses the map.
+literal per-candidate sum, :func:`coupling_map` takes every (state, mask)
+amplitude of D from one :meth:`PauliHamiltonian.amplitude_table` call.
+Tests hold them equal bit for bit; the driver uses the map.  Frontiers are
+deduplicated by sorting (:func:`sorted_unique`) and tested against the
+subspace with :meth:`Subspace.positions`.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from assqd.subspace import (
     RestrictedSolution,
     Subspace,
     sorted_positions,
+    sorted_unique,
 )
 
 ACQUISITION_KINDS = ("en", "coupling_only", "denom_only", "diag_only", "random")
@@ -58,9 +61,13 @@ class CandidateScores:
 
 
 def _step(ham: PauliHamiltonian, states: np.ndarray) -> np.ndarray:
-    """s XOR x_mask for every state and off-diagonal mask, repeats kept."""
-    masks = np.array(ham.offdiag_masks, dtype=np.int64)
-    return (states[:, None] ^ masks).ravel()
+    """s XOR x_mask for every state (rows) and off-diagonal mask (columns)."""
+    return states[:, None] ^ np.array(ham.offdiag_masks, dtype=np.int64)
+
+
+def _outside(subspace: Subspace, states: np.ndarray) -> np.ndarray:
+    """The given states that are not in the subspace, order kept."""
+    return states[subspace.positions(states) < 0]
 
 
 def generate_candidates(
@@ -77,10 +84,11 @@ def generate_candidates(
     """
     if hops not in (1, 2):
         raise ValueError(f"hops must be 1 or 2, got {hops}")
-    one_hop = np.setdiff1d(_step(ham, dominant.states), subspace.states)
+    one_hop = _outside(subspace, sorted_unique(_step(ham, dominant.states)))
     if hops == 1:
         return one_hop
-    return np.union1d(one_hop, np.setdiff1d(_step(ham, one_hop), subspace.states))
+    both = sorted_unique(np.concatenate([one_hop, _step(ham, one_hop).ravel()]))
+    return _outside(subspace, both)
 
 
 def coupling(
@@ -109,12 +117,12 @@ def coupling_map(
     s-major in D's order, the order of the literal sum in :func:`coupling`.
     """
     d = dominant.states
-    amps = np.array([ham.amplitudes(x_mask, d) for x_mask in ham.offdiag_masks]).T
+    amps = ham.amplitude_table(d).T
     c = sol.coefficients[sol.subspace.positions(d)][:, None]
     # Each real operation rounds on its own, as in coupling()'s scalar
     # products; numpy's vector complex multiply may fuse them.
     real = c.real * amps.real - c.imag * amps.imag
-    terms = (real + 1j * (c.real * amps.imag + c.imag * amps.real)).ravel()
+    terms = real + 1j * (c.real * amps.imag + c.imag * amps.real)
     at = sorted_positions(candidates, _step(ham, d))
     hit = at >= 0
     nu = np.zeros(len(candidates), dtype=np.complex128)
@@ -150,7 +158,7 @@ def score_candidates(
         raise ValueError(f"unknown acquisition kind {kind!r}")
     if kind == "random" and rng_seed is None:
         raise ValueError("random scoring requires rng_seed")
-    candidates = np.unique(np.asarray(candidates, dtype=np.int64))
+    candidates = sorted_unique(candidates)
     overlap = candidates[sol.subspace.positions(candidates) >= 0]
     if len(overlap):
         raise ValueError(f"candidates intersect the subspace: {overlap[:5].tolist()}")
@@ -187,15 +195,18 @@ def score_two_hop(
     """
     one_hop = generate_candidates(ham, dominant, subspace, hops=1)
     scored = score_candidates("en", ham, sol, dominant, one_hop, eps=eps)
-    pure_two = np.setdiff1d(_step(ham, one_hop), np.union1d(one_hop, subspace.states))
+    grid = _step(ham, one_hop)
+    two = sorted_unique(grid)
+    pure_two = _outside(subspace, two[sorted_positions(one_hop, two) < 0])
+    # The (1-hop state, mask) pairs that land on a pure 2-hop state.
+    at = sorted_positions(pure_two, grid)
+    hit = at >= 0
+    rows = np.nonzero(hit)[0]
+    amp_sq = np.abs(ham.amplitude_table(one_hop).T[hit]) ** 2
     nu_m_sq = np.abs(scored.coupling) ** 2
     denom_m = np.maximum(np.abs(sol.energy - scored.diagonal), eps)
     best = np.zeros(len(pure_two))
-    for x_mask in ham.offdiag_masks:
-        at = sorted_positions(pure_two, one_hop ^ x_mask)
-        hit = at >= 0
-        amp = ham.amplitudes(x_mask, one_hop[hit])
-        np.maximum.at(best, at[hit], np.abs(amp) ** 2 * nu_m_sq[hit] / denom_m[hit])
+    np.maximum.at(best, at[hit], amp_sq * nu_m_sq[rows] / denom_m[rows])
     h_kk = ham.diagonal(pure_two)
     return CandidateScores(
         states=np.concatenate([scored.states, pure_two]),

@@ -42,9 +42,9 @@ from .bench import (
     rows_to_json,
 )
 from .driver import METHOD_KINDS, RunConfig, run_as_sqd, trace_to_json
-from .models import ModelSpec, build_model, metadata_record
+from .models import MIN_QUBITS, ModelSpec, build_model, metadata_record
 from .oracle import ORACLE_MAX_QUBITS, exact_lowest, save_eigenpairs
-from .pauli import format_hamiltonian, load_hamiltonian
+from .pauli import DENSE_MAX_QUBITS, MAX_QUBITS, format_hamiltonian, load_hamiltonian
 from .sampling import (
     contaminated_distribution,
     counts_to_json,
@@ -53,6 +53,10 @@ from .sampling import (
 )
 
 _MODEL_KINDS = click.Choice(["heisenberg", "tfim"])
+# Chain lengths a model instance can have, and those the reference oracle
+# solves (oracle and sample need its eigenpairs).
+_MODEL_SIZES = click.IntRange(MIN_QUBITS, MAX_QUBITS)
+_ORACLE_SIZES = click.IntRange(MIN_QUBITS, ORACLE_MAX_QUBITS)
 
 
 def _emit(ctx: click.Context, text: str) -> None:
@@ -119,7 +123,7 @@ def main(ctx: click.Context, seed: int, out: str | None, fmt: str) -> None:
 
 @main.command()
 @click.argument("kind", type=_MODEL_KINDS)
-@click.argument("n", type=int)
+@click.argument("n", type=_MODEL_SIZES)
 @click.pass_context
 def model(ctx: click.Context, kind: str, n: int) -> None:
     """Emit the Hamiltonian for a disordered chain instance.
@@ -139,7 +143,7 @@ def model(ctx: click.Context, kind: str, n: int) -> None:
 
 @main.command()
 @click.argument("kind", type=_MODEL_KINDS)
-@click.argument("n", type=int)
+@click.argument("n", type=_ORACLE_SIZES)
 @click.option("--count", type=click.IntRange(2, 8), default=2, show_default=True,
               help="Number of lowest eigenpairs.")
 @click.option("--method", type=click.Choice(["dense", "lanczos"]), default=None,
@@ -154,6 +158,11 @@ def model(ctx: click.Context, kind: str, n: int) -> None:
 def oracle(ctx: click.Context, kind: str, n: int, count: int,
            method: str | None, tol: float, pairs: str | None) -> None:
     """Exact lowest eigenpairs of a model instance (JSON energies)."""
+    if method == "dense" and n > DENSE_MAX_QUBITS:
+        raise click.BadParameter(
+            f"{n} is above {DENSE_MAX_QUBITS}, the dense route's limit",
+            ctx=ctx, param_hint="'N'",
+        )
     ham, spec, disorder = _instance(kind, n, ctx.obj["seed"])
     eig = exact_lowest(ham, count=count, tol=tol, method=method)
     if pairs is not None:
@@ -170,7 +179,7 @@ def oracle(ctx: click.Context, kind: str, n: int, count: int,
 
 @main.command()
 @click.argument("kind", type=_MODEL_KINDS)
-@click.argument("n", type=int)
+@click.argument("n", type=_ORACLE_SIZES)
 @click.option("--shots", type=click.IntRange(min=1), default=None,
               help="Shot count; size-based default (2000 for n<=10, else 3000).")
 @click.option("--eta", type=click.FloatRange(0, 1), default=DEFAULT_ETA,
@@ -296,7 +305,7 @@ def _sweep_options(default_sizes: str):
         click.option("--kind", type=_MODEL_KINDS, default="heisenberg",
                      show_default=True),
         click.option("--sizes", default=default_sizes, show_default=True,
-                     callback=_int_list(2, ORACLE_MAX_QUBITS),
+                     callback=_int_list(MIN_QUBITS, ORACLE_MAX_QUBITS),
                      help="Comma-separated system sizes."),
         click.option("--seeds", default=",".join(map(str, DEFAULT_SEEDS)),
                      show_default=True, callback=_int_list(0),

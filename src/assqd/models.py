@@ -23,6 +23,9 @@ _KIND_CODES = {"heisenberg": 0, "tfim": 1}
 HEISENBERG_DEFAULTS = {"J": 1.0, "disorder_std": 0.5}
 TFIM_DEFAULTS = {"J": 1.0, "transverse_field": 1.0, "disorder_std": 0.5}
 
+# Shortest ring: two sites, whose one bond is visited twice.
+MIN_QUBITS = 2
+
 
 @dataclass(frozen=True)
 class ModelSpec:
@@ -38,8 +41,8 @@ class ModelSpec:
     def __post_init__(self) -> None:
         if self.kind not in _KIND_CODES:
             raise ValueError(f"unknown model kind {self.kind!r}")
-        if self.n < 2:
-            raise ValueError(f"need n >= 2, got {self.n}")
+        if self.n < MIN_QUBITS:
+            raise ValueError(f"need n >= {MIN_QUBITS}, got {self.n}")
         if self.seed < 0:
             raise ValueError("seed must be a nonnegative integer")
         if not np.isfinite(self.J):

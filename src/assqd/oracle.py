@@ -174,10 +174,12 @@ def sparse_matrix(ham: PauliHamiltonian) -> scipy.sparse.csr_array:
     :meth:`PauliHamiltonian.dense_matrix`).  Every row has one entry per
     block, so ``indptr`` is ``arange(dim + 1) * G`` for G distinct
     x_masks; entries that cancel exactly are dropped at the end, in place.
-    Real values take 8 bytes and ``int32`` column indices 4, so the matrix
-    holds about G * 2^n * 12 bytes: ~13 MB for Heisenberg at n = 16
-    (G = 17), where XX + YY cancel on aligned neighbours and 9 entries per
-    row remain.
+    The blocks are filled one x_mask at a time, straight into ``data``, so
+    no second G x 2^n array is made (as one
+    :meth:`PauliHamiltonian.amplitude_table` call would).  Real values take
+    8 bytes and ``int32`` column indices 4, so the matrix holds about
+    G * 2^n * 12 bytes: ~13 MB for Heisenberg at n = 16 (G = 17), where
+    XX + YY cancel on aligned neighbours and 9 entries per row remain.
     """
     if ham.n > ORACLE_MAX_QUBITS:
         raise ValueError(

@@ -6,9 +6,12 @@ restricted problem is an ordinary (not generalized) Hermitian
 eigenproblem H_S c = E_S c.  Entry (i, j) can only be nonzero when
 s_i XOR s_j matches some term's x_mask, so H_S has a handful of entries
 per column (4.7 at m = 100 to 8.2 at m = 850 on the n = 12 Heisenberg
-chain) and is kept as (row, col, value) triplets: an extension appends
-one :meth:`PauliHamiltonian.amplitudes` batch per distinct mask for the
-new columns and copies nothing.  The ground pair comes from
+chain) and is kept as (row, col, value) triplets: an extension looks up
+the new columns' targets under every mask at once, appends their
+:meth:`PauliHamiltonian.diagonal` and
+:meth:`PauliHamiltonian.amplitude_table` entries, and copies nothing.
+Set operations on state arrays sort and compare (:func:`sorted_unique`,
+:meth:`Subspace.positions`); none hashes.  The ground pair comes from
 :func:`assqd.oracle.hermitian_lowest`, the solver the reference oracle
 uses: dense LAPACK on the scattered triplets up to DENSE_SOLVE_MAX
 states, seeded Lanczos on a CSR matrix built from them beyond, so a
@@ -49,6 +52,14 @@ def sorted_positions(ascending: np.ndarray, states) -> np.ndarray:
     return np.where(np.append(ascending, -1)[at] == states, at, -1)
 
 
+def sorted_unique(states) -> np.ndarray:
+    """Distinct values of an int64 array, ascending."""
+    ordered = np.sort(np.asarray(states, dtype=np.int64).reshape(-1))
+    first = np.ones(len(ordered), dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    return ordered[first]
+
+
 @dataclass(frozen=True, eq=False)
 class Subspace:
     """Distinct basis states as an int64 array, in insertion order."""
@@ -79,9 +90,13 @@ class Subspace:
 
     def extend(self, new_states) -> Subspace:
         """Append states not seen before, keeping first-seen order."""
-        joined = np.concatenate([self.states, np.asarray(new_states, dtype=np.int64)])
-        _, first = np.unique(joined, return_index=True)
-        return Subspace(joined[np.sort(first)])
+        new = np.asarray(new_states, dtype=np.int64).reshape(-1)
+        new = new[self.positions(new) < 0]
+        # A stable sort puts each value's first occurrence ahead of its repeats.
+        order = np.argsort(new, kind="stable")
+        first = np.ones(len(new), dtype=bool)
+        np.not_equal(new[order[1:]], new[order[:-1]], out=first[1:])
+        return Subspace(np.concatenate([self.states, new[np.sort(order[first])]]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,7 +178,7 @@ def extend_restricted(
     """Grow a restricted matrix in place of a full rebuild.
 
     The old triplets are kept as they are; only the new columns are
-    assembled, one batch per x_mask: every new column j gets
+    assembled, for every x_mask at once: every new column j gets
     <s_j XOR x_mask|H|s_j> at the row of s_j XOR x_mask, when that state
     is in the subspace.  An old row's entry is mirrored (conjugated) into
     the new row, which no old column saw; an entry between two new states
@@ -174,14 +189,15 @@ def extend_restricted(
     old_m, m = len(matrix.basis), len(extended)
     if m == old_m:
         return matrix
-    cols = np.arange(old_m, m)
     new = extended.states[old_m:]
-    hits = []
-    for x_mask in (0,) + ham.offdiag_masks:
-        rows = extended.positions(new ^ x_mask)
-        hit = rows >= 0
-        hits.append((rows[hit], cols[hit], ham.amplitudes(x_mask, new[hit])))
-    i, j, values = (np.concatenate(part) for part in zip(*hits))
+    # One row per x_mask in the order (0,) + offdiag_masks, one column per
+    # new state; boolean indexing reads the grids mask by mask.
+    masks = np.array((0,) + ham.offdiag_masks, dtype=np.int64)
+    rows = extended.positions(new ^ masks[:, None])
+    amps = np.concatenate([ham.diagonal(new)[None], ham.amplitude_table(new)])
+    hit = rows >= 0
+    i, values = rows[hit], amps[hit]
+    j = np.broadcast_to(np.arange(old_m, m), rows.shape)[hit]
     old = i < old_m
     # Between two new states, (i, j) and its partner (j, i) are both here:
     # s_i = s_j XOR x_mask, so column i found row j through the same mask.

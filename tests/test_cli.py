@@ -211,6 +211,11 @@ _SWEEP = ["--sizes", "4", "--seeds", "0"]
     pytest.param(["ablate", *_SWEEP, "--eps", "0"], id="eps"),
     pytest.param(["oracle", "heisenberg", "4", "--count", "9"], id="count-9"),
     pytest.param(["oracle", "heisenberg", "4", "--count", "1"], id="count-1"),
+    pytest.param(["oracle", "heisenberg", "22"], id="oracle-n"),
+    pytest.param(["oracle", "tfim", "13", "--method", "dense"], id="oracle-dense-n"),
+    pytest.param(["sample", "heisenberg", "21"], id="sample-n"),
+    pytest.param(["model", "heisenberg", "0"], id="model-n-0"),
+    pytest.param(["model", "tfim", "64"], id="model-n-64"),
 ])
 def test_out_of_range_value_is_a_usage_error(runner, args):
     result = runner.invoke(main, args)

@@ -1,10 +1,13 @@
 """Property tests: the batch kernels equal their literal references exactly.
 
-Random Pauli Hamiltonians on n <= 8 qubits, real ones (no Y at all) and
-complex ones (one odd-Y term added), drive every comparison, and
-``np.array_equal`` takes no tolerance: the batch paths sum the same terms
-in the same order as the per-element references, so they must agree bit
-for bit.
+Random Pauli Hamiltonians on n <= 8 qubits (and n = 63 for the amplitude
+kernel), real ones (no Y at all) and complex ones (one odd-Y term added),
+drive every comparison, and ``np.array_equal`` takes no tolerance: the
+batch paths sum the same terms in the same order as the per-element
+references, so they must agree bit for bit.  Where a comparison is made on
+``tobytes()``, the sign of a zero must agree too.  The set and scoring
+code is held to numpy's set routines and to the per-mask two-hop loop it
+replaced, kept here as the literal reference.
 """
 
 from __future__ import annotations
@@ -24,6 +27,8 @@ from assqd.acquisition import (
     coupling,
     coupling_map,
     generate_candidates,
+    score_candidates,
+    score_two_hop,
     select_top_b,
 )
 from assqd.driver import METHOD_KINDS, RunConfig, run_as_sqd
@@ -31,11 +36,14 @@ from assqd.oracle import exact_lowest
 from assqd.pauli import MAX_QUBITS, PauliHamiltonian, PauliTerm
 from assqd.sampling import BIT_ORDERS, CountsMultiset, counts_to_json, parse_counts
 from assqd.subspace import (
+    DominantSupport,
     Subspace,
     build_restricted,
     dominant_support,
     extend_restricted,
     lowest_eigenpair,
+    sorted_positions,
+    sorted_unique,
 )
 
 # Derandomized and without an example database, so every run of the suite
@@ -46,10 +54,14 @@ _COEFFICIENTS = st.floats(-2.0, 2.0).filter(lambda c: abs(c) >= 1e-3)
 
 
 @st.composite
-def hamiltonians(draw, real: bool | None = None) -> PauliHamiltonian:
-    n = draw(st.integers(1, 8))
+def hamiltonians(draw, real: bool | None = None, sizes=st.integers(1, 8),
+                 crowded: bool = False) -> PauliHamiltonian:
+    """Random Hamiltonians; crowded ones put every term on x_mask 0 or all-ones,
+    so each of the two groups sums many terms."""
+    n = draw(sizes)
     masks = st.integers(0, (1 << n) - 1)
-    terms = draw(st.lists(st.tuples(masks, masks, _COEFFICIENTS), max_size=24))
+    x_masks = st.sampled_from([0, (1 << n) - 1]) if crowded else masks
+    terms = draw(st.lists(st.tuples(x_masks, masks, _COEFFICIENTS), max_size=24))
     if draw(st.booleans()) if real is None else real:
         # Clearing z on the x bits turns every Y into X: all elements real.
         return PauliHamiltonian(n, [PauliTerm(x, z & ~x, c) for x, z, c in terms])
@@ -73,6 +85,33 @@ def test_amplitudes_equal_group_amplitude(data):
         assert got.dtype == (np.float64 if ham.is_real else np.complex128)
         ref = np.array([ham._group_amplitude(x_mask, int(s)) for s in states])
         assert np.array_equal(got, ref)
+
+
+def _bytes_equal(got: np.ndarray, ref: np.ndarray) -> bool:
+    return got.dtype == ref.dtype and got.shape == ref.shape and (
+        got.tobytes() == ref.tobytes())
+
+
+@PROPERTY
+@pytest.mark.parametrize("real", [True, False])
+@given(data=st.data())
+def test_amplitude_table_and_diagonal_bytes_equal_group_amplitude(real, data):
+    ham = data.draw(hamiltonians(real, sizes=st.integers(1, 8) | st.just(MAX_QUBITS),
+                                 crowded=data.draw(st.booleans())))
+    top_bit = st.integers(1 << (ham.n - 1), (1 << ham.n) - 1)
+    states = np.array(data.draw(st.lists(st.integers(0, (1 << ham.n) - 1) | top_bit,
+                                         max_size=40, unique=True)), dtype=np.int64)
+    dtype = np.float64 if ham.is_real else np.complex128
+    for batch in (states, states[:0]):
+        ref = np.array([[ham._group_amplitude(x, int(s)) for s in batch]
+                        for x in ham.offdiag_masks], dtype=np.complex128)
+        ref = ref.reshape(len(ham.offdiag_masks), len(batch))
+        assert _bytes_equal(ham.amplitude_table(batch),
+                            ref.real.copy() if ham.is_real else ref)
+        diag = np.array([ham._group_amplitude(0, int(s)).real for s in batch],
+                        dtype=np.float64)
+        assert _bytes_equal(ham.diagonal(batch), diag)
+        assert _bytes_equal(ham.amplitudes(0, batch), diag.astype(dtype))
 
 
 @PROPERTY
@@ -130,6 +169,79 @@ def test_coupling_map_equals_literal_coupling(real, data):
     ref = np.array([coupling(ham, sol, dominant, k) for k in candidates.tolist()],
                    dtype=np.complex128)
     assert np.array_equal(coupling_map(ham, sol, dominant, candidates), ref)
+
+
+def _frontier(ham: PauliHamiltonian, states: np.ndarray) -> np.ndarray:
+    masks = np.array(ham.offdiag_masks, dtype=np.int64)
+    return (states[:, None] ^ masks).ravel()
+
+
+def _two_hop_reference(ham, sol, dominant, subspace, eps):
+    """score_two_hop as one loop per off-diagonal mask over numpy's set routines."""
+    one_hop = np.setdiff1d(_frontier(ham, dominant.states), subspace.states)
+    scored = score_candidates("en", ham, sol, dominant, one_hop, eps=eps)
+    pure_two = np.setdiff1d(_frontier(ham, one_hop),
+                            np.union1d(one_hop, subspace.states))
+    nu_m_sq = np.abs(scored.coupling) ** 2
+    denom_m = np.maximum(np.abs(sol.energy - scored.diagonal), eps)
+    best = np.zeros(len(pure_two))
+    for x_mask in ham.offdiag_masks:
+        at = sorted_positions(pure_two, one_hop ^ x_mask)
+        hit = at >= 0
+        amp = ham.amplitudes(x_mask, one_hop[hit])
+        np.maximum.at(best, at[hit], np.abs(amp) ** 2 * nu_m_sq[hit] / denom_m[hit])
+    h_kk = ham.diagonal(pure_two)
+    return (np.concatenate([scored.states, pure_two]),
+            np.concatenate([scored.diagonal, h_kk]),
+            np.concatenate([scored.score,
+                            best / np.maximum(np.abs(sol.energy - h_kk), eps)]))
+
+
+@PROPERTY
+@pytest.mark.parametrize("real", [True, False])
+@given(data=st.data())
+def test_score_two_hop_bytes_equal_per_mask_loop(real, data):
+    ham = data.draw(hamiltonians(real))
+    states = _states(data.draw, ham.n, min_size=1, max_size=16)
+    sol = lowest_eigenpair(build_restricted(ham, Subspace(states)))
+    dominant = dominant_support(sol, data.draw(st.sampled_from([0.0, 1e-4, 0.05])))
+    eps = data.draw(st.sampled_from([1e-8, 0.5]))
+    got = score_two_hop(ham, sol, dominant, sol.subspace, eps=eps)
+    ref_states, ref_diagonal, ref_score = _two_hop_reference(
+        ham, sol, dominant, sol.subspace, eps)
+    assert _bytes_equal(got.states, ref_states)
+    assert _bytes_equal(got.diagonal, ref_diagonal)
+    assert _bytes_equal(got.score, ref_score)
+
+
+# Small state ranges make repeats and overlaps between the drawn sets common.
+def _repeating_states(n: int):
+    return st.lists(st.integers(0, min((1 << n) - 1, 15)), max_size=24)
+
+
+@PROPERTY
+@given(st.data())
+def test_generate_candidates_equals_numpy_set_forms(data):
+    ham = data.draw(hamiltonians())
+    dominant = DominantSupport(
+        np.array(data.draw(_repeating_states(ham.n)), dtype=np.int64))
+    subspace = Subspace(np.unique(data.draw(_repeating_states(ham.n))).astype(np.int64))
+    one_hop = np.setdiff1d(_frontier(ham, dominant.states), subspace.states)
+    two_hop = np.union1d(one_hop,
+                         np.setdiff1d(_frontier(ham, one_hop), subspace.states))
+    assert _bytes_equal(generate_candidates(ham, dominant, subspace, hops=1), one_hop)
+    assert _bytes_equal(generate_candidates(ham, dominant, subspace, hops=2), two_hop)
+
+
+@PROPERTY
+@given(st.lists(st.integers(0, 15), max_size=12, unique=True),
+       st.lists(st.integers(0, 15) | st.integers(0, 2**63 - 1), max_size=24))
+def test_extend_and_sorted_unique_equal_numpy_unique(base, new):
+    new = np.array(new, dtype=np.int64)
+    joined = np.concatenate([np.array(base, dtype=np.int64), new])
+    _, first = np.unique(joined, return_index=True)
+    assert _bytes_equal(Subspace(base).extend(new).states, joined[np.sort(first)])
+    assert _bytes_equal(sorted_unique(new), np.unique(new))
 
 
 @PROPERTY

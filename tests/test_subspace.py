@@ -123,19 +123,21 @@ class TestBuildRestricted:
         with pytest.raises(ValueError, match="empty"):
             build_restricted(h, Subspace(()))
 
-    def test_hermiticity_enforced_on_type(self, monkeypatch):
-        # Skew one direction of every off-diagonal pair: the amplitude of
-        # the column whose state is the smaller of the two.  The relative
-        # error, 5e-4, is far beyond the check's tolerance.
+    def test_hermiticity_enforced_on_type(self):
+        # Skew one direction of every off-diagonal pair in the compiled
+        # block: two extra rows on the XX + YY column add
+        # 5e-4 * (1 - (-1)^{bit 0}), i.e. 1e-3 to the amplitude of the
+        # column whose state is the smaller of the two (bit 0 set).  The
+        # relative error, 5e-4, is far beyond the check's tolerance.
         h = parse_hamiltonian("1.0 XX\n1.0 YY\n1.0 ZZ\n")
-        amplitudes = PauliHamiltonian.amplitudes
-
-        def skewed(self, x_mask, states):
-            states = np.asarray(states, dtype=np.int64)
-            out = amplitudes(self, x_mask, states)
-            return out + 1e-3 * ((x_mask != 0) & (states < (states ^ x_mask)))
-
-        monkeypatch.setattr(PauliHamiltonian, "amplitudes", skewed)
+        z_masks, weights = h._offdiag_block
+        h.__dict__["_offdiag_block"] = (
+            np.vstack([z_masks, [[0], [0b01]]]),
+            np.vstack([weights, [[5e-4], [-5e-4]]]),
+        )
+        skewed = h.amplitudes(0b11, [0b01, 0b10])
+        assert np.isclose(skewed[0], 2.0 + 1e-3, rtol=0, atol=1e-12)
+        assert skewed[1] == 2.0
         # |01> and |10> couple through XX + YY; both sides are new here.
         with pytest.raises(ValueError, match="Hermitian"):
             build_restricted(h, Subspace((1, 2)))
