@@ -139,11 +139,6 @@ def en_score(
     return np.abs(nu_k) ** 2 / np.maximum(np.abs(e_s - h_kk), eps)
 
 
-def signed_correction(e_s: float, h_kk: float, nu_k: complex) -> float:
-    """Second-order energy shift |nu_k|^2 / (E_S - H_kk), sign intact."""
-    return abs(nu_k) ** 2 / (e_s - h_kk)
-
-
 def score_candidates(
     kind: str,
     ham: PauliHamiltonian,

@@ -296,25 +296,23 @@ def _medians(rows: list[ResultRow]) -> list[dict[str, Any]]:
 
 def experiment_scaling(
     spec: ExperimentSpec,
-    methods: tuple[str, ...] = SCALING_METHODS,
     oracle_cache: dict[str, EigenpairSet] | None = None,
 ) -> tuple[list[ResultRow], list[dict[str, Any]]]:
-    """Method comparison across sizes on identical per-instance counts."""
-    rows, _, _ = _sweep(spec, methods, oracle_cache=oracle_cache)
+    """SCALING_METHODS across sizes on identical per-instance counts."""
+    rows, _, _ = _sweep(spec, SCALING_METHODS, oracle_cache=oracle_cache)
     return rows, _medians(rows)
 
 
 def experiment_ablation(
     spec: ExperimentSpec,
-    methods: tuple[str, ...] = ABLATION_METHODS,
     oracle_cache: dict[str, EigenpairSet] | None = None,
 ) -> tuple[list[ResultRow], list[dict[str, Any]]]:
-    """Acquisition-variant comparison; all variants share each instance.
+    """ABLATION_METHODS compared; all variants share each instance.
 
     Identical seeding is checked directly: every variant's initial solve
     lands on the same subspace, hence the same first-record energy.
     """
-    rows, traces, _ = _sweep(spec, methods, oracle_cache=oracle_cache)
+    rows, traces, _ = _sweep(spec, ABLATION_METHODS, oracle_cache=oracle_cache)
     first_energy: dict[tuple[int, int], float] = {}
     for (model, n, seed, method, h), trace in traces.items():
         e_init = trace.records[0].energy
@@ -326,12 +324,10 @@ def experiment_ablation(
     return rows, _medians(rows)
 
 
-def iterations_to_threshold(
-    trace: RunTrace, e0: float, threshold: float = HOPS_THRESHOLD
-) -> int | None:
-    """First iteration whose energy is within threshold of e0, if any."""
+def iterations_to_threshold(trace: RunTrace, e0: float) -> int | None:
+    """First iteration whose energy is within HOPS_THRESHOLD of e0, if any."""
     for record in trace.records:
-        if abs(record.energy - e0) <= threshold:
+        if abs(record.energy - e0) <= HOPS_THRESHOLD:
             return record.iteration
     return None
 

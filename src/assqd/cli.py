@@ -44,7 +44,7 @@ from .bench import (
 from .driver import METHOD_KINDS, RunConfig, run_as_sqd, trace_to_json
 from .models import MIN_QUBITS, ModelSpec, build_model, metadata_record
 from .oracle import ORACLE_MAX_QUBITS, exact_lowest, save_eigenpairs
-from .pauli import DENSE_MAX_QUBITS, MAX_QUBITS, format_hamiltonian, load_hamiltonian
+from .pauli import MAX_QUBITS, format_hamiltonian, load_hamiltonian
 from .sampling import (
     contaminated_distribution,
     counts_to_json,
@@ -145,26 +145,24 @@ def model(ctx: click.Context, kind: str, n: int) -> None:
 @click.argument("kind", type=_MODEL_KINDS)
 @click.argument("n", type=_ORACLE_SIZES)
 @click.option("--count", type=click.IntRange(2, 8), default=2, show_default=True,
-              help="Number of lowest eigenpairs.")
-@click.option("--method", type=click.Choice(["dense", "lanczos"]), default=None,
-              help="Eigensolver: dense eigh (n <= 12) or Lanczos on the "
-                   "CSR matrix (n <= 20); when omitted, dense for n <= 8 "
-                   "and Lanczos above.")
-@click.option("--tol", type=float, default=1e-9, show_default=True,
-              help="Residual tolerance for each eigenpair.")
+              help="Number of lowest eigenpairs (at most 2^n).")
 @click.option("--pairs", type=click.Path(dir_okay=False), default=None,
               help="Also save eigenvectors to this .npz file.")
 @click.pass_context
 def oracle(ctx: click.Context, kind: str, n: int, count: int,
-           method: str | None, tol: float, pairs: str | None) -> None:
-    """Exact lowest eigenpairs of a model instance (JSON energies)."""
-    if method == "dense" and n > DENSE_MAX_QUBITS:
+           pairs: str | None) -> None:
+    """Exact lowest eigenpairs of a model instance (JSON energies).
+
+    The eigensolver follows n: dense eigh on short chains, Lanczos on the
+    CSR matrix on longer ones.
+    """
+    if count > 1 << n:
         raise click.BadParameter(
-            f"{n} is above {DENSE_MAX_QUBITS}, the dense route's limit",
-            ctx=ctx, param_hint="'N'",
+            f"{count} is more than the {1 << n} eigenpairs at n={n}",
+            ctx=ctx, param_hint="'--count'",
         )
     ham, spec, disorder = _instance(kind, n, ctx.obj["seed"])
-    eig = exact_lowest(ham, count=count, tol=tol, method=method)
+    eig = exact_lowest(ham, count=count)
     if pairs is not None:
         save_eigenpairs(pairs, eig)
     payload = {

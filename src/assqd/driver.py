@@ -27,6 +27,7 @@ import numpy as np
 
 from assqd.acquisition import (
     ACQUISITION_KINDS,
+    DEFAULT_EPS,
     generate_candidates,
     score_candidates,
     score_two_hop,
@@ -57,7 +58,7 @@ class RunConfig:
     B: int = 20
     T: int = 10
     tau: float = 1e-4
-    eps: float = 1e-8
+    eps: float = DEFAULT_EPS
     kind: str = "en"
     hops: int = 1
     seed: int = 0
@@ -103,11 +104,6 @@ class RunTrace:
         for earlier, later in zip(energies, energies[1:]):
             if later > earlier + 1e-12:
                 raise ValueError("trace energies must be non-increasing")
-
-    @property
-    def iterations(self) -> int:
-        """Expansion iterations performed (excludes the initial solve)."""
-        return self.records[-1].iteration
 
 
 class RunError(RuntimeError):

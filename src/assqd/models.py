@@ -7,6 +7,11 @@ than special-cased.  Random longitudinal fields are drawn from N(0, std^2)
 with NumPy's seeded PCG64 generator, so a (kind, n, seed) triple pins the
 instance exactly on one build; bit-exactness across NumPy versions or
 languages is not promised, only per-build determinism.
+
+The couplings are module constants, not per-instance settings: J = 1 on
+every bond, a unit transverse drive for the TFIM and disorder std 0.5.
+The metadata record still carries them, so a record written with other
+values is rejected.
 """
 
 from __future__ import annotations
@@ -20,8 +25,14 @@ from assqd.pauli import PauliHamiltonian, PauliTerm
 
 _KIND_CODES = {"heisenberg": 0, "tfim": 1}
 
-HEISENBERG_DEFAULTS = {"J": 1.0, "disorder_std": 0.5}
-TFIM_DEFAULTS = {"J": 1.0, "transverse_field": 1.0, "disorder_std": 0.5}
+J = 1.0
+TRANSVERSE_FIELD = 1.0
+DISORDER_STD = 0.5
+
+# The couplings under the names the metadata record gives them.
+_COUPLINGS = {
+    "J": J, "transverse_field": TRANSVERSE_FIELD, "disorder_std": DISORDER_STD,
+}
 
 # Shortest ring: two sites, whose one bond is visited twice.
 MIN_QUBITS = 2
@@ -34,9 +45,6 @@ class ModelSpec:
     kind: str
     n: int
     seed: int
-    J: float = 1.0
-    transverse_field: float = 1.0
-    disorder_std: float = 0.5
 
     def __post_init__(self) -> None:
         if self.kind not in _KIND_CODES:
@@ -45,10 +53,6 @@ class ModelSpec:
             raise ValueError(f"need n >= {MIN_QUBITS}, got {self.n}")
         if self.seed < 0:
             raise ValueError("seed must be a nonnegative integer")
-        if not np.isfinite(self.J):
-            raise ValueError("J must be finite")
-        if not self.disorder_std >= 0:
-            raise ValueError("disorder_std must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -113,11 +117,11 @@ def _disorder_seed(spec: ModelSpec) -> int:
 
 def build_model(spec: ModelSpec) -> tuple[PauliHamiltonian, DisorderInstance]:
     """Draw the disorder for spec and assemble its Hamiltonian."""
-    disorder = draw_disorder(spec.n, spec.disorder_std, _disorder_seed(spec))
+    disorder = draw_disorder(spec.n, DISORDER_STD, _disorder_seed(spec))
     if spec.kind == "heisenberg":
-        ham = heisenberg_chain(spec.n, spec.J, disorder)
+        ham = heisenberg_chain(spec.n, J, disorder)
     else:
-        ham = tfim_chain(spec.n, spec.J, spec.transverse_field, disorder)
+        ham = tfim_chain(spec.n, J, TRANSVERSE_FIELD, disorder)
     return ham, disorder
 
 
@@ -127,23 +131,18 @@ def metadata_record(spec: ModelSpec, disorder: DisorderInstance) -> dict[str, An
         "kind": spec.kind,
         "n": spec.n,
         "seed": spec.seed,
-        "J": spec.J,
-        "transverse_field": spec.transverse_field,
-        "disorder_std": spec.disorder_std,
+        **_COUPLINGS,
         "field_seed": disorder.seed,
         "fields": list(disorder.fields),
     }
 
 
 def parse_metadata(record: dict[str, Any]) -> tuple[ModelSpec, DisorderInstance]:
-    spec = ModelSpec(
-        kind=record["kind"],
-        n=record["n"],
-        seed=record["seed"],
-        J=record["J"],
-        transverse_field=record["transverse_field"],
-        disorder_std=record["disorder_std"],
-    )
+    """Inverse of :func:`metadata_record`; other couplings are a ValueError."""
+    couplings = {key: record[key] for key in _COUPLINGS}
+    if couplings != _COUPLINGS:
+        raise ValueError(f"couplings {couplings} differ from the fixed {_COUPLINGS}")
+    spec = ModelSpec(kind=record["kind"], n=record["n"], seed=record["seed"])
     disorder = DisorderInstance(tuple(record["fields"]), record["field_seed"])
     if len(disorder.fields) != spec.n:
         raise ValueError("metadata fields length does not match n")

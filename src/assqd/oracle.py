@@ -8,12 +8,13 @@ it one of two matrices, chosen by size.  Above DEFAULT_DENSE_MAX_QUBITS it
 is H built once as a CSR matrix (:func:`sparse_matrix`), up to
 ORACLE_MAX_QUBITS = 20.  At and below it, where ARPACK's set-up costs more
 than the solve and tiny dimensions are out of its reach, it is the dense
-matrix, selectable up to DENSE_MAX_QUBITS = 12 as the reference the tests
-compare the sparse route against.  Every returned pair is verified against
-the residual bound ``norm(H psi - E psi) <= tol`` through
-:func:`apply_hamiltonian`, a term-by-term product that shares no code with
-the CSR builder, so neither a silent misconvergence nor a wrong matrix
-entry can leak into benchmark baselines.
+matrix.  ``exact_lowest(method=...)`` overrides that choice (dense up to
+DENSE_MAX_QUBITS = 12), so tests can compare the two routes; the command
+line always takes the one the size picks.  Every returned pair is verified
+against the residual bound ``norm(H psi - E psi) <= RESIDUAL_TOL`` (1e-9)
+through :func:`apply_hamiltonian`, a term-by-term product that shares no
+code with the CSR builder, so neither a silent misconvergence nor a wrong
+matrix entry can leak into benchmark baselines.
 """
 
 from __future__ import annotations
@@ -30,6 +31,9 @@ from assqd.pauli import DENSE_MAX_QUBITS, PauliHamiltonian
 ORACLE_MAX_QUBITS = 20
 
 DEGENERACY_GAP = 1e-8
+
+# Largest residual norm(H psi - E psi) accepted for a returned eigenpair.
+RESIDUAL_TOL = 1e-9
 
 # Iteration cap for the Lanczos route, in ARPACK restart cycles.
 LANCZOS_MAXITER = 20_000
@@ -208,7 +212,6 @@ def sparse_matrix(ham: PauliHamiltonian) -> scipy.sparse.csr_array:
 def exact_lowest(
     ham: PauliHamiltonian,
     count: int = 2,
-    tol: float = 1e-9,
     method: str | None = None,
 ) -> EigenpairSet:
     """Residual-verified lowest eigenpairs of the full Hamiltonian.
@@ -246,9 +249,10 @@ def exact_lowest(
         residual = float(np.linalg.norm(apply_hamiltonian(ham, vec) - vals[i] * vec))
         worst = max(worst, residual)
         columns.append(fix_phase(vec))
-    if worst > tol:
+    if worst > RESIDUAL_TOL:
         raise ConvergenceError(
-            f"{method} eigensolve exceeded residual tolerance {tol:.1e}", worst
+            f"{method} eigensolve exceeded residual tolerance {RESIDUAL_TOL:.1e}",
+            worst,
         )
     vectors = np.column_stack(columns)
     energies = tuple(float(v) for v in vals)

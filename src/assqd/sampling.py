@@ -1,10 +1,11 @@
 """Finite-shot counts: contaminated sampling, wire format, top-K seeding.
 
 The preparation model mixes the ground state with the first excited state:
-p(b) = (1 - eta) |<b|psi_0>|^2 + eta |<b|psi_1>|^2.  Counts also arrive
+p(b) = (1 - eta) |<b|psi_0>|^2 + eta |<b|psi_1>|^2; eta is checked when the
+mix is made, and the ProbabilityModel keeps only p.  Counts also arrive
 from outside (hardware exports) via a small JSON format; both paths land
-in the same CountsMultiset, and the initial subspace is always the top-K
-states by count.
+in the same CountsMultiset, whose shot total is the sum of its counts,
+and the initial subspace is always the top-K states by count.
 
 Wire format: {"n": int, "bit_order": "qubit0_first" | "qubit0_last",
 "counts": {bitstring: positive int}}.  With qubit0_first (the default)
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import IO, Any
 
 import numpy as np
@@ -32,7 +34,6 @@ class ProbabilityModel:
     """Normalized outcome distribution over all 2^n basis states."""
 
     probs: np.ndarray
-    eta: float
 
     def __post_init__(self) -> None:
         dim = int(self.probs.shape[0])
@@ -43,8 +44,6 @@ class ProbabilityModel:
         total = float(self.probs.sum())
         if abs(total - 1.0) > NORMALIZATION_ATOL:
             raise ValueError(f"probabilities sum to {total!r}, not 1")
-        if not 0.0 <= self.eta <= 1.0:
-            raise ValueError(f"eta must be in [0, 1], got {self.eta}")
 
     @property
     def n(self) -> int:
@@ -57,7 +56,6 @@ class CountsMultiset:
 
     counts: dict[BasisState, int]
     n: int
-    total_shots: int
 
     def __post_init__(self) -> None:
         limit = 1 << self.n
@@ -66,8 +64,10 @@ class CountsMultiset:
                 raise ValueError(f"state {state} out of range for n = {self.n}")
             if count <= 0:
                 raise ValueError(f"count for state {state} must be positive")
-        if sum(self.counts.values()) != self.total_shots:
-            raise ValueError("counts do not sum to total_shots")
+
+    @cached_property
+    def total_shots(self) -> int:
+        return sum(self.counts.values())
 
 
 def contaminated_distribution(
@@ -82,7 +82,7 @@ def contaminated_distribution(
         raise ValueError(f"eta must be in [0, 1], got {eta}")
     probs = (1.0 - eta) * np.abs(psi0) ** 2 + eta * np.abs(psi1) ** 2
     # Renormalize away float rounding; inputs are unit vectors.
-    return ProbabilityModel(probs / probs.sum(), eta)
+    return ProbabilityModel(probs / probs.sum())
 
 
 def sample_counts(model: ProbabilityModel, shots: int, seed: int) -> CountsMultiset:
@@ -98,7 +98,7 @@ def sample_counts(model: ProbabilityModel, shots: int, seed: int) -> CountsMulti
     counts = {
         int(state): int(c) for state, c in zip(support, tallies) if c > 0
     }
-    return CountsMultiset(counts=counts, n=model.n, total_shots=shots)
+    return CountsMultiset(counts=counts, n=model.n)
 
 
 def _key_to_state(key: str, n: int, bit_order: str) -> BasisState:
@@ -136,7 +136,7 @@ def parse_counts(obj: dict[str, Any]) -> CountsMultiset:
         if isinstance(value, bool) or not isinstance(value, int) or value <= 0:
             raise ValueError(f"count for key {key!r} must be a positive integer")
         counts[state] = counts.get(state, 0) + value
-    return CountsMultiset(counts=counts, n=n, total_shots=sum(counts.values()))
+    return CountsMultiset(counts=counts, n=n)
 
 
 def load_counts(source: str | IO[str]) -> CountsMultiset:

@@ -424,7 +424,7 @@ def test_11_noisy_ingest_recovers_ground_energy(tmp_path):
         tally[int(s)] = tally.get(int(s), 0) + 1
     counts_path = tmp_path / "device_counts.json"
     counts_path.write_text(
-        counts_to_json(CountsMultiset(counts=tally, n=8, total_shots=2 * half))
+        counts_to_json(CountsMultiset(counts=tally, n=8))
     )
 
     runner = CliRunner()

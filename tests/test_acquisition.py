@@ -14,9 +14,8 @@ from assqd.acquisition import (
     score_candidates,
     score_two_hop,
     select_top_b,
-    signed_correction,
 )
-from assqd.models import ModelSpec, build_model
+from assqd.models import DisorderInstance, ModelSpec, build_model, heisenberg_chain
 from assqd.pauli import PauliHamiltonian, PauliTerm, parse_hamiltonian
 from assqd.subspace import (
     DominantSupport,
@@ -47,9 +46,7 @@ def ranked(states, score):
 
 class TestGenerateCandidates:
     def test_heisenberg_ring_from_origin(self):
-        ham, _ = build_model(
-            ModelSpec(kind="heisenberg", n=3, seed=0, disorder_std=0.0)
-        )
+        ham = heisenberg_chain(3, 1.0, DisorderInstance((0.0,) * 3, 0))
         d = support(0)
         out = generate_candidates(ham, d, Subspace((0,)), hops=1)
         assert out.tolist() == [0b011, 0b101, 0b110]
@@ -150,24 +147,6 @@ class TestEnScore:
     def test_bad_eps_rejected(self):
         with pytest.raises(ValueError, match="eps"):
             en_score(0.0, 1.0, 1.0, 0.0)
-
-    def test_signed_correction_relation(self):
-        rng = np.random.default_rng(73)
-        ham, _ = build_model(ModelSpec(kind="heisenberg", n=6, seed=5))
-        states = tuple(int(s) for s in rng.choice(64, size=8, replace=False))
-        sol = solve(ham, states)
-        d = dominant_support(sol, 1e-4)
-        cands = generate_candidates(ham, d, sol.subspace)
-        eps = 1e-8
-        sc = score_candidates("en", ham, sol, d, cands, eps=eps)
-        for diagonal, nu, score in zip(sc.diagonal, sc.coupling, sc.score):
-            gap = abs(sol.energy - diagonal)
-            if gap > eps:
-                signed = signed_correction(sol.energy, diagonal, nu)
-                # Below-energy diagonals give negative corrections.
-                if diagonal > sol.energy:
-                    assert signed <= 0
-                assert np.isclose(score, abs(signed))
 
 
 class TestScoreCandidates:

@@ -149,7 +149,7 @@ class TestRunVerb:
         ham_path, _ = artifacts
         wrong = tmp_path / "wrong.json"
         wrong.write_text(counts_to_json(
-            CountsMultiset(counts={0: 5}, n=6, total_shots=5)))
+            CountsMultiset(counts={0: 5}, n=6)))
         result = runner.invoke(main, ["run", str(ham_path), str(wrong)])
         assert result.exit_code != 0
         assert "n=6" in result.output
@@ -169,8 +169,7 @@ class TestRunVerb:
         _invoke(runner, ["--out", str(ham_path), "model", "heisenberg", "22"])
         counts_path = tmp_path / "c22.json"
         counts_path.write_text(counts_to_json(CountsMultiset(
-            counts={0b0101 << 18: 7, 0b1010: 5, 0b0110 << 9: 2}, n=22,
-            total_shots=14)))
+            counts={0b0101 << 18: 7, 0b1010: 5, 0b0110 << 9: 2}, n=22)))
         result = _invoke(runner, ["run", str(ham_path), str(counts_path), "-T", "1"])
         doc = json.loads(result.output)
         assert doc["err"] is None
@@ -212,7 +211,8 @@ _SWEEP = ["--sizes", "4", "--seeds", "0"]
     pytest.param(["oracle", "heisenberg", "4", "--count", "9"], id="count-9"),
     pytest.param(["oracle", "heisenberg", "4", "--count", "1"], id="count-1"),
     pytest.param(["oracle", "heisenberg", "22"], id="oracle-n"),
-    pytest.param(["oracle", "tfim", "13", "--method", "dense"], id="oracle-dense-n"),
+    pytest.param(["oracle", "heisenberg", "2", "--count", "5"],
+                 id="oracle-count-above-dim"),
     pytest.param(["sample", "heisenberg", "21"], id="sample-n"),
     pytest.param(["model", "heisenberg", "0"], id="model-n-0"),
     pytest.param(["model", "tfim", "64"], id="model-n-64"),
@@ -247,8 +247,7 @@ class TestIngestVerb:
     def test_beyond_oracle_limit_skips_reference(self, runner, tmp_path):
         path = tmp_path / "wide.json"
         path.write_text(counts_to_json(CountsMultiset(
-            counts={0b0101 << 18: 7, 0b1010: 5, 0b0110 << 9: 2}, n=22,
-            total_shots=14)))
+            counts={0b0101 << 18: 7, 0b1010: 5, 0b0110 << 9: 2}, n=22)))
         result = _invoke(runner, ["ingest", str(path), "-T", "1"])
         doc = json.loads(result.output)
         assert doc["model"]["n"] == 22
@@ -268,7 +267,7 @@ class TestIngestVerb:
             tally[int(s)] = tally.get(int(s), 0) + 1
         path = tmp_path / "hw.json"
         path.write_text(counts_to_json(
-            CountsMultiset(counts=tally, n=6, total_shots=2 * half)))
+            CountsMultiset(counts=tally, n=6)))
 
         result = _invoke(runner, ["--seed", "0", "ingest", str(path),
                                   "--kind", "heisenberg"])

@@ -48,16 +48,14 @@ def heisenberg8():
 class TestRunStandardSqd:
     def test_single_state_counts(self):
         ham, _ = build_model(ModelSpec(kind="heisenberg", n=4, seed=0))
-        counts = CountsMultiset(counts={5: 10}, n=4, total_shots=10)
+        counts = CountsMultiset(counts={5: 10}, n=4)
         trace = run_standard_sqd(ham, counts, K=50)
         assert len(trace.records) == 1
         assert np.isclose(trace.final_energy, ham.diagonal(5))
 
     def test_full_basis_counts_reach_ground(self):
         ham, _ = build_model(ModelSpec(kind="tfim", n=5, seed=1))
-        counts = CountsMultiset(
-            counts={s: 1 for s in range(32)}, n=5, total_shots=32
-        )
+        counts = CountsMultiset(counts={s: 1 for s in range(32)}, n=5)
         trace = run_standard_sqd(ham, counts, K=32)
         assert abs(trace.final_energy - exact_lowest(ham).e0) <= 1e-10
 
@@ -97,7 +95,7 @@ class TestMethodLabels:
 class TestRunAsSqd:
     def test_diagonal_hamiltonian_terminates_immediately(self):
         ham = PauliHamiltonian(3, [PauliTerm(0, m, 1.0) for m in (1, 2, 4)])
-        counts = CountsMultiset(counts={0: 5, 6: 3, 7: 2}, n=3, total_shots=10)
+        counts = CountsMultiset(counts={0: 5, 6: 3, 7: 2}, n=3)
         trace = run_as_sqd(ham, counts, RunConfig(K=3, B=2, T=5))
         assert trace.termination == "empty-candidates"
         assert trace.records[-1].iteration == 1
@@ -107,7 +105,7 @@ class TestRunAsSqd:
 
     def test_two_site_singlet_recovery(self):
         ham = heisenberg_chain(2, 1.0, DisorderInstance((0.0, 0.0), 0))
-        counts = CountsMultiset(counts={1: 1}, n=2, total_shots=1)
+        counts = CountsMultiset(counts={1: 1}, n=2)
         trace = run_as_sqd(ham, counts, RunConfig(K=1, B=4, T=2))
         assert np.isclose(trace.records[0].energy, -2.0)
         assert np.isclose(trace.records[1].energy, -6.0)
@@ -202,7 +200,7 @@ class TestRunRandomSqd:
 
     def test_oversized_b_matches_as_sqd_subspace(self):
         ham, _ = build_model(ModelSpec(kind="heisenberg", n=4, seed=2))
-        counts = CountsMultiset(counts={0: 5, 3: 4}, n=4, total_shots=9)
+        counts = CountsMultiset(counts={0: 5, 3: 4}, n=4)
         config = RunConfig(K=2, B=500, T=3, seed=1)
         random_trace = run_random_sqd(ham, counts, config)
         as_trace = run_as_sqd(ham, counts, config)
@@ -298,7 +296,7 @@ class TestMaxQubits:
         top, high = 2**63 - 2, 1 << 62
         counts = CountsMultiset(
             counts={top: 5, high: 3, high | 0b1010: 2, high | 0b0101: 1},
-            n=63, total_shots=11,
+            n=63,
         )
         config = RunConfig(K=4, B=10, T=3, kind=kind, hops=hops, seed=1)
         trace = run_as_sqd(ham, counts, config)
@@ -321,7 +319,7 @@ class TestMaxQubits:
         high = 1 << 62
         counts = CountsMultiset(
             counts={2**63 - 2: 5, high: 3, high | 0b1010: 2, high | 0b0101: 1},
-            n=63, total_shots=11,
+            n=63,
         )
         trace = run_as_sqd(ham, counts, RunConfig(K=4, B=100, T=5, seed=1))
         final = trace.final_subspace

@@ -144,5 +144,13 @@ class TestModelSpec:
         assert spec2 == spec
         assert disorder2 == disorder
         # Rebuilding from the recorded fields reproduces the Hamiltonian.
-        h2 = tfim_chain(spec2.n, spec2.J, spec2.transverse_field, disorder2)
+        h2 = tfim_chain(spec2.n, record["J"], record["transverse_field"], disorder2)
         assert h2.terms == ham.terms
+
+    @pytest.mark.parametrize("key", ["J", "transverse_field", "disorder_std"])
+    def test_record_with_other_couplings_rejected(self, key):
+        spec = ModelSpec(kind="heisenberg", n=4, seed=0)
+        record = metadata_record(spec, build_model(spec)[1])
+        record[key] = 2.0
+        with pytest.raises(ValueError, match="couplings"):
+            parse_metadata(record)

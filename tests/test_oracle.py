@@ -7,7 +7,13 @@ import pytest
 import scipy.linalg
 
 import assqd.oracle as oracle_mod
-from assqd.models import DisorderInstance, ModelSpec, build_model, tfim_chain
+from assqd.models import (
+    DisorderInstance,
+    ModelSpec,
+    build_model,
+    heisenberg_chain,
+    tfim_chain,
+)
 from assqd.oracle import (
     ConvergenceError,
     EigenpairSet,
@@ -99,7 +105,7 @@ class TestHermitianLowest:
 
 class TestExactLowest:
     def test_heisenberg_n2_spectrum(self):
-        ham, _ = build_model(ModelSpec(kind="heisenberg", n=2, seed=0, disorder_std=0.0))
+        ham = heisenberg_chain(2, 1.0, DisorderInstance((0.0, 0.0), 0))
         pairs = exact_lowest(ham)
         assert np.isclose(pairs.e0, -6.0)
         assert np.isclose(pairs.e1, 2.0)
@@ -238,10 +244,11 @@ class TestExactLowest:
             assert pivot.real > 0
             assert np.isclose(np.imag(pivot), 0.0, atol=1e-12)
 
-    def test_residual_bound_enforced(self):
+    def test_residual_bound_enforced(self, monkeypatch):
         ham, _ = build_model(ModelSpec(kind="heisenberg", n=6, seed=3))
+        monkeypatch.setattr(oracle_mod, "RESIDUAL_TOL", 1e-18)
         with pytest.raises(ConvergenceError, match="residual"):
-            exact_lowest(ham, tol=1e-18)
+            exact_lowest(ham)
 
     def test_count_validation(self):
         ham, _ = build_model(ModelSpec(kind="heisenberg", n=4, seed=0))

@@ -268,7 +268,7 @@ def test_select_top_b_matches_literal_sort(entries, B):
 def counts_multisets(draw, n: int) -> CountsMultiset:
     tallies = draw(st.dictionaries(st.integers(0, (1 << n) - 1),
                                    st.integers(1, 1000), min_size=1, max_size=20))
-    return CountsMultiset(counts=tallies, n=n, total_shots=sum(tallies.values()))
+    return CountsMultiset(counts=tallies, n=n)
 
 
 @PROPERTY
@@ -278,7 +278,9 @@ def test_counts_json_round_trip(data, bit_order):
     assert parse_counts(json.loads(counts_to_json(counts, bit_order))) == counts
 
 
-# Seven full runs per example: fewer examples keep the suite fast.
+# Seven full runs per example: fewer examples keep the suite fast.  Two
+# hops send "en" through score_two_hop and the other kinds through the
+# two-hop frontier.
 @settings(PROPERTY, max_examples=10)
 @pytest.mark.parametrize("real", [True, False])
 @given(data=st.data())
@@ -287,7 +289,8 @@ def test_every_kind_stays_above_the_ground_energy(real, data):
     counts = data.draw(counts_multisets(ham.n))
     e0 = exact_lowest(ham).e0
     config = RunConfig(K=data.draw(st.integers(1, 16)), B=data.draw(st.integers(1, 8)),
-                       T=data.draw(st.integers(1, 3)))
+                       T=data.draw(st.integers(1, 3)),
+                       hops=data.draw(st.sampled_from((1, 2))))
     for kind in METHOD_KINDS:
         trace = run_as_sqd(ham, counts, dataclasses.replace(config, kind=kind))
         assert trace.final_energy >= e0 - 1e-9

@@ -76,7 +76,7 @@ class TestSampleCounts:
     def test_deterministic_distribution(self):
         probs = np.zeros(4)
         probs[2] = 1.0
-        model = ProbabilityModel(probs, 0.0)
+        model = ProbabilityModel(probs)
         counts = sample_counts(model, 77, seed=0)
         assert counts.counts == {2: 77}
         assert counts.total_shots == 77
@@ -99,7 +99,7 @@ class TestSampleCounts:
             dim = 1 << int(rng.integers(1, 7))
             probs = rng.random(dim)
             probs /= probs.sum()
-            model = ProbabilityModel(probs, 0.0)
+            model = ProbabilityModel(probs)
             shots = int(rng.integers(1, 5000))
             counts = sample_counts(model, shots, seed=int(rng.integers(1 << 30)))
             assert sum(counts.counts.values()) == shots
@@ -188,7 +188,7 @@ class TestCountsFormat:
         assert loaded == counts
 
     def test_round_trip_qubit0_last(self):
-        counts = CountsMultiset(counts={1: 3, 6: 2}, n=3, total_shots=5)
+        counts = CountsMultiset(counts={1: 3, 6: 2}, n=3)
         text = counts_to_json(counts, bit_order="qubit0_last")
         loaded = parse_counts(json.loads(text))
         assert loaded == counts
@@ -207,15 +207,15 @@ class TestCountsFormat:
 
 class TestTopK:
     def test_basic_ordering(self):
-        counts = CountsMultiset(counts={0: 500, 3: 300, 2: 200}, n=2, total_shots=1000)
+        counts = CountsMultiset(counts={0: 500, 3: 300, 2: 200}, n=2)
         assert top_k(counts, 2) == [0, 3]
 
     def test_tie_break_by_state_value(self):
-        counts = CountsMultiset(counts={3: 500, 0: 500}, n=2, total_shots=1000)
+        counts = CountsMultiset(counts={3: 500, 0: 500}, n=2)
         assert top_k(counts, 1) == [0]
 
     def test_k_exceeding_distinct_states(self):
-        counts = CountsMultiset(counts={1: 5, 2: 3}, n=2, total_shots=8)
+        counts = CountsMultiset(counts={1: 5, 2: 3}, n=2)
         assert top_k(counts, 10) == [1, 2]
 
     def test_duplicate_free_and_sorted(self):
@@ -224,9 +224,7 @@ class TestTopK:
             n = int(rng.integers(2, 8))
             states = rng.choice(1 << n, size=min(20, 1 << n), replace=False)
             tallies = {int(s): int(rng.integers(1, 100)) for s in states}
-            counts = CountsMultiset(
-                counts=tallies, n=n, total_shots=sum(tallies.values())
-            )
+            counts = CountsMultiset(counts=tallies, n=n)
             picked = top_k(counts, 7)
             assert len(picked) == len(set(picked))
             values = [tallies[s] for s in picked]
@@ -240,10 +238,6 @@ class TestTopK:
 
 
 class TestCountsMultisetInvariants:
-    def test_total_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="total_shots"):
-            CountsMultiset(counts={0: 5}, n=1, total_shots=6)
-
     def test_out_of_range_state_rejected(self):
         with pytest.raises(ValueError, match="range"):
-            CountsMultiset(counts={4: 5}, n=2, total_shots=5)
+            CountsMultiset(counts={4: 5}, n=2)

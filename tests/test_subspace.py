@@ -321,8 +321,7 @@ class TestRestrictedNonConvergence:
     @pytest.fixture(scope="class")
     def bundle(self):
         bundle = prepare_instance("heisenberg", 10, 0, 400, 0.2)
-        full = CountsMultiset(counts=dict.fromkeys(range(1024), 1), n=10,
-                              total_shots=1024)
+        full = CountsMultiset(counts=dict.fromkeys(range(1024), 1), n=10)
         return dataclasses.replace(bundle, counts=full)
 
     @pytest.fixture(autouse=True)
