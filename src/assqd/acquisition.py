@@ -10,6 +10,11 @@ Epstein-Nesbet energy correction.  Ablation variants keep one factor each
 (coupling_only, denom_only, diag_only) and the random variant ranks by a
 seeded uniform draw.  One :class:`CandidateScores` of aligned arrays holds them.
 
+:func:`generate_candidates` gives the 1-hop frontier.  The horizon
+experiment's 2-hop frontier is built and scored in one place,
+:func:`score_two_hop`: the same scores for every kind, except that under
+"en" the pure 2-hop states, whose nu is zero, get a chained stand-in.
+
 Two scoring routes exist for nu on purpose: :func:`coupling` is the
 literal per-candidate sum, :func:`coupling_map` takes every (state, mask)
 amplitude of D from one :meth:`PauliHamiltonian.amplitude_table` call.
@@ -20,6 +25,7 @@ subspace with :meth:`Subspace.positions`.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,21 +80,12 @@ def generate_candidates(
     ham: PauliHamiltonian,
     dominant: DominantSupport,
     subspace: Subspace,
-    hops: int = 1,
 ) -> np.ndarray:
-    """Frontier of the dominant support, excluding the subspace, ascending.
+    """The 1-hop frontier of D: its single-term neighbours outside the subspace.
 
-    hops=1 is the union of single-term neighborhoods of D.  hops=2 also
-    steps once more from every 1-hop candidate (used by the horizon
-    experiment); the result stays disjoint from the subspace.
+    Ascending.  :func:`score_two_hop` steps once more from it.
     """
-    if hops not in (1, 2):
-        raise ValueError(f"hops must be 1 or 2, got {hops}")
-    one_hop = _outside(subspace, sorted_unique(_step(ham, dominant.states)))
-    if hops == 1:
-        return one_hop
-    both = sorted_unique(np.concatenate([one_hop, _step(ham, one_hop).ravel()]))
-    return _outside(subspace, both)
+    return _outside(subspace, sorted_unique(_step(ham, dominant.states)))
 
 
 def coupling(
@@ -173,44 +170,44 @@ def score_candidates(
 
 
 def score_two_hop(
+    kind: str,
     ham: PauliHamiltonian,
     sol: RestrictedSolution,
     dominant: DominantSupport,
     subspace: Subspace,
     eps: float = DEFAULT_EPS,
+    rng_seed: int | None = None,
 ) -> CandidateScores:
-    """EN scoring over the 2-hop frontier: 1-hop states, then pure 2-hop.
+    """Score the 2-hop frontier under one variant, in ascending-state order.
 
-    Direct (1-hop) candidates keep the ordinary EN score.  Pure 2-hop
-    candidates have nu_k = 0 by construction, so they get a chained
-    stand-in: the best one-intermediate path value
+    The frontier is the 1-hop frontier plus one more step from each of its
+    states, outside the subspace; :func:`score_candidates` scores all of it.
+    Pure 2-hop states have nu_k = 0 by construction, so under "en" they
+    get a chained stand-in instead: the best one-intermediate path value
 
         max over m in 1-hop:  |<k|H|m>|^2 |nu_m|^2
                               / (max(|E_S - H_mm|, eps) max(|E_S - H_kk|, eps))
     """
-    one_hop = generate_candidates(ham, dominant, subspace, hops=1)
-    scored = score_candidates("en", ham, sol, dominant, one_hop, eps=eps)
+    one_hop = generate_candidates(ham, dominant, subspace)
     grid = _step(ham, one_hop)
-    two = sorted_unique(grid)
-    pure_two = _outside(subspace, two[sorted_positions(one_hop, two) < 0])
+    both = sorted_unique(np.concatenate([one_hop, grid.ravel()]))
+    frontier = _outside(subspace, both)
+    scored = score_candidates(kind, ham, sol, dominant, frontier, eps, rng_seed)
+    if kind != "en":
+        return scored
+    pure = sorted_positions(one_hop, frontier) < 0
     # The (1-hop state, mask) pairs that land on a pure 2-hop state.
-    at = sorted_positions(pure_two, grid)
+    at = sorted_positions(frontier[pure], grid)
     hit = at >= 0
     rows = np.nonzero(hit)[0]
     amp_sq = np.abs(ham.amplitude_table(one_hop).T[hit]) ** 2
-    nu_m_sq = np.abs(scored.coupling) ** 2
-    denom_m = np.maximum(np.abs(sol.energy - scored.diagonal), eps)
-    best = np.zeros(len(pure_two))
+    nu_m_sq = np.abs(scored.coupling[~pure]) ** 2
+    denom_m = np.maximum(np.abs(sol.energy - scored.diagonal[~pure]), eps)
+    best = np.zeros(np.count_nonzero(pure))
     np.maximum.at(best, at[hit], amp_sq * nu_m_sq[rows] / denom_m[rows])
-    h_kk = ham.diagonal(pure_two)
-    return CandidateScores(
-        states=np.concatenate([scored.states, pure_two]),
-        diagonal=np.concatenate([scored.diagonal, h_kk]),
-        coupling=np.concatenate([scored.coupling, np.zeros(len(pure_two), complex)]),
-        score=np.concatenate(
-            [scored.score, best / np.maximum(np.abs(sol.energy - h_kk), eps)]
-        ),
-    )
+    score = scored.score.copy()
+    score[pure] = best / np.maximum(np.abs(sol.energy - scored.diagonal[pure]), eps)
+    return dataclasses.replace(scored, score=score)
 
 
 def select_top_b(scored: CandidateScores, B: int) -> np.ndarray:

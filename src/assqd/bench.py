@@ -1,4 +1,4 @@
-"""Benchmark sweeps: scaling, ablations, hop horizon; CSV/JSON tables.
+"""Benchmark sweeps: scaling, ablations, hop horizon; rows as CSV.
 
 Every (model, n, seed) instance is prepared once — disorder, Hamiltonian,
 reference eigenpairs, contaminated counts — and all methods in a sweep
@@ -45,15 +45,6 @@ ABLATION_METHODS = ("as-en", "as-coupling_only", "as-denom_only", "as-diag_only"
 
 HOPS_THRESHOLD = 1e-6
 
-CSV_COLUMNS = (
-    "model", "n", "seed", "method", "hops", "shots", "eta",
-    "K", "B", "T", "tau", "eps",
-    "E_est", "E0", "E1", "err", "iters", "subspace_size", "wall_ms", "terminated",
-)
-
-_INT_COLUMNS = {"n", "seed", "hops", "shots", "K", "B", "T", "iters", "subspace_size"}
-_STR_COLUMNS = {"model", "method", "terminated"}
-
 
 def default_shots(n: int) -> int:
     """2000 shots up to n = 10, 3000 for the larger sizes."""
@@ -92,7 +83,7 @@ class ExperimentSpec:
 
 @dataclass(frozen=True)
 class ResultRow:
-    """One sweep cell; column order follows CSV_COLUMNS."""
+    """One sweep cell; the field order is the CSV column order."""
 
     model: str
     n: int
@@ -114,6 +105,9 @@ class ResultRow:
     subspace_size: int
     wall_ms: float
     terminated: str
+
+
+CSV_COLUMNS = tuple(field.name for field in dataclasses.fields(ResultRow))
 
 
 @dataclass(frozen=True)
@@ -368,41 +362,5 @@ def rows_to_csv(rows: list[ResultRow]) -> str:
     buf = io.StringIO()
     buf.write(",".join(CSV_COLUMNS) + "\n")
     for row in rows:
-        record = dataclasses.asdict(row)
-        buf.write(",".join(str(record[c]) for c in CSV_COLUMNS) + "\n")
+        buf.write(",".join(str(value) for value in dataclasses.astuple(row)) + "\n")
     return buf.getvalue()
-
-
-def rows_from_csv(text: str) -> list[ResultRow]:
-    lines = [line for line in text.splitlines() if line]
-    if not lines or lines[0] != ",".join(CSV_COLUMNS):
-        raise ValueError("unrecognized CSV header")
-    rows = []
-    for line in lines[1:]:
-        parts = line.split(",", maxsplit=len(CSV_COLUMNS) - 1)
-        record: dict[str, Any] = {}
-        for column, part in zip(CSV_COLUMNS, parts):
-            if column in _INT_COLUMNS:
-                record[column] = int(part)
-            elif column in _STR_COLUMNS:
-                record[column] = part
-            else:
-                record[column] = float(part)
-        rows.append(ResultRow(**record))
-    return rows
-
-
-def rows_to_json(rows: list[ResultRow]) -> str:
-    return json.dumps([dataclasses.asdict(row) for row in rows], indent=2)
-
-
-def rows_from_json(text: str) -> list[ResultRow]:
-    return [ResultRow(**record) for record in json.loads(text)]
-
-
-def save_rows(rows: list[ResultRow], path: str, fmt: str = "csv") -> None:
-    if fmt not in ("csv", "json"):
-        raise ValueError(f"unknown format {fmt!r}")
-    text = rows_to_csv(rows) if fmt == "csv" else rows_to_json(rows)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)

@@ -24,6 +24,7 @@ and report that kind as config.kind; the trace's "method" is its label.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from pathlib import Path
 from typing import Any
@@ -39,9 +40,8 @@ from .bench import (
     experiment_hops,
     experiment_scaling,
     rows_to_csv,
-    rows_to_json,
 )
-from .driver import METHOD_KINDS, RunConfig, run_as_sqd, trace_to_json
+from .driver import METHOD_KINDS, RunConfig, run_as_sqd, trace_record
 from .models import MIN_QUBITS, ModelSpec, build_model, metadata_record
 from .oracle import ORACLE_MAX_QUBITS, exact_lowest, save_eigenpairs
 from .pauli import MAX_QUBITS, format_hamiltonian, load_hamiltonian
@@ -94,8 +94,8 @@ def _emit_table(
 ) -> None:
     """Rows as CSV or JSON; summaries ride along (sidecar in CSV mode)."""
     if ctx.obj["format"] == "json":
-        payload = {"rows": json.loads(rows_to_json(rows)), label: summaries}
-        _emit(ctx, json.dumps(payload, indent=2))
+        records = [dataclasses.asdict(row) for row in rows]
+        _emit(ctx, json.dumps({"rows": records, label: summaries}, indent=2))
     else:
         _emit(ctx, rows_to_csv(rows))
         _sidecar(ctx, f".{label}.json", json.dumps(summaries, indent=2))
@@ -169,7 +169,7 @@ def oracle(ctx: click.Context, kind: str, n: int, count: int,
         "metadata": metadata_record(spec, disorder),
         "energies": [float(e) for e in eig.energies],
         "e0": float(eig.e0),
-        "e1": float(eig.e1) if len(eig.energies) > 1 else None,
+        "e1": float(eig.e1),
         "degenerate_ground": eig.degenerate_ground,
     }
     _emit(ctx, json.dumps(payload, indent=2))
@@ -243,9 +243,9 @@ def _run_and_emit(
         eig = exact_lowest(ham, count=2)
         e0, e1, degenerate = float(eig.e0), float(eig.e1), eig.degenerate_ground
     trace = run_as_sqd(ham, counts, config)
-    payload = json.loads(trace_to_json(
+    payload = trace_record(
         trace, config, model_metadata, e0=e0, e1=e1, degenerate_ground=degenerate,
-    ))
+    )
     payload["err"] = abs(trace.final_energy - e0) if e0 is not None else None
     _emit(ctx, json.dumps(payload, indent=2))
 

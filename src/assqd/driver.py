@@ -2,23 +2,26 @@
 
 One loop serves every method.  run_as_sqd seeds the subspace from the
 top-K observed bitstrings, then repeats T times: solve the restricted
-problem, take the dominant support, generate connected candidates, score
-them under the configured kind, and add the best B.  The kind is the only
-difference between methods: "standard" makes zero expansions, "random"
-ranks candidates by seeded uniform draws, and the acquisition kinds rank
-by the EN score or one of its ablations.  run_standard_sqd and
-run_random_sqd are one-line shorthands for those kinds, and
-method_label/method_kind map a kind to the label that rows and traces
-carry ("standard", "random", "as-<kind>") and back.  Every solve appends
+problem, take the dominant support, score its candidate frontier under
+the configured kind, and add the best B.  The horizon picks the frontier:
+hops=1 scores the 1-hop frontier from generate_candidates, and hops=2
+hands the step to score_two_hop, which builds and scores the 2-hop
+frontier for every kind.  The kind is the only difference between
+methods: "standard" makes zero expansions, "random" ranks candidates by
+seeded uniform draws, and the acquisition kinds rank by the EN score or
+one of its ablations.  run_standard_sqd and run_random_sqd are one-line
+shorthands for those kinds, and method_label/method_kind map a kind to
+the label that rows and traces carry ("standard", "random", "as-<kind>")
+and back.  Every solve appends
 a trace record, so the energy trajectory is observable after the fact;
 the loop ends early, with the reason recorded, when the candidate pool
-comes up empty.
+comes up empty.  trace_record turns a trace into the JSON-ready record
+that `assqd run` and `assqd ingest` print.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
 import time
 from dataclasses import dataclass
 from typing import Any
@@ -172,18 +175,17 @@ def run_as_sqd(
         start = time.perf_counter()
         try:
             dominant = dominant_support(sol, config.tau)
-            if config.kind == "en" and config.hops == 2:
-                scored = score_two_hop(ham, sol, dominant, sub, eps=config.eps)
-            else:
-                cands = generate_candidates(ham, dominant, sub, hops=config.hops)
-                rng_seed = (
-                    int(rng_master.integers(0, 2**63))
-                    if config.kind == "random"
-                    else None
+            rng_seed = (
+                int(rng_master.integers(0, 2**63)) if config.kind == "random" else None
+            )
+            if config.hops == 2:
+                scored = score_two_hop(
+                    config.kind, ham, sol, dominant, sub, config.eps, rng_seed
                 )
+            else:
+                cands = generate_candidates(ham, dominant, sub)
                 scored = score_candidates(
-                    config.kind, ham, sol, dominant, cands,
-                    eps=config.eps, rng_seed=rng_seed,
+                    config.kind, ham, sol, dominant, cands, config.eps, rng_seed
                 )
             if len(scored):
                 matrix = extend_restricted(ham, matrix, select_top_b(scored, config.B))
@@ -214,16 +216,16 @@ def run_as_sqd(
     )
 
 
-def trace_to_json(
+def trace_record(
     trace: RunTrace,
     config: RunConfig | None = None,
     model_metadata: dict[str, Any] | None = None,
     e0: float | None = None,
     e1: float | None = None,
     degenerate_ground: bool | None = None,
-) -> str:
-    """Serialize a run for artifacts: config, records, references."""
-    payload: dict[str, Any] = {
+) -> dict[str, Any]:
+    """A run as a JSON-ready record: config, records, references."""
+    return {
         "method": trace.method,
         "config": dataclasses.asdict(config) if config is not None else None,
         "model": model_metadata,
@@ -237,4 +239,3 @@ def trace_to_json(
             "degenerate_ground": degenerate_ground,
         },
     }
-    return json.dumps(payload, indent=2)

@@ -10,8 +10,8 @@ languages is not promised, only per-build determinism.
 
 The couplings are module constants, not per-instance settings: J = 1 on
 every bond, a unit transverse drive for the TFIM and disorder std 0.5.
-The metadata record still carries them, so a record written with other
-values is rejected.
+The metadata record (the CLI's `.meta.json` sidecar, and the key of the
+benchmark's oracle cache) still carries them next to the drawn fields.
 """
 
 from __future__ import annotations
@@ -135,15 +135,3 @@ def metadata_record(spec: ModelSpec, disorder: DisorderInstance) -> dict[str, An
         "field_seed": disorder.seed,
         "fields": list(disorder.fields),
     }
-
-
-def parse_metadata(record: dict[str, Any]) -> tuple[ModelSpec, DisorderInstance]:
-    """Inverse of :func:`metadata_record`; other couplings are a ValueError."""
-    couplings = {key: record[key] for key in _COUPLINGS}
-    if couplings != _COUPLINGS:
-        raise ValueError(f"couplings {couplings} differ from the fixed {_COUPLINGS}")
-    spec = ModelSpec(kind=record["kind"], n=record["n"], seed=record["seed"])
-    disorder = DisorderInstance(tuple(record["fields"]), record["field_seed"])
-    if len(disorder.fields) != spec.n:
-        raise ValueError("metadata fields length does not match n")
-    return spec, disorder

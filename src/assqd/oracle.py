@@ -9,12 +9,15 @@ is H built once as a CSR matrix (:func:`sparse_matrix`), up to
 ORACLE_MAX_QUBITS = 20.  At and below it, where ARPACK's set-up costs more
 than the solve and tiny dimensions are out of its reach, it is the dense
 matrix.  ``exact_lowest(method=...)`` overrides that choice (dense up to
-DENSE_MAX_QUBITS = 12), so tests can compare the two routes; the command
-line always takes the one the size picks.  Every returned pair is verified
+DENSE_MAX_QUBITS = 12): the benchmark forces the Lanczos route with it
+and tests compare the two routes, while the command line always takes the
+one the size picks.  Every returned pair is verified
 against the residual bound ``norm(H psi - E psi) <= RESIDUAL_TOL`` (1e-9)
 through :func:`apply_hamiltonian`, a term-by-term product that shares no
 code with the CSR builder, so neither a silent misconvergence nor a wrong
-matrix entry can leak into benchmark baselines.
+matrix entry can leak into benchmark baselines.  :func:`save_eigenpairs`
+writes the pairs of ``assqd oracle --pairs`` to an .npz; the package
+never reads one back.
 """
 
 from __future__ import annotations
@@ -122,7 +125,7 @@ def fix_phase(vec: np.ndarray) -> np.ndarray:
     if scale == 0.0:
         return vec
     rotated = vec * (np.conj(pivot) / scale)
-    return rotated.real if np.allclose(rotated.imag, 0.0, atol=1e-12) else rotated
+    return rotated.real if np.all(np.abs(rotated.imag) <= 1e-12) else rotated
 
 
 def hermitian_lowest(
@@ -264,19 +267,10 @@ def exact_lowest(
 
 
 def save_eigenpairs(path, pairs: EigenpairSet) -> None:
-    """Cache eigenpairs to an .npz so sweeps can skip repeated solves."""
+    """Write energies, vectors and the degeneracy flag to an .npz file."""
     np.savez_compressed(
         path,
         energies=np.array(pairs.energies),
         vectors=pairs.vectors,
         degenerate_ground=np.array(pairs.degenerate_ground),
-    )
-
-
-def load_eigenpairs(path) -> EigenpairSet:
-    data = np.load(path)
-    return EigenpairSet(
-        energies=tuple(float(e) for e in data["energies"]),
-        vectors=data["vectors"],
-        degenerate_ground=bool(data["degenerate_ground"]),
     )

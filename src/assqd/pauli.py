@@ -100,11 +100,6 @@ class PauliTerm:
         """State-independent part of the amplitude: coefficient * i^{#Y}."""
         return self.coefficient * _I_POWERS[self.y_count & 3]
 
-    def apply(self, state: BasisState) -> tuple[BasisState, complex]:
-        """Map |state> to (target, amplitude) under this term."""
-        sign = -1.0 if (self.z_mask & state).bit_count() & 1 else 1.0
-        return state ^ self.x_mask, sign * self.weight
-
 
 def _block_sums(
     z_masks: np.ndarray, weights: np.ndarray, states: np.ndarray
@@ -175,10 +170,6 @@ class PauliHamiltonian:
         )
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "terms", canon)
-
-    @property
-    def num_terms(self) -> int:
-        return len(self.terms)
 
     @cached_property
     def _groups(self) -> dict[int, tuple[tuple[int, complex], ...]]:

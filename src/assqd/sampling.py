@@ -161,25 +161,9 @@ def counts_to_json(counts: CountsMultiset, bit_order: str = "qubit0_first") -> s
     )
 
 
-def save_counts(
-    counts: CountsMultiset, path: str, bit_order: str = "qubit0_first"
-) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(counts_to_json(counts, bit_order))
-        fh.write("\n")
-
-
 def top_k(counts: CountsMultiset, K: int) -> list[BasisState]:
     """The K most frequent states, ties broken by ascending state value."""
     if K < 1:
         raise ValueError(f"K must be >= 1, got {K}")
     ranked = sorted(counts.counts.items(), key=lambda kv: (-kv[1], kv[0]))
     return [state for state, _ in ranked[:K]]
-
-
-def empirical_distribution(counts: CountsMultiset) -> np.ndarray:
-    """Observed frequencies as a dense length-2^n vector."""
-    probs = np.zeros(1 << counts.n)
-    for state, count in counts.counts.items():
-        probs[state] = count / counts.total_shots
-    return probs

@@ -205,7 +205,10 @@ def extend_restricted(
     key = inner_i * m + inner_j
     order = np.argsort(key)
     partner = order[np.searchsorted(key, inner_j * m + inner_i, sorter=order)]
-    if not np.allclose(inner, np.conj(inner[partner]), atol=HERMITICITY_ATOL):
+    mirror = np.conj(inner[partner])
+    # np.allclose's bound (its default rtol 1e-5) written out; NaN fails it.
+    bound = HERMITICITY_ATOL + 1e-5 * np.abs(mirror)
+    if not np.all(np.abs(inner - mirror) <= bound):
         raise ValueError("restricted matrix is not Hermitian")
     return RestrictedMatrix(
         rows=np.concatenate([matrix.rows, i, j[old]]),

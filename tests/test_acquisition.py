@@ -48,7 +48,7 @@ class TestGenerateCandidates:
     def test_heisenberg_ring_from_origin(self):
         ham = heisenberg_chain(3, 1.0, DisorderInstance((0.0,) * 3, 0))
         d = support(0)
-        out = generate_candidates(ham, d, Subspace((0,)), hops=1)
+        out = generate_candidates(ham, d, Subspace((0,)))
         assert out.tolist() == [0b011, 0b101, 0b110]
 
     def test_diagonal_hamiltonian_has_no_candidates(self):
@@ -66,24 +66,19 @@ class TestGenerateCandidates:
             )
             sub = Subspace(states)
             d = support(*states[:3])
-            for hops in (1, 2):
-                cands = generate_candidates(h, d, sub, hops=hops)
+            two_hop = score_two_hop("random", h, solve(h, states), d, sub, rng_seed=0)
+            for cands in (generate_candidates(h, d, sub), two_hop.states):
                 assert not np.isin(cands, states).any()
 
     def test_two_hop_contains_one_hop(self):
         ham, _ = build_model(ModelSpec(kind="heisenberg", n=5, seed=2))
         sub = Subspace((0, 3))
         d = support(0, 3)
-        one = generate_candidates(ham, d, sub, hops=1)
-        two = generate_candidates(ham, d, sub, hops=2)
+        one = generate_candidates(ham, d, sub)
+        sol = solve(ham, (0, 3))
+        two = score_two_hop("random", ham, sol, d, sub, rng_seed=0).states
         assert np.isin(one, two).all()
         assert len(two) > len(one)
-
-    def test_bad_hops_rejected(self):
-        h = parse_hamiltonian("1.0 X\n")
-        d = support(0)
-        with pytest.raises(ValueError, match="hops"):
-            generate_candidates(h, d, Subspace((0,)), hops=3)
 
 
 class TestCoupling:
@@ -260,11 +255,11 @@ class TestScoreTwoHop:
         sol = solve(ham, (0,))
         d = dominant_support(sol, 0.0)
         sub = sol.subspace
-        one_hop = generate_candidates(ham, d, sub, hops=1)
-        scored = score_two_hop(ham, sol, d, sub)
-        assert scored.states.tolist() == one_hop.tolist() + np.setdiff1d(
-            generate_candidates(ham, d, sub, hops=2), one_hop
-        ).tolist()
+        one_hop = generate_candidates(ham, d, sub)
+        scored = score_two_hop("en", ham, sol, d, sub)
+        assert np.all(np.diff(scored.states) > 0)
+        assert np.isin(one_hop, scored.states).all()
+        assert len(scored) > len(one_hop)
         for state, nu, score in zip(scored.states, scored.coupling, scored.score):
             if state not in one_hop:
                 assert nu == 0.0
@@ -276,10 +271,10 @@ class TestScoreTwoHop:
         sol = solve(ham, (0, 7))
         d = dominant_support(sol, 1e-4)
         sub = sol.subspace
-        one_hop = generate_candidates(ham, d, sub, hops=1)
+        one_hop = generate_candidates(ham, d, sub)
         direct_scores = score_candidates("en", ham, sol, d, one_hop)
         direct = dict(zip(direct_scores.states.tolist(), direct_scores.score))
-        chained_scores = score_two_hop(ham, sol, d, sub)
+        chained_scores = score_two_hop("en", ham, sol, d, sub)
         chained = dict(zip(chained_scores.states.tolist(), chained_scores.score))
         for state, score in direct.items():
             assert np.isclose(chained[state], score)
@@ -292,9 +287,9 @@ class TestScoreTwoHop:
         sol = solve(h, (0,))
         d = dominant_support(sol, 0.0)
         sub = sol.subspace
-        one_hop = generate_candidates(h, d, sub, hops=1)
+        one_hop = generate_candidates(h, d, sub)
         assert one_hop.tolist() == [0b011, 0b110]
-        scored = score_two_hop(h, sol, d, sub)
+        scored = score_two_hop("en", h, sol, d, sub)
         assert 0b101 in scored.states
         at = scored.states.tolist().index(0b101)
         assert scored.score[at] > 0

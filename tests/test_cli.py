@@ -2,16 +2,18 @@
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from assqd.bench import CSV_COLUMNS, rows_from_csv
+from assqd.bench import CSV_COLUMNS
 from assqd.cli import main
 from assqd.models import ModelSpec, build_model
-from assqd.oracle import exact_lowest, load_eigenpairs
+from assqd.oracle import exact_lowest
 from assqd.pauli import parse_hamiltonian
 from assqd.sampling import CountsMultiset, counts_to_json, load_counts
 
@@ -79,9 +81,11 @@ class TestOracleVerb:
 
     def test_pairs_file_written(self, runner, tmp_path):
         pairs = tmp_path / "pairs.npz"
-        _invoke(runner, ["oracle", "heisenberg", "4", "--pairs", str(pairs)])
-        eig = load_eigenpairs(str(pairs))
-        assert eig.vectors.shape == (16, 2)
+        result = _invoke(runner,
+                         ["oracle", "heisenberg", "4", "--pairs", str(pairs)])
+        with np.load(pairs) as data:
+            assert data["vectors"].shape == (16, 2)
+            assert data["energies"].tolist() == json.loads(result.output)["energies"]
 
 
 class TestSampleVerb:
@@ -281,8 +285,9 @@ class TestSweepVerbs:
         out = tmp_path / "table.csv"
         _invoke(runner, ["--out", str(out), "bench", "--sizes", "4",
                          "--seeds", "0,1", "--shots", "300"])
-        rows = rows_from_csv(out.read_text())
-        assert len(rows) == 2 * 3
+        reader = csv.DictReader(io.StringIO(out.read_text()))
+        assert tuple(reader.fieldnames) == CSV_COLUMNS
+        assert len(list(reader)) == 2 * 3
         medians = json.loads((tmp_path / "table.csv.medians.json").read_text())
         assert {m["method"] for m in medians} == {"standard", "random", "as-en"}
 

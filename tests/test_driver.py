@@ -19,7 +19,7 @@ from assqd.driver import (
     run_as_sqd,
     run_random_sqd,
     run_standard_sqd,
-    trace_to_json,
+    trace_record,
 )
 from assqd.models import DisorderInstance, ModelSpec, build_model, heisenberg_chain
 from assqd.oracle import exact_lowest
@@ -214,7 +214,7 @@ class TestTraceSerialization:
         ham, pairs, counts = heisenberg8
         config = RunConfig(T=2, seed=0)
         trace = run_as_sqd(ham, counts, config)
-        text = trace_to_json(
+        record = trace_record(
             trace,
             config=config,
             model_metadata={"kind": "heisenberg", "n": 8},
@@ -222,7 +222,7 @@ class TestTraceSerialization:
             e1=pairs.e1,
             degenerate_ground=pairs.degenerate_ground,
         )
-        payload = json.loads(text)
+        payload = json.loads(json.dumps(record))
         assert payload["method"] == "as-en"
         assert payload["config"]["K"] == 50
         assert payload["reference"]["e0"] == pairs.e0
@@ -239,8 +239,8 @@ class TestTraceSerialization:
                 r.pop("wall_ms")
             return json.dumps(payload)
 
-        a = trace_to_json(run_as_sqd(ham, counts, config), config=config)
-        b = trace_to_json(run_as_sqd(ham, counts, config), config=config)
+        a = json.dumps(trace_record(run_as_sqd(ham, counts, config), config=config))
+        b = json.dumps(trace_record(run_as_sqd(ham, counts, config), config=config))
         assert masked(a) == masked(b)
 
 
@@ -303,7 +303,7 @@ class TestMaxQubits:
         energies = [r.energy for r in trace.records]
         assert all(b <= a for a, b in zip(energies, energies[1:]))
         assert trace.termination == "budget"
-        states = json.loads(trace_to_json(trace, config))["final_subspace"]
+        states = json.loads(json.dumps(trace_record(trace, config)))["final_subspace"]
         assert all(type(s) is int and 0 <= s < 2**63 for s in states)
         assert {top, high} <= set(states)
         assert len(set(states)) == len(states) == trace.records[-1].subspace_size

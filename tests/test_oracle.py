@@ -20,7 +20,6 @@ from assqd.oracle import (
     apply_hamiltonian,
     exact_lowest,
     hermitian_lowest,
-    load_eigenpairs,
     save_eigenpairs,
     sparse_matrix,
 )
@@ -244,6 +243,16 @@ class TestExactLowest:
             assert pivot.real > 0
             assert np.isclose(np.imag(pivot), 0.0, atol=1e-12)
 
+    @pytest.mark.parametrize("imag, real",
+                             [(5e-13, True), (2e-12, False), (np.nan, False)])
+    def test_phase_fix_casts_to_real_within_1e_12(self, imag, real):
+        # The pivot, 1.0, is real already, so the rotation keeps every entry.
+        with np.errstate(invalid="ignore"):  # a NaN pivot divides NaN by NaN
+            fixed = oracle_mod.fix_phase(np.array([1.0, 0.1 + imag * 1j]))
+        assert np.isrealobj(fixed) == real
+        if real:
+            assert fixed.tolist() == [1.0, 0.1]
+
     def test_residual_bound_enforced(self, monkeypatch):
         ham, _ = build_model(ModelSpec(kind="heisenberg", n=6, seed=3))
         monkeypatch.setattr(oracle_mod, "RESIDUAL_TOL", 1e-18)
@@ -276,15 +285,17 @@ class TestEigenpairIO:
         pairs = exact_lowest(ham)
         path = tmp_path / "pairs.npz"
         save_eigenpairs(path, pairs)
-        loaded = load_eigenpairs(path)
-        assert loaded.energies == pairs.energies
-        assert np.array_equal(loaded.vectors, pairs.vectors)
-        assert loaded.degenerate_ground == pairs.degenerate_ground
+        with np.load(path) as data:
+            assert tuple(data["energies"].tolist()) == pairs.energies
+            assert np.array_equal(data["vectors"], pairs.vectors)
+            assert data["vectors"].dtype == pairs.vectors.dtype
+            assert bool(data["degenerate_ground"]) == pairs.degenerate_ground
 
-    def test_invariants_checked_on_load(self):
+    def test_invariants_checked_on_construction(self):
+        eye = np.eye(4)
         with pytest.raises(ValueError, match="ascending"):
-            EigenpairSet(
-                energies=(1.0, 0.0),
-                vectors=np.eye(4)[:, :2],
-                degenerate_ground=False,
-            )
+            EigenpairSet((1.0, 0.0), eye[:, :2], degenerate_ground=False)
+        with pytest.raises(ValueError, match="one vector column"):
+            EigenpairSet((0.0, 1.0), eye[:, :3], degenerate_ground=False)
+        with pytest.raises(ValueError, match="normalized"):
+            EigenpairSet((0.0, 1.0), 2.0 * eye[:, :2], degenerate_ground=False)

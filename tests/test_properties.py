@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 
 import assqd.subspace as subspace_mod
 from assqd.acquisition import (
+    ACQUISITION_KINDS,
     CandidateScores,
     coupling,
     coupling_map,
@@ -165,7 +166,11 @@ def test_coupling_map_equals_literal_coupling(real, data):
     sol = lowest_eigenpair(build_restricted(ham, Subspace(states)))
     dominant = dominant_support(sol, data.draw(st.sampled_from([0.0, 1e-4, 0.05])))
     hops = data.draw(st.sampled_from([1, 2]))
-    candidates = generate_candidates(ham, dominant, sol.subspace, hops=hops)
+    if hops == 1:
+        candidates = generate_candidates(ham, dominant, sol.subspace)
+    else:
+        candidates = score_two_hop(
+            "random", ham, sol, dominant, sol.subspace, rng_seed=0).states
     ref = np.array([coupling(ham, sol, dominant, k) for k in candidates.tolist()],
                    dtype=np.complex128)
     assert np.array_equal(coupling_map(ham, sol, dominant, candidates), ref)
@@ -176,12 +181,19 @@ def _frontier(ham: PauliHamiltonian, states: np.ndarray) -> np.ndarray:
     return (states[:, None] ^ masks).ravel()
 
 
-def _two_hop_reference(ham, sol, dominant, subspace, eps):
-    """score_two_hop as one loop per off-diagonal mask over numpy's set routines."""
+def _two_hop_reference(kind, ham, sol, dominant, subspace, eps):
+    """score_two_hop over numpy's set routines, the "en" stand-in per mask.
+
+    Returns (states, diagonal, coupling, score) in ascending-state order.
+    """
     one_hop = np.setdiff1d(_frontier(ham, dominant.states), subspace.states)
-    scored = score_candidates("en", ham, sol, dominant, one_hop, eps=eps)
     pure_two = np.setdiff1d(_frontier(ham, one_hop),
                             np.union1d(one_hop, subspace.states))
+    if kind != "en":
+        scored = score_candidates(kind, ham, sol, dominant,
+                                  np.union1d(one_hop, pure_two), eps=eps, rng_seed=0)
+        return scored.states, scored.diagonal, scored.coupling, scored.score
+    scored = score_candidates("en", ham, sol, dominant, one_hop, eps=eps)
     nu_m_sq = np.abs(scored.coupling) ** 2
     denom_m = np.maximum(np.abs(sol.energy - scored.diagonal), eps)
     best = np.zeros(len(pure_two))
@@ -191,10 +203,13 @@ def _two_hop_reference(ham, sol, dominant, subspace, eps):
         amp = ham.amplitudes(x_mask, one_hop[hit])
         np.maximum.at(best, at[hit], np.abs(amp) ** 2 * nu_m_sq[hit] / denom_m[hit])
     h_kk = ham.diagonal(pure_two)
-    return (np.concatenate([scored.states, pure_two]),
-            np.concatenate([scored.diagonal, h_kk]),
+    states = np.concatenate([scored.states, pure_two])
+    order = np.argsort(states)
+    return (states[order],
+            np.concatenate([scored.diagonal, h_kk])[order],
+            np.concatenate([scored.coupling, np.zeros(len(pure_two), complex)])[order],
             np.concatenate([scored.score,
-                            best / np.maximum(np.abs(sol.energy - h_kk), eps)]))
+                            best / np.maximum(np.abs(sol.energy - h_kk), eps)])[order])
 
 
 @PROPERTY
@@ -206,12 +221,13 @@ def test_score_two_hop_bytes_equal_per_mask_loop(real, data):
     sol = lowest_eigenpair(build_restricted(ham, Subspace(states)))
     dominant = dominant_support(sol, data.draw(st.sampled_from([0.0, 1e-4, 0.05])))
     eps = data.draw(st.sampled_from([1e-8, 0.5]))
-    got = score_two_hop(ham, sol, dominant, sol.subspace, eps=eps)
-    ref_states, ref_diagonal, ref_score = _two_hop_reference(
-        ham, sol, dominant, sol.subspace, eps)
-    assert _bytes_equal(got.states, ref_states)
-    assert _bytes_equal(got.diagonal, ref_diagonal)
-    assert _bytes_equal(got.score, ref_score)
+    kind = data.draw(st.sampled_from(ACQUISITION_KINDS))
+    got = score_two_hop(kind, ham, sol, dominant, sol.subspace, eps=eps, rng_seed=0)
+    ref = _two_hop_reference(kind, ham, sol, dominant, sol.subspace, eps)
+    for array, expected in zip(
+        (got.states, got.diagonal, got.coupling, got.score), ref
+    ):
+        assert _bytes_equal(array, expected)
 
 
 # Small state ranges make repeats and overlaps between the drawn sets common.
@@ -227,10 +243,7 @@ def test_generate_candidates_equals_numpy_set_forms(data):
         np.array(data.draw(_repeating_states(ham.n)), dtype=np.int64))
     subspace = Subspace(np.unique(data.draw(_repeating_states(ham.n))).astype(np.int64))
     one_hop = np.setdiff1d(_frontier(ham, dominant.states), subspace.states)
-    two_hop = np.union1d(one_hop,
-                         np.setdiff1d(_frontier(ham, one_hop), subspace.states))
-    assert _bytes_equal(generate_candidates(ham, dominant, subspace, hops=1), one_hop)
-    assert _bytes_equal(generate_candidates(ham, dominant, subspace, hops=2), two_hop)
+    assert _bytes_equal(generate_candidates(ham, dominant, subspace), one_hop)
 
 
 @PROPERTY
@@ -279,8 +292,7 @@ def test_counts_json_round_trip(data, bit_order):
 
 
 # Seven full runs per example: fewer examples keep the suite fast.  Two
-# hops send "en" through score_two_hop and the other kinds through the
-# two-hop frontier.
+# hops send every kind through score_two_hop.
 @settings(PROPERTY, max_examples=10)
 @pytest.mark.parametrize("real", [True, False])
 @given(data=st.data())

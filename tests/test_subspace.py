@@ -123,18 +123,25 @@ class TestBuildRestricted:
         with pytest.raises(ValueError, match="empty"):
             build_restricted(h, Subspace(()))
 
-    def test_hermiticity_enforced_on_type(self):
-        # Skew one direction of every off-diagonal pair in the compiled
-        # block: two extra rows on the XX + YY column add
-        # 5e-4 * (1 - (-1)^{bit 0}), i.e. 1e-3 to the amplitude of the
-        # column whose state is the smaller of the two (bit 0 set).  The
-        # relative error, 5e-4, is far beyond the check's tolerance.
+    @staticmethod
+    def _skewed(skew: float):
+        """XX + YY + ZZ on two qubits, one direction of each pair skewed.
+
+        Two extra rows on the XX + YY column of the compiled block add
+        skew/2 * (1 - (-1)^{bit 0}), i.e. skew to the amplitude of the
+        column whose state is the smaller of the two (bit 0 set).
+        """
         h = parse_hamiltonian("1.0 XX\n1.0 YY\n1.0 ZZ\n")
         z_masks, weights = h._offdiag_block
         h.__dict__["_offdiag_block"] = (
             np.vstack([z_masks, [[0], [0b01]]]),
-            np.vstack([weights, [[5e-4], [-5e-4]]]),
+            np.vstack([weights, [[skew / 2], [-skew / 2]]]),
         )
+        return h
+
+    def test_hermiticity_enforced_on_type(self):
+        # The relative error, 5e-4, is far beyond the check's tolerance.
+        h = self._skewed(1e-3)
         skewed = h.amplitudes(0b11, [0b01, 0b10])
         assert np.isclose(skewed[0], 2.0 + 1e-3, rtol=0, atol=1e-12)
         assert skewed[1] == 2.0
@@ -147,6 +154,19 @@ class TestBuildRestricted:
         # old/new pair is Hermitian by construction.
         grown = extend_restricted(h, build_restricted(h, Subspace((1,))), [2]).dense()
         assert np.array_equal(grown, grown.T)
+
+    # The check is np.allclose's: |a - b| <= 1e-12 + 1e-5 |b|, 2e-5 here.
+    @pytest.mark.parametrize("skew, hermitian", [
+        (0.99 * 2e-5, True), (1.01 * 2e-5, False), (np.nan, False),
+    ], ids=["below", "above", "nan"])
+    def test_hermiticity_bound(self, skew, hermitian):
+        h = self._skewed(skew)
+        if hermitian:
+            m = build_restricted(h, Subspace((1, 2))).dense()
+            assert abs(m[1, 0] - m[0, 1]) > 0.98 * 2e-5
+        else:
+            with pytest.raises(ValueError, match="Hermitian"):
+                build_restricted(h, Subspace((1, 2)))
 
 
 class TestExtendRestricted:
