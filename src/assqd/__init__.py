@@ -12,7 +12,6 @@ from assqd.pauli import (
     PauliTerm,
     load_hamiltonian,
     parse_hamiltonian,
-    save_hamiltonian,
 )
 
 __all__ = [
@@ -21,7 +20,6 @@ __all__ = [
     "PauliTerm",
     "load_hamiltonian",
     "parse_hamiltonian",
-    "save_hamiltonian",
 ]
 
 __version__ = "0.1.0"

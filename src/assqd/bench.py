@@ -8,6 +8,7 @@ Rows carry the full parameterization; medians aggregate over seeds.
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import hashlib
 import io
@@ -74,10 +75,10 @@ class ExperimentSpec:
         if not self.seeds:
             raise ValueError("seeds must be nonempty")
 
-    def run_config(self, seed: int, kind: str = "en", hops: int = 1) -> RunConfig:
+    def run_config(self, seed: int, hops: int = 1) -> RunConfig:
         return RunConfig(
             K=self.K, B=self.B, T=self.T, tau=self.tau, eps=self.eps,
-            kind=kind, hops=hops, seed=seed,
+            hops=hops, seed=seed,
         )
 
 
@@ -118,7 +119,6 @@ class InstanceBundle:
     ham: PauliHamiltonian
     pairs: EigenpairSet
     counts: CountsMultiset
-    metadata: dict[str, Any]
 
 
 def instance_key(metadata: dict[str, Any]) -> str:
@@ -139,8 +139,7 @@ def prepare_instance(
     """Build the Hamiltonian, solve the reference pair, sample counts."""
     spec = ModelSpec(kind=kind, n=n, seed=seed)
     ham, disorder = build_model(spec)
-    metadata = metadata_record(spec, disorder)
-    key = instance_key(metadata)
+    key = instance_key(metadata_record(spec, disorder))
     if oracle_cache is not None and key in oracle_cache:
         pairs = oracle_cache[key]
     else:
@@ -155,9 +154,7 @@ def prepare_instance(
         )
     model = contaminated_distribution(pairs.psi0, pairs.psi1, eta)
     counts = sample_counts(model, shots, seed=seed)
-    return InstanceBundle(
-        spec=spec, ham=ham, pairs=pairs, counts=counts, metadata=metadata
-    )
+    return InstanceBundle(spec=spec, ham=ham, pairs=pairs, counts=counts)
 
 
 def run_method(
@@ -358,9 +355,14 @@ def experiment_hops(
 
 
 def rows_to_csv(rows: list[ResultRow]) -> str:
-    """Header plus one line per row, in CSV_COLUMNS order."""
+    """Header plus one line per row, in CSV_COLUMNS order.
+
+    Values are written as ``str`` gives them; a field holding a comma or a
+    quote (an error message in ``terminated``) is quoted, so every row
+    parses back through :class:`csv.DictReader` with all its columns.
+    """
     buf = io.StringIO()
-    buf.write(",".join(CSV_COLUMNS) + "\n")
-    for row in rows:
-        buf.write(",".join(str(value) for value in dataclasses.astuple(row)) + "\n")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(CSV_COLUMNS)
+    writer.writerows(dataclasses.astuple(row) for row in rows)
     return buf.getvalue()

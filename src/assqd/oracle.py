@@ -6,18 +6,21 @@ sparse one; the restricted solve of the expansion loop
 (:func:`assqd.subspace.lowest_eigenpair`) calls it too.  The oracle hands
 it one of two matrices, chosen by size.  Above DEFAULT_DENSE_MAX_QUBITS it
 is H built once as a CSR matrix (:func:`sparse_matrix`), up to
-ORACLE_MAX_QUBITS = 20.  At and below it, where ARPACK's set-up costs more
-than the solve and tiny dimensions are out of its reach, it is the dense
-matrix.  ``exact_lowest(method=...)`` overrides that choice (dense up to
-DENSE_MAX_QUBITS = 12): the benchmark forces the Lanczos route with it
-and tests compare the two routes, while the command line always takes the
-one the size picks.  Every returned pair is verified
-against the residual bound ``norm(H psi - E psi) <= RESIDUAL_TOL`` (1e-9)
-through :func:`apply_hamiltonian`, a term-by-term product that shares no
-code with the CSR builder, so neither a silent misconvergence nor a wrong
-matrix entry can leak into benchmark baselines.  :func:`save_eigenpairs`
-writes the pairs of ``assqd oracle --pairs`` to an .npz; the package
-never reads one back.
+ORACLE_MAX_QUBITS = 20; its entries come from the expansion loop's own
+kernel, :meth:`PauliHamiltonian.diagonal` and
+:meth:`PauliHamiltonian.amplitude_table`.  At and below it, where
+ARPACK's set-up costs more than the solve and tiny dimensions are out of
+its reach, it is the dense matrix.  ``exact_lowest(method=...)``
+overrides that choice (dense up to DENSE_MAX_QUBITS = 12): the benchmark
+forces the Lanczos route with it and tests compare the two routes, while
+the command line always takes the one the size picks.  Every returned
+pair is verified against the residual bound
+``norm(H psi - E psi) <= RESIDUAL_TOL`` (1e-9) through
+:func:`apply_hamiltonian`, a term-by-term product that shares no code
+with the CSR builder or that kernel, so neither a silent misconvergence
+nor a wrong matrix entry can leak into benchmark baselines.
+:func:`save_eigenpairs` writes the pairs of ``assqd oracle --pairs`` to
+an .npz; the package never reads one back.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
-from assqd.pauli import DENSE_MAX_QUBITS, PauliHamiltonian
+from assqd.pauli import DENSE_MAX_QUBITS, KERNEL_BLOCK, PauliHamiltonian, PauliTerm
 
 ORACLE_MAX_QUBITS = 20
 
@@ -96,24 +99,26 @@ class EigenpairSet:
 def apply_hamiltonian(ham: PauliHamiltonian, v: np.ndarray) -> np.ndarray:
     """H @ v without materializing H: one XOR-gather per distinct x_mask.
 
-    Each mask's terms are summed into one amplitude per source state
-    i ^ x_mask (signed by that source state) before the gather, with code
-    of its own, so the residual check shares nothing with the CSR builder
-    or :meth:`PauliHamiltonian.amplitudes`.
+    The terms of ``ham.terms`` are grouped by x_mask here, and each mask's
+    terms are summed into one amplitude per source state i ^ x_mask
+    (signed by that source state) before the gather, so the residual check
+    shares no code with the CSR builder or the Pauli kernel behind it.
     """
     v = np.asarray(v)
     dim = 1 << ham.n
     if v.shape != (dim,):
         raise ValueError(f"expected vector of dimension {dim}, got shape {v.shape}")
-    xs, zs, ws = ham._term_arrays
-    out = np.zeros(dim, dtype=np.result_type(v.dtype, ws.dtype, np.float64))
+    groups: dict[int, list[PauliTerm]] = {}
+    for term in ham.terms:
+        groups.setdefault(term.x_mask, []).append(term)
+    out = np.zeros(dim, dtype=np.result_type(v.dtype, ham.dtype, np.float64))
     idx = np.arange(dim, dtype=np.int64)
-    for x in np.unique(xs):
+    for x in sorted(groups):
         src = idx ^ x
-        in_mask = xs == x
-        amp = np.zeros(dim, dtype=ws.dtype)
-        for z, w in zip(zs[in_mask], ws[in_mask]):
-            amp += np.where(np.bitwise_count(src & z) & 1, -w, w)
+        amp = np.zeros(dim, dtype=ham.dtype)
+        for term in groups[x]:
+            w = term.weight.real if ham.is_real else term.weight
+            amp += np.where(np.bitwise_count(src & term.z_mask) & 1, -w, w)
         out += amp * v[src]
     return out
 
@@ -175,36 +180,38 @@ def hermitian_lowest(
 def sparse_matrix(ham: PauliHamiltonian) -> scipy.sparse.csr_array:
     """H as a CSR matrix, built directly in that format.
 
-    Each distinct x_mask is one block of entries: row i holds column
-    i ^ x_mask, whose value is :meth:`PauliHamiltonian.amplitudes` of that
-    x_mask at the column state (the arithmetic, in term order, of
-    :meth:`PauliHamiltonian.dense_matrix`).  Every row has one entry per
-    block, so ``indptr`` is ``arange(dim + 1) * G`` for G distinct
-    x_masks; entries that cancel exactly are dropped at the end, in place.
-    The blocks are filled one x_mask at a time, straight into ``data``, so
-    no second G x 2^n array is made (as one
-    :meth:`PauliHamiltonian.amplitude_table` call would).  Real values take
-    8 bytes and ``int32`` column indices 4, so the matrix holds about
-    G * 2^n * 12 bytes: ~13 MB for Heisenberg at n = 16 (G = 17), where
-    XX + YY cancel on aligned neighbours and 9 entries per row remain.
+    Row i holds one entry per mask x in (0,) + ``offdiag_masks``, in that
+    order, at column i ^ x.  The diagonal comes from
+    :meth:`PauliHamiltonian.diagonal` and the rest from
+    :meth:`PauliHamiltonian.amplitude_table` at the row state i, because H
+    is Hermitian and so <i|H|i^x> = conj(<i^x|H|i>).  The rows are filled
+    in passes of at most KERNEL_BLOCK table entries, so no table larger
+    than one pass is made.  Entries that cancel exactly are then dropped in
+    place; they include the whole diagonal of an H without diagonal terms.
+    Real values take 8 bytes and ``int32`` column indices 4, so before the
+    drop the matrix holds (G + 1) * 2^n * 12 bytes for G off-diagonal
+    masks: ~13 MB for Heisenberg at n = 16 (G = 16), where XX + YY cancel
+    on aligned neighbours and 9 entries per row remain.
     """
     if ham.n > ORACLE_MAX_QUBITS:
         raise ValueError(
             f"sparse matrix limited to n <= {ORACLE_MAX_QUBITS}, got {ham.n}"
         )
     dim = 1 << ham.n
-    xs, _, ws = ham._term_arrays
-    masks = np.unique(xs)
-    if dim * len(masks) > np.iinfo(np.int32).max:
-        raise ValueError(f"{dim * len(masks)} entries exceed int32 CSR indexing")
-    data = np.empty((dim, len(masks)), dtype=ws.dtype)
-    indices = np.empty((dim, len(masks)), dtype=np.int32)
-    idx = np.arange(dim, dtype=np.int64)
-    for g, x in enumerate(masks):
-        cols = idx ^ x
-        data[:, g] = ham.amplitudes(x, cols)
-        indices[:, g] = cols
-    indptr = np.arange(dim + 1, dtype=np.int32) * np.int32(len(masks))
+    masks = np.array((0,) + ham.offdiag_masks, dtype=np.int64)
+    width = len(masks)
+    if dim * width > np.iinfo(np.int32).max:
+        raise ValueError(f"{dim * width} entries exceed int32 CSR indexing")
+    data = np.empty((dim, width), dtype=ham.dtype)
+    indices = np.empty((dim, width), dtype=np.int32)
+    step = max(1, KERNEL_BLOCK // width)
+    for start in range(0, dim, step):
+        rows = slice(start, start + step)
+        states = np.arange(start, min(start + step, dim), dtype=np.int64)
+        data[rows, 0] = ham.diagonal(states)
+        data[rows, 1:] = np.conj(ham.amplitude_table(states).T)
+        indices[rows] = states[:, None] ^ masks
+    indptr = np.arange(dim + 1, dtype=np.int32) * np.int32(width)
     matrix = scipy.sparse.csr_array(
         (data.reshape(-1), indices.reshape(-1), indptr), shape=(dim, dim)
     )

@@ -15,10 +15,10 @@ from the *input* state.  Sets of basis states are int64 arrays.  Each
 Hamiltonian is compiled once into two term blocks, its diagonal (x_mask =
 0) terms and the terms of every off-diagonal mask side by side, and one
 kernel evaluates either block over a state array; every matrix element
-the package uses comes from it, through :meth:`PauliHamiltonian.diagonal`,
-:meth:`PauliHamiltonian.amplitude_table` (all masks at once) or
-:meth:`PauliHamiltonian.amplitudes` (one mask).  Nothing here ever
-materializes the 2^n x 2^n matrix except
+the package uses comes from it, through :meth:`PauliHamiltonian.diagonal`
+and :meth:`PauliHamiltonian.amplitude_table` (all masks at once), from
+the expansion loop to the reference oracle's CSR matrix.  Nothing here
+ever materializes the 2^n x 2^n matrix except
 :meth:`PauliHamiltonian.dense_matrix`, a small-n test oracle.
 """
 
@@ -126,13 +126,13 @@ def _block_sums(
     return out
 
 
-def _term_block(groups, real: bool) -> tuple[np.ndarray, np.ndarray]:
+def _term_block(groups, dtype) -> tuple[np.ndarray, np.ndarray]:
     """(z_masks, weights) of (z_mask, weight) groups as zero-padded L x G arrays."""
     groups = list(groups)
     depth = max((len(entries) for entries in groups), default=0)
     z_masks = np.zeros((depth, len(groups)), dtype=np.int64)
-    dtype = np.float64 if real else np.complex128
     weights = np.zeros((depth, len(groups)), dtype=dtype)
+    real = not np.iscomplexobj(weights)
     for g, entries in enumerate(groups):
         for rank, (z_mask, weight) in enumerate(entries):
             z_masks[rank, g] = z_mask
@@ -189,6 +189,11 @@ class PauliHamiltonian:
         """True when every term has an even Y count (all elements real)."""
         return all(term.y_count % 2 == 0 for term in self.terms)
 
+    @property
+    def dtype(self) -> type:
+        """Matrix-element dtype: float64 when H is real, complex128 otherwise."""
+        return np.float64 if self.is_real else np.complex128
+
     def _group_amplitude(self, x_mask: int, state: BasisState) -> complex:
         """Sum of term amplitudes with this x_mask acting on |state>."""
         total = 0.0 + 0.0j
@@ -206,12 +211,12 @@ class PauliHamiltonian:
     @cached_property
     def _diagonal_block(self) -> tuple[np.ndarray, np.ndarray]:
         """The x_mask = 0 terms as an L x 1 block; their weights are real."""
-        return _term_block([self._groups.get(0, ())], real=True)
+        return _term_block([self._groups.get(0, ())], np.float64)
 
     @cached_property
     def _offdiag_block(self) -> tuple[np.ndarray, np.ndarray]:
         """Terms of every off-diagonal mask, column g holding offdiag_masks[g]."""
-        return _term_block((self._groups[x] for x in self.offdiag_masks), self.is_real)
+        return _term_block((self._groups[x] for x in self.offdiag_masks), self.dtype)
 
     def diagonal(self, states) -> np.ndarray:
         """<k|H|k> for every k in ``states``, float64, shaped like ``states``.
@@ -229,29 +234,9 @@ class PauliHamiltonian:
 
         Row g holds mask ``offdiag_masks[g]``, column k state ``states[k]``
         (a 1-D int64 array); each entry equals :meth:`_group_amplitude`
-        bit for bit.  float64 when H is real, complex128 otherwise.
+        bit for bit, in :attr:`dtype`.
         """
         return _block_sums(*self._offdiag_block, np.asarray(states, dtype=np.int64))
-
-    def amplitudes(self, x_mask: int, states) -> np.ndarray:
-        """<s XOR x_mask|H|s> for every s in an int64 array of states.
-
-        One column of :meth:`amplitude_table`, or :meth:`diagonal` at
-        x_mask 0, so each entry equals :meth:`_group_amplitude` bit for
-        bit.  float64 when H is real, complex128 otherwise; the shape
-        follows ``states``.
-        """
-        states = np.asarray(states, dtype=np.int64)
-        dtype = np.float64 if self.is_real else np.complex128
-        if x_mask == 0:
-            return self.diagonal(states).astype(dtype)
-        if x_mask not in self._groups:
-            return np.zeros(states.shape, dtype=dtype)
-        g = self.offdiag_masks.index(x_mask)
-        z_masks, weights = self._offdiag_block
-        column = slice(g, g + 1)
-        sums = _block_sums(z_masks[:, column], weights[:, column], states.reshape(-1))
-        return sums[0].reshape(states.shape)
 
     def neighbors(self, s: BasisState) -> set[BasisState]:
         """Basis states reachable from |s> by some off-diagonal term.
@@ -270,8 +255,7 @@ class PauliHamiltonian:
                 f"dense matrix limited to n <= {DENSE_MAX_QUBITS}, got n = {self.n}"
             )
         dim = 1 << self.n
-        dtype = np.float64 if self.is_real else np.complex128
-        out = np.zeros((dim, dim), dtype=dtype)
+        out = np.zeros((dim, dim), dtype=self.dtype)
         idx = np.arange(dim, dtype=np.int64)
         for term in self.terms:
             signs = 1.0 - 2.0 * (np.bitwise_count(idx & term.z_mask) & 1)
@@ -279,18 +263,6 @@ class PauliHamiltonian:
             # Within one term, (row, col) pairs are all distinct.
             out[idx ^ term.x_mask, idx] += weight * signs
         return out
-
-    @cached_property
-    def _term_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(x_masks, z_masks, weights) as numpy arrays for vectorized use."""
-        xs = np.array([t.x_mask for t in self.terms], dtype=np.int64)
-        zs = np.array([t.z_mask for t in self.terms], dtype=np.int64)
-        dtype = np.float64 if self.is_real else np.complex128
-        ws = np.array(
-            [t.weight.real if self.is_real else t.weight for t in self.terms],
-            dtype=dtype,
-        )
-        return xs, zs, ws
 
 
 def parse_hamiltonian(text: str) -> PauliHamiltonian:
@@ -335,8 +307,3 @@ def format_hamiltonian(ham: PauliHamiltonian) -> str:
 def load_hamiltonian(path) -> PauliHamiltonian:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_hamiltonian(fh.read())
-
-
-def save_hamiltonian(ham: PauliHamiltonian, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_hamiltonian(ham))

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
 from typing import IO, Any
 
 import numpy as np
@@ -64,10 +63,6 @@ class CountsMultiset:
                 raise ValueError(f"state {state} out of range for n = {self.n}")
             if count <= 0:
                 raise ValueError(f"count for state {state} must be positive")
-
-    @cached_property
-    def total_shots(self) -> int:
-        return sum(self.counts.values())
 
 
 def contaminated_distribution(

@@ -165,10 +165,9 @@ def build_restricted(ham: PauliHamiltonian, subspace: Subspace) -> RestrictedMat
     """Assemble H_S by extending the empty restricted matrix."""
     if len(subspace) == 0:
         raise ValueError("subspace is empty")
-    dtype = np.float64 if ham.is_real else np.complex128
     no_index = np.zeros(0, dtype=np.int64)
     empty = RestrictedMatrix(rows=no_index, cols=no_index,
-                             values=np.zeros(0, dtype=dtype), basis=Subspace(()))
+                             values=np.zeros(0, dtype=ham.dtype), basis=Subspace(()))
     return extend_restricted(ham, empty, subspace.states)
 
 

@@ -38,6 +38,7 @@ from assqd.driver import (
     run_as_sqd,
     run_standard_sqd,
 )
+from assqd.models import ModelSpec, build_model, metadata_record
 from assqd.pauli import PauliHamiltonian, PauliTerm
 from assqd.sampling import CountsMultiset
 from assqd.subspace import Subspace
@@ -76,10 +77,10 @@ class TestSpecAndHelpers:
 
     def test_run_config_passthrough(self):
         spec = _tiny_spec(K=7, B=3, T=2, tau=1e-3, eps=1e-6)
-        cfg = spec.run_config(seed=5, kind="coupling_only", hops=2)
+        cfg = spec.run_config(seed=5, hops=2)
         assert (cfg.K, cfg.B, cfg.T) == (7, 3, 2)
         assert (cfg.tau, cfg.eps) == (1e-3, 1e-6)
-        assert (cfg.kind, cfg.hops, cfg.seed) == ("coupling_only", 2, 5)
+        assert (cfg.hops, cfg.seed) == (2, 5)
 
     def test_median_odd(self):
         assert median_abs_error([1, 2, 3, 4, 5]) == 3
@@ -105,10 +106,13 @@ class TestInstancePreparation:
     def test_bundle_consistency(self):
         bundle = prepare_instance("heisenberg", 4, 0, 400, 0.2)
         assert bundle.ham.n == 4
-        assert bundle.counts.total_shots == 400
+        assert sum(bundle.counts.counts.values()) == 400
         assert bundle.pairs.e0 <= bundle.pairs.e1
-        assert bundle.metadata["kind"] == "heisenberg"
-        assert bundle.metadata["seed"] == 0
+        assert bundle.spec == ModelSpec(kind="heisenberg", n=4, seed=0)
+        ham, disorder = build_model(bundle.spec)
+        assert ham == bundle.ham
+        record = metadata_record(bundle.spec, disorder)
+        assert (record["kind"], record["seed"]) == ("heisenberg", 0)
 
     def test_oracle_cache_reused(self):
         cache: dict = {}
@@ -120,7 +124,9 @@ class TestInstancePreparation:
     def test_distinct_seeds_draw_distinct_instances(self):
         a = prepare_instance("heisenberg", 4, 0, 400, 0.2)
         b = prepare_instance("heisenberg", 4, 1, 400, 0.2)
-        assert a.metadata["fields"] != b.metadata["fields"]
+        records = [metadata_record(x.spec, build_model(x.spec)[1]) for x in (a, b)]
+        assert records[0]["fields"] != records[1]["fields"]
+        assert a.ham != b.ham
 
     def test_degenerate_ground_in_cache_warns(self):
         cache: dict = {}
@@ -317,6 +323,14 @@ class TestSerialization:
                     assert float(record[column]).hex() == float.hex(value), column
                 else:
                     assert record[column] == str(value), column
+
+    def test_csv_quotes_an_error_message_with_comma_and_quote(self, rows):
+        message = 'error: candidates intersect the subspace: [1, 2] near "x"'
+        row = dataclasses.replace(rows[0], E_est=math.nan, err=math.nan,
+                                  terminated=message)
+        (record,) = csv.DictReader(io.StringIO(rows_to_csv([row])))
+        assert len(record) == 20 and None not in record
+        assert record["terminated"] == message
 
     def test_json_round_trip_exact(self, rows):
         # The row records that `--format json` prints parse back exactly.

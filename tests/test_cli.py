@@ -95,7 +95,7 @@ class TestSampleVerb:
                      "--shots", "700"])
         counts = load_counts_from_text(result.output)
         assert counts.n == 4
-        assert counts.total_shots == 700
+        assert sum(counts.counts.values()) == 700
 
     def test_deterministic_per_seed(self, runner):
         args = ["--seed", "5", "sample", "heisenberg", "4", "--shots", "300"]

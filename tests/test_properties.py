@@ -33,7 +33,7 @@ from assqd.acquisition import (
     select_top_b,
 )
 from assqd.driver import METHOD_KINDS, RunConfig, run_as_sqd
-from assqd.oracle import exact_lowest
+from assqd.oracle import exact_lowest, sparse_matrix
 from assqd.pauli import MAX_QUBITS, PauliHamiltonian, PauliTerm
 from assqd.sampling import BIT_ORDERS, CountsMultiset, counts_to_json, parse_counts
 from assqd.subspace import (
@@ -76,18 +76,6 @@ def _states(draw, n: int, min_size: int = 0, max_size: int = 40) -> list[int]:
                          max_size=min(max_size, 1 << n), unique=True))
 
 
-@PROPERTY
-@given(st.data())
-def test_amplitudes_equal_group_amplitude(data):
-    ham = data.draw(hamiltonians())
-    states = np.array(_states(data.draw, ham.n), dtype=np.int64)
-    for x_mask in (0, (1 << ham.n) - 1) + ham.offdiag_masks:
-        got = ham.amplitudes(x_mask, states)
-        assert got.dtype == (np.float64 if ham.is_real else np.complex128)
-        ref = np.array([ham._group_amplitude(x_mask, int(s)) for s in states])
-        assert np.array_equal(got, ref)
-
-
 def _bytes_equal(got: np.ndarray, ref: np.ndarray) -> bool:
     return got.dtype == ref.dtype and got.shape == ref.shape and (
         got.tobytes() == ref.tobytes())
@@ -102,7 +90,6 @@ def test_amplitude_table_and_diagonal_bytes_equal_group_amplitude(real, data):
     top_bit = st.integers(1 << (ham.n - 1), (1 << ham.n) - 1)
     states = np.array(data.draw(st.lists(st.integers(0, (1 << ham.n) - 1) | top_bit,
                                          max_size=40, unique=True)), dtype=np.int64)
-    dtype = np.float64 if ham.is_real else np.complex128
     for batch in (states, states[:0]):
         ref = np.array([[ham._group_amplitude(x, int(s)) for s in batch]
                         for x in ham.offdiag_masks], dtype=np.complex128)
@@ -112,7 +99,32 @@ def test_amplitude_table_and_diagonal_bytes_equal_group_amplitude(real, data):
         diag = np.array([ham._group_amplitude(0, int(s)).real for s in batch],
                         dtype=np.float64)
         assert _bytes_equal(ham.diagonal(batch), diag)
-        assert _bytes_equal(ham.amplitudes(0, batch), diag.astype(dtype))
+
+
+@PROPERTY
+@pytest.mark.parametrize("real", [True, False])
+@given(data=st.data())
+def test_sparse_matrix_rows_hold_matrix_elements_in_mask_order(real, data):
+    ham = data.draw(hamiltonians(real))
+    matrix = sparse_matrix(ham)
+    indptr, indices, values = [0], [], []
+    for i in range(1 << ham.n):
+        for x_mask in (0,) + ham.offdiag_masks:
+            value = ham.matrix_element(i, i ^ x_mask)
+            if value != 0:
+                indices.append(i ^ x_mask)
+                values.append(value)
+        indptr.append(len(indices))
+    assert matrix.indptr.tolist() == indptr
+    assert matrix.indices.tolist() == indices
+    assert matrix.dtype == ham.dtype
+    ref = np.array(values, dtype=np.complex128)
+    if ham.is_real:
+        assert matrix.data.tobytes() == ref.real.tobytes()
+    else:
+        # The builder takes <i|H|i^x> as conj(<i^x|H|i>), so a zero imaginary
+        # part may come out as -0.0 where matrix_element gives +0.0.
+        assert np.array_equal(matrix.data, ref)
 
 
 @PROPERTY
@@ -197,10 +209,11 @@ def _two_hop_reference(kind, ham, sol, dominant, subspace, eps):
     nu_m_sq = np.abs(scored.coupling) ** 2
     denom_m = np.maximum(np.abs(sol.energy - scored.diagonal), eps)
     best = np.zeros(len(pure_two))
-    for x_mask in ham.offdiag_masks:
+    table = ham.amplitude_table(one_hop)
+    for g, x_mask in enumerate(ham.offdiag_masks):
         at = sorted_positions(pure_two, one_hop ^ x_mask)
         hit = at >= 0
-        amp = ham.amplitudes(x_mask, one_hop[hit])
+        amp = table[g, hit]
         np.maximum.at(best, at[hit], np.abs(amp) ** 2 * nu_m_sq[hit] / denom_m[hit])
     h_kk = ham.diagonal(pure_two)
     states = np.concatenate([scored.states, pure_two])

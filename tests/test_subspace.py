@@ -142,7 +142,7 @@ class TestBuildRestricted:
     def test_hermiticity_enforced_on_type(self):
         # The relative error, 5e-4, is far beyond the check's tolerance.
         h = self._skewed(1e-3)
-        skewed = h.amplitudes(0b11, [0b01, 0b10])
+        skewed = h.amplitude_table([0b01, 0b10])[h.offdiag_masks.index(0b11)]
         assert np.isclose(skewed[0], 2.0 + 1e-3, rtol=0, atol=1e-12)
         assert skewed[1] == 2.0
         # |01> and |10> couple through XX + YY; both sides are new here.
