@@ -61,11 +61,9 @@ class ExperimentSpec:
     seeds: tuple[int, ...] = DEFAULT_SEEDS
     shots: int | None = None
     eta: float = DEFAULT_ETA
-    K: int = RunConfig.K
-    B: int = RunConfig.B
-    T: int = RunConfig.T
-    tau: float = RunConfig.tau
-    eps: float = RunConfig.eps
+    # The loop budget (K, B, T, tau, eps) of every cell; each cell sets its
+    # own kind, hops and seed on a copy of it.
+    budget: RunConfig = RunConfig()
 
     def __post_init__(self) -> None:
         if not self.sizes:
@@ -74,12 +72,6 @@ class ExperimentSpec:
             raise ValueError(f"sizes must lie within [2, {ORACLE_MAX_QUBITS}]")
         if not self.seeds:
             raise ValueError("seeds must be nonempty")
-
-    def run_config(self, seed: int, hops: int = 1) -> RunConfig:
-        return RunConfig(
-            K=self.K, B=self.B, T=self.T, tau=self.tau, eps=self.eps,
-            hops=hops, seed=seed,
-        )
 
 
 @dataclass(frozen=True)
@@ -249,19 +241,12 @@ def _sweep(
     for (n, seed), bundle in bundles.items():
         for method in methods:
             for h in hops:
-                config = spec.run_config(seed=seed, hops=h)
+                config = dataclasses.replace(spec.budget, hops=h, seed=seed)
                 row, trace = make_row(bundle, method, config, shots_for[n], spec.eta)
                 rows.append(row)
                 if trace is not None:
                     traces[(spec.kind, n, seed, method, h)] = trace
     return _sorted_rows(rows), traces, bundles
-
-
-def median_abs_error(errors: list[float]) -> float:
-    """Plain median; even-length input averages the two central values."""
-    if not errors:
-        raise ValueError("median of empty list")
-    return float(statistics.median(errors))
 
 
 def _medians(rows: list[ResultRow]) -> list[dict[str, Any]]:
@@ -279,7 +264,7 @@ def _medians(rows: list[ResultRow]) -> list[dict[str, Any]]:
             "n": n,
             "method": method,
             "hops": hops,
-            "median_err": median_abs_error(errs),
+            "median_err": statistics.median(errs),
         }
         for (model, n, method, hops), errs in sorted(grouped.items())
     ]
@@ -345,8 +330,8 @@ def experiment_hops(
                 "model": spec.kind,
                 "n": n,
                 "threshold": HOPS_THRESHOLD,
-                "median_iters_1hop": median_abs_error(per_arm[1]),
-                "median_iters_2hop": median_abs_error(per_arm[2]),
+                "median_iters_1hop": statistics.median(per_arm[1]),
+                "median_iters_2hop": statistics.median(per_arm[2]),
                 "iters_1hop": per_arm[1],
                 "iters_2hop": per_arm[2],
             }

@@ -18,13 +18,16 @@ invocation with identical flags reproduces identical output, except for the
 wall_ms timing field.
 
 One option stack (-K, -B, -T, --tau, --eps) serves every verb that runs the
-expansion loop.  run and ingest take --method from the driver's loop kinds
-and report that kind as config.kind; the trace's "method" is its label.
+expansion loop and hands the verb one RunConfig, its budget: bench, ablate
+and hops give it to every cell of the sweep, and run and ingest set on it
+the loop kind from --method, --hops and the global --seed.  Their trace
+reports that kind as config.kind; the trace's "method" is its label.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 from pathlib import Path
 from typing import Any
@@ -39,18 +42,14 @@ from .bench import (
     experiment_ablation,
     experiment_hops,
     experiment_scaling,
+    prepare_instance,
     rows_to_csv,
 )
 from .driver import METHOD_KINDS, RunConfig, run_as_sqd, trace_record
 from .models import MIN_QUBITS, ModelSpec, build_model, metadata_record
 from .oracle import ORACLE_MAX_QUBITS, exact_lowest, save_eigenpairs
 from .pauli import MAX_QUBITS, format_hamiltonian, load_hamiltonian
-from .sampling import (
-    contaminated_distribution,
-    counts_to_json,
-    load_counts,
-    sample_counts,
-)
+from .sampling import counts_to_json, load_counts
 
 _MODEL_KINDS = click.Choice(["heisenberg", "tfim"])
 # Chain lengths a model instance can have, and those the reference oracle
@@ -189,11 +188,8 @@ def oracle(ctx: click.Context, kind: str, n: int, count: int,
 def sample(ctx: click.Context, kind: str, n: int, shots: int | None,
            eta: float, bit_order: str) -> None:
     """Finite-shot counts from the contaminated preparation model."""
-    ham, _, _ = _instance(kind, n, ctx.obj["seed"])
-    eig = exact_lowest(ham, count=2)
-    dist = contaminated_distribution(eig.psi0, eig.psi1, eta)
-    counts = sample_counts(dist, shots or default_shots(n), seed=ctx.obj["seed"])
-    _emit(ctx, counts_to_json(counts, bit_order=bit_order))
+    bundle = prepare_instance(kind, n, ctx.obj["seed"], shots or default_shots(n), eta)
+    _emit(ctx, counts_to_json(bundle.counts, bit_order=bit_order))
 
 
 def _options(*options):
@@ -205,7 +201,7 @@ def _options(*options):
     return wrap
 
 
-_budget_options = _options(
+_budget_stack = _options(
     click.option("-K", "K", type=click.IntRange(min=1), default=RunConfig.K,
                  show_default=True, help="Initial subspace size (top-K by count)."),
     click.option("-B", "B", type=click.IntRange(min=1), default=RunConfig.B,
@@ -219,6 +215,17 @@ _budget_options = _options(
                  default=RunConfig.eps, show_default=True,
                  help="Score denominator floor."),
 )
+
+
+def _budget_options(fn):
+    """The budget option stack, handed to ``fn`` as one ``budget`` RunConfig."""
+    @functools.wraps(fn)
+    def packed(*args: Any, K: int, B: int, T: int, tau: float, eps: float,
+               **kwargs: Any) -> Any:
+        budget = RunConfig(K=K, B=B, T=T, tau=tau, eps=eps)
+        return fn(*args, budget=budget, **kwargs)
+    return _budget_stack(packed)
+
 
 _run_options = _options(
     click.option("--method", type=click.Choice(METHOD_KINDS), default="en",
@@ -237,17 +244,12 @@ def _run_and_emit(
     model_metadata: dict[str, Any] | None,
     compute_exact: bool = True,
 ) -> None:
-    e0 = e1 = None
-    degenerate = None
+    pairs = None
     if compute_exact and ham.n <= ORACLE_MAX_QUBITS:
-        eig = exact_lowest(ham, count=2)
-        e0, e1, degenerate = float(eig.e0), float(eig.e1), eig.degenerate_ground
+        pairs = exact_lowest(ham, count=2)
     trace = run_as_sqd(ham, counts, config)
-    payload = trace_record(
-        trace, config, model_metadata, e0=e0, e1=e1, degenerate_ground=degenerate,
-    )
-    payload["err"] = abs(trace.final_energy - e0) if e0 is not None else None
-    _emit(ctx, json.dumps(payload, indent=2))
+    record = trace_record(trace, config, model_metadata, pairs)
+    _emit(ctx, json.dumps(record, indent=2))
 
 
 @main.command()
@@ -258,8 +260,7 @@ def _run_and_emit(
               help="Skip the exact reference solve (no error column).")
 @click.pass_context
 def run(ctx: click.Context, hamiltonian: str, counts_file: str, method: str,
-        K: int, B: int, T: int, tau: float, eps: float, hops: int,
-        no_exact: bool) -> None:
+        budget: RunConfig, hops: int, no_exact: bool) -> None:
     """One method on a Hamiltonian file plus a counts file (trace JSON).
 
     Beyond the oracle's qubit limit the reference solve is skipped, as
@@ -271,8 +272,7 @@ def run(ctx: click.Context, hamiltonian: str, counts_file: str, method: str,
         raise click.UsageError(
             f"counts are for n={counts.n} but the Hamiltonian has n={ham.n}"
         )
-    config = RunConfig(K=K, B=B, T=T, tau=tau, eps=eps, kind=method,
-                       hops=hops, seed=ctx.obj["seed"])
+    config = dataclasses.replace(budget, kind=method, hops=hops, seed=ctx.obj["seed"])
     _run_and_emit(ctx, ham, counts, config, None, compute_exact=not no_exact)
 
 
@@ -283,7 +283,7 @@ def run(ctx: click.Context, hamiltonian: str, counts_file: str, method: str,
 @_run_options
 @click.pass_context
 def ingest(ctx: click.Context, counts_file: str, kind: str, method: str,
-           K: int, B: int, T: int, tau: float, eps: float, hops: int) -> None:
+           budget: RunConfig, hops: int) -> None:
     """Externally sampled counts (e.g. hardware) -> reconstruct model, run.
 
     The qubit count is read from the counts file; the disorder instance is
@@ -293,8 +293,7 @@ def ingest(ctx: click.Context, counts_file: str, kind: str, method: str,
     """
     counts = load_counts(counts_file)
     ham, spec, disorder = _instance(kind, counts.n, ctx.obj["seed"])
-    config = RunConfig(K=K, B=B, T=T, tau=tau, eps=eps, kind=method,
-                       hops=hops, seed=ctx.obj["seed"])
+    config = dataclasses.replace(budget, kind=method, hops=hops, seed=ctx.obj["seed"])
     _run_and_emit(ctx, ham, counts, config, metadata_record(spec, disorder))
 
 

@@ -12,11 +12,13 @@ seeded uniform draws, and the acquisition kinds rank by the EN score or
 one of its ablations.  run_standard_sqd and run_random_sqd are one-line
 shorthands for those kinds, and method_label/method_kind map a kind to
 the label that rows and traces carry ("standard", "random", "as-<kind>")
-and back.  Every solve appends
-a trace record, so the energy trajectory is observable after the fact;
-the loop ends early, with the reason recorded, when the candidate pool
-comes up empty.  trace_record turns a trace into the JSON-ready record
-that `assqd run` and `assqd ingest` print.
+and back.  Every solve appends a trace record, so the energy trajectory
+is observable after the fact, and the run's final energy is its last
+record's; the loop ends early, with the reason recorded, when the
+candidate pool comes up empty.  trace_record turns a trace and its
+config, plus the reference EigenpairSet when there is one, into the
+JSON-ready record that `assqd run` and `assqd ingest` print; it computes
+err, the distance of the final energy from e0, itself.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from assqd.acquisition import (
     score_two_hop,
     select_top_b,
 )
+from assqd.oracle import EigenpairSet
 from assqd.pauli import PauliHamiltonian
 from assqd.sampling import CountsMultiset, top_k
 from assqd.subspace import (
@@ -98,7 +101,6 @@ class RunTrace:
 
     method: str
     records: tuple[IterationRecord, ...]
-    final_energy: float
     final_subspace: Subspace
     termination: str
 
@@ -107,6 +109,10 @@ class RunTrace:
         for earlier, later in zip(energies, energies[1:]):
             if later > earlier + 1e-12:
                 raise ValueError("trace energies must be non-increasing")
+
+    @property
+    def final_energy(self) -> float:
+        return self.records[-1].energy
 
 
 class RunError(RuntimeError):
@@ -210,7 +216,6 @@ def run_as_sqd(
     return RunTrace(
         method=method_label(config.kind),
         records=tuple(records),
-        final_energy=sol.energy,
         final_subspace=sub,
         termination=termination,
     )
@@ -218,24 +223,24 @@ def run_as_sqd(
 
 def trace_record(
     trace: RunTrace,
-    config: RunConfig | None = None,
+    config: RunConfig,
     model_metadata: dict[str, Any] | None = None,
-    e0: float | None = None,
-    e1: float | None = None,
-    degenerate_ground: bool | None = None,
+    pairs: EigenpairSet | None = None,
 ) -> dict[str, Any]:
-    """A run as a JSON-ready record: config, records, references."""
+    """A run as a JSON-ready record: config, records, reference and error.
+
+    Without reference pairs, every reference field and err are null.
+    """
     return {
         "method": trace.method,
-        "config": dataclasses.asdict(config) if config is not None else None,
+        "config": dataclasses.asdict(config),
         "model": model_metadata,
         "records": [dataclasses.asdict(r) for r in trace.records],
         "final_energy": trace.final_energy,
         "final_subspace": trace.final_subspace.states.tolist(),
         "termination": trace.termination,
         "reference": {
-            "e0": e0,
-            "e1": e1,
-            "degenerate_ground": degenerate_ground,
+            key: getattr(pairs, key, None) for key in ("e0", "e1", "degenerate_ground")
         },
+        "err": None if pairs is None else abs(trace.final_energy - pairs.e0),
     }

@@ -19,8 +19,12 @@ pair is verified against the residual bound
 :func:`apply_hamiltonian`, a term-by-term product that shares no code
 with the CSR builder or that kernel, so neither a silent misconvergence
 nor a wrong matrix entry can leak into benchmark baselines.
-:func:`save_eigenpairs` writes the pairs of ``assqd oracle --pairs`` to
-an .npz; the package never reads one back.
+The result is an :class:`EigenpairSet`, which derives e0, e1 and the
+degeneracy flag (E1 - E0 < DEGENERACY_GAP) from its energies; the
+sweeps, ``assqd oracle`` and the trace records of ``assqd run`` and
+``assqd ingest`` all read them from it.  :func:`save_eigenpairs` writes
+the pairs of ``assqd oracle --pairs`` to an .npz; the package never
+reads one back.
 """
 
 from __future__ import annotations
@@ -68,7 +72,6 @@ class EigenpairSet:
 
     energies: tuple[float, ...]
     vectors: np.ndarray
-    degenerate_ground: bool
 
     def __post_init__(self) -> None:
         if list(self.energies) != sorted(self.energies):
@@ -86,6 +89,11 @@ class EigenpairSet:
     @property
     def e1(self) -> float:
         return self.energies[1]
+
+    @property
+    def degenerate_ground(self) -> bool:
+        """Whether E1 lies within DEGENERACY_GAP of E0."""
+        return self.energies[1] - self.energies[0] < DEGENERACY_GAP
 
     @property
     def psi0(self) -> np.ndarray:
@@ -264,12 +272,8 @@ def exact_lowest(
             f"{method} eigensolve exceeded residual tolerance {RESIDUAL_TOL:.1e}",
             worst,
         )
-    vectors = np.column_stack(columns)
-    energies = tuple(float(v) for v in vals)
     return EigenpairSet(
-        energies=energies,
-        vectors=vectors,
-        degenerate_ground=(energies[1] - energies[0]) < DEGENERACY_GAP,
+        energies=tuple(float(v) for v in vals), vectors=np.column_stack(columns)
     )
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import IO, Any
+from typing import Any
 
 import numpy as np
 
@@ -134,14 +134,10 @@ def parse_counts(obj: dict[str, Any]) -> CountsMultiset:
     return CountsMultiset(counts=counts, n=n)
 
 
-def load_counts(source: str | IO[str]) -> CountsMultiset:
-    """Read the counts wire format from a path or open text stream."""
-    if isinstance(source, str):
-        with open(source, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    else:
-        obj = json.load(source)
-    return parse_counts(obj)
+def load_counts(path: str) -> CountsMultiset:
+    """Read the counts wire format from a file."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return parse_counts(json.load(fh))
 
 
 def counts_to_json(counts: CountsMultiset, bit_order: str = "qubit0_first") -> str:

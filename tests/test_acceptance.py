@@ -29,7 +29,6 @@ from assqd.bench import (
     ExperimentSpec,
     _sweep,
     experiment_hops,
-    median_abs_error,
 )
 from assqd.cli import main as cli_main
 from assqd.models import ModelSpec, build_model
@@ -98,7 +97,7 @@ def hops12(oracle_cache):
 
 
 def _median_err(rows, n: int, method: str) -> float:
-    return median_abs_error(
+    return statistics.median(
         [r.err for r in rows if (r.n, r.method) == (n, method)]
     )
 

@@ -7,6 +7,7 @@ import dataclasses
 import io
 import json
 import math
+import statistics
 import warnings
 
 import pytest
@@ -25,7 +26,6 @@ from assqd.bench import (
     instance_key,
     iterations_to_threshold,
     make_row,
-    median_abs_error,
     prepare_instance,
     rows_to_csv,
 )
@@ -69,31 +69,18 @@ class TestSpecAndHelpers:
         with pytest.raises(ValueError):
             ExperimentSpec(kind="heisenberg", sizes=(4,), seeds=())
 
-    def test_loop_defaults_are_run_config_defaults(self):
-        spec = ExperimentSpec(kind="heisenberg", sizes=(4,))
-        names = ("K", "B", "T", "tau", "eps")
-        assert {f: getattr(spec, f) for f in names} == {
-            f: getattr(RunConfig(), f) for f in names}
-
     def test_run_config_passthrough(self):
-        spec = _tiny_spec(K=7, B=3, T=2, tau=1e-3, eps=1e-6)
-        cfg = spec.run_config(seed=5, hops=2)
-        assert (cfg.K, cfg.B, cfg.T) == (7, 3, 2)
-        assert (cfg.tau, cfg.eps) == (1e-3, 1e-6)
-        assert (cfg.hops, cfg.seed) == (2, 5)
-
-    def test_median_odd(self):
-        assert median_abs_error([1, 2, 3, 4, 5]) == 3
-
-    def test_median_even_averages_center(self):
-        assert median_abs_error([1, 2, 3, 4]) == 2.5
-
-    def test_median_single(self):
-        assert median_abs_error([0.7]) == 0.7
-
-    def test_median_empty_rejected(self):
-        with pytest.raises(ValueError):
-            median_abs_error([])
+        budget = RunConfig(K=7, B=3, T=2, tau=1e-3, eps=1e-6)
+        spec = _tiny_spec(seeds=(0,), budget=budget)
+        rows, _, _ = bench_mod._sweep(spec, ("standard", "as-en"), hops=(1, 2))
+        assert {(r.method, r.hops) for r in rows} == {
+            (m, h) for m in ("standard", "as-en") for h in (1, 2)}
+        for row in rows:
+            assert (row.K, row.B, row.T) == (7, 3, 2)
+            assert (row.tau, row.eps) == (1e-3, 1e-6)
+            # The loop itself ran on the budget: at most T expansions of B.
+            assert row.iters <= 2
+            assert row.subspace_size <= 7 + 2 * 3
 
     def test_instance_key_stable_and_order_free(self):
         a = {"kind": "heisenberg", "n": 4, "seed": 0}
@@ -134,7 +121,8 @@ class TestInstancePreparation:
             warnings.simplefilter("error")
             clean = prepare_instance("heisenberg", 4, 0, 400, 0.2, cache)
         (key,) = cache
-        cache[key] = dataclasses.replace(clean.pairs, degenerate_ground=True)
+        e0 = clean.pairs.e0
+        cache[key] = dataclasses.replace(clean.pairs, energies=(e0, e0))
         with pytest.warns(UserWarning, match="degenerate ground space"):
             bundle = prepare_instance("heisenberg", 4, 0, 400, 0.2, cache)
         assert bundle.pairs is cache[key]
@@ -212,7 +200,7 @@ class TestScalingSweep:
                 r.err for r in rows
                 if (r.n, r.method) == (entry["n"], entry["method"])
             ]
-            assert entry["median_err"] == median_abs_error(group)
+            assert entry["median_err"] == statistics.median(group)
 
     def test_rerun_reproduces_rows_modulo_timing(self, sweep):
         rows, _ = sweep
@@ -286,7 +274,6 @@ class TestIterationsToThreshold:
         return RunTrace(
             method="as-en",
             records=records,
-            final_energy=energies[-1],
             final_subspace=subspace,
             termination="budget",
         ), e0

@@ -10,12 +10,12 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from assqd.bench import CSV_COLUMNS
+from assqd.bench import CSV_COLUMNS, DEFAULT_ETA, default_shots, prepare_instance
 from assqd.cli import main
 from assqd.models import ModelSpec, build_model
 from assqd.oracle import exact_lowest
 from assqd.pauli import parse_hamiltonian
-from assqd.sampling import CountsMultiset, counts_to_json, load_counts
+from assqd.sampling import CountsMultiset, counts_to_json, parse_counts
 
 
 @pytest.fixture()
@@ -93,7 +93,7 @@ class TestSampleVerb:
         result = _invoke(
             runner, ["--seed", "5", "sample", "heisenberg", "4",
                      "--shots", "700"])
-        counts = load_counts_from_text(result.output)
+        counts = parse_counts(json.loads(result.output))
         assert counts.n == 4
         assert sum(counts.counts.values()) == 700
 
@@ -110,11 +110,12 @@ class TestSampleVerb:
         flipped = {key[::-1]: v for key, v in last["counts"].items()}
         assert flipped == first["counts"]
 
-
-def load_counts_from_text(text: str) -> CountsMultiset:
-    import io
-
-    return load_counts(io.StringIO(text))
+    @pytest.mark.parametrize("bit_order", ["qubit0_first", "qubit0_last"])
+    def test_counts_are_the_sweep_instance_counts(self, runner, bit_order):
+        result = _invoke(runner, ["--seed", "3", "sample", "tfim", "6",
+                                  "--bit-order", bit_order])
+        bundle = prepare_instance("tfim", 6, 3, default_shots(6), DEFAULT_ETA)
+        assert result.output == counts_to_json(bundle.counts, bit_order) + "\n"
 
 
 @pytest.fixture()

@@ -215,19 +215,26 @@ class TestTraceSerialization:
         config = RunConfig(T=2, seed=0)
         trace = run_as_sqd(ham, counts, config)
         record = trace_record(
-            trace,
-            config=config,
-            model_metadata={"kind": "heisenberg", "n": 8},
-            e0=pairs.e0,
-            e1=pairs.e1,
-            degenerate_ground=pairs.degenerate_ground,
+            trace, config, model_metadata={"kind": "heisenberg", "n": 8}, pairs=pairs
         )
         payload = json.loads(json.dumps(record))
         assert payload["method"] == "as-en"
         assert payload["config"]["K"] == 50
-        assert payload["reference"]["e0"] == pairs.e0
+        assert payload["reference"] == {
+            "e0": pairs.e0,
+            "e1": pairs.e1,
+            "degenerate_ground": pairs.degenerate_ground,
+        }
+        assert payload["final_energy"] == trace.records[-1].energy
+        assert payload["err"] == abs(trace.final_energy - pairs.e0)
+        assert list(payload)[-2:] == ["reference", "err"]
         assert len(payload["records"]) == len(trace.records)
         assert payload["final_subspace"] == list(trace.final_subspace.states)
+
+        bare = trace_record(trace, config)
+        assert bare["model"] is None
+        assert bare["reference"] == {"e0": None, "e1": None, "degenerate_ground": None}
+        assert bare["err"] is None
 
     def test_json_deterministic_modulo_wall_time(self, heisenberg8):
         ham, _, counts = heisenberg8
@@ -239,8 +246,8 @@ class TestTraceSerialization:
                 r.pop("wall_ms")
             return json.dumps(payload)
 
-        a = json.dumps(trace_record(run_as_sqd(ham, counts, config), config=config))
-        b = json.dumps(trace_record(run_as_sqd(ham, counts, config), config=config))
+        a = json.dumps(trace_record(run_as_sqd(ham, counts, config), config))
+        b = json.dumps(trace_record(run_as_sqd(ham, counts, config), config))
         assert masked(a) == masked(b)
 
 
@@ -281,7 +288,6 @@ class TestRunConfig:
                     IterationRecord(0, -1.0, 1, 0, 0.0),
                     IterationRecord(1, -0.5, 2, 1, 0.0),
                 ),
-                final_energy=-0.5,
                 final_subspace=Subspace((0, 1)),
                 termination="budget",
             )

@@ -15,6 +15,7 @@ from assqd.models import (
     tfim_chain,
 )
 from assqd.oracle import (
+    DEGENERACY_GAP,
     ConvergenceError,
     EigenpairSet,
     apply_hamiltonian,
@@ -294,8 +295,15 @@ class TestEigenpairIO:
     def test_invariants_checked_on_construction(self):
         eye = np.eye(4)
         with pytest.raises(ValueError, match="ascending"):
-            EigenpairSet((1.0, 0.0), eye[:, :2], degenerate_ground=False)
+            EigenpairSet((1.0, 0.0), eye[:, :2])
         with pytest.raises(ValueError, match="one vector column"):
-            EigenpairSet((0.0, 1.0), eye[:, :3], degenerate_ground=False)
+            EigenpairSet((0.0, 1.0), eye[:, :3])
         with pytest.raises(ValueError, match="normalized"):
-            EigenpairSet((0.0, 1.0), 2.0 * eye[:, :2], degenerate_ground=False)
+            EigenpairSet((0.0, 1.0), 2.0 * eye[:, :2])
+
+    def test_degenerate_ground_flips_across_the_gap(self):
+        vectors = np.eye(4)[:, :2]
+        below = EigenpairSet((-1.0, -1.0 + 0.5 * DEGENERACY_GAP), vectors)
+        above = EigenpairSet((-1.0, -1.0 + 2.0 * DEGENERACY_GAP), vectors)
+        assert below.degenerate_ground is True
+        assert above.degenerate_ground is False

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import io
 import json
 
 import numpy as np
@@ -199,11 +198,6 @@ class TestCountsFormat:
         text = counts_to_json(counts, bit_order="qubit0_last")
         loaded = parse_counts(json.loads(text))
         assert loaded == counts
-
-    def test_load_from_stream(self):
-        text = json.dumps({"n": 1, "counts": {"1": 10}})
-        counts = load_counts(io.StringIO(text))
-        assert counts.counts == {1: 10}
 
     def test_malformed_json_raises(self, tmp_path):
         path = tmp_path / "bad.json"
