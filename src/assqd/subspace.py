@@ -14,8 +14,9 @@ Set operations on state arrays sort and compare (:func:`sorted_unique`,
 :meth:`Subspace.positions`); none hashes.  The ground pair comes from
 :func:`assqd.oracle.hermitian_lowest`, the solver the reference oracle
 uses: dense LAPACK on the scattered triplets up to DENSE_SOLVE_MAX
-states, seeded Lanczos on a CSR matrix built from them beyond, so a
-repeated solve returns the same bits on either route.
+states (the measured crossover, kept beside that solver), seeded Lanczos
+on a CSR matrix built from them beyond, so a repeated solve returns the
+same bits on either route.
 """
 
 from __future__ import annotations
@@ -25,22 +26,13 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse
 
-from assqd.oracle import ConvergenceError, fix_phase, hermitian_lowest
+from assqd.oracle import (
+    DENSE_SOLVE_MAX,
+    ConvergenceError,
+    fix_phase,
+    hermitian_lowest,
+)
 from assqd.pauli import BasisState, PauliHamiltonian
-
-# Dense eigensolve up to this subspace size, seeded CSR Lanczos beyond.
-# Measured per solve (CPU ms on an Intel Xeon, one OpenBLAS thread, on
-# prefixes of the expand-wide subspace of seed 0; dense route / sparse
-# route):
-#
-#   m                        100        150        250        300        850
-#   Heisenberg n = 12     0.4 / 1.5  0.8 / 2.4  2.7 / 3.3  4.1 / 3.4  57 / 4.8
-#   TFIM n = 14           0.5 / 2.0  1.1 / 2.1  2.7 / 3.1  3.7 / 3.3  59 / 5.0
-#   Heisenberg + Y0       1.2 / 5.1  2.9 / 7.6  9.9 / 7.8   15 / 8.6 272 / 11
-#
-# Real matrices cross over between 250 and 300 states, complex (odd-Y)
-# ones between 200 and 250.
-DENSE_SOLVE_MAX = 250
 
 HERMITICITY_ATOL = 1e-12
 

@@ -16,11 +16,13 @@ from assqd.models import (
 )
 from assqd.oracle import (
     DEGENERACY_GAP,
+    RESIDUAL_TOL,
     ConvergenceError,
     EigenpairSet,
     apply_hamiltonian,
     exact_lowest,
     hermitian_lowest,
+    popcount_sectors,
     save_eigenpairs,
     sparse_matrix,
 )
@@ -278,6 +280,146 @@ class TestExactLowest:
         assert list(pairs.energies) == sorted(pairs.energies)
         dense_vals = scipy.linalg.eigvalsh(ham.dense_matrix())[:4]
         assert np.allclose(pairs.energies, dense_vals, atol=1e-10)
+
+
+def _with_dm_bond(ham: PauliHamiltonian, strength: float = 0.3) -> PauliHamiltonian:
+    """ham plus a Dzyaloshinskii-Moriya bond D(XY - YX) on qubits 0 and 1.
+
+    Each term has one Y, so the sum is complex; it conserves popcount.
+    """
+    dm = [PauliTerm(0b11, 0b10, strength), PauliTerm(0b11, 0b01, -strength)]
+    return PauliHamiltonian(ham.n, list(ham.terms) + dm)
+
+
+def _refuse_full_csr(monkeypatch):
+    def refuse(ham):
+        raise AssertionError("full CSR route taken")
+
+    monkeypatch.setattr(oracle_mod, "sparse_matrix", refuse)
+
+
+def _assert_same_pairs(a, b, overlap_tol=1e-8):
+    assert np.allclose(a.energies, b.energies, rtol=0.0, atol=1e-10)
+    for col in range(len(a.energies)):
+        overlap = abs(np.vdot(a.vectors[:, col], b.vectors[:, col]))
+        assert overlap >= 1.0 - overlap_tol
+
+
+class TestPopcountSectors:
+    def test_blocks_are_the_dense_matrix_on_each_sector(self):
+        ham, _ = build_model(ModelSpec(kind="heisenberg", n=8, seed=4))
+        for h in (ham, _with_dm_bond(ham)):
+            blocks = popcount_sectors(h)
+            dense = h.dense_matrix()
+            weights = np.bitwise_count(np.arange(1 << h.n))
+            assert len(blocks) == h.n + 1
+            for w, (states, block) in enumerate(blocks):
+                assert np.array_equal(states, np.flatnonzero(weights == w))
+                assert np.array_equal(block.toarray(), dense[np.ix_(states, states)])
+
+
+class TestSectorRoute:
+    """The default route solves a popcount-conserving H block by block."""
+
+    @pytest.mark.parametrize("count", [2, 8])
+    def test_matches_eigvalsh_and_dense_route_at_n10(self, monkeypatch, count):
+        ham, _ = build_model(ModelSpec(kind="heisenberg", n=10, seed=0))
+        dense = exact_lowest(ham, count=count, method="dense")
+        monkeypatch.setattr(oracle_mod, "SECTOR_MIN_QUBITS", 10)
+        _refuse_full_csr(monkeypatch)
+        pairs = exact_lowest(ham, count=count)
+        expected = scipy.linalg.eigvalsh(ham.dense_matrix())[:count]
+        assert np.allclose(pairs.energies, expected, rtol=0.0, atol=1e-10)
+        _assert_same_pairs(pairs, dense)
+
+    @pytest.mark.parametrize("count", [2, 8])
+    def test_matches_full_csr_route_at_n12(self, monkeypatch, count):
+        ham, _ = build_model(ModelSpec(kind="heisenberg", n=12, seed=1))
+        full = exact_lowest(ham, count=count, method="lanczos")
+        monkeypatch.setattr(oracle_mod, "SECTOR_MIN_QUBITS", 12)
+        _refuse_full_csr(monkeypatch)
+        _assert_same_pairs(exact_lowest(ham, count=count), full)
+
+    def test_complex_conserving_hamiltonian(self, monkeypatch):
+        base, _ = build_model(ModelSpec(kind="heisenberg", n=10, seed=2))
+        ham = _with_dm_bond(base)
+        assert not ham.is_real
+        dense = exact_lowest(ham, method="dense")
+        monkeypatch.setattr(oracle_mod, "SECTOR_MIN_QUBITS", 10)
+        _refuse_full_csr(monkeypatch)
+        pairs = exact_lowest(ham)
+        assert pairs.vectors.dtype == np.complex128
+        _assert_same_pairs(pairs, dense)
+
+    @pytest.mark.parametrize("kind", ["tfim", "heisenberg+x"])
+    def test_mixing_hamiltonian_takes_the_full_route(self, monkeypatch, kind):
+        ham, _ = build_model(ModelSpec(kind=kind.split("+")[0], n=10, seed=0))
+        if kind.endswith("+x"):
+            ham = PauliHamiltonian(10, list(ham.terms) + [PauliTerm(1 << 3, 0, 0.2)])
+        assert popcount_sectors(ham) is None
+        full = exact_lowest(ham, method="lanczos")
+        built = []
+
+        def record(h):
+            built.append(h)
+            return sparse_matrix(h)
+
+        monkeypatch.setattr(oracle_mod, "SECTOR_MIN_QUBITS", 10)
+        monkeypatch.setattr(oracle_mod, "sparse_matrix", record)
+        pairs = exact_lowest(ham)
+        assert built == [ham]
+        assert pairs.energies == full.energies
+        assert np.array_equal(pairs.vectors, full.vectors)
+
+    def test_default_route_at_the_crossover(self, monkeypatch):
+        n = oracle_mod.SECTOR_MIN_QUBITS
+        ham, _ = build_model(ModelSpec(kind="heisenberg", n=n, seed=0))
+        full = exact_lowest(ham, method="lanczos")
+        _refuse_full_csr(monkeypatch)
+        _assert_same_pairs(exact_lowest(ham), full)
+
+    def test_degenerate_ground_across_and_within_sectors(self, monkeypatch):
+        # The zero-field ring at odd n has a fourfold ground space: two
+        # states of popcount (n - 1) / 2 and two of popcount (n + 1) / 2.
+        n = 11
+        ham = heisenberg_chain(n, 1.0, DisorderInstance((0.0,) * n, 0))
+        monkeypatch.setattr(oracle_mod, "SECTOR_MIN_QUBITS", n)
+        _refuse_full_csr(monkeypatch)
+        weights = np.bitwise_count(np.arange(1 << n))
+        pairs = exact_lowest(ham, count=4)
+        assert pairs.degenerate_ground
+        assert pairs.energies[3] - pairs.energies[0] < DEGENERACY_GAP
+        sectors = []
+        for e, vec in zip(pairs.energies, pairs.vectors.T):
+            assert np.linalg.norm(apply_hamiltonian(ham, vec) - e * vec) <= RESIDUAL_TOL
+            (sector,) = set(weights[np.abs(vec) > 0].tolist())
+            sectors.append(sector)
+        assert sorted(sectors) == [(n - 1) // 2] * 2 + [(n + 1) // 2] * 2
+        gram = pairs.vectors.conj().T @ pairs.vectors
+        assert np.allclose(gram, np.eye(4), rtol=0.0, atol=1e-10)
+        again = exact_lowest(ham, count=4)
+        assert again.energies == pairs.energies
+        assert np.array_equal(again.vectors, pairs.vectors)
+
+    def test_exact_tie_between_sectors_broken_by_sector(self, monkeypatch):
+        # A ferromagnetic Z ring: |0...0> (sector 0) and |1...1> (sector n)
+        # both have energy -n, to the bit.
+        n = 9
+        ham = tfim_chain(n, 1.0, 0.0, DisorderInstance((0.0,) * n, 0))
+        monkeypatch.setattr(oracle_mod, "SECTOR_MIN_QUBITS", n)
+        _refuse_full_csr(monkeypatch)
+        pairs = exact_lowest(ham)
+        assert pairs.energies == (-float(n), -float(n))
+        assert pairs.psi0.tolist() == np.eye(1 << n)[0].tolist()
+        assert pairs.psi1.tolist() == np.eye(1 << n)[-1].tolist()
+
+    def test_non_convergence_raises(self, monkeypatch):
+        ham, _ = build_model(ModelSpec(kind="heisenberg", n=12, seed=0))
+        monkeypatch.setattr(oracle_mod, "SECTOR_MIN_QUBITS", 12)
+        monkeypatch.setattr(oracle_mod, "LANCZOS_MAXITER", 1)
+        _refuse_full_csr(monkeypatch)
+        with pytest.raises(ConvergenceError, match="restarts"):
+            exact_lowest(ham)
 
 
 class TestEigenpairIO:
