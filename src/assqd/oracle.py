@@ -14,7 +14,12 @@ DEFAULT_DENSE_MAX_QUBITS and SECTOR_MIN_QUBITS):
 - n >= SECTOR_MIN_QUBITS = 14, when H conserves popcount (Heisenberg with
   Z fields): one CSR block per popcount sector (:func:`popcount_sectors`),
   each solved on its own and the pairs merged, so the largest matrix at
-  n = 16 has C(16, 8) = 12870 rows, not 65536;
+  n = 16 has C(16, 8) = 12870 rows, not 65536.  The blocks are solved in
+  ascending order of their Gershgorin floor, a lower bound on their
+  eigenvalues; once count pairs are in hand, a block whose floor lies
+  above the count-th lowest of them cannot hold a wanted pair, and it and
+  every block after it are skipped (Heisenberg at n = 16, count 2: 6 or
+  7 solves instead of 18);
 - otherwise, up to ORACLE_MAX_QUBITS = 20: H built once as one CSR matrix
   (:func:`sparse_matrix`).
 
@@ -63,45 +68,49 @@ RESIDUAL_TOL = 1e-9
 LANCZOS_MAXITER = 20_000
 
 # Largest n the default route solves densely.  Measured per solve (CPU
-# time, one BLAS thread, Heisenberg, TFIM and a complex random Hamiltonian,
-# count 2 and 8): at n = 8 dense eigh takes 4.1-12.7 ms and CSR + ARPACK
-# 4.2-24.8 ms (ratio 0.96-1.96); at n = 9 dense 17-74 ms and sparse
-# 4.7-59 ms (ratio 0.26-0.81); at n = 12 dense 5.7-30 s and sparse
-# 0.03-0.51 s.  Every n above it keeps ARPACK's count < dim - 1 for the
-# largest count, 8.
+# time, one BLAS thread, Heisenberg, TFIM and a complex random Hamiltonian
+# of 4n terms, count 2 and 8, ARPACK at scipy's default Krylov size): at
+# n = 8 dense eigh takes 5.9-20 ms and CSR + ARPACK 5.8-27 ms (ratio
+# 0.89-1.38); at n = 9 dense 22-88 ms and sparse 4.9-62 ms (ratio
+# 0.22-0.71); at n = 12 dense 5.7-30 s and sparse 0.03-0.53 s.  Every n
+# above it keeps ARPACK's count < dim - 1 for the largest count, 8.
 DEFAULT_DENSE_MAX_QUBITS = 8
 
 # Smallest n whose default route splits a popcount-conserving H into its
-# sectors.  Measured per solve (CPU ms, median of 5, one BLAS thread,
-# Heisenberg disorder seeds 0-2; full CSR route / sector route):
+# sectors.  Measured per solve (CPU ms, median of 5, 3 from n = 15, one
+# BLAS thread, Heisenberg disorder seeds 0-2, ARPACK at scipy's default
+# Krylov size; full CSR route / sector route with the Gershgorin skip):
 #
 #   n          count 2                count 8
-#   9      4.5-6.4 / 6.3-7.4     12.7-15.4 / 11.4-14.3
-#   10     9.5-11  / 17-21         18-23   /   30-39
-#   11      14     / 25-26         26-31   /   44-49
-#   12      35-40  / 52-54         60-65   /   89-93
-#   13      62-81  / 83-92        135-169  /  135-159
-#   14     182-233 / 158-161      306-329  /  241-263
-#   15     370-460 / 288-298      634-821  /  461-542
-#   16   1278-1380 / 669-697     1677-2009 / 1181-1338
+#   9      4.1-6.6 / 5.0-5.5      11-15   /   9.6-12
+#   10     7.9-11  / 17-18        19-19   /    34-37
+#   11      13-15  / 20-25        27-40   /    53-60
+#   12      23-40  / 32-37        42-46   /    64-70
+#   13      32-51  / 45-52        85-145  /    95-123
+#   14     118-157 / 92-107      238-262  /   183-213
+#   15     256-367 / 151-207     516-697  /   396-433
+#   16     887-1187 / 422-471   1392-1619 /   821-925
 #
 # Below it the fixed cost of one ARPACK solve per sector outweighs what
-# the smaller solves save.  Heisenberg plus a complex XY - YX bond crosses at the same
-# n (count 2: 156-180 / 180-193 ms at n = 13, 418-503 / 346-372 at 14).
+# the smaller solves save.  Heisenberg plus a complex XY - YX bond
+# crosses one n lower (count 2: 111-127 / 83-110 ms at n = 13, 262-369 /
+# 168-215 at 14).
 SECTOR_MIN_QUBITS = 14
 
 # Dense eigensolve up to this matrix order, seeded CSR Lanczos beyond.
-# Measured per solve (CPU ms on an Intel Xeon, one OpenBLAS thread, on
-# prefixes of the expand-wide subspace of seed 0; dense route / sparse
-# route):
+# Measured per solve (CPU ms on an Intel Xeon, one OpenBLAS thread, median
+# over three runs of a median of 9, on prefixes of the expand-wide subspace
+# of seed 0; dense route / sparse route at scipy's default Krylov size):
 #
-#   m                        100        150        250        300        850
-#   Heisenberg n = 12     0.4 / 1.5  0.8 / 2.4  2.7 / 3.3  4.1 / 3.4  57 / 4.8
-#   TFIM n = 14           0.5 / 2.0  1.1 / 2.1  2.7 / 3.1  3.7 / 3.3  59 / 5.0
-#   Heisenberg + Y0       1.2 / 5.1  2.9 / 7.6  9.9 / 7.8   15 / 8.6 272 / 11
+#   m                        100        150        200        250        300        850
+#   Heisenberg n = 12     0.7 / 2.3  1.3 / 2.9  2.2 / 2.9  3.4 / 2.8  4.7 / 3.8  76 / 4.0
+#   TFIM n = 14           0.7 / 2.4  1.4 / 2.5  2.3 / 3.1  3.5 / 3.1  4.9 / 3.3  75 / 5.4
+#   Heisenberg + Y0       1.0 / 3.0  3.1 / 3.9  5.7 / 4.3   11 / 4.4   16 / 5.5 310 / 9.6
 #
-# Real matrices cross over between 250 and 300 states, complex (odd-Y)
-# ones between 200 and 250.
+# Real matrices now cross over between 200 and 250 states, complex (odd-Y)
+# ones between 150 and 200.  The limit stays at 250: there the real routes
+# differ by under a millisecond, and moving it moves the last bits of E_est
+# on every run whose subspace passes through the new range.
 DENSE_SOLVE_MAX = 250
 
 
@@ -196,8 +205,12 @@ def hermitian_lowest(
     A dense array goes to LAPACK (``scipy.linalg.eigh``); a sparse one to
     implicitly-restarted Lanczos (ARPACK ``eigsh``) from a start vector
     drawn with seed 0, so a repeated call returns the same bits whatever
-    ran before it.  The pairs are not residual-checked here; callers check
-    them against their own bound.
+    ran before it.  The Krylov basis is scipy's default size,
+    min(dim, max(2 count + 1, 20)): most of a solve is ARPACK's own work
+    on its basis, and twice as many vectors cost more per restart than
+    the restarts they save (a count-2 Heisenberg solve at n = 16 took
+    0.58-0.66 s with 40 vectors, 0.42-0.47 s with 20).  The pairs are not
+    residual-checked here; callers check them against their own bound.
     """
     if not scipy.sparse.issparse(matrix):
         return scipy.linalg.eigh(matrix, subset_by_index=(0, count - 1))
@@ -210,8 +223,7 @@ def hermitian_lowest(
     v0 = np.random.default_rng(0).standard_normal(dim)
     try:
         vals, vecs = scipy.sparse.linalg.eigsh(
-            matrix, k=count, which="SA", v0=v0,
-            ncv=min(dim, max(2 * count + 1, 40)), maxiter=LANCZOS_MAXITER,
+            matrix, k=count, which="SA", v0=v0, maxiter=LANCZOS_MAXITER
         )
     except scipy.sparse.linalg.ArpackNoConvergence as exc:
         if len(exc.eigenvalues) == 0:
@@ -319,47 +331,82 @@ def popcount_sectors(
     return blocks
 
 
+def _gershgorin_floor(block: scipy.sparse.csr_array) -> float:
+    """min_i(Re H_ii - sum_{j != i} |H_ij|), a lower bound on every eigenvalue.
+
+    The row sums read only ``data`` and ``indptr``.  The diagonal comes
+    from ``block.diagonal()``, which reads ``indices`` in place: a row's
+    first stored entry is its diagonal only when that is nonzero, since
+    :func:`_csr_block` drops cancelled entries.  Anything that brings the
+    block to canonical form (``abs(block)``, a sum over an axis) sorts
+    ``indices`` in place, and the solve's products, summed in the new
+    order, change their last bits.
+    """
+    size = block.shape[0]
+    rows = np.repeat(np.arange(size), np.diff(block.indptr))
+    row_sum = np.bincount(rows, weights=np.abs(block.data), minlength=size)
+    diagonal = block.diagonal()
+    return float(np.min(diagonal.real + np.abs(diagonal) - row_sum))
+
+
 def _lowest_over_blocks(
     blocks: list[tuple[np.ndarray, scipy.sparse.csr_array]], count: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Lowest count eigenpairs of a block-diagonal H, scattered to 2^n vectors.
 
-    Every block first gives its lowest pair, and the solved pairs are
-    ranked by energy, ties by block.  The eigenvalues a block has not
-    given yet rank after its deepest solved pair, so they can reach the
-    lowest count only when that pair ranks among the lowest count - 1.
-    While some block's does, the one ranked first is solved again, deep
-    enough to fill the ranks below its deepest pair, and the pairs are
-    ranked again.  Blocks of at most DENSE_SOLVE_MAX states are solved
-    densely.
+    Blocks give their lowest pair in ascending order of their Gershgorin
+    floor (:func:`_gershgorin_floor`), ties by block.  Once count pairs
+    are in hand, a block whose floor lies above the count-th lowest of
+    them (by more than RESIDUAL_TOL, for rounding) has no eigenvalue
+    among the lowest count, so it and every block after it are skipped.
+    The solved pairs are ranked by energy, ties by block.  The eigenvalues
+    a block has not given yet rank after its deepest solved pair, so they
+    can reach the lowest count only when that pair ranks among the lowest
+    count - 1.  While some block's does, the one ranked first is solved
+    again, deep enough to fill the ranks below its deepest pair, and the
+    pairs are ranked again.  A skipped block's pairs would all rank at
+    count or later, so the result is the one that solving every block
+    gives, to the bit.  Blocks of at most DENSE_SOLVE_MAX states are
+    solved densely.
     """
-    depth = [1] * len(blocks)
-    solved: list = [None] * len(blocks)
+
+    def solve(w: int, depth: int) -> tuple[np.ndarray, np.ndarray]:
+        states, block = blocks[w]
+        matrix = block.toarray() if len(states) <= DENSE_SOLVE_MAX else block
+        return hermitian_lowest(matrix, depth)
+
+    floors = [_gershgorin_floor(block) for _, block in blocks]
+    solved = {}
+    for w in sorted(range(len(blocks)), key=floors.__getitem__):
+        if len(solved) >= count:
+            energies = np.sort(np.concatenate([vals for vals, _ in solved.values()]))
+            if floors[w] > energies[count - 1] + RESIDUAL_TOL:
+                break
+        solved[w] = solve(w, 1)
+    live = sorted(solved)
     while True:
-        for w, (states, block) in enumerate(blocks):
-            if solved[w] is None or len(solved[w][0]) < depth[w]:
-                matrix = block.toarray() if len(states) <= DENSE_SOLVE_MAX else block
-                solved[w] = hermitian_lowest(matrix, depth[w])
-        energies = np.concatenate([vals for vals, _ in solved])
-        owner = np.repeat(np.arange(len(blocks)), depth)
-        order = np.lexsort((owner, energies))
+        depth = np.array([len(solved[w][0]) for w in live])
+        slot = np.repeat(np.arange(len(live)), depth)
+        energies = np.concatenate([solved[w][0] for w in live])
+        order = np.lexsort((np.array(live)[slot], energies))
         rank = np.empty(len(order), dtype=np.int64)
         rank[order] = np.arange(len(order))
         deepest = rank[np.cumsum(depth) - 1]
         short = [
-            w for w, (states, _) in enumerate(blocks)
-            if deepest[w] < count - 1 and depth[w] < len(states)
+            i for i, w in enumerate(live)
+            if deepest[i] < count - 1 and depth[i] < len(blocks[w][0])
         ]
         if not short:
             break
-        w = min(short, key=lambda w: deepest[w])
-        depth[w] = min(len(blocks[w][0]), depth[w] + count - 1 - int(deepest[w]))
-    first = np.cumsum(depth) - np.asarray(depth)
+        i = min(short, key=lambda i: deepest[i])
+        w = live[i]
+        solved[w] = solve(w, min(len(blocks[w][0]), depth[i] + count - 1 - int(deepest[i])))
+    first = np.cumsum(depth) - depth
     dim = sum(len(states) for states, _ in blocks)
     vecs = np.zeros((dim, count), dtype=blocks[0][1].dtype)
     for col, at in enumerate(order[:count]):
-        w = owner[at]
-        vecs[blocks[w][0], col] = solved[w][1][:, at - first[w]]
+        i = slot[at]
+        vecs[blocks[live[i]][0], col] = solved[live[i]][1][:, at - first[i]]
     return energies[order[:count]], vecs
 
 

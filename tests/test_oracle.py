@@ -183,12 +183,17 @@ class TestExactLowest:
         assert abs(pairs.e0 + n) <= 1e-10
         assert abs(pairs.e1 + n) <= 1e-10
 
-    # With one restart, ARPACK converges one of two pairs on the Heisenberg
-    # instance and none on the TFIM one.
-    @pytest.mark.parametrize("kind, finite", [("heisenberg", True), ("tfim", False)])
-    def test_arpack_non_convergence_raises(self, monkeypatch, kind, finite):
+    # At scipy's default Krylov size, four restarts converge one of two
+    # pairs on the Heisenberg instance (a finite partial residual), and one
+    # restart converges none on the TFIM one (residual inf).
+    @pytest.mark.parametrize(
+        "kind, restarts, finite",
+        [("heisenberg", 4, True), ("tfim", 1, False)],
+        ids=["heisenberg-True", "tfim-False"],
+    )
+    def test_arpack_non_convergence_raises(self, monkeypatch, kind, restarts, finite):
         ham, _ = build_model(ModelSpec(kind=kind, n=12, seed=0))
-        monkeypatch.setattr(oracle_mod, "LANCZOS_MAXITER", 1)
+        monkeypatch.setattr(oracle_mod, "LANCZOS_MAXITER", restarts)
         with pytest.raises(ConvergenceError, match="restarts") as info:
             exact_lowest(ham)
         assert np.isfinite(info.value.achieved_residual) == finite
@@ -420,6 +425,99 @@ class TestSectorRoute:
         _refuse_full_csr(monkeypatch)
         with pytest.raises(ConvergenceError, match="restarts"):
             exact_lowest(ham)
+
+    @pytest.mark.parametrize("count", [2, 8])
+    @pytest.mark.parametrize("n", [12, 14])
+    def test_skip_is_bit_identical_to_solving_every_sector(self, monkeypatch, n, count):
+        ham, _ = build_model(ModelSpec(kind="heisenberg", n=n, seed=0))
+        monkeypatch.setattr(oracle_mod, "SECTOR_MIN_QUBITS", n)
+        _refuse_full_csr(monkeypatch)
+        pairs = exact_lowest(ham, count=count)
+        monkeypatch.setattr(oracle_mod, "_gershgorin_floor", lambda block: -np.inf)
+        every = exact_lowest(ham, count=count)
+        assert pairs.energies == every.energies
+        assert np.array_equal(pairs.vectors, every.vectors)
+
+    def test_fewer_solves_than_sectors(self, monkeypatch):
+        n = 14
+        ham, _ = build_model(ModelSpec(kind="heisenberg", n=n, seed=0))
+        solves = []
+
+        def record(matrix, count):
+            solves.append(count)
+            return hermitian_lowest(matrix, count)
+
+        monkeypatch.setattr(oracle_mod, "SECTOR_MIN_QUBITS", n)
+        monkeypatch.setattr(oracle_mod, "hermitian_lowest", record)
+        exact_lowest(ham)
+        assert 2 <= len(solves) < n + 1
+
+    def test_solve_leaves_block_indices_in_place(self, monkeypatch):
+        # Sorting a block's indices (as abs(block) does) reorders the sums
+        # in its products and moves the eigenpairs' last bits.
+        n = 12
+        ham, _ = build_model(ModelSpec(kind="heisenberg", n=n, seed=0))
+        copies = []
+
+        def record(h):
+            blocks = popcount_sectors(h)
+            copies.extend((block, block.indices.copy()) for _, block in blocks)
+            return blocks
+
+        monkeypatch.setattr(oracle_mod, "SECTOR_MIN_QUBITS", n)
+        monkeypatch.setattr(oracle_mod, "popcount_sectors", record)
+        exact_lowest(ham, count=8)
+        assert len(copies) == n + 1
+        assert not all(block.has_sorted_indices for block, _ in copies)
+        for block, indices in copies:
+            assert np.array_equal(block.indices, indices)
+
+    @pytest.mark.parametrize("kind", ["real", "complex", "zero-field ring"])
+    def test_floor_bounds_each_block_from_below(self, kind):
+        n = 10
+        ham, _ = build_model(ModelSpec(kind="heisenberg", n=n, seed=3))
+        if kind == "complex":
+            ham = _with_dm_bond(ham)
+        elif kind == "zero-field ring":
+            # At n = 8 rows with four domain walls have a zero diagonal, so
+            # their first stored entry is off the diagonal; the lowest
+            # eigenvalue of sectors 1 and n - 1 meets the floor, up to
+            # rounding.
+            n = 8
+            ham = heisenberg_chain(n, 1.0, DisorderInstance((0.0,) * n, 0))
+        for _, block in popcount_sectors(ham):
+            floor = oracle_mod._gershgorin_floor(block)
+            lowest = scipy.linalg.eigvalsh(block.toarray())[0]
+            assert floor <= lowest + RESIDUAL_TOL
+            if kind != "zero-field ring":
+                assert floor <= lowest
+
+    @pytest.mark.parametrize("count", [2, 4])
+    def test_pairs_above_the_ground_energy_still_found(self, monkeypatch, count):
+        # A strong uniform field puts the ground state in sector n, alone at
+        # -40, and every other floor above -40: no block may be skipped
+        # before count pairs are in hand.
+        n = 8
+        ham = heisenberg_chain(n, 1.0, DisorderInstance((6.0,) * n, 0))
+        expected = scipy.linalg.eigvalsh(ham.dense_matrix())[:count]
+        monkeypatch.setattr(oracle_mod, "SECTOR_MIN_QUBITS", n)
+        _refuse_full_csr(monkeypatch)
+        pairs = exact_lowest(ham, count=count)
+        assert pairs.e0 == -40.0
+        assert np.allclose(pairs.energies, expected, rtol=0.0, atol=1e-10)
+
+    def test_tie_at_the_cut_goes_to_the_lower_sector(self, monkeypatch):
+        # Blocks: |00> at -1 (floor -1), {|01>, |10>} = [[0, 2], [2, 3]] with
+        # eigenvalues -1 and 4 (floor -2), and |11> at -2 (floor -2).  The
+        # floor order solves sectors 1 and 2 first; sector 0's floor equals
+        # the second-lowest energy, and sector 0 wins that tie.
+        ham = parse_hamiltonian("1 ZI\n-0.5 IZ\n-1.5 ZZ\n1 XX\n1 YY\n")
+        monkeypatch.setattr(oracle_mod, "SECTOR_MIN_QUBITS", 2)
+        _refuse_full_csr(monkeypatch)
+        pairs = exact_lowest(ham)
+        assert pairs.energies == (-2.0, -1.0)
+        assert pairs.psi0.tolist() == [0.0, 0.0, 0.0, 1.0]
+        assert pairs.psi1.tolist() == [1.0, 0.0, 0.0, 0.0]
 
 
 class TestEigenpairIO:
