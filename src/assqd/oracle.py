@@ -16,10 +16,15 @@ DEFAULT_DENSE_MAX_QUBITS and SECTOR_MIN_QUBITS):
   each solved on its own and the pairs merged, so the largest matrix at
   n = 16 has C(16, 8) = 12870 rows, not 65536.  The blocks are solved in
   ascending order of their Gershgorin floor, a lower bound on their
-  eigenvalues; once count pairs are in hand, a block whose floor lies
-  above the count-th lowest of them cannot hold a wanted pair, and it and
-  every block after it are skipped (Heisenberg at n = 16, count 2: 6 or
-  7 solves instead of 18);
+  eigenvalues, the first for count pairs at once and the rest for one;
+  once count pairs are in hand, a block whose floor lies above the
+  count-th lowest of them cannot hold a wanted pair, and it and every
+  block after it are skipped.  A block whose Gershgorin floor falls short
+  is skipped alone when a tighter Collatz-Wielandt floor
+  (:func:`_weighted_floor`) clears that cut.  Heisenberg at n = 16
+  (disorder seeds 0-5) makes 3 solves of its 17 sectors at count 2 and 7
+  at count 8, where the Gershgorin floor alone, with every sector solved
+  once before any is deepened, makes 6-8 and 12;
 - otherwise, up to ORACLE_MAX_QUBITS = 20: H built once as one CSR matrix
   (:func:`sparse_matrix`).
 
@@ -35,8 +40,8 @@ forces the latter and tests compare the routes, while the command line
 always takes the one the size and H pick.  Every returned pair, sector
 pairs scattered back to 2^n vectors included, is verified against the
 residual bound ``norm(H psi - E psi) <= RESIDUAL_TOL`` (1e-9) through
-:func:`apply_hamiltonian`, a term-by-term product on the full vector that
-shares no code with the CSR builder or that kernel, so neither a silent
+:func:`apply_hamiltonian`, a term-by-term product on the full vectors
+(all pairs in one call) that shares no code with the CSR builder or that kernel, so neither a silent
 misconvergence nor a wrong matrix entry can leak into benchmark
 baselines.  The result is an :class:`EigenpairSet`, which derives e0, e1
 and the degeneracy flag (E1 - E0 < DEGENERACY_GAP) from its energies; the
@@ -79,22 +84,25 @@ DEFAULT_DENSE_MAX_QUBITS = 8
 # Smallest n whose default route splits a popcount-conserving H into its
 # sectors.  Measured per solve (CPU ms, median of 5, 3 from n = 15, one
 # BLAS thread, Heisenberg disorder seeds 0-2, ARPACK at scipy's default
-# Krylov size; full CSR route / sector route with the Gershgorin skip):
+# Krylov size; full CSR route / sector route with both floors and the
+# first sector solved for count pairs):
 #
 #   n          count 2                count 8
-#   9      4.1-6.6 / 5.0-5.5      11-15   /   9.6-12
-#   10     7.9-11  / 17-18        19-19   /    34-37
-#   11      13-15  / 20-25        27-40   /    53-60
-#   12      23-40  / 32-37        42-46   /    64-70
-#   13      32-51  / 45-52        85-145  /    95-123
-#   14     118-157 / 92-107      238-262  /   183-213
-#   15     256-367 / 151-207     516-697  /   396-433
-#   16     887-1187 / 422-471   1392-1619 /   821-925
+#   9        4-6   / 5-7           10-12   /  12-14
+#   10      10-11  / 13-18          9-11   /  17-20
+#   11       10    / 10-11         15-20   /  28-29
+#   12      20-30  / 17-21         32-36   /  40-42
+#   13      28-38  / 23            77-98   /  69-83
+#   14     104-155 / 53-78        177-196  / 107-131
+#   15     204-300 / 95-121       357-538  / 251-285
+#   16     649-938 / 246-296     1084-1287 / 603-677
 #
-# Below it the fixed cost of one ARPACK solve per sector outweighs what
-# the smaller solves save.  Heisenberg plus a complex XY - YX bond
-# crosses one n lower (count 2: 111-127 / 83-110 ms at n = 13, 262-369 /
-# 168-215 at 14).
+# Below n = 12 the fixed cost of one ARPACK solve per sector outweighs
+# what the smaller solves save.  The sector route now also wins at n = 13
+# (2 solves at count 2, where the Gershgorin floor alone made 5-6) and at
+# n = 12, count 2, as does Heisenberg plus a complex XY - YX bond (count
+# 2: 104-121 / 63-99 ms at n = 13, 240-334 / 104-142 at 14).  The limit
+# stays at 14: moving it moves the last bits of E0 and E1 at n = 12-13.
 SECTOR_MIN_QUBITS = 14
 
 # Dense eigensolve up to this matrix order, seeded CSR Lanczos beyond.
@@ -112,6 +120,22 @@ SECTOR_MIN_QUBITS = 14
 # differ by under a millisecond, and moving it moves the last bits of E_est
 # on every run whose subspace passes through the new range.
 DENSE_SOLVE_MAX = 250
+
+# Power steps of the Collatz-Wielandt sector floor (_weighted_floor).
+# Measured on Heisenberg n = 16, disorder seeds 0-5 (one BLAS thread;
+# solves per oracle call, and the CPU time spent on the bound):
+#
+#   steps      count 2              count 8
+#   none     5-7 solves            9 solves
+#   10       3-5,  12-14 ms        7,  14-15 ms
+#   20       3,    17-20 ms        7,  20-24 ms
+#   30       3,    19-23 ms        5-7, 21-33 ms
+#   40       3,    19-27 ms        5-6, 25-32 ms
+#
+# Interleaved medians over the six seeds: count 2 took 211, 216 and 220
+# ms at 20, 30 and 40 steps, count 8 508, 499 and 485 ms.  Count 2 is the
+# one every sweep uses.
+FLOOR_STEPS = 20
 
 
 class ConvergenceError(RuntimeError):
@@ -163,19 +187,25 @@ class EigenpairSet:
 def apply_hamiltonian(ham: PauliHamiltonian, v: np.ndarray) -> np.ndarray:
     """H @ v without materializing H: one XOR-gather per distinct x_mask.
 
-    The terms of ``ham.terms`` are grouped by x_mask here, and each mask's
-    terms are summed into one amplitude per source state i ^ x_mask
-    (signed by that source state) before the gather, so the residual check
-    shares no code with the CSR builder or the Pauli kernel behind it.
+    ``v`` is one vector of 2^n entries or a (2^n, k) block of k column
+    vectors, and the result has its shape.  The terms of ``ham.terms`` are
+    grouped by x_mask here, and each mask's terms are summed into one
+    amplitude per source state i ^ x_mask (signed by that source state)
+    before the gather, so the residual check shares no code with the CSR
+    builder or the Pauli kernel behind it.  Each amplitude is formed once
+    and applied to the columns in turn, so every column gets the bits of
+    a call on that column alone (one broadcast product over the block was
+    slower).
     """
     v = np.asarray(v)
     dim = 1 << ham.n
-    if v.shape != (dim,):
+    if v.shape[:1] != (dim,) or v.ndim > 2:
         raise ValueError(f"expected vector of dimension {dim}, got shape {v.shape}")
+    columns = np.ascontiguousarray(v.reshape(dim, -1).T)
     groups: dict[int, list[PauliTerm]] = {}
     for term in ham.terms:
         groups.setdefault(term.x_mask, []).append(term)
-    out = np.zeros(dim, dtype=np.result_type(v.dtype, ham.dtype, np.float64))
+    out = np.zeros(columns.shape, dtype=np.result_type(v.dtype, ham.dtype, np.float64))
     idx = np.arange(dim, dtype=np.int64)
     for x in sorted(groups):
         src = idx ^ x
@@ -183,8 +213,9 @@ def apply_hamiltonian(ham: PauliHamiltonian, v: np.ndarray) -> np.ndarray:
         for term in groups[x]:
             w = term.weight.real if ham.is_real else term.weight
             amp += np.where(np.bitwise_count(src & term.z_mask) & 1, -w, w)
-        out += amp * v[src]
-    return out
+        for column, vec in zip(out, columns):
+            column += amp * vec[src]
+    return out.T.reshape(v.shape)
 
 
 def fix_phase(vec: np.ndarray) -> np.ndarray:
@@ -331,22 +362,50 @@ def popcount_sectors(
     return blocks
 
 
-def _gershgorin_floor(block: scipy.sparse.csr_array) -> float:
-    """min_i(Re H_ii - sum_{j != i} |H_ij|), a lower bound on every eigenvalue.
+def _weighted_floor(block: scipy.sparse.csr_array, steps: int, cut: float) -> float:
+    """A Collatz-Wielandt lower bound on every eigenvalue of the block.
 
-    The row sums read only ``data`` and ``indptr``.  The diagonal comes
-    from ``block.diagonal()``, which reads ``indices`` in place: a row's
-    first stored entry is its diagonal only when that is nonzero, since
+    With M = Re diag(H) - |offdiag(H)|, every vector v has v^H H v >=
+    |v|^T M |v|, so H's lowest eigenvalue is at least M's, which for every
+    positive x is at least min_i (M x)_i / x_i; this holds for a complex H
+    too.  At x = 1 the bound is the Gershgorin floor, min_i(Re H_ii -
+    sum_{j != i} |H_ij|).  Each of at most ``steps`` power steps replaces x
+    by (c I - M) x, scaled to a largest entry of 1, where c = max_i Re H_ii
+    + max_i sum_{j != i} |H_ij| leaves c I - M no negative entry, and draws
+    x towards M's lowest eigenvector, where the bound meets M's lowest
+    eigenvalue.  The steps stop once the bound exceeds ``cut``, or when x
+    stops being positive (a state at c that no entry couples to).  The
+    largest bound met is returned.
+
+    |H| is a CSR matrix of ``abs(data)`` that shares the block's
+    ``indices`` and ``indptr``.  The diagonal comes from
+    ``block.diagonal()``, which reads ``indices`` in place: a row's first
+    stored entry is its diagonal only when that is nonzero, since
     :func:`_csr_block` drops cancelled entries.  Anything that brings the
     block to canonical form (``abs(block)``, a sum over an axis) sorts
     ``indices`` in place, and the solve's products, summed in the new
     order, change their last bits.
     """
-    size = block.shape[0]
-    rows = np.repeat(np.arange(size), np.diff(block.indptr))
-    row_sum = np.bincount(rows, weights=np.abs(block.data), minlength=size)
+    magnitude = scipy.sparse.csr_array(
+        (np.abs(block.data), block.indices, block.indptr), shape=block.shape
+    )
     diagonal = block.diagonal()
-    return float(np.min(diagonal.real + np.abs(diagonal) - row_sum))
+    own = diagonal.real + np.abs(diagonal)
+    x = np.ones(block.shape[0])
+    product = magnitude @ x
+    floor = float(np.min(own - product))
+    # (c I - M) x = (c - own) x + |H| x, as |H| x holds |H_ii| x_i.
+    rest = np.max(diagonal.real) + np.max(product - np.abs(diagonal)) - own
+    for _ in range(steps):
+        if floor > cut:
+            break
+        x = rest * x + product
+        if not np.all(x > 0.0):
+            break
+        x /= np.max(x)
+        product = magnitude @ x
+        floor = max(floor, float(np.min(own - product / x)))
+    return floor
 
 
 def _lowest_over_blocks(
@@ -354,35 +413,53 @@ def _lowest_over_blocks(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Lowest count eigenpairs of a block-diagonal H, scattered to 2^n vectors.
 
-    Blocks give their lowest pair in ascending order of their Gershgorin
-    floor (:func:`_gershgorin_floor`), ties by block.  Once count pairs
-    are in hand, a block whose floor lies above the count-th lowest of
-    them (by more than RESIDUAL_TOL, for rounding) has no eigenvalue
-    among the lowest count, so it and every block after it are skipped.
+    Blocks are taken in ascending order of their Gershgorin floor
+    (:func:`_weighted_floor` with no steps), ties by block.  The first
+    gives its lowest min(count, size) pairs, each later one its lowest
+    pair.  Once count pairs are in hand, a block with no eigenvalue at or
+    below the count-th lowest of them (plus RESIDUAL_TOL, for rounding)
+    cannot hold a wanted pair: when its Gershgorin floor lies above that
+    cut, it and every block after it are skipped, and when the bound of
+    FLOOR_STEPS power steps does, it alone is.
+
     The solved pairs are ranked by energy, ties by block.  The eigenvalues
     a block has not given yet rank after its deepest solved pair, so they
     can reach the lowest count only when that pair ranks among the lowest
     count - 1.  While some block's does, the one ranked first is solved
     again, deep enough to fill the ranks below its deepest pair, and the
-    pairs are ranked again.  A skipped block's pairs would all rank at
-    count or later, so the result is the one that solving every block
-    gives, to the bit.  Blocks of at most DENSE_SOLVE_MAX states are
-    solved densely.
+    pairs are ranked again.  Had every block given one pair first, the
+    loop would begin by solving the first block again at depth min(count,
+    size) whenever its pair ranks first, so solving it there at once
+    saves a solve and reaches the same state.  When another block's lowest
+    energy lies within RESIDUAL_TOL of its lowest, the first block is
+    solved again at depth 1 before the loop, which restores that state.  A
+    skipped block's pairs would all rank at count or later, so the result
+    is the one that solving every block gives, to the bit.  Blocks of at
+    most DENSE_SOLVE_MAX states are solved densely.
     """
 
     def solve(w: int, depth: int) -> tuple[np.ndarray, np.ndarray]:
         states, block = blocks[w]
         matrix = block.toarray() if len(states) <= DENSE_SOLVE_MAX else block
-        return hermitian_lowest(matrix, depth)
+        return hermitian_lowest(matrix, min(depth, len(states)))
 
-    floors = [_gershgorin_floor(block) for _, block in blocks]
-    solved = {}
-    for w in sorted(range(len(blocks)), key=floors.__getitem__):
-        if len(solved) >= count:
-            energies = np.sort(np.concatenate([vals for vals, _ in solved.values()]))
-            if floors[w] > energies[count - 1] + RESIDUAL_TOL:
+    floors = [_weighted_floor(block, 0, np.inf) for _, block in blocks]
+    lead, *rest = sorted(range(len(blocks)), key=floors.__getitem__)
+    solved = {lead: solve(lead, count)}
+    for w in rest:
+        energies = np.sort(np.concatenate([vals for vals, _ in solved.values()]))
+        if len(energies) >= count:
+            cut = energies[count - 1] + RESIDUAL_TOL
+            if floors[w] > cut:
                 break
+            if _weighted_floor(blocks[w][1], FLOOR_STEPS, cut) > cut:
+                continue
         solved[w] = solve(w, 1)
+    ground = solved[lead][0][0]
+    if len(solved[lead][0]) > 1 and any(
+        vals[0] <= ground + RESIDUAL_TOL for w, (vals, _) in solved.items() if w != lead
+    ):
+        solved[lead] = solve(lead, 1)
     live = sorted(solved)
     while True:
         depth = np.array([len(solved[w][0]) for w in live])
@@ -400,7 +477,7 @@ def _lowest_over_blocks(
             break
         i = min(short, key=lambda i: deepest[i])
         w = live[i]
-        solved[w] = solve(w, min(len(blocks[w][0]), depth[i] + count - 1 - int(deepest[i])))
+        solved[w] = solve(w, depth[i] + count - 1 - int(deepest[i]))
     first = np.cumsum(depth) - depth
     dim = sum(len(states) for states, _ in blocks)
     vecs = np.zeros((dim, count), dtype=blocks[0][1].dtype)
@@ -439,6 +516,7 @@ def exact_lowest(
             method = "dense" if ham.n <= DEFAULT_DENSE_MAX_QUBITS else "lanczos"
     if blocks is not None:
         vals, vecs = _lowest_over_blocks(blocks, count)
+        del blocks  # freed before the residual check's 2^n-long work arrays
     elif method == "dense":
         if ham.n > DENSE_MAX_QUBITS:
             raise ValueError(f"dense route limited to n <= {DENSE_MAX_QUBITS}")
@@ -453,20 +531,17 @@ def exact_lowest(
     else:
         raise ValueError(f"unknown method {method!r}")
 
-    columns = []
-    worst = 0.0
-    for i in range(count):
-        vec = vecs[:, i] / np.linalg.norm(vecs[:, i])
-        residual = float(np.linalg.norm(apply_hamiltonian(ham, vec) - vals[i] * vec))
-        worst = max(worst, residual)
-        columns.append(fix_phase(vec))
-    if worst > RESIDUAL_TOL:
+    unit = np.column_stack([vecs[:, i] / np.linalg.norm(vecs[:, i]) for i in range(count)])
+    residuals = np.linalg.norm(apply_hamiltonian(ham, unit) - unit * vals, axis=0)
+    worst = float(np.max(residuals))
+    if not worst <= RESIDUAL_TOL:
         raise ConvergenceError(
             f"{method} eigensolve exceeded residual tolerance {RESIDUAL_TOL:.1e}",
             worst,
         )
     return EigenpairSet(
-        energies=tuple(float(v) for v in vals), vectors=np.column_stack(columns)
+        energies=tuple(float(v) for v in vals),
+        vectors=np.column_stack([fix_phase(vec) for vec in unit.T]),
     )
 
 
