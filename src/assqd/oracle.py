@@ -4,13 +4,14 @@
 matrix, dense LAPACK for a dense array and seeded ARPACK Lanczos for a
 sparse one; the restricted solve of the expansion loop
 (:func:`assqd.subspace.lowest_eigenpair`) calls it too, and both pick the
-dense form up to DENSE_SOLVE_MAX = 250 states.  The oracle has three
+dense form up to DENSE_SOLVE_MAX = 250 states.  ARPACK stops once every
+Ritz estimate is at most RESIDUAL_TOL / ARPACK_TOL_DIVISOR, a tenth of the
+residual the callers verify, not at machine precision.  The oracle has three
 routes, chosen by size and symmetry, each measured (see the tables at
 DEFAULT_DENSE_MAX_QUBITS and SECTOR_MIN_QUBITS):
 
-- n <= DEFAULT_DENSE_MAX_QUBITS = 8: the dense matrix, where ARPACK's
-  set-up costs more than the solve and tiny dimensions are out of its
-  reach;
+- n <= DEFAULT_DENSE_MAX_QUBITS = 8: the dense matrix, where the two
+  routes are close and tiny dimensions are out of ARPACK's reach;
 - n >= SECTOR_MIN_QUBITS = 14, when H conserves popcount (Heisenberg with
   Z fields): one CSR block per popcount sector (:func:`popcount_sectors`),
   each solved on its own and the pairs merged, so the largest matrix at
@@ -53,6 +54,7 @@ reads one back.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,53 +74,76 @@ RESIDUAL_TOL = 1e-9
 # Iteration cap for the Lanczos route, in ARPACK restart cycles.
 LANCZOS_MAXITER = 20_000
 
+# ARPACK stops once each Ritz estimate is at most tol * |theta| (ARPACK
+# Users' Guide, Lehoucq, Sorensen & Yang, 1998), and no |theta| exceeds
+# the largest absolute row sum r, so tol = RESIDUAL_TOL / (divisor * r)
+# puts every estimated residual at or below RESIDUAL_TOL / divisor.
+# Measured on 13 solves (CPU ms summed over medians of 7, one BLAS thread;
+# Heisenberg n = 16 sectors 7 and 9 for one pair and sector 8 for two, at
+# disorder seeds 0-2, and Heisenberg and TFIM n = 12 and 14 on the one CSR
+# matrix for two pairs), with the worst true residual norm(A v - theta v):
+#
+#   tol                    summed ms    worst residual
+#   0 (machine precision)     767           8e-14
+#   divisor 10                637           4e-11
+#   divisor 30                686           2e-11
+#   divisor 100               706           6e-12
+#
+# At 10 the worst true residual is still 25 times below RESIDUAL_TOL.
+ARPACK_TOL_DIVISOR = 10
+
 # Largest n the default route solves densely.  Measured per solve (CPU
-# time, one BLAS thread, Heisenberg, TFIM and a complex random Hamiltonian
-# of 4n terms, count 2 and 8, ARPACK at scipy's default Krylov size): at
-# n = 8 dense eigh takes 5.9-20 ms and CSR + ARPACK 5.8-27 ms (ratio
-# 0.89-1.38); at n = 9 dense 22-88 ms and sparse 4.9-62 ms (ratio
-# 0.22-0.71); at n = 12 dense 5.7-30 s and sparse 0.03-0.53 s.  Every n
-# above it keeps ARPACK's count < dim - 1 for the largest count, 8.
+# time, median of 5, one BLAS thread, Heisenberg, TFIM and a complex random
+# Hamiltonian of 4n terms, count 2 and 8, ARPACK at scipy's default Krylov
+# size and ARPACK_TOL_DIVISOR): at n = 8 dense eigh takes 6.0-19 ms and
+# CSR + ARPACK 4.7-21 ms (ratio sparse / dense 0.75-1.09, 0.90-1.37 at
+# tol = 0); at n = 9 dense 23-93 ms and sparse 6.0-46 ms (ratio
+# 0.25-0.52); at n = 12 dense 5.7-30 s (at tol = 0, not re-run) and sparse
+# 0.02-0.50 s.  The sparse route now wins 5 of the 6 rows at n = 8; the
+# limit stays, because moving it moves the last bits of E0 and E1 there.
+# Every n above it keeps ARPACK's count < dim - 1 for the largest count, 8.
 DEFAULT_DENSE_MAX_QUBITS = 8
 
 # Smallest n whose default route splits a popcount-conserving H into its
 # sectors.  Measured per solve (CPU ms, median of 5, 3 from n = 15, one
 # BLAS thread, Heisenberg disorder seeds 0-2, ARPACK at scipy's default
-# Krylov size; full CSR route / sector route with both floors and the
-# first sector solved for count pairs):
+# Krylov size and ARPACK_TOL_DIVISOR; full CSR route / sector route with
+# both floors and the first sector solved for count pairs):
 #
 #   n          count 2                count 8
-#   9        4-6   / 5-7           10-12   /  12-14
-#   10      10-11  / 13-18          9-11   /  17-20
-#   11       10    / 10-11         15-20   /  28-29
-#   12      20-30  / 17-21         32-36   /  40-42
-#   13      28-38  / 23            77-98   /  69-83
-#   14     104-155 / 53-78        177-196  / 107-131
-#   15     204-300 / 95-121       357-538  / 251-285
-#   16     649-938 / 246-296     1084-1287 / 603-677
+#   9        5-7   / 7-9           10-12   /  12-14
+#   10       8-9   / 14-17           13    /  28-29
+#   11        14   / 15            21-30   /  38-39
+#   12      25-32  / 21-25         40-45   /  50-53
+#   13      39-45  / 30-31         84-121  /  77-88
+#   14      94-128 / 63-66        182-190  / 118-137
+#   15     237-312 / 103-154      402-571  / 282-357
+#   16     731-866 / 241-276     1119-1156 / 563-609
 #
 # Below n = 12 the fixed cost of one ARPACK solve per sector outweighs
-# what the smaller solves save.  The sector route now also wins at n = 13
+# what the smaller solves save.  The sector route also wins at n = 13
 # (2 solves at count 2, where the Gershgorin floor alone made 5-6) and at
 # n = 12, count 2, as does Heisenberg plus a complex XY - YX bond (count
-# 2: 104-121 / 63-99 ms at n = 13, 240-334 / 104-142 at 14).  The limit
+# 2: 79-96 / 55-76 ms at n = 13, 209-313 / 123-133 at 14).  The limit
 # stays at 14: moving it moves the last bits of E0 and E1 at n = 12-13.
 SECTOR_MIN_QUBITS = 14
 
 # Dense eigensolve up to this matrix order, seeded CSR Lanczos beyond.
 # Measured per solve (CPU ms on an Intel Xeon, one OpenBLAS thread, median
 # over three runs of a median of 9, on prefixes of the expand-wide subspace
-# of seed 0; dense route / sparse route at scipy's default Krylov size):
+# of seed 0; dense route / sparse route at scipy's default Krylov size and
+# ARPACK_TOL_DIVISOR):
 #
 #   m                        100        150        200        250        300        850
-#   Heisenberg n = 12     0.7 / 2.3  1.3 / 2.9  2.2 / 2.9  3.4 / 2.8  4.7 / 3.8  76 / 4.0
-#   TFIM n = 14           0.7 / 2.4  1.4 / 2.5  2.3 / 3.1  3.5 / 3.1  4.9 / 3.3  75 / 5.4
-#   Heisenberg + Y0       1.0 / 3.0  3.1 / 3.9  5.7 / 4.3   11 / 4.4   16 / 5.5 310 / 9.6
+#   Heisenberg n = 12     0.6 / 1.8  1.3 / 2.3  2.1 / 2.3  3.4 / 2.5  4.9 / 3.0  70 / 4.2
+#   TFIM n = 14           0.6 / 1.8  1.3 / 2.3  2.1 / 2.3  3.4 / 2.4  4.9 / 2.5  70 / 4.1
+#   Heisenberg + Y0       1.4 / 3.7  3.7 / 3.9  7.3 / 3.9   12 / 4.2   20 / 5.5 349 / 7.9
 #
-# Real matrices now cross over between 200 and 250 states, complex (odd-Y)
-# ones between 150 and 200.  The limit stays at 250: there the real routes
-# differ by under a millisecond, and moving it moves the last bits of E_est
-# on every run whose subspace passes through the new range.
+# Real matrices cross over between 200 and 250 states.  Complex (odd-Y)
+# ones now tie at 150 (between 150 and 200 at tol = 0).  The limit stays at
+# 250: there the real routes differ by about a millisecond, and moving it
+# moves the last bits of E_est on every run whose subspace passes through
+# the new range.
 DENSE_SOLVE_MAX = 250
 
 # Power steps of the Collatz-Wielandt sector floor (_weighted_floor).
@@ -228,6 +253,19 @@ def fix_phase(vec: np.ndarray) -> np.ndarray:
     return rotated.real if np.all(np.abs(rotated.imag) <= 1e-12) else rotated
 
 
+def _magnitude(matrix: scipy.sparse.csr_array) -> scipy.sparse.csr_array:
+    """|A| entrywise: ``abs(data)`` on A's own ``indices`` and ``indptr``.
+
+    Anything that brings A to canonical form (``abs(A)``, a sum over an
+    axis) sorts A's ``indices`` in place, and A's products, summed in the
+    new order, change their last bits; this shares them and reorders
+    nothing.
+    """
+    return scipy.sparse.csr_array(
+        (np.abs(matrix.data), matrix.indices, matrix.indptr), shape=matrix.shape
+    )
+
+
 def hermitian_lowest(
     matrix: np.ndarray | scipy.sparse.sparray, count: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -240,7 +278,13 @@ def hermitian_lowest(
     min(dim, max(2 count + 1, 20)): most of a solve is ARPACK's own work
     on its basis, and twice as many vectors cost more per restart than
     the restarts they save (a count-2 Heisenberg solve at n = 16 took
-    0.58-0.66 s with 40 vectors, 0.42-0.47 s with 20).  The pairs are not
+    0.58-0.66 s with 40 vectors, 0.42-0.47 s with 20).  ARPACK stops at
+    tol = RESIDUAL_TOL / (ARPACK_TOL_DIVISOR r), r the largest absolute
+    row sum of the matrix, so every Ritz estimate ends at or below
+    RESIDUAL_TOL / ARPACK_TOL_DIVISOR: inside :func:`exact_lowest`'s bound
+    RESIDUAL_TOL and :func:`assqd.subspace.lowest_eigenpair`'s
+    1e-9 max(1, |E|), without the restarts that tol = 0 (machine
+    precision) spends on digits neither reads.  The pairs are not
     residual-checked here; callers check them against their own bound.
     """
     if not scipy.sparse.issparse(matrix):
@@ -251,10 +295,12 @@ def hermitian_lowest(
     # sort the caller's indices in place, which moves the product's bits.)
     if not matrix.data.any():
         return np.zeros(count), np.eye(dim, count, dtype=matrix.dtype)
+    radius = float(np.max(_magnitude(matrix) @ np.ones(dim)))
     v0 = np.random.default_rng(0).standard_normal(dim)
     try:
         vals, vecs = scipy.sparse.linalg.eigsh(
-            matrix, k=count, which="SA", v0=v0, maxiter=LANCZOS_MAXITER
+            matrix, k=count, which="SA", v0=v0, maxiter=LANCZOS_MAXITER,
+            tol=RESIDUAL_TOL / (ARPACK_TOL_DIVISOR * radius),
         )
     except scipy.sparse.linalg.ArpackNoConvergence as exc:
         if len(exc.eigenvalues) == 0:
@@ -286,11 +332,13 @@ def _csr_block(
     ``column[states[r] ^ x]``.  The diagonal comes from
     :meth:`PauliHamiltonian.diagonal` and the rest from
     :meth:`PauliHamiltonian.amplitude_table` at the row state, because H
-    is Hermitian and so <s|H|s^x> = conj(<s^x|H|s>).  The rows are filled
-    in passes of at most KERNEL_BLOCK table entries, so no table larger
-    than one pass is made.  A nonzero entry in a -1 column means H couples
-    the block to a state outside it, and the result is None.  Entries that
-    cancel exactly are then dropped in place; they include the whole
+    is Hermitian and so <s|H|s^x> = conj(<s^x|H|s>); a real table is
+    stored as it is, without a conjugated copy.  The rows are filled in
+    passes of at most KERNEL_BLOCK table entries, so no table larger than
+    one pass is made.  A nonzero entry in a -1 column means H couples the
+    block to a state outside it, and the result is None; otherwise the -1
+    columns, whose entries are all zero, are set to 0 in place.  Entries
+    that cancel exactly are then dropped in place; they include the whole
     diagonal of an H without diagonal terms.
     """
     masks = np.array((0,) + ham.offdiag_masks, dtype=np.int64)
@@ -305,12 +353,12 @@ def _csr_block(
         rows = slice(start, start + step)
         chunk = states[rows]
         data[rows, 0] = ham.diagonal(chunk)
-        data[rows, 1:] = np.conj(ham.amplitude_table(chunk).T)
+        table = ham.amplitude_table(chunk).T
+        data[rows, 1:] = table if ham.is_real else np.conj(table)
         indices[rows] = column[chunk[:, None] ^ masks]
-    outside = indices < 0
-    if data[outside].any():
+    if np.logical_and(indices < 0, data != 0).any():
         return None
-    indices[outside] = 0
+    np.maximum(indices, 0, out=indices)
     indptr = np.arange(size + 1, dtype=np.int32) * np.int32(width)
     matrix = scipy.sparse.csr_array(
         (data.reshape(-1), indices.reshape(-1), indptr), shape=(size, size)
@@ -349,10 +397,13 @@ def popcount_sectors(
     """
     dim = 1 << ham.n
     popcount = np.bitwise_count(np.arange(dim, dtype=np.int64))
+    # A stable sort keeps each sector's states ascending, and sector w
+    # holds the next C(n, w) of them.
+    sizes = [math.comb(ham.n, w) for w in range(ham.n)]
+    sectors = np.split(np.argsort(popcount, kind="stable"), np.cumsum(sizes))
     column = np.full(dim, -1, dtype=np.int32)
     blocks = []
-    for weight in range(ham.n + 1):
-        states = np.flatnonzero(popcount == weight)
+    for states in sectors:
         column[states] = np.arange(len(states), dtype=np.int32)
         block = _csr_block(ham, states, column)
         if block is None:
@@ -377,18 +428,12 @@ def _weighted_floor(block: scipy.sparse.csr_array, steps: int, cut: float) -> fl
     stops being positive (a state at c that no entry couples to).  The
     largest bound met is returned.
 
-    |H| is a CSR matrix of ``abs(data)`` that shares the block's
-    ``indices`` and ``indptr``.  The diagonal comes from
+    |H| is :func:`_magnitude` of the block.  The diagonal comes from
     ``block.diagonal()``, which reads ``indices`` in place: a row's first
     stored entry is its diagonal only when that is nonzero, since
-    :func:`_csr_block` drops cancelled entries.  Anything that brings the
-    block to canonical form (``abs(block)``, a sum over an axis) sorts
-    ``indices`` in place, and the solve's products, summed in the new
-    order, change their last bits.
+    :func:`_csr_block` drops cancelled entries.
     """
-    magnitude = scipy.sparse.csr_array(
-        (np.abs(block.data), block.indices, block.indptr), shape=block.shape
-    )
+    magnitude = _magnitude(block)
     diagonal = block.diagonal()
     own = diagonal.real + np.abs(diagonal)
     x = np.ones(block.shape[0])

@@ -90,9 +90,8 @@ def sample_counts(model: ProbabilityModel, shots: int, seed: int) -> CountsMulti
     rng = np.random.default_rng(seed)
     draws = np.searchsorted(cdf, rng.random(shots), side="right")
     tallies = np.bincount(draws, minlength=support.shape[0])
-    counts = {
-        int(state): int(c) for state, c in zip(support, tallies) if c > 0
-    }
+    drawn = np.flatnonzero(tallies)
+    counts = dict(zip(support[drawn].tolist(), tallies[drawn].tolist()))
     return CountsMultiset(counts=counts, n=model.n)
 
 

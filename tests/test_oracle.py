@@ -29,6 +29,7 @@ from assqd.oracle import (
     sparse_matrix,
 )
 from assqd.pauli import PauliHamiltonian, PauliTerm, parse_hamiltonian
+from assqd.subspace import DENSE_SOLVE_MAX, Subspace, build_restricted, lowest_eigenpair
 from conftest import random_hamiltonian
 
 
@@ -120,6 +121,24 @@ class TestHermitianLowest:
         hermitian_lowest(matrix, 2)
         assert np.array_equal(matrix.indices, indices)
         assert np.array_equal(matrix.data, data)
+
+    # ARPACK's tolerance scales with the matrix's largest row sum, so its
+    # residual target stays absolute however large H is: a fixed relative
+    # tol of 1e-12 would leave ~2e-7 at E0 ~ -2e5.
+    @pytest.mark.parametrize("scale", [1e3, 1e4])
+    @pytest.mark.parametrize("route, n", [("one-matrix", 10), ("sector", 14)])
+    def test_large_norm_passes_every_residual_check(self, monkeypatch, route, n, scale):
+        ham, _ = build_model(ModelSpec(kind="heisenberg", n=n, seed=0))
+        scaled = _scaled(ham, scale)
+        if route == "sector":
+            _refuse_full_csr(monkeypatch)
+        pairs = exact_lowest(scaled)
+        assert pairs.e0 == pytest.approx(scale * exact_lowest(ham).e0, rel=1e-12)
+        # The restricted solve past DENSE_SOLVE_MAX, on the same matrix.
+        states = Subspace(tuple(range(DENSE_SOLVE_MAX + 50)))
+        sol = lowest_eigenpair(build_restricted(scaled, states))
+        unscaled = lowest_eigenpair(build_restricted(ham, states))
+        assert sol.energy == pytest.approx(scale * unscaled.energy, rel=1e-12)
 
 
 class TestExactLowest:
@@ -325,6 +344,12 @@ def _with_dm_bond(ham: PauliHamiltonian, strength: float = 0.3) -> PauliHamilton
     """
     dm = [PauliTerm(0b11, 0b10, strength), PauliTerm(0b11, 0b01, -strength)]
     return PauliHamiltonian(ham.n, list(ham.terms) + dm)
+
+
+def _scaled(ham: PauliHamiltonian, factor: float) -> PauliHamiltonian:
+    """ham with every coefficient multiplied by factor."""
+    terms = [PauliTerm(t.x_mask, t.z_mask, t.coefficient * factor) for t in ham.terms]
+    return PauliHamiltonian(ham.n, terms)
 
 
 def _refuse_full_csr(monkeypatch):
@@ -538,24 +563,34 @@ class TestSectorRoute:
         assert solves == [2, 1, 1]
 
     def test_solve_leaves_block_indices_in_place(self, monkeypatch):
-        # Sorting a block's indices (as abs(block) does) reorders the sums
-        # in its products and moves the eigenpairs' last bits.
+        # Sorting a matrix's indices (as abs(matrix) and its axis sums do)
+        # reorders the sums in its products and moves the eigenpairs' last
+        # bits.  The floors read |data| of every block, and ARPACK's
+        # tolerance that of every sparse matrix, the one CSR matrix too.
         n = 12
         ham, _ = build_model(ModelSpec(kind="heisenberg", n=n, seed=0))
         copies = []
 
-        def record(h):
+        def record_blocks(h):
             blocks = popcount_sectors(h)
             copies.extend((block, block.indices.copy()) for _, block in blocks)
             return blocks
 
+        def record_matrix(h):
+            matrix = sparse_matrix(h)
+            copies.append((matrix, matrix.indices.copy()))
+            return matrix
+
         monkeypatch.setattr(oracle_mod, "SECTOR_MIN_QUBITS", n)
-        monkeypatch.setattr(oracle_mod, "popcount_sectors", record)
+        monkeypatch.setattr(oracle_mod, "popcount_sectors", record_blocks)
+        monkeypatch.setattr(oracle_mod, "sparse_matrix", record_matrix)
         exact_lowest(ham, count=8)
-        assert len(copies) == n + 1
-        assert not all(block.has_sorted_indices for block, _ in copies)
-        for block, indices in copies:
-            assert np.array_equal(block.indices, indices)
+        exact_lowest(ham, count=8, method="lanczos")
+        assert len(copies) == n + 2
+        assert not all(block.has_sorted_indices for block, _ in copies[:-1])
+        assert not copies[-1][0].has_sorted_indices
+        for matrix, indices in copies:
+            assert np.array_equal(matrix.indices, indices)
 
     @pytest.mark.parametrize("kind", ["real", "complex", "zero-field ring"])
     def test_floor_bounds_each_block_from_below(self, kind):
