@@ -152,8 +152,9 @@ def oracle(ctx: click.Context, kind: str, n: int, count: int,
            pairs: str | None) -> None:
     """Exact lowest eigenpairs of a model instance (JSON energies).
 
-    The eigensolver follows n: dense eigh on short chains, Lanczos on the
-    CSR matrix on longer ones.
+    H is solved as one CSR matrix, or from 14 qubits one popcount sector
+    at a time when it conserves popcount; a block of at most 250 states is
+    solved densely, a larger one by Lanczos.
     """
     if count > 1 << n:
         raise click.BadParameter(

@@ -6,50 +6,50 @@ sparse one; the restricted solve of the expansion loop
 (:func:`assqd.subspace.lowest_eigenpair`) calls it too, and both pick the
 dense form up to DENSE_SOLVE_MAX = 250 states.  ARPACK stops once every
 Ritz estimate is at most RESIDUAL_TOL / ARPACK_TOL_DIVISOR, a tenth of the
-residual the callers verify, not at machine precision.  The oracle has three
-routes, chosen by size and symmetry, each measured (see the tables at
-DEFAULT_DENSE_MAX_QUBITS and SECTOR_MIN_QUBITS):
+residual the callers verify, not at machine precision.
 
-- n <= DEFAULT_DENSE_MAX_QUBITS = 8: the dense matrix, where the two
-  routes are close and tiny dimensions are out of ARPACK's reach;
-- n >= SECTOR_MIN_QUBITS = 14, when H conserves popcount (Heisenberg with
-  Z fields): one CSR block per popcount sector (:func:`popcount_sectors`),
-  each solved on its own and the pairs merged, so the largest matrix at
-  n = 16 has C(16, 8) = 12870 rows, not 65536.  The blocks are solved in
-  ascending order of their Gershgorin floor, a lower bound on their
-  eigenvalues, the first for count pairs at once and the rest for one;
-  once count pairs are in hand, a block whose floor lies above the
-  count-th lowest of them cannot hold a wanted pair, and it and every
-  block after it are skipped.  A block whose Gershgorin floor falls short
-  is skipped alone when a tighter Collatz-Wielandt floor
+:func:`exact_lowest` restricts H to blocks and diagonalises each, with
+the one solver over blocks, :func:`_lowest_over_blocks`, which solves a
+block densely up to DENSE_SOLVE_MAX states and with ARPACK above that:
+
+- from SECTOR_MIN_QUBITS = 14 (see the table there), when H conserves
+  popcount (Heisenberg with Z fields): one CSR block per popcount sector
+  (:func:`popcount_sectors`), each solved on its own and the pairs merged,
+  so the largest matrix at n = 16 has C(16, 8) = 12870 rows, not 65536.
+  The blocks are solved in ascending order of their Gershgorin floor, a
+  lower bound on their eigenvalues, the first for count pairs at once and
+  the rest for one; once count pairs are in hand, a block whose floor lies
+  above the count-th lowest of them cannot hold a wanted pair, and it and
+  every block after it are skipped.  A block whose Gershgorin floor falls
+  short is skipped alone when a tighter Collatz-Wielandt floor
   (:func:`_weighted_floor`) clears that cut.  Heisenberg at n = 16
   (disorder seeds 0-5) makes 3 solves of its 17 sectors at count 2 and 7
   at count 8, where the Gershgorin floor alone, with every sector solved
   once before any is deepened, makes 6-8 and 12;
-- otherwise, up to ORACLE_MAX_QUBITS = 20: H built once as one CSR matrix
-  (:func:`sparse_matrix`).
+- otherwise, up to ORACLE_MAX_QUBITS = 20: one block, H built once as one
+  CSR matrix over all 2^n states (:func:`sparse_matrix`), solved for
+  count pairs at once.
 
 Both CSR forms read their entries from the expansion loop's own kernel,
 :meth:`PauliHamiltonian.diagonal` and
 :meth:`PauliHamiltonian.amplitude_table`, through :func:`_csr_block`,
 which is also the symmetry detector: a nonzero entry that leaves its
-sector sends the solve to the one-matrix route, so an H with a
-transverse field (TFIM) is caught at sector 0 and solved exactly as
-before.  ``exact_lowest(method=...)`` forces the dense route (up to
-DENSE_MAX_QUBITS = 12) or the one-matrix Lanczos route: the benchmark
-forces the latter and tests compare the routes, while the command line
-always takes the one the size and H pick.  Every returned pair, sector
-pairs scattered back to 2^n vectors included, is verified against the
-residual bound ``norm(H psi - E psi) <= RESIDUAL_TOL`` (1e-9) through
+sector sends H to the one block, so an H with a transverse field (TFIM)
+is caught at sector 0.  ``exact_lowest(method="lanczos")`` keeps H in one
+block at any size: the benchmark asks for it and tests compare the two
+splits, while the command line always takes the one the size and H pick.
+Every returned pair, sector pairs scattered back to 2^n vectors
+included, is verified against the residual bound
+``norm(H psi - E psi) <= RESIDUAL_TOL`` (1e-9) through
 :func:`apply_hamiltonian`, a term-by-term product on the full vectors
-(all pairs in one call) that shares no code with the CSR builder or that kernel, so neither a silent
-misconvergence nor a wrong matrix entry can leak into benchmark
-baselines.  The result is an :class:`EigenpairSet`, which derives e0, e1
-and the degeneracy flag (E1 - E0 < DEGENERACY_GAP) from its energies; the
-sweeps, ``assqd oracle`` and the trace records of ``assqd run`` and
-``assqd ingest`` all read them from it.  :func:`save_eigenpairs` writes
-the pairs of ``assqd oracle --pairs`` to an .npz; the package never
-reads one back.
+(all pairs in one call) that shares no code with the CSR builder or that
+kernel, so neither a silent misconvergence nor a wrong matrix entry can
+leak into benchmark baselines.  The result is an :class:`EigenpairSet`,
+which derives e0, e1 and the degeneracy flag (E1 - E0 < DEGENERACY_GAP)
+from its energies; the sweeps, ``assqd oracle`` and the trace records of
+``assqd run`` and ``assqd ingest`` all read them from it.
+:func:`save_eigenpairs` writes the pairs of ``assqd oracle --pairs`` to
+an .npz; the package never reads one back.
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
-from assqd.pauli import DENSE_MAX_QUBITS, KERNEL_BLOCK, PauliHamiltonian, PauliTerm
+from assqd.pauli import KERNEL_BLOCK, PauliHamiltonian, PauliTerm
 
 ORACLE_MAX_QUBITS = 20
 
@@ -91,18 +91,6 @@ LANCZOS_MAXITER = 20_000
 #
 # At 10 the worst true residual is still 25 times below RESIDUAL_TOL.
 ARPACK_TOL_DIVISOR = 10
-
-# Largest n the default route solves densely.  Measured per solve (CPU
-# time, median of 5, one BLAS thread, Heisenberg, TFIM and a complex random
-# Hamiltonian of 4n terms, count 2 and 8, ARPACK at scipy's default Krylov
-# size and ARPACK_TOL_DIVISOR): at n = 8 dense eigh takes 6.0-19 ms and
-# CSR + ARPACK 4.7-21 ms (ratio sparse / dense 0.75-1.09, 0.90-1.37 at
-# tol = 0); at n = 9 dense 23-93 ms and sparse 6.0-46 ms (ratio
-# 0.25-0.52); at n = 12 dense 5.7-30 s (at tol = 0, not re-run) and sparse
-# 0.02-0.50 s.  The sparse route now wins 5 of the 6 rows at n = 8; the
-# limit stays, because moving it moves the last bits of E0 and E1 there.
-# Every n above it keeps ARPACK's count < dim - 1 for the largest count, 8.
-DEFAULT_DENSE_MAX_QUBITS = 8
 
 # Smallest n whose default route splits a popcount-conserving H into its
 # sectors.  Measured per solve (CPU ms, median of 5, 3 from n = 15, one
@@ -459,7 +447,8 @@ def _lowest_over_blocks(
     """Lowest count eigenpairs of a block-diagonal H, scattered to 2^n vectors.
 
     Blocks are taken in ascending order of their Gershgorin floor
-    (:func:`_weighted_floor` with no steps), ties by block.  The first
+    (:func:`_weighted_floor` with no steps), ties by block; a lone block
+    has nothing to rank or skip, and no floor is formed.  The first
     gives its lowest min(count, size) pairs, each later one its lowest
     pair.  Once count pairs are in hand, a block with no eigenvalue at or
     below the count-th lowest of them (plus RESIDUAL_TOL, for rounding)
@@ -488,7 +477,9 @@ def _lowest_over_blocks(
         matrix = block.toarray() if len(states) <= DENSE_SOLVE_MAX else block
         return hermitian_lowest(matrix, min(depth, len(states)))
 
-    floors = [_weighted_floor(block, 0, np.inf) for _, block in blocks]
+    floors = [0.0] if len(blocks) == 1 else [
+        _weighted_floor(block, 0, np.inf) for _, block in blocks
+    ]
     lead, *rest = sorted(range(len(blocks)), key=floors.__getitem__)
     solved = {lead: solve(lead, count)}
     for w in rest:
@@ -539,11 +530,10 @@ def exact_lowest(
 ) -> EigenpairSet:
     """Residual-verified lowest eigenpairs of the full Hamiltonian.
 
-    method selects the route explicitly ("dense" or "lanczos", the one
-    CSR matrix).  By default n <= DEFAULT_DENSE_MAX_QUBITS goes dense; from
-    SECTOR_MIN_QUBITS up an H that conserves popcount is solved sector by
-    sector (:func:`popcount_sectors`), and every other size and H goes
-    Lanczos on the one CSR matrix.
+    From SECTOR_MIN_QUBITS up an H that conserves popcount is solved sector
+    by sector (:func:`popcount_sectors`); every other size and H, and
+    method="lanczos" at any size, is one block, the one CSR matrix.  Either
+    way :func:`_lowest_over_blocks` solves the blocks.
     """
     if ham.n > ORACLE_MAX_QUBITS:
         raise ValueError(f"oracle limited to n <= {ORACLE_MAX_QUBITS}, got {ham.n}")
@@ -551,37 +541,22 @@ def exact_lowest(
         raise ValueError(f"count must be in [2, 8], got {count}")
     if count > (1 << ham.n):
         raise ValueError(f"count {count} too large for dimension {1 << ham.n}")
-    blocks = None
-    if method is None:
-        if ham.n >= SECTOR_MIN_QUBITS:
-            blocks = popcount_sectors(ham)
-        if blocks is not None:
-            method = "sector"
-        else:
-            method = "dense" if ham.n <= DEFAULT_DENSE_MAX_QUBITS else "lanczos"
-    if blocks is not None:
-        vals, vecs = _lowest_over_blocks(blocks, count)
-        del blocks  # freed before the residual check's 2^n-long work arrays
-    elif method == "dense":
-        if ham.n > DENSE_MAX_QUBITS:
-            raise ValueError(f"dense route limited to n <= {DENSE_MAX_QUBITS}")
-        vals, vecs = hermitian_lowest(ham.dense_matrix(), count)
-    elif method == "lanczos":
-        if count >= (1 << ham.n) - 1:
-            raise ValueError(
-                f"lanczos route needs count < dimension - 1, got count {count} "
-                f"at dimension {1 << ham.n}"
-            )
-        vals, vecs = hermitian_lowest(sparse_matrix(ham), count)
-    else:
+    if method not in (None, "lanczos"):
         raise ValueError(f"unknown method {method!r}")
+    blocks = None
+    if method is None and ham.n >= SECTOR_MIN_QUBITS:
+        blocks = popcount_sectors(ham)
+    if blocks is None:
+        blocks = [(np.arange(1 << ham.n), sparse_matrix(ham))]
+    vals, vecs = _lowest_over_blocks(blocks, count)
+    del blocks  # freed before the residual check's 2^n-long work arrays
 
     unit = np.column_stack([vecs[:, i] / np.linalg.norm(vecs[:, i]) for i in range(count)])
     residuals = np.linalg.norm(apply_hamiltonian(ham, unit) - unit * vals, axis=0)
     worst = float(np.max(residuals))
     if not worst <= RESIDUAL_TOL:
         raise ConvergenceError(
-            f"{method} eigensolve exceeded residual tolerance {RESIDUAL_TOL:.1e}",
+            f"eigensolve exceeded residual tolerance {RESIDUAL_TOL:.1e}",
             worst,
         )
     return EigenpairSet(

@@ -33,8 +33,8 @@ import numpy as np
 BasisState = int
 
 MAX_QUBITS = 63
-# Largest n whose full 2^n x 2^n matrix is built: the dense test oracle
-# and the reference oracle's dense eigh route share this one limit.
+# Largest n whose full 2^n x 2^n matrix is built (dense_matrix, the
+# tests' dense reference; the package itself never builds it).
 DENSE_MAX_QUBITS = 12
 
 # Merged terms with |coefficient| below this are dropped at construction.

@@ -167,7 +167,7 @@ class TestExactLowest:
 
     def test_dense_lanczos_agreement(self):
         ham, _ = build_model(ModelSpec(kind="heisenberg", n=10, seed=0))
-        dense = exact_lowest(ham, method="dense")
+        dense = _dense_reference(ham)
         lanczos = exact_lowest(ham, method="lanczos")
         assert abs(dense.e0 - lanczos.e0) < 1e-8
         assert abs(dense.e1 - lanczos.e1) < 1e-8
@@ -176,7 +176,7 @@ class TestExactLowest:
     def test_dense_lanczos_agreement_complex(self):
         ham = random_hamiltonian(8, 40, np.random.default_rng(8))
         assert not ham.is_real
-        dense = exact_lowest(ham, method="dense")
+        dense = _dense_reference(ham)
         lanczos = exact_lowest(ham, method="lanczos")
         assert abs(dense.e0 - lanczos.e0) <= 1e-10
         assert abs(dense.e1 - lanczos.e1) <= 1e-10
@@ -194,22 +194,14 @@ class TestExactLowest:
         pairs = exact_lowest(ham)
         assert pairs.e0 < pairs.e1
 
+    # count = dimension included: a block this small is solved densely.
     @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_tiny_dimensions_solve_dense_by_default(self, monkeypatch, n):
-        def refuse(ham):
-            raise AssertionError("sparse route taken")
-
-        monkeypatch.setattr(oracle_mod, "sparse_matrix", refuse)
+    def test_tiny_dimensions_solve_dense_by_default(self, n):
         ham = random_hamiltonian(n, 3 * n, np.random.default_rng(n))
         expected = scipy.linalg.eigvalsh(ham.dense_matrix())
         for count in range(2, min(8, 1 << n) + 1):
             pairs = exact_lowest(ham, count=count)
             assert np.allclose(pairs.energies, expected[:count], atol=1e-10)
-
-    def test_lanczos_route_rejects_tiny_dimension(self):
-        ham = random_hamiltonian(3, 9, np.random.default_rng(3))
-        with pytest.raises(ValueError, match="count < dimension - 1"):
-            exact_lowest(ham, count=7, method="lanczos")
 
     @pytest.mark.parametrize("n", [8, 10])
     def test_degenerate_ground_flagged_on_sparse_route(self, n):
@@ -324,10 +316,20 @@ class TestExactLowest:
         with pytest.raises(ValueError, match="count"):
             exact_lowest(ham, count=9)
 
-    def test_dense_route_size_limit(self):
-        ham = PauliHamiltonian(13, [PauliTerm(0, 1, 1.0)])
-        with pytest.raises(ValueError, match="dense"):
-            exact_lowest(ham, method="dense")
+    # Up to n = 7 the one block has at most DENSE_SOLVE_MAX states, and
+    # sparse_matrix(ham).toarray() gives LAPACK the bits of dense_matrix().
+    @pytest.mark.parametrize("count", [2, 8])
+    @pytest.mark.parametrize("kind", ["heisenberg", "tfim", "complex"])
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_small_n_matches_dense_reference_bit_for_bit(self, n, kind, count):
+        if kind == "complex":
+            ham = random_hamiltonian(n, 4 * n, np.random.default_rng(n))
+            assert not ham.is_real
+        else:
+            ham, _ = build_model(ModelSpec(kind=kind, n=n, seed=n))
+        count = min(count, 1 << n)
+        vals, _ = hermitian_lowest(ham.dense_matrix(), count)
+        assert np.array(exact_lowest(ham, count).energies).tobytes() == vals.tobytes()
 
     def test_higher_count_sorted(self):
         ham, _ = build_model(ModelSpec(kind="tfim", n=5, seed=7))
@@ -335,6 +337,12 @@ class TestExactLowest:
         assert list(pairs.energies) == sorted(pairs.energies)
         dense_vals = scipy.linalg.eigvalsh(ham.dense_matrix())[:4]
         assert np.allclose(pairs.energies, dense_vals, atol=1e-10)
+
+
+def _dense_reference(ham: PauliHamiltonian, count: int = 2) -> EigenpairSet:
+    """The reference pairs: LAPACK on the dense matrix."""
+    vals, vecs = hermitian_lowest(ham.dense_matrix(), count)
+    return EigenpairSet(energies=tuple(vals), vectors=vecs)
 
 
 def _with_dm_bond(ham: PauliHamiltonian, strength: float = 0.3) -> PauliHamiltonian:
@@ -412,7 +420,7 @@ class TestSectorRoute:
     @pytest.mark.parametrize("count", [2, 8])
     def test_matches_eigvalsh_and_dense_route_at_n10(self, monkeypatch, count):
         ham, _ = build_model(ModelSpec(kind="heisenberg", n=10, seed=0))
-        dense = exact_lowest(ham, count=count, method="dense")
+        dense = _dense_reference(ham, count)
         monkeypatch.setattr(oracle_mod, "SECTOR_MIN_QUBITS", 10)
         _refuse_full_csr(monkeypatch)
         pairs = exact_lowest(ham, count=count)
@@ -432,7 +440,7 @@ class TestSectorRoute:
         base, _ = build_model(ModelSpec(kind="heisenberg", n=10, seed=2))
         ham = _with_dm_bond(base)
         assert not ham.is_real
-        dense = exact_lowest(ham, method="dense")
+        dense = _dense_reference(ham)
         monkeypatch.setattr(oracle_mod, "SECTOR_MIN_QUBITS", 10)
         _refuse_full_csr(monkeypatch)
         pairs = exact_lowest(ham)
