@@ -1,7 +1,10 @@
 """Candidate generation and perturbation-theoretic scoring.
 
 Candidates are the Hamiltonian-connected frontier of the dominant support
-D, as an ascending int64 array.  Each candidate k gets the second-order score
+D, as a :class:`Frontier`: the ascending int64 candidate states, and for
+every (state of D, off-diagonal mask) pair the index of the state it
+steps to among them, or -1 where that state is in the subspace.  Each
+candidate k gets the second-order score
 
     a(k) = |nu_k|^2 / max(|E_S - H_kk|, eps),   nu_k = sum_{s in D} c_s <k|H|s>
 
@@ -14,13 +17,16 @@ seeded uniform draw.  One :class:`CandidateScores` of aligned arrays holds them.
 experiment's 2-hop frontier is built and scored in one place,
 :func:`score_two_hop`: the same scores for every kind, except that under
 "en" the pure 2-hop states, whose nu is zero, get a chained stand-in.
+Both frontiers come from one ``np.unique(..., return_inverse=True)`` over
+the states stepped to, whose inverse gives every pair its index; the
+distinct states are tested against the subspace once, with
+:meth:`Subspace.positions`.
 
 Two scoring routes exist for nu on purpose: :func:`coupling` is the
-literal per-candidate sum, :func:`coupling_map` takes every (state, mask)
-amplitude of D from one :meth:`PauliHamiltonian.amplitude_table` call.
-Tests hold them equal bit for bit; the driver uses the map.  Frontiers are
-deduplicated by sorting (:func:`sorted_unique`) and tested against the
-subspace with :meth:`Subspace.positions`.
+literal per-candidate sum, :func:`coupling_map` sums every (state, mask)
+term of D into the candidate its pair index names, reading D's
+amplitudes from the restricted matrix's table by D's rows.  Tests hold
+them equal bit for bit; the driver uses the map.
 """
 
 from __future__ import annotations
@@ -31,13 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from assqd.pauli import BasisState, PauliHamiltonian
-from assqd.subspace import (
-    DominantSupport,
-    RestrictedSolution,
-    Subspace,
-    sorted_positions,
-    sorted_unique,
-)
+from assqd.subspace import DominantSupport, RestrictedSolution, Subspace
 
 ACQUISITION_KINDS = ("en", "coupling_only", "denom_only", "diag_only", "random")
 
@@ -71,21 +71,44 @@ def _step(ham: PauliHamiltonian, states: np.ndarray) -> np.ndarray:
     return states[:, None] ^ np.array(ham.offdiag_masks, dtype=np.int64)
 
 
-def _outside(subspace: Subspace, states: np.ndarray) -> np.ndarray:
-    """The given states that are not in the subspace, order kept."""
-    return states[subspace.positions(states) < 0]
+@dataclass(frozen=True, eq=False)
+class Frontier:
+    """Candidate states, ascending, and where D's single-term steps land.
+
+    ``pairs[r, g]`` is the index in ``states`` of D's state r XOR
+    ``offdiag_masks[g]``, or -1 where that state is in the subspace.
+    """
+
+    states: np.ndarray
+    pairs: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.states)
+
+
+def _outside(subspace: Subspace, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct targets outside the subspace, ascending, and where each lies.
+
+    The second array, shaped like the targets, gives each target's index
+    among the first, or -1 for a target in the subspace.
+    """
+    states, inverse = np.unique(targets.reshape(-1), return_inverse=True)
+    outside = subspace.positions(states) < 0
+    index = np.cumsum(outside) - 1
+    index[~outside] = -1
+    return states[outside], index[inverse].reshape(targets.shape)
 
 
 def generate_candidates(
     ham: PauliHamiltonian,
     dominant: DominantSupport,
     subspace: Subspace,
-) -> np.ndarray:
+) -> Frontier:
     """The 1-hop frontier of D: its single-term neighbours outside the subspace.
 
-    Ascending.  :func:`score_two_hop` steps once more from it.
+    :func:`score_two_hop` steps once more from it.
     """
-    return _outside(subspace, sorted_unique(_step(ham, dominant.states)))
+    return Frontier(*_outside(subspace, _step(ham, dominant.states)))
 
 
 def coupling(
@@ -102,27 +125,28 @@ def coupling(
 
 
 def coupling_map(
-    ham: PauliHamiltonian,
     sol: RestrictedSolution,
     dominant: DominantSupport,
-    candidates: np.ndarray,
+    frontier: Frontier,
 ) -> np.ndarray:
-    """nu for every candidate at once, aligned with the ascending candidates.
+    """nu for every candidate of the frontier at once, aligned with it.
 
     Cost is O(|D| * terms) rather than O(|candidates| * |D|): each
-    (s, x_mask) pair lands on exactly one target state.  Pairs are summed
-    s-major in D's order, the order of the literal sum in :func:`coupling`.
+    (s, x_mask) pair lands on exactly one target state, the one
+    ``frontier.pairs`` names.  D's amplitudes are read by position from
+    the restricted matrix's table, where <s XOR x|H|s> was kept when s
+    joined the subspace.  Pairs are summed s-major in D's order, the order
+    of the literal sum in :func:`coupling`.
     """
-    d = dominant.states
-    amps = ham.amplitude_table(d).T
-    c = sol.coefficients[sol.subspace.positions(d)][:, None]
+    amps = sol.matrix.table[1:, dominant.rows].T
+    c = sol.coefficients[dominant.rows][:, None]
     # Each real operation rounds on its own, as in coupling()'s scalar
     # products; numpy's vector complex multiply may fuse them.
     real = c.real * amps.real - c.imag * amps.imag
     terms = real + 1j * (c.real * amps.imag + c.imag * amps.real)
-    at = sorted_positions(candidates, _step(ham, d))
+    at = frontier.pairs
     hit = at >= 0
-    nu = np.zeros(len(candidates), dtype=np.complex128)
+    nu = np.zeros(len(frontier), dtype=np.complex128)
     np.add.at(nu, at[hit], terms[hit])
     return nu
 
@@ -141,20 +165,20 @@ def score_candidates(
     ham: PauliHamiltonian,
     sol: RestrictedSolution,
     dominant: DominantSupport,
-    candidates: np.ndarray,
+    frontier: Frontier,
     eps: float = DEFAULT_EPS,
     rng_seed: int | None = None,
 ) -> CandidateScores:
-    """Score every candidate under one variant, in ascending-state order."""
+    """Score every candidate of the frontier under one variant, in its order."""
     if kind not in ACQUISITION_KINDS:
         raise ValueError(f"unknown acquisition kind {kind!r}")
     if kind == "random" and rng_seed is None:
         raise ValueError("random scoring requires rng_seed")
-    candidates = sorted_unique(candidates)
+    candidates = frontier.states
     overlap = candidates[sol.subspace.positions(candidates) >= 0]
     if len(overlap):
         raise ValueError(f"candidates intersect the subspace: {overlap[:5].tolist()}")
-    nu = coupling_map(ham, sol, dominant, candidates)
+    nu = coupling_map(sol, dominant, frontier)
     h_kk = ham.diagonal(candidates)
     if kind == "en":
         score = en_score(sol.energy, h_kk, nu, eps)
@@ -181,37 +205,47 @@ def score_two_hop(
     """Score the 2-hop frontier under one variant, in ascending-state order.
 
     The frontier is the 1-hop frontier plus one more step from each of its
-    states, outside the subspace; :func:`score_candidates` scores all of it.
-    Pure 2-hop states have nu_k = 0 by construction, so under "en" they
-    get a chained stand-in instead: the best one-intermediate path value
+    states, outside the subspace, built as the 1-hop one is, with D's
+    pairs carried over through the 1-hop states' places in it;
+    :func:`score_candidates` scores all of it.  Pure 2-hop states have
+    nu_k = 0 by construction, so under "en" they get a chained stand-in
+    instead: the best one-intermediate path value
 
         max over m in 1-hop:  |<k|H|m>|^2 |nu_m|^2
                               / (max(|E_S - H_mm|, eps) max(|E_S - H_kk|, eps))
     """
     one_hop = generate_candidates(ham, dominant, subspace)
-    grid = _step(ham, one_hop)
-    both = sorted_unique(np.concatenate([one_hop, grid.ravel()]))
-    frontier = _outside(subspace, both)
+    grid = _step(ham, one_hop.states)
+    states, index = _outside(subspace, np.concatenate([one_hop.states, grid.ravel()]))
+    at_one = index[:len(one_hop)]
+    at_grid = index[len(one_hop):].reshape(grid.shape)
+    # The -1 pad sends a pair that lands in the subspace to -1 again.
+    frontier = Frontier(states, np.append(at_one, -1)[one_hop.pairs])
     scored = score_candidates(kind, ham, sol, dominant, frontier, eps, rng_seed)
     if kind != "en":
         return scored
-    pure = sorted_positions(one_hop, frontier) < 0
+    pure = np.ones(len(frontier), dtype=bool)
+    pure[at_one] = False
     # The (1-hop state, mask) pairs that land on a pure 2-hop state.
-    at = sorted_positions(frontier[pure], grid)
-    hit = at >= 0
+    hit = np.append(pure, False)[at_grid]
     rows = np.nonzero(hit)[0]
-    amp_sq = np.abs(ham.amplitude_table(one_hop).T[hit]) ** 2
-    nu_m_sq = np.abs(scored.coupling[~pure]) ** 2
-    denom_m = np.maximum(np.abs(sol.energy - scored.diagonal[~pure]), eps)
-    best = np.zeros(np.count_nonzero(pure))
-    np.maximum.at(best, at[hit], amp_sq * nu_m_sq[rows] / denom_m[rows])
+    amp_sq = np.abs(ham.amplitude_table(one_hop.states).T[hit]) ** 2
+    nu_m_sq = np.abs(scored.coupling[at_one]) ** 2
+    denom_m = np.maximum(np.abs(sol.energy - scored.diagonal[at_one]), eps)
+    best = np.zeros(len(frontier))
+    np.maximum.at(best, at_grid[hit], amp_sq * nu_m_sq[rows] / denom_m[rows])
     score = scored.score.copy()
-    score[pure] = best / np.maximum(np.abs(sol.energy - scored.diagonal[pure]), eps)
+    gap = np.maximum(np.abs(sol.energy - scored.diagonal[pure]), eps)
+    score[pure] = best[pure] / gap
     return dataclasses.replace(scored, score=score)
 
 
-def select_top_b(scored: CandidateScores, B: int) -> np.ndarray:
-    """Largest ranking keys first; ties go to the lower state value."""
+def select_top_b(scored: CandidateScores, B: int) -> CandidateScores:
+    """The B best candidates, largest key first; ties go to the lower state."""
     if B < 1:
         raise ValueError(f"B must be >= 1, got {B}")
-    return scored.states[np.lexsort((scored.states, -scored.score))[:B]]
+    top = np.lexsort((scored.states, -scored.score))[:B]
+    return CandidateScores(
+        states=scored.states[top], diagonal=scored.diagonal[top],
+        coupling=scored.coupling[top], score=scored.score[top],
+    )

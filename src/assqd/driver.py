@@ -194,7 +194,8 @@ def run_as_sqd(
                     config.kind, ham, sol, dominant, cands, config.eps, rng_seed
                 )
             if len(scored):
-                matrix = extend_restricted(ham, matrix, select_top_b(scored, config.B))
+                picked = select_top_b(scored, config.B)
+                matrix = extend_restricted(ham, matrix, picked.states, picked.diagonal)
                 sub = matrix.basis
                 sol = lowest_eigenpair(matrix)
         except Exception as exc:

@@ -254,12 +254,43 @@ def _magnitude(matrix: scipy.sparse.csr_array) -> scipy.sparse.csr_array:
     )
 
 
+def _lapack_lowest(matrix: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The dense branch of :func:`hermitian_lowest`: ``?syevr``/``?heevr``."""
+    dim = matrix.shape[0]
+    if matrix.shape != (dim, dim) or not 1 <= count <= dim:
+        raise ValueError(f"cannot take {count} eigenpairs of a {matrix.shape} matrix")
+    if not np.isfinite(matrix).all():
+        raise ValueError("matrix must not contain infs or NaNs")
+    prefix = "he" if np.iscomplexobj(matrix) else "sy"
+    evr, evr_lwork = scipy.linalg.get_lapack_funcs(
+        (prefix + "evr", prefix + "evr_lwork"), (matrix,)
+    )
+    *sizes, info = evr_lwork(n=dim, lower=1)
+    if info != 0:
+        raise scipy.linalg.LinAlgError(f"{prefix}evr workspace query: info {info}")
+    names = ("lwork", "lrwork", "liwork") if prefix == "he" else ("lwork", "liwork")
+    workspace = {name: int(size.real) for name, size in zip(names, sizes)}
+    vals, vecs, found, _, info = evr(
+        matrix, compute_v=1, range="I", lower=1, il=1, iu=count, **workspace
+    )
+    if info != 0:
+        raise scipy.linalg.LinAlgError(f"{prefix}evr failed: info {info}")
+    return vals[:found], vecs[:, :found]
+
+
 def hermitian_lowest(
     matrix: np.ndarray | scipy.sparse.sparray, count: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Lowest count eigenpairs of a Hermitian matrix, ascending.
 
-    A dense array goes to LAPACK (``scipy.linalg.eigh``); a sparse one to
+    A dense array goes to LAPACK's ``?syevr`` (``?heevr`` when complex),
+    called through ``scipy.linalg.lapack`` as ``scipy.linalg.eigh(matrix,
+    subset_by_index=(0, count - 1))`` calls it, with the workspace sizes
+    its ``?syevr_lwork`` query gives: the blocking of the tridiagonal
+    reduction depends on them, and so do the bits.  The wrapper's checks
+    are written out here, at a fraction of its per-call cost: a NaN or
+    inf entry raises ValueError, and a nonzero LAPACK ``info`` raises
+    LinAlgError.  A sparse matrix goes to
     implicitly-restarted Lanczos (ARPACK ``eigsh``) from a start vector
     drawn with seed 0, so a repeated call returns the same bits whatever
     ran before it.  The Krylov basis is scipy's default size,
@@ -276,7 +307,7 @@ def hermitian_lowest(
     residual-checked here; callers check them against their own bound.
     """
     if not scipy.sparse.issparse(matrix):
-        return scipy.linalg.eigh(matrix, subset_by_index=(0, count - 1))
+        return _lapack_lowest(np.asarray(matrix), count)
     dim = matrix.shape[0]
     # ARPACK stops with "starting vector is zero" when A v0 = 0; every
     # vector is an eigenvector of the zero matrix.  (count_nonzero would
@@ -327,7 +358,9 @@ def _csr_block(
     block to a state outside it, and the result is None; otherwise the -1
     columns, whose entries are all zero, are set to 0 in place.  Entries
     that cancel exactly are then dropped in place; they include the whole
-    diagonal of an H without diagonal terms.
+    diagonal of an H without diagonal terms.  Where the drop leaves the
+    surviving entries as views onto the padded arrays, they are copied
+    out, so the padded arrays are freed.
     """
     masks = np.array((0,) + ham.offdiag_masks, dtype=np.int64)
     width = len(masks)
@@ -352,6 +385,11 @@ def _csr_block(
         (data.reshape(-1), indices.reshape(-1), indptr), shape=(size, size)
     )
     matrix.eliminate_zeros()
+    # When more than half the entries survive, the prune keeps views onto
+    # the padded arrays above, which would stay alive behind the matrix.
+    if matrix.nnz < data.size and matrix.data.base is not None:
+        matrix.data = matrix.data.copy()
+        matrix.indices = matrix.indices.copy()
     return matrix
 
 
@@ -360,9 +398,11 @@ def sparse_matrix(ham: PauliHamiltonian) -> scipy.sparse.csr_array:
 
     This is :func:`_csr_block` on every state in ascending order.  Real
     values take 8 bytes and ``int32`` column indices 4, so before the drop
-    of cancelled entries the matrix holds (G + 1) * 2^n * 12 bytes for G
-    off-diagonal masks: ~13 MB for Heisenberg at n = 16 (G = 16), where
-    XX + YY cancel on aligned neighbours and 9 entries per row remain.
+    of cancelled entries the padded rows hold (G + 1) * 2^n * 12 bytes for
+    G off-diagonal masks: 13.4 MB for Heisenberg at n = 16 (G = 16).  XX +
+    YY cancel on aligned neighbours, so 9 entries per row remain, and the
+    matrix keeps 7.1 MB once they are copied out of the padded arrays
+    (TFIM keeps all 17 per row).
     """
     if ham.n > ORACLE_MAX_QUBITS:
         raise ValueError(

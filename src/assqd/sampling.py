@@ -155,5 +155,7 @@ def top_k(counts: CountsMultiset, K: int) -> list[BasisState]:
     """The K most frequent states, ties broken by ascending state value."""
     if K < 1:
         raise ValueError(f"K must be >= 1, got {K}")
-    ranked = sorted(counts.counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    return [state for state, _ in ranked[:K]]
+    size = len(counts.counts)
+    states = np.fromiter(counts.counts.keys(), dtype=np.int64, count=size)
+    tallies = np.fromiter(counts.counts.values(), dtype=np.int64, count=size)
+    return states[np.lexsort((states, -tallies))[:K]].tolist()

@@ -7,12 +7,16 @@ eigenproblem H_S c = E_S c.  Entry (i, j) can only be nonzero when
 s_i XOR s_j matches some term's x_mask, so H_S has a handful of entries
 per column (4.7 at m = 100 to 8.2 at m = 850 on the n = 12 Heisenberg
 chain) and is kept as (row, col, value) triplets: an extension looks up
-the new columns' targets under every mask at once, appends their
-:meth:`PauliHamiltonian.diagonal` and
-:meth:`PauliHamiltonian.amplitude_table` entries, and copies nothing.
-Set operations on state arrays sort and compare (:func:`sorted_unique`,
-:meth:`Subspace.positions`); none hashes.  The ground pair comes from
-:func:`assqd.oracle.hermitian_lowest`, the solver the reference oracle
+the new columns' targets under every mask at once, appends the new
+states' diagonals, which the caller passes (the expansion loop has them
+from scoring), and :meth:`PauliHamiltonian.amplitude_table` entries, and
+rebuilds nothing.  The matrix keeps that (G + 1) x m table of kernel
+rows by position, so the scorer reads the dominant support's amplitudes
+through :attr:`DominantSupport.rows` without evaluating them again.
+Set operations on state arrays sort and compare
+(:meth:`Subspace.positions`, :meth:`Subspace.fresh`); none hashes.  The
+ground pair comes from :func:`assqd.oracle.hermitian_lowest`, the solver
+the reference oracle
 uses: dense LAPACK on the scattered triplets up to DENSE_SOLVE_MAX
 states (the measured crossover, kept beside that solver), seeded Lanczos
 on a CSR matrix built from them beyond, so a repeated solve returns the
@@ -44,14 +48,6 @@ def sorted_positions(ascending: np.ndarray, states) -> np.ndarray:
     return np.where(np.append(ascending, -1)[at] == states, at, -1)
 
 
-def sorted_unique(states) -> np.ndarray:
-    """Distinct values of an int64 array, ascending."""
-    ordered = np.sort(np.asarray(states, dtype=np.int64).reshape(-1))
-    first = np.ones(len(ordered), dtype=bool)
-    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
-    return ordered[first]
-
-
 @dataclass(frozen=True, eq=False)
 class Subspace:
     """Distinct basis states as an int64 array, in insertion order."""
@@ -80,15 +76,24 @@ class Subspace:
     def __contains__(self, state: BasisState) -> bool:
         return bool(self.positions(state) >= 0)
 
-    def extend(self, new_states) -> Subspace:
-        """Append states not seen before, keeping first-seen order."""
-        new = np.asarray(new_states, dtype=np.int64).reshape(-1)
-        new = new[self.positions(new) < 0]
+    def fresh(self, states: np.ndarray) -> np.ndarray:
+        """Ascending indices of the int64 states that :meth:`extend` appends.
+
+        Those are the states not in the subspace, each value at its first
+        occurrence.
+        """
+        outside = np.flatnonzero(self.positions(states) < 0)
+        new = states[outside]
         # A stable sort puts each value's first occurrence ahead of its repeats.
         order = np.argsort(new, kind="stable")
         first = np.ones(len(new), dtype=bool)
         np.not_equal(new[order[1:]], new[order[:-1]], out=first[1:])
-        return Subspace(np.concatenate([self.states, new[np.sort(order[first])]]))
+        return outside[np.sort(order[first])]
+
+    def extend(self, new_states) -> Subspace:
+        """Append states not seen before, keeping first-seen order."""
+        new = np.asarray(new_states, dtype=np.int64).reshape(-1)
+        return Subspace(np.concatenate([self.states, new[self.fresh(new)]]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,16 +103,24 @@ class RestrictedMatrix:
     value = <s_row|H|s_col> for every entry the x_mask structure can make
     nonzero (an exact cancellation stays as a stored zero); no (row, col)
     pair appears twice.  Rows and columns follow the subspace order.
+
+    ``table`` is the (G + 1) x m table the triplets were read from, one
+    column per basis state s in the subspace order: row 0 holds <s|H|s>
+    and row g + 1 <s XOR x|H|s> for x = ``offdiag_masks[g]``.  The scorer
+    reads the dominant support's amplitudes from it by position.
     """
 
     rows: np.ndarray
     cols: np.ndarray
     values: np.ndarray
     basis: Subspace
+    table: np.ndarray
 
     def __post_init__(self) -> None:
         if not len(self.rows) == len(self.cols) == len(self.values):
             raise ValueError("rows, cols and values must have equal lengths")
+        if self.table.shape[1:] != (len(self.basis),):
+            raise ValueError("table must have one column per basis state")
 
     def dense(self) -> np.ndarray:
         """The m x m matrix, zero off the stored entries."""
@@ -126,11 +139,15 @@ class RestrictedMatrix:
 
 @dataclass(frozen=True)
 class RestrictedSolution:
-    """Lowest eigenpair of a restricted matrix."""
+    """Lowest eigenpair of a restricted matrix, kept beside the matrix."""
 
     energy: float
     coefficients: np.ndarray
-    subspace: Subspace
+    matrix: RestrictedMatrix
+
+    @property
+    def subspace(self) -> Subspace:
+        return self.matrix.basis
 
     def __post_init__(self) -> None:
         if self.coefficients.shape != (len(self.subspace),):
@@ -148,9 +165,15 @@ class RestrictedSolution:
 
 @dataclass(frozen=True, eq=False)
 class DominantSupport:
-    """States whose probability weight exceeds tau, in the subspace order."""
+    """States whose probability weight exceeds tau, in the subspace order.
+
+    ``rows`` holds each state's position in the subspace, the column of the
+    restricted matrix's table and the entry of the coefficients that
+    belong to it.
+    """
 
     states: np.ndarray
+    rows: np.ndarray
 
 
 def build_restricted(ham: PauliHamiltonian, subspace: Subspace) -> RestrictedMatrix:
@@ -158,34 +181,45 @@ def build_restricted(ham: PauliHamiltonian, subspace: Subspace) -> RestrictedMat
     if len(subspace) == 0:
         raise ValueError("subspace is empty")
     no_index = np.zeros(0, dtype=np.int64)
-    empty = RestrictedMatrix(rows=no_index, cols=no_index,
-                             values=np.zeros(0, dtype=ham.dtype), basis=Subspace(()))
-    return extend_restricted(ham, empty, subspace.states)
+    empty = RestrictedMatrix(
+        rows=no_index, cols=no_index, values=np.zeros(0, dtype=ham.dtype),
+        basis=Subspace(()),
+        table=np.zeros((len(ham.offdiag_masks) + 1, 0), dtype=ham.dtype),
+    )
+    return extend_restricted(ham, empty, subspace.states, ham.diagonal(subspace.states))
 
 
 def extend_restricted(
-    ham: PauliHamiltonian, matrix: RestrictedMatrix, new_states
+    ham: PauliHamiltonian, matrix: RestrictedMatrix, new_states, diagonal
 ) -> RestrictedMatrix:
     """Grow a restricted matrix in place of a full rebuild.
 
-    The old triplets are kept as they are; only the new columns are
-    assembled, for every x_mask at once: every new column j gets
-    <s_j XOR x_mask|H|s_j> at the row of s_j XOR x_mask, when that state
-    is in the subspace.  An old row's entry is mirrored (conjugated) into
-    the new row, which no old column saw; an entry between two new states
-    comes from its own column on both sides, so the pair is checked for
-    Hermiticity there, the only place the two sides are computed apart.
+    ``diagonal`` holds <s|H|s> for each of ``new_states``, which the
+    expansion loop already has from scoring them; states already in the
+    basis, and repeats, are skipped with their entries.  The old triplets
+    are kept as they are; only the new columns are assembled, for every
+    x_mask at once: every new column j gets <s_j XOR x_mask|H|s_j> at the
+    row of s_j XOR x_mask, when that state is in the subspace.  An old
+    row's entry is mirrored (conjugated) into the new row, which no old
+    column saw; an entry between two new states comes from its own column
+    on both sides, so the pair is checked for Hermiticity there, the only
+    place the two sides are computed apart.
     """
-    extended = matrix.basis.extend(new_states)
-    old_m, m = len(matrix.basis), len(extended)
-    if m == old_m:
+    new_states = np.asarray(new_states, dtype=np.int64).reshape(-1)
+    fresh = matrix.basis.fresh(new_states)
+    if len(fresh) == 0:
         return matrix
-    new = extended.states[old_m:]
+    new = new_states[fresh]
+    extended = Subspace(np.concatenate([matrix.basis.states, new]))
+    old_m, m = len(matrix.basis), len(extended)
     # One row per x_mask in the order (0,) + offdiag_masks, one column per
     # new state; boolean indexing reads the grids mask by mask.
     masks = np.array((0,) + ham.offdiag_masks, dtype=np.int64)
     rows = extended.positions(new ^ masks[:, None])
-    amps = np.concatenate([ham.diagonal(new)[None], ham.amplitude_table(new)])
+    amps = np.concatenate([
+        np.asarray(diagonal, dtype=np.float64)[fresh][None],
+        ham.amplitude_table(new),
+    ])
     hit = rows >= 0
     i, values = rows[hit], amps[hit]
     j = np.broadcast_to(np.arange(old_m, m), rows.shape)[hit]
@@ -206,6 +240,7 @@ def extend_restricted(
         cols=np.concatenate([matrix.cols, j, i[old]]),
         values=np.concatenate([matrix.values, values, np.conj(values[old])]),
         basis=extended,
+        table=np.concatenate([matrix.table, amps], axis=1),
     )
 
 
@@ -223,9 +258,7 @@ def lowest_eigenpair(matrix: RestrictedMatrix) -> RestrictedSolution:
         raise ConvergenceError(
             f"restricted eigenpair residual exceeds {bound:.1e}", residual
         )
-    return RestrictedSolution(
-        energy=energy, coefficients=fix_phase(vec), subspace=matrix.basis
-    )
+    return RestrictedSolution(energy=energy, coefficients=fix_phase(vec), matrix=matrix)
 
 
 def dominant_support(sol: RestrictedSolution, tau: float) -> DominantSupport:
@@ -233,7 +266,7 @@ def dominant_support(sol: RestrictedSolution, tau: float) -> DominantSupport:
     if not 0.0 <= tau < 1.0:
         raise ValueError(f"tau must be in [0, 1), got {tau}")
     weights = np.abs(sol.coefficients) ** 2
-    picked = sol.subspace.states[weights > tau]
-    if len(picked) == 0:
-        picked = sol.subspace.states[[int(np.argmax(weights))]]
-    return DominantSupport(states=picked)
+    rows = np.flatnonzero(weights > tau)
+    if len(rows) == 0:
+        rows = np.array([int(np.argmax(weights))])
+    return DominantSupport(states=sol.subspace.states[rows], rows=rows)

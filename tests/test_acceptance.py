@@ -347,10 +347,10 @@ def test_09_en_ranking_beats_bottom_ranked_additions():
         if best == worst:
             continue
         e_top = lowest_eigenpair(
-            extend_restricted(ham, matrix, [best])
+            extend_restricted(ham, matrix, [best], ham.diagonal([best]))
         ).energy
         e_bot = lowest_eigenpair(
-            extend_restricted(ham, matrix, [worst])
+            extend_restricted(ham, matrix, [worst], ham.diagonal([worst]))
         ).energy
         trials += 1
         if e_top <= e_bot + 1e-12:

@@ -7,6 +7,7 @@ import pytest
 
 from assqd.acquisition import (
     CandidateScores,
+    Frontier,
     coupling,
     coupling_map,
     en_score,
@@ -31,8 +32,9 @@ def solve(ham, states):
     return lowest_eigenpair(build_restricted(ham, Subspace(tuple(states))))
 
 
-def support(*states):
-    return DominantSupport(states=np.array(states, dtype=np.int64))
+def support(subspace, *states):
+    states = np.array(states, dtype=np.int64)
+    return DominantSupport(states=states, rows=subspace.positions(states))
 
 
 def ranked(states, score):
@@ -47,14 +49,15 @@ def ranked(states, score):
 class TestGenerateCandidates:
     def test_heisenberg_ring_from_origin(self):
         ham = heisenberg_chain(3, 1.0, DisorderInstance((0.0,) * 3, 0))
-        d = support(0)
-        out = generate_candidates(ham, d, Subspace((0,)))
-        assert out.tolist() == [0b011, 0b101, 0b110]
+        sub = Subspace((0,))
+        out = generate_candidates(ham, support(sub, 0), sub)
+        assert out.states.tolist() == [0b011, 0b101, 0b110]
+        assert out.pairs.tolist() == [[0, 1, 2]]
 
     def test_diagonal_hamiltonian_has_no_candidates(self):
         h = PauliHamiltonian(3, [PauliTerm(0, m, 1.0) for m in (1, 2, 4)])
-        d = support(0)
-        assert len(generate_candidates(h, d, Subspace((0,)))) == 0
+        sub = Subspace((0,))
+        assert len(generate_candidates(h, support(sub, 0), sub)) == 0
 
     def test_disjoint_from_subspace(self):
         rng = np.random.default_rng(61)
@@ -65,16 +68,16 @@ class TestGenerateCandidates:
                 int(s) for s in rng.choice(1 << n, size=min(8, 1 << n), replace=False)
             )
             sub = Subspace(states)
-            d = support(*states[:3])
+            d = support(sub, *states[:3])
             two_hop = score_two_hop("random", h, solve(h, states), d, sub, rng_seed=0)
-            for cands in (generate_candidates(h, d, sub), two_hop.states):
+            for cands in (generate_candidates(h, d, sub).states, two_hop.states):
                 assert not np.isin(cands, states).any()
 
     def test_two_hop_contains_one_hop(self):
         ham, _ = build_model(ModelSpec(kind="heisenberg", n=5, seed=2))
         sub = Subspace((0, 3))
-        d = support(0, 3)
-        one = generate_candidates(ham, d, sub)
+        d = support(sub, 0, 3)
+        one = generate_candidates(ham, d, sub).states
         sol = solve(ham, (0, 3))
         two = score_two_hop("random", ham, sol, d, sub, rng_seed=0).states
         assert np.isin(one, two).all()
@@ -85,13 +88,13 @@ class TestCoupling:
     def test_uncoupled_candidate_is_zero(self):
         h = parse_hamiltonian("1.0 XX\n1.0 YY\n1.0 ZZ\n")
         sol = solve(h, (1, 2))
-        d = support(1, 2)
+        d = support(sol.subspace, 1, 2)
         assert coupling(h, sol, d, 0) == 0.0
 
     def test_single_dominant_state_gives_matrix_element(self):
         ham, _ = build_model(ModelSpec(kind="heisenberg", n=4, seed=1))
         sol = solve(ham, (0,))
-        d = support(0)
+        d = support(sol.subspace, 0)
         for k in ham.neighbors(0):
             assert np.isclose(coupling(ham, sol, d, k), ham.matrix_element(k, 0))
 
@@ -124,8 +127,8 @@ class TestCoupling:
             sol = solve(h, states)
             d = dominant_support(sol, 1e-4)
             cands = generate_candidates(h, d, sol.subspace)
-            nu = coupling_map(h, sol, d, cands)
-            for k, nu_k in zip(cands.tolist(), nu):
+            nu = coupling_map(sol, d, cands)
+            for k, nu_k in zip(cands.states.tolist(), nu):
                 assert np.isclose(nu_k, coupling(h, sol, d, k), atol=1e-13)
 
 
@@ -175,7 +178,7 @@ class TestScoreCandidates:
         diagonals = {0: 5.0, 1: -2.0, 2: 0.0}
         scored = ranked(list(diagonals), [-dv for dv in diagonals.values()])
         picked = select_top_b(scored, 3)
-        assert [diagonals[s] for s in picked.tolist()] == [-2.0, 0.0, 5.0]
+        assert [diagonals[s] for s in picked.states.tolist()] == [-2.0, 0.0, 5.0]
 
     def test_random_same_seed_same_order(self):
         ham, sol, d, cands = self._setup()
@@ -197,8 +200,9 @@ class TestScoreCandidates:
 
     def test_candidates_overlapping_subspace_rejected(self):
         ham, sol, d, cands = self._setup()
+        overlapping = Frontier(np.append(cands.states, 0), cands.pairs)
         with pytest.raises(ValueError, match="intersect"):
-            score_candidates("en", ham, sol, d, np.append(cands, 0))
+            score_candidates("en", ham, sol, d, overlapping)
 
     def test_scale_covariance(self):
         rng = np.random.default_rng(79)
@@ -218,10 +222,12 @@ class TestScoreCandidates:
             cands = generate_candidates(h, d, sol.subspace)
             if len(cands) == 0:
                 continue
+            cands_scaled = generate_candidates(scaled, d_scaled, sol_scaled.subspace)
+            assert np.array_equal(cands.states, cands_scaled.states)
             a = score_candidates("en", h, sol, d, cands)
-            b = score_candidates("en", scaled, sol_scaled, d_scaled, cands)
-            assert (select_top_b(a, len(cands)).tolist()
-                    == select_top_b(b, len(cands)).tolist())
+            b = score_candidates("en", scaled, sol_scaled, d_scaled, cands_scaled)
+            assert (select_top_b(a, len(cands)).states.tolist()
+                    == select_top_b(b, len(cands)).states.tolist())
             for x, y in zip(a.score, b.score):
                 if x > 1e-12:
                     assert np.isclose(y / x, lam, rtol=1e-8)
@@ -239,7 +245,7 @@ class TestScoreCandidates:
             if len(cands) < 2:
                 continue
             scored = score_candidates("en", h, sol, d, cands)
-            ranked = select_top_b(scored, len(scored))
+            ranked = select_top_b(scored, len(scored)).states
             top, bottom = int(ranked[0]), int(ranked[-1])
             e_top = solve(h, states + (top,)).energy
             e_bottom = solve(h, states + (bottom,)).energy
@@ -255,7 +261,7 @@ class TestScoreTwoHop:
         sol = solve(ham, (0,))
         d = dominant_support(sol, 0.0)
         sub = sol.subspace
-        one_hop = generate_candidates(ham, d, sub)
+        one_hop = generate_candidates(ham, d, sub).states
         scored = score_two_hop("en", ham, sol, d, sub)
         assert np.all(np.diff(scored.states) > 0)
         assert np.isin(one_hop, scored.states).all()
@@ -288,7 +294,7 @@ class TestScoreTwoHop:
         d = dominant_support(sol, 0.0)
         sub = sol.subspace
         one_hop = generate_candidates(h, d, sub)
-        assert one_hop.tolist() == [0b011, 0b110]
+        assert one_hop.states.tolist() == [0b011, 0b110]
         scored = score_two_hop("en", h, sol, d, sub)
         assert 0b101 in scored.states
         at = scored.states.tolist().index(0b101)
@@ -299,15 +305,15 @@ class TestScoreTwoHop:
 class TestSelectTopB:
     def test_basic_selection(self):
         scored = ranked([4, 7, 1], [5.0, 3.0, 1.0])
-        assert select_top_b(scored, 2).tolist() == [4, 7]
+        assert select_top_b(scored, 2).states.tolist() == [4, 7]
 
     def test_fewer_candidates_than_b(self):
         scored = ranked([2], [1.0])
-        assert select_top_b(scored, 10).tolist() == [2]
+        assert select_top_b(scored, 10).states.tolist() == [2]
 
     def test_tie_break_by_state(self):
         scored = ranked([9, 4], [2.0, 2.0])
-        assert select_top_b(scored, 1).tolist() == [4]
+        assert select_top_b(scored, 1).states.tolist() == [4]
 
     def test_bad_b_rejected(self):
         with pytest.raises(ValueError, match="B"):

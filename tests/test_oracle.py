@@ -9,6 +9,8 @@ import pytest
 import scipy.linalg
 
 import assqd.oracle as oracle_mod
+import assqd.subspace as subspace_mod
+from assqd.driver import RunConfig, run_as_sqd
 from assqd.models import (
     DisorderInstance,
     ModelSpec,
@@ -29,6 +31,7 @@ from assqd.oracle import (
     sparse_matrix,
 )
 from assqd.pauli import PauliHamiltonian, PauliTerm, parse_hamiltonian
+from assqd.sampling import contaminated_distribution, sample_counts
 from assqd.subspace import DENSE_SOLVE_MAX, Subspace, build_restricted, lowest_eigenpair
 from conftest import random_hamiltonian
 
@@ -108,6 +111,76 @@ class TestSparseMatrix:
         ham = PauliHamiltonian(21, [PauliTerm(0, 1, 1.0)])
         with pytest.raises(ValueError, match="n <= 20"):
             sparse_matrix(ham)
+
+    # Heisenberg keeps 5 of 9 padded entries per row at n = 8, more than
+    # half, so the prune of cancelled entries would leave views onto the
+    # padded arrays; TFIM cancels nothing.
+    @pytest.mark.parametrize("kind", ["heisenberg", "tfim"])
+    def test_blocks_hold_no_padding(self, kind):
+        ham, _ = build_model(ModelSpec(kind=kind, n=8, seed=0))
+        blocks = [sparse_matrix(ham)] + [b for _, b in popcount_sectors(ham) or []]
+        for block in blocks:
+            for array in (block.data, block.indices):
+                held = array if array.base is None else array.base
+                assert held.size == block.nnz
+
+
+def _same_bytes_as_eigh(matrix, count) -> bool:
+    got = hermitian_lowest(matrix, count)
+    ref = scipy.linalg.eigh(matrix, subset_by_index=(0, count - 1))
+    return all(a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+               for a, b in zip(got, ref))
+
+
+class TestDenseRoute:
+    """hermitian_lowest's direct ?syevr/?heevr call against scipy's eigh."""
+
+    @pytest.mark.parametrize("real", [True, False])
+    @pytest.mark.parametrize("m", [1, 2, 3, 8, 9, 33, 100, 177, 249, 250])
+    def test_bytes_equal_eigh(self, real, m):
+        rng = np.random.default_rng(m)
+        ham = random_hamiltonian(8, 40, rng)
+        # One odd-Y term on qubit 0 makes H complex; clearing the z bits
+        # under x makes it real.
+        terms = [PauliTerm(t.x_mask, t.z_mask & ~t.x_mask, t.coefficient)
+                 for t in ham.terms] + ([] if real else [PauliTerm(1, 1, 0.7)])
+        ham = PauliHamiltonian(8, terms)
+        assert ham.is_real == real
+        states = rng.choice(256, size=m, replace=False)
+        matrix = build_restricted(ham, Subspace(states)).dense()
+        for count in range(1, min(8, m) + 1):
+            assert _same_bytes_as_eigh(matrix, count)
+
+    def test_bytes_equal_eigh_on_an_as_en_run(self, monkeypatch):
+        ham, _ = build_model(ModelSpec(kind="heisenberg", n=10, seed=0))
+        pairs = exact_lowest(ham)
+        counts = sample_counts(
+            contaminated_distribution(pairs.psi0, pairs.psi1, 0.1), 2000, 0)
+        seen = []
+
+        def record(matrix, count):
+            seen.append(matrix.copy())
+            return hermitian_lowest(matrix, count)
+
+        monkeypatch.setattr(subspace_mod, "hermitian_lowest", record)
+        trace = run_as_sqd(ham, counts, RunConfig(K=50, B=20, T=10))
+        assert [r.subspace_size for r in trace.records] == list(range(50, 251, 20))
+        assert len(seen) == 11
+        for matrix in seen:
+            for count in range(1, 9):
+                assert _same_bytes_as_eigh(matrix, count)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_non_finite_entry_raises(self, bad, dtype):
+        matrix = np.eye(4, dtype=dtype)
+        matrix[1, 2] = matrix[2, 1] = bad
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            hermitian_lowest(matrix, 1)
+
+    def test_count_beyond_the_order_raises(self):
+        with pytest.raises(ValueError, match="eigenpairs"):
+            hermitian_lowest(np.eye(3), 4)
 
 
 class TestHermitianLowest:

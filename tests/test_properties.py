@@ -35,7 +35,13 @@ from assqd.acquisition import (
 from assqd.driver import METHOD_KINDS, RunConfig, run_as_sqd
 from assqd.oracle import exact_lowest, sparse_matrix
 from assqd.pauli import MAX_QUBITS, PauliHamiltonian, PauliTerm
-from assqd.sampling import BIT_ORDERS, CountsMultiset, counts_to_json, parse_counts
+from assqd.sampling import (
+    BIT_ORDERS,
+    CountsMultiset,
+    counts_to_json,
+    parse_counts,
+    top_k,
+)
 from assqd.subspace import (
     DominantSupport,
     Subspace,
@@ -44,7 +50,6 @@ from assqd.subspace import (
     extend_restricted,
     lowest_eigenpair,
     sorted_positions,
-    sorted_unique,
 )
 
 # Derandomized and without an example database, so every run of the suite
@@ -144,9 +149,13 @@ def test_restricted_assembly_equals_elementwise_matrix_elements(data):
     assert np.array_equal(built.dense(), ref)
     split = data.draw(st.integers(1, len(states)))
     grown = extend_restricted(ham, build_restricted(ham, Subspace(states[:split])),
-                              states[split:])
+                              states[split:], ham.diagonal(states[split:]))
     assert grown.basis.states.tolist() == states
     assert np.array_equal(grown.dense(), ref)
+    # The kernel rows kept by position: column j is the basis state j.
+    table = np.concatenate([ham.diagonal(states)[None], ham.amplitude_table(states)])
+    assert _bytes_equal(built.table, table)
+    assert _bytes_equal(grown.table, table)
 
 
 @PROPERTY
@@ -158,7 +167,7 @@ def test_split_extension_across_the_solver_crossover(real, data):
     states = _states(data.draw, ham.n, min_size=4)
     split = data.draw(st.integers(2, len(states) - 1))
     base = build_restricted(ham, Subspace(states[:split]))
-    grown = extend_restricted(ham, base, states[split:])
+    grown = extend_restricted(ham, base, states[split:], ham.diagonal(states[split:]))
     ref = np.array([[ham.matrix_element(a, b) for b in states] for a in states])
     assert np.array_equal(grown.dense(), ref)
     dense = lowest_eigenpair(grown)
@@ -169,23 +178,73 @@ def test_split_extension_across_the_solver_crossover(real, data):
     assert abs(sparse.energy - dense.energy) <= 1e-9
 
 
+# Restricted solves on up to 16 states stay small at any n, so the scoring
+# properties also run on states of n = 63 qubits.
+_SCORING_SIZES = st.integers(1, 8) | st.just(MAX_QUBITS)
+
+
+def _solved(data, real):
+    """A random H, its ground pair on up to 16 drawn states, and a drawn D."""
+    ham = data.draw(hamiltonians(real, sizes=_SCORING_SIZES))
+    states = _states(data.draw, ham.n, min_size=1, max_size=16)
+    sol = lowest_eigenpair(build_restricted(ham, Subspace(states)))
+    dominant = dominant_support(sol, data.draw(st.sampled_from([0.0, 1e-4, 0.05])))
+    return ham, sol, dominant
+
+
 @PROPERTY
 @pytest.mark.parametrize("real", [True, False])
 @given(data=st.data())
 def test_coupling_map_equals_literal_coupling(real, data):
-    ham = data.draw(hamiltonians(real))
-    states = _states(data.draw, ham.n, min_size=1, max_size=16)
-    sol = lowest_eigenpair(build_restricted(ham, Subspace(states)))
-    dominant = dominant_support(sol, data.draw(st.sampled_from([0.0, 1e-4, 0.05])))
-    hops = data.draw(st.sampled_from([1, 2]))
-    if hops == 1:
+    ham, sol, dominant = _solved(data, real)
+    if data.draw(st.sampled_from([1, 2])) == 1:
         candidates = generate_candidates(ham, dominant, sol.subspace)
+        got = coupling_map(sol, dominant, candidates)
+        candidates = candidates.states
     else:
-        candidates = score_two_hop(
-            "random", ham, sol, dominant, sol.subspace, rng_seed=0).states
+        scored = score_two_hop("random", ham, sol, dominant, sol.subspace, rng_seed=0)
+        candidates, got = scored.states, scored.coupling
     ref = np.array([coupling(ham, sol, dominant, k) for k in candidates.tolist()],
                    dtype=np.complex128)
-    assert np.array_equal(coupling_map(ham, sol, dominant, candidates), ref)
+    assert np.array_equal(got, ref)
+
+
+@PROPERTY
+@pytest.mark.parametrize("real", [True, False])
+@given(data=st.data())
+def test_dominant_rows_are_subspace_positions(real, data):
+    _, sol, dominant = _solved(data, real)
+    assert _bytes_equal(dominant.rows, sol.subspace.positions(dominant.states))
+
+
+def _literal_scores(kind, ham, sol, dominant, states, eps):
+    """Every kind's score, with nu as coupling() per candidate."""
+    h_kk = ham.diagonal(states)
+    nu = np.array([coupling(ham, sol, dominant, k) for k in states.tolist()],
+                  dtype=np.complex128)
+    gap = np.maximum(np.abs(sol.energy - h_kk), eps)
+    score = {"en": lambda: np.abs(nu) ** 2 / gap,
+             "coupling_only": lambda: np.abs(nu) ** 2,
+             "denom_only": lambda: 1.0 / gap,
+             "diag_only": lambda: -h_kk,
+             "random": lambda: np.random.default_rng(0).random(len(states))}[kind]()
+    return states, h_kk, nu, score
+
+
+@PROPERTY
+@pytest.mark.parametrize("real", [True, False])
+@given(data=st.data())
+def test_one_hop_scores_bytes_equal_literal_coupling(real, data):
+    ham, sol, dominant = _solved(data, real)
+    eps = data.draw(st.sampled_from([1e-8, 0.5]))
+    kind = data.draw(st.sampled_from(ACQUISITION_KINDS))
+    frontier = generate_candidates(ham, dominant, sol.subspace)
+    got = score_candidates(kind, ham, sol, dominant, frontier, eps=eps, rng_seed=0)
+    ref = _literal_scores(kind, ham, sol, dominant, frontier.states, eps)
+    for array, expected in zip(
+        (got.states, got.diagonal, got.coupling, got.score), ref
+    ):
+        assert _bytes_equal(array, expected)
 
 
 def _frontier(ham: PauliHamiltonian, states: np.ndarray) -> np.ndarray:
@@ -202,12 +261,11 @@ def _two_hop_reference(kind, ham, sol, dominant, subspace, eps):
     pure_two = np.setdiff1d(_frontier(ham, one_hop),
                             np.union1d(one_hop, subspace.states))
     if kind != "en":
-        scored = score_candidates(kind, ham, sol, dominant,
-                                  np.union1d(one_hop, pure_two), eps=eps, rng_seed=0)
-        return scored.states, scored.diagonal, scored.coupling, scored.score
-    scored = score_candidates("en", ham, sol, dominant, one_hop, eps=eps)
-    nu_m_sq = np.abs(scored.coupling) ** 2
-    denom_m = np.maximum(np.abs(sol.energy - scored.diagonal), eps)
+        return _literal_scores(kind, ham, sol, dominant,
+                               np.union1d(one_hop, pure_two), eps)
+    _, h_mm, nu_m, _ = _literal_scores("en", ham, sol, dominant, one_hop, eps)
+    nu_m_sq = np.abs(nu_m) ** 2
+    denom_m = np.maximum(np.abs(sol.energy - h_mm), eps)
     best = np.zeros(len(pure_two))
     table = ham.amplitude_table(one_hop)
     for g, x_mask in enumerate(ham.offdiag_masks):
@@ -216,12 +274,12 @@ def _two_hop_reference(kind, ham, sol, dominant, subspace, eps):
         amp = table[g, hit]
         np.maximum.at(best, at[hit], np.abs(amp) ** 2 * nu_m_sq[hit] / denom_m[hit])
     h_kk = ham.diagonal(pure_two)
-    states = np.concatenate([scored.states, pure_two])
+    states = np.concatenate([one_hop, pure_two])
     order = np.argsort(states)
     return (states[order],
-            np.concatenate([scored.diagonal, h_kk])[order],
-            np.concatenate([scored.coupling, np.zeros(len(pure_two), complex)])[order],
-            np.concatenate([scored.score,
+            np.concatenate([h_mm, h_kk])[order],
+            np.concatenate([nu_m, np.zeros(len(pure_two), complex)])[order],
+            np.concatenate([np.abs(nu_m) ** 2 / denom_m,
                             best / np.maximum(np.abs(sol.energy - h_kk), eps)])[order])
 
 
@@ -229,10 +287,7 @@ def _two_hop_reference(kind, ham, sol, dominant, subspace, eps):
 @pytest.mark.parametrize("real", [True, False])
 @given(data=st.data())
 def test_score_two_hop_bytes_equal_per_mask_loop(real, data):
-    ham = data.draw(hamiltonians(real))
-    states = _states(data.draw, ham.n, min_size=1, max_size=16)
-    sol = lowest_eigenpair(build_restricted(ham, Subspace(states)))
-    dominant = dominant_support(sol, data.draw(st.sampled_from([0.0, 1e-4, 0.05])))
+    ham, sol, dominant = _solved(data, real)
     eps = data.draw(st.sampled_from([1e-8, 0.5]))
     kind = data.draw(st.sampled_from(ACQUISITION_KINDS))
     got = score_two_hop(kind, ham, sol, dominant, sol.subspace, eps=eps, rng_seed=0)
@@ -251,23 +306,27 @@ def _repeating_states(n: int):
 @PROPERTY
 @given(st.data())
 def test_generate_candidates_equals_numpy_set_forms(data):
-    ham = data.draw(hamiltonians())
-    dominant = DominantSupport(
-        np.array(data.draw(_repeating_states(ham.n)), dtype=np.int64))
+    ham = data.draw(hamiltonians(sizes=_SCORING_SIZES))
     subspace = Subspace(np.unique(data.draw(_repeating_states(ham.n))).astype(np.int64))
+    states = np.array(data.draw(_repeating_states(ham.n)), dtype=np.int64)
+    dominant = DominantSupport(states, subspace.positions(states))
     one_hop = np.setdiff1d(_frontier(ham, dominant.states), subspace.states)
-    assert _bytes_equal(generate_candidates(ham, dominant, subspace), one_hop)
+    frontier = generate_candidates(ham, dominant, subspace)
+    assert _bytes_equal(frontier.states, one_hop)
+    steps = dominant.states[:, None] ^ np.array(ham.offdiag_masks, dtype=np.int64)
+    assert _bytes_equal(frontier.pairs, sorted_positions(frontier.states, steps))
 
 
 @PROPERTY
 @given(st.lists(st.integers(0, 15), max_size=12, unique=True),
        st.lists(st.integers(0, 15) | st.integers(0, 2**63 - 1), max_size=24))
-def test_extend_and_sorted_unique_equal_numpy_unique(base, new):
+def test_extend_equals_numpy_unique(base, new):
     new = np.array(new, dtype=np.int64)
     joined = np.concatenate([np.array(base, dtype=np.int64), new])
     _, first = np.unique(joined, return_index=True)
     assert _bytes_equal(Subspace(base).extend(new).states, joined[np.sort(first)])
-    assert _bytes_equal(sorted_unique(new), np.unique(new))
+    fresh = Subspace(base).fresh(new)
+    assert _bytes_equal(new[fresh], joined[np.sort(first)][len(base):])
 
 
 @PROPERTY
@@ -287,7 +346,7 @@ def test_select_top_b_matches_literal_sort(entries, B):
         coupling=zeros.astype(complex), score=np.array([v for _, v in entries]),
     )
     literal = [s for s, _ in sorted(entries, key=lambda e: (-e[1], e[0]))][:B]
-    assert select_top_b(scored, B).tolist() == literal
+    assert select_top_b(scored, B).states.tolist() == literal
 
 
 @st.composite
@@ -295,6 +354,19 @@ def counts_multisets(draw, n: int) -> CountsMultiset:
     tallies = draw(st.dictionaries(st.integers(0, (1 << n) - 1),
                                    st.integers(1, 1000), min_size=1, max_size=20))
     return CountsMultiset(counts=tallies, n=n)
+
+
+# Few distinct tallies make ties common.
+@PROPERTY
+@given(st.dictionaries(st.integers(0, 15) | st.integers(0, 2**63 - 1),
+                       st.integers(1, 4) | st.integers(1, 2**40), min_size=1,
+                       max_size=30),
+       st.integers(1, 40))
+def test_top_k_matches_literal_sort(tallies, K):
+    counts = CountsMultiset(counts=tallies, n=MAX_QUBITS)
+    literal = [s for s, _ in sorted(tallies.items(), key=lambda e: (-e[1], e[0]))][:K]
+    assert top_k(counts, K) == literal
+    assert all(type(state) is int for state in top_k(counts, K))
 
 
 @PROPERTY

@@ -149,10 +149,12 @@ class TestBuildRestricted:
         with pytest.raises(ValueError, match="Hermitian"):
             build_restricted(h, Subspace((1, 2)))
         with pytest.raises(ValueError, match="Hermitian"):
-            extend_restricted(h, build_restricted(h, Subspace((0,))), [1, 2])
+            extend_restricted(h, build_restricted(h, Subspace((0,))), [1, 2],
+                              h.diagonal([1, 2]))
         # An old row's entry is mirrored from the new column, so an
         # old/new pair is Hermitian by construction.
-        grown = extend_restricted(h, build_restricted(h, Subspace((1,))), [2]).dense()
+        grown = extend_restricted(h, build_restricted(h, Subspace((1,))), [2],
+                                  h.diagonal([2])).dense()
         assert np.array_equal(grown, grown.T)
 
     # The check is np.allclose's: |a - b| <= 1e-12 + 1e-5 |b|, 2e-5 here.
@@ -178,7 +180,7 @@ class TestExtendRestricted:
             base_states = tuple(int(s) for s in rng.choice(64, size=10, replace=False))
             extra = [int(s) for s in rng.choice(64, size=8)]
             base = build_restricted(h, Subspace(base_states))
-            grown = extend_restricted(h, base, extra)
+            grown = extend_restricted(h, base, extra, h.diagonal(extra))
             rebuilt = build_restricted(h, Subspace(base_states).extend(extra))
             assert grown.basis.states.tolist() == rebuilt.basis.states.tolist()
             assert np.allclose(grown.dense(), rebuilt.dense(), atol=1e-13)
@@ -186,7 +188,7 @@ class TestExtendRestricted:
     def test_no_new_states_returns_same_matrix(self):
         h = parse_hamiltonian("1.0 ZZ\n")
         base = build_restricted(h, Subspace((0, 3)))
-        assert extend_restricted(h, base, [3, 0]) is base
+        assert extend_restricted(h, base, [3, 0], h.diagonal([3, 0])) is base
 
 
 class TestLowestEigenpair:
@@ -199,7 +201,8 @@ class TestLowestEigenpair:
 
     def test_one_by_one(self):
         m = RestrictedMatrix(rows=np.array([0]), cols=np.array([0]),
-                             values=np.array([4.5]), basis=Subspace((6,)))
+                             values=np.array([4.5]), basis=Subspace((6,)),
+                             table=np.array([[4.5]]))
         sol = lowest_eigenpair(m)
         assert np.isclose(sol.energy, 4.5)
         assert np.allclose(sol.coefficients, [1.0])
@@ -207,7 +210,8 @@ class TestLowestEigenpair:
     def test_diagonal_matrix(self):
         m = RestrictedMatrix(rows=np.arange(3), cols=np.arange(3),
                              values=np.array([3.0, -5.0, 2.0]),
-                             basis=Subspace((0, 1, 2)))
+                             basis=Subspace((0, 1, 2)),
+                             table=np.array([[3.0, -5.0, 2.0]]))
         sol = lowest_eigenpair(m)
         assert np.isclose(sol.energy, -5.0)
         assert np.allclose(np.abs(sol.coefficients), [0.0, 1.0, 0.0])
@@ -300,14 +304,18 @@ class TestDominantSupport:
         c = c / np.linalg.norm(c)
         import assqd.subspace as sub
 
-        return sub.RestrictedSolution(
-            energy=0.0, coefficients=c, subspace=Subspace(states)
-        )
+        none = np.zeros(0, dtype=np.int64)
+        # Only the basis matters here; no entry of H is read.
+        matrix = sub.RestrictedMatrix(rows=none, cols=none, values=np.zeros(0),
+                                      basis=Subspace(states),
+                                      table=np.zeros((1, len(states))))
+        return sub.RestrictedSolution(energy=0.0, coefficients=c, matrix=matrix)
 
     def test_even_split_keeps_both(self):
         sol = self._solution([1.0, -1.0], (1, 2))
         d = dominant_support(sol, 0.25)
         assert d.states.tolist() == [1, 2]
+        assert d.rows.tolist() == [0, 1]
 
     def test_small_weight_dropped(self):
         sol = self._solution([0.9995, 0.0316], (4, 9))
@@ -318,11 +326,13 @@ class TestDominantSupport:
         sol = self._solution([0.6, 0.0, 0.8], (1, 2, 3))
         d = dominant_support(sol, 0.0)
         assert d.states.tolist() == [1, 3]
+        assert d.rows.tolist() == [0, 2]
 
     def test_empty_falls_back_to_peak(self):
         sol = self._solution([0.6, 0.8], (5, 6))
         d = dominant_support(sol, 0.9)
         assert d.states.tolist() == [6]
+        assert d.rows.tolist() == [1]
 
     def test_tau_validation(self):
         sol = self._solution([1.0], (0,))
