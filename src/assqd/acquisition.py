@@ -241,10 +241,26 @@ def score_two_hop(
 
 
 def select_top_b(scored: CandidateScores, B: int) -> CandidateScores:
-    """The B best candidates, largest key first; ties go to the lower state."""
+    """The B best candidates, largest key first; ties go to the lower state.
+
+    Every candidate ahead of the B-th in that order keys at or above the
+    B-th largest key, so only those are ranked: ``np.partition`` finds
+    that key, and ``lexsort`` orders the candidates keyed at or above it,
+    B and their ties, instead of the whole pool.  A pool of at most B
+    states is ranked whole.  In one pass of expand-default (seed 0) the
+    240 pools held 241-3772 states for B = 20, and selecting took 2.7 ms
+    against 10.2 ms for a lexsort of each pool; in expand-wide 5 of 32
+    pools held fewer than 3B states for B = 100, and the 32 took 0.7 ms
+    against 1.4 ms.
+    """
     if B < 1:
         raise ValueError(f"B must be >= 1, got {B}")
-    top = np.lexsort((scored.states, -scored.score))[:B]
+    keys = -scored.score
+    if B < len(keys):
+        ahead = np.flatnonzero(keys <= np.partition(keys, B - 1)[B - 1])
+        top = ahead[np.lexsort((scored.states[ahead], keys[ahead]))[:B]]
+    else:
+        top = np.lexsort((scored.states, keys))
     return CandidateScores(
         states=scored.states[top], diagonal=scored.diagonal[top],
         coupling=scored.coupling[top], score=scored.score[top],

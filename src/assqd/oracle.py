@@ -2,7 +2,8 @@
 
 :func:`hermitian_lowest` gives the lowest eigenpairs of a Hermitian
 matrix, dense LAPACK for a dense array and seeded ARPACK Lanczos for a
-sparse one; the restricted solve of the expansion loop
+sparse one, which ARPACK multiplies by directly (:class:`_Product`); the
+restricted solve of the expansion loop
 (:func:`assqd.subspace.lowest_eigenpair`) calls it too, and both pick the
 dense form up to DENSE_SOLVE_MAX = 250 states.  ARPACK stops once every
 Ritz estimate is at most RESIDUAL_TOL / ARPACK_TOL_DIVISOR, a tenth of the
@@ -41,13 +42,14 @@ splits, while the command line always takes the one the size and H pick.
 Every returned pair, sector pairs scattered back to 2^n vectors
 included, is verified against the residual bound
 ``norm(H psi - E psi) <= RESIDUAL_TOL`` (1e-9) through
-:func:`apply_hamiltonian`, a term-by-term product on the full vectors
-(all pairs in one call) that shares no code with the CSR builder or that
-kernel, so neither a silent misconvergence nor a wrong matrix entry can
-leak into benchmark baselines.  The result is an :class:`EigenpairSet`,
-which derives e0, e1 and the degeneracy flag (E1 - E0 < DEGENERACY_GAP)
-from its energies; the sweeps, ``assqd oracle`` and the trace records of
-``assqd run`` and ``assqd ingest`` all read them from it.
+:func:`apply_hamiltonian`, a term-by-term product scattered from the
+vectors' joint support (all pairs in one call) that shares no code with
+the CSR builder or that kernel, so neither a silent misconvergence nor a
+wrong matrix entry can leak into benchmark baselines.  The result is an
+:class:`EigenpairSet`, which derives e0, e1 and the degeneracy flag
+(E1 - E0 < DEGENERACY_GAP) from its energies; the sweeps, ``assqd
+oracle`` and the trace records of ``assqd run`` and ``assqd ingest`` all
+read them from it.
 :func:`save_eigenpairs` writes the pairs of ``assqd oracle --pairs`` to
 an .npz; the package never reads one back.
 """
@@ -117,19 +119,21 @@ ARPACK_TOL_DIVISOR = 10
 SECTOR_MIN_QUBITS = 14
 
 # Dense eigensolve up to this matrix order, seeded CSR Lanczos beyond.
-# Measured per solve (CPU ms on an Intel Xeon, one OpenBLAS thread, median
-# over three runs of a median of 9, on prefixes of the expand-wide subspace
-# of seed 0; dense route / sparse route at scipy's default Krylov size and
-# ARPACK_TOL_DIVISOR):
+# Measured per solve (CPU ms on an Intel Xeon, one OpenBLAS thread, the
+# lower of two runs, each a median over three runs of a median of 9, on
+# prefixes of the expand-wide subspace of seed 0; dense route / sparse
+# route at scipy's default Krylov size and ARPACK_TOL_DIVISOR, ARPACK
+# multiplying through _Product):
 #
 #   m                        100        150        200        250        300        850
-#   Heisenberg n = 12     0.6 / 1.8  1.3 / 2.3  2.1 / 2.3  3.4 / 2.5  4.9 / 3.0  70 / 4.2
-#   TFIM n = 14           0.6 / 1.8  1.3 / 2.3  2.1 / 2.3  3.4 / 2.4  4.9 / 2.5  70 / 4.1
-#   Heisenberg + Y0       1.4 / 3.7  3.7 / 3.9  7.3 / 3.9   12 / 4.2   20 / 5.5 349 / 7.9
+#   Heisenberg n = 12     0.4 / 1.0  0.7 / 1.0  1.3 / 1.1  2.6 / 1.5  4.0 / 1.9  52 / 1.9
+#   TFIM n = 14           0.3 / 0.7  0.7 / 1.0  1.3 / 1.0  2.0 / 1.0  3.0 / 1.1  52 / 2.0
+#   Heisenberg + Y0       0.7 / 1.7  2.0 / 1.9  4.0 / 2.0  7.0 / 2.0   12 / 2.8 207 / 4.3
 #
-# Real matrices cross over between 200 and 250 states.  Complex (odd-Y)
-# ones now tie at 150 (between 150 and 200 at tol = 0).  The limit stays at
-# 250: there the real routes differ by about a millisecond, and moving it
+# Real matrices cross over between 150 and 200 states, complex (odd-Y)
+# ones by 150.  In the same session, without _Product, the real routes
+# tied at 200 (1.4 / 1.4 ms on Heisenberg n = 12) and the sparse route
+# took 2.2 / 2.1 / 4.4 ms at 850.  The limit stays at 250: moving it
 # moves the last bits of E_est on every run whose subspace passes through
 # the new range.
 DENSE_SOLVE_MAX = 250
@@ -198,17 +202,25 @@ class EigenpairSet:
 
 
 def apply_hamiltonian(ham: PauliHamiltonian, v: np.ndarray) -> np.ndarray:
-    """H @ v without materializing H: one XOR-gather per distinct x_mask.
+    """H @ v without materializing H: one XOR-scatter per distinct x_mask.
 
     ``v`` is one vector of 2^n entries or a (2^n, k) block of k column
     vectors, and the result has its shape.  The terms of ``ham.terms`` are
     grouped by x_mask here, and each mask's terms are summed into one
-    amplitude per source state i ^ x_mask (signed by that source state)
-    before the gather, so the residual check shares no code with the CSR
-    builder or the Pauli kernel behind it.  Each amplitude is formed once
-    and applied to the columns in turn, so every column gets the bits of
-    a call on that column alone (one broadcast product over the block was
-    slower).
+    amplitude per source state s (signed by s) before
+    ``out[s ^ x_mask] += amp(s) v[s]``, masks ascending, so the residual
+    check shares no code with the CSR builder or the Pauli kernel behind
+    it.  Only the source states where some column is nonzero are visited:
+    any other adds a signed zero to an entry that starts at +0, which
+    moves no bit, so the result is the full product's to the bit, and a
+    sector-supported pair costs its support instead of 2^n (Heisenberg
+    n = 16, count 2: 24310 of 65536 states, 28 -> 12 ms; a vector with
+    every entry nonzero, as the one-block route gives, costs about 10%
+    more, ~0.4 ms at n = 14).  One mask's targets are distinct, so
+    ``np.add.at`` adds them as ``out[t] += p`` would, at a third of its
+    cost.  Each amplitude is formed once and applied to the columns in
+    turn, so every column gets the bits of a call on that column alone
+    (numpy's complex product over a broadcast block rounds differently).
     """
     v = np.asarray(v)
     dim = 1 << ham.n
@@ -219,15 +231,16 @@ def apply_hamiltonian(ham: PauliHamiltonian, v: np.ndarray) -> np.ndarray:
     for term in ham.terms:
         groups.setdefault(term.x_mask, []).append(term)
     out = np.zeros(columns.shape, dtype=np.result_type(v.dtype, ham.dtype, np.float64))
-    idx = np.arange(dim, dtype=np.int64)
+    support = np.flatnonzero((columns != 0).any(axis=0))
+    held = np.take(columns, support, axis=1)
     for x in sorted(groups):
-        src = idx ^ x
-        amp = np.zeros(dim, dtype=ham.dtype)
+        amp = np.zeros(len(support), dtype=ham.dtype)
         for term in groups[x]:
             w = term.weight.real if ham.is_real else term.weight
-            amp += np.where(np.bitwise_count(src & term.z_mask) & 1, -w, w)
-        for column, vec in zip(out, columns):
-            column += amp * vec[src]
+            amp += np.where(np.bitwise_count(support & term.z_mask) & 1, -w, w)
+        targets = support ^ x
+        for column, vec in zip(out, held):
+            np.add.at(column, targets, amp * vec)
     return out.T.reshape(v.shape)
 
 
@@ -278,6 +291,30 @@ def _lapack_lowest(matrix: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarr
     return vals[:found], vecs[:, :found]
 
 
+class _Product(scipy.sparse.linalg.LinearOperator):
+    """x -> ``matrix @ x``, handed to ARPACK in place of the matrix itself.
+
+    ``eigsh`` wraps a sparse matrix in ``aslinearoperator``, whose
+    ``matvec`` passes each product through ``_matvec``, ``matmat``,
+    ``_matmat`` and ``dot`` with a shape check and a reshape at each
+    step, and then multiplies by an (n, 1) column.  ARPACK asks for one
+    1-D product at a time, so this returns ``matrix @ x`` at once: 10.9
+    against 13.1 us a product on an 850-state restricted matrix
+    (Heisenberg n = 12, one thread of an Intel Xeon).  The one-column and
+    the 1-D CSR products add each row's entries in the same order, so the
+    bits are the same.
+    """
+
+    def __init__(self, matrix: scipy.sparse.csr_array):
+        super().__init__(matrix.dtype, matrix.shape)
+        self.matrix = matrix
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        return self.matrix @ x
+
+    _matvec = matvec
+
+
 def hermitian_lowest(
     matrix: np.ndarray | scipy.sparse.sparray, count: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -293,7 +330,9 @@ def hermitian_lowest(
     LinAlgError.  A sparse matrix goes to
     implicitly-restarted Lanczos (ARPACK ``eigsh``) from a start vector
     drawn with seed 0, so a repeated call returns the same bits whatever
-    ran before it.  The Krylov basis is scipy's default size,
+    ran before it.  ARPACK gets the matrix as :class:`_Product`, which
+    returns each product as ``matrix @ x`` without scipy's operator
+    chain, with the bits that chain gives.  The Krylov basis is scipy's default size,
     min(dim, max(2 count + 1, 20)): most of a solve is ARPACK's own work
     on its basis, and twice as many vectors cost more per restart than
     the restarts they save (a count-2 Heisenberg solve at n = 16 took
@@ -318,7 +357,7 @@ def hermitian_lowest(
     v0 = np.random.default_rng(0).standard_normal(dim)
     try:
         vals, vecs = scipy.sparse.linalg.eigsh(
-            matrix, k=count, which="SA", v0=v0, maxiter=LANCZOS_MAXITER,
+            _Product(matrix), k=count, which="SA", v0=v0, maxiter=LANCZOS_MAXITER,
             tol=RESIDUAL_TOL / (ARPACK_TOL_DIVISOR * radius),
         )
     except scipy.sparse.linalg.ArpackNoConvergence as exc:

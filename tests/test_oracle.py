@@ -7,6 +7,7 @@ import os
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse.linalg
 
 import assqd.oracle as oracle_mod
 import assqd.subspace as subspace_mod
@@ -81,6 +82,37 @@ class TestApplyHamiltonian:
             alone = apply_hamiltonian(ham, np.ascontiguousarray(block[:, col]))
             assert np.array_equal(out[:, col], alone)
         assert np.array_equal(apply_hamiltonian(ham, block[:, :1])[:, 0], out[:, 0])
+
+    @pytest.mark.parametrize("support", ["dense", "sector", "leaking"])
+    def test_bytes_equal_the_full_gather(self, support):
+        # The scatter from the vectors' support against the gather over
+        # every state it replaced.  Under Heisenberg + X0 a sector's vector
+        # has its product outside the sector, so the scatter must reach
+        # states where no column is nonzero.
+        ham, _ = build_model(ModelSpec(kind="heisenberg", n=10, seed=2))
+        rng = np.random.default_rng(3)
+        block = rng.standard_normal((1 << 10, 3))
+        block[::7, 0] = 0.0  # the columns' supports differ
+        if support != "dense":
+            sector = np.bitwise_count(np.arange(1 << 10)) == 5
+            block[~sector] = 0.0
+        if support == "leaking":
+            ham = PauliHamiltonian(10, list(ham.terms) + [PauliTerm(1, 0, 0.4)])
+        for h in (ham, _with_dm_bond(ham)):
+            for v in (block, block[:, 0], block + 0.5j * block[::-1]):
+                got, ref = apply_hamiltonian(h, v), _full_gather(h, v)
+                assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+        if support == "leaking":
+            assert np.any(apply_hamiltonian(ham, block)[~sector] != 0)
+        elif support == "sector":
+            assert not np.any(apply_hamiltonian(ham, block)[~sector])
+
+    def test_sector_pairs_of_the_oracle_bytes_equal_the_full_gather(self):
+        ham, _ = build_model(ModelSpec(kind="heisenberg", n=14, seed=0))
+        pairs = exact_lowest(ham, 2)
+        assert np.count_nonzero(np.any(pairs.vectors != 0, axis=1)) < 1 << 13
+        got, ref = apply_hamiltonian(ham, pairs.vectors), _full_gather(ham, pairs.vectors)
+        assert got.tobytes() == ref.tobytes()
 
 
 class TestSparseMatrix:
@@ -212,6 +244,40 @@ class TestHermitianLowest:
         sol = lowest_eigenpair(build_restricted(scaled, states))
         unscaled = lowest_eigenpair(build_restricted(ham, states))
         assert sol.energy == pytest.approx(scale * unscaled.energy, rel=1e-12)
+
+    # ARPACK gets the matrix as oracle._Product, whose 1-D products must
+    # give the bits of eigsh on the CSR matrix itself, the call as made
+    # before it: every sparse route (restricted solve, sector block, one
+    # CSR matrix) goes through this one call.
+    @pytest.mark.parametrize("real", [True, False])
+    def test_sparse_bytes_equal_eigsh_on_the_matrix(self, real):
+        ham, _ = build_model(ModelSpec(kind="heisenberg", n=12, seed=1))
+        if not real:
+            ham = _with_dm_bond(ham)
+        assert ham.is_real == real
+        for matrix in (sparse_matrix(ham), popcount_sectors(ham)[5][1]):
+            for count in (1, 2):
+                assert _same_bytes_as_eigsh(matrix, count)
+
+    def test_sparse_bytes_equal_eigsh_on_an_expand_wide_run(self, monkeypatch):
+        ham, _ = build_model(ModelSpec(kind="heisenberg", n=12, seed=0))
+        pairs = exact_lowest(ham)
+        counts = sample_counts(
+            contaminated_distribution(pairs.psi0, pairs.psi1, 0.2), 4000, 0)
+        seen = []
+
+        def record(matrix, count):
+            if not isinstance(matrix, np.ndarray):
+                seen.append(matrix.copy())
+            return hermitian_lowest(matrix, count)
+
+        monkeypatch.setattr(subspace_mod, "hermitian_lowest", record)
+        trace = run_as_sqd(ham, counts, RunConfig(K=50, B=100, T=8))
+        assert trace.records[-1].subspace_size == 850
+        assert [m.shape[0] for m in seen] == list(range(350, 851, 100))
+        for matrix in seen:
+            for count in (1, 2):
+                assert _same_bytes_as_eigsh(matrix, count)
 
 
 class TestExactLowest:
@@ -410,6 +476,41 @@ class TestExactLowest:
         assert list(pairs.energies) == sorted(pairs.energies)
         dense_vals = scipy.linalg.eigvalsh(ham.dense_matrix())[:4]
         assert np.allclose(pairs.energies, dense_vals, atol=1e-10)
+
+
+def _full_gather(ham: PauliHamiltonian, v: np.ndarray) -> np.ndarray:
+    """H @ v as apply_hamiltonian formed it before: a gather over all 2^n states."""
+    dim = 1 << ham.n
+    columns = np.ascontiguousarray(v.reshape(dim, -1).T)
+    groups: dict[int, list[PauliTerm]] = {}
+    for term in ham.terms:
+        groups.setdefault(term.x_mask, []).append(term)
+    out = np.zeros(columns.shape, dtype=np.result_type(v.dtype, ham.dtype, np.float64))
+    idx = np.arange(dim, dtype=np.int64)
+    for x in sorted(groups):
+        src = idx ^ x
+        amp = np.zeros(dim, dtype=ham.dtype)
+        for term in groups[x]:
+            w = term.weight.real if ham.is_real else term.weight
+            amp += np.where(np.bitwise_count(src & term.z_mask) & 1, -w, w)
+        for column, vec in zip(out, columns):
+            column += amp * vec[src]
+    return out.T.reshape(v.shape)
+
+
+def _same_bytes_as_eigsh(matrix, count) -> bool:
+    """hermitian_lowest against eigsh handed the CSR matrix itself."""
+    dim = matrix.shape[0]
+    radius = float(np.max(oracle_mod._magnitude(matrix) @ np.ones(dim)))
+    vals, vecs = scipy.sparse.linalg.eigsh(
+        matrix, k=count, which="SA", v0=np.random.default_rng(0).standard_normal(dim),
+        maxiter=oracle_mod.LANCZOS_MAXITER,
+        tol=RESIDUAL_TOL / (oracle_mod.ARPACK_TOL_DIVISOR * radius),
+    )
+    order = np.argsort(vals)
+    got_vals, got_vecs = hermitian_lowest(matrix, count)
+    return (got_vals.tobytes() == vals[order].tobytes()
+            and got_vecs.tobytes() == vecs[:, order].tobytes())
 
 
 def _dense_reference(ham: PauliHamiltonian, count: int = 2) -> EigenpairSet:

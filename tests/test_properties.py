@@ -349,6 +349,29 @@ def test_select_top_b_matches_literal_sort(entries, B):
     assert select_top_b(scored, B).states.tolist() == literal
 
 
+# Four score values, two of them equal zeros, make long tie blocks; B
+# lands on the edge of one or a step either side, so the B-th key can be
+# tied with keys before and after it.  The reference is the one lexsort
+# of the whole pool that select_top_b made before it partitioned.
+@PROPERTY
+@given(data=st.data())
+def test_select_top_b_equals_lexsort_across_tie_blocks(data):
+    states = np.array(data.draw(st.lists(st.integers(0, 2**63 - 1), min_size=1,
+                                         max_size=80, unique=True)), dtype=np.int64)
+    score = np.array(data.draw(st.lists(st.sampled_from([-1.0, -0.0, 0.0, 3.0]),
+                                        min_size=len(states), max_size=len(states))))
+    literal = np.lexsort((states, -score))
+    edges = np.flatnonzero(np.diff(score[literal])) + 1
+    edge = data.draw(st.sampled_from(edges.tolist() + [len(states)]))
+    B = max(1, edge + data.draw(st.integers(-1, 1)))
+    scored = CandidateScores(states=states, diagonal=score * 0.5,
+                             coupling=score + 1j * score, score=score)
+    picked = select_top_b(scored, B)
+    top = literal[:B]
+    for got, ref in zip(dataclasses.astuple(picked), dataclasses.astuple(scored)):
+        assert _bytes_equal(got, ref[top])
+
+
 @st.composite
 def counts_multisets(draw, n: int) -> CountsMultiset:
     tallies = draw(st.dictionaries(st.integers(0, (1 << n) - 1),

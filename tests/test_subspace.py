@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse.linalg
 
 import assqd.oracle as oracle_mod
 import assqd.subspace as subspace_mod
@@ -363,6 +364,22 @@ class TestRestrictedNonConvergence:
         m = build_restricted(bundle.ham, Subspace(tuple(range(1024))))
         with pytest.raises(ConvergenceError, match="restarts"):
             lowest_eigenpair(m)
+
+    def test_raised_through_the_direct_product(self, bundle, monkeypatch):
+        # ARPACK multiplies through oracle._Product, not the CSR matrix.
+        handed = []
+        eigsh = scipy.sparse.linalg.eigsh
+
+        def spy(operator, *args, **kwargs):
+            handed.append(operator)
+            return eigsh(operator, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", spy)
+        m = build_restricted(bundle.ham, Subspace(tuple(range(1024))))
+        with pytest.raises(ConvergenceError, match="restarts"):
+            lowest_eigenpair(m)
+        assert [type(op) for op in handed] == [oracle_mod._Product]
+        assert handed[0].matrix.shape == (1024, 1024)
 
     def test_run_fails_before_any_record(self, bundle):
         with pytest.raises(RunError, match="restarts") as info:
