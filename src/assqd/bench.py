@@ -72,6 +72,10 @@ class ExperimentSpec:
             raise ValueError(f"sizes must lie within [2, {ORACLE_MAX_QUBITS}]")
         if not self.seeds:
             raise ValueError("seeds must be nonempty")
+        # Rows are keyed by (n, seed), so a repeat would collapse its rows.
+        for name, values in (("sizes", self.sizes), ("seeds", self.seeds)):
+            if len(set(values)) != len(values):
+                raise ValueError(f"{name} must not repeat a value, got {values}")
 
 
 @dataclass(frozen=True)

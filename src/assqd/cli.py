@@ -74,7 +74,7 @@ def _sidecar(ctx: click.Context, suffix: str, text: str) -> None:
 
 
 def _int_list(low: int, high: float = float("inf")):
-    """Option callback: a nonempty comma-separated integer list in [low, high]."""
+    """Option callback: a nonempty list of distinct integers in [low, high]."""
     def parse(ctx: click.Context, param: click.Parameter,
               text: str) -> tuple[int, ...]:
         try:
@@ -84,6 +84,8 @@ def _int_list(low: int, high: float = float("inf")):
         if not values or any(not low <= v <= high for v in values):
             raise click.BadParameter(
                 f"expected one or more integers within [{low}, {high}], got {text!r}")
+        if len(set(values)) != len(values):
+            raise click.BadParameter(f"a value repeats in {text!r}")
         return values
     return parse
 
@@ -98,6 +100,14 @@ def _emit_table(
     else:
         _emit(ctx, rows_to_csv(rows))
         _sidecar(ctx, f".{label}.json", json.dumps(summaries, indent=2))
+
+
+def _load(ctx: click.Context, loader, path: str, param: str):
+    """Read an input file; a malformed one is a usage error on its argument."""
+    try:
+        return loader(path)
+    except ValueError as exc:
+        raise click.BadParameter(str(exc), ctx=ctx, param_hint=f"'{param}'") from exc
 
 
 def _instance(kind: str, n: int, seed: int):
@@ -267,8 +277,8 @@ def run(ctx: click.Context, hamiltonian: str, counts_file: str, method: str,
     Beyond the oracle's qubit limit the reference solve is skipped, as
     with --no-exact, and e0, e1 and err are null.
     """
-    ham = load_hamiltonian(hamiltonian)
-    counts = load_counts(counts_file)
+    ham = _load(ctx, load_hamiltonian, hamiltonian, "HAMILTONIAN")
+    counts = _load(ctx, load_counts, counts_file, "COUNTS_FILE")
     if counts.n != ham.n:
         raise click.UsageError(
             f"counts are for n={counts.n} but the Hamiltonian has n={ham.n}"
@@ -292,7 +302,7 @@ def ingest(ctx: click.Context, counts_file: str, kind: str, method: str,
     measured on that same instance.  Beyond the oracle's qubit limit the
     reference solve is skipped and e0, e1 and err are null.
     """
-    counts = load_counts(counts_file)
+    counts = _load(ctx, load_counts, counts_file, "COUNTS_FILE")
     ham, spec, disorder = _instance(kind, counts.n, ctx.obj["seed"])
     config = dataclasses.replace(budget, kind=method, hops=hops, seed=ctx.obj["seed"])
     _run_and_emit(ctx, ham, counts, config, metadata_record(spec, disorder))

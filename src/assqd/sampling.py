@@ -112,6 +112,8 @@ def _state_to_key(state: BasisState, n: int, bit_order: str) -> str:
 
 def parse_counts(obj: dict[str, Any]) -> CountsMultiset:
     """Build a CountsMultiset from a decoded counts JSON object."""
+    if not isinstance(obj, dict):
+        raise ValueError("counts JSON must be an object")
     if "n" not in obj:
         raise ValueError("counts object missing field 'n'")
     n = obj["n"]
@@ -129,7 +131,11 @@ def parse_counts(obj: dict[str, Any]) -> CountsMultiset:
         state = _key_to_state(key, n, bit_order)
         if isinstance(value, bool) or not isinstance(value, int) or value <= 0:
             raise ValueError(f"count for key {key!r} must be a positive integer")
-        counts[state] = counts.get(state, 0) + value
+        total = counts.get(state, 0) + value
+        # top_k ranks the tallies as int64.
+        if total > np.iinfo(np.int64).max:
+            raise ValueError(f"count for key {key!r} exceeds 2**63 - 1")
+        counts[state] = total
     return CountsMultiset(counts=counts, n=n)
 
 

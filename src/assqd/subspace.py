@@ -6,21 +6,21 @@ restricted problem is an ordinary (not generalized) Hermitian
 eigenproblem H_S c = E_S c.  Entry (i, j) can only be nonzero when
 s_i XOR s_j matches some term's x_mask, so H_S has a handful of entries
 per column (4.7 at m = 100 to 8.2 at m = 850 on the n = 12 Heisenberg
-chain) and is kept as (row, col, value) triplets: an extension looks up
-the new columns' targets under every mask at once, appends the new
-states' diagonals, which the caller passes (the expansion loop has them
-from scoring), and :meth:`PauliHamiltonian.amplitude_table` entries, and
-rebuilds nothing.  The matrix keeps that (G + 1) x m table of kernel
-rows by position, so the scorer reads the dominant support's amplitudes
-through :attr:`DominantSupport.rows` without evaluating them again.
-Set operations on state arrays sort and compare
-(:meth:`Subspace.positions`, :meth:`Subspace.fresh`); none hashes.  The
-ground pair comes from :func:`assqd.oracle.hermitian_lowest`, the solver
-the reference oracle
-uses: dense LAPACK on the scattered triplets up to DENSE_SOLVE_MAX
-states (the measured crossover, kept beside that solver), seeded Lanczos
-on a CSR matrix built from them beyond, so a repeated solve returns the
-same bits on either route.
+chain).  It is kept as the (G + 1) x m table of kernel rows, one column
+per state (its diagonal, then :meth:`PauliHamiltonian.amplitude_table`),
+and a grid of the same shape linking each entry to its row, or to -1
+outside the basis; each entry is stored once.  An extension appends the
+new states' columns, whose diagonals the caller passes (the expansion
+loop has them from scoring), links the old columns that step onto them,
+and rebuilds nothing.  The scorer reads the dominant support's
+amplitudes from the table through :attr:`DominantSupport.rows` without
+evaluating them again.  State lookups sort and compare
+(:meth:`Subspace.positions`); none hashes.  The ground pair comes from
+:func:`assqd.oracle.hermitian_lowest`, the solver the reference oracle
+uses: dense LAPACK on the scattered table up to DENSE_SOLVE_MAX states
+(the measured crossover, kept beside that solver), seeded Lanczos on a
+CSR matrix built from it beyond, so a repeated solve returns the same
+bits on either route.
 """
 
 from __future__ import annotations
@@ -73,68 +73,50 @@ class Subspace:
     def __len__(self) -> int:
         return len(self.states)
 
-    def __contains__(self, state: BasisState) -> bool:
-        return bool(self.positions(state) >= 0)
-
-    def fresh(self, states: np.ndarray) -> np.ndarray:
-        """Ascending indices of the int64 states that :meth:`extend` appends.
-
-        Those are the states not in the subspace, each value at its first
-        occurrence.
-        """
-        outside = np.flatnonzero(self.positions(states) < 0)
-        new = states[outside]
-        # A stable sort puts each value's first occurrence ahead of its repeats.
-        order = np.argsort(new, kind="stable")
-        first = np.ones(len(new), dtype=bool)
-        np.not_equal(new[order[1:]], new[order[:-1]], out=first[1:])
-        return outside[np.sort(order[first])]
-
-    def extend(self, new_states) -> Subspace:
-        """Append states not seen before, keeping first-seen order."""
-        new = np.asarray(new_states, dtype=np.int64).reshape(-1)
-        return Subspace(np.concatenate([self.states, new[self.fresh(new)]]))
-
 
 @dataclass(frozen=True, eq=False)
 class RestrictedMatrix:
-    """H projected onto a subspace, as (row, col, value) triplets.
+    """H projected onto a subspace, as an amplitude table and its row links.
 
-    value = <s_row|H|s_col> for every entry the x_mask structure can make
-    nonzero (an exact cancellation stays as a stored zero); no (row, col)
-    pair appears twice.  Rows and columns follow the subspace order.
-
-    ``table`` is the (G + 1) x m table the triplets were read from, one
-    column per basis state s in the subspace order: row 0 holds <s|H|s>
-    and row g + 1 <s XOR x|H|s> for x = ``offdiag_masks[g]``.  The scorer
-    reads the dominant support's amplitudes from it by position.
+    ``table`` holds one column per basis state s_j, in the subspace order:
+    row 0 holds <s_j|H|s_j> and row g + 1 <s_j XOR x|H|s_j> for
+    x = ``offdiag_masks[g]``.  ``links`` has the table's shape; entry
+    [g, j] is the row of s_j XOR x (s_j itself in row 0), or -1 where that
+    state is outside the basis.  Entry (links[g, j], j) of H_S is
+    table[g, j]; every other entry is zero, and an exact cancellation
+    stays a stored zero.  The scorer reads the dominant support's
+    amplitudes from the table by position.
     """
 
-    rows: np.ndarray
-    cols: np.ndarray
-    values: np.ndarray
     basis: Subspace
     table: np.ndarray
+    links: np.ndarray
 
     def __post_init__(self) -> None:
-        if not len(self.rows) == len(self.cols) == len(self.values):
-            raise ValueError("rows, cols and values must have equal lengths")
         if self.table.shape[1:] != (len(self.basis),):
             raise ValueError("table must have one column per basis state")
+        if self.links.shape != self.table.shape:
+            raise ValueError("links must have the table's shape")
 
     def dense(self) -> np.ndarray:
-        """The m x m matrix, zero off the stored entries."""
+        """The m x m matrix, zero off the linked entries."""
         m = len(self.basis)
-        out = np.zeros((m, m), dtype=self.values.dtype)
-        out[self.rows, self.cols] = self.values
-        return out
+        # Row m (index -1) takes the entries whose state is outside the basis.
+        out = np.zeros((m + 1, m), dtype=self.table.dtype)
+        out[self.links, np.arange(m)] = self.table
+        return out[:m]
 
     def sparse(self) -> scipy.sparse.csr_array:
         """The same matrix in CSR form, column indices sorted per row."""
         m = len(self.basis)
-        return scipy.sparse.csr_array(
-            (self.values, (self.rows, self.cols)), shape=(m, m)
-        )
+        # Column by column, the linked entries are the CSC arrays; turning
+        # those into CSR leaves each row's columns ascending with no sort.
+        hit = (self.links >= 0).T
+        indptr = np.zeros(m + 1, dtype=np.int64)
+        np.cumsum(hit.sum(axis=1), out=indptr[1:])
+        return scipy.sparse.csc_array(
+            (self.table.T[hit], self.links.T[hit], indptr), shape=(m, m)
+        ).tocsr()
 
 
 @dataclass(frozen=True)
@@ -180,11 +162,11 @@ def build_restricted(ham: PauliHamiltonian, subspace: Subspace) -> RestrictedMat
     """Assemble H_S by extending the empty restricted matrix."""
     if len(subspace) == 0:
         raise ValueError("subspace is empty")
-    no_index = np.zeros(0, dtype=np.int64)
+    shape = (len(ham.offdiag_masks) + 1, 0)
     empty = RestrictedMatrix(
-        rows=no_index, cols=no_index, values=np.zeros(0, dtype=ham.dtype),
         basis=Subspace(()),
-        table=np.zeros((len(ham.offdiag_masks) + 1, 0), dtype=ham.dtype),
+        table=np.zeros(shape, dtype=ham.dtype),
+        links=np.zeros(shape, dtype=np.int64),
     )
     return extend_restricted(ham, empty, subspace.states, ham.diagonal(subspace.states))
 
@@ -194,54 +176,39 @@ def extend_restricted(
 ) -> RestrictedMatrix:
     """Grow a restricted matrix in place of a full rebuild.
 
-    ``diagonal`` holds <s|H|s> for each of ``new_states``, which the
-    expansion loop already has from scoring them; states already in the
-    basis, and repeats, are skipped with their entries.  The old triplets
-    are kept as they are; only the new columns are assembled, for every
-    x_mask at once: every new column j gets <s_j XOR x_mask|H|s_j> at the
-    row of s_j XOR x_mask, when that state is in the subspace.  An old
-    row's entry is mirrored (conjugated) into the new row, which no old
-    column saw; an entry between two new states comes from its own column
-    on both sides, so the pair is checked for Hermiticity there, the only
-    place the two sides are computed apart.
+    ``new_states`` must be distinct and outside the basis (the extended
+    :class:`Subspace` raises ValueError otherwise); ``diagonal`` holds
+    <s|H|s> for each, which the expansion loop already has from scoring
+    them.  Only the new columns are assembled, for every x_mask at once,
+    with their links.  An old column whose state steps onto a new one
+    under some x_mask is linked to it under that mask, since XOR is
+    symmetric; its table entry was read when it joined.  Each column
+    reads its own entries, so every entry (i, j) that involves a new
+    state is checked for Hermiticity against (j, i), read by column i.
     """
-    new_states = np.asarray(new_states, dtype=np.int64).reshape(-1)
-    fresh = matrix.basis.fresh(new_states)
-    if len(fresh) == 0:
-        return matrix
-    new = new_states[fresh]
+    new = np.asarray(new_states, dtype=np.int64).reshape(-1)
     extended = Subspace(np.concatenate([matrix.basis.states, new]))
-    old_m, m = len(matrix.basis), len(extended)
-    # One row per x_mask in the order (0,) + offdiag_masks, one column per
-    # new state; boolean indexing reads the grids mask by mask.
+    old_m = len(matrix.basis)
     masks = np.array((0,) + ham.offdiag_masks, dtype=np.int64)
-    rows = extended.positions(new ^ masks[:, None])
-    amps = np.concatenate([
-        np.asarray(diagonal, dtype=np.float64)[fresh][None],
-        ham.amplitude_table(new),
+    new_links = extended.positions(new ^ masks[:, None])
+    new_table = np.concatenate([
+        np.asarray(diagonal, dtype=np.float64)[None], ham.amplitude_table(new),
     ])
-    hit = rows >= 0
-    i, values = rows[hit], amps[hit]
-    j = np.broadcast_to(np.arange(old_m, m), rows.shape)[hit]
+    table = np.concatenate([matrix.table, new_table], axis=1)
+    links = np.concatenate([matrix.links, new_links], axis=1)
+    g, j = np.nonzero(new_links >= 0)
+    i = new_links[g, j]
+    j += old_m
     old = i < old_m
-    # Between two new states, (i, j) and its partner (j, i) are both here:
-    # s_i = s_j XOR x_mask, so column i found row j through the same mask.
-    inner_i, inner_j, inner = i[~old], j[~old], values[~old]
-    key = inner_i * m + inner_j
-    order = np.argsort(key)
-    partner = order[np.searchsorted(key, inner_j * m + inner_i, sorter=order)]
-    mirror = np.conj(inner[partner])
-    # np.allclose's bound (its default rtol 1e-5) written out; NaN fails it.
-    bound = HERMITICITY_ATOL + 1e-5 * np.abs(mirror)
-    if not np.all(np.abs(inner - mirror) <= bound):
+    links[g[old], i[old]] = j[old]
+    # The partner of entry (i, j) is (j, i): column i's entry under the
+    # same mask.  np.allclose's bound (its default rtol 1e-5) written out;
+    # NaN fails it.
+    partner = np.conj(table[g, i])
+    bound = HERMITICITY_ATOL + 1e-5 * np.abs(partner)
+    if not np.all(np.abs(table[g, j] - partner) <= bound):
         raise ValueError("restricted matrix is not Hermitian")
-    return RestrictedMatrix(
-        rows=np.concatenate([matrix.rows, i, j[old]]),
-        cols=np.concatenate([matrix.cols, j, i[old]]),
-        values=np.concatenate([matrix.values, values, np.conj(values[old])]),
-        basis=extended,
-        table=np.concatenate([matrix.table, amps], axis=1),
-    )
+    return RestrictedMatrix(basis=extended, table=table, links=links)
 
 
 def lowest_eigenpair(matrix: RestrictedMatrix) -> RestrictedSolution:

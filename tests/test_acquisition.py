@@ -112,7 +112,7 @@ class TestCoupling:
                 psi[s] = sol.coefficient(s)
             h_psi = h.dense_matrix() @ psi
             for k in range(1 << n):
-                if k in sol.subspace:
+                if sol.subspace.positions(k) >= 0:
                     continue
                 reference = h_psi[k]
                 if d.states.tolist() == list(states):

@@ -68,6 +68,10 @@ class TestSpecAndHelpers:
             ExperimentSpec(kind="heisenberg", sizes=(22,), seeds=(0,))
         with pytest.raises(ValueError):
             ExperimentSpec(kind="heisenberg", sizes=(4,), seeds=())
+        with pytest.raises(ValueError, match="seeds"):
+            ExperimentSpec(kind="heisenberg", sizes=(4,), seeds=(0, 0, 1))
+        with pytest.raises(ValueError, match="sizes"):
+            ExperimentSpec(kind="heisenberg", sizes=(4, 4), seeds=(0,))
 
     def test_run_config_passthrough(self):
         budget = RunConfig(K=7, B=3, T=2, tau=1e-3, eps=1e-6)

@@ -207,6 +207,8 @@ _SWEEP = ["--sizes", "4", "--seeds", "0"]
 @pytest.mark.parametrize("args", [
     pytest.param(["--seed", "-1", "sample", "heisenberg", "4"], id="seed"),
     pytest.param(["bench", "--sizes", "4", "--seeds", "0,-1"], id="seeds"),
+    pytest.param(["hops", "--sizes", "4", "--seeds", "0,0"], id="seeds-repeated"),
+    pytest.param(["bench", "--sizes", "4,4", "--seeds", "0"], id="sizes-repeated"),
     pytest.param(["sample", "heisenberg", "4", "--shots", "0"], id="sample-shots"),
     pytest.param(["bench", *_SWEEP, "--shots", "0"], id="bench-shots"),
     pytest.param(["sample", "heisenberg", "4", "--eta", "2"], id="sample-eta"),
@@ -227,6 +229,33 @@ def test_out_of_range_value_is_a_usage_error(runner, args):
     assert result.exit_code == 2, result.output
     assert "Usage:" in result.output
     assert "Invalid value for" in result.output
+    assert isinstance(result.exception, SystemExit)
+
+
+@pytest.mark.parametrize("verb, name, text", [
+    ("ingest", "counts_file", '{"n": 3, "counts": {"00": 5}}'),
+    ("ingest", "counts_file", '{"n": 2, "counts": {"2X": 5}}'),
+    ("ingest", "counts_file", '{"n": 2, "counts": {"01": 0}}'),
+    ("ingest", "counts_file", '{"n": 2, "counts": {"01": 9223372036854775808}}'),
+    ("ingest", "counts_file", "{not json"),
+    ("run", "counts_file", "null"),
+    ("run", "hamiltonian", "1.0 XQ\n"),
+], ids=["key-length", "non-binary", "non-positive", "past-int64", "json", "not-object",
+        "hamiltonian"])
+def test_malformed_input_file_is_a_usage_error(runner, artifacts, tmp_path,
+                                              verb, name, text):
+    ham_path, counts_path = artifacts
+    bad = tmp_path / "bad"
+    bad.write_text(text)
+    if name == "hamiltonian":
+        ham_path = bad
+    else:
+        counts_path = bad
+    args = [counts_path] if verb == "ingest" else [ham_path, counts_path]
+    result = runner.invoke(main, [verb, *map(str, args)])
+    assert result.exit_code == 2, result.output
+    assert "Usage:" in result.output
+    assert f"Invalid value for '{name.upper()}'" in result.output
     assert isinstance(result.exception, SystemExit)
 
 

@@ -318,15 +318,37 @@ def test_generate_candidates_equals_numpy_set_forms(data):
 
 
 @PROPERTY
-@given(st.lists(st.integers(0, 15), max_size=12, unique=True),
-       st.lists(st.integers(0, 15) | st.integers(0, 2**63 - 1), max_size=24))
-def test_extend_equals_numpy_unique(base, new):
-    new = np.array(new, dtype=np.int64)
-    joined = np.concatenate([np.array(base, dtype=np.int64), new])
-    _, first = np.unique(joined, return_index=True)
-    assert _bytes_equal(Subspace(base).extend(new).states, joined[np.sort(first)])
-    fresh = Subspace(base).fresh(new)
-    assert _bytes_equal(new[fresh], joined[np.sort(first)][len(base):])
+@pytest.mark.parametrize("real", [True, False])
+@given(data=st.data())
+def test_stepwise_extension_bytes_equal_one_build(real, data):
+    ham = data.draw(hamiltonians(real, sizes=_SCORING_SIZES))
+    # States one or two masks from an anchor link to each other at any n.
+    anchor = data.draw(st.integers(0, (1 << ham.n) - 1))
+    masks = (0,) + ham.offdiag_masks
+    near = st.sampled_from([anchor ^ x ^ y for x in masks for y in masks])
+    states = data.draw(st.lists(near | st.integers(0, (1 << ham.n) - 1),
+                                min_size=1, max_size=40, unique=True))
+    cuts = data.draw(st.lists(st.integers(1, len(states)), max_size=4))
+    cuts = [0] + sorted(set(cuts) - {len(states)}) + [len(states)]
+    grown = build_restricted(ham, Subspace(states[:cuts[1]]))
+    for lo, hi in zip(cuts[1:], cuts[2:]):
+        step = states[lo:hi]
+        grown = extend_restricted(ham, grown, step, ham.diagonal(step))
+    built = build_restricted(ham, Subspace(states))
+    assert _bytes_equal(grown.basis.states, built.basis.states)
+    assert _bytes_equal(grown.table, built.table)
+    assert _bytes_equal(grown.links, built.links)
+    assert _bytes_equal(grown.dense(), built.dense())
+    for field in ("data", "indices", "indptr"):
+        assert _bytes_equal(getattr(grown.sparse(), field), getattr(built.sparse(), field))
+    present = data.draw(st.sampled_from(states))
+    with pytest.raises(ValueError, match="unique"):
+        extend_restricted(ham, grown, [present], ham.diagonal([present]))
+    if len(states) < 1 << ham.n:
+        outside = data.draw(st.integers(0, (1 << ham.n) - 1).filter(
+            lambda s: s not in states))
+        with pytest.raises(ValueError, match="unique"):
+            extend_restricted(ham, grown, [outside] * 2, ham.diagonal([outside] * 2))
 
 
 @PROPERTY

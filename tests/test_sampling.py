@@ -163,6 +163,17 @@ class TestCountsFormat:
         with pytest.raises(ValueError, match="positive"):
             parse_counts({"n": 2, "counts": {"01": -3}})
 
+    def test_count_past_int64_named_in_error(self):
+        # top_k ranks the tallies as int64; the largest one still parses.
+        assert parse_counts({"n": 2, "counts": {"01": 2**63 - 1}}).counts == {2: 2**63 - 1}
+        with pytest.raises(ValueError, match="'01'"):
+            parse_counts({"n": 2, "counts": {"10": 1, "01": 2**63}})
+
+    @pytest.mark.parametrize("obj", [None, 5])
+    def test_non_object_rejected(self, obj):
+        with pytest.raises(ValueError, match="object"):
+            parse_counts(obj)
+
     def test_boolean_count_rejected(self):
         with pytest.raises(ValueError, match="positive integer"):
             parse_counts({"n": 2, "counts": {"01": True}})

@@ -37,24 +37,9 @@ def _with_odd_y(ham: PauliHamiltonian) -> PauliHamiltonian:
 
 
 class TestSubspace:
-    def test_extend_dedupes_preserving_order(self):
-        s = Subspace(()).extend([5, 2, 5, 7, 2])
-        assert s.states.tolist() == [5, 2, 7]
-        assert s.positions([5, 2, 7, 3]).tolist() == [0, 1, 2, -1]
-
     def test_duplicates_rejected_in_constructor(self):
         with pytest.raises(ValueError, match="unique"):
             Subspace((1, 1))
-
-    def test_extend_appends_only_novel(self):
-        s = Subspace((3, 0)).extend([0, 4, 3, 9])
-        assert s.states.tolist() == [3, 0, 4, 9]
-
-    def test_membership(self):
-        s = Subspace((3, 0))
-        assert 3 in s
-        assert 1 not in s
-        assert len(s) == 2
 
 
 class TestBuildRestricted:
@@ -152,11 +137,13 @@ class TestBuildRestricted:
         with pytest.raises(ValueError, match="Hermitian"):
             extend_restricted(h, build_restricted(h, Subspace((0,))), [1, 2],
                               h.diagonal([1, 2]))
-        # An old row's entry is mirrored from the new column, so an
-        # old/new pair is Hermitian by construction.
-        grown = extend_restricted(h, build_restricted(h, Subspace((1,))), [2],
-                                  h.diagonal([2])).dense()
-        assert np.array_equal(grown, grown.T)
+        # Old |01>, new |10>: the new column is checked against the old one.
+        with pytest.raises(ValueError, match="Hermitian"):
+            extend_restricted(h, build_restricted(h, Subspace((1,))), [2],
+                              h.diagonal([2]))
+        with pytest.raises(ValueError, match="Hermitian"):
+            extend_restricted(h, build_restricted(h, Subspace((2,))), [1],
+                              h.diagonal([1]))
 
     # The check is np.allclose's: |a - b| <= 1e-12 + 1e-5 |b|, 2e-5 here.
     @pytest.mark.parametrize("skew, hermitian", [
@@ -179,17 +166,20 @@ class TestExtendRestricted:
             n = 6
             h = random_hamiltonian(n, 15, rng)
             base_states = tuple(int(s) for s in rng.choice(64, size=10, replace=False))
-            extra = [int(s) for s in rng.choice(64, size=8)]
+            outside = np.setdiff1d(np.arange(64), base_states)
+            extra = [int(s) for s in rng.choice(outside, size=8, replace=False)]
             base = build_restricted(h, Subspace(base_states))
             grown = extend_restricted(h, base, extra, h.diagonal(extra))
-            rebuilt = build_restricted(h, Subspace(base_states).extend(extra))
+            rebuilt = build_restricted(h, Subspace(base_states + tuple(extra)))
             assert grown.basis.states.tolist() == rebuilt.basis.states.tolist()
             assert np.allclose(grown.dense(), rebuilt.dense(), atol=1e-13)
 
-    def test_no_new_states_returns_same_matrix(self):
-        h = parse_hamiltonian("1.0 ZZ\n")
+    @pytest.mark.parametrize("extra", [[3], [5, 5]], ids=["present", "repeated"])
+    def test_present_or_repeated_state_raises(self, extra):
+        h = parse_hamiltonian("1.0 ZZZ\n")
         base = build_restricted(h, Subspace((0, 3)))
-        assert extend_restricted(h, base, [3, 0], h.diagonal([3, 0])) is base
+        with pytest.raises(ValueError, match="unique"):
+            extend_restricted(h, base, extra, h.diagonal(extra))
 
 
 class TestLowestEigenpair:
@@ -201,18 +191,16 @@ class TestLowestEigenpair:
         assert np.allclose(sol.coefficients, expected)
 
     def test_one_by_one(self):
-        m = RestrictedMatrix(rows=np.array([0]), cols=np.array([0]),
-                             values=np.array([4.5]), basis=Subspace((6,)),
-                             table=np.array([[4.5]]))
+        m = RestrictedMatrix(basis=Subspace((6,)), table=np.array([[4.5]]),
+                             links=np.array([[0]]))
         sol = lowest_eigenpair(m)
         assert np.isclose(sol.energy, 4.5)
         assert np.allclose(sol.coefficients, [1.0])
 
     def test_diagonal_matrix(self):
-        m = RestrictedMatrix(rows=np.arange(3), cols=np.arange(3),
-                             values=np.array([3.0, -5.0, 2.0]),
-                             basis=Subspace((0, 1, 2)),
-                             table=np.array([[3.0, -5.0, 2.0]]))
+        m = RestrictedMatrix(basis=Subspace((0, 1, 2)),
+                             table=np.array([[3.0, -5.0, 2.0]]),
+                             links=np.arange(3)[None])
         sol = lowest_eigenpair(m)
         assert np.isclose(sol.energy, -5.0)
         assert np.allclose(np.abs(sol.coefficients), [0.0, 1.0, 0.0])
@@ -305,11 +293,10 @@ class TestDominantSupport:
         c = c / np.linalg.norm(c)
         import assqd.subspace as sub
 
-        none = np.zeros(0, dtype=np.int64)
         # Only the basis matters here; no entry of H is read.
-        matrix = sub.RestrictedMatrix(rows=none, cols=none, values=np.zeros(0),
-                                      basis=Subspace(states),
-                                      table=np.zeros((1, len(states))))
+        matrix = sub.RestrictedMatrix(basis=Subspace(states),
+                                      table=np.zeros((1, len(states))),
+                                      links=np.arange(len(states))[None])
         return sub.RestrictedSolution(energy=0.0, coefficients=c, matrix=matrix)
 
     def test_even_split_keeps_both(self):
