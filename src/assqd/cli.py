@@ -163,8 +163,10 @@ def oracle(ctx: click.Context, kind: str, n: int, count: int,
     """Exact lowest eigenpairs of a model instance (JSON energies).
 
     H is solved as one CSR matrix, or from 14 qubits one popcount sector
-    at a time when it conserves popcount; a block of at most 250 states is
-    solved densely, a larger one by Lanczos.
+    at a time when it conserves popcount: each sector's block is built
+    when it is first tested or solved and dropped after, so one block is
+    held at a time.  A block of at most 250 states is solved densely, a
+    larger one by Lanczos.
     """
     if count > 1 << n:
         raise click.BadParameter(

@@ -14,26 +14,33 @@ the one solver over blocks, :func:`_lowest_over_blocks`, which solves a
 block densely up to DENSE_SOLVE_MAX states and with ARPACK above that:
 
 - from SECTOR_MIN_QUBITS = 14 (see the table there), when H conserves
-  popcount (Heisenberg with Z fields): one CSR block per popcount sector
-  (:func:`popcount_sectors`), each solved on its own and the pairs merged,
-  so the largest matrix at n = 16 has C(16, 8) = 12870 rows, not 65536.
-  The blocks are solved in ascending order of their Gershgorin floor, a
-  lower bound on their eigenvalues, the first for count pairs at once and
-  the rest for one; once count pairs are in hand, a block whose floor lies
-  above the count-th lowest of them cannot hold a wanted pair, and it and
-  every block after it are skipped.  A block whose Gershgorin floor falls
-  short is skipped alone when a tighter Collatz-Wielandt floor
+  popcount (Heisenberg with Z fields): one CSR block per popcount sector,
+  each solved on its own and the pairs merged, so the largest matrix at
+  n = 16 has C(16, 8) = 12870 rows, not 65536.  The blocks are solved in
+  ascending order of their Gershgorin floor, a lower bound on their
+  eigenvalues, the first for count pairs at once and the rest for one;
+  once count pairs are in hand, a block whose floor lies above the
+  count-th lowest of them cannot hold a wanted pair, and it and every
+  block after it are skipped.  A block whose Gershgorin floor falls short
+  is skipped alone when a tighter Collatz-Wielandt floor
   (:func:`_weighted_floor`) clears that cut.  Heisenberg at n = 16
   (disorder seeds 0-5) makes 3 solves of its 17 sectors at count 2 and 7
   at count 8, where the Gershgorin floor alone, with every sector solved
-  once before any is deepened, makes 6-8 and 12;
+  once before any is deepened, makes 6-8 and 12.  The split runs in two
+  passes.  The first (:func:`popcount_sectors`) fills each sector's rows
+  from the kernel and keeps only its floor and the check that H stays in
+  it, plus the CSR block of the lowest-floor sector.  The second
+  (:func:`_lowest_over_blocks`) builds every other block when a floor
+  test or a solve first needs it and drops it after, so one block and
+  ARPACK's basis are alive at a time: Heisenberg at n = 16 peaks at 7.0
+  MB (tracemalloc), where holding all 17 blocks peaked at 12.7 MB;
 - otherwise, up to ORACLE_MAX_QUBITS = 20: one block, H built once as one
   CSR matrix over all 2^n states (:func:`sparse_matrix`), solved for
   count pairs at once.
 
 Both CSR forms read their entries from the expansion loop's own kernel,
 :meth:`PauliHamiltonian.diagonal` and
-:meth:`PauliHamiltonian.amplitude_table`, through :func:`_csr_block`,
+:meth:`PauliHamiltonian.amplitude_table`, through :func:`_padded_rows`,
 which is also the symmetry detector: a nonzero entry that leaves its
 sector sends H to the one block, so an H with a transverse field (TFIM)
 is caught at sector 0.  ``exact_lowest(method="lanczos")`` keeps H in one
@@ -379,45 +386,67 @@ def hermitian_lowest(
     return vals[order], vecs[:, order]
 
 
-def _csr_block(
-    ham: PauliHamiltonian, states: np.ndarray, column: np.ndarray
-) -> scipy.sparse.csr_array | None:
-    """The rows of H at ``states`` as a CSR matrix, or None if H leaves them.
+def _passes(ham: PauliHamiltonian, states: np.ndarray, column: np.ndarray):
+    """``states`` in passes of at most KERNEL_BLOCK padded entries.
 
-    ``column`` gives every one of the 2^n basis states its int32 column,
-    -1 for a state outside the block.  Row r holds one entry per mask x in
-    (0,) + ``offdiag_masks``, in that order, at column
-    ``column[states[r] ^ x]``.  The diagonal comes from
-    :meth:`PauliHamiltonian.diagonal` and the rest from
+    Yields (rows, chunk, indices): the slice of the pass, its states, and
+    the int32 column of each of its entries, one per mask x in (0,) +
+    ``offdiag_masks`` in that order, ``column[state ^ x]``.  ``column``
+    gives every one of the 2^n basis states its column, -1 for a state
+    outside the block.
+    """
+    masks = np.array((0,) + ham.offdiag_masks, dtype=np.int64)
+    step = max(1, KERNEL_BLOCK // len(masks))
+    for start in range(0, len(states), step):
+        rows = slice(start, start + step)
+        chunk = states[rows]
+        yield rows, chunk, column[chunk[:, None] ^ masks]
+
+
+def _padded_rows(
+    ham: PauliHamiltonian,
+    states: np.ndarray,
+    column: np.ndarray,
+    indices: np.ndarray | None = None,
+) -> np.ndarray | None:
+    """The rows of H at ``states``, one entry per mask, or None if H leaves them.
+
+    Row r holds the entry of each mask x in (0,) + ``offdiag_masks``, in
+    that order, at column ``column[states[r] ^ x]`` (:func:`_passes`),
+    which is also stored in ``indices`` when one is given.  The diagonal
+    comes from :meth:`PauliHamiltonian.diagonal` and the rest from
     :meth:`PauliHamiltonian.amplitude_table` at the row state, because H
     is Hermitian and so <s|H|s^x> = conj(<s^x|H|s>); a real table is
     stored as it is, without a conjugated copy.  The rows are filled in
-    passes of at most KERNEL_BLOCK table entries, so no table larger than
-    one pass is made.  A nonzero entry in a -1 column means H couples the
-    block to a state outside it, and the result is None; otherwise the -1
-    columns, whose entries are all zero, are set to 0 in place.  Entries
-    that cancel exactly are then dropped in place; they include the whole
-    diagonal of an H without diagonal terms.  Where the drop leaves the
-    surviving entries as views onto the padded arrays, they are copied
-    out, so the padded arrays are freed.
+    passes, so no table larger than one pass is made.  A nonzero entry in
+    a -1 column means H couples the block to a state outside it, and the
+    result is None, from the first pass that meets one.
     """
-    masks = np.array((0,) + ham.offdiag_masks, dtype=np.int64)
-    width = len(masks)
-    size = len(states)
-    if size * width > np.iinfo(np.int32).max:
-        raise ValueError(f"{size * width} entries exceed int32 CSR indexing")
-    data = np.empty((size, width), dtype=ham.dtype)
-    indices = np.empty((size, width), dtype=np.int32)
-    step = max(1, KERNEL_BLOCK // width)
-    for start in range(0, size, step):
-        rows = slice(start, start + step)
-        chunk = states[rows]
+    width = 1 + len(ham.offdiag_masks)
+    if len(states) * width > np.iinfo(np.int32).max:
+        raise ValueError(f"{len(states) * width} entries exceed int32 CSR indexing")
+    data = np.empty((len(states), width), dtype=ham.dtype)
+    for rows, chunk, part in _passes(ham, states, column):
         data[rows, 0] = ham.diagonal(chunk)
         table = ham.amplitude_table(chunk).T
         data[rows, 1:] = table if ham.is_real else np.conj(table)
-        indices[rows] = column[chunk[:, None] ^ masks]
-    if np.logical_and(indices < 0, data != 0).any():
-        return None
+        if np.logical_and(part < 0, data[rows] != 0).any():
+            return None
+        if indices is not None:
+            indices[rows] = part
+    return data
+
+
+def _compact(data: np.ndarray, indices: np.ndarray) -> scipy.sparse.csr_array:
+    """Padded rows and their columns (:func:`_padded_rows`) as a CSR matrix.
+
+    The -1 columns, whose entries are all zero, are set to 0 in place.
+    Entries that cancel exactly are then dropped in place; they include the
+    whole diagonal of an H without diagonal terms.  Where the drop leaves
+    the surviving entries as views onto the padded arrays, they are copied
+    out, so the padded arrays are freed.
+    """
+    size, width = data.shape
     np.maximum(indices, 0, out=indices)
     indptr = np.arange(size + 1, dtype=np.int32) * np.int32(width)
     matrix = scipy.sparse.csr_array(
@@ -432,16 +461,47 @@ def _csr_block(
     return matrix
 
 
+def _csr_block(
+    ham: PauliHamiltonian, states: np.ndarray, column: np.ndarray
+) -> scipy.sparse.csr_array | None:
+    """The rows of H at ``states`` as a CSR matrix, or None if H leaves them.
+
+    :func:`_padded_rows` gives the rows, one entry per mask in mask order,
+    and :func:`_compact` drops the zero ones.
+    """
+    indices = np.empty((len(states), 1 + len(ham.offdiag_masks)), dtype=np.int32)
+    data = _padded_rows(ham, states, column, indices)
+    return None if data is None else _compact(data, indices)
+
+
+def _gershgorin_floor(data: np.ndarray) -> float:
+    """min_i(Re H_ii - sum_{j != i} |H_ij|) over padded rows (:func:`_padded_rows`).
+
+    Each row's |H_ii| + sum |H_ij| is summed as :func:`_weighted_floor`
+    with no steps sums it, a CSR product with the ones vector: from +0.0,
+    |H_ii| first and then each mask's |amplitude| in mask order.  An entry
+    the CSR matrix drops is a zero, whose +0.0 moves no bit of that sum, so
+    the floor is ``_weighted_floor(block, 0, inf)`` of the block to the bit.
+    """
+    diagonal = data[:, 0]
+    total = np.abs(diagonal)
+    for g in range(1, data.shape[1]):
+        total += np.abs(data[:, g])
+    return float(np.min(diagonal.real + np.abs(diagonal) - total))
+
+
 def sparse_matrix(ham: PauliHamiltonian) -> scipy.sparse.csr_array:
     """H as one CSR matrix over all 2^n states, row and column i for state i.
 
-    This is :func:`_csr_block` on every state in ascending order.  Real
-    values take 8 bytes and ``int32`` column indices 4, so before the drop
-    of cancelled entries the padded rows hold (G + 1) * 2^n * 12 bytes for
-    G off-diagonal masks: 13.4 MB for Heisenberg at n = 16 (G = 16).  XX +
+    This is :func:`_csr_block` on every state in ascending order, the one
+    block of :func:`exact_lowest`'s one-block route.  Real values take 8
+    bytes and ``int32`` column indices 4, so before the drop of cancelled
+    entries the padded rows hold (G + 1) * 2^n * 12 bytes for G
+    off-diagonal masks: 13.4 MB for Heisenberg at n = 16 (G = 16).  XX +
     YY cancel on aligned neighbours, so 9 entries per row remain, and the
     matrix keeps 7.1 MB once they are copied out of the padded arrays
-    (TFIM keeps all 17 per row).
+    (TFIM keeps all 17 per row).  The sector route never builds it: its
+    largest block at n = 16, sector 8, keeps 1.5 MB.
     """
     if ham.n > ORACLE_MAX_QUBITS:
         raise ValueError(
@@ -453,31 +513,47 @@ def sparse_matrix(ham: PauliHamiltonian) -> scipy.sparse.csr_array:
 
 def popcount_sectors(
     ham: PauliHamiltonian,
-) -> list[tuple[np.ndarray, scipy.sparse.csr_array]] | None:
-    """H's diagonal blocks on the popcount sectors, or None if H mixes them.
+) -> tuple[list[np.ndarray], list[float], dict[int, scipy.sparse.csr_array]] | None:
+    """H's popcount sectors and their Gershgorin floors, or None if H mixes them.
 
-    Sector w holds the C(n, w) states of popcount w, ascending, and its
-    block is H on them in that order (:func:`_csr_block`).  The blocks are
-    built from w = 0 up, and the first nonzero entry that leaves its
-    sector stops the build: an H with a transverse field leaves sector 0,
-    whose one state is |0...0>, at once.
+    Sector w holds the C(n, w) states of popcount w, ascending.  Each
+    sector's rows are filled from w = 0 up (:func:`_padded_rows`), and the
+    first nonzero entry that leaves its sector stops the scan: an H with a
+    transverse field leaves sector 0, whose one state is |0...0>, at once.
+    Of each sector only its Gershgorin floor is kept
+    (:func:`_gershgorin_floor`), and the padded rows of the lowest floor so
+    far, ties to the lower sector; the result is the sectors' states, their
+    floors, and the CSR block of the lowest-floor sector alone, keyed by
+    its sector, for :func:`_lowest_over_blocks` to solve first.  At most
+    two sectors' padded rows are alive at once, the lowest floor's so far
+    and the one being filled: Heisenberg at n = 16 peaks at 7.0 MB here
+    (tracemalloc; sectors 7 and 8), where holding every block, 7.3 MB of
+    them, peaked at 12.7 MB in the first solve.
     """
     dim = 1 << ham.n
-    popcount = np.bitwise_count(np.arange(dim, dtype=np.int64))
     # A stable sort keeps each sector's states ascending, and sector w
     # holds the next C(n, w) of them.
-    sizes = [math.comb(ham.n, w) for w in range(ham.n)]
-    sectors = np.split(np.argsort(popcount, kind="stable"), np.cumsum(sizes))
+    order = np.argsort(np.bitwise_count(np.arange(dim, dtype=np.int64)), kind="stable")
+    sectors = np.split(order, np.cumsum([math.comb(ham.n, w) for w in range(ham.n)]))
     column = np.full(dim, -1, dtype=np.int32)
-    blocks = []
-    for states in sectors:
+    floors: list[float] = []
+    for w, states in enumerate(sectors):
         column[states] = np.arange(len(states), dtype=np.int32)
-        block = _csr_block(ham, states, column)
-        if block is None:
-            return None
+        data = _padded_rows(ham, states, column)
         column[states] = -1
-        blocks.append((states, block))
-    return blocks
+        if data is None:
+            return None
+        floors.append(_gershgorin_floor(data))
+        if floors[w] < min(floors[:w], default=np.inf):
+            lead, kept = w, data
+        del data  # before the next sector's rows are filled
+    # The lead's columns, gathered again rather than held for every sector.
+    states = sectors[lead]
+    column[states] = np.arange(len(states), dtype=np.int32)
+    indices = np.empty(kept.shape, dtype=np.int32)
+    for rows, _, part in _passes(ham, states, column):
+        indices[rows] = part
+    return sectors, floors, {lead: _compact(kept, indices)}
 
 
 def _weighted_floor(block: scipy.sparse.csr_array, steps: int, cut: float) -> float:
@@ -521,19 +597,32 @@ def _weighted_floor(block: scipy.sparse.csr_array, steps: int, cut: float) -> fl
 
 
 def _lowest_over_blocks(
-    blocks: list[tuple[np.ndarray, scipy.sparse.csr_array]], count: int
+    ham: PauliHamiltonian,
+    sectors: list[np.ndarray],
+    floors: list[float],
+    built: dict[int, scipy.sparse.csr_array],
+    count: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Lowest count eigenpairs of a block-diagonal H, scattered to 2^n vectors.
 
-    Blocks are taken in ascending order of their Gershgorin floor
-    (:func:`_weighted_floor` with no steps), ties by block; a lone block
-    has nothing to rank or skip, and no floor is formed.  The first
-    gives its lowest min(count, size) pairs, each later one its lowest
-    pair.  Once count pairs are in hand, a block with no eigenvalue at or
-    below the count-th lowest of them (plus RESIDUAL_TOL, for rounding)
-    cannot hold a wanted pair: when its Gershgorin floor lies above that
-    cut, it and every block after it are skipped, and when the bound of
-    FLOOR_STEPS power steps does, it alone is.
+    Block w is H on the states ``sectors[w]``, and ``floors[w]`` its
+    Gershgorin floor (:func:`_gershgorin_floor`; a lone block has nothing
+    to rank or skip, and any floor serves).  ``built`` holds the
+    blocks already built, taken out of it at their first use; every other
+    block is built through :func:`_csr_block` when a floor test or a solve
+    first needs it, and dropped once that block's test and solve are done,
+    so one block and ARPACK's basis are alive at a time.  A block needed
+    again (the first block's depth-1 solve, the deepening loop below) is
+    built again.
+
+    Blocks are taken in ascending order of their floor, ties by block.
+    The first gives its lowest min(count, size) pairs, each later one its
+    lowest pair.  Once count pairs are in hand, a block with no eigenvalue
+    at or below the count-th lowest of them (plus RESIDUAL_TOL, for
+    rounding) cannot hold a wanted pair: when its Gershgorin floor lies
+    above that cut, it and every block after it are skipped, and when the
+    bound of FLOOR_STEPS power steps (:func:`_weighted_floor`) does, it
+    alone is.
 
     The solved pairs are ranked by energy, ties by block.  The eigenvalues
     a block has not given yet rank after its deepest solved pair, so they
@@ -550,26 +639,35 @@ def _lowest_over_blocks(
     is the one that solving every block gives, to the bit.  Blocks of at
     most DENSE_SOLVE_MAX states are solved densely.
     """
+    dim = 1 << ham.n
 
-    def solve(w: int, depth: int) -> tuple[np.ndarray, np.ndarray]:
-        states, block = blocks[w]
+    def solve(
+        w: int, depth: int, cut: float | None = None
+    ) -> tuple[np.ndarray, np.ndarray] | None:
+        """Block w's lowest depth pairs, or None when its weighted floor clears cut."""
+        states = sectors[w]
+        block = built.pop(w, None)
+        if block is None:
+            column = np.full(dim, -1, dtype=np.int32)
+            column[states] = np.arange(len(states), dtype=np.int32)
+            block = _csr_block(ham, states, column)
+        if cut is not None and _weighted_floor(block, FLOOR_STEPS, cut) > cut:
+            return None
         matrix = block.toarray() if len(states) <= DENSE_SOLVE_MAX else block
         return hermitian_lowest(matrix, min(depth, len(states)))
 
-    floors = [0.0] if len(blocks) == 1 else [
-        _weighted_floor(block, 0, np.inf) for _, block in blocks
-    ]
-    lead, *rest = sorted(range(len(blocks)), key=floors.__getitem__)
+    lead, *rest = sorted(range(len(sectors)), key=floors.__getitem__)
     solved = {lead: solve(lead, count)}
     for w in rest:
         energies = np.sort(np.concatenate([vals for vals, _ in solved.values()]))
+        cut = None
         if len(energies) >= count:
             cut = energies[count - 1] + RESIDUAL_TOL
             if floors[w] > cut:
                 break
-            if _weighted_floor(blocks[w][1], FLOOR_STEPS, cut) > cut:
-                continue
-        solved[w] = solve(w, 1)
+        pair = solve(w, 1, cut)
+        if pair is not None:
+            solved[w] = pair
     ground = solved[lead][0][0]
     if len(solved[lead][0]) > 1 and any(
         vals[0] <= ground + RESIDUAL_TOL for w, (vals, _) in solved.items() if w != lead
@@ -586,7 +684,7 @@ def _lowest_over_blocks(
         deepest = rank[np.cumsum(depth) - 1]
         short = [
             i for i, w in enumerate(live)
-            if deepest[i] < count - 1 and depth[i] < len(blocks[w][0])
+            if deepest[i] < count - 1 and depth[i] < len(sectors[w])
         ]
         if not short:
             break
@@ -594,11 +692,10 @@ def _lowest_over_blocks(
         w = live[i]
         solved[w] = solve(w, depth[i] + count - 1 - int(deepest[i]))
     first = np.cumsum(depth) - depth
-    dim = sum(len(states) for states, _ in blocks)
-    vecs = np.zeros((dim, count), dtype=blocks[0][1].dtype)
+    vecs = np.zeros((dim, count), dtype=ham.dtype)
     for col, at in enumerate(order[:count]):
         i = slot[at]
-        vecs[blocks[live[i]][0], col] = solved[live[i]][1][:, at - first[i]]
+        vecs[sectors[live[i]], col] = solved[live[i]][1][:, at - first[i]]
     return energies[order[:count]], vecs
 
 
@@ -611,8 +708,8 @@ def exact_lowest(
 
     From SECTOR_MIN_QUBITS up an H that conserves popcount is solved sector
     by sector (:func:`popcount_sectors`); every other size and H, and
-    method="lanczos" at any size, is one block, the one CSR matrix.  Either
-    way :func:`_lowest_over_blocks` solves the blocks.
+    method="lanczos" at any size, is one block, the one CSR matrix built
+    once.  Either way :func:`_lowest_over_blocks` solves the blocks.
     """
     if ham.n > ORACLE_MAX_QUBITS:
         raise ValueError(f"oracle limited to n <= {ORACLE_MAX_QUBITS}, got {ham.n}")
@@ -622,13 +719,13 @@ def exact_lowest(
         raise ValueError(f"count {count} too large for dimension {1 << ham.n}")
     if method not in (None, "lanczos"):
         raise ValueError(f"unknown method {method!r}")
-    blocks = None
+    split = None
     if method is None and ham.n >= SECTOR_MIN_QUBITS:
-        blocks = popcount_sectors(ham)
-    if blocks is None:
-        blocks = [(np.arange(1 << ham.n), sparse_matrix(ham))]
-    vals, vecs = _lowest_over_blocks(blocks, count)
-    del blocks  # freed before the residual check's 2^n-long work arrays
+        split = popcount_sectors(ham)
+    if split is None:
+        split = [np.arange(1 << ham.n)], [0.0], {0: sparse_matrix(ham)}
+    vals, vecs = _lowest_over_blocks(ham, *split, count)
+    del split  # freed before the residual check's 2^n-long work arrays
 
     unit = np.column_stack([vecs[:, i] / np.linalg.norm(vecs[:, i]) for i in range(count)])
     residuals = np.linalg.norm(apply_hamiltonian(ham, unit) - unit * vals, axis=0)

@@ -126,23 +126,38 @@ def parse_counts(obj: dict[str, Any]) -> CountsMultiset:
     raw = obj.get("counts")
     if not isinstance(raw, dict) or not raw:
         raise ValueError("counts object must contain a nonempty 'counts' map")
+    # A key of length n in 0/1 names one state, and a decoded object holds
+    # each key once, so each state comes from one key.
     counts: dict[BasisState, int] = {}
     for key, value in raw.items():
         state = _key_to_state(key, n, bit_order)
         if isinstance(value, bool) or not isinstance(value, int) or value <= 0:
             raise ValueError(f"count for key {key!r} must be a positive integer")
-        total = counts.get(state, 0) + value
         # top_k ranks the tallies as int64.
-        if total > np.iinfo(np.int64).max:
+        if value > np.iinfo(np.int64).max:
             raise ValueError(f"count for key {key!r} exceeds 2**63 - 1")
-        counts[state] = total
+        counts[state] = value
     return CountsMultiset(counts=counts, n=n)
 
 
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    """A JSON object's members as a dict; a repeated key raises ValueError."""
+    obj: dict[str, Any] = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"key {key!r} repeats in a JSON object")
+        obj[key] = value
+    return obj
+
+
 def load_counts(path: str) -> CountsMultiset:
-    """Read the counts wire format from a file."""
+    """Read the counts wire format from a file.
+
+    A key that repeats in one JSON object is an error: ``json.load`` would
+    keep its last value and drop the earlier tallies without a word.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_counts(json.load(fh))
+        return parse_counts(json.load(fh, object_pairs_hook=_unique_keys))
 
 
 def counts_to_json(counts: CountsMultiset, bit_order: str = "qubit0_first") -> str:

@@ -239,9 +239,10 @@ def test_out_of_range_value_is_a_usage_error(runner, args):
     ("ingest", "counts_file", '{"n": 2, "counts": {"01": 9223372036854775808}}'),
     ("ingest", "counts_file", "{not json"),
     ("run", "counts_file", "null"),
+    ("run", "counts_file", '{"n": 2, "counts": {"01": 5, "01": 7}}'),
     ("run", "hamiltonian", "1.0 XQ\n"),
 ], ids=["key-length", "non-binary", "non-positive", "past-int64", "json", "not-object",
-        "hamiltonian"])
+        "repeated-key", "hamiltonian"])
 def test_malformed_input_file_is_a_usage_error(runner, artifacts, tmp_path,
                                               verb, name, text):
     ham_path, counts_path = artifacts

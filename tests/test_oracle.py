@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import weakref
 
 import numpy as np
 import pytest
@@ -150,7 +151,10 @@ class TestSparseMatrix:
     @pytest.mark.parametrize("kind", ["heisenberg", "tfim"])
     def test_blocks_hold_no_padding(self, kind):
         ham, _ = build_model(ModelSpec(kind=kind, n=8, seed=0))
-        blocks = [sparse_matrix(ham)] + [b for _, b in popcount_sectors(ham) or []]
+        split = popcount_sectors(ham)
+        blocks = [sparse_matrix(ham)]
+        if split is not None:
+            blocks += list(split[2].values()) + [b for _, b in _sector_blocks(ham)]
         for block in blocks:
             for array in (block.data, block.indices):
                 held = array if array.base is None else array.base
@@ -255,7 +259,7 @@ class TestHermitianLowest:
         if not real:
             ham = _with_dm_bond(ham)
         assert ham.is_real == real
-        for matrix in (sparse_matrix(ham), popcount_sectors(ham)[5][1]):
+        for matrix in (sparse_matrix(ham), _sector_blocks(ham)[5][1]):
             for count in (1, 2):
                 assert _same_bytes_as_eigsh(matrix, count)
 
@@ -545,6 +549,21 @@ def _no_floor(block, steps, cut):
     return -np.inf
 
 
+def _no_pass_one_floor(data):
+    return -np.inf
+
+
+def _sector_blocks(ham: PauliHamiltonian) -> list:
+    """(states, block) of every popcount sector, each built by _csr_block."""
+    sectors, _, _ = popcount_sectors(ham)
+    blocks = []
+    for states in sectors:
+        column = np.full(1 << ham.n, -1, dtype=np.int32)
+        column[states] = np.arange(len(states), dtype=np.int32)
+        blocks.append((states, oracle_mod._csr_block(ham, states, column)))
+    return blocks
+
+
 def _sector_instance(kind: str, n: int, seed: int) -> PauliHamiltonian:
     if kind == "zero-field ring":
         return heisenberg_chain(n, 1.0, DisorderInstance((0.0,) * n, 0))
@@ -556,14 +575,17 @@ def _assert_every_sector_gives_the_same_bits(ham: PauliHamiltonian, counts) -> N
     """The sector solve equals, to the bit, solving every sector depth 1 first.
 
     With every floor at -inf no block is skipped, and the first block in
-    floor order is sector 0, whose one state gives one pair.
+    floor order is sector 0, whose one state gives one pair; no block comes
+    built, so each is built where it is first needed.
     """
-    blocks = popcount_sectors(ham)
+    sectors, floors, built = popcount_sectors(ham)
     for count in counts:
-        vals, vecs = oracle_mod._lowest_over_blocks(blocks, count)
+        vals, vecs = oracle_mod._lowest_over_blocks(ham, sectors, floors, dict(built), count)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(oracle_mod, "_weighted_floor", _no_floor)
-            every_vals, every_vecs = oracle_mod._lowest_over_blocks(blocks, count)
+            every_vals, every_vecs = oracle_mod._lowest_over_blocks(
+                ham, sectors, [-np.inf] * len(sectors), {}, count
+            )
         assert vals.tobytes() == every_vals.tobytes()
         assert vecs.tobytes() == every_vecs.tobytes()
 
@@ -579,7 +601,7 @@ class TestPopcountSectors:
     def test_blocks_are_the_dense_matrix_on_each_sector(self):
         ham, _ = build_model(ModelSpec(kind="heisenberg", n=8, seed=4))
         for h in (ham, _with_dm_bond(ham)):
-            blocks = popcount_sectors(h)
+            blocks = _sector_blocks(h)
             dense = h.dense_matrix()
             weights = np.bitwise_count(np.arange(1 << h.n))
             assert len(blocks) == h.n + 1
@@ -699,6 +721,7 @@ class TestSectorRoute:
         _refuse_full_csr(monkeypatch)
         pairs = exact_lowest(ham, count=count)
         monkeypatch.setattr(oracle_mod, "_weighted_floor", _no_floor)
+        monkeypatch.setattr(oracle_mod, "_gershgorin_floor", _no_pass_one_floor)
         every = exact_lowest(ham, count=count)
         assert pairs.energies == every.energies
         assert np.array_equal(pairs.vectors, every.vectors)
@@ -744,6 +767,31 @@ class TestSectorRoute:
         # floors do not clear the cut; the other 12 are skipped.
         assert solves == [2, 1, 1]
 
+    @pytest.mark.parametrize("count", [2, 8])
+    def test_one_sector_block_alive_at_each_solve(self, monkeypatch, count):
+        # Every CSR matrix the route makes is assembled by _compact; at each
+        # solve only the block being solved may still be alive.
+        n = 14
+        ham, _ = build_model(ModelSpec(kind="heisenberg", n=n, seed=0))
+        made, alive = [], []
+
+        def record_block(*args):
+            block = compact(*args)
+            made.append(weakref.ref(block))
+            return block
+
+        def record_solve(matrix, depth):
+            alive.append(sum(ref() is not None for ref in made))
+            return hermitian_lowest(matrix, depth)
+
+        compact = oracle_mod._compact
+        monkeypatch.setattr(oracle_mod, "_compact", record_block)
+        monkeypatch.setattr(oracle_mod, "hermitian_lowest", record_solve)
+        exact_lowest(ham, count=count)
+        assert len(made) >= 3
+        assert alive and alive == [1] * len(alive)
+        assert all(ref() is None for ref in made)
+
     def test_solve_leaves_block_indices_in_place(self, monkeypatch):
         # Sorting a matrix's indices (as abs(matrix) and its axis sums do)
         # reorders the sums in its products and moves the eigenpairs' last
@@ -753,22 +801,21 @@ class TestSectorRoute:
         ham, _ = build_model(ModelSpec(kind="heisenberg", n=n, seed=0))
         copies = []
 
-        def record_blocks(h):
-            blocks = popcount_sectors(h)
-            copies.extend((block, block.indices.copy()) for _, block in blocks)
-            return blocks
-
-        def record_matrix(h):
-            matrix = sparse_matrix(h)
+        def record(*args):
+            matrix = compact(*args)
             copies.append((matrix, matrix.indices.copy()))
             return matrix
 
+        compact = oracle_mod._compact
         monkeypatch.setattr(oracle_mod, "SECTOR_MIN_QUBITS", n)
-        monkeypatch.setattr(oracle_mod, "popcount_sectors", record_blocks)
-        monkeypatch.setattr(oracle_mod, "sparse_matrix", record_matrix)
+        monkeypatch.setattr(oracle_mod, "_compact", record)
         exact_lowest(ham, count=8)
+        sector_blocks = len(copies)
         exact_lowest(ham, count=8, method="lanczos")
-        assert len(copies) == n + 2
+        # The lead block, one block per floor test or solve after it, and
+        # then the one CSR matrix.
+        assert sector_blocks >= 3
+        assert len(copies) == sector_blocks + 1
         assert not all(block.has_sorted_indices for block, _ in copies[:-1])
         assert not copies[-1][0].has_sorted_indices
         for matrix, indices in copies:
@@ -787,13 +834,15 @@ class TestSectorRoute:
             # rounding.
             n = 8
             ham = heisenberg_chain(n, 1.0, DisorderInstance((0.0,) * n, 0))
-        for _, block in popcount_sectors(ham):
+        _, floors, _ = popcount_sectors(ham)
+        for (_, block), pass_one in zip(_sector_blocks(ham), floors):
             dense = block.toarray()
             lowest = scipy.linalg.eigvalsh(dense)[0]
             diagonal = np.diag(dense)
             radius = np.abs(dense).sum(axis=1) - np.abs(diagonal)
             floor = oracle_mod._weighted_floor(block, 0, np.inf)
             assert floor == pytest.approx(np.min(diagonal.real - radius), abs=1e-12)
+            assert pass_one == floor
             weighted = oracle_mod._weighted_floor(block, oracle_mod.FLOOR_STEPS, np.inf)
             assert floor <= weighted <= lowest + RESIDUAL_TOL
             if kind != "zero-field ring":

@@ -18,7 +18,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import assqd.subspace as subspace_mod
@@ -33,6 +33,8 @@ from assqd.acquisition import (
     select_top_b,
 )
 from assqd.driver import METHOD_KINDS, RunConfig, run_as_sqd
+import assqd.oracle as oracle_mod
+from assqd.models import DisorderInstance, heisenberg_chain
 from assqd.oracle import exact_lowest, sparse_matrix
 from assqd.pauli import MAX_QUBITS, PauliHamiltonian, PauliTerm
 from assqd.sampling import (
@@ -436,3 +438,48 @@ def test_every_kind_stays_above_the_ground_energy(real, data):
     for kind in METHOD_KINDS:
         trace = run_as_sqd(ham, counts, dataclasses.replace(config, kind=kind))
         assert trace.final_energy >= e0 - 1e-9
+
+
+class _Handed(Exception):
+    """Raised in place of the block solve, once its arguments are recorded."""
+
+
+@PROPERTY
+@example(n=14, coupling=1.0, fields="drawn", seed=0, dm=0.0)
+@example(n=14, coupling=1.0, fields="zero", seed=0, dm=0.3)
+@given(n=st.integers(2, 14), coupling=_COEFFICIENTS, fields=st.sampled_from(("drawn", "zero")),
+       seed=st.integers(0, 2**16), dm=st.sampled_from((0.0, 0.3, -1.1)))
+def test_sector_floors_equal_the_csr_floor_bit_for_bit(n, coupling, fields, seed, dm):
+    # Pass 1 sums each row's magnitudes from the padded rows, never making
+    # the block; the floors it hands the solver must be the Gershgorin
+    # floors of the CSR blocks (_weighted_floor with no steps), to the bit.
+    # The zero-field ring has rows whose diagonal cancels, which the CSR
+    # block drops; the DM bond XY - YX makes H complex.
+    drawn = np.random.default_rng(seed).normal(0.0, 0.5, n) if fields == "drawn" else [0.0] * n
+    ham = heisenberg_chain(n, coupling, DisorderInstance(tuple(map(float, drawn)), seed))
+    if dm:
+        ham = PauliHamiltonian(n, list(ham.terms) + [PauliTerm(0b11, 0b10, dm),
+                                                     PauliTerm(0b11, 0b01, -dm)])
+    handed = []
+
+    def record(*args):
+        handed.append(args)
+        raise _Handed
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracle_mod, "SECTOR_MIN_QUBITS", n)
+        patch.setattr(oracle_mod, "_lowest_over_blocks", record)
+        with pytest.raises(_Handed):
+            exact_lowest(ham)
+    ((_, sectors, floors, built, _),) = handed
+    assert len(sectors) == len(floors) == n + 1
+    for w, states in enumerate(sectors):
+        column = np.full(1 << n, -1, dtype=np.int32)
+        column[states] = np.arange(len(states), dtype=np.int32)
+        block = oracle_mod._csr_block(ham, states, column)
+        floor = oracle_mod._weighted_floor(block, 0, np.inf)
+        assert np.float64(floors[w]).tobytes() == np.float64(floor).tobytes()
+        if w in built:
+            for name in ("data", "indices", "indptr"):
+                assert getattr(built[w], name).tobytes() == getattr(block, name).tobytes()
+    assert list(built) == [floors.index(min(floors))]

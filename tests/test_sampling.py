@@ -210,6 +210,13 @@ class TestCountsFormat:
         loaded = parse_counts(json.loads(text))
         assert loaded == counts
 
+    def test_repeated_key_rejected(self, tmp_path):
+        # json.load alone would keep the last tally, {1: 7}, and drop the 5.
+        path = tmp_path / "repeat.json"
+        path.write_text('{"n": 2, "counts": {"01": 5, "01": 7}}')
+        with pytest.raises(ValueError, match="'01' repeats"):
+            load_counts(str(path))
+
     def test_malformed_json_raises(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
