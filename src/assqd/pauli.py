@@ -14,12 +14,19 @@ using the convention Y|0> = i|1>, Y|1> = -i|0>, with the Z-type signs read
 from the *input* state.  Sets of basis states are int64 arrays.  Each
 Hamiltonian is compiled once into two term blocks, its diagonal (x_mask =
 0) terms and the terms of every off-diagonal mask side by side, and one
-kernel evaluates either block over a state array; every matrix element
-the package uses comes from it, through :meth:`PauliHamiltonian.diagonal`
-and :meth:`PauliHamiltonian.amplitude_table` (all masks at once), from
-the expansion loop to the reference oracle's CSR matrix.  Nothing here
-ever materializes the 2^n x 2^n matrix except
-:meth:`PauliHamiltonian.dense_matrix`, a small-n test oracle.
+kernel, :func:`_block_sums`, defines each group's sum at a state.  A
+group's sum reads the state only through the bits its z-masks touch, so
+a group touching at most TABLE_MAX_BITS bits is tabulated once, when the
+block is first evaluated, over the patterns of those bits with the
+kernel's own additions, and its entries are then looked up byte by byte
+(:class:`_SupportTables`); a wider group calls the kernel.  Every matrix
+element the package uses comes from these, to the kernel's bits, through
+:meth:`PauliHamiltonian.diagonal` and
+:meth:`PauliHamiltonian.amplitude_table` (all masks at once), from the
+expansion loop to the reference oracle's CSR matrix; the oracle's
+residual product and :meth:`PauliHamiltonian.dense_matrix`, a small-n
+test oracle, compute theirs on their own.  Nothing here ever
+materializes the 2^n x 2^n matrix except that test oracle.
 """
 
 from __future__ import annotations
@@ -49,6 +56,34 @@ _I_POWERS = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
 # per-term loop the kernel replaced; the 65536 states of one n = 16 oracle
 # block took ~21 ms in one pass, ~9 ms in these and ~6 ms in that loop.
 KERNEL_BLOCK = 1 << 16
+
+# Widest group support, in bits, that gets a lookup table (the support is
+# the OR of the group's z-masks); a real table takes 8 * 2^bits bytes, a
+# complex one twice that.  Measured for one group reading b bits (the
+# diagonal of a Heisenberg ring on b qubits, 2b terms; CPU, one thread,
+# medians of 21 interleaved repeats, 9 past 16 bits), in ms:
+#
+#   bits  table KB  build  all 2^b states:      1500 states:
+#                          direct  looked up    direct  looked up
+#      8        2    0.29    0.03     0.01         (all states)
+#     10        8    0.39    0.09     0.02         (all states)
+#     12       32    0.60    0.72     0.05       0.24     0.02
+#     14      128    1.03    2.33     0.18       0.30     0.03
+#     15      256    1.55    4.54     0.56       0.22     0.04
+#     16      512    2.56    8.96     0.83       0.27     0.05
+#     17     1024    5.35   20.48     1.44       0.30     0.06
+#     18     2048   12.33   45.51     3.22       0.43     0.07
+#
+# Below ~12 bits a build is mostly its fixed cost per term, under 1 ms.
+# From 14 bits it costs under half of one direct pass over all 2^b states
+# (under a third at 16), and the oracle makes at least one such pass; at
+# 16 bits the expansion loop's lookups repay it within ~12 batches of 1500
+# states.  Past 16 bits the build and the table double per bit while a
+# batch saves no more, so a 17- or 18-bit table takes ~20 or ~35 such
+# batches and 1-2 MB; no workload runs n > 16, and those groups stay with
+# the kernel.  (Another run of this table read up to 1.8x these times on
+# the shared host.)
+TABLE_MAX_BITS = 16
 
 _CHAR_TO_MASKS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 
@@ -124,6 +159,85 @@ def _block_sums(
         for term in weights[:, :, None] * signs:
             part += term
     return out
+
+
+def _group_table(compressed: np.ndarray, weights: np.ndarray, width: int) -> np.ndarray:
+    """One group's sums at each of its 2^width support patterns.
+
+    Term l reads pattern bits ``compressed[l]``, so its signed weight
+    depends only on the pattern's low bit_length(compressed[l]) bits: it
+    is tiled along rows of at least 256 patterns (or the whole table) and
+    added to every row at once, ranks in term order from +0.0, with the
+    kernel's own product ``weight * sign`` (sign 1 or -1 in the weights'
+    dtype), so each entry is :func:`_block_sums`'s sum to the bit.
+    """
+    table = np.zeros(1 << width, dtype=weights.dtype)
+    signs = np.array([1, -1], dtype=np.int8).astype(weights.dtype)
+    for mask, weight in zip(compressed.tolist(), weights):
+        plus, minus = weight * signs
+        span = 1 << mask.bit_length()
+        odd = (np.bitwise_count(np.arange(span, dtype=np.uint32) & mask) & 1).view(bool)
+        row = max(span, min(256, len(table)))
+        table.reshape(-1, row)[...] += np.where(np.tile(odd, row // span), minus, plus)
+    return table
+
+
+class _SupportTables:
+    """:func:`_block_sums` of one term block, tabulated where that is cheap.
+
+    Column g of the block reads a state only through its bits in U_g, the
+    OR of the column's z-masks.  A column with |U_g| <= TABLE_MAX_BITS gets
+    a table of its sums at the 2^|U_g| patterns of those bits
+    (:func:`_group_table`), all tables in one flat ``values`` array at
+    ``offsets``.  A state's pattern index is gathered byte by byte from
+    256-entry tables, one per byte that some U_g touches, and its entry is
+    one more gather, in passes of at most KERNEL_BLOCK entries.  Wider
+    columns (the diagonal past n = 16, wide random masks) are left to
+    :func:`_block_sums`.  Every entry is the kernel's bits.
+    """
+
+    def __init__(self, z_masks: np.ndarray, weights: np.ndarray):
+        unions = np.bitwise_or.reduce(z_masks, axis=0)
+        wide = np.bitwise_count(unions) > TABLE_MAX_BITS
+        self.groups = z_masks.shape[1]
+        self.direct = np.flatnonzero(wide)
+        self.direct_block = (z_masks[:, wide], weights[:, wide])
+        self.tabled = np.flatnonzero(~wide)
+        # Bit i of U_g lands on index bit (number of U_g bits below i).
+        qubits = np.arange(MAX_QUBITS)
+        bits = (unions[~wide, None] >> qubits) & 1
+        place = bits << (np.cumsum(bits, axis=1) - bits)
+        byte_bits = (np.arange(256)[:, None] >> np.arange(8)) & 1
+        self.gathers = [
+            (shift, place[:, shift:shift + 8] @ byte_bits[:, :MAX_QUBITS - shift].T)
+            for shift in range(0, MAX_QUBITS, 8) if place[:, shift:shift + 8].any()
+        ]
+        tables = []
+        for row, g in enumerate(self.tabled):
+            compressed = ((z_masks[:, g, None] >> qubits) & 1) @ place[row]
+            tables.append(_group_table(compressed, weights[:, g], int(bits[row].sum())))
+        sizes = [len(table) for table in tables]
+        self.offsets = np.cumsum([0] + sizes, dtype=np.int64)[:-1, None]
+        self.values = np.concatenate(tables) if tables else np.zeros(0, weights.dtype)
+
+    def sums(self, states: np.ndarray) -> np.ndarray:
+        """The block's column sums at every state, shape (G, len(states))."""
+        out = np.empty((self.groups, len(states)), dtype=self.values.dtype)
+        if len(self.direct):
+            out[self.direct] = _block_sums(*self.direct_block, states)
+        if not len(self.tabled):
+            return out
+        rows = self.tabled if len(self.direct) else slice(None)
+        step = max(1, KERNEL_BLOCK // len(self.tabled))
+        for start in range(0, len(states), step):
+            chunk = states[start:start + step]
+            index = self.offsets
+            for shift, gather in self.gathers:
+                part = gather.take((chunk >> shift) & 255, axis=1)
+                part += index
+                index = part
+            out[rows, start:start + step] = self.values.take(index)
+        return out
 
 
 def _term_block(groups, dtype) -> tuple[np.ndarray, np.ndarray]:
@@ -218,6 +332,14 @@ class PauliHamiltonian:
         """Terms of every off-diagonal mask, column g holding offdiag_masks[g]."""
         return _term_block((self._groups[x] for x in self.offdiag_masks), self.dtype)
 
+    @cached_property
+    def _diagonal_tables(self) -> _SupportTables:
+        return _SupportTables(*self._diagonal_block)
+
+    @cached_property
+    def _offdiag_tables(self) -> _SupportTables:
+        return _SupportTables(*self._offdiag_block)
+
     def diagonal(self, states) -> np.ndarray:
         """<k|H|k> for every k in ``states``, float64, shaped like ``states``.
 
@@ -225,9 +347,7 @@ class PauliHamiltonian:
         x_mask 0 bit for bit.
         """
         states = np.asarray(states, dtype=np.int64)
-        return _block_sums(*self._diagonal_block, states.reshape(-1))[0].reshape(
-            states.shape
-        )
+        return self._diagonal_tables.sums(states.reshape(-1))[0].reshape(states.shape)
 
     def amplitude_table(self, states) -> np.ndarray:
         """<s XOR x|H|s> for every off-diagonal mask x and state s at once.
@@ -236,7 +356,7 @@ class PauliHamiltonian:
         (a 1-D int64 array); each entry equals :meth:`_group_amplitude`
         bit for bit, in :attr:`dtype`.
         """
-        return _block_sums(*self._offdiag_block, np.asarray(states, dtype=np.int64))
+        return self._offdiag_tables.sums(np.asarray(states, dtype=np.int64))
 
     def neighbors(self, s: BasisState) -> set[BasisState]:
         """Basis states reachable from |s> by some off-diagonal term.

@@ -38,6 +38,9 @@ class ProbabilityModel:
         dim = int(self.probs.shape[0])
         if dim < 2 or dim & (dim - 1):
             raise ValueError(f"distribution length {dim} is not a power of two")
+        # A NaN fails every comparison, so test finiteness before the sign.
+        if not np.all(np.isfinite(self.probs)):
+            raise ValueError("probabilities must be finite")
         if np.any(self.probs < 0):
             raise ValueError("probabilities must be nonnegative")
         total = float(self.probs.sum())

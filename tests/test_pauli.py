@@ -5,7 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from assqd.models import DisorderInstance, heisenberg_chain
 from assqd.pauli import (
+    KERNEL_BLOCK,
+    MAX_QUBITS,
+    TABLE_MAX_BITS,
     PauliHamiltonian,
     PauliTerm,
     format_hamiltonian,
@@ -224,6 +228,65 @@ class TestPauliHamiltonian:
         h = PauliHamiltonian(13, [PauliTerm(0, 1, 1.0)])
         with pytest.raises(ValueError, match="dense"):
             h.dense_matrix()
+
+
+def _group_amplitudes(ham: PauliHamiltonian, states) -> tuple[np.ndarray, np.ndarray]:
+    """amplitude_table and diagonal of ``states`` from _group_amplitude."""
+    table = np.array([[ham._group_amplitude(x, int(s)) for s in states]
+                      for x in ham.offdiag_masks], dtype=np.complex128)
+    diag = np.array([ham._group_amplitude(0, int(s)).real for s in states])
+    return (table.real.copy() if ham.is_real else table), diag
+
+
+class TestSupportTables:
+    def test_no_diagonal_terms_give_positive_zero(self):
+        h = parse_hamiltonian("1.0 XX\n1.0 YY\n")
+        assert h._diagonal_tables.values.tobytes() == np.zeros(1).tobytes()
+        assert h.diagonal(np.arange(4)).tobytes() == np.zeros(4).tobytes()
+
+    def test_z_free_group_has_one_entry(self):
+        # X on qubit 2 reads no bit of the state; X on qubit 0 (with XZ) reads one.
+        h = parse_hamiltonian("-0.5 XII\n0.75 IIX\n0.25 XZI\n")
+        tables = h._offdiag_tables
+        assert h.offdiag_masks == (0b001, 0b100)
+        assert tables.values.tolist() == [-0.25, -0.75, 0.75]
+        assert tables.offsets.ravel().tolist() == [0, 2]
+        assert h.amplitude_table([0, 7]).tolist() == [[-0.25, -0.75], [0.75, 0.75]]
+
+    @pytest.mark.parametrize("odd_y", [False, True])
+    def test_batch_of_several_passes(self, odd_y):
+        n = 16
+        fields = DisorderInstance(tuple(np.linspace(-1.0, 1.0, n)), 0)
+        h = heisenberg_chain(n, 1.0, fields)
+        if odd_y:
+            h = PauliHamiltonian(n, h.terms + (PauliTerm(0b11, 0b01, 0.3),))
+        step = KERNEL_BLOCK // len(h.offdiag_masks)
+        states = np.random.default_rng(5).choice(1 << n, 2 * step + 7, replace=False)
+        table, diag = _group_amplitudes(h, states)
+        assert h.amplitude_table(states).tobytes() == table.tobytes()
+        assert h.diagonal(states).tobytes() == diag.tobytes()
+
+    @pytest.mark.parametrize("odd_y", [False, True])
+    def test_block_mixing_tabled_and_direct_groups(self, odd_y):
+        rng = np.random.default_rng(9)
+        wide = TABLE_MAX_BITS + 1
+        terms = []
+        # Diagonal and three x_masks reading 2, 16 and 17 bits, all above bit 40.
+        for x_mask, width in ((0, TABLE_MAX_BITS), (1 << 3, 2),
+                              (1 << 5, TABLE_MAX_BITS), (1 << 7, wide)):
+            support = sum(1 << int(i) for i in rng.choice(range(40, 63), width, replace=False))
+            for z_mask in (support, support & int(rng.integers(1 << 62))):
+                terms.append(PauliTerm(x_mask, z_mask, float(rng.normal())))
+        if odd_y:
+            terms.append(PauliTerm(1 << 3, 1 << 3, 0.5))
+        h = PauliHamiltonian(MAX_QUBITS, terms)
+        assert h._offdiag_tables.tabled.tolist() == [0, 1]
+        assert h._offdiag_tables.direct.tolist() == [2]
+        assert h._diagonal_tables.tabled.tolist() == [0]
+        states = rng.integers(0, 1 << 62, 300) | (rng.integers(0, 2, 300) << 62)
+        table, diag = _group_amplitudes(h, states)
+        assert h.amplitude_table(states).tobytes() == table.tobytes()
+        assert h.diagonal(states).tobytes() == diag.tobytes()
 
 
 class TestTextFormat:

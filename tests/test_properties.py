@@ -34,6 +34,7 @@ from assqd.acquisition import (
 )
 from assqd.driver import METHOD_KINDS, RunConfig, run_as_sqd
 import assqd.oracle as oracle_mod
+import assqd.pauli as pauli_mod
 from assqd.models import DisorderInstance, heisenberg_chain
 from assqd.oracle import exact_lowest, sparse_matrix
 from assqd.pauli import MAX_QUBITS, PauliHamiltonian, PauliTerm
@@ -78,6 +79,35 @@ def hamiltonians(draw, real: bool | None = None, sizes=st.integers(1, 8),
     return PauliHamiltonian(n, [PauliTerm(x, z, c) for x, z, c in terms] + [odd_y])
 
 
+@st.composite
+def support_hamiltonians(draw, real: bool) -> PauliHamiltonian:
+    """Hamiltonians on n = 16, 17 or 63 whose groups each read exactly a drawn
+    support, 0-2 bits or 15-17 bits wide: on either side of TABLE_MAX_BITS, so
+    one block can hold tabled and direct groups."""
+    n = draw(st.sampled_from([16, 17, MAX_QUBITS]))
+    terms = []
+    for _ in range(draw(st.integers(1, 4))):
+        x_mask = draw(st.just(0) | st.integers(1, (1 << n) - 1))
+        # A real H gets no Y: its z-masks avoid the x bits.
+        free = [i for i in range(n) if not (real and x_mask >> i & 1)]
+        width = min(draw(st.sampled_from([0, 1, 2, 15, 16, 17])), len(free))
+        support = sum(1 << i for i in draw(st.permutations(free))[:width])
+        z_masks = draw(st.lists(st.integers(0, support).map(lambda z: z & support),
+                                max_size=4)) + [support]
+        terms += [PauliTerm(x_mask, z, draw(_COEFFICIENTS)) for z in z_masks]
+    if not real:
+        terms.append(PauliTerm(1, 1, draw(_COEFFICIENTS)))
+    return PauliHamiltonian(n, terms)
+
+
+def _support(ham: PauliHamiltonian, x_mask: int) -> int:
+    """OR of the z-masks of the terms with this x_mask: the bits they read."""
+    support = 0
+    for z_mask, _ in ham._groups.get(x_mask, ()):
+        support |= z_mask
+    return support
+
+
 def _states(draw, n: int, min_size: int = 0, max_size: int = 40) -> list[int]:
     return draw(st.lists(st.integers(0, (1 << n) - 1), min_size=min_size,
                          max_size=min(max_size, 1 << n), unique=True))
@@ -93,19 +123,29 @@ def _bytes_equal(got: np.ndarray, ref: np.ndarray) -> bool:
 @given(data=st.data())
 def test_amplitude_table_and_diagonal_bytes_equal_group_amplitude(real, data):
     ham = data.draw(hamiltonians(real, sizes=st.integers(1, 8) | st.just(MAX_QUBITS),
-                                 crowded=data.draw(st.booleans())))
+                                 crowded=data.draw(st.booleans()))
+                    | support_hamiltonians(real))
     top_bit = st.integers(1 << (ham.n - 1), (1 << ham.n) - 1)
     states = np.array(data.draw(st.lists(st.integers(0, (1 << ham.n) - 1) | top_bit,
                                          max_size=40, unique=True)), dtype=np.int64)
+    # Each group is tabled exactly when the bits its z-masks read fit the cap.
+    for tables, masks in ((ham._diagonal_tables, (0,)),
+                          (ham._offdiag_tables, ham.offdiag_masks)):
+        assert tables.tabled.tolist() == [
+            g for g, x_mask in enumerate(masks)
+            if _support(ham, x_mask).bit_count() <= pauli_mod.TABLE_MAX_BITS]
+    # A pass of 5 entries splits every batch into several passes.
+    block = data.draw(st.sampled_from([pauli_mod.KERNEL_BLOCK, 5]))
     for batch in (states, states[:0]):
         ref = np.array([[ham._group_amplitude(x, int(s)) for s in batch]
                         for x in ham.offdiag_masks], dtype=np.complex128)
         ref = ref.reshape(len(ham.offdiag_masks), len(batch))
-        assert _bytes_equal(ham.amplitude_table(batch),
-                            ref.real.copy() if ham.is_real else ref)
         diag = np.array([ham._group_amplitude(0, int(s)).real for s in batch],
                         dtype=np.float64)
-        assert _bytes_equal(ham.diagonal(batch), diag)
+        with mock.patch.object(pauli_mod, "KERNEL_BLOCK", block):
+            assert _bytes_equal(ham.amplitude_table(batch),
+                                ref.real.copy() if ham.is_real else ref)
+            assert _bytes_equal(ham.diagonal(batch), diag)
 
 
 @PROPERTY

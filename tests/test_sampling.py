@@ -77,6 +77,12 @@ class TestContaminatedDistribution:
         with pytest.raises(ValueError, match="eta"):
             contaminated_distribution(psi, psi, 1.5)
 
+    def test_nan_amplitude_rejected(self):
+        psi0 = np.array([np.nan, 0.5, 0.5, 0.5], dtype=complex)
+        psi1 = np.array([0.0, 0.0, 0.0, 1.0])
+        with pytest.raises(ValueError, match="finite"):
+            contaminated_distribution(psi0, psi1, 0.1)
+
 
 class TestSampleCounts:
     def test_deterministic_distribution(self):
@@ -125,6 +131,26 @@ class TestSampleCounts:
     def test_bad_shots_rejected(self):
         with pytest.raises(ValueError, match="shots"):
             sample_counts(two_qubit_mix(0.1), 0, seed=0)
+
+
+class TestProbabilityModel:
+    # NaN compares False both as p < 0 and as |sum - 1| > tol, so a NaN entry
+    # once built a model that sampled every shot onto one state.
+    @pytest.mark.parametrize("probs", [
+        [np.nan, 0.5, 0.25, 0.25],
+        [np.nan, np.nan, np.nan, np.nan],
+        [np.inf, 0.0, 0.0, 0.0],
+        [0.5, 0.5, -np.inf, np.inf],
+    ])
+    def test_non_finite_probability_rejected(self, probs):
+        with pytest.raises(ValueError, match="finite"):
+            ProbabilityModel(np.array(probs))
+
+    def test_valid_probabilities_kept_as_given(self):
+        probs = np.array([0.125, 0.0, 0.375, 0.5])
+        model = ProbabilityModel(probs)
+        assert model.probs.tobytes() == probs.tobytes()
+        assert model.n == 2
 
 
 class TestCountsFormat:

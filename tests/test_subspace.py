@@ -131,6 +131,10 @@ class TestBuildRestricted:
         skewed = h.amplitude_table([0b01, 0b10])[h.offdiag_masks.index(0b11)]
         assert np.isclose(skewed[0], 2.0 + 1e-3, rtol=0, atol=1e-12)
         assert skewed[1] == 2.0
+        # The patched block reaches amplitude_table through the mask's table.
+        tables = h._offdiag_tables
+        assert tables.tabled.tolist() == [0] and not len(tables.direct)
+        assert skewed[0] in tables.values
         # |01> and |10> couple through XX + YY; both sides are new here.
         with pytest.raises(ValueError, match="Hermitian"):
             build_restricted(h, Subspace((1, 2)))
