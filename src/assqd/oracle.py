@@ -27,23 +27,23 @@ block densely up to DENSE_SOLVE_MAX states and with ARPACK above that:
   (disorder seeds 0-5) makes 3 solves of its 17 sectors at count 2 and 7
   at count 8, where the Gershgorin floor alone, with every sector solved
   once before any is deepened, makes 6-8 and 12.  The split runs in two
-  passes.  The first (:func:`popcount_sectors`) fills each sector's rows
-  from the kernel and keeps only its floor and the check that H stays in
-  it, plus the CSR block of the lowest-floor sector.  The second
-  (:func:`_lowest_over_blocks`) builds every other block when a floor
-  test or a solve first needs it and drops it after, so one block and
-  ARPACK's basis are alive at a time: Heisenberg at n = 16 peaks at 7.0
-  MB (tracemalloc), where holding all 17 blocks peaked at 12.7 MB;
-- otherwise, up to ORACLE_MAX_QUBITS = 20: one block, H built once as one
-  CSR matrix over all 2^n states (:func:`sparse_matrix`), solved for
-  count pairs at once.
+  passes.  The first (:func:`popcount_sectors`) walks all 2^n states
+  once, reading each state's row from the kernel, and keeps only each
+  sector's floor and the check that H stays in its sectors.  The second
+  (:func:`_lowest_over_blocks`) builds each block when a floor test or a
+  solve needs it and drops it after, so one block and ARPACK's basis are
+  alive at a time: Heisenberg at n = 16, count 2, peaks at 7.2 MB
+  (tracemalloc, the kernel's tables included), where holding all 17
+  blocks peaked at 12.7 MB;
+- otherwise, up to ORACLE_MAX_QUBITS = 20: one block, H as one CSR
+  matrix over all 2^n states, solved for count pairs at once.
 
-Both CSR forms read their entries from the expansion loop's own kernel,
-:meth:`PauliHamiltonian.diagonal` and
-:meth:`PauliHamiltonian.amplitude_table`, through :func:`_padded_rows`,
-which is also the symmetry detector: a nonzero entry that leaves its
-sector sends H to the one block, so an H with a transverse field (TFIM)
-is caught at sector 0.  ``exact_lowest(method="lanczos")`` keeps H in one
+Every block is built by :func:`_csr_block` from the expansion loop's own
+kernel, :meth:`PauliHamiltonian.diagonal` and
+:meth:`PauliHamiltonian.amplitude_table`, which pass 1 also reads as the
+symmetry detector: a nonzero entry that leaves its sector sends H to the
+one block, so an H with a transverse field (TFIM) is caught at |0...0>,
+in the first pass.  ``exact_lowest(method="lanczos")`` keeps H in one
 block at any size: the benchmark asks for it and tests compare the two
 splits, while the command line always takes the one the size and H pick.
 Every returned pair, sector pairs scattered back to 2^n vectors
@@ -386,59 +386,8 @@ def hermitian_lowest(
     return vals[order], vecs[:, order]
 
 
-def _passes(ham: PauliHamiltonian, states: np.ndarray, column: np.ndarray):
-    """``states`` in passes of at most KERNEL_BLOCK padded entries.
-
-    Yields (rows, chunk, indices): the slice of the pass, its states, and
-    the int32 column of each of its entries, one per mask x in (0,) +
-    ``offdiag_masks`` in that order, ``column[state ^ x]``.  ``column``
-    gives every one of the 2^n basis states its column, -1 for a state
-    outside the block.
-    """
-    masks = np.array((0,) + ham.offdiag_masks, dtype=np.int64)
-    step = max(1, KERNEL_BLOCK // len(masks))
-    for start in range(0, len(states), step):
-        rows = slice(start, start + step)
-        chunk = states[rows]
-        yield rows, chunk, column[chunk[:, None] ^ masks]
-
-
-def _padded_rows(
-    ham: PauliHamiltonian,
-    states: np.ndarray,
-    column: np.ndarray,
-    indices: np.ndarray | None = None,
-) -> np.ndarray | None:
-    """The rows of H at ``states``, one entry per mask, or None if H leaves them.
-
-    Row r holds the entry of each mask x in (0,) + ``offdiag_masks``, in
-    that order, at column ``column[states[r] ^ x]`` (:func:`_passes`),
-    which is also stored in ``indices`` when one is given.  The diagonal
-    comes from :meth:`PauliHamiltonian.diagonal` and the rest from
-    :meth:`PauliHamiltonian.amplitude_table` at the row state, because H
-    is Hermitian and so <s|H|s^x> = conj(<s^x|H|s>); a real table is
-    stored as it is, without a conjugated copy.  The rows are filled in
-    passes, so no table larger than one pass is made.  A nonzero entry in
-    a -1 column means H couples the block to a state outside it, and the
-    result is None, from the first pass that meets one.
-    """
-    width = 1 + len(ham.offdiag_masks)
-    if len(states) * width > np.iinfo(np.int32).max:
-        raise ValueError(f"{len(states) * width} entries exceed int32 CSR indexing")
-    data = np.empty((len(states), width), dtype=ham.dtype)
-    for rows, chunk, part in _passes(ham, states, column):
-        data[rows, 0] = ham.diagonal(chunk)
-        table = ham.amplitude_table(chunk).T
-        data[rows, 1:] = table if ham.is_real else np.conj(table)
-        if np.logical_and(part < 0, data[rows] != 0).any():
-            return None
-        if indices is not None:
-            indices[rows] = part
-    return data
-
-
 def _compact(data: np.ndarray, indices: np.ndarray) -> scipy.sparse.csr_array:
-    """Padded rows and their columns (:func:`_padded_rows`) as a CSR matrix.
+    """Padded rows and their columns (:func:`_csr_block`) as a CSR matrix.
 
     The -1 columns, whose entries are all zero, are set to 0 in place.
     Entries that cancel exactly are then dropped in place; they include the
@@ -461,99 +410,92 @@ def _compact(data: np.ndarray, indices: np.ndarray) -> scipy.sparse.csr_array:
     return matrix
 
 
-def _csr_block(
-    ham: PauliHamiltonian, states: np.ndarray, column: np.ndarray
-) -> scipy.sparse.csr_array | None:
-    """The rows of H at ``states`` as a CSR matrix, or None if H leaves them.
+def _csr_block(ham: PauliHamiltonian, states: np.ndarray) -> scipy.sparse.csr_array:
+    """H on the int64 ``states`` as a CSR matrix, row and column r for ``states[r]``.
 
-    :func:`_padded_rows` gives the rows, one entry per mask in mask order,
-    and :func:`_compact` drops the zero ones.
+    Row r is first filled with the entry of each mask x in (0,) +
+    ``offdiag_masks``, in that order, at column ``column[states[r] ^ x]``,
+    where ``column`` gives each state of the block its position and every
+    other basis state -1.  The diagonal comes from
+    :meth:`PauliHamiltonian.diagonal` and the rest from
+    :meth:`PauliHamiltonian.amplitude_table` at the row state, because H is
+    Hermitian and so <s|H|s^x> = conj(<s^x|H|s>); a real table is stored as
+    it is, without a conjugated copy.  The rows are filled in passes of at
+    most KERNEL_BLOCK entries, so no table larger than one pass is made,
+    and :func:`_compact` drops the zero entries.  Every entry whose target
+    lies outside the block must be zero (H conserves popcount on a
+    sector, see :func:`popcount_sectors`), as XX + YY is on aligned bits.
+
+    Real values take 8 bytes and ``int32`` column indices 4, so before the
+    drop the padded rows of all 2^n states, the one block of
+    :func:`exact_lowest`'s one-block route, hold (G + 1) * 2^n * 12 bytes
+    for G off-diagonal masks: 13.4 MB for Heisenberg at n = 16 (G = 16),
+    whose XX + YY cancel on aligned neighbours, so 9 entries per row
+    remain and the matrix keeps 7.1 MB (TFIM keeps all 17 per row).  The
+    largest sector block at n = 16, sector 8, keeps 1.5 MB.
     """
-    indices = np.empty((len(states), 1 + len(ham.offdiag_masks)), dtype=np.int32)
-    data = _padded_rows(ham, states, column, indices)
-    return None if data is None else _compact(data, indices)
+    column = np.full(1 << ham.n, -1, dtype=np.int32)
+    column[states] = np.arange(len(states), dtype=np.int32)
+    masks = np.array((0,) + ham.offdiag_masks, dtype=np.int64)
+    if len(states) * len(masks) > np.iinfo(np.int32).max:
+        raise ValueError(f"{len(states) * len(masks)} entries exceed int32 CSR indexing")
+    data = np.empty((len(states), len(masks)), dtype=ham.dtype)
+    indices = np.empty(data.shape, dtype=np.int32)
+    step = max(1, KERNEL_BLOCK // len(masks))
+    for start in range(0, len(states), step):
+        rows = slice(start, start + step)
+        chunk = states[rows]
+        data[rows, 0] = ham.diagonal(chunk)
+        table = ham.amplitude_table(chunk).T
+        data[rows, 1:] = table if ham.is_real else np.conj(table)
+        indices[rows] = column[chunk[:, None] ^ masks]
+    return _compact(data, indices)
 
 
-def _gershgorin_floor(data: np.ndarray) -> float:
-    """min_i(Re H_ii - sum_{j != i} |H_ij|) over padded rows (:func:`_padded_rows`).
-
-    Each row's |H_ii| + sum |H_ij| is summed as :func:`_weighted_floor`
-    with no steps sums it, a CSR product with the ones vector: from +0.0,
-    |H_ii| first and then each mask's |amplitude| in mask order.  An entry
-    the CSR matrix drops is a zero, whose +0.0 moves no bit of that sum, so
-    the floor is ``_weighted_floor(block, 0, inf)`` of the block to the bit.
-    """
-    diagonal = data[:, 0]
-    total = np.abs(diagonal)
-    for g in range(1, data.shape[1]):
-        total += np.abs(data[:, g])
-    return float(np.min(diagonal.real + np.abs(diagonal) - total))
-
-
-def sparse_matrix(ham: PauliHamiltonian) -> scipy.sparse.csr_array:
-    """H as one CSR matrix over all 2^n states, row and column i for state i.
-
-    This is :func:`_csr_block` on every state in ascending order, the one
-    block of :func:`exact_lowest`'s one-block route.  Real values take 8
-    bytes and ``int32`` column indices 4, so before the drop of cancelled
-    entries the padded rows hold (G + 1) * 2^n * 12 bytes for G
-    off-diagonal masks: 13.4 MB for Heisenberg at n = 16 (G = 16).  XX +
-    YY cancel on aligned neighbours, so 9 entries per row remain, and the
-    matrix keeps 7.1 MB once they are copied out of the padded arrays
-    (TFIM keeps all 17 per row).  The sector route never builds it: its
-    largest block at n = 16, sector 8, keeps 1.5 MB.
-    """
-    if ham.n > ORACLE_MAX_QUBITS:
-        raise ValueError(
-            f"sparse matrix limited to n <= {ORACLE_MAX_QUBITS}, got {ham.n}"
-        )
-    states = np.arange(1 << ham.n, dtype=np.int64)
-    return _csr_block(ham, states, states.astype(np.int32))
-
-
-def popcount_sectors(
-    ham: PauliHamiltonian,
-) -> tuple[list[np.ndarray], list[float], dict[int, scipy.sparse.csr_array]] | None:
+def popcount_sectors(ham: PauliHamiltonian) -> tuple[list[np.ndarray], list[float]] | None:
     """H's popcount sectors and their Gershgorin floors, or None if H mixes them.
 
-    Sector w holds the C(n, w) states of popcount w, ascending.  Each
-    sector's rows are filled from w = 0 up (:func:`_padded_rows`), and the
-    first nonzero entry that leaves its sector stops the scan: an H with a
-    transverse field leaves sector 0, whose one state is |0...0>, at once.
-    Of each sector only its Gershgorin floor is kept
-    (:func:`_gershgorin_floor`), and the padded rows of the lowest floor so
-    far, ties to the lower sector; the result is the sectors' states, their
-    floors, and the CSR block of the lowest-floor sector alone, keyed by
-    its sector, for :func:`_lowest_over_blocks` to solve first.  At most
-    two sectors' padded rows are alive at once, the lowest floor's so far
-    and the one being filled: Heisenberg at n = 16 peaks at 7.0 MB here
-    (tracemalloc; sectors 7 and 8), where holding every block, 7.3 MB of
-    them, peaked at 12.7 MB in the first solve.
+    Sector w holds the C(n, w) states of popcount w, ascending.  Whether
+    H stays in its sectors and what each sector's floor is both follow
+    from one state's row at a time, so one walk over all 2^n states,
+    ascending and in passes of at most KERNEL_BLOCK entries, reads the
+    rows from the kernel (:meth:`PauliHamiltonian.diagonal` and
+    :meth:`PauliHamiltonian.amplitude_table`) and builds no column map.
+    A nonzero amplitude at mask x moves state s to another sector unless s
+    holds exactly half of x's bits, and the first pass that meets one ends
+    the walk: an H with a transverse field leaves at |0...0>, in the first
+    pass.  Each state's Gershgorin value, Re H_ss + |H_ss| -
+    (|H_ss| + sum_x |H_{s^x,s}|), summed from |H_ss| in mask order, is the
+    one :func:`_weighted_floor` with no steps gives that row of its CSR
+    block (a dropped entry is a zero, whose +0.0 moves no bit of the sum),
+    and the floor of a sector is their minimum, which is exact, so each
+    floor is the block's to the bit.  No block is built here, and no
+    table larger than one pass: Heisenberg at n = 16 peaks at 2.6 MB here
+    (tracemalloc, the kernel's tables included) and at 7.2 MB over the
+    whole oracle call at count 2, in the first solve (sector 8), where
+    holding every block, 7.3 MB of them, peaked at 12.7 MB.
     """
     dim = 1 << ham.n
+    masks = np.array(ham.offdiag_masks, dtype=np.int64)[:, None]
+    mask_bits = np.bitwise_count(masks)
+    floors = np.full(ham.n + 1, np.inf)
+    step = max(1, KERNEL_BLOCK // (1 + len(masks)))
+    for start in range(0, dim, step):
+        chunk = np.arange(start, min(start + step, dim), dtype=np.int64)
+        table = ham.amplitude_table(chunk)
+        stays = 2 * np.bitwise_count(chunk & masks) == mask_bits
+        if np.logical_and(table != 0, ~stays).any():
+            return None
+        diagonal = ham.diagonal(chunk)
+        total = np.abs(diagonal)
+        for amplitudes in table:
+            total += np.abs(amplitudes)
+        np.minimum.at(floors, np.bitwise_count(chunk), diagonal + np.abs(diagonal) - total)
     # A stable sort keeps each sector's states ascending, and sector w
     # holds the next C(n, w) of them.
     order = np.argsort(np.bitwise_count(np.arange(dim, dtype=np.int64)), kind="stable")
     sectors = np.split(order, np.cumsum([math.comb(ham.n, w) for w in range(ham.n)]))
-    column = np.full(dim, -1, dtype=np.int32)
-    floors: list[float] = []
-    for w, states in enumerate(sectors):
-        column[states] = np.arange(len(states), dtype=np.int32)
-        data = _padded_rows(ham, states, column)
-        column[states] = -1
-        if data is None:
-            return None
-        floors.append(_gershgorin_floor(data))
-        if floors[w] < min(floors[:w], default=np.inf):
-            lead, kept = w, data
-        del data  # before the next sector's rows are filled
-    # The lead's columns, gathered again rather than held for every sector.
-    states = sectors[lead]
-    column[states] = np.arange(len(states), dtype=np.int32)
-    indices = np.empty(kept.shape, dtype=np.int32)
-    for rows, _, part in _passes(ham, states, column):
-        indices[rows] = part
-    return sectors, floors, {lead: _compact(kept, indices)}
+    return sectors, floors.tolist()
 
 
 def _weighted_floor(block: scipy.sparse.csr_array, steps: int, cut: float) -> float:
@@ -600,18 +542,16 @@ def _lowest_over_blocks(
     ham: PauliHamiltonian,
     sectors: list[np.ndarray],
     floors: list[float],
-    built: dict[int, scipy.sparse.csr_array],
     count: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Lowest count eigenpairs of a block-diagonal H, scattered to 2^n vectors.
 
     Block w is H on the states ``sectors[w]``, and ``floors[w]`` its
-    Gershgorin floor (:func:`_gershgorin_floor`; a lone block has nothing
-    to rank or skip, and any floor serves).  ``built`` holds the
-    blocks already built, taken out of it at their first use; every other
-    block is built through :func:`_csr_block` when a floor test or a solve
-    first needs it, and dropped once that block's test and solve are done,
-    so one block and ARPACK's basis are alive at a time.  A block needed
+    Gershgorin floor (:func:`popcount_sectors`; a lone block has nothing
+    to rank or skip, and any floor serves).  Every block, the one block
+    of all 2^n states too, is built by :func:`_csr_block` when a floor test
+    or a solve needs it, and dropped once that test and solve are done, so
+    one block and ARPACK's basis are alive at a time.  A block needed
     again (the first block's depth-1 solve, the deepening loop below) is
     built again.
 
@@ -646,11 +586,7 @@ def _lowest_over_blocks(
     ) -> tuple[np.ndarray, np.ndarray] | None:
         """Block w's lowest depth pairs, or None when its weighted floor clears cut."""
         states = sectors[w]
-        block = built.pop(w, None)
-        if block is None:
-            column = np.full(dim, -1, dtype=np.int32)
-            column[states] = np.arange(len(states), dtype=np.int32)
-            block = _csr_block(ham, states, column)
+        block = _csr_block(ham, states)
         if cut is not None and _weighted_floor(block, FLOOR_STEPS, cut) > cut:
             return None
         matrix = block.toarray() if len(states) <= DENSE_SOLVE_MAX else block
@@ -708,7 +644,7 @@ def exact_lowest(
 
     From SECTOR_MIN_QUBITS up an H that conserves popcount is solved sector
     by sector (:func:`popcount_sectors`); every other size and H, and
-    method="lanczos" at any size, is one block, the one CSR matrix built
+    method="lanczos" at any size, is one block of all 2^n states, built
     once.  Either way :func:`_lowest_over_blocks` solves the blocks.
     """
     if ham.n > ORACLE_MAX_QUBITS:
@@ -723,7 +659,7 @@ def exact_lowest(
     if method is None and ham.n >= SECTOR_MIN_QUBITS:
         split = popcount_sectors(ham)
     if split is None:
-        split = [np.arange(1 << ham.n)], [0.0], {0: sparse_matrix(ham)}
+        split = [np.arange(1 << ham.n)], [0.0]
     vals, vecs = _lowest_over_blocks(ham, *split, count)
     del split  # freed before the residual check's 2^n-long work arrays
 

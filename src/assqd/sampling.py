@@ -1,11 +1,12 @@
 """Finite-shot counts: contaminated sampling, wire format, top-K seeding.
 
 The preparation model mixes the ground state with the first excited state:
-p(b) = (1 - eta) |<b|psi_0>|^2 + eta |<b|psi_1>|^2; eta is checked when the
-mix is made, and the ProbabilityModel keeps only p.  Counts also arrive
-from outside (hardware exports) via a small JSON format; both paths land
-in the same CountsMultiset, whose shot total is the sum of its counts,
-and the initial subspace is always the top-K states by count.
+p(b) = (1 - eta) |<b|psi_0>|^2 + eta |<b|psi_1>|^2; eta and the mixed
+probabilities are checked when the mix is made, and the ProbabilityModel
+keeps only p.  Counts also arrive from outside (hardware
+exports) via a small JSON format; both paths land in the same
+CountsMultiset, whose shot total is the sum of its counts, and the
+initial subspace is always the top-K states by count.
 
 Wire format: {"n": int, "bit_order": "qubit0_first" | "qubit0_last",
 "counts": {bitstring: positive int}}.  With qubit0_first (the default)
@@ -78,9 +79,15 @@ def contaminated_distribution(
         raise ValueError("state vectors must share one dimension")
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"eta must be in [0, 1], got {eta}")
-    probs = (1.0 - eta) * np.abs(psi0) ** 2 + eta * np.abs(psi1) ** 2
+    # A non-finite or overflowing amplitude, or two zero vectors, is
+    # rejected here, before the division would warn about it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        probs = (1.0 - eta) * np.abs(psi0) ** 2 + eta * np.abs(psi1) ** 2
+    total = probs.sum()
+    if not (np.isfinite(probs).all() and total > 0.0):
+        raise ValueError("mixed probabilities must be finite with a positive sum")
     # Renormalize away float rounding; inputs are unit vectors.
-    return ProbabilityModel(probs / probs.sum())
+    return ProbabilityModel(probs / total)
 
 
 def sample_counts(model: ProbabilityModel, shots: int, seed: int) -> CountsMultiset:

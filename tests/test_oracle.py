@@ -30,7 +30,6 @@ from assqd.oracle import (
     hermitian_lowest,
     popcount_sectors,
     save_eigenpairs,
-    sparse_matrix,
 )
 from assqd.pauli import PauliHamiltonian, PauliTerm, parse_hamiltonian
 from assqd.sampling import contaminated_distribution, sample_counts
@@ -124,26 +123,27 @@ class TestSparseMatrix:
             n = int(rng.integers(1, 8))
             h = random_hamiltonian(n, int(rng.integers(1, 4 * n + 4)), rng)
             complex_count += not h.is_real
-            assert np.array_equal(sparse_matrix(h).toarray(), h.dense_matrix())
+            assert np.array_equal(_full_csr(h).toarray(), h.dense_matrix())
         assert complex_count > 100
 
     @pytest.mark.parametrize("kind", ["heisenberg", "tfim"])
     @pytest.mark.parametrize("n", [6, 8, 10])
     def test_models_match_dense_bit_for_bit(self, kind, n):
         ham, _ = build_model(ModelSpec(kind=kind, n=n, seed=n))
-        matrix = sparse_matrix(ham)
+        matrix = _full_csr(ham)
         assert matrix.indices.dtype == np.int32
         assert np.array_equal(matrix.toarray(), ham.dense_matrix())
 
     def test_cancelled_entries_dropped(self):
         h = parse_hamiltonian("1.0 XX\n1.0 YY\n")
         # XX + YY couples |01> and |10> only; its |00>/|11> entries cancel.
-        assert sparse_matrix(h).nnz == 2
+        assert _full_csr(h).nnz == 2
 
     def test_size_limit(self):
         ham = PauliHamiltonian(21, [PauliTerm(0, 1, 1.0)])
-        with pytest.raises(ValueError, match="n <= 20"):
-            sparse_matrix(ham)
+        for method in (None, "lanczos"):
+            with pytest.raises(ValueError, match="n <= 20"):
+                exact_lowest(ham, method=method)
 
     # Heisenberg keeps 5 of 9 padded entries per row at n = 8, more than
     # half, so the prune of cancelled entries would leave views onto the
@@ -151,10 +151,9 @@ class TestSparseMatrix:
     @pytest.mark.parametrize("kind", ["heisenberg", "tfim"])
     def test_blocks_hold_no_padding(self, kind):
         ham, _ = build_model(ModelSpec(kind=kind, n=8, seed=0))
-        split = popcount_sectors(ham)
-        blocks = [sparse_matrix(ham)]
-        if split is not None:
-            blocks += list(split[2].values()) + [b for _, b in _sector_blocks(ham)]
+        blocks = [_full_csr(ham)]
+        if popcount_sectors(ham) is not None:
+            blocks += [b for _, b in _sector_blocks(ham)]
         for block in blocks:
             for array in (block.data, block.indices):
                 held = array if array.base is None else array.base
@@ -224,7 +223,7 @@ class TestHermitianLowest:
         # One block per x_mask leaves column indices unsorted; sorting
         # them in place would change the products' rounding, and E0's bits.
         ham, _ = build_model(ModelSpec(kind="heisenberg", n=10, seed=0))
-        matrix = sparse_matrix(ham)
+        matrix = _full_csr(ham)
         indices, data = matrix.indices.copy(), matrix.data.copy()
         assert not matrix.has_sorted_indices
         hermitian_lowest(matrix, 2)
@@ -259,7 +258,7 @@ class TestHermitianLowest:
         if not real:
             ham = _with_dm_bond(ham)
         assert ham.is_real == real
-        for matrix in (sparse_matrix(ham), _sector_blocks(ham)[5][1]):
+        for matrix in (_full_csr(ham), _sector_blocks(ham)[5][1]):
             for count in (1, 2):
                 assert _same_bytes_as_eigsh(matrix, count)
 
@@ -460,7 +459,7 @@ class TestExactLowest:
             exact_lowest(ham, count=9)
 
     # Up to n = 7 the one block has at most DENSE_SOLVE_MAX states, and
-    # sparse_matrix(ham).toarray() gives LAPACK the bits of dense_matrix().
+    # the one block's toarray() gives LAPACK the bits of dense_matrix().
     @pytest.mark.parametrize("count", [2, 8])
     @pytest.mark.parametrize("kind", ["heisenberg", "tfim", "complex"])
     @pytest.mark.parametrize("n", range(2, 8))
@@ -538,30 +537,42 @@ def _scaled(ham: PauliHamiltonian, factor: float) -> PauliHamiltonian:
     return PauliHamiltonian(ham.n, terms)
 
 
-def _refuse_full_csr(monkeypatch):
-    def refuse(ham):
-        raise AssertionError("full CSR route taken")
+def _full_csr(ham: PauliHamiltonian):
+    """H as one CSR matrix over all 2^n states: the one-block route's block."""
+    return oracle_mod._csr_block(ham, np.arange(1 << ham.n, dtype=np.int64))
 
-    monkeypatch.setattr(oracle_mod, "sparse_matrix", refuse)
+
+def _refuse_full_csr(monkeypatch):
+    """Make any build of a block over all 2^n states fail."""
+    build = oracle_mod._csr_block
+
+    def refuse(ham, states):
+        if len(states) == 1 << ham.n:
+            raise AssertionError("full CSR route taken")
+        return build(ham, states)
+
+    monkeypatch.setattr(oracle_mod, "_csr_block", refuse)
 
 
 def _no_floor(block, steps, cut):
     return -np.inf
 
 
-def _no_pass_one_floor(data):
-    return -np.inf
+def _no_pass_one_floor(monkeypatch):
+    """Hand the solver every sector with a floor of -inf."""
+    split = oracle_mod.popcount_sectors
+
+    def without_floors(ham):
+        sectors, floors = split(ham)
+        return sectors, [-np.inf] * len(floors)
+
+    monkeypatch.setattr(oracle_mod, "popcount_sectors", without_floors)
 
 
 def _sector_blocks(ham: PauliHamiltonian) -> list:
     """(states, block) of every popcount sector, each built by _csr_block."""
-    sectors, _, _ = popcount_sectors(ham)
-    blocks = []
-    for states in sectors:
-        column = np.full(1 << ham.n, -1, dtype=np.int32)
-        column[states] = np.arange(len(states), dtype=np.int32)
-        blocks.append((states, oracle_mod._csr_block(ham, states, column)))
-    return blocks
+    sectors, _ = popcount_sectors(ham)
+    return [(states, oracle_mod._csr_block(ham, states)) for states in sectors]
 
 
 def _sector_instance(kind: str, n: int, seed: int) -> PauliHamiltonian:
@@ -575,16 +586,15 @@ def _assert_every_sector_gives_the_same_bits(ham: PauliHamiltonian, counts) -> N
     """The sector solve equals, to the bit, solving every sector depth 1 first.
 
     With every floor at -inf no block is skipped, and the first block in
-    floor order is sector 0, whose one state gives one pair; no block comes
-    built, so each is built where it is first needed.
+    floor order is sector 0, whose one state gives one pair.
     """
-    sectors, floors, built = popcount_sectors(ham)
+    sectors, floors = popcount_sectors(ham)
     for count in counts:
-        vals, vecs = oracle_mod._lowest_over_blocks(ham, sectors, floors, dict(built), count)
+        vals, vecs = oracle_mod._lowest_over_blocks(ham, sectors, floors, count)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(oracle_mod, "_weighted_floor", _no_floor)
             every_vals, every_vecs = oracle_mod._lowest_over_blocks(
-                ham, sectors, [-np.inf] * len(sectors), {}, count
+                ham, sectors, [-np.inf] * len(sectors), count
             )
         assert vals.tobytes() == every_vals.tobytes()
         assert vecs.tobytes() == every_vecs.tobytes()
@@ -652,14 +662,15 @@ class TestSectorRoute:
         full = exact_lowest(ham, method="lanczos")
         built = []
 
-        def record(h):
-            built.append(h)
-            return sparse_matrix(h)
+        def record(h, states):
+            built.append(states.tolist())
+            return build(h, states)
 
+        build = oracle_mod._csr_block
         monkeypatch.setattr(oracle_mod, "SECTOR_MIN_QUBITS", 10)
-        monkeypatch.setattr(oracle_mod, "sparse_matrix", record)
+        monkeypatch.setattr(oracle_mod, "_csr_block", record)
         pairs = exact_lowest(ham)
-        assert built == [ham]
+        assert built == [list(range(1 << 10))]
         assert pairs.energies == full.energies
         assert np.array_equal(pairs.vectors, full.vectors)
 
@@ -669,6 +680,8 @@ class TestSectorRoute:
         full = exact_lowest(ham, method="lanczos")
         _refuse_full_csr(monkeypatch)
         _assert_same_pairs(exact_lowest(ham), full)
+        with pytest.raises(AssertionError, match="full CSR route"):
+            exact_lowest(ham, method="lanczos")
 
     def test_degenerate_ground_across_and_within_sectors(self, monkeypatch):
         # The zero-field ring at odd n has a fourfold ground space: two
@@ -721,7 +734,7 @@ class TestSectorRoute:
         _refuse_full_csr(monkeypatch)
         pairs = exact_lowest(ham, count=count)
         monkeypatch.setattr(oracle_mod, "_weighted_floor", _no_floor)
-        monkeypatch.setattr(oracle_mod, "_gershgorin_floor", _no_pass_one_floor)
+        _no_pass_one_floor(monkeypatch)
         every = exact_lowest(ham, count=count)
         assert pairs.energies == every.energies
         assert np.array_equal(pairs.vectors, every.vectors)
@@ -834,7 +847,7 @@ class TestSectorRoute:
             # rounding.
             n = 8
             ham = heisenberg_chain(n, 1.0, DisorderInstance((0.0,) * n, 0))
-        _, floors, _ = popcount_sectors(ham)
+        _, floors = popcount_sectors(ham)
         for (_, block), pass_one in zip(_sector_blocks(ham), floors):
             dense = block.toarray()
             lowest = scipy.linalg.eigvalsh(dense)[0]

@@ -36,7 +36,7 @@ from assqd.driver import METHOD_KINDS, RunConfig, run_as_sqd
 import assqd.oracle as oracle_mod
 import assqd.pauli as pauli_mod
 from assqd.models import DisorderInstance, heisenberg_chain
-from assqd.oracle import exact_lowest, sparse_matrix
+from assqd.oracle import exact_lowest, popcount_sectors
 from assqd.pauli import MAX_QUBITS, PauliHamiltonian, PauliTerm
 from assqd.sampling import (
     BIT_ORDERS,
@@ -153,7 +153,7 @@ def test_amplitude_table_and_diagonal_bytes_equal_group_amplitude(real, data):
 @given(data=st.data())
 def test_sparse_matrix_rows_hold_matrix_elements_in_mask_order(real, data):
     ham = data.draw(hamiltonians(real))
-    matrix = sparse_matrix(ham)
+    matrix = oracle_mod._csr_block(ham, np.arange(1 << ham.n, dtype=np.int64))
     indptr, indices, values = [0], [], []
     for i in range(1 << ham.n):
         for x_mask in (0,) + ham.offdiag_masks:
@@ -490,9 +490,9 @@ class _Handed(Exception):
 @given(n=st.integers(2, 14), coupling=_COEFFICIENTS, fields=st.sampled_from(("drawn", "zero")),
        seed=st.integers(0, 2**16), dm=st.sampled_from((0.0, 0.3, -1.1)))
 def test_sector_floors_equal_the_csr_floor_bit_for_bit(n, coupling, fields, seed, dm):
-    # Pass 1 sums each row's magnitudes from the padded rows, never making
-    # the block; the floors it hands the solver must be the Gershgorin
-    # floors of the CSR blocks (_weighted_floor with no steps), to the bit.
+    # Pass 1 sums each state's row magnitudes from the kernel, never making
+    # a block; the floors it hands the solver must be the Gershgorin floors
+    # of the CSR blocks (_weighted_floor with no steps), to the bit.
     # The zero-field ring has rows whose diagonal cancels, which the CSR
     # block drops; the DM bond XY - YX makes H complex.
     drawn = np.random.default_rng(seed).normal(0.0, 0.5, n) if fields == "drawn" else [0.0] * n
@@ -511,15 +511,55 @@ def test_sector_floors_equal_the_csr_floor_bit_for_bit(n, coupling, fields, seed
         patch.setattr(oracle_mod, "_lowest_over_blocks", record)
         with pytest.raises(_Handed):
             exact_lowest(ham)
-    ((_, sectors, floors, built, _),) = handed
+    ((_, sectors, floors, _),) = handed
     assert len(sectors) == len(floors) == n + 1
-    for w, states in enumerate(sectors):
-        column = np.full(1 << n, -1, dtype=np.int32)
-        column[states] = np.arange(len(states), dtype=np.int32)
-        block = oracle_mod._csr_block(ham, states, column)
-        floor = oracle_mod._weighted_floor(block, 0, np.inf)
-        assert np.float64(floors[w]).tobytes() == np.float64(floor).tobytes()
-        if w in built:
-            for name in ("data", "indices", "indptr"):
-                assert getattr(built[w], name).tobytes() == getattr(block, name).tobytes()
-    assert list(built) == [floors.index(min(floors))]
+    for states, pass_one in zip(sectors, floors):
+        floor = oracle_mod._weighted_floor(oracle_mod._csr_block(ham, states), 0, np.inf)
+        assert np.float64(pass_one).tobytes() == np.float64(floor).tobytes()
+
+
+@st.composite
+def sector_hamiltonians(draw) -> PauliHamiltonian:
+    """Z fields, ZZ and XX + YY bonds (real), DM bonds XY - YX (complex),
+    and at most one leaking X or Y term, on n <= 8 qubits.
+
+    XX + YY and XY - YX conserve popcount: on aligned bits their two terms
+    cancel exactly.  The leak is a word of X and Y letters, and of Z on
+    other qubits, so each of its amplitudes has unit modulus and moves the
+    state's popcount when the state's X and Y bits are not half set, unless
+    it merges with a bond and is cancelled there.
+    """
+    n = draw(st.integers(2, 8))
+    qubit = st.integers(0, n - 1)
+    terms = [PauliTerm(0, 1 << q, c) for q, c in draw(st.lists(st.tuples(qubit, _COEFFICIENTS),
+                                                                 max_size=n))]
+    pairs = st.tuples(qubit, qubit, _COEFFICIENTS).filter(lambda b: b[0] != b[1])
+    for i, j, c in draw(st.lists(pairs, max_size=2 * n)):
+        bond = (1 << i) | (1 << j)
+        terms += [PauliTerm(0, bond, c), PauliTerm(bond, 0, c), PauliTerm(bond, bond, c)]
+    for i, j, c in draw(st.lists(pairs, max_size=2)):
+        terms += [PauliTerm((1 << i) | (1 << j), 1 << j, c),
+                  PauliTerm((1 << i) | (1 << j), 1 << i, -c)]
+    if draw(st.booleans()):
+        x_mask = draw(st.integers(1, (1 << n) - 1))
+        y_mask = draw(st.integers(0, (1 << n) - 1)) & x_mask
+        z_mask = draw(st.integers(0, (1 << n) - 1)) & ~x_mask
+        terms.append(PauliTerm(x_mask, y_mask | z_mask, draw(_COEFFICIENTS)))
+    return PauliHamiltonian(n, terms)
+
+
+@PROPERTY
+@example(ham=PauliHamiltonian(3, [PauliTerm(0b011, 0, 1.0), PauliTerm(0b011, 0b011, 1.0)]))
+@example(ham=PauliHamiltonian(3, [PauliTerm(0b011, 0, 1.0), PauliTerm(0b011, 0b011, 1.0),
+                                  PauliTerm(0b100, 0b100, 0.5)]))
+@example(ham=PauliHamiltonian(3, [PauliTerm(0b110, 0b100, 0.7),
+                                  PauliTerm(0b110, 0b010, -0.7), PauliTerm(0b001, 0, 0.2)]))
+@given(ham=sector_hamiltonians())
+def test_sector_split_refused_exactly_when_h_leaves_a_sector(ham):
+    # Pass 1's leave test reads each state's amplitudes, never the matrix;
+    # it must refuse the split exactly when the dense matrix has a nonzero
+    # entry between two states of different popcount.
+    weights = np.bitwise_count(np.arange(1 << ham.n))
+    dense = ham.dense_matrix()
+    leaves = bool(np.any(dense[weights[:, None] != weights[None, :]] != 0))
+    assert (popcount_sectors(ham) is None) == leaves

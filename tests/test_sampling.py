@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -82,6 +83,21 @@ class TestContaminatedDistribution:
         psi1 = np.array([0.0, 0.0, 0.0, 1.0])
         with pytest.raises(ValueError, match="finite"):
             contaminated_distribution(psi0, psi1, 0.1)
+
+    # The mixed probabilities are checked before the division: an inf
+    # amplitude once raised numpy's "invalid value encountered in divide"
+    # first, and at eta = 1 the product 0 * inf warns too, as does the
+    # square of 1e200 and the division of two zero vectors' mix.
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, 1e200])
+    @pytest.mark.parametrize("eta", [0.0, 0.1, 1.0])
+    def test_bad_amplitude_rejected_without_a_warning(self, bad, eta):
+        psi0 = np.array([bad, 0.5, 0.5, 0.5], dtype=complex)
+        psi1 = np.array([0.0, 0.0, 0.0, 1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for pair in ((psi0, psi1), (psi1, psi0), (np.zeros(4), np.zeros(4))):
+                with pytest.raises(ValueError, match="finite with a positive sum"):
+                    contaminated_distribution(*pair, eta)
 
 
 class TestSampleCounts:
