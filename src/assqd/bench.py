@@ -29,12 +29,7 @@ from assqd.driver import (
     run_standard_sqd,
 )
 from assqd.models import ModelSpec, build_model, metadata_record
-from assqd.oracle import (
-    ORACLE_MAX_QUBITS,
-    ConvergenceError,
-    EigenpairSet,
-    exact_lowest,
-)
+from assqd.oracle import ORACLE_MAX_QUBITS, EigenpairSet, exact_lowest
 from assqd.pauli import PauliHamiltonian
 from assqd.sampling import CountsMultiset, contaminated_distribution, sample_counts
 
@@ -195,7 +190,7 @@ def make_row(
     )
     try:
         trace = run_method(bundle.ham, bundle.counts, method, config)
-    except (RunError, ConvergenceError) as exc:
+    except RunError as exc:
         row = ResultRow(
             E_est=math.nan, err=math.nan, iters=0, subspace_size=0,
             wall_ms=0.0, terminated=f"error: {exc}", **common,

@@ -305,6 +305,11 @@ def ingest(ctx: click.Context, counts_file: str, kind: str, method: str,
     reference solve is skipped and e0, e1 and err are null.
     """
     counts = _load(ctx, load_counts, counts_file, "COUNTS_FILE")
+    if counts.n < MIN_QUBITS:
+        raise click.BadParameter(
+            f"the models need at least {MIN_QUBITS} qubits, got n={counts.n}",
+            ctx=ctx, param_hint="'COUNTS_FILE'",
+        )
     ham, spec, disorder = _instance(kind, counts.n, ctx.obj["seed"])
     config = dataclasses.replace(budget, kind=method, hops=hops, seed=ctx.obj["seed"])
     _run_and_emit(ctx, ham, counts, config, metadata_record(spec, disorder))

@@ -555,84 +555,76 @@ def _lowest_over_blocks(
     again (the first block's depth-1 solve, the deepening loop below) is
     built again.
 
-    Blocks are taken in ascending order of their floor, ties by block.
-    The first gives its lowest min(count, size) pairs, each later one its
-    lowest pair.  Once count pairs are in hand, a block with no eigenvalue
-    at or below the count-th lowest of them (plus RESIDUAL_TOL, for
-    rounding) cannot hold a wanted pair: when its Gershgorin floor lies
-    above that cut, it and every block after it are skipped, and when the
+    Every solved pair is one entry (energy, block, index) of a list kept
+    sorted, so by energy, ties by block and then by index; a block solved
+    again replaces its entries.  Blocks are taken in ascending order of
+    their floor, ties by block.  The first gives its lowest min(count,
+    size) pairs, each later one its lowest pair.  Once the list holds
+    count entries, the cut is the count-th entry's energy plus
+    RESIDUAL_TOL (for rounding), and a block with no eigenvalue at or
+    below it cannot hold a wanted pair: when its Gershgorin floor lies
+    above the cut, it and every block after it are skipped, and when the
     bound of FLOOR_STEPS power steps (:func:`_weighted_floor`) does, it
     alone is.
 
-    The solved pairs are ranked by energy, ties by block.  The eigenvalues
-    a block has not given yet rank after its deepest solved pair, so they
-    can reach the lowest count only when that pair ranks among the lowest
-    count - 1.  While some block's does, the one ranked first is solved
-    again, deep enough to fill the ranks below its deepest pair, and the
-    pairs are ranked again.  Had every block given one pair first, the
-    loop would begin by solving the first block again at depth min(count,
+    The eigenvalues a block has not given yet rank after its deepest
+    solved pair, its last entry in the list, so they can reach the first
+    count entries only when that entry is among the first count - 1.
+    While some block's is, the block whose last entry comes first is
+    solved again, deep enough to fill the entries below its last one up
+    to the count-th.  Had every block given one pair first, the loop
+    would begin by solving the first block again at depth min(count,
     size) whenever its pair ranks first, so solving it there at once
     saves a solve and reaches the same state.  When another block's lowest
     energy lies within RESIDUAL_TOL of its lowest, the first block is
     solved again at depth 1 before the loop, which restores that state.  A
     skipped block's pairs would all rank at count or later, so the result
-    is the one that solving every block gives, to the bit.  Blocks of at
-    most DENSE_SOLVE_MAX states are solved densely.
+    is the one that solving every block gives, to the bit.  The first
+    count entries give the energies, and each one's vector is scattered to
+    its block's states.  Blocks of at most DENSE_SOLVE_MAX states are
+    solved densely.
     """
-    dim = 1 << ham.n
+    ranked = []  # every solved pair as (energy, block, index), ascending
+    vectors = {}
 
-    def solve(
-        w: int, depth: int, cut: float | None = None
-    ) -> tuple[np.ndarray, np.ndarray] | None:
-        """Block w's lowest depth pairs, or None when its weighted floor clears cut."""
+    def solve(w: int, depth: int, cut: float | None = None) -> None:
+        """Rank block w's lowest depth pairs, unless its weighted floor clears cut."""
         states = sectors[w]
         block = _csr_block(ham, states)
         if cut is not None and _weighted_floor(block, FLOOR_STEPS, cut) > cut:
-            return None
+            return
         matrix = block.toarray() if len(states) <= DENSE_SOLVE_MAX else block
-        return hermitian_lowest(matrix, min(depth, len(states)))
+        vals, vectors[w] = hermitian_lowest(matrix, min(depth, len(states)))
+        kept = [pair for pair in ranked if pair[1] != w]
+        ranked[:] = sorted(kept + [(e, w, i) for i, e in enumerate(vals.tolist())])
 
     lead, *rest = sorted(range(len(sectors)), key=floors.__getitem__)
-    solved = {lead: solve(lead, count)}
+    solve(lead, count)
     for w in rest:
-        energies = np.sort(np.concatenate([vals for vals, _ in solved.values()]))
         cut = None
-        if len(energies) >= count:
-            cut = energies[count - 1] + RESIDUAL_TOL
+        if len(ranked) >= count:
+            cut = ranked[count - 1][0] + RESIDUAL_TOL
             if floors[w] > cut:
                 break
-        pair = solve(w, 1, cut)
-        if pair is not None:
-            solved[w] = pair
-    ground = solved[lead][0][0]
-    if len(solved[lead][0]) > 1 and any(
-        vals[0] <= ground + RESIDUAL_TOL for w, (vals, _) in solved.items() if w != lead
+        solve(w, 1, cut)
+    ground = next(e for e, w, _ in ranked if w == lead)
+    if vectors[lead].shape[1] > 1 and any(
+        e <= ground + RESIDUAL_TOL for e, w, _ in ranked if w != lead
     ):
-        solved[lead] = solve(lead, 1)
-    live = sorted(solved)
+        solve(lead, 1)
     while True:
-        depth = np.array([len(solved[w][0]) for w in live])
-        slot = np.repeat(np.arange(len(live)), depth)
-        energies = np.concatenate([solved[w][0] for w in live])
-        order = np.lexsort((np.array(live)[slot], energies))
-        rank = np.empty(len(order), dtype=np.int64)
-        rank[order] = np.arange(len(order))
-        deepest = rank[np.cumsum(depth) - 1]
-        short = [
-            i for i, w in enumerate(live)
-            if deepest[i] < count - 1 and depth[i] < len(sectors[w])
-        ]
+        # Each block's last entry is its deepest pair, at index depth - 1.
+        deepest = {w: (r, i) for r, (_, w, i) in enumerate(ranked)}
+        short = [(r, i, w) for w, (r, i) in deepest.items()
+                 if r < count - 1 and i + 1 < len(sectors[w])]
         if not short:
             break
-        i = min(short, key=lambda i: deepest[i])
-        w = live[i]
-        solved[w] = solve(w, depth[i] + count - 1 - int(deepest[i]))
-    first = np.cumsum(depth) - depth
-    vecs = np.zeros((dim, count), dtype=ham.dtype)
-    for col, at in enumerate(order[:count]):
-        i = slot[at]
-        vecs[sectors[live[i]], col] = solved[live[i]][1][:, at - first[i]]
-    return energies[order[:count]], vecs
+        r, i, w = min(short)
+        solve(w, i + count - r)
+    vecs = np.zeros((1 << ham.n, count), dtype=ham.dtype)
+    for col, (_, w, i) in enumerate(ranked[:count]):
+        vecs[sectors[w], col] = vectors[w][:, i]
+    return np.array([e for e, _, _ in ranked[:count]]), vecs
 
 
 def exact_lowest(

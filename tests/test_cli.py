@@ -310,6 +310,21 @@ class TestIngestVerb:
         assert doc["model"]["kind"] == "heisenberg"
         assert doc["err"] <= 1e-8
 
+    def test_one_qubit_counts_are_a_usage_error(self, runner, tmp_path):
+        # The models start at two qubits; run takes any H, so n = 1 runs there.
+        counts = tmp_path / "c1.json"
+        counts.write_text('{"n": 1, "counts": {"0": 5, "1": 3}}')
+        result = runner.invoke(main, ["ingest", str(counts)])
+        assert result.exit_code == 2, result.output
+        assert "Invalid value for 'COUNTS_FILE'" in result.output
+        assert "at least 2 qubits" in result.output
+        assert "Traceback" not in result.output
+        assert isinstance(result.exception, SystemExit)
+        ham = tmp_path / "h1.txt"
+        ham.write_text("1.0 Z\n0.5 X\n")
+        doc = json.loads(_invoke(runner, ["run", str(ham), str(counts)]).output)
+        assert doc["err"] <= 1e-8
+
 
 class TestSweepVerbs:
     def test_bench_csv_with_medians_sidecar(self, runner, tmp_path):
