@@ -160,6 +160,14 @@ def en_score(
     return np.abs(nu_k) ** 2 / np.maximum(np.abs(e_s - h_kk), eps)
 
 
+def first_order_amplitude(
+    e_s: float, h_kk: np.ndarray, nu_k: np.ndarray, eps: float
+) -> np.ndarray:
+    """nu_k / (E_S - H_kk), the gap's size floored at eps as in :func:`en_score`."""
+    gap = e_s - h_kk
+    return nu_k / np.copysign(np.maximum(np.abs(gap), eps), gap)
+
+
 def score_candidates(
     kind: str,
     ham: PauliHamiltonian,

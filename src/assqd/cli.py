@@ -165,7 +165,7 @@ def oracle(ctx: click.Context, kind: str, n: int, count: int,
     H is solved as one CSR matrix, or from 14 qubits one popcount sector
     at a time when it conserves popcount: each sector's block is built
     when it is first tested or solved and dropped after, so one block is
-    held at a time.  A block of at most 250 states is solved densely, a
+    held at a time.  A block of at most 170 states is solved densely, a
     larger one by Lanczos.
     """
     if count > 1 << n:

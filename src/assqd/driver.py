@@ -12,13 +12,17 @@ seeded uniform draws, and the acquisition kinds rank by the EN score or
 one of its ablations.  run_standard_sqd and run_random_sqd are one-line
 shorthands for those kinds, and method_label/method_kind map a kind to
 the label that rows and traces carry ("standard", "random", "as-<kind>")
-and back.  Every solve appends a trace record, so the energy trajectory
-is observable after the fact, and the run's final energy is its last
-record's; the loop ends early, with the reason recorded, when the
-candidate pool comes up empty.  trace_record turns a trace and its
-config, plus the reference EigenpairSet when there is one, into the
-JSON-ready record that `assqd run` and `assqd ingest` print; it computes
-err, the distance of the final energy from e0, itself.
+and back.  Each solve after an extension starts from a guess, the last
+ground vector followed by each picked state's first-order amplitude
+nu_k / (E_S - H_kk) (:func:`first_order_amplitude`), which Lanczos reaches
+the new ground pair from in fewer products than from its seeded vector
+(the dense route ignores it).  Every solve appends a trace record, so
+the energy trajectory is observable after the fact, and the run's final
+energy is its last record's; the loop ends early, with the reason
+recorded, when the candidate pool comes up empty.  trace_record turns a
+trace and its config, plus the reference EigenpairSet when there is one,
+into the JSON-ready record that `assqd run` and `assqd ingest` print; it
+computes err, the distance of the final energy from e0, itself.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ import numpy as np
 from assqd.acquisition import (
     ACQUISITION_KINDS,
     DEFAULT_EPS,
+    first_order_amplitude,
     generate_candidates,
     score_candidates,
     score_two_hop,
@@ -197,7 +202,11 @@ def run_as_sqd(
                 picked = select_top_b(scored, config.B)
                 matrix = extend_restricted(ham, matrix, picked.states, picked.diagonal)
                 sub = matrix.basis
-                sol = lowest_eigenpair(matrix)
+                guess = np.concatenate([sol.coefficients, first_order_amplitude(
+                    sol.energy, picked.diagonal, picked.coupling, config.eps)])
+                # nu is complex even for a real H; ARPACK's real driver
+                # takes a real start vector.
+                sol = lowest_eigenpair(matrix, guess.real if ham.is_real else guess)
         except Exception as exc:
             raise RunError(
                 f"iteration {it} failed: {exc}", tuple(records)

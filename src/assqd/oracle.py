@@ -5,7 +5,9 @@ matrix, dense LAPACK for a dense array and seeded ARPACK Lanczos for a
 sparse one, which ARPACK multiplies by directly (:class:`_Product`); the
 restricted solve of the expansion loop
 (:func:`assqd.subspace.lowest_eigenpair`) calls it too, and both pick the
-dense form up to DENSE_SOLVE_MAX = 250 states.  ARPACK stops once every
+dense form up to DENSE_SOLVE_MAX = 170 states.  The restricted solve
+hands Lanczos a guess, which starts it beside a little of the seeded
+vector (WARM_MIX); the oracle never does.  ARPACK stops once every
 Ritz estimate is at most RESIDUAL_TOL / ARPACK_TOL_DIVISOR, a tenth of the
 residual the callers verify, not at machine precision.
 
@@ -125,25 +127,43 @@ ARPACK_TOL_DIVISOR = 10
 # stays at 14: moving it moves the last bits of E0 and E1 at n = 12-13.
 SECTOR_MIN_QUBITS = 14
 
-# Dense eigensolve up to this matrix order, seeded CSR Lanczos beyond.
-# Measured per solve (CPU ms on an Intel Xeon, one OpenBLAS thread, the
-# lower of two runs, each a median over three runs of a median of 9, on
-# prefixes of the expand-wide subspace of seed 0; dense route / sparse
-# route at scipy's default Krylov size and ARPACK_TOL_DIVISOR, ARPACK
-# multiplying through _Product):
+# Dense eigensolve up to this matrix order, CSR Lanczos beyond.  Measured
+# per restricted solve (CPU ms on an Intel Xeon, one OpenBLAS thread, each
+# cell the median of 9 interleaved runs of lowest_eigenpair, the dense
+# route / cold ARPACK from the seeded vector / warm ARPACK from the
+# expansion loop's guess, on the solves of as-en runs at K = 50, B = 20,
+# T = 10 and B = 100, T = 8, counts from the 80/20 mix at seed 0):
 #
-#   m                        100        150        200        250        300        850
-#   Heisenberg n = 12     0.4 / 1.0  0.7 / 1.0  1.3 / 1.1  2.6 / 1.5  4.0 / 1.9  52 / 1.9
-#   TFIM n = 14           0.3 / 0.7  0.7 / 1.0  1.3 / 1.0  2.0 / 1.0  3.0 / 1.1  52 / 2.0
-#   Heisenberg + Y0       0.7 / 1.7  2.0 / 1.9  4.0 / 2.0  7.0 / 2.0   12 / 2.8 207 / 4.3
+#   m             130           150           170           190           250           850
+#   Heis. n = 12  .46/1.0/.81   .64/1.0/.79   .85/1.1/.85   1.1/1.1/.93   1.5/1.1/.97   37/2.1/1.6
+#   TFIM n = 14   .48/.86/.81   .66/1.0/.81   .77/1.0/.80   1.0/1.1/.85   1.7/1.2/.91   41/2.3/1.7
+#   Heis. + Y0    .97/1.5/1.2   1.6/1.7/1.3   1.9/1.9/1.4   2.7/1.9/1.4   5.3/2.0/1.8   156/3.8/3.0
 #
-# Real matrices cross over between 150 and 200 states, complex (odd-Y)
-# ones by 150.  In the same session, without _Product, the real routes
-# tied at 200 (1.4 / 1.4 ms on Heisenberg n = 12) and the sparse route
-# took 2.2 / 2.1 / 4.4 ms at 850.  The limit stays at 250: moving it
-# moves the last bits of E_est on every run whose subspace passes through
-# the new range.
-DENSE_SOLVE_MAX = 250
+# (Heis. + Y0: the Heisenberg chain plus 0.7 Y on qubit 0, complex.)  Real
+# matrices cross over at 170, where dense and warm ARPACK tie (a second
+# session, medians of 5: .63/.82/.65 and .75/.89/.72 ms); complex (odd-Y)
+# ones lower, between 130 and 150, and one limit serves both.  Cold
+# ARPACK, all that the oracle runs, overtook dense between 190 and 250.
+# No oracle block at n <= 18 has 171-250 states (sectors have C(n, k),
+# the one block 2^n); at n = 19 and 20 the sectors of two ones or two
+# zeros do (171 and 190).
+DENSE_SOLVE_MAX = 170
+
+# Weight of the seeded random vector r that a warm start keeps beside its
+# guess g: ARPACK starts from g/|g| + WARM_MIX r/|r| (hermitian_lowest).
+# A block-diagonal H (Heisenberg conserves popcount, and so does H_S) can
+# hold its lowest pair in a block that g does not touch, and a start
+# vector's Krylov space stays in the blocks it touches: with WARM_MIX = 0,
+# ARPACK returned the touched block's pair on 20 of 20 block-diagonal
+# pairs of Heisenberg n = 12 sector matrices (real and complex), and on 0
+# of 20 at 1e-6, 1e-3 and 1e-1.  ARPACK products per warm solve (the 12
+# solves past 160 states above, one sweep; cold 46 / 43.5 / 46):
+#
+#   WARM_MIX            0    1e-6   1e-4   1e-3   1e-2   1e-1   0.3
+#   Heisenberg n = 12  38.5  38.5   38.5   38.5   38.5   38.5   42.7
+#   TFIM n = 14        33.5  33.5   33.5   33.5   34.3   35.2   36.0
+#   Heisenberg + Y0    38.5  38.5   38.5   38.5   38.5   40.2   41.8
+WARM_MIX = 1e-3
 
 # Power steps of the Collatz-Wielandt sector floor (_weighted_floor).
 # Measured on Heisenberg n = 16, disorder seeds 0-5 (one BLAS thread;
@@ -323,7 +343,8 @@ class _Product(scipy.sparse.linalg.LinearOperator):
 
 
 def hermitian_lowest(
-    matrix: np.ndarray | scipy.sparse.sparray, count: int
+    matrix: np.ndarray | scipy.sparse.sparray, count: int,
+    guess: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Lowest count eigenpairs of a Hermitian matrix, ascending.
 
@@ -334,16 +355,19 @@ def hermitian_lowest(
     reduction depends on them, and so do the bits.  The wrapper's checks
     are written out here, at a fraction of its per-call cost: a NaN or
     inf entry raises ValueError, and a nonzero LAPACK ``info`` raises
-    LinAlgError.  A sparse matrix goes to
-    implicitly-restarted Lanczos (ARPACK ``eigsh``) from a start vector
-    drawn with seed 0, so a repeated call returns the same bits whatever
-    ran before it.  ARPACK gets the matrix as :class:`_Product`, which
-    returns each product as ``matrix @ x`` without scipy's operator
-    chain, with the bits that chain gives.  The Krylov basis is scipy's default size,
-    min(dim, max(2 count + 1, 20)): most of a solve is ARPACK's own work
-    on its basis, and twice as many vectors cost more per restart than
-    the restarts they save (a count-2 Heisenberg solve at n = 16 took
-    0.58-0.66 s with 40 vectors, 0.42-0.47 s with 20).  ARPACK stops at
+    LinAlgError; a guess is ignored.  A sparse matrix goes to
+    implicitly-restarted Lanczos (ARPACK ``eigsh``) from a start vector r
+    drawn with seed 0, or with a guess from guess/|guess| + WARM_MIX r/|r|
+    (a zero or misshapen guess raises ValueError), so a repeated call from
+    the same guess returns the same bits whatever ran before it.  The
+    guess must be real when the matrix is.  ARPACK gets the matrix as
+    :class:`_Product`, which returns each product as ``matrix @ x``
+    without scipy's operator chain, with the bits that chain gives.  The
+    Krylov basis is scipy's default size, min(dim, max(2 count + 1, 20)):
+    most of a solve is ARPACK's own work on its basis, and twice as many
+    vectors cost more per restart than the restarts they save (a count-2
+    Heisenberg solve at n = 16 took 0.58-0.66 s with 40 vectors,
+    0.42-0.47 s with 20).  ARPACK stops at
     tol = RESIDUAL_TOL / (ARPACK_TOL_DIVISOR r), r the largest absolute
     row sum of the matrix, so every Ritz estimate ends at or below
     RESIDUAL_TOL / ARPACK_TOL_DIVISOR: inside :func:`exact_lowest`'s bound
@@ -362,6 +386,13 @@ def hermitian_lowest(
         return np.zeros(count), np.eye(dim, count, dtype=matrix.dtype)
     radius = float(np.max(_magnitude(matrix) @ np.ones(dim)))
     v0 = np.random.default_rng(0).standard_normal(dim)
+    if guess is not None:
+        guess = np.asarray(guess)
+        norm = float(np.linalg.norm(guess))
+        if guess.shape != v0.shape or not np.isfinite(norm) or norm == 0.0:
+            raise ValueError(
+                f"guess must be a nonzero finite vector of shape {v0.shape}")
+        v0 = guess / norm + WARM_MIX * (v0 / np.linalg.norm(v0))
     try:
         vals, vecs = scipy.sparse.linalg.eigsh(
             _Product(matrix), k=count, which="SA", v0=v0, maxiter=LANCZOS_MAXITER,

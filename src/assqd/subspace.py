@@ -18,9 +18,10 @@ evaluating them again.  State lookups sort and compare
 (:meth:`Subspace.positions`); none hashes.  The ground pair comes from
 :func:`assqd.oracle.hermitian_lowest`, the solver the reference oracle
 uses: dense LAPACK on the scattered table up to DENSE_SOLVE_MAX states
-(the measured crossover, kept beside that solver), seeded Lanczos on a
-CSR matrix built from it beyond, so a repeated solve returns the same
-bits on either route.
+(the measured crossover, kept beside that solver), Lanczos on a CSR
+matrix built from it beyond.  Lanczos starts from the caller's guess, if
+any, plus a little of a vector drawn with seed 0, so a repeated solve
+from the same guess returns the same bits on either route.
 """
 
 from __future__ import annotations
@@ -211,12 +212,18 @@ def extend_restricted(
     return RestrictedMatrix(basis=extended, table=table, links=links)
 
 
-def lowest_eigenpair(matrix: RestrictedMatrix) -> RestrictedSolution:
-    """Algebraically smallest eigenpair, residual-verified, phase-fixed."""
+def lowest_eigenpair(
+    matrix: RestrictedMatrix, guess: np.ndarray | None = None
+) -> RestrictedSolution:
+    """Algebraically smallest eigenpair, residual-verified, phase-fixed.
+
+    ``guess``, one entry per basis state, starts the Lanczos route
+    (:func:`assqd.oracle.hermitian_lowest`); the dense route ignores it.
+    """
     operator = (
         matrix.dense() if len(matrix.basis) <= DENSE_SOLVE_MAX else matrix.sparse()
     )
-    vals, vecs = hermitian_lowest(operator, 1)
+    vals, vecs = hermitian_lowest(operator, 1, guess)
     energy, vec = float(vals[0]), vecs[:, 0]
     vec = vec / np.linalg.norm(vec)
     residual = float(np.linalg.norm(operator @ vec - energy * vec))

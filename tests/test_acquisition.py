@@ -11,6 +11,7 @@ from assqd.acquisition import (
     coupling,
     coupling_map,
     en_score,
+    first_order_amplitude,
     generate_candidates,
     score_candidates,
     score_two_hop,
@@ -145,6 +146,22 @@ class TestEnScore:
     def test_bad_eps_rejected(self):
         with pytest.raises(ValueError, match="eps"):
             en_score(0.0, 1.0, 1.0, 0.0)
+
+
+class TestFirstOrderAmplitude:
+    # The signed first-order correction, with en_score's floor on the
+    # gap's size: |amplitude|^2 times |gap| is the EN score.
+    def test_signed_and_floored(self):
+        got = first_order_amplitude(
+            -1.0, np.array([1.0, -3.0, -1.0 + 1e-12, -1.0 - 1e-12]),
+            np.array([2.0, 2.0, 1.0, 1j]), 1e-8)
+        assert got.tolist() == [-1.0, 1.0, -1e8, 1e8j]
+
+    def test_matches_en_score(self):
+        h_kk, nu = np.array([0.5, -2.0, 4.0]), np.array([1.0 - 2j, 0.3, -1j])
+        amp = first_order_amplitude(-1.0, h_kk, nu, 1e-8)
+        score = en_score(-1.0, h_kk, nu, 1e-8)
+        assert np.allclose(np.abs(amp) ** 2 * np.abs(-1.0 - h_kk), score, rtol=1e-14)
 
 
 class TestScoreCandidates:

@@ -193,14 +193,17 @@ class TestDenseRoute:
             contaminated_distribution(pairs.psi0, pairs.psi1, 0.1), 2000, 0)
         seen = []
 
-        def record(matrix, count):
-            seen.append(matrix.copy())
-            return hermitian_lowest(matrix, count)
+        def record(matrix, count, guess=None):
+            if isinstance(matrix, np.ndarray):
+                seen.append(matrix.copy())
+            return hermitian_lowest(matrix, count, guess)
 
         monkeypatch.setattr(subspace_mod, "hermitian_lowest", record)
         trace = run_as_sqd(ham, counts, RunConfig(K=50, B=20, T=10))
         assert [r.subspace_size for r in trace.records] == list(range(50, 251, 20))
-        assert len(seen) == 11
+        # The solves up to DENSE_SOLVE_MAX states take the dense route.
+        assert [m.shape[0] for m in seen] == list(range(50, DENSE_SOLVE_MAX + 1, 20))
+        assert len(seen) == 7
         for matrix in seen:
             for count in range(1, 9):
                 assert _same_bytes_as_eigh(matrix, count)
@@ -269,18 +272,63 @@ class TestHermitianLowest:
             contaminated_distribution(pairs.psi0, pairs.psi1, 0.2), 4000, 0)
         seen = []
 
-        def record(matrix, count):
+        def record(matrix, count, guess=None):
             if not isinstance(matrix, np.ndarray):
-                seen.append(matrix.copy())
-            return hermitian_lowest(matrix, count)
+                seen.append((matrix.copy(), guess.copy()))
+            return hermitian_lowest(matrix, count, guess)
 
         monkeypatch.setattr(subspace_mod, "hermitian_lowest", record)
         trace = run_as_sqd(ham, counts, RunConfig(K=50, B=100, T=8))
         assert trace.records[-1].subspace_size == 850
-        assert [m.shape[0] for m in seen] == list(range(350, 851, 100))
-        for matrix in seen:
+        # Every solve past the first is warm, and from 250 states sparse.
+        assert [m.shape[0] for m, _ in seen] == list(range(250, 851, 100))
+        for matrix, guess in seen:
+            assert guess.dtype == np.float64
             for count in (1, 2):
-                assert _same_bytes_as_eigsh(matrix, count)
+                assert _same_bytes_as_eigsh(matrix, count, guess)
+
+    # The guess sets ARPACK's start vector and nothing else: with none the
+    # call is the cold one, v0 drawn with seed 0.
+    @pytest.mark.parametrize("real", [True, False])
+    def test_no_guess_is_the_seeded_eigsh_call(self, real):
+        ham, _ = build_model(ModelSpec(kind="heisenberg", n=10, seed=2))
+        if not real:
+            ham = _with_dm_bond(ham)
+        matrix = build_restricted(ham, Subspace(tuple(range(300)))).sparse()
+        assert _same_bytes_as_eigsh(matrix, 1)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(
+            hermitian_lowest(matrix, 1), hermitian_lowest(matrix, 1, None)))
+
+    # A start vector holds only the blocks it touches, so a guess on the
+    # upper block of a block-diagonal H must not hide the lower one: the
+    # seeded noise beside the guess reaches it.
+    @pytest.mark.parametrize("real", [True, False])
+    def test_guess_on_one_block_finds_the_lower_block(self, real):
+        ham, _ = build_model(ModelSpec(kind="heisenberg", n=10, seed=0))
+        if not real:
+            ham = _with_dm_bond(ham)
+        # Two popcount sectors of the restricted H; neither reaches the other.
+        upper = build_restricted(ham, Subspace(_with_popcount(10, 4)[:200])).sparse()
+        lower = build_restricted(ham, Subspace(_with_popcount(10, 5)[:200])).sparse()
+        e_upper, v_upper = scipy.linalg.eigh(upper.toarray(), subset_by_index=(0, 0))
+        e_lower = scipy.linalg.eigvalsh(lower.toarray(), subset_by_index=(0, 0))
+        assert e_lower[0] < e_upper[0] - 0.1
+        matrix = scipy.sparse.block_diag([upper, lower], format="csr")
+        guess = np.concatenate([v_upper[:, 0], np.zeros(lower.shape[0])])
+        vals, vecs = hermitian_lowest(matrix, 1, guess)
+        assert vals[0] == pytest.approx(e_lower[0], abs=1e-10)
+        assert np.linalg.norm(vecs[:upper.shape[0], 0]) < 1e-8
+        # Without the noise, ARPACK stays in the block the start touches.
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(oracle_mod, "WARM_MIX", 0.0)
+            cold_block, _ = hermitian_lowest(matrix, 1, guess)
+        assert cold_block[0] == pytest.approx(e_upper[0], abs=1e-10)
+
+    def test_zero_or_misshapen_guess_raises(self):
+        matrix = scipy.sparse.csr_array(np.diag(np.arange(30.0)))
+        for guess in (np.zeros(30), np.ones(29), np.full(30, np.nan)):
+            with pytest.raises(ValueError, match="guess"):
+                hermitian_lowest(matrix, 1, guess)
 
 
 class TestExactLowest:
@@ -501,17 +549,25 @@ def _full_gather(ham: PauliHamiltonian, v: np.ndarray) -> np.ndarray:
     return out.T.reshape(v.shape)
 
 
-def _same_bytes_as_eigsh(matrix, count) -> bool:
-    """hermitian_lowest against eigsh handed the CSR matrix itself."""
+def _same_bytes_as_eigsh(matrix, count, guess=None) -> bool:
+    """hermitian_lowest against eigsh handed the CSR matrix itself.
+
+    The start vector is the seeded one, or with a guess
+    guess/|guess| + WARM_MIX r/|r| for that seeded r.
+    """
     dim = matrix.shape[0]
     radius = float(np.max(oracle_mod._magnitude(matrix) @ np.ones(dim)))
+    v0 = np.random.default_rng(0).standard_normal(dim)
+    if guess is not None:
+        noise = oracle_mod.WARM_MIX * (v0 / np.linalg.norm(v0))
+        v0 = guess / np.linalg.norm(guess) + noise
     vals, vecs = scipy.sparse.linalg.eigsh(
-        matrix, k=count, which="SA", v0=np.random.default_rng(0).standard_normal(dim),
+        matrix, k=count, which="SA", v0=v0,
         maxiter=oracle_mod.LANCZOS_MAXITER,
         tol=RESIDUAL_TOL / (oracle_mod.ARPACK_TOL_DIVISOR * radius),
     )
     order = np.argsort(vals)
-    got_vals, got_vecs = hermitian_lowest(matrix, count)
+    got_vals, got_vecs = hermitian_lowest(matrix, count, guess)
     return (got_vals.tobytes() == vals[order].tobytes()
             and got_vecs.tobytes() == vecs[:, order].tobytes())
 
@@ -529,6 +585,11 @@ def _with_dm_bond(ham: PauliHamiltonian, strength: float = 0.3) -> PauliHamilton
     """
     dm = [PauliTerm(0b11, 0b10, strength), PauliTerm(0b11, 0b01, -strength)]
     return PauliHamiltonian(ham.n, list(ham.terms) + dm)
+
+
+def _with_popcount(n: int, ones: int) -> tuple[int, ...]:
+    """The n-bit states with the given number of ones, ascending."""
+    return tuple(s for s in range(1 << n) if s.bit_count() == ones)
 
 
 def _scaled(ham: PauliHamiltonian, factor: float) -> PauliHamiltonian:

@@ -18,6 +18,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.sparse
+import scipy.sparse.csgraph
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -218,6 +220,50 @@ def test_split_extension_across_the_solver_crossover(real, data):
     with mock.patch.object(subspace_mod, "DENSE_SOLVE_MAX", split):
         sparse = lowest_eigenpair(grown)
     assert abs(sparse.energy - dense.energy) <= 1e-9
+
+
+def _guess(data, ham, states, matrix, real):
+    """A start guess for the restricted solve: random entries, the ground
+    vector of a prefix padded with zeros (the expansion loop's kind), or
+    random entries on one connected block of H_S only."""
+    m = len(states)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    shape = data.draw(st.sampled_from(["random", "zero-padded", "one-block"]))
+    if shape == "zero-padded":
+        prefix = data.draw(st.integers(1, m - 1))
+        head = lowest_eigenpair(build_restricted(ham, Subspace(states[:prefix])))
+        guess = np.concatenate([head.coefficients, np.zeros(m - prefix)])
+        return guess.real if real else guess
+    guess = rng.standard_normal(m) if real else (
+        rng.standard_normal(m) + 1j * rng.standard_normal(m))
+    if shape == "one-block":
+        pattern = scipy.sparse.csr_array(np.abs(matrix.dense()) > 0)
+        _, block = scipy.sparse.csgraph.connected_components(pattern, directed=False)
+        guess[block != block[data.draw(st.integers(0, m - 1))]] = 0.0
+    return guess
+
+
+@PROPERTY
+@pytest.mark.parametrize("real", [True, False])
+@given(data=st.data())
+def test_warm_restricted_solve_finds_the_dense_energy(real, data):
+    ham = data.draw(hamiltonians(real))
+    assume(ham.n >= 2)
+    states = _states(data.draw, ham.n, min_size=4)
+    matrix = build_restricted(ham, Subspace(states))
+    guess = _guess(data, ham, states, matrix, real)
+    dense = lowest_eigenpair(matrix)
+    # Patched low, every solve here takes the Lanczos route from the guess.
+    with mock.patch.object(subspace_mod, "DENSE_SOLVE_MAX", 2):
+        warm = lowest_eigenpair(matrix, guess)
+        again = lowest_eigenpair(matrix, guess)
+    scale = max(1.0, abs(dense.energy))
+    assert abs(warm.energy - dense.energy) <= 1e-10 * scale
+    vec = warm.coefficients
+    assert np.linalg.norm(matrix.dense() @ vec - warm.energy * vec) <= 1e-9 * scale
+    # The same guess, the same bits.
+    assert warm.energy == again.energy
+    assert _bytes_equal(again.coefficients, warm.coefficients)
 
 
 # Restricted solves on up to 16 states stay small at any n, so the scoring
