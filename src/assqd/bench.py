@@ -311,26 +311,35 @@ def experiment_hops(
     spec: ExperimentSpec,
     oracle_cache: dict[str, EigenpairSet] | None = None,
 ) -> tuple[list[ResultRow], list[dict[str, Any]]]:
-    """Paired 1-hop vs 2-hop arms with iterations-to-threshold medians."""
+    """Paired 1-hop vs 2-hop arms with iterations-to-threshold medians.
+
+    A failed cell keeps its error row and its place in the arm's list, as
+    None, and is left out of the arm's median, which is None when no cell
+    of the arm finished.
+    """
     rows, traces, bundles = _sweep(
         spec, ("as-en",), hops=(1, 2), oracle_cache=oracle_cache
     )
     stats: list[dict[str, Any]] = []
     for n in sorted(set(spec.sizes)):
-        per_arm: dict[int, list[float]] = {1: [], 2: []}
+        per_arm: dict[int, list[float | None]] = {1: [], 2: []}
         for seed in spec.seeds:
             e0 = bundles[(n, seed)].pairs.e0
             for h in (1, 2):
-                trace = traces[(spec.kind, n, seed, "as-en", h)]
+                trace = traces.get((spec.kind, n, seed, "as-en", h))
+                if trace is None:
+                    per_arm[h].append(None)
+                    continue
                 reached = iterations_to_threshold(trace, e0)
                 per_arm[h].append(math.inf if reached is None else float(reached))
+        finished = {h: [x for x in iters if x is not None] for h, iters in per_arm.items()}
         stats.append(
             {
                 "model": spec.kind,
                 "n": n,
                 "threshold": HOPS_THRESHOLD,
-                "median_iters_1hop": statistics.median(per_arm[1]),
-                "median_iters_2hop": statistics.median(per_arm[2]),
+                "median_iters_1hop": statistics.median(finished[1]) if finished[1] else None,
+                "median_iters_2hop": statistics.median(finished[2]) if finished[2] else None,
                 "iters_1hop": per_arm[1],
                 "iters_2hop": per_arm[2],
             }

@@ -162,11 +162,11 @@ def oracle(ctx: click.Context, kind: str, n: int, count: int,
            pairs: str | None) -> None:
     """Exact lowest eigenpairs of a model instance (JSON energies).
 
-    H is solved as one CSR matrix, or from 14 qubits one popcount sector
-    at a time when it conserves popcount: each sector's block is built
-    when it is first tested or solved and dropped after, so one block is
-    held at a time.  A block of at most 170 states is solved densely, a
-    larger one by Lanczos.
+    H is solved one popcount sector at a time when it conserves popcount,
+    at every size, and as one CSR matrix when it does not: each sector's
+    block is built when it is first tested or solved and dropped after,
+    so one block is held at a time.  A block of at most 170 states is
+    solved densely, a larger one by Lanczos.
     """
     if count > 1 << n:
         raise click.BadParameter(

@@ -15,12 +15,12 @@ residual the callers verify, not at machine precision.
 the one solver over blocks, :func:`_lowest_over_blocks`, which solves a
 block densely up to DENSE_SOLVE_MAX states and with ARPACK above that:
 
-- from SECTOR_MIN_QUBITS = 14 (see the table there), when H conserves
-  popcount (Heisenberg with Z fields): one CSR block per popcount sector,
-  each solved on its own and the pairs merged, so the largest matrix at
-  n = 16 has C(16, 8) = 12870 rows, not 65536.  The blocks are solved in
-  ascending order of their Gershgorin floor, a lower bound on their
-  eigenvalues, the first for count pairs at once and the rest for one;
+- when H conserves popcount (Heisenberg with Z fields), at every n:
+  one CSR block per popcount sector, each solved on its own and the
+  pairs merged, so the largest matrix at n = 16 has C(16, 8) = 12870
+  rows, not 65536.  The blocks are solved in ascending order of their
+  Gershgorin floor, a lower bound on their eigenvalues, the first for
+  count pairs at once and the rest for one;
   once count pairs are in hand, a block whose floor lies above the
   count-th lowest of them cannot hold a wanted pair, and it and every
   block after it are skipped.  A block whose Gershgorin floor falls short
@@ -37,17 +37,19 @@ block densely up to DENSE_SOLVE_MAX states and with ARPACK above that:
   alive at a time: Heisenberg at n = 16, count 2, peaks at 7.2 MB
   (tracemalloc, the kernel's tables included), where holding all 17
   blocks peaked at 12.7 MB;
-- otherwise, up to ORACLE_MAX_QUBITS = 20: one block, H as one CSR
-  matrix over all 2^n states, solved for count pairs at once.
+- otherwise (TFIM, or any H with a term that moves popcount), up to
+  ORACLE_MAX_QUBITS = 20: one block, H as one CSR matrix over all 2^n
+  states, solved for count pairs at once.
 
 Every block is built by :func:`_csr_block` from the expansion loop's own
 kernel, :meth:`PauliHamiltonian.diagonal` and
 :meth:`PauliHamiltonian.amplitude_table`, which pass 1 also reads as the
 symmetry detector: a nonzero entry that leaves its sector sends H to the
 one block, so an H with a transverse field (TFIM) is caught at |0...0>,
-in the first pass.  ``exact_lowest(method="lanczos")`` keeps H in one
-block at any size: the benchmark asks for it and tests compare the two
-splits, while the command line always takes the one the size and H pick.
+in the first pass.  So the route follows from H alone, at every size.
+``exact_lowest(method="lanczos")`` keeps H in one block: the benchmark
+asks for it and tests compare the two splits, while the command line
+always takes the one H picks.
 Every returned pair, sector pairs scattered back to 2^n vectors
 included, is verified against the residual bound
 ``norm(H psi - E psi) <= RESIDUAL_TOL`` (1e-9) through
@@ -103,30 +105,6 @@ LANCZOS_MAXITER = 20_000
 # At 10 the worst true residual is still 25 times below RESIDUAL_TOL.
 ARPACK_TOL_DIVISOR = 10
 
-# Smallest n whose default route splits a popcount-conserving H into its
-# sectors.  Measured per solve (CPU ms, median of 5, 3 from n = 15, one
-# BLAS thread, Heisenberg disorder seeds 0-2, ARPACK at scipy's default
-# Krylov size and ARPACK_TOL_DIVISOR; full CSR route / sector route with
-# both floors and the first sector solved for count pairs):
-#
-#   n          count 2                count 8
-#   9        5-7   / 7-9           10-12   /  12-14
-#   10       8-9   / 14-17           13    /  28-29
-#   11        14   / 15            21-30   /  38-39
-#   12      25-32  / 21-25         40-45   /  50-53
-#   13      39-45  / 30-31         84-121  /  77-88
-#   14      94-128 / 63-66        182-190  / 118-137
-#   15     237-312 / 103-154      402-571  / 282-357
-#   16     731-866 / 241-276     1119-1156 / 563-609
-#
-# Below n = 12 the fixed cost of one ARPACK solve per sector outweighs
-# what the smaller solves save.  The sector route also wins at n = 13
-# (2 solves at count 2, where the Gershgorin floor alone made 5-6) and at
-# n = 12, count 2, as does Heisenberg plus a complex XY - YX bond (count
-# 2: 79-96 / 55-76 ms at n = 13, 209-313 / 123-133 at 14).  The limit
-# stays at 14: moving it moves the last bits of E0 and E1 at n = 12-13.
-SECTOR_MIN_QUBITS = 14
-
 # Dense eigensolve up to this matrix order, CSR Lanczos beyond.  Measured
 # per restricted solve (CPU ms on an Intel Xeon, one OpenBLAS thread, each
 # cell the median of 9 interleaved runs of lowest_eigenpair, the dense
@@ -143,10 +121,20 @@ SECTOR_MIN_QUBITS = 14
 # matrices cross over at 170, where dense and warm ARPACK tie (a second
 # session, medians of 5: .63/.82/.65 and .75/.89/.72 ms); complex (odd-Y)
 # ones lower, between 130 and 150, and one limit serves both.  Cold
-# ARPACK, all that the oracle runs, overtook dense between 190 and 250.
-# No oracle block at n <= 18 has 171-250 states (sectors have C(n, k),
-# the one block 2^n); at n = 19 and 20 the sectors of two ones or two
-# zeros do (171 and 190).
+# ARPACK, all that the oracle runs, overtook dense between 190 and 250 on
+# these matrices.  Sector k of n qubits has C(n, k) states, so oracle
+# blocks of 171-250 states start at n = 10: C(10, 4) = 210 and
+# C(12, 3) = 220.  Measured on them (Heisenberg seeds 0-2, sectors 4 and
+# 6 of n = 10 and 3 and 9 of n = 12; dense / cold ARPACK, medians of 9
+# interleaved calls), the faster route turns on the depth:
+#
+#   depth        1                      2                       8
+#   210 states   1.09-1.16 / .79-1.00   1.16-1.31 / 1.22-1.60   1.59-1.64 / 1.57-1.77
+#   220 states    .99-1.03 / .93-1.01   1.06-1.14 / 1.28-1.78   1.43-1.55 / 1.93-2.21
+#
+# The solver takes every sector but the first at depth 1, where ARPACK
+# leads by up to .34 ms a solve; at depth 2 and 8 dense mostly leads, by
+# up to .7 ms.  Neither pays for a second limit.
 DENSE_SOLVE_MAX = 170
 
 # Weight of the seeded random vector r that a warm start keeps beside its
@@ -665,10 +653,10 @@ def exact_lowest(
 ) -> EigenpairSet:
     """Residual-verified lowest eigenpairs of the full Hamiltonian.
 
-    From SECTOR_MIN_QUBITS up an H that conserves popcount is solved sector
-    by sector (:func:`popcount_sectors`); every other size and H, and
-    method="lanczos" at any size, is one block of all 2^n states, built
-    once.  Either way :func:`_lowest_over_blocks` solves the blocks.
+    An H that conserves popcount is solved sector by sector
+    (:func:`popcount_sectors`) at every n; an H that mixes the sectors,
+    and any H under method="lanczos", is one block of all 2^n states,
+    built once.  Either way :func:`_lowest_over_blocks` solves the blocks.
     """
     if ham.n > ORACLE_MAX_QUBITS:
         raise ValueError(f"oracle limited to n <= {ORACLE_MAX_QUBITS}, got {ham.n}")
@@ -678,9 +666,7 @@ def exact_lowest(
         raise ValueError(f"count {count} too large for dimension {1 << ham.n}")
     if method not in (None, "lanczos"):
         raise ValueError(f"unknown method {method!r}")
-    split = None
-    if method is None and ham.n >= SECTOR_MIN_QUBITS:
-        split = popcount_sectors(ham)
+    split = popcount_sectors(ham) if method is None else None
     if split is None:
         split = [np.arange(1 << ham.n)], [0.0]
     vals, vecs = _lowest_over_blocks(ham, *split, count)

@@ -250,6 +250,32 @@ class TestHopsSweep:
         assert len(entry["iters_1hop"]) == 2
         assert entry["median_iters_1hop"] <= entry["median_iters_2hop"]
 
+    # A RunError becomes an error row (make_row); the stats skip that cell
+    # as _medians does, keeping each arm's list aligned with the seeds.
+    @pytest.mark.parametrize("failing", [(1,), (0, 1)])
+    def test_failed_cell_is_kept_as_a_row_and_left_out_of_the_stats(
+        self, monkeypatch, failing
+    ):
+        run = bench_mod.run_method
+
+        def fail_two_hop(ham, counts, method, config):
+            if config.hops == 2 and config.seed in failing:
+                raise RunError("solver blew up", records=[])
+            return run(ham, counts, method, config)
+
+        monkeypatch.setattr(bench_mod, "run_method", fail_two_hop)
+        rows, (entry,) = experiment_hops(_tiny_spec(sizes=(6,), seeds=(0, 1)))
+        assert len(rows) == 4
+        errors = [(r.seed, r.hops) for r in rows if r.terminated.startswith("error:")]
+        assert errors == [(seed, 2) for seed in failing]
+        assert None not in entry["iters_1hop"] and len(entry["iters_1hop"]) == 2
+        assert [x is None for x in entry["iters_2hop"]] == [s in failing for s in (0, 1)]
+        if failing == (1,):
+            assert entry["median_iters_2hop"] == entry["iters_2hop"][0]
+        else:
+            assert entry["median_iters_2hop"] is None
+        assert entry["median_iters_1hop"] == statistics.median(entry["iters_1hop"])
+
     def test_two_hop_pool_contains_one_hop_pool(self):
         bundle = prepare_instance("heisenberg", 6, 0, 400, 0.2)
         one = run_as_sqd(bundle.ham, bundle.counts, RunConfig(K=10, T=3, hops=1))

@@ -241,10 +241,12 @@ class TestHermitianLowest:
     def test_large_norm_passes_every_residual_check(self, monkeypatch, route, n, scale):
         ham, _ = build_model(ModelSpec(kind="heisenberg", n=n, seed=0))
         scaled = _scaled(ham, scale)
+        method = "lanczos" if route == "one-matrix" else None
         if route == "sector":
             _refuse_full_csr(monkeypatch)
-        pairs = exact_lowest(scaled)
-        assert pairs.e0 == pytest.approx(scale * exact_lowest(ham).e0, rel=1e-12)
+        pairs = exact_lowest(scaled, method=method)
+        unscaled = exact_lowest(ham, method=method)
+        assert pairs.e0 == pytest.approx(scale * unscaled.e0, rel=1e-12)
         # The restricted solve past DENSE_SOLVE_MAX, on the same matrix.
         states = Subspace(tuple(range(DENSE_SOLVE_MAX + 50)))
         sol = lowest_eigenpair(build_restricted(scaled, states))
@@ -372,17 +374,31 @@ class TestExactLowest:
         assert abs(dense.e1 - lanczos.e1) <= 1e-10
         assert abs(np.vdot(dense.psi0, lanczos.psi0)) >= 1.0 - 1e-8
 
-    @pytest.mark.parametrize("kind", ["heisenberg", "tfim"])
-    @pytest.mark.parametrize("n", [10, 12])
+    # The route follows from H at every n: a popcount-conserving H, real
+    # or complex, never builds the block of all 2^n states, and TFIM,
+    # which mixes the sectors, builds that one block and no other.
+    @pytest.mark.parametrize("kind", ["heisenberg", "dm", "tfim"])
+    @pytest.mark.parametrize("n", [2, 8, 10, 11, 12, 13, 14])
     def test_default_route_never_builds_dense_matrix(self, monkeypatch, kind, n):
-        ham, _ = build_model(ModelSpec(kind=kind, n=n, seed=0))
+        ham = _sector_instance(kind, n, 0)
+        built = []
+        build = oracle_mod._csr_block
 
         def refuse(self):
             raise AssertionError("dense matrix built")
 
+        def record(h, states):
+            built.append(len(states))
+            return build(h, states)
+
         monkeypatch.setattr(PauliHamiltonian, "dense_matrix", refuse)
+        monkeypatch.setattr(oracle_mod, "_csr_block", record)
         pairs = exact_lowest(ham)
         assert pairs.e0 < pairs.e1
+        if kind == "tfim":
+            assert built == [1 << n]
+        else:
+            assert built and 1 << n not in built
 
     # count = dimension included: a block this small is solved densely.
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -402,8 +418,9 @@ class TestExactLowest:
         assert abs(pairs.e1 + n) <= 1e-10
 
     # At scipy's default Krylov size, four restarts converge one of two
-    # pairs on the Heisenberg instance (a finite partial residual), and one
-    # restart converges none on the TFIM one (residual inf).
+    # pairs on the Heisenberg instance's one CSR block (a finite partial
+    # residual), and one restart converges none on the TFIM one (residual
+    # inf).
     @pytest.mark.parametrize(
         "kind, restarts, finite",
         [("heisenberg", 4, True), ("tfim", 1, False)],
@@ -413,7 +430,7 @@ class TestExactLowest:
         ham, _ = build_model(ModelSpec(kind=kind, n=12, seed=0))
         monkeypatch.setattr(oracle_mod, "LANCZOS_MAXITER", restarts)
         with pytest.raises(ConvergenceError, match="restarts") as info:
-            exact_lowest(ham)
+            exact_lowest(ham, method="lanczos")
         assert np.isfinite(info.value.achieved_residual) == finite
 
     def test_variational_floor(self):
@@ -485,19 +502,25 @@ class TestExactLowest:
         with pytest.raises(ConvergenceError, match="residual"):
             exact_lowest(ham)
 
+    # TFIM mixes the sectors, so its pairs come from one block's solve;
+    # Heisenberg's are merged from its sectors' solves, and the merged
+    # pair at the same rank is perturbed.
     @pytest.mark.parametrize("wrong", [0, 1, 3])
-    def test_residual_check_covers_every_pair(self, monkeypatch, wrong):
-        ham, _ = build_model(ModelSpec(kind="heisenberg", n=6, seed=3))
+    def test_residual_check_covers_every_pair(self, wrong):
+        for kind, name in (("tfim", "hermitian_lowest"), ("heisenberg", "_lowest_over_blocks")):
+            ham, _ = build_model(ModelSpec(kind=kind, n=6, seed=3))
+            solve = getattr(oracle_mod, name)
 
-        def off_by_a_little(matrix, count):
-            vals, vecs = hermitian_lowest(matrix, count)
-            vals[wrong] += 1e-6
-            return vals, vecs
+            def off_by_a_little(*args):
+                vals, vecs = solve(*args)
+                vals[wrong] += 1e-6
+                return vals, vecs
 
-        monkeypatch.setattr(oracle_mod, "hermitian_lowest", off_by_a_little)
-        with pytest.raises(ConvergenceError, match="residual") as caught:
-            exact_lowest(ham, count=4)
-        assert caught.value.achieved_residual == pytest.approx(1e-6, rel=1e-3)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(oracle_mod, name, off_by_a_little)
+                with pytest.raises(ConvergenceError, match="residual") as caught:
+                    exact_lowest(ham, count=4)
+            assert caught.value.achieved_residual == pytest.approx(1e-6, rel=1e-3)
 
     def test_count_validation(self):
         ham, _ = build_model(ModelSpec(kind="heisenberg", n=4, seed=0))
@@ -506,8 +529,13 @@ class TestExactLowest:
         with pytest.raises(ValueError, match="count"):
             exact_lowest(ham, count=9)
 
-    # Up to n = 7 the one block has at most DENSE_SOLVE_MAX states, and
-    # the one block's toarray() gives LAPACK the bits of dense_matrix().
+    # Up to n = 7 every block has at most DENSE_SOLVE_MAX states, and a
+    # block's toarray() gives LAPACK the bits of dense_matrix().  TFIM and
+    # the complex H mix the sectors, so their one block is the whole
+    # matrix.  Heisenberg conserves popcount: the energies from each
+    # sector are the lowest of that sector's dense block, as LAPACK gives
+    # them at one of the depths the solver may ask for, which moves their
+    # last bits.
     @pytest.mark.parametrize("count", [2, 8])
     @pytest.mark.parametrize("kind", ["heisenberg", "tfim", "complex"])
     @pytest.mark.parametrize("n", range(2, 8))
@@ -518,8 +546,24 @@ class TestExactLowest:
         else:
             ham, _ = build_model(ModelSpec(kind=kind, n=n, seed=n))
         count = min(count, 1 << n)
-        vals, _ = hermitian_lowest(ham.dense_matrix(), count)
-        assert np.array(exact_lowest(ham, count).energies).tobytes() == vals.tobytes()
+        pairs = exact_lowest(ham, count)
+        dense = ham.dense_matrix()
+        if kind != "heisenberg":
+            assert popcount_sectors(ham) is None
+            vals, _ = hermitian_lowest(dense, count)
+            assert np.array(pairs.energies).tobytes() == vals.tobytes()
+            return
+        weights = np.bitwise_count(np.arange(1 << n))
+        by_sector = {}
+        for e, vec in zip(pairs.energies, pairs.vectors.T):
+            (w,) = set(weights[vec != 0].tolist())
+            by_sector.setdefault(w, []).append(e)
+        for w, got in by_sector.items():
+            states = np.flatnonzero(weights == w)
+            block = dense[np.ix_(states, states)]
+            prefixes = [hermitian_lowest(block, depth)[0][:len(got)].tobytes()
+                        for depth in range(len(got), min(count, len(states)) + 1)]
+            assert np.array(got).tobytes() in prefixes
 
     def test_higher_count_sorted(self):
         ham, _ = build_model(ModelSpec(kind="tfim", n=5, seed=7))
@@ -639,7 +683,7 @@ def _sector_blocks(ham: PauliHamiltonian) -> list:
 def _sector_instance(kind: str, n: int, seed: int) -> PauliHamiltonian:
     if kind == "zero-field ring":
         return heisenberg_chain(n, 1.0, DisorderInstance((0.0,) * n, 0))
-    ham, _ = build_model(ModelSpec(kind="heisenberg", n=n, seed=seed))
+    ham, _ = build_model(ModelSpec(kind="heisenberg" if kind == "dm" else kind, n=n, seed=seed))
     return _with_dm_bond(ham) if kind == "dm" else ham
 
 
@@ -688,7 +732,6 @@ class TestSectorRoute:
     def test_matches_eigvalsh_and_dense_route_at_n10(self, monkeypatch, count):
         ham, _ = build_model(ModelSpec(kind="heisenberg", n=10, seed=0))
         dense = _dense_reference(ham, count)
-        monkeypatch.setattr(oracle_mod, "SECTOR_MIN_QUBITS", 10)
         _refuse_full_csr(monkeypatch)
         pairs = exact_lowest(ham, count=count)
         expected = scipy.linalg.eigvalsh(ham.dense_matrix())[:count]
@@ -699,7 +742,6 @@ class TestSectorRoute:
     def test_matches_full_csr_route_at_n12(self, monkeypatch, count):
         ham, _ = build_model(ModelSpec(kind="heisenberg", n=12, seed=1))
         full = exact_lowest(ham, count=count, method="lanczos")
-        monkeypatch.setattr(oracle_mod, "SECTOR_MIN_QUBITS", 12)
         _refuse_full_csr(monkeypatch)
         _assert_same_pairs(exact_lowest(ham, count=count), full)
 
@@ -708,48 +750,39 @@ class TestSectorRoute:
         ham = _with_dm_bond(base)
         assert not ham.is_real
         dense = _dense_reference(ham)
-        monkeypatch.setattr(oracle_mod, "SECTOR_MIN_QUBITS", 10)
         _refuse_full_csr(monkeypatch)
         pairs = exact_lowest(ham)
         assert pairs.vectors.dtype == np.complex128
         _assert_same_pairs(pairs, dense)
 
     @pytest.mark.parametrize("kind", ["tfim", "heisenberg+x"])
-    def test_mixing_hamiltonian_takes_the_full_route(self, monkeypatch, kind):
-        ham, _ = build_model(ModelSpec(kind=kind.split("+")[0], n=10, seed=0))
-        if kind.endswith("+x"):
-            ham = PauliHamiltonian(10, list(ham.terms) + [PauliTerm(1 << 3, 0, 0.2)])
-        assert popcount_sectors(ham) is None
-        full = exact_lowest(ham, method="lanczos")
+    def test_mixing_hamiltonian_takes_the_full_route(self, kind):
+        build = oracle_mod._csr_block
         built = []
 
         def record(h, states):
             built.append(states.tolist())
             return build(h, states)
 
-        build = oracle_mod._csr_block
-        monkeypatch.setattr(oracle_mod, "SECTOR_MIN_QUBITS", 10)
-        monkeypatch.setattr(oracle_mod, "_csr_block", record)
-        pairs = exact_lowest(ham)
-        assert built == [list(range(1 << 10))]
-        assert pairs.energies == full.energies
-        assert np.array_equal(pairs.vectors, full.vectors)
-
-    def test_default_route_at_the_crossover(self, monkeypatch):
-        n = oracle_mod.SECTOR_MIN_QUBITS
-        ham, _ = build_model(ModelSpec(kind="heisenberg", n=n, seed=0))
-        full = exact_lowest(ham, method="lanczos")
-        _refuse_full_csr(monkeypatch)
-        _assert_same_pairs(exact_lowest(ham), full)
-        with pytest.raises(AssertionError, match="full CSR route"):
-            exact_lowest(ham, method="lanczos")
+        for n in (2, 8, 11, 13, 14):
+            ham, _ = build_model(ModelSpec(kind=kind.split("+")[0], n=n, seed=0))
+            if kind.endswith("+x"):
+                ham = PauliHamiltonian(n, list(ham.terms) + [PauliTerm(1 << 1, 0, 0.2)])
+            assert popcount_sectors(ham) is None
+            full = exact_lowest(ham, method="lanczos")
+            built.clear()
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(oracle_mod, "_csr_block", record)
+                pairs = exact_lowest(ham)
+            assert built == [list(range(1 << n))]
+            assert pairs.energies == full.energies
+            assert np.array_equal(pairs.vectors, full.vectors)
 
     def test_degenerate_ground_across_and_within_sectors(self, monkeypatch):
         # The zero-field ring at odd n has a fourfold ground space: two
         # states of popcount (n - 1) / 2 and two of popcount (n + 1) / 2.
         n = 11
         ham = heisenberg_chain(n, 1.0, DisorderInstance((0.0,) * n, 0))
-        monkeypatch.setattr(oracle_mod, "SECTOR_MIN_QUBITS", n)
         _refuse_full_csr(monkeypatch)
         weights = np.bitwise_count(np.arange(1 << n))
         pairs = exact_lowest(ham, count=4)
@@ -772,7 +805,6 @@ class TestSectorRoute:
         # both have energy -n, to the bit.
         n = 9
         ham = tfim_chain(n, 1.0, 0.0, DisorderInstance((0.0,) * n, 0))
-        monkeypatch.setattr(oracle_mod, "SECTOR_MIN_QUBITS", n)
         _refuse_full_csr(monkeypatch)
         pairs = exact_lowest(ham)
         assert pairs.energies == (-float(n), -float(n))
@@ -781,7 +813,6 @@ class TestSectorRoute:
 
     def test_non_convergence_raises(self, monkeypatch):
         ham, _ = build_model(ModelSpec(kind="heisenberg", n=12, seed=0))
-        monkeypatch.setattr(oracle_mod, "SECTOR_MIN_QUBITS", 12)
         monkeypatch.setattr(oracle_mod, "LANCZOS_MAXITER", 1)
         _refuse_full_csr(monkeypatch)
         with pytest.raises(ConvergenceError, match="restarts"):
@@ -791,7 +822,6 @@ class TestSectorRoute:
     @pytest.mark.parametrize("n", [12, 14])
     def test_skip_is_bit_identical_to_solving_every_sector(self, monkeypatch, n, count):
         ham, _ = build_model(ModelSpec(kind="heisenberg", n=n, seed=0))
-        monkeypatch.setattr(oracle_mod, "SECTOR_MIN_QUBITS", n)
         _refuse_full_csr(monkeypatch)
         pairs = exact_lowest(ham, count=count)
         monkeypatch.setattr(oracle_mod, "_weighted_floor", _no_floor)
@@ -834,7 +864,6 @@ class TestSectorRoute:
             solves.append(count)
             return hermitian_lowest(matrix, count)
 
-        monkeypatch.setattr(oracle_mod, "SECTOR_MIN_QUBITS", n)
         monkeypatch.setattr(oracle_mod, "hermitian_lowest", record)
         exact_lowest(ham)
         # The ground sector at depth 2, then the two sectors whose weighted
@@ -881,7 +910,6 @@ class TestSectorRoute:
             return matrix
 
         compact = oracle_mod._compact
-        monkeypatch.setattr(oracle_mod, "SECTOR_MIN_QUBITS", n)
         monkeypatch.setattr(oracle_mod, "_compact", record)
         exact_lowest(ham, count=8)
         sector_blocks = len(copies)
@@ -930,7 +958,6 @@ class TestSectorRoute:
         n = 8
         ham = heisenberg_chain(n, 1.0, DisorderInstance((6.0,) * n, 0))
         expected = scipy.linalg.eigvalsh(ham.dense_matrix())[:count]
-        monkeypatch.setattr(oracle_mod, "SECTOR_MIN_QUBITS", n)
         _refuse_full_csr(monkeypatch)
         pairs = exact_lowest(ham, count=count)
         assert pairs.e0 == -40.0
@@ -942,7 +969,6 @@ class TestSectorRoute:
         # floor order solves sectors 1 and 2 first; sector 0's floor equals
         # the second-lowest energy, and sector 0 wins that tie.
         ham = parse_hamiltonian("1 ZI\n-0.5 IZ\n-1.5 ZZ\n1 XX\n1 YY\n")
-        monkeypatch.setattr(oracle_mod, "SECTOR_MIN_QUBITS", 2)
         _refuse_full_csr(monkeypatch)
         pairs = exact_lowest(ham)
         assert pairs.energies == (-2.0, -1.0)

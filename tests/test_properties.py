@@ -553,7 +553,6 @@ def test_sector_floors_equal_the_csr_floor_bit_for_bit(n, coupling, fields, seed
         raise _Handed
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(oracle_mod, "SECTOR_MIN_QUBITS", n)
         patch.setattr(oracle_mod, "_lowest_over_blocks", record)
         with pytest.raises(_Handed):
             exact_lowest(ham)
@@ -641,14 +640,12 @@ def conserving_hamiltonians(draw) -> PauliHamiltonian:
 @settings(PROPERTY, max_examples=40)
 @given(ham=conserving_hamiltonians(), data=st.data())
 def test_sector_route_gives_the_lowest_dense_energies(ham, data):
-    # With the sector route forced, the lead choice, both skips, the tie
-    # re-solve and the deepening all run on random spectra.  Every block
-    # holds at most C(9, 4) = 126 states, so each is solved densely.  At
-    # 30 examples a deepening that stops one rank short still passed.
+    # On the default route, the lead choice, both skips, the tie re-solve
+    # and the deepening all run on random spectra.  Every block holds at
+    # most C(9, 4) = 126 states, so each is solved densely.  At 30
+    # examples a deepening that stops one rank short still passed.
     count = data.draw(st.integers(2, min(8, 1 << ham.n)))
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(oracle_mod, "SECTOR_MIN_QUBITS", ham.n)
-        assert popcount_sectors(ham) is not None
-        energies = exact_lowest(ham, count).energies
+    assert popcount_sectors(ham) is not None
+    energies = exact_lowest(ham, count).energies
     reference = np.linalg.eigvalsh(ham.dense_matrix())[:count]
     assert np.max(np.abs(np.array(energies) - reference)) <= 1e-9
