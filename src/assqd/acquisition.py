@@ -22,11 +22,10 @@ the states stepped to, whose inverse gives every pair its index; the
 distinct states are tested against the subspace once, with
 :meth:`Subspace.positions`.
 
-Two scoring routes exist for nu on purpose: :func:`coupling` is the
-literal per-candidate sum, :func:`coupling_map` sums every (state, mask)
-term of D into the candidate its pair index names, reading D's
-amplitudes from the restricted matrix's table by D's rows.  Tests hold
-them equal bit for bit; the driver uses the map.
+:func:`coupling_map` gives nu by summing every (state, mask) term of D
+into the candidate its pair index names, reading D's amplitudes from the
+restricted matrix's table by D's rows.  The tests hold it equal, bit for
+bit, to their literal per-candidate sum, ``coupling``.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from assqd.pauli import BasisState, PauliHamiltonian
+from assqd.pauli import PauliHamiltonian
 from assqd.subspace import DominantSupport, RestrictedSolution, Subspace
 
 ACQUISITION_KINDS = ("en", "coupling_only", "denom_only", "diag_only", "random")
@@ -111,19 +110,6 @@ def generate_candidates(
     return Frontier(*_outside(subspace, _step(ham, dominant.states)))
 
 
-def coupling(
-    ham: PauliHamiltonian,
-    sol: RestrictedSolution,
-    dominant: DominantSupport,
-    k: BasisState,
-) -> complex:
-    """nu_k = sum over the dominant support of c_s <k|H|s>."""
-    total = 0.0 + 0.0j
-    for s in dominant.states:
-        total += sol.coefficient(s) * ham.matrix_element(k, s)
-    return total
-
-
 def coupling_map(
     sol: RestrictedSolution,
     dominant: DominantSupport,
@@ -136,12 +122,12 @@ def coupling_map(
     ``frontier.pairs`` names.  D's amplitudes are read by position from
     the restricted matrix's table, where <s XOR x|H|s> was kept when s
     joined the subspace.  Pairs are summed s-major in D's order, the order
-    of the literal sum in :func:`coupling`.
+    of the tests' literal per-candidate sum ``coupling``.
     """
     amps = sol.matrix.table[1:, dominant.rows].T
     c = sol.coefficients[dominant.rows][:, None]
-    # Each real operation rounds on its own, as in coupling()'s scalar
-    # products; numpy's vector complex multiply may fuse them.
+    # Each real operation rounds on its own, as in the scalar products of
+    # the tests' ``coupling``; numpy's vector complex multiply may fuse them.
     real = c.real * amps.real - c.imag * amps.imag
     terms = real + 1j * (c.real * amps.imag + c.imag * amps.real)
     at = frontier.pairs

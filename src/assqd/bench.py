@@ -67,6 +67,10 @@ class ExperimentSpec:
             raise ValueError(f"sizes must lie within [2, {ORACLE_MAX_QUBITS}]")
         if not self.seeds:
             raise ValueError("seeds must be nonempty")
+        if self.shots is not None and self.shots < 1:
+            raise ValueError(f"shots must be at least 1, got {self.shots}")
+        if not 0.0 <= self.eta <= 1.0:
+            raise ValueError(f"eta must lie within [0, 1], got {self.eta}")
         # Rows are keyed by (n, seed), so a repeat would collapse its rows.
         for name, values in (("sizes", self.sizes), ("seeds", self.seeds)):
             if len(set(values)) != len(values):
@@ -131,12 +135,10 @@ def prepare_instance(
     spec = ModelSpec(kind=kind, n=n, seed=seed)
     ham, disorder = build_model(spec)
     key = instance_key(metadata_record(spec, disorder))
-    if oracle_cache is not None and key in oracle_cache:
-        pairs = oracle_cache[key]
-    else:
-        pairs = exact_lowest(ham)
-        if oracle_cache is not None:
-            oracle_cache[key] = pairs
+    cache = {} if oracle_cache is None else oracle_cache
+    if key not in cache:
+        cache[key] = exact_lowest(ham)
+    pairs = cache[key]
     if pairs.degenerate_ground:
         warnings.warn(
             f"degenerate ground space for {kind} n={n} seed={seed}; "
@@ -221,10 +223,7 @@ CellKey = tuple[str, int, int, str, int]
 
 
 def _sweep(
-    spec: ExperimentSpec,
-    methods: tuple[str, ...],
-    hops: tuple[int, ...] = (1,),
-    oracle_cache: dict[str, EigenpairSet] | None = None,
+    spec: ExperimentSpec, methods: tuple[str, ...], hops: tuple[int, ...] = (1,)
 ) -> tuple[list[ResultRow], dict[CellKey, RunTrace], dict[tuple[int, int], InstanceBundle]]:
     """Run a full grid; returns sorted rows plus per-cell traces/bundles."""
     bundles: dict[tuple[int, int], InstanceBundle] = {}
@@ -233,7 +232,7 @@ def _sweep(
         shots_for[n] = spec.shots if spec.shots is not None else default_shots(n)
         for seed in spec.seeds:
             bundles[(n, seed)] = prepare_instance(
-                spec.kind, n, seed, shots_for[n], spec.eta, oracle_cache
+                spec.kind, n, seed, shots_for[n], spec.eta
             )
     rows: list[ResultRow] = []
     traces: dict[CellKey, RunTrace] = {}
@@ -271,23 +270,21 @@ def _medians(rows: list[ResultRow]) -> list[dict[str, Any]]:
 
 def experiment_scaling(
     spec: ExperimentSpec,
-    oracle_cache: dict[str, EigenpairSet] | None = None,
 ) -> tuple[list[ResultRow], list[dict[str, Any]]]:
     """SCALING_METHODS across sizes on identical per-instance counts."""
-    rows, _, _ = _sweep(spec, SCALING_METHODS, oracle_cache=oracle_cache)
+    rows, _, _ = _sweep(spec, SCALING_METHODS)
     return rows, _medians(rows)
 
 
 def experiment_ablation(
     spec: ExperimentSpec,
-    oracle_cache: dict[str, EigenpairSet] | None = None,
 ) -> tuple[list[ResultRow], list[dict[str, Any]]]:
     """ABLATION_METHODS compared; all variants share each instance.
 
     Identical seeding is checked directly: every variant's initial solve
     lands on the same subspace, hence the same first-record energy.
     """
-    rows, traces, _ = _sweep(spec, ABLATION_METHODS, oracle_cache=oracle_cache)
+    rows, traces, _ = _sweep(spec, ABLATION_METHODS)
     first_energy: dict[tuple[int, int], float] = {}
     for (model, n, seed, method, h), trace in traces.items():
         e_init = trace.records[0].energy
@@ -309,7 +306,6 @@ def iterations_to_threshold(trace: RunTrace, e0: float) -> int | None:
 
 def experiment_hops(
     spec: ExperimentSpec,
-    oracle_cache: dict[str, EigenpairSet] | None = None,
 ) -> tuple[list[ResultRow], list[dict[str, Any]]]:
     """Paired 1-hop vs 2-hop arms with iterations-to-threshold medians.
 
@@ -317,9 +313,7 @@ def experiment_hops(
     None, and is left out of the arm's median, which is None when no cell
     of the arm finished.
     """
-    rows, traces, bundles = _sweep(
-        spec, ("as-en",), hops=(1, 2), oracle_cache=oracle_cache
-    )
+    rows, traces, bundles = _sweep(spec, ("as-en",), hops=(1, 2))
     stats: list[dict[str, Any]] = []
     for n in sorted(set(spec.sizes)):
         per_arm: dict[int, list[float | None]] = {1: [], 2: []}

@@ -29,6 +29,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
+import math
 from pathlib import Path
 from typing import Any
 
@@ -88,6 +89,13 @@ def _int_list(low: int, high: float = float("inf")):
             raise click.BadParameter(f"a value repeats in {text!r}")
         return values
     return parse
+
+
+def _finite(ctx: click.Context, param: click.Parameter, value: float) -> float:
+    """Option callback: NaN passes every FloatRange bound, inf an open one."""
+    if not math.isfinite(value):
+        raise click.BadParameter(f"{value} is not a finite number")
+    return value
 
 
 def _emit_table(
@@ -193,7 +201,8 @@ def oracle(ctx: click.Context, kind: str, n: int, count: int,
 @click.option("--shots", type=click.IntRange(min=1), default=None,
               help="Shot count; size-based default (2000 for n<=10, else 3000).")
 @click.option("--eta", type=click.FloatRange(0, 1), default=DEFAULT_ETA,
-              show_default=True, help="Excited-state contamination weight.")
+              show_default=True, callback=_finite,
+              help="Excited-state contamination weight.")
 @click.option("--bit-order", type=click.Choice(["qubit0_first", "qubit0_last"]),
               default="qubit0_first", show_default=True,
               help="Bitstring key convention in the emitted counts JSON.")
@@ -222,10 +231,10 @@ _budget_stack = _options(
     click.option("-T", "T", type=click.IntRange(min=1), default=RunConfig.T,
                  show_default=True, help="Expansion iterations."),
     click.option("--tau", type=click.FloatRange(0, 1, max_open=True),
-                 default=RunConfig.tau, show_default=True,
+                 default=RunConfig.tau, show_default=True, callback=_finite,
                  help="Dominant-support probability threshold."),
     click.option("--eps", type=click.FloatRange(min=0, min_open=True),
-                 default=RunConfig.eps, show_default=True,
+                 default=RunConfig.eps, show_default=True, callback=_finite,
                  help="Score denominator floor."),
 )
 
@@ -328,7 +337,7 @@ def _sweep_options(default_sizes: str):
         click.option("--shots", type=click.IntRange(min=1), default=None,
                      help="Override the size-based shot default."),
         click.option("--eta", type=click.FloatRange(0, 1), default=DEFAULT_ETA,
-                     show_default=True),
+                     show_default=True, callback=_finite),
         _budget_options,
     )
 

@@ -79,8 +79,8 @@ class RunConfig:
             raise ValueError("K, B, and T must all be >= 1")
         if not 0.0 <= self.tau < 1.0:
             raise ValueError(f"tau must be in [0, 1), got {self.tau}")
-        if self.eps <= 0:
-            raise ValueError(f"eps must be positive, got {self.eps}")
+        if not 0.0 < self.eps < np.inf:
+            raise ValueError(f"eps must be positive and finite, got {self.eps}")
         if self.kind not in METHOD_KINDS:
             raise ValueError(f"unknown method kind {self.kind!r}")
         if self.hops not in (1, 2):

@@ -344,18 +344,21 @@ def hermitian_lowest(
     are written out here, at a fraction of its per-call cost: a NaN or
     inf entry raises ValueError, and a nonzero LAPACK ``info`` raises
     LinAlgError; a guess is ignored.  A sparse matrix goes to
-    implicitly-restarted Lanczos (ARPACK ``eigsh``) from a start vector r
-    drawn with seed 0, or with a guess from guess/|guess| + WARM_MIX r/|r|
-    (a zero or misshapen guess raises ValueError), so a repeated call from
-    the same guess returns the same bits whatever ran before it.  The
-    guess must be real when the matrix is.  ARPACK gets the matrix as
-    :class:`_Product`, which returns each product as ``matrix @ x``
-    without scipy's operator chain, with the bits that chain gives.  The
-    Krylov basis is scipy's default size, min(dim, max(2 count + 1, 20)):
-    most of a solve is ARPACK's own work on its basis, and twice as many
-    vectors cost more per restart than the restarts they save (a count-2
-    Heisenberg solve at n = 16 took 0.58-0.66 s with 40 vectors,
-    0.42-0.47 s with 20).  ARPACK stops at
+    implicitly-restarted Lanczos (ARPACK ``eigsh``, or the ``eigs`` call
+    it makes when complex) from a start vector r drawn from
+    ``default_rng(0)``, or with a guess from guess/|guess| + WARM_MIX r/|r|
+    (a zero or misshapen guess raises ValueError).  ARPACK draws any new
+    start vector it needs (when the Krylov space goes invariant, as on a
+    degenerate spectrum) from that generator, not from OS entropy, so a
+    repeated call from the same guess returns the same bits whatever ran
+    before it.  The guess must be real when the matrix is.  ARPACK gets
+    the matrix as :class:`_Product`, which returns each product as
+    ``matrix @ x`` without scipy's operator chain, with the bits that
+    chain gives.  The Krylov basis is scipy's default size,
+    min(dim, max(2 count + 1, 20)): most of a solve is ARPACK's own work
+    on its basis, and twice as many vectors cost more per restart than the
+    restarts they save (a count-2 Heisenberg solve at n = 16 took
+    0.58-0.66 s with 40 vectors, 0.42-0.47 s with 20).  ARPACK stops at
     tol = RESIDUAL_TOL / (ARPACK_TOL_DIVISOR r), r the largest absolute
     row sum of the matrix, so every Ritz estimate ends at or below
     RESIDUAL_TOL / ARPACK_TOL_DIVISOR: inside :func:`exact_lowest`'s bound
@@ -373,7 +376,8 @@ def hermitian_lowest(
     if not matrix.data.any():
         return np.zeros(count), np.eye(dim, count, dtype=matrix.dtype)
     radius = float(np.max(_magnitude(matrix) @ np.ones(dim)))
-    v0 = np.random.default_rng(0).standard_normal(dim)
+    rng = np.random.default_rng(0)
+    v0 = rng.standard_normal(dim)
     if guess is not None:
         guess = np.asarray(guess)
         norm = float(np.linalg.norm(guess))
@@ -381,10 +385,12 @@ def hermitian_lowest(
             raise ValueError(
                 f"guess must be a nonzero finite vector of shape {v0.shape}")
         v0 = guess / norm + WARM_MIX * (v0 / np.linalg.norm(v0))
+    eig, which = ((scipy.sparse.linalg.eigs, "SR") if np.iscomplexobj(matrix)
+                  else (scipy.sparse.linalg.eigsh, "SA"))
     try:
-        vals, vecs = scipy.sparse.linalg.eigsh(
-            _Product(matrix), k=count, which="SA", v0=v0, maxiter=LANCZOS_MAXITER,
-            tol=RESIDUAL_TOL / (ARPACK_TOL_DIVISOR * radius),
+        vals, vecs = eig(
+            _Product(matrix), k=count, which=which, v0=v0, maxiter=LANCZOS_MAXITER,
+            tol=RESIDUAL_TOL / (ARPACK_TOL_DIVISOR * radius), rng=rng,
         )
     except scipy.sparse.linalg.ArpackNoConvergence as exc:
         if len(exc.eigenvalues) == 0:
@@ -401,8 +407,8 @@ def hermitian_lowest(
             f"within {LANCZOS_MAXITER} restarts",
             worst,
         ) from exc
-    order = np.argsort(vals)
-    return vals[order], vecs[:, order]
+    order = np.argsort(vals.real)
+    return vals.real[order], vecs[:, order]
 
 
 def _compact(data: np.ndarray, indices: np.ndarray) -> scipy.sparse.csr_array:
@@ -687,10 +693,9 @@ def exact_lowest(
 
 
 def save_eigenpairs(path, pairs: EigenpairSet) -> None:
-    """Write energies, vectors and the degeneracy flag to an .npz file."""
-    np.savez_compressed(
-        path,
-        energies=np.array(pairs.energies),
-        vectors=pairs.vectors,
-        degenerate_ground=np.array(pairs.degenerate_ground),
-    )
+    """Write energies, vectors and the degeneracy flag to path, as .npz."""
+    with open(path, "wb") as fh:  # given a name, numpy would append ".npz"
+        np.savez_compressed(
+            fh, energies=np.array(pairs.energies), vectors=pairs.vectors,
+            degenerate_ground=np.array(pairs.degenerate_ground),
+        )

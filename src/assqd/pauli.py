@@ -24,9 +24,8 @@ element the package uses comes from these, to the kernel's bits, through
 :meth:`PauliHamiltonian.diagonal` and
 :meth:`PauliHamiltonian.amplitude_table` (all masks at once), from the
 expansion loop to the reference oracle's CSR matrix; the oracle's
-residual product and :meth:`PauliHamiltonian.dense_matrix`, a small-n
-test oracle, compute theirs on their own.  Nothing here ever
-materializes the 2^n x 2^n matrix except that test oracle.
+residual product computes its own.  Nothing here ever materializes the
+2^n x 2^n matrix.
 """
 
 from __future__ import annotations
@@ -40,9 +39,6 @@ import numpy as np
 BasisState = int
 
 MAX_QUBITS = 63
-# Largest n whose full 2^n x 2^n matrix is built (dense_matrix, the
-# tests' dense reference; the package itself never builds it).
-DENSE_MAX_QUBITS = 12
 
 # Merged terms with |coefficient| below this are dropped at construction.
 COEFF_CUTOFF = 1e-15
@@ -367,22 +363,6 @@ class PauliHamiltonian:
         x_mask may still cancel in the summed matrix element.
         """
         return {s ^ x for x in self.offdiag_masks}
-
-    def dense_matrix(self) -> np.ndarray:
-        """Full 2^n x 2^n matrix; test oracle only, refuses n > 12."""
-        if self.n > DENSE_MAX_QUBITS:
-            raise ValueError(
-                f"dense matrix limited to n <= {DENSE_MAX_QUBITS}, got n = {self.n}"
-            )
-        dim = 1 << self.n
-        out = np.zeros((dim, dim), dtype=self.dtype)
-        idx = np.arange(dim, dtype=np.int64)
-        for term in self.terms:
-            signs = 1.0 - 2.0 * (np.bitwise_count(idx & term.z_mask) & 1)
-            weight = term.weight.real if self.is_real else term.weight
-            # Within one term, (row, col) pairs are all distinct.
-            out[idx ^ term.x_mask, idx] += weight * signs
-        return out
 
 
 def parse_hamiltonian(text: str) -> PauliHamiltonian:

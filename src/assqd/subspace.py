@@ -37,7 +37,7 @@ from assqd.oracle import (
     fix_phase,
     hermitian_lowest,
 )
-from assqd.pauli import BasisState, PauliHamiltonian
+from assqd.pauli import PauliHamiltonian
 
 HERMITICITY_ATOL = 1e-12
 
@@ -138,12 +138,6 @@ class RestrictedSolution:
         norm = float(np.linalg.norm(self.coefficients))
         if abs(norm - 1.0) > 1e-10:
             raise ValueError(f"coefficients have norm {norm!r}, expected 1")
-
-    def coefficient(self, state: BasisState) -> complex:
-        row = int(self.subspace.positions(state))
-        if row < 0:
-            raise KeyError(state)
-        return self.coefficients[row]
 
 
 @dataclass(frozen=True, eq=False)

@@ -2,8 +2,8 @@
 
 Each test below is one acceptance check with its tolerance stated inline;
 the pytest -v line for each test is the pass/fail verdict. Heavy sweeps are
-session-scoped fixtures sharing one oracle cache, so reference eigenpairs
-for repeated (model, size, seed) instances are solved exactly once.
+session-scoped fixtures, so each sweep runs once however many tests read it;
+each sweep solves its own reference eigenpairs, as ``assqd bench`` does.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from conftest import random_hamiltonian
+from conftest import dense_matrix, random_hamiltonian
 
 from assqd.acquisition import generate_candidates, score_candidates
 from assqd.bench import (
@@ -48,18 +48,13 @@ from assqd.subspace import (
 )
 
 # ---------------------------------------------------------------------------
-# Shared heavy fixtures: one oracle cache, three sweeps, one hops study.
+# Shared heavy fixtures: three sweeps and one hops study.
 # ---------------------------------------------------------------------------
 
 
-@pytest.fixture(scope="session")
-def oracle_cache():
-    return {}
-
-
-def _timed_sweep(spec: ExperimentSpec, methods, cache):
+def _timed_sweep(spec: ExperimentSpec, methods):
     start = time.monotonic()
-    rows, traces, bundles = _sweep(spec, methods, oracle_cache=cache)
+    rows, traces, bundles = _sweep(spec, methods)
     return {
         "rows": rows,
         "traces": traces,
@@ -69,30 +64,30 @@ def _timed_sweep(spec: ExperimentSpec, methods, cache):
 
 
 @pytest.fixture(scope="session")
-def sweep8(oracle_cache):
+def sweep8():
     spec = ExperimentSpec(
         kind="heisenberg", sizes=(8,), seeds=DEFAULT_SEEDS, shots=2000
     )
-    return _timed_sweep(spec, SCALING_METHODS, oracle_cache)
+    return _timed_sweep(spec, SCALING_METHODS)
 
 
 @pytest.fixture(scope="session")
-def sweep1012(oracle_cache):
+def sweep1012():
     spec = ExperimentSpec(kind="heisenberg", sizes=(10, 12), seeds=DEFAULT_SEEDS)
-    return _timed_sweep(spec, SCALING_METHODS, oracle_cache)
+    return _timed_sweep(spec, SCALING_METHODS)
 
 
 @pytest.fixture(scope="session")
-def ablate12(oracle_cache):
+def ablate12():
     spec = ExperimentSpec(kind="heisenberg", sizes=(12,), seeds=DEFAULT_SEEDS)
-    return _timed_sweep(spec, ABLATION_METHODS, oracle_cache)
+    return _timed_sweep(spec, ABLATION_METHODS)
 
 
 @pytest.fixture(scope="session")
-def hops12(oracle_cache):
+def hops12():
     spec = ExperimentSpec(kind="heisenberg", sizes=(12,), seeds=DEFAULT_SEEDS)
     start = time.monotonic()
-    rows, stats = experiment_hops(spec, oracle_cache=oracle_cache)
+    rows, stats = experiment_hops(spec)
     return {"rows": rows, "stats": stats, "elapsed": time.monotonic() - start}
 
 
@@ -114,7 +109,7 @@ def test_01_matrix_elements_match_dense_oracle():
     for trial in range(50):
         n = int(rng.integers(1, 7))
         ham = random_hamiltonian(n, int(rng.integers(4, 21)), rng)
-        dense = ham.dense_matrix()
+        dense = dense_matrix(ham)
         dim = 1 << n
         for k in range(dim):
             for j in range(dim):
@@ -263,9 +258,9 @@ def test_06_acquisition_ablation_ordering(ablate12):
     not os.environ.get("ASSQD_ACCEPT_N16"),
     reason="n=16 ablation re-run is opt-in (set ASSQD_ACCEPT_N16=1; ~10 s)",
 )
-def test_06b_optional_ablation_at_n16(oracle_cache):
+def test_06b_optional_ablation_at_n16():
     spec = ExperimentSpec(kind="heisenberg", sizes=(16,), seeds=DEFAULT_SEEDS)
-    sweep = _timed_sweep(spec, ABLATION_METHODS, oracle_cache)
+    sweep = _timed_sweep(spec, ABLATION_METHODS)
     med = {m: _median_err(sweep["rows"], 16, m) for m in ABLATION_METHODS}
     for label in ("as-en", "as-coupling_only"):
         assert med[label] <= med["as-denom_only"]

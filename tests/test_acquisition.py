@@ -8,7 +8,6 @@ import pytest
 from assqd.acquisition import (
     CandidateScores,
     Frontier,
-    coupling,
     coupling_map,
     en_score,
     first_order_amplitude,
@@ -26,7 +25,7 @@ from assqd.subspace import (
     dominant_support,
     lowest_eigenpair,
 )
-from conftest import random_hamiltonian
+from conftest import coupling, dense_matrix, random_hamiltonian
 
 
 def solve(ham, states):
@@ -110,8 +109,8 @@ class TestCoupling:
             d = dominant_support(sol, 0.0)
             psi = np.zeros(1 << n, dtype=complex)
             for s in states:
-                psi[s] = sol.coefficient(s)
-            h_psi = h.dense_matrix() @ psi
+                psi[s] = sol.coefficients[sol.subspace.positions(s)]
+            h_psi = dense_matrix(h) @ psi
             for k in range(1 << n):
                 if sol.subspace.positions(k) >= 0:
                     continue

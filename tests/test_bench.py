@@ -73,6 +73,14 @@ class TestSpecAndHelpers:
         with pytest.raises(ValueError, match="sizes"):
             ExperimentSpec(kind="heisenberg", sizes=(4, 4), seeds=(0,))
 
+    @pytest.mark.parametrize("overrides", [
+        {"eta": 1.5}, {"eta": -0.1}, {"eta": math.nan}, {"eta": math.inf},
+        {"shots": 0},
+    ])
+    def test_spec_rejects_eta_and_shots_before_any_solve(self, overrides):
+        with pytest.raises(ValueError, match=next(iter(overrides))):
+            _tiny_spec(**overrides)
+
     def test_run_config_passthrough(self):
         budget = RunConfig(K=7, B=3, T=2, tau=1e-3, eps=1e-6)
         spec = _tiny_spec(seeds=(0,), budget=budget)

@@ -87,6 +87,14 @@ class TestOracleVerb:
             assert data["vectors"].shape == (16, 2)
             assert data["energies"].tolist() == json.loads(result.output)["energies"]
 
+    def test_pairs_file_is_the_path_given(self, runner, tmp_path):
+        # numpy appends ".npz" to a file name that lacks it.
+        pairs = tmp_path / "vecs.bin"
+        _invoke(runner, ["oracle", "heisenberg", "4", "--pairs", str(pairs)])
+        assert [path.name for path in tmp_path.iterdir()] == ["vecs.bin"]
+        with np.load(pairs) as data:
+            assert data["vectors"].shape == (16, 2)
+
 
 class TestSampleVerb:
     def test_counts_parse_and_sum(self, runner):
@@ -215,6 +223,11 @@ _SWEEP = ["--sizes", "4", "--seeds", "0"]
     pytest.param(["hops", *_SWEEP, "--eta", "-0.1"], id="hops-eta"),
     pytest.param(["bench", *_SWEEP, "--tau", "1"], id="tau"),
     pytest.param(["ablate", *_SWEEP, "--eps", "0"], id="eps"),
+    pytest.param(["bench", *_SWEEP, "--eps", "nan"], id="eps-nan"),
+    pytest.param(["hops", *_SWEEP, "--eps", "inf"], id="eps-inf"),
+    pytest.param(["bench", *_SWEEP, "--tau", "nan"], id="tau-nan"),
+    pytest.param(["bench", *_SWEEP, "--eta", "nan"], id="bench-eta-nan"),
+    pytest.param(["sample", "heisenberg", "4", "--eta", "nan"], id="sample-eta-nan"),
     pytest.param(["oracle", "heisenberg", "4", "--count", "9"], id="count-9"),
     pytest.param(["oracle", "heisenberg", "4", "--count", "1"], id="count-1"),
     pytest.param(["oracle", "heisenberg", "22"], id="oracle-n"),

@@ -267,7 +267,10 @@ class TestRunConfig:
             {"B": 0},
             {"T": 0},
             {"tau": 1.0},
+            {"tau": float("nan")},
             {"eps": 0.0},
+            {"eps": float("nan")},
+            {"eps": float("inf")},
             {"kind": "greedy"},
             {"hops": 3},
             {"seed": -1},

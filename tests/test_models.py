@@ -17,10 +17,11 @@ from assqd.models import (
     metadata_record,
     tfim_chain,
 )
+from conftest import dense_matrix
 
 
 def lowest_eigenvalue(ham) -> float:
-    return float(scipy.linalg.eigvalsh(ham.dense_matrix())[0])
+    return float(scipy.linalg.eigvalsh(dense_matrix(ham))[0])
 
 
 class TestDrawDisorder:
@@ -68,7 +69,7 @@ class TestHeisenbergChain:
     def test_n2_ground_energy(self):
         d = DisorderInstance((0.0, 0.0), 0)
         h = heisenberg_chain(2, 1.0, d)
-        vals = scipy.linalg.eigvalsh(h.dense_matrix())
+        vals = scipy.linalg.eigvalsh(dense_matrix(h))
         assert np.isclose(vals[0], -6.0)
         assert np.isclose(vals[-1], 2.0)
 
@@ -81,7 +82,7 @@ class TestHeisenbergChain:
         # With no fields the dense matrix is block-diagonal in Hamming
         # weight: XX+YY amplitudes cancel between sectors exactly.
         d = DisorderInstance((0.0,) * 5, 0)
-        dense = heisenberg_chain(5, 1.0, d).dense_matrix()
+        dense = dense_matrix(heisenberg_chain(5, 1.0, d))
         pops = np.bitwise_count(np.arange(32))
         mask = pops[:, None] != pops[None, :]
         assert np.all(dense[mask] == 0.0)
@@ -100,7 +101,7 @@ class TestTfimChain:
     def test_n2_ferromagnetic_ground(self):
         d = DisorderInstance((0.0, 0.0), 0)
         h = tfim_chain(2, 1.0, 0.0, d)
-        vals = scipy.linalg.eigvalsh(h.dense_matrix())
+        vals = scipy.linalg.eigvalsh(dense_matrix(h))
         assert np.isclose(vals[0], -2.0)
         assert np.isclose(vals[1], -2.0)
 
@@ -112,7 +113,7 @@ class TestTfimChain:
 
     def test_hermitian(self):
         disorder = draw_disorder(4, 0.5, 9)
-        dense = tfim_chain(4, 1.0, 1.0, disorder).dense_matrix()
+        dense = dense_matrix(tfim_chain(4, 1.0, 1.0, disorder))
         assert np.allclose(dense, dense.conj().T)
 
 

@@ -15,7 +15,7 @@ from assqd.pauli import (
     format_hamiltonian,
     parse_hamiltonian,
 )
-from conftest import random_hamiltonian
+from conftest import dense_matrix, random_hamiltonian
 
 
 def _act(term: PauliTerm, n: int, state: int) -> tuple[int, complex]:
@@ -144,7 +144,7 @@ class TestPauliHamiltonian:
                 [0.0, 0.0, 0.0, 1.0],
             ]
         )
-        d = h.dense_matrix()
+        d = dense_matrix(h)
         assert d.dtype == np.float64
         assert np.allclose(d, expected)
 
@@ -153,7 +153,7 @@ class TestPauliHamiltonian:
         for _ in range(10):
             n = int(rng.integers(1, 6))
             h = random_hamiltonian(n, int(rng.integers(1, 12)), rng)
-            dense = h.dense_matrix()
+            dense = dense_matrix(h)
             dim = 1 << n
             for k in range(dim):
                 for j in range(dim):
@@ -220,14 +220,14 @@ class TestPauliHamiltonian:
     def test_is_real_flag(self):
         assert parse_hamiltonian("1.0 XX\n1.0 YY\n").is_real
         assert not parse_hamiltonian("1.0 XY\n").is_real
-        d = parse_hamiltonian("1.0 XY\n").dense_matrix()
+        d = dense_matrix(parse_hamiltonian("1.0 XY\n"))
         assert d.dtype == np.complex128
         assert np.allclose(d, d.conj().T)
 
     def test_dense_refuses_large_n(self):
         h = PauliHamiltonian(13, [PauliTerm(0, 1, 1.0)])
         with pytest.raises(ValueError, match="dense"):
-            h.dense_matrix()
+            dense_matrix(h)
 
 
 def _group_amplitudes(ham: PauliHamiltonian, states) -> tuple[np.ndarray, np.ndarray]:

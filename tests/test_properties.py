@@ -27,7 +27,6 @@ import assqd.subspace as subspace_mod
 from assqd.acquisition import (
     ACQUISITION_KINDS,
     CandidateScores,
-    coupling,
     coupling_map,
     generate_candidates,
     score_candidates,
@@ -56,6 +55,7 @@ from assqd.subspace import (
     lowest_eigenpair,
     sorted_positions,
 )
+from conftest import coupling, dense_matrix
 
 # Derandomized and without an example database, so every run of the suite
 # checks the same examples and writes nothing.
@@ -180,7 +180,7 @@ def test_sparse_matrix_rows_hold_matrix_elements_in_mask_order(real, data):
 @given(hamiltonians())
 def test_diagonal_equals_dense_diagonal(ham):
     full = np.arange(1 << ham.n, dtype=np.int64)
-    assert np.array_equal(ham.diagonal(full), ham.dense_matrix().diagonal())
+    assert np.array_equal(ham.diagonal(full), dense_matrix(ham).diagonal())
 
 
 @PROPERTY
@@ -605,7 +605,7 @@ def test_sector_split_refused_exactly_when_h_leaves_a_sector(ham):
     # it must refuse the split exactly when the dense matrix has a nonzero
     # entry between two states of different popcount.
     weights = np.bitwise_count(np.arange(1 << ham.n))
-    dense = ham.dense_matrix()
+    dense = dense_matrix(ham)
     leaves = bool(np.any(dense[weights[:, None] != weights[None, :]] != 0))
     assert (popcount_sectors(ham) is None) == leaves
 
@@ -647,5 +647,5 @@ def test_sector_route_gives_the_lowest_dense_energies(ham, data):
     count = data.draw(st.integers(2, min(8, 1 << ham.n)))
     assert popcount_sectors(ham) is not None
     energies = exact_lowest(ham, count).energies
-    reference = np.linalg.eigvalsh(ham.dense_matrix())[:count]
+    reference = np.linalg.eigvalsh(dense_matrix(ham))[:count]
     assert np.max(np.abs(np.array(energies) - reference)) <= 1e-9

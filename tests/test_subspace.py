@@ -26,7 +26,7 @@ from assqd.subspace import (
     extend_restricted,
     lowest_eigenpair,
 )
-from conftest import random_hamiltonian
+from conftest import dense_matrix, random_hamiltonian
 
 
 def _with_odd_y(ham: PauliHamiltonian) -> PauliHamiltonian:
@@ -61,7 +61,7 @@ class TestBuildRestricted:
             h = random_hamiltonian(n, 10, rng)
             order = [int(s) for s in rng.permutation(1 << n)]
             got = build_restricted(h, Subspace(tuple(order))).dense()
-            dense = h.dense_matrix()
+            dense = dense_matrix(h)
             for i, s_i in enumerate(order):
                 for j, s_j in enumerate(order):
                     assert np.isclose(got[i, j], dense[s_i, s_j], atol=1e-13)
@@ -270,6 +270,26 @@ class TestLowestEigenpair:
         first, second = lowest_eigenpair(m), lowest_eigenpair(m)
         assert first.energy.hex() == second.energy.hex()
         assert first.coefficients.tobytes() == second.coefficients.tobytes()
+
+    @pytest.mark.parametrize(
+        "text, size, guess",
+        [("-1.4 II\n", 4, np.arange(1.0, 5.0)),
+         ("1.0 YII\n", 8, np.eye(8, 1, dtype=complex)[:, 0])],
+        ids=["real", "complex"],
+    )
+    def test_iterative_path_repeats_when_arpack_restarts(
+        self, monkeypatch, text, size, guess
+    ):
+        # The Krylov space from the start vector goes invariant on these
+        # degenerate spectra, so ARPACK draws a new start vector.  Drawn
+        # from OS entropy, it would move the returned vector call to call.
+        m = build_restricted(parse_hamiltonian(text), Subspace(range(size)))
+        monkeypatch.setattr(subspace_mod, "DENSE_SOLVE_MAX", 2)
+        results = {
+            (sol.energy, sol.coefficients.tobytes())
+            for sol in (lowest_eigenpair(m, guess) for _ in range(20))
+        }
+        assert len(results) == 1
 
     def test_zero_matrix_on_sparse_route(self, monkeypatch):
         # XXX maps 0, 1, 2 onto 7, 6, 5, none of them kept: H_S = 0, on
