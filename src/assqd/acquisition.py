@@ -124,7 +124,7 @@ def coupling_map(
     joined the subspace.  Pairs are summed s-major in D's order, the order
     of the tests' literal per-candidate sum ``coupling``.
     """
-    amps = sol.matrix.table[1:, dominant.rows].T
+    amps = sol.matrix.table[dominant.rows, 1:]
     c = sol.coefficients[dominant.rows][:, None]
     # Each real operation rounds on its own, as in the scalar products of
     # the tests' ``coupling``; numpy's vector complex multiply may fuse them.

@@ -74,6 +74,11 @@ def _sidecar(ctx: click.Context, suffix: str, text: str) -> None:
         Path(str(out) + suffix).write_text(text, encoding="utf-8")
 
 
+# Strict JSON: a NaN or infinite float raises instead of being written as
+# the NaN or Infinity literal, which strict parsers reject.
+_json = functools.partial(json.dumps, indent=2, allow_nan=False)
+
+
 def _int_list(low: int, high: float = float("inf")):
     """Option callback: a nonempty list of distinct integers in [low, high]."""
     def parse(ctx: click.Context, param: click.Parameter,
@@ -103,11 +108,13 @@ def _emit_table(
 ) -> None:
     """Rows as CSV or JSON; summaries ride along (sidecar in CSV mode)."""
     if ctx.obj["format"] == "json":
-        records = [dataclasses.asdict(row) for row in rows]
-        _emit(ctx, json.dumps({"rows": records, label: summaries}, indent=2))
+        # An error row's NaN E_est and err are null; its terminated says why.
+        records = [{key: None if isinstance(v, float) and math.isnan(v) else v
+                    for key, v in dataclasses.asdict(row).items()} for row in rows]
+        _emit(ctx, _json({"rows": records, label: summaries}))
     else:
         _emit(ctx, rows_to_csv(rows))
-        _sidecar(ctx, f".{label}.json", json.dumps(summaries, indent=2))
+        _sidecar(ctx, f".{label}.json", _json(summaries))
 
 
 def _load(ctx: click.Context, loader, path: str, param: str):
@@ -152,10 +159,10 @@ def model(ctx: click.Context, kind: str, n: int) -> None:
     text = format_hamiltonian(ham)
     meta = metadata_record(spec, disorder)
     if ctx.obj["format"] == "json":
-        _emit(ctx, json.dumps({"metadata": meta, "hamiltonian": text}, indent=2))
+        _emit(ctx, _json({"metadata": meta, "hamiltonian": text}))
     else:
         _emit(ctx, text)
-        _sidecar(ctx, ".meta.json", json.dumps(meta, indent=2))
+        _sidecar(ctx, ".meta.json", _json(meta))
 
 
 @main.command()
@@ -192,7 +199,7 @@ def oracle(ctx: click.Context, kind: str, n: int, count: int,
         "e1": float(eig.e1),
         "degenerate_ground": eig.degenerate_ground,
     }
-    _emit(ctx, json.dumps(payload, indent=2))
+    _emit(ctx, _json(payload))
 
 
 @main.command()
@@ -271,7 +278,7 @@ def _run_and_emit(
         pairs = exact_lowest(ham, count=2)
     trace = run_as_sqd(ham, counts, config)
     record = trace_record(trace, config, model_metadata, pairs)
-    _emit(ctx, json.dumps(record, indent=2))
+    _emit(ctx, _json(record))
 
 
 @main.command()
@@ -364,9 +371,16 @@ def ablate(ctx: click.Context, **kwargs: Any) -> None:
 @_sweep_options("12")
 @click.pass_context
 def hops(ctx: click.Context, **kwargs: Any) -> None:
-    """Paired 1-hop vs 2-hop EN arms with iterations-to-threshold stats."""
+    """Paired 1-hop vs 2-hop EN arms with iterations-to-threshold stats.
+
+    An arm that never comes within the threshold is marked "unreached",
+    in its list and in a median that lands on it; a failed cell is null.
+    """
     rows, stats = experiment_hops(ExperimentSpec(**kwargs))
-    _emit_table(ctx, rows, stats, "stats")
+    mark = lambda v: "unreached" if v == math.inf else v
+    _emit_table(ctx, rows, [
+        {key: [mark(x) for x in v] if isinstance(v, list) else mark(v)
+         for key, v in entry.items()} for entry in stats], "stats")
 
 
 if __name__ == "__main__":

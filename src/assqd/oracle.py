@@ -105,7 +105,7 @@ LANCZOS_MAXITER = 20_000
 # At 10 the worst true residual is still 25 times below RESIDUAL_TOL.
 ARPACK_TOL_DIVISOR = 10
 
-# Dense eigensolve up to this matrix order, CSR Lanczos beyond.  Measured
+# Dense eigensolve up to this matrix order, sparse Lanczos beyond.  Measured
 # per restricted solve (CPU ms on an Intel Xeon, one OpenBLAS thread, each
 # cell the median of 9 interleaved runs of lowest_eigenpair, the dense
 # route / cold ARPACK from the seeded vector / warm ARPACK from the
@@ -269,15 +269,15 @@ def fix_phase(vec: np.ndarray) -> np.ndarray:
     return rotated.real if np.all(np.abs(rotated.imag) <= 1e-12) else rotated
 
 
-def _magnitude(matrix: scipy.sparse.csr_array) -> scipy.sparse.csr_array:
+def _magnitude(matrix: scipy.sparse.sparray) -> scipy.sparse.sparray:
     """|A| entrywise: ``abs(data)`` on A's own ``indices`` and ``indptr``.
 
-    Anything that brings A to canonical form (``abs(A)``, a sum over an
-    axis) sorts A's ``indices`` in place, and A's products, summed in the
-    new order, change their last bits; this shares them and reorders
-    nothing.
+    A is CSR or CSC, and so is |A|.  Anything that brings A to canonical
+    form (``abs(A)``, a sum over an axis) sorts A's ``indices`` in place,
+    and A's products, summed in the new order, change their last bits;
+    this shares them and reorders nothing.
     """
-    return scipy.sparse.csr_array(
+    return type(matrix)(
         (np.abs(matrix.data), matrix.indices, matrix.indptr), shape=matrix.shape
     )
 
@@ -316,11 +316,14 @@ class _Product(scipy.sparse.linalg.LinearOperator):
     1-D product at a time, so this returns ``matrix @ x`` at once: 10.9
     against 13.1 us a product on an 850-state restricted matrix
     (Heisenberg n = 12, one thread of an Intel Xeon).  The one-column and
-    the 1-D CSR products add each row's entries in the same order, so the
-    bits are the same.
+    the 1-D products add each row's entries in the same order, so the
+    bits are the same.  The matrix is CSR (the oracle's blocks) or CSC
+    (the restricted matrix).  scipy's CSC product adds each row's terms
+    in ascending column order, from +0, as its CSR product does on sorted
+    column indices, so the two formats of one matrix give the same bits.
     """
 
-    def __init__(self, matrix: scipy.sparse.csr_array):
+    def __init__(self, matrix: scipy.sparse.sparray):
         super().__init__(matrix.dtype, matrix.shape)
         self.matrix = matrix
 
@@ -343,7 +346,8 @@ def hermitian_lowest(
     reduction depends on them, and so do the bits.  The wrapper's checks
     are written out here, at a fraction of its per-call cost: a NaN or
     inf entry raises ValueError, and a nonzero LAPACK ``info`` raises
-    LinAlgError; a guess is ignored.  A sparse matrix goes to
+    LinAlgError; a guess is ignored.  A sparse matrix, CSR or CSC (any
+    other format raises TypeError before any work), goes to
     implicitly-restarted Lanczos (ARPACK ``eigsh``, or the ``eigs`` call
     it makes when complex) from a start vector r drawn from
     ``default_rng(0)``, or with a guess from guess/|guess| + WARM_MIX r/|r|
@@ -369,6 +373,8 @@ def hermitian_lowest(
     """
     if not scipy.sparse.issparse(matrix):
         return _lapack_lowest(np.asarray(matrix), count)
+    if matrix.format not in ("csr", "csc"):
+        raise TypeError(f"sparse matrix must be CSR or CSC, got {matrix.format.upper()}")
     dim = matrix.shape[0]
     # ARPACK stops with "starting vector is zero" when A v0 = 0; every
     # vector is an eigenvector of the zero matrix.  (count_nonzero would

@@ -6,22 +6,23 @@ restricted problem is an ordinary (not generalized) Hermitian
 eigenproblem H_S c = E_S c.  Entry (i, j) can only be nonzero when
 s_i XOR s_j matches some term's x_mask, so H_S has a handful of entries
 per column (4.7 at m = 100 to 8.2 at m = 850 on the n = 12 Heisenberg
-chain).  It is kept as the (G + 1) x m table of kernel rows, one column
-per state (its diagonal, then :meth:`PauliHamiltonian.amplitude_table`),
-and a grid of the same shape linking each entry to its row, or to -1
-outside the basis; each entry is stored once.  An extension appends the
-new states' columns, whose diagonals the caller passes (the expansion
-loop has them from scoring), links the old columns that step onto them,
+chain).  It is kept as the m x (G + 1) table of kernel rows, one row per
+state (its diagonal, then :meth:`PauliHamiltonian.amplitude_table`),
+and a grid of the same shape linking each entry to its row of H_S, or to
+-1 outside the basis; each entry is stored once.  An extension appends
+the new states' rows, whose diagonals the caller passes (the expansion
+loop has them from scoring), links the old states that step onto them,
 and rebuilds nothing.  The scorer reads the dominant support's
 amplitudes from the table through :attr:`DominantSupport.rows` without
 evaluating them again.  State lookups sort and compare
 (:meth:`Subspace.positions`); none hashes.  The ground pair comes from
 :func:`assqd.oracle.hermitian_lowest`, the solver the reference oracle
 uses: dense LAPACK on the scattered table up to DENSE_SOLVE_MAX states
-(the measured crossover, kept beside that solver), Lanczos on a CSR
-matrix built from it beyond.  Lanczos starts from the caller's guess, if
-any, plus a little of a vector drawn with seed 0, so a repeated solve
-from the same guess returns the same bits on either route.
+(the measured crossover, kept beside that solver), Lanczos beyond on
+the CSC matrix that the table and its links already are.  Lanczos starts
+from the caller's guess, if any, plus a little of a vector drawn with
+seed 0, so a repeated solve from the same guess returns the same bits on
+either route.
 """
 
 from __future__ import annotations
@@ -79,14 +80,14 @@ class Subspace:
 class RestrictedMatrix:
     """H projected onto a subspace, as an amplitude table and its row links.
 
-    ``table`` holds one column per basis state s_j, in the subspace order:
-    row 0 holds <s_j|H|s_j> and row g + 1 <s_j XOR x|H|s_j> for
+    ``table`` holds one row per basis state s_j, in the subspace order:
+    entry [j, 0] holds <s_j|H|s_j> and [j, g + 1] <s_j XOR x|H|s_j> for
     x = ``offdiag_masks[g]``.  ``links`` has the table's shape; entry
-    [g, j] is the row of s_j XOR x (s_j itself in row 0), or -1 where that
-    state is outside the basis.  Entry (links[g, j], j) of H_S is
-    table[g, j]; every other entry is zero, and an exact cancellation
-    stays a stored zero.  The scorer reads the dominant support's
-    amplitudes from the table by position.
+    [j, g] is the row of H_S that s_j XOR x is (s_j itself in column 0),
+    or -1 where that state is outside the basis.  Entry (links[j, g], j)
+    of H_S is table[j, g]; every other entry is zero, and an exact
+    cancellation stays a stored zero.  The scorer reads the dominant
+    support's amplitudes from the table by position.
     """
 
     basis: Subspace
@@ -94,30 +95,36 @@ class RestrictedMatrix:
     links: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.table.shape[1:] != (len(self.basis),):
-            raise ValueError("table must have one column per basis state")
+        m = len(self.basis)
+        if self.table.ndim != 2 or self.table.shape[0] != m:
+            raise ValueError("table must have one row per basis state")
         if self.links.shape != self.table.shape:
             raise ValueError("links must have the table's shape")
+        # scipy's sparse constructors do not bound-check their indices, so
+        # a link past the basis would reach ARPACK's products unchecked.
+        if not np.issubdtype(self.links.dtype, np.integer) or (
+            self.links.size and (self.links.min() < -1 or self.links.max() >= m)
+        ):
+            raise ValueError(f"links must be integers in [-1, {m})")
 
     def dense(self) -> np.ndarray:
         """The m x m matrix, zero off the linked entries."""
         m = len(self.basis)
         # Row m (index -1) takes the entries whose state is outside the basis.
         out = np.zeros((m + 1, m), dtype=self.table.dtype)
-        out[self.links, np.arange(m)] = self.table
+        out[self.links, np.arange(m)[:, None]] = self.table
         return out[:m]
 
-    def sparse(self) -> scipy.sparse.csr_array:
-        """The same matrix in CSR form, column indices sorted per row."""
-        m = len(self.basis)
-        # Column by column, the linked entries are the CSC arrays; turning
-        # those into CSR leaves each row's columns ascending with no sort.
-        hit = (self.links >= 0).T
-        indptr = np.zeros(m + 1, dtype=np.int64)
-        np.cumsum(hit.sum(axis=1), out=indptr[1:])
+    def sparse(self) -> scipy.sparse.csc_array:
+        """The same matrix in CSC form: state j's linked entries are column j."""
+        m, width = self.links.shape
+        # Flat positions of the linked entries, row-major: column j's are
+        # those in [j * width, (j + 1) * width).
+        at = np.flatnonzero(self.links.reshape(-1) >= 0)
+        indptr = np.searchsorted(at, np.arange(0, m * width + 1, width))
         return scipy.sparse.csc_array(
-            (self.table.T[hit], self.links.T[hit], indptr), shape=(m, m)
-        ).tocsr()
+            (self.table.take(at), self.links.take(at), indptr), shape=(m, m)
+        )
 
 
 @dataclass(frozen=True)
@@ -144,7 +151,7 @@ class RestrictedSolution:
 class DominantSupport:
     """States whose probability weight exceeds tau, in the subspace order.
 
-    ``rows`` holds each state's position in the subspace, the column of the
+    ``rows`` holds each state's position in the subspace, the row of the
     restricted matrix's table and the entry of the coefficients that
     belong to it.
     """
@@ -157,7 +164,7 @@ def build_restricted(ham: PauliHamiltonian, subspace: Subspace) -> RestrictedMat
     """Assemble H_S by extending the empty restricted matrix."""
     if len(subspace) == 0:
         raise ValueError("subspace is empty")
-    shape = (len(ham.offdiag_masks) + 1, 0)
+    shape = (0, len(ham.offdiag_masks) + 1)
     empty = RestrictedMatrix(
         basis=Subspace(()),
         table=np.zeros(shape, dtype=ham.dtype),
@@ -174,34 +181,34 @@ def extend_restricted(
     ``new_states`` must be distinct and outside the basis (the extended
     :class:`Subspace` raises ValueError otherwise); ``diagonal`` holds
     <s|H|s> for each, which the expansion loop already has from scoring
-    them.  Only the new columns are assembled, for every x_mask at once,
-    with their links.  An old column whose state steps onto a new one
-    under some x_mask is linked to it under that mask, since XOR is
-    symmetric; its table entry was read when it joined.  Each column
-    reads its own entries, so every entry (i, j) that involves a new
-    state is checked for Hermiticity against (j, i), read by column i.
+    them.  Only the new rows are assembled, for every x_mask at once,
+    with their links.  An old state that steps onto a new one under some
+    x_mask is linked to it under that mask, since XOR is symmetric; its
+    table entry was read when it joined.  Each state reads its own
+    entries, so every entry (i, j) that involves a new state is checked
+    for Hermiticity against (j, i), read from state i's row.
     """
     new = np.asarray(new_states, dtype=np.int64).reshape(-1)
     extended = Subspace(np.concatenate([matrix.basis.states, new]))
     old_m = len(matrix.basis)
     masks = np.array((0,) + ham.offdiag_masks, dtype=np.int64)
-    new_links = extended.positions(new ^ masks[:, None])
-    new_table = np.concatenate([
-        np.asarray(diagonal, dtype=np.float64)[None], ham.amplitude_table(new),
+    new_links = extended.positions(new[:, None] ^ masks)
+    new_table = np.column_stack([
+        np.asarray(diagonal, dtype=np.float64), ham.amplitude_table(new).T,
     ])
-    table = np.concatenate([matrix.table, new_table], axis=1)
-    links = np.concatenate([matrix.links, new_links], axis=1)
-    g, j = np.nonzero(new_links >= 0)
-    i = new_links[g, j]
+    table = np.concatenate([matrix.table, new_table])
+    links = np.concatenate([matrix.links, new_links])
+    j, g = np.nonzero(new_links >= 0)
+    i = new_links[j, g]
     j += old_m
     old = i < old_m
-    links[g[old], i[old]] = j[old]
-    # The partner of entry (i, j) is (j, i): column i's entry under the
+    links[i[old], g[old]] = j[old]
+    # The partner of entry (i, j) is (j, i): state i's entry under the
     # same mask.  np.allclose's bound (its default rtol 1e-5) written out;
     # NaN fails it.
-    partner = np.conj(table[g, i])
+    partner = np.conj(table[i, g])
     bound = HERMITICITY_ATOL + 1e-5 * np.abs(partner)
-    if not np.all(np.abs(table[g, j] - partner) <= bound):
+    if not np.all(np.abs(table[j, g] - partner) <= bound):
         raise ValueError("restricted matrix is not Hermitian")
     return RestrictedMatrix(basis=extended, table=table, links=links)
 

@@ -10,8 +10,10 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import assqd.bench as bench_mod
 from assqd.bench import CSV_COLUMNS, DEFAULT_ETA, default_shots, prepare_instance
 from assqd.cli import main
+from assqd.driver import RunError
 from assqd.models import ModelSpec, build_model
 from assqd.oracle import exact_lowest
 from assqd.pauli import parse_hamiltonian
@@ -27,6 +29,13 @@ def _invoke(runner, args):
     result = runner.invoke(main, args, catch_exceptions=False)
     assert result.exit_code == 0, result.output
     return result
+
+
+def _strict_json(text: str):
+    """json.loads that refuses the NaN and Infinity literals, as strict parsers do."""
+    def refuse(name: str):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(text, parse_constant=refuse)
 
 
 def _mask_wall(csv_text: str) -> str:
@@ -379,6 +388,33 @@ class TestSweepVerbs:
         assert set(doc) == {"rows", "stats"}
         assert {r["hops"] for r in doc["rows"]} == {1, 2}
         assert doc["stats"][0]["threshold"] == 1e-6
+
+    def test_unreached_hops_arm_is_strict_json(self, runner, tmp_path):
+        # At T = 2 no 1-hop run of these seeds comes within the threshold.
+        args = ["hops", "--sizes", "8", "--seeds", "0,1,2", "-T", "2"]
+        doc = _strict_json(_invoke(runner, ["--format", "json", *args]).output)
+        (entry,) = doc["stats"]
+        assert entry["iters_1hop"] == ["unreached"] * 3
+        assert entry["median_iters_1hop"] == "unreached"
+        out = tmp_path / "hops.csv"
+        _invoke(runner, ["--out", str(out), *args])
+        assert _strict_json((tmp_path / "hops.csv.stats.json").read_text()) == doc["stats"]
+
+    def test_failed_cell_is_strict_json(self, runner, monkeypatch):
+        solve = bench_mod.run_method
+
+        def fail_random(ham, counts, method, config):
+            if method == "random":
+                raise RunError("solver blew up", records=[])
+            return solve(ham, counts, method, config)
+
+        monkeypatch.setattr(bench_mod, "run_method", fail_random)
+        result = _invoke(runner, ["--format", "json", "bench", "--sizes", "4",
+                                  "--seeds", "0", "--shots", "300"])
+        rows = {r["method"]: r for r in _strict_json(result.output)["rows"]}
+        assert rows["random"]["E_est"] is None and rows["random"]["err"] is None
+        assert rows["random"]["terminated"].startswith("error:")
+        assert isinstance(rows["as-en"]["E_est"], float)
 
     def test_bad_sizes_list_rejected(self, runner):
         result = runner.invoke(main, ["bench", "--sizes", "4;6"])

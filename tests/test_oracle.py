@@ -233,6 +233,28 @@ class TestHermitianLowest:
         assert np.array_equal(matrix.indices, indices)
         assert np.array_equal(matrix.data, data)
 
+    @pytest.mark.parametrize("fmt", ["coo", "lil", "dia"])
+    def test_other_sparse_formats_rejected(self, fmt):
+        ham, _ = build_model(ModelSpec(kind="heisenberg", n=6, seed=0))
+        matrix = _full_csr(ham).asformat(fmt)
+        with pytest.raises(TypeError, match=fmt.upper()):
+            hermitian_lowest(matrix, 1)
+
+    @pytest.mark.parametrize("odd_y", [False, True])
+    def test_csc_gives_the_bits_of_sorted_csr(self, odd_y):
+        # Both products add each row's terms in ascending column order.
+        ham, _ = build_model(ModelSpec(kind="heisenberg", n=8, seed=0))
+        if odd_y:
+            ham = PauliHamiltonian(ham.n, list(ham.terms) + [PauliTerm(1, 1, 0.3)])
+        csr = _full_csr(ham)
+        csr.sort_indices()
+        guess = np.ones(csr.shape[0])
+        for args in ((2,), (1, guess)):
+            (a_vals, a_vecs), (b_vals, b_vecs) = (
+                hermitian_lowest(m, *args) for m in (csr, csr.tocsc()))
+            assert a_vals.tobytes() == b_vals.tobytes()
+            assert a_vecs.tobytes() == b_vecs.tobytes()
+
     # ARPACK's tolerance scales with the matrix's largest row sum, so its
     # residual target stays absolute however large H is: a fixed relative
     # tol of 1e-12 would leave ~2e-7 at E0 ~ -2e5.

@@ -196,10 +196,36 @@ def test_restricted_assembly_equals_elementwise_matrix_elements(data):
                               states[split:], ham.diagonal(states[split:]))
     assert grown.basis.states.tolist() == states
     assert np.array_equal(grown.dense(), ref)
-    # The kernel rows kept by position: column j is the basis state j.
-    table = np.concatenate([ham.diagonal(states)[None], ham.amplitude_table(states)])
+    # The kernel rows kept by position: row j is the basis state j.
+    table = np.column_stack([ham.diagonal(states), ham.amplitude_table(states).T])
     assert _bytes_equal(built.table, table)
     assert _bytes_equal(grown.table, table)
+
+
+@PROPERTY
+@pytest.mark.parametrize("real", [True, False])
+@given(data=st.data())
+def test_restricted_csc_products_bytes_equal_sorted_csr(real, data):
+    # The Lanczos route multiplies by the CSC matrix; each row's terms are
+    # added in ascending column order, as the CSR product adds them.
+    ham = data.draw(hamiltonians(real))
+    states = _states(data.draw, ham.n, min_size=1)
+    split = data.draw(st.integers(1, len(states)))
+    matrix = extend_restricted(ham, build_restricted(ham, Subspace(states[:split])),
+                               states[split:], ham.diagonal(states[split:]))
+    csc = matrix.sparse()
+    csr = csc.tocsr()
+    assert csc.format == "csc" and csr.has_sorted_indices
+    assert np.array_equal(csc.toarray(), matrix.dense())
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    x = rng.standard_normal(len(states))
+    if not ham.is_real:
+        x = x + 1j * rng.standard_normal(len(states))
+    assert _bytes_equal(csc @ x, csr @ x)
+    ones = np.ones(len(states))
+    magnitude = oracle_mod._magnitude(csc)
+    assert magnitude.format == "csc"
+    assert _bytes_equal(magnitude @ ones, oracle_mod._magnitude(csr) @ ones)
 
 
 @PROPERTY

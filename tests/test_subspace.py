@@ -186,6 +186,34 @@ class TestExtendRestricted:
             extend_restricted(h, base, extra, h.diagonal(extra))
 
 
+class TestMalformedRestrictedMatrix:
+    """scipy's sparse constructors do not bound-check their indices: a link
+    past the basis would reach ARPACK's products unchecked, where it can
+    crash the interpreter, and a link of -2 would wrap in ``dense()``."""
+
+    @pytest.fixture(scope="class")
+    def matrix(self):
+        ham, _ = build_model(ModelSpec(kind="heisenberg", n=10, seed=0))
+        return build_restricted(ham, Subspace(range(200)))
+
+    @pytest.mark.parametrize("link", [10**7, 200, -2])
+    def test_link_out_of_range_rejected(self, matrix, link):
+        links = matrix.links.copy()
+        links[17, 1] = link
+        with pytest.raises(ValueError, match="links"):
+            RestrictedMatrix(basis=matrix.basis, table=matrix.table, links=links)
+
+    def test_non_integer_links_rejected(self, matrix):
+        with pytest.raises(ValueError, match="links"):
+            RestrictedMatrix(basis=matrix.basis, table=matrix.table,
+                             links=matrix.links.astype(np.float64))
+
+    def test_table_in_the_other_layout_rejected(self, matrix):
+        with pytest.raises(ValueError, match="one row per basis state"):
+            RestrictedMatrix(basis=matrix.basis, table=matrix.table.T,
+                             links=matrix.links.T)
+
+
 class TestLowestEigenpair:
     def test_two_by_two_closed_form(self):
         h = parse_hamiltonian("1.0 XX\n1.0 YY\n1.0 ZZ\n")
@@ -203,8 +231,8 @@ class TestLowestEigenpair:
 
     def test_diagonal_matrix(self):
         m = RestrictedMatrix(basis=Subspace((0, 1, 2)),
-                             table=np.array([[3.0, -5.0, 2.0]]),
-                             links=np.arange(3)[None])
+                             table=np.array([[3.0], [-5.0], [2.0]]),
+                             links=np.arange(3)[:, None])
         sol = lowest_eigenpair(m)
         assert np.isclose(sol.energy, -5.0)
         assert np.allclose(np.abs(sol.coefficients), [0.0, 1.0, 0.0])
@@ -319,8 +347,8 @@ class TestDominantSupport:
 
         # Only the basis matters here; no entry of H is read.
         matrix = sub.RestrictedMatrix(basis=Subspace(states),
-                                      table=np.zeros((1, len(states))),
-                                      links=np.arange(len(states))[None])
+                                      table=np.zeros((len(states), 1)),
+                                      links=np.arange(len(states))[:, None])
         return sub.RestrictedSolution(energy=0.0, coefficients=c, matrix=matrix)
 
     def test_even_split_keeps_both(self):
