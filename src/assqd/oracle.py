@@ -43,10 +43,11 @@ block densely up to DENSE_SOLVE_MAX states and with ARPACK above that:
 
 Every block is built by :func:`_csr_block` from the expansion loop's own
 kernel, :meth:`PauliHamiltonian.diagonal` and
-:meth:`PauliHamiltonian.amplitude_table`, which pass 1 also reads as the
-symmetry detector: a nonzero entry that leaves its sector sends H to the
-one block, so an H with a transverse field (TFIM) is caught at |0...0>,
-in the first pass.  So the route follows from H alone, at every size.
+:meth:`PauliHamiltonian.amplitude_table`, as a state-major table and
+links that :func:`linked_arrays` assembles, as it does the restricted
+matrix.  Pass 1 reads the same kernel as the symmetry detector: a
+nonzero entry that leaves its sector sends H to the one block, so an H
+with a transverse field (TFIM) is caught at |0...0>, in the first pass.  So the route follows from H alone, at every size.
 ``exact_lowest(method="lanczos")`` keeps H in one block: the benchmark
 asks for it and tests compare the two splits, while the command line
 always takes the one H picks.
@@ -346,8 +347,9 @@ def hermitian_lowest(
     reduction depends on them, and so do the bits.  The wrapper's checks
     are written out here, at a fraction of its per-call cost: a NaN or
     inf entry raises ValueError, and a nonzero LAPACK ``info`` raises
-    LinAlgError; a guess is ignored.  A sparse matrix, CSR or CSC (any
-    other format raises TypeError before any work), goes to
+    LinAlgError; a guess is ignored.  A sparse matrix from
+    :func:`linked_arrays`, CSR or CSC (any other format raises TypeError
+    before any work), goes to
     implicitly-restarted Lanczos (ARPACK ``eigsh``, or the ``eigs`` call
     it makes when complex) from a start vector r drawn from
     ``default_rng(0)``, or with a guess from guess/|guess| + WARM_MIX r/|r|
@@ -417,52 +419,49 @@ def hermitian_lowest(
     return vals.real[order], vecs[:, order]
 
 
-def _compact(data: np.ndarray, indices: np.ndarray) -> scipy.sparse.csr_array:
-    """Padded rows and their columns (:func:`_csr_block`) as a CSR matrix.
+def linked_arrays(table: np.ndarray, links: np.ndarray) -> tuple[np.ndarray, ...]:
+    """CSC arrays (data, indices, indptr) of a state-major table and its links.
 
-    The -1 columns, whose entries are all zero, are set to 0 in place.
-    Entries that cancel exactly are then dropped in place; they include the
-    whole diagonal of an H without diagonal terms.  Where the drop leaves
-    the surviving entries as views onto the padded arrays, they are copied
-    out, so the padded arrays are freed.
+    Column j holds row j's entries whose link, their row, is >= 0 and
+    whose value is nonzero, in table order; ``indptr`` has the links'
+    dtype.  When every entry is kept, data and indices are
+    ``table.reshape(-1)`` and ``links.reshape(-1)``, not copies.  The
+    restricted matrix's CSC form and the oracle's CSR blocks both come
+    from here.
     """
-    size, width = data.shape
-    np.maximum(indices, 0, out=indices)
-    indptr = np.arange(size + 1, dtype=np.int32) * np.int32(width)
-    matrix = scipy.sparse.csr_array(
-        (data.reshape(-1), indices.reshape(-1), indptr), shape=(size, size)
-    )
-    matrix.eliminate_zeros()
-    # When more than half the entries survive, the prune keeps views onto
-    # the padded arrays above, which would stay alive behind the matrix.
-    if matrix.nnz < data.size and matrix.data.base is not None:
-        matrix.data = matrix.data.copy()
-        matrix.indices = matrix.indices.copy()
-    return matrix
+    data, indices = table.reshape(-1), links.reshape(-1)
+    # Flat positions, row-major: state j's are [j * width, (j + 1) * width).
+    at = np.flatnonzero((indices >= 0) & (data != 0))
+    bounds = np.arange(0, data.size + 1, links.shape[1], dtype=links.dtype)
+    if len(at) == data.size:
+        return data, indices, bounds
+    return data.take(at), indices.take(at), np.searchsorted(at, bounds).astype(links.dtype)
 
 
 def _csr_block(ham: PauliHamiltonian, states: np.ndarray) -> scipy.sparse.csr_array:
     """H on the int64 ``states`` as a CSR matrix, row and column r for ``states[r]``.
 
-    Row r is first filled with the entry of each mask x in (0,) +
-    ``offdiag_masks``, in that order, at column ``column[states[r] ^ x]``,
-    where ``column`` gives each state of the block its position and every
-    other basis state -1.  The diagonal comes from
-    :meth:`PauliHamiltonian.diagonal` and the rest from
+    Row r of a state-major table holds the entry of each mask x in (0,) +
+    ``offdiag_masks``, in that order, and row r of its links the column
+    ``column[states[r] ^ x]``, where ``column`` gives each state of the
+    block its position and every other basis state -1.  The diagonal comes
+    from :meth:`PauliHamiltonian.diagonal` and the rest from
     :meth:`PauliHamiltonian.amplitude_table` at the row state, because H is
     Hermitian and so <s|H|s^x> = conj(<s^x|H|s>); a real table is stored as
     it is, without a conjugated copy.  The rows are filled in passes of at
-    most KERNEL_BLOCK entries, so no table larger than one pass is made,
-    and :func:`_compact` drops the zero entries.  Every entry whose target
-    lies outside the block must be zero (H conserves popcount on a
-    sector, see :func:`popcount_sectors`), as XX + YY is on aligned bits.
+    most KERNEL_BLOCK entries, so no kernel table larger than one pass is
+    made.  Read as columns, the rows are H^T, so the CSC arrays that
+    :func:`linked_arrays` gives of them, zeros dropped, are H's CSR arrays.
+    Every entry whose target lies outside the block must be zero (H
+    conserves popcount on a sector, see :func:`popcount_sectors`), as
+    XX + YY is on aligned bits.
 
-    Real values take 8 bytes and ``int32`` column indices 4, so before the
-    drop the padded rows of all 2^n states, the one block of
-    :func:`exact_lowest`'s one-block route, hold (G + 1) * 2^n * 12 bytes
-    for G off-diagonal masks: 13.4 MB for Heisenberg at n = 16 (G = 16),
-    whose XX + YY cancel on aligned neighbours, so 9 entries per row
-    remain and the matrix keeps 7.1 MB (TFIM keeps all 17 per row).  The
+    Real values take 8 bytes and ``int32`` column indices 4, so the table
+    and links of all 2^n states, the one block of :func:`exact_lowest`'s
+    one-block route, hold (G + 1) * 2^n * 12 bytes for G off-diagonal
+    masks: 13.4 MB for Heisenberg at n = 16 (G = 16), whose XX + YY cancel
+    on aligned neighbours, so 9 entries per row remain and the matrix
+    keeps 7.1 MB (TFIM keeps all 17 per row, the table itself).  The
     largest sector block at n = 16, sector 8, keeps 1.5 MB.
     """
     column = np.full(1 << ham.n, -1, dtype=np.int32)
@@ -470,17 +469,19 @@ def _csr_block(ham: PauliHamiltonian, states: np.ndarray) -> scipy.sparse.csr_ar
     masks = np.array((0,) + ham.offdiag_masks, dtype=np.int64)
     if len(states) * len(masks) > np.iinfo(np.int32).max:
         raise ValueError(f"{len(states) * len(masks)} entries exceed int32 CSR indexing")
-    data = np.empty((len(states), len(masks)), dtype=ham.dtype)
-    indices = np.empty(data.shape, dtype=np.int32)
+    table = np.empty((len(states), len(masks)), dtype=ham.dtype)
+    links = np.empty(table.shape, dtype=np.int32)
     step = max(1, KERNEL_BLOCK // len(masks))
     for start in range(0, len(states), step):
         rows = slice(start, start + step)
         chunk = states[rows]
-        data[rows, 0] = ham.diagonal(chunk)
-        table = ham.amplitude_table(chunk).T
-        data[rows, 1:] = table if ham.is_real else np.conj(table)
-        indices[rows] = column[chunk[:, None] ^ masks]
-    return _compact(data, indices)
+        table[rows, 0] = ham.diagonal(chunk)
+        amplitudes = ham.amplitude_table(chunk).T
+        table[rows, 1:] = amplitudes if ham.is_real else np.conj(amplitudes)
+        links[rows] = column[chunk[:, None] ^ masks]
+    return scipy.sparse.csr_array(
+        linked_arrays(table, links), shape=(len(states), len(states))
+    )
 
 
 def popcount_sectors(ham: PauliHamiltonian) -> tuple[list[np.ndarray], list[float]] | None:
@@ -547,7 +548,7 @@ def _weighted_floor(block: scipy.sparse.csr_array, steps: int, cut: float) -> fl
     |H| is :func:`_magnitude` of the block.  The diagonal comes from
     ``block.diagonal()``, which reads ``indices`` in place: a row's first
     stored entry is its diagonal only when that is nonzero, since
-    :func:`_csr_block` drops cancelled entries.
+    :func:`linked_arrays` drops the zero entries.
     """
     magnitude = _magnitude(block)
     diagonal = block.diagonal()

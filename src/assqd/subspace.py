@@ -19,7 +19,9 @@ evaluating them again.  State lookups sort and compare
 :func:`assqd.oracle.hermitian_lowest`, the solver the reference oracle
 uses: dense LAPACK on the scattered table up to DENSE_SOLVE_MAX states
 (the measured crossover, kept beside that solver), Lanczos beyond on
-the CSC matrix that the table and its links already are.  Lanczos starts
+the CSC matrix the table and its links already are, less the zeros
+(:func:`assqd.oracle.linked_arrays`), which would add ±0 to sums scipy
+starts at +0 and so move no bit.  Lanczos starts
 from the caller's guess, if any, plus a little of a vector drawn with
 seed 0, so a repeated solve from the same guess returns the same bits on
 either route.
@@ -37,6 +39,7 @@ from assqd.oracle import (
     ConvergenceError,
     fix_phase,
     hermitian_lowest,
+    linked_arrays,
 )
 from assqd.pauli import PauliHamiltonian
 
@@ -85,9 +88,10 @@ class RestrictedMatrix:
     x = ``offdiag_masks[g]``.  ``links`` has the table's shape; entry
     [j, g] is the row of H_S that s_j XOR x is (s_j itself in column 0),
     or -1 where that state is outside the basis.  Entry (links[j, g], j)
-    of H_S is table[j, g]; every other entry is zero, and an exact
-    cancellation stays a stored zero.  The scorer reads the dominant
-    support's amplitudes from the table by position.
+    of H_S is table[j, g]; every other entry is zero.  An exact
+    cancellation stays a zero in the table, not in :meth:`sparse`.  The
+    scorer reads the dominant support's amplitudes from the table by
+    position.
     """
 
     basis: Subspace
@@ -116,15 +120,9 @@ class RestrictedMatrix:
         return out[:m]
 
     def sparse(self) -> scipy.sparse.csc_array:
-        """The same matrix in CSC form: state j's linked entries are column j."""
-        m, width = self.links.shape
-        # Flat positions of the linked entries, row-major: column j's are
-        # those in [j * width, (j + 1) * width).
-        at = np.flatnonzero(self.links.reshape(-1) >= 0)
-        indptr = np.searchsorted(at, np.arange(0, m * width + 1, width))
-        return scipy.sparse.csc_array(
-            (self.table.take(at), self.links.take(at), indptr), shape=(m, m)
-        )
+        """The same matrix in CSC form: state j's linked nonzeros are column j."""
+        m = len(self.basis)
+        return scipy.sparse.csc_array(linked_arrays(self.table, self.links), shape=(m, m))
 
 
 @dataclass(frozen=True)

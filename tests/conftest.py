@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+# First, so that the package pins one BLAS thread before numpy loads; a
+# test module may import numpy before it imports the package.
+import assqd  # noqa: F401
+
 import numpy as np
 
 from assqd.pauli import BasisState, PauliHamiltonian, PauliTerm

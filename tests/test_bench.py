@@ -73,6 +73,14 @@ class TestSpecAndHelpers:
         with pytest.raises(ValueError, match="sizes"):
             ExperimentSpec(kind="heisenberg", sizes=(4, 4), seeds=(0,))
 
+    @pytest.mark.parametrize("overrides, message", [
+        ({"kind": "tfim2"}, "unknown model kind"),
+        ({"seeds": (0, -1)}, "seed must be a nonnegative"),
+    ])
+    def test_spec_rejects_unknown_kind_and_negative_seed(self, overrides, message):
+        with pytest.raises(ValueError, match=message):
+            _tiny_spec(**overrides)
+
     @pytest.mark.parametrize("overrides", [
         {"eta": 1.5}, {"eta": -0.1}, {"eta": math.nan}, {"eta": math.inf},
         {"shots": 0},
@@ -159,7 +167,7 @@ class TestMakeRow:
         def explode(*args, **kwargs):
             raise RunError("solver blew up", records=[])
 
-        monkeypatch.setattr(bench_mod, "run_method", explode)
+        monkeypatch.setattr(bench_mod, "run_as_sqd", explode)
         row, trace = make_row(bundle, "as-en", RunConfig(), shots=400, eta=0.2)
         assert trace is None
         assert math.isnan(row.E_est) and math.isnan(row.err)
@@ -264,14 +272,14 @@ class TestHopsSweep:
     def test_failed_cell_is_kept_as_a_row_and_left_out_of_the_stats(
         self, monkeypatch, failing
     ):
-        run = bench_mod.run_method
+        run = bench_mod.run_as_sqd
 
-        def fail_two_hop(ham, counts, method, config):
+        def fail_two_hop(ham, counts, config):
             if config.hops == 2 and config.seed in failing:
                 raise RunError("solver blew up", records=[])
-            return run(ham, counts, method, config)
+            return run(ham, counts, config)
 
-        monkeypatch.setattr(bench_mod, "run_method", fail_two_hop)
+        monkeypatch.setattr(bench_mod, "run_as_sqd", fail_two_hop)
         rows, (entry,) = experiment_hops(_tiny_spec(sizes=(6,), seeds=(0, 1)))
         assert len(rows) == 4
         errors = [(r.seed, r.hops) for r in rows if r.terminated.startswith("error:")]

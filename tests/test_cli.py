@@ -5,11 +5,16 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import assqd
 import assqd.bench as bench_mod
 from assqd.bench import CSV_COLUMNS, DEFAULT_ETA, default_shots, prepare_instance
 from assqd.cli import main
@@ -401,14 +406,14 @@ class TestSweepVerbs:
         assert _strict_json((tmp_path / "hops.csv.stats.json").read_text()) == doc["stats"]
 
     def test_failed_cell_is_strict_json(self, runner, monkeypatch):
-        solve = bench_mod.run_method
+        solve = bench_mod.run_as_sqd
 
-        def fail_random(ham, counts, method, config):
-            if method == "random":
+        def fail_random(ham, counts, config):
+            if config.kind == "random":
                 raise RunError("solver blew up", records=[])
-            return solve(ham, counts, method, config)
+            return solve(ham, counts, config)
 
-        monkeypatch.setattr(bench_mod, "run_method", fail_random)
+        monkeypatch.setattr(bench_mod, "run_as_sqd", fail_random)
         result = _invoke(runner, ["--format", "json", "bench", "--sizes", "4",
                                   "--seeds", "0", "--shots", "300"])
         rows = {r["method"]: r for r in _strict_json(result.output)["rows"]}
@@ -425,3 +430,33 @@ class TestSweepVerbs:
         for verb in ("model", "oracle", "sample", "run",
                      "bench", "ablate", "hops", "ingest"):
             assert verb in result.output
+
+
+class TestBlasThreadPin:
+    VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+    @classmethod
+    def _child(cls, args, **variables):
+        """Run python on args with none of the thread variables but those given."""
+        env = {k: v for k, v in os.environ.items() if k not in cls.VARIABLES}
+        src = str(Path(assqd.__file__).parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        env.update(variables)
+        done = subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                              text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        return done.stdout
+
+    def test_output_bits_do_not_follow_the_host_thread_count(self):
+        # 850-state Lanczos solves, whose last bits move with OpenBLAS's
+        # thread count when the host has more than one core.
+        args = ["-m", "assqd.cli", "bench", "--sizes", "10", "--seeds", "0,1",
+                "-B", "100", "-T", "8"]
+        unset = self._child(args)
+        pinned = self._child(args, **dict.fromkeys(self.VARIABLES, "1"))
+        assert _mask_wall(unset) == _mask_wall(pinned)
+
+    def test_a_users_own_setting_wins(self):
+        args = ["-c", "import os, assqd; print(os.environ['OPENBLAS_NUM_THREADS'])"]
+        assert self._child(args, OPENBLAS_NUM_THREADS="2").strip() == "2"
+        assert self._child(args).strip() == "1"

@@ -890,14 +890,14 @@ class TestSectorRoute:
 
     @pytest.mark.parametrize("count", [2, 8])
     def test_one_sector_block_alive_at_each_solve(self, monkeypatch, count):
-        # Every CSR matrix the route makes is assembled by _compact; at each
+        # Every CSR matrix the route makes is built by _csr_block; at each
         # solve only the block being solved may still be alive.
         n = 14
         ham, _ = build_model(ModelSpec(kind="heisenberg", n=n, seed=0))
         made, alive = [], []
 
         def record_block(*args):
-            block = compact(*args)
+            block = build(*args)
             made.append(weakref.ref(block))
             return block
 
@@ -905,8 +905,8 @@ class TestSectorRoute:
             alive.append(sum(ref() is not None for ref in made))
             return hermitian_lowest(matrix, depth)
 
-        compact = oracle_mod._compact
-        monkeypatch.setattr(oracle_mod, "_compact", record_block)
+        build = oracle_mod._csr_block
+        monkeypatch.setattr(oracle_mod, "_csr_block", record_block)
         monkeypatch.setattr(oracle_mod, "hermitian_lowest", record_solve)
         exact_lowest(ham, count=count)
         assert len(made) >= 3
@@ -923,12 +923,12 @@ class TestSectorRoute:
         copies = []
 
         def record(*args):
-            matrix = compact(*args)
+            matrix = build(*args)
             copies.append((matrix, matrix.indices.copy()))
             return matrix
 
-        compact = oracle_mod._compact
-        monkeypatch.setattr(oracle_mod, "_compact", record)
+        build = oracle_mod._csr_block
+        monkeypatch.setattr(oracle_mod, "_csr_block", record)
         exact_lowest(ham, count=8)
         sector_blocks = len(copies)
         exact_lowest(ham, count=8, method="lanczos")

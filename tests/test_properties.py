@@ -231,6 +231,43 @@ def test_restricted_csc_products_bytes_equal_sorted_csr(real, data):
 @PROPERTY
 @pytest.mark.parametrize("real", [True, False])
 @given(data=st.data())
+def test_restricted_csc_drops_zeros_and_keeps_product_bytes(real, data):
+    # XX + YY (and XY - YX) cancel exactly between two states whose bond
+    # bits are aligned, so a subspace holding such a pair links zeros.
+    ham = data.draw(conserving_hamiltonians())
+    terms = [t for t in ham.terms if (t.x_mask & t.z_mask).bit_count() % 2 == 0]
+    if not real:
+        terms.append(PauliTerm(0b11, 0b10, data.draw(_COEFFICIENTS)))
+        terms.append(PauliTerm(0b11, 0b01, -terms[-1].coefficient))
+    ham = PauliHamiltonian(ham.n, terms)
+    bond = data.draw(st.sampled_from([x for x in ham.offdiag_masks
+                                      if x.bit_count() == 2]))
+    aligned = data.draw(st.integers(0, (1 << ham.n) - 1)) & ~bond
+    aligned |= data.draw(st.sampled_from([0, bond]))
+    states = list(dict.fromkeys([aligned, aligned ^ bond]
+                                + _states(data.draw, ham.n)))
+    matrix = build_restricted(ham, Subspace(states))
+    csc = matrix.sparse()
+    linked = matrix.links >= 0
+    assert 0 in matrix.table[linked]
+    assert csc.nnz == np.count_nonzero(matrix.table[linked])
+    assert np.all(csc.data != 0) and np.array_equal(csc.toarray(), matrix.dense())
+    # The CSC that keeps every linked entry, zeros too.
+    at = np.flatnonzero(linked.reshape(-1))
+    indptr = np.searchsorted(at, np.arange(0, matrix.links.size + 1, linked.shape[1]))
+    full = scipy.sparse.csc_array(
+        (matrix.table.take(at), matrix.links.take(at), indptr), shape=csc.shape)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    x = rng.standard_normal(len(states))
+    if not real:
+        x = x + 1j * rng.standard_normal(len(states))
+    assert _bytes_equal(csc @ x, full @ x)
+    assert _bytes_equal(csc.T @ x, full.T @ x)
+
+
+@PROPERTY
+@pytest.mark.parametrize("real", [True, False])
+@given(data=st.data())
 def test_split_extension_across_the_solver_crossover(real, data):
     ham = data.draw(hamiltonians(real))
     assume(ham.n >= 2)

@@ -319,6 +319,17 @@ class TestLowestEigenpair:
         }
         assert len(results) == 1
 
+    def test_lanczos_route_leaves_table_and_links_in_place(self):
+        # Every entry of the full-basis TFIM matrix is kept, so its CSC form
+        # holds the table itself, not a copy of it.
+        ham, _ = build_model(ModelSpec(kind="tfim", n=8, seed=0))
+        m = build_restricted(ham, Subspace(tuple(range(256))))
+        assert len(m.basis) > subspace_mod.DENSE_SOLVE_MAX
+        assert np.shares_memory(m.sparse().data, m.table)
+        table, links = m.table.tobytes(), m.links.tobytes()
+        lowest_eigenpair(m)
+        assert m.table.tobytes() == table and m.links.tobytes() == links
+
     def test_zero_matrix_on_sparse_route(self, monkeypatch):
         # XXX maps 0, 1, 2 onto 7, 6, 5, none of them kept: H_S = 0, on
         # which ARPACK itself stops ("starting vector is zero").
