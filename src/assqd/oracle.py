@@ -9,7 +9,12 @@ dense form up to DENSE_SOLVE_MAX = 170 states.  The restricted solve
 hands Lanczos a guess, which starts it beside a little of the seeded
 vector (WARM_MIX); the oracle never does.  ARPACK stops once every
 Ritz estimate is at most RESIDUAL_TOL / ARPACK_TOL_DIVISOR, a tenth of the
-residual the callers verify, not at machine precision.
+residual the callers verify, not at machine precision, and its Krylov
+basis is sized to the pairs asked for (:func:`krylov_size`: 10 vectors
+for one or two pairs, 20 for eight).  When two returned energies tie,
+the lowest pair of the matrix deflated by the returned vectors is solved
+too, so a level with more copies than one start vector's Krylov space
+holds still gives the lowest energies.
 
 :func:`exact_lowest` restricts H to blocks and diagonalises each, with
 the one solver over blocks, :func:`_lowest_over_blocks`, which solves a
@@ -106,36 +111,70 @@ LANCZOS_MAXITER = 20_000
 # At 10 the worst true residual is still 25 times below RESIDUAL_TOL.
 ARPACK_TOL_DIVISOR = 10
 
+
+def krylov_size(dim: int, count: int) -> int:
+    """ARPACK's Krylov basis size (``ncv``) for ``count`` pairs of ``dim`` states.
+
+    Most of a solve is ARPACK's own work on its basis, and each restart
+    orthogonalises against all of it, so fewer vectors can cost less per
+    restart than the restarts they add.  Measured per count (CPU ms on an
+    Intel Xeon, one BLAS thread, medians of 5 summed over the middle
+    popcount sector of Heisenberg n = 14 and 16, disorder seeds 0-2):
+
+      count 1   ncv 8/9/10/12/20      59.1/56.6/56.7/56.9/71.4
+      count 2   ncv 8/10/12/14/20     100.2/101.6/104.1/99.1/109.9
+      count 8   ncv 17/18/20/22/24    194.4/190.7/176.7/177.9/191.1
+
+    and on the solves that the workloads make, ncv 10/12/14/16/20: the
+    oracle's sectors (Heisenberg n = 16 and 12, seeds 0-3, the middle
+    sector at count 2 and its neighbours at count 1) 229.4/238.5/238.8/
+    245.6/275.4 ms, and the 12 and 21 warm restricted solves past 170
+    states of as-en runs on Heisenberg n = 12, TFIM n = 14 and Heisenberg
+    n = 12 + 0.7 Y0 (seed 0) 7.48/7.88/7.95/8.24/9.06 ms at B/T = 20/10
+    and 19.05/19.57/20.76/21.07/22.88 ms at B/T = 100/8.  So counts 1
+    and 2 get 10 vectors, and count 8 keeps the 20 of scipy's default,
+    min(dim, max(2 count + 1, 20)).  Small blocks can go the other way:
+    sector blocks of 210 and 220 states at count 2 took 1.21-1.65 ms at
+    10 vectors against 1.11-1.59 at 20 (see DENSE_SOLVE_MAX).
+    """
+    return min(dim, max(2 * count + 4, 10))
+
+
 # Dense eigensolve up to this matrix order, sparse Lanczos beyond.  Measured
 # per restricted solve (CPU ms on an Intel Xeon, one OpenBLAS thread, each
-# cell the median of 9 interleaved runs of lowest_eigenpair, the dense
-# route / cold ARPACK from the seeded vector / warm ARPACK from the
-# expansion loop's guess, on the solves of as-en runs at K = 50, B = 20,
-# T = 10 and B = 100, T = 8, counts from the 80/20 mix at seed 0):
+# cell the median over 3 sessions of the median of 9 interleaved runs of
+# lowest_eigenpair, the dense route / cold ARPACK from the seeded vector /
+# warm ARPACK from the expansion loop's guess, at krylov_size's 10
+# vectors, on the solves of as-en runs at K = 50, B = 20, T = 10 and
+# B = 100, T = 8, counts from the 80/20 mix at seed 0):
 #
 #   m             130           150           170           190           250           850
-#   Heis. n = 12  .46/1.0/.81   .64/1.0/.79   .85/1.1/.85   1.1/1.1/.93   1.5/1.1/.97   37/2.1/1.6
-#   TFIM n = 14   .48/.86/.81   .66/1.0/.81   .77/1.0/.80   1.0/1.1/.85   1.7/1.2/.91   41/2.3/1.7
-#   Heis. + Y0    .97/1.5/1.2   1.6/1.7/1.3   1.9/1.9/1.4   2.7/1.9/1.4   5.3/2.0/1.8   156/3.8/3.0
+#   Heis. n = 12  .35/.64/.54   .51/.70/.55   .61/.72/.56   .75/.75/.63   1.3/.87/.65   31/1.5/1.0
+#   TFIM n = 14   .35/.62/.49   .51/.65/.55   .62/.67/.56   .76/.74/.57   1.3/.80/.59   31/1.4/.94
+#   Heis. + Y0    .83/.98/.75   1.2/1.0/.82   1.6/1.1/.78   2.1/1.1/.89   4.0/1.3/.94   122/2.3/1.9
 #
-# (Heis. + Y0: the Heisenberg chain plus 0.7 Y on qubit 0, complex.)  Real
-# matrices cross over at 170, where dense and warm ARPACK tie (a second
-# session, medians of 5: .63/.82/.65 and .75/.89/.72 ms); complex (odd-Y)
-# ones lower, between 130 and 150, and one limit serves both.  Cold
-# ARPACK, all that the oracle runs, overtook dense between 190 and 250 on
-# these matrices.  Sector k of n qubits has C(n, k) states, so oracle
-# blocks of 171-250 states start at n = 10: C(10, 4) = 210 and
+# (Heis. + Y0: the Heisenberg chain plus 0.7 Y on qubit 0, complex.)  With
+# scipy's default of 20 vectors, real matrices crossed over at 170, where
+# dense and warm ARPACK tied (.61/.60 and .61/.59 ms in the same sessions);
+# at 10 vectors warm ARPACK leads there, and dense still leads at 150, so
+# the real crossover lies between 150 and 170, and the complex (odd-Y)
+# one between 110 and 130 (.57/.74 and .83/.75 ms; 130-150 at 20
+# vectors).  One limit serves both, and moving it would move E_est bits.
+# Cold ARPACK, all that the oracle runs, ties dense at 190 and leads from
+# 210 on these matrices.  Sector k of n qubits has C(n, k) states, so
+# oracle blocks of 171-250 states start at n = 10: C(10, 4) = 210 and
 # C(12, 3) = 220.  Measured on them (Heisenberg seeds 0-2, sectors 4 and
 # 6 of n = 10 and 3 and 9 of n = 12; dense / cold ARPACK, medians of 9
-# interleaved calls), the faster route turns on the depth:
+# interleaved calls, ranges over the blocks and 3 sessions), the faster
+# route turns on the depth:
 #
-#   depth        1                      2                       8
-#   210 states   1.09-1.16 / .79-1.00   1.16-1.31 / 1.22-1.60   1.59-1.64 / 1.57-1.77
-#   220 states    .99-1.03 / .93-1.01   1.06-1.14 / 1.28-1.78   1.43-1.55 / 1.93-2.21
+#   depth        1                     2                       8
+#   210 states   .82-.86 / .68-.81     .90-.93 / 1.28-1.50     1.24-1.27 / 1.36-1.60
+#   220 states   .90-.93 / .86-.90     .97-1.00 / 1.21-1.65    1.34-1.39 / 1.80-1.92
 #
 # The solver takes every sector but the first at depth 1, where ARPACK
-# leads by up to .34 ms a solve; at depth 2 and 8 dense mostly leads, by
-# up to .7 ms.  Neither pays for a second limit.
+# leads by up to .15 ms a solve; at depth 2 and 8 dense leads, by up to
+# .7 ms.  Neither pays for a second limit.
 DENSE_SOLVE_MAX = 170
 
 # Weight of the seeded random vector r that a warm start keeps beside its
@@ -145,13 +184,17 @@ DENSE_SOLVE_MAX = 170
 # vector's Krylov space stays in the blocks it touches: with WARM_MIX = 0,
 # ARPACK returned the touched block's pair on 20 of 20 block-diagonal
 # pairs of Heisenberg n = 12 sector matrices (real and complex), and on 0
-# of 20 at 1e-6, 1e-3 and 1e-1.  ARPACK products per warm solve (the 12
-# solves past 160 states above, one sweep; cold 46 / 43.5 / 46):
+# of 20 at 1e-6, 1e-3 and 1e-1.  ARPACK products per warm solve at
+# krylov_size's 10 vectors (the 12 solves past 160 states above, forced
+# onto ARPACK, one sweep; cold 48.9 / 43.5 / 48.1):
 #
 #   WARM_MIX            0    1e-6   1e-4   1e-3   1e-2   1e-1   0.3
-#   Heisenberg n = 12  38.5  38.5   38.5   38.5   38.5   38.5   42.7
-#   TFIM n = 14        33.5  33.5   33.5   33.5   34.3   35.2   36.0
-#   Heisenberg + Y0    38.5  38.5   38.5   38.5   38.5   40.2   41.8
+#   Heisenberg n = 12  38.5  38.5   38.5   38.5   38.5   40.6   41.4
+#   TFIM n = 14        33.5  33.5   33.5   33.5   33.5   34.3   36.0
+#   Heisenberg + Y0    39.3  39.3   39.3   39.3   39.3   41.0   41.8
+#
+# (At scipy's default of 20 vectors: 38.5 / 33.5 / 38.5 up to 1e-3, cold
+# 46 / 43.5 / 46.)
 WARM_MIX = 1e-3
 
 # Power steps of the Collatz-Wielandt sector floor (_weighted_floor).
@@ -334,6 +377,26 @@ class _Product(scipy.sparse.linalg.LinearOperator):
     _matvec = matvec
 
 
+class _Deflated(_Product):
+    """x -> ``matrix @ x + shift V (V^H x)``: the pairs in V moved up by ``shift``.
+
+    V's columns are eigenvectors of the Hermitian matrix, so their span and
+    its orthogonal complement are invariant, and the product leaves every
+    eigenpair of the complement as it is.  V is orthonormalised first, so
+    every eigenvalue in its span moves up by exactly ``shift``.
+    """
+
+    def __init__(self, matrix: scipy.sparse.sparray, vectors: np.ndarray, shift: float):
+        super().__init__(matrix)
+        self.basis = np.linalg.qr(vectors)[0]
+        self.shift = shift
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        return self.matrix @ x + self.shift * (self.basis @ (self.basis.conj().T @ x))
+
+    _matvec = matvec
+
+
 def hermitian_lowest(
     matrix: np.ndarray | scipy.sparse.sparray, count: int,
     guess: np.ndarray | None = None,
@@ -360,18 +423,36 @@ def hermitian_lowest(
     before it.  The guess must be real when the matrix is.  ARPACK gets
     the matrix as :class:`_Product`, which returns each product as
     ``matrix @ x`` without scipy's operator chain, with the bits that
-    chain gives.  The Krylov basis is scipy's default size,
-    min(dim, max(2 count + 1, 20)): most of a solve is ARPACK's own work
-    on its basis, and twice as many vectors cost more per restart than the
-    restarts they save (a count-2 Heisenberg solve at n = 16 took
-    0.58-0.66 s with 40 vectors, 0.42-0.47 s with 20).  ARPACK stops at
+    chain gives.  The Krylov basis holds :func:`krylov_size` vectors,
+    min(dim, max(2 count + 4, 10)): 10 for the one- and two-pair solves
+    that every caller makes, where scipy's default of 20 spent more on
+    orthogonalising each restart against its basis than it saved in
+    restarts (a count-2 solve of Heisenberg n = 16 sector 8, disorder
+    seeds 0-3, takes 23-29 ms with 10 vectors and 27-33 ms with 20), and
+    20 at count 8, where 20 measured fastest (:func:`krylov_size` has the
+    table).  ARPACK stops at
     tol = RESIDUAL_TOL / (ARPACK_TOL_DIVISOR r), r the largest absolute
     row sum of the matrix, so every Ritz estimate ends at or below
     RESIDUAL_TOL / ARPACK_TOL_DIVISOR: inside :func:`exact_lowest`'s bound
     RESIDUAL_TOL and :func:`assqd.subspace.lowest_eigenpair`'s
     1e-9 max(1, |E|), without the restarts that tol = 0 (machine
-    precision) spends on digits neither reads.  The pairs are not
-    residual-checked here; callers check them against their own bound.
+    precision) spends on digits neither reads.
+
+    A Krylov space holds only its start vector's projection on each
+    eigenspace, so on a degenerate spectrum Lanczos can return true
+    eigenpairs that are not the lowest: one copy of a level, or two,
+    where it has three (clean Heisenberg n = 8 at count 4 gave -12.5137
+    twice and -10.7985, not -12.5137 three times).  So while two returned
+    energies lie within DEGENERACY_GAP, at most count times, the lowest
+    pair of x -> A x + 2 r V (V^H x) (:class:`_Deflated`, V the returned
+    vectors) is solved from the generator's next draw; it lies in the
+    complement of V, and when it lies more than RESIDUAL_TOL below the
+    highest returned energy it replaces that pair.  The loop ends at the
+    first solve that replaces none.  Energies without a tie never enter
+    it, so their bits are the single solve's.  A level whose every copy
+    but one the first solve misses shows no tie and stays missed (complex
+    clean rings at count 4).  The pairs are not residual-checked here;
+    callers check them against their own bound.
     """
     if not scipy.sparse.issparse(matrix):
         return _lapack_lowest(np.asarray(matrix), count)
@@ -395,28 +476,46 @@ def hermitian_lowest(
         v0 = guess / norm + WARM_MIX * (v0 / np.linalg.norm(v0))
     eig, which = ((scipy.sparse.linalg.eigs, "SR") if np.iscomplexobj(matrix)
                   else (scipy.sparse.linalg.eigsh, "SA"))
-    try:
-        vals, vecs = eig(
-            _Product(matrix), k=count, which=which, v0=v0, maxiter=LANCZOS_MAXITER,
-            tol=RESIDUAL_TOL / (ARPACK_TOL_DIVISOR * radius), rng=rng,
-        )
-    except scipy.sparse.linalg.ArpackNoConvergence as exc:
-        if len(exc.eigenvalues) == 0:
+
+    def arpack(operator: _Product, k: int, start: np.ndarray):
+        try:
+            vals, vecs = eig(
+                operator, k=k, which=which, v0=start, ncv=krylov_size(dim, k),
+                maxiter=LANCZOS_MAXITER,
+                tol=RESIDUAL_TOL / (ARPACK_TOL_DIVISOR * radius), rng=rng,
+            )
+        except scipy.sparse.linalg.ArpackNoConvergence as exc:
+            if len(exc.eigenvalues) == 0:
+                raise ConvergenceError(
+                    f"Lanczos found no eigenpairs within {LANCZOS_MAXITER} restarts",
+                    float("inf"),
+                ) from exc
+            worst = max(
+                float(np.linalg.norm(operator.matvec(vec) - val * vec))
+                for val, vec in zip(exc.eigenvalues, exc.eigenvectors.T)
+            )
             raise ConvergenceError(
-                f"Lanczos found no eigenpairs within {LANCZOS_MAXITER} restarts",
-                float("inf"),
+                f"Lanczos converged only {len(exc.eigenvalues)}/{k} pairs "
+                f"within {LANCZOS_MAXITER} restarts",
+                worst,
             ) from exc
-        worst = max(
-            float(np.linalg.norm(matrix @ vec - val * vec))
-            for val, vec in zip(exc.eigenvalues, exc.eigenvectors.T)
-        )
-        raise ConvergenceError(
-            f"Lanczos converged only {len(exc.eigenvalues)}/{count} pairs "
-            f"within {LANCZOS_MAXITER} restarts",
-            worst,
-        ) from exc
-    order = np.argsort(vals.real)
-    return vals.real[order], vecs[:, order]
+        order = np.argsort(vals.real)
+        return vals.real[order], vecs[:, order]
+
+    vals, vecs = arpack(_Product(matrix), count, v0)
+    # A Krylov space holds only its start vector's projection on each
+    # eigenspace, so a tie can hide further copies of its level.
+    for _ in range(count):
+        if not np.any(np.diff(vals) < DEGENERACY_GAP):
+            break
+        (val,), vec = arpack(
+            _Deflated(matrix, vecs, 2.0 * radius), 1, rng.standard_normal(dim))
+        if not val < vals[-1] - RESIDUAL_TOL:
+            break
+        vals[-1], vecs[:, -1] = val, vec[:, 0]
+        order = np.argsort(vals, kind="stable")
+        vals, vecs = vals[order], vecs[:, order]
+    return vals, vecs
 
 
 def linked_arrays(table: np.ndarray, links: np.ndarray) -> tuple[np.ndarray, ...]:

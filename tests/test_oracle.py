@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import os
 import weakref
 
@@ -354,6 +355,30 @@ class TestHermitianLowest:
             with pytest.raises(ValueError, match="guess"):
                 hermitian_lowest(matrix, 1, guess)
 
+    # The Krylov basis is sized to the pairs asked for: 10 vectors for one
+    # or two pairs, the 20 of scipy's default at count 8, and never more
+    # than the matrix's order.
+    @pytest.mark.parametrize("real", [True, False])
+    def test_krylov_size_handed_to_arpack(self, monkeypatch, real):
+        ham, _ = build_model(ModelSpec(kind="heisenberg", n=10, seed=2))
+        if not real:
+            ham = _with_dm_bond(ham)
+        handed = []
+        for name in ("eigsh", "eigs"):
+            solver = getattr(scipy.sparse.linalg, name)
+
+            def spy(operator, *args, solver=solver, **kwargs):
+                handed.append(kwargs["ncv"])
+                return solver(operator, *args, **kwargs)
+
+            monkeypatch.setattr(scipy.sparse.linalg, name, spy)
+        matrix = build_restricted(ham, Subspace(tuple(range(300)))).sparse()
+        for count in (1, 2, 8):
+            hermitian_lowest(matrix, count)
+        small = build_restricted(ham, Subspace(tuple(range(8)))).sparse()
+        hermitian_lowest(small, 2)
+        assert handed == [10, 10, 20, 8]
+
 
 class TestExactLowest:
     def test_heisenberg_n2_spectrum(self):
@@ -435,13 +460,13 @@ class TestExactLowest:
         assert abs(pairs.e0 + n) <= 1e-10
         assert abs(pairs.e1 + n) <= 1e-10
 
-    # At scipy's default Krylov size, four restarts converge one of two
-    # pairs on the Heisenberg instance's one CSR block (a finite partial
-    # residual), and one restart converges none on the TFIM one (residual
-    # inf).
+    # With the 10 Krylov vectors of a count-2 solve, ten restarts converge
+    # one of two pairs on the Heisenberg instance's one CSR block (a finite
+    # partial residual; 8-15 restarts all do, 7 converge none), and one
+    # restart converges none on the TFIM one (residual inf).
     @pytest.mark.parametrize(
         "kind, restarts, finite",
-        [("heisenberg", 4, True), ("tfim", 1, False)],
+        [("heisenberg", 10, True), ("tfim", 1, False)],
         ids=["heisenberg-True", "tfim-False"],
     )
     def test_arpack_non_convergence_raises(self, monkeypatch, kind, restarts, finite):
@@ -591,6 +616,33 @@ class TestExactLowest:
         assert np.allclose(pairs.energies, dense_vals, atol=1e-10)
 
 
+class TestDegenerateLevels:
+    # Clean rings are translation invariant, so their levels come in
+    # copies: Heisenberg n = 8 holds -12.5137 three times, and TFIM at
+    # h = J has fourfold levels among its lowest eight.  Lanczos from one
+    # start vector sees only that vector's projection on each eigenspace,
+    # so it can return eigenpairs that pass every residual check and still
+    # miss a copy of a level; hermitian_lowest re-solves on the deflated
+    # matrix while two of its energies tie.
+    @pytest.mark.parametrize("method", [None, "lanczos"])
+    @pytest.mark.parametrize("count", [2, 4, 8])
+    @pytest.mark.parametrize("n", [8, 10, 12])
+    @pytest.mark.parametrize("kind", ["heisenberg", "tfim"])
+    def test_clean_ring_gives_the_lowest_levels(self, kind, n, count, method):
+        pairs = exact_lowest(_clean_ring(kind, n), count=count, method=method)
+        expected = _clean_ring_spectrum(kind, n)[:count]
+        assert np.max(np.abs(np.array(pairs.energies) - expected)) <= 1e-9
+
+    def test_missing_copy_found_on_the_deflated_matrix(self):
+        matrix = _full_csr(_clean_ring("heisenberg", 8))
+        vals, vecs = hermitian_lowest(matrix, 4)
+        expected = _clean_ring_spectrum("heisenberg", 8)[:4]
+        assert np.max(np.abs(vals - expected)) <= 1e-9
+        assert np.linalg.norm(matrix @ vecs - vecs * vals, axis=0).max() <= RESIDUAL_TOL
+        # The three copies of -12.5137 span three dimensions.
+        assert np.linalg.matrix_rank(vecs[:, 1:], tol=1e-6) == 3
+
+
 def _full_gather(ham: PauliHamiltonian, v: np.ndarray) -> np.ndarray:
     """H @ v as apply_hamiltonian formed it before: a gather over all 2^n states."""
     dim = 1 << ham.n
@@ -615,7 +667,8 @@ def _same_bytes_as_eigsh(matrix, count, guess=None) -> bool:
     """hermitian_lowest against eigsh handed the CSR matrix itself.
 
     The start vector is the seeded one, or with a guess
-    guess/|guess| + WARM_MIX r/|r| for that seeded r.
+    guess/|guess| + WARM_MIX r/|r| for that seeded r, and the Krylov
+    basis holds min(dim, max(2 count + 4, 10)) vectors.
     """
     dim = matrix.shape[0]
     radius = float(np.max(oracle_mod._magnitude(matrix) @ np.ones(dim)))
@@ -624,7 +677,7 @@ def _same_bytes_as_eigsh(matrix, count, guess=None) -> bool:
         noise = oracle_mod.WARM_MIX * (v0 / np.linalg.norm(v0))
         v0 = guess / np.linalg.norm(guess) + noise
     vals, vecs = scipy.sparse.linalg.eigsh(
-        matrix, k=count, which="SA", v0=v0,
+        matrix, k=count, which="SA", v0=v0, ncv=min(dim, max(2 * count + 4, 10)),
         maxiter=oracle_mod.LANCZOS_MAXITER,
         tol=RESIDUAL_TOL / (oracle_mod.ARPACK_TOL_DIVISOR * radius),
     )
@@ -647,6 +700,48 @@ def _with_dm_bond(ham: PauliHamiltonian, strength: float = 0.3) -> PauliHamilton
     """
     dm = [PauliTerm(0b11, 0b10, strength), PauliTerm(0b11, 0b01, -strength)]
     return PauliHamiltonian(ham.n, list(ham.terms) + dm)
+
+
+def _clean_ring(kind: str, n: int) -> PauliHamiltonian:
+    """The ring with no disorder: Heisenberg with J = 1, TFIM with J = h = 1."""
+    fields = DisorderInstance((0.0,) * n, 0)
+    return heisenberg_chain(n, 1.0, fields) if kind == "heisenberg" else tfim_chain(
+        n, 1.0, 1.0, fields)
+
+
+@functools.cache
+def _clean_ring_spectrum(kind: str, n: int) -> np.ndarray:
+    """Every eigenvalue of the clean ring, ascending, by dense eigvalsh on blocks.
+
+    Heisenberg conserves popcount.  TFIM's ZZ and X terms carry no Y, so
+    conjugating every qubit by a Hadamard swaps each term's x and z masks;
+    the result, XX bonds and a Z field, conserves popcount parity and has
+    the same spectrum.  Each block's dense matrix is built term by term,
+    as dense_matrix builds the whole one; the terms of one x mask are
+    summed first, so XX + YY cancels on aligned bits before the entries
+    that would leave the block are dropped.
+    """
+    ham = _clean_ring(kind, n)
+    if kind == "tfim":
+        ham = PauliHamiltonian(n, [PauliTerm(t.z_mask, t.x_mask, t.coefficient)
+                                   for t in ham.terms])
+    states = np.arange(1 << n, dtype=np.int64)
+    keys = np.bitwise_count(states) % (2 if kind == "tfim" else n + 1)
+    values = []
+    for key in np.unique(keys):
+        block = states[keys == key]
+        row = np.full(1 << n, -1)
+        row[block] = np.arange(len(block))
+        out = np.zeros((len(block), len(block)))
+        for x in {term.x_mask for term in ham.terms}:
+            amp = sum(term.weight.real * (1.0 - 2.0 * (np.bitwise_count(block & term.z_mask) & 1))
+                      for term in ham.terms if term.x_mask == x)
+            targets = row[block ^ x]
+            inside = targets >= 0
+            assert not np.any(amp[~inside])
+            out[targets[inside], np.flatnonzero(inside)] += amp[inside]
+        values.append(scipy.linalg.eigvalsh(out))
+    return np.sort(np.concatenate(values))
 
 
 def _with_popcount(n: int, ones: int) -> tuple[int, ...]:
