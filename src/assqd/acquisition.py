@@ -6,12 +6,14 @@ every (state of D, off-diagonal mask) pair the index of the state it
 steps to among them, or -1 where that state is in the subspace.  Each
 candidate k gets the second-order score
 
-    a(k) = |nu_k|^2 / max(|E_S - H_kk|, eps),   nu_k = sum_{s in D} c_s <k|H|s>
+    a(k) = |nu_k|^2 / |gap_k|,   nu_k = sum_{s in D} c_s <k|H|s>,
+    gap_k = E_S - H_kk with its size floored at eps and its sign kept
 
-whose signed counterpart |nu_k|^2 / (E_S - H_kk) is the usual
-Epstein-Nesbet energy correction.  Ablation variants keep one factor each
+whose signed counterpart |nu_k|^2 / gap_k is the usual Epstein-Nesbet
+energy correction.  Ablation variants keep one factor each
 (coupling_only, denom_only, diag_only) and the random variant ranks by a
-seeded uniform draw.  One :class:`CandidateScores` of aligned arrays holds them.
+seeded uniform draw.  One :class:`CandidateScores` of aligned arrays holds
+them, the gap too, which every consumer reads from there.
 
 :func:`generate_candidates` gives the 1-hop frontier.  The horizon
 experiment's 2-hop frontier is built and scored in one place,
@@ -45,16 +47,18 @@ DEFAULT_EPS = 1e-8
 
 @dataclass(frozen=True, eq=False)
 class CandidateScores:
-    """Candidate states with their diagonals, couplings and ranking keys.
+    """Candidate states with their diagonals, couplings, ranking keys and gaps.
 
-    The four arrays are aligned.  score is nonnegative for every variant
+    The five arrays are aligned.  score is nonnegative for every variant
     except diag_only, which ranks by the raw (possibly negative) key -H_kk.
+    gap is E_S - H_kk with its size floored at eps and its sign kept.
     """
 
     states: np.ndarray
     diagonal: np.ndarray
     coupling: np.ndarray
     score: np.ndarray
+    gap: np.ndarray
 
     def __post_init__(self) -> None:
         bad = ~np.isfinite(self.score)
@@ -137,23 +141,6 @@ def coupling_map(
     return nu
 
 
-def en_score(
-    e_s: float, h_kk: np.ndarray, nu_k: np.ndarray, eps: float
-) -> np.ndarray:
-    """|nu_k|^2 over the regularized diagonal gap, elementwise or scalar."""
-    if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    return np.abs(nu_k) ** 2 / np.maximum(np.abs(e_s - h_kk), eps)
-
-
-def first_order_amplitude(
-    e_s: float, h_kk: np.ndarray, nu_k: np.ndarray, eps: float
-) -> np.ndarray:
-    """nu_k / (E_S - H_kk), the gap's size floored at eps as in :func:`en_score`."""
-    gap = e_s - h_kk
-    return nu_k / np.copysign(np.maximum(np.abs(gap), eps), gap)
-
-
 def score_candidates(
     kind: str,
     ham: PauliHamiltonian,
@@ -168,23 +155,28 @@ def score_candidates(
         raise ValueError(f"unknown acquisition kind {kind!r}")
     if kind == "random" and rng_seed is None:
         raise ValueError("random scoring requires rng_seed")
+    if not eps > 0:
+        raise ValueError(f"eps must be positive, got {eps}")
     candidates = frontier.states
     overlap = candidates[sol.subspace.positions(candidates) >= 0]
     if len(overlap):
         raise ValueError(f"candidates intersect the subspace: {overlap[:5].tolist()}")
     nu = coupling_map(sol, dominant, frontier)
     h_kk = ham.diagonal(candidates)
+    raw = sol.energy - h_kk
+    # |gap| is the floored size max(|raw|, eps) exactly, to the bit.
+    gap = np.copysign(np.maximum(np.abs(raw), eps), raw)
     if kind == "en":
-        score = en_score(sol.energy, h_kk, nu, eps)
+        score = np.abs(nu) ** 2 / np.abs(gap)
     elif kind == "coupling_only":
         score = np.abs(nu) ** 2
     elif kind == "denom_only":
-        score = 1.0 / np.maximum(np.abs(sol.energy - h_kk), eps)
+        score = 1.0 / np.abs(gap)
     elif kind == "diag_only":
         score = -h_kk
     else:
         score = np.random.default_rng(rng_seed).random(len(candidates))
-    return CandidateScores(states=candidates, diagonal=h_kk, coupling=nu, score=score)
+    return CandidateScores(states=candidates, diagonal=h_kk, coupling=nu, score=score, gap=gap)
 
 
 def score_two_hop(
@@ -192,22 +184,21 @@ def score_two_hop(
     ham: PauliHamiltonian,
     sol: RestrictedSolution,
     dominant: DominantSupport,
-    subspace: Subspace,
     eps: float = DEFAULT_EPS,
     rng_seed: int | None = None,
 ) -> CandidateScores:
     """Score the 2-hop frontier under one variant, in ascending-state order.
 
     The frontier is the 1-hop frontier plus one more step from each of its
-    states, outside the subspace, built as the 1-hop one is, with D's
-    pairs carried over through the 1-hop states' places in it;
+    states, outside the solution's subspace, built as the 1-hop one is,
+    with D's pairs carried over through the 1-hop states' places in it;
     :func:`score_candidates` scores all of it.  Pure 2-hop states have
     nu_k = 0 by construction, so under "en" they get a chained stand-in
-    instead: the best one-intermediate path value
+    instead: the best one-intermediate path value, over the scored gaps,
 
-        max over m in 1-hop:  |<k|H|m>|^2 |nu_m|^2
-                              / (max(|E_S - H_mm|, eps) max(|E_S - H_kk|, eps))
+        max over m in 1-hop:  |<k|H|m>|^2 |nu_m|^2 / (|gap_m| |gap_k|)
     """
+    subspace = sol.subspace
     one_hop = generate_candidates(ham, dominant, subspace)
     grid = _step(ham, one_hop.states)
     states, index = _outside(subspace, np.concatenate([one_hop.states, grid.ravel()]))
@@ -225,12 +216,11 @@ def score_two_hop(
     rows = np.nonzero(hit)[0]
     amp_sq = np.abs(ham.amplitude_table(one_hop.states).T[hit]) ** 2
     nu_m_sq = np.abs(scored.coupling[at_one]) ** 2
-    denom_m = np.maximum(np.abs(sol.energy - scored.diagonal[at_one]), eps)
+    denom_m = np.abs(scored.gap[at_one])
     best = np.zeros(len(frontier))
     np.maximum.at(best, at_grid[hit], amp_sq * nu_m_sq[rows] / denom_m[rows])
     score = scored.score.copy()
-    gap = np.maximum(np.abs(sol.energy - scored.diagonal[pure]), eps)
-    score[pure] = best[pure] / gap
+    score[pure] = best[pure] / np.abs(scored.gap[pure])
     return dataclasses.replace(scored, score=score)
 
 
@@ -258,5 +248,5 @@ def select_top_b(scored: CandidateScores, B: int) -> CandidateScores:
     top = ahead[np.lexsort((scored.states[ahead], keys[ahead]))[:B]]
     return CandidateScores(
         states=scored.states[top], diagonal=scored.diagonal[top],
-        coupling=scored.coupling[top], score=scored.score[top],
+        coupling=scored.coupling[top], score=scored.score[top], gap=scored.gap[top],
     )

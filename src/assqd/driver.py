@@ -12,12 +12,14 @@ seeded uniform draws, and the acquisition kinds rank by the EN score or
 one of its ablations.  run_standard_sqd and run_random_sqd are one-line
 shorthands for those kinds, and method_label/method_kind map a kind to
 the label that rows and traces carry ("standard", "random", "as-<kind>")
-and back.  Each solve after an extension starts from a guess, the last
-ground vector followed by each picked state's first-order amplitude
-nu_k / (E_S - H_kk) (:func:`first_order_amplitude`), which Lanczos reaches
-the new ground pair from in fewer products than from its seeded vector
-(the dense route ignores it).  Every solve appends a trace record, so
-the energy trajectory is observable after the fact, and the run's final
+and back.  The loop keeps one RestrictedSolution, which holds the
+restricted matrix and its subspace, and reads both from it.  Each solve
+after an extension starts from a guess, the last ground vector followed
+by each picked state's first-order amplitude nu_k / gap_k, from its
+scored coupling and gap, which Lanczos reaches the new ground pair from
+in fewer products than from its seeded vector (the dense route ignores it).
+Every solve appends a trace record, each built by one helper, so the
+energy trajectory is observable after the fact, and the run's final
 energy is its last record's; the loop ends early, with the reason
 recorded, when the candidate pool comes up empty.  trace_record turns a
 trace and its config, plus the reference EigenpairSet when there is one,
@@ -37,7 +39,6 @@ import numpy as np
 from assqd.acquisition import (
     ACQUISITION_KINDS,
     DEFAULT_EPS,
-    first_order_amplitude,
     generate_candidates,
     score_candidates,
     score_two_hop,
@@ -47,6 +48,7 @@ from assqd.oracle import EigenpairSet
 from assqd.pauli import PauliHamiltonian
 from assqd.sampling import CountsMultiset, top_k
 from assqd.subspace import (
+    RestrictedSolution,
     Subspace,
     build_restricted,
     dominant_support,
@@ -157,26 +159,30 @@ def run_random_sqd(
     return run_as_sqd(ham, counts, dataclasses.replace(config, kind="random"))
 
 
+def _record(
+    iteration: int, sol: RestrictedSolution, pool_size: int, start: float
+) -> IterationRecord:
+    """The record of one solve, its wall time counted from ``start``."""
+    return IterationRecord(
+        iteration=iteration,
+        energy=sol.energy,
+        subspace_size=len(sol.subspace),
+        pool_size=pool_size,
+        wall_ms=(time.perf_counter() - start) * 1e3,
+    )
+
+
 def run_as_sqd(
     ham: PauliHamiltonian, counts: CountsMultiset, config: RunConfig
 ) -> RunTrace:
     """The expansion loop, run as the configured kind."""
     start = time.perf_counter()
-    sub = Subspace(top_k(counts, config.K))
-    matrix = build_restricted(ham, sub)
+    matrix = build_restricted(ham, Subspace(top_k(counts, config.K)))
     try:
         sol = lowest_eigenpair(matrix)
     except Exception as exc:
         raise RunError(f"initial solve failed: {exc}", ()) from exc
-    records = [
-        IterationRecord(
-            iteration=0,
-            energy=sol.energy,
-            subspace_size=len(sub),
-            pool_size=0,
-            wall_ms=(time.perf_counter() - start) * 1e3,
-        )
-    ]
+    records = [_record(0, sol, 0, start)]
     # Child seeds for the random variant come from one master stream, so
     # each iteration draws fresh but the whole run is pinned by config.seed.
     rng_master = np.random.default_rng(config.seed)
@@ -191,19 +197,17 @@ def run_as_sqd(
             )
             if config.hops == 2:
                 scored = score_two_hop(
-                    config.kind, ham, sol, dominant, sub, config.eps, rng_seed
+                    config.kind, ham, sol, dominant, config.eps, rng_seed
                 )
             else:
-                cands = generate_candidates(ham, dominant, sub)
+                cands = generate_candidates(ham, dominant, sol.subspace)
                 scored = score_candidates(
                     config.kind, ham, sol, dominant, cands, config.eps, rng_seed
                 )
             if len(scored):
                 picked = select_top_b(scored, config.B)
-                matrix = extend_restricted(ham, matrix, picked.states, picked.diagonal)
-                sub = matrix.basis
-                guess = np.concatenate([sol.coefficients, first_order_amplitude(
-                    sol.energy, picked.diagonal, picked.coupling, config.eps)])
+                matrix = extend_restricted(ham, sol.matrix, picked.states, picked.diagonal)
+                guess = np.concatenate([sol.coefficients, picked.coupling / picked.gap])
                 # nu is complex even for a real H; ARPACK's real driver
                 # takes a real start vector.
                 sol = lowest_eigenpair(matrix, guess.real if ham.is_real else guess)
@@ -211,22 +215,14 @@ def run_as_sqd(
             raise RunError(
                 f"iteration {it} failed: {exc}", tuple(records)
             ) from exc
-        records.append(
-            IterationRecord(
-                iteration=it,
-                energy=sol.energy,
-                subspace_size=len(sub),
-                pool_size=len(scored),
-                wall_ms=(time.perf_counter() - start) * 1e3,
-            )
-        )
+        records.append(_record(it, sol, len(scored), start))
         if len(scored) == 0:
             termination = TERMINATION_EMPTY
             break
     return RunTrace(
         method=method_label(config.kind),
         records=tuple(records),
-        final_subspace=sub,
+        final_subspace=sol.subspace,
         termination=termination,
     )
 

@@ -256,8 +256,10 @@ class PauliHamiltonian:
 
     Terms are canonicalized at construction: duplicates (same mask pair)
     are merged by summing coefficients, and merged terms with negligible
-    coefficient are dropped.  Instances are immutable; the cached lookup
-    structures make every operation safe for concurrent use.
+    coefficient are dropped.  A Hamiltonian whose summed |coefficient|,
+    a bound on every matrix element, overflows float64 is refused.
+    Instances are immutable; the cached lookup structures make every
+    operation safe for concurrent use.
     """
 
     n: int
@@ -275,6 +277,9 @@ class PauliHamiltonian:
                 )
             key = (term.x_mask, term.z_mask)
             merged[key] = merged.get(key, 0.0) + term.coefficient
+        # Every matrix element is a signed sum of the merged coefficients.
+        if not np.isfinite(sum(abs(c) for c in merged.values())):
+            raise ValueError("sum of |coefficient| overflows float64")
         canon = tuple(
             PauliTerm(x, z, c) for (x, z), c in merged.items() if abs(c) >= COEFF_CUTOFF
         )

@@ -36,6 +36,7 @@ import scipy.sparse
 
 from assqd.oracle import (
     DENSE_SOLVE_MAX,
+    RESIDUAL_TOL,
     ConvergenceError,
     fix_phase,
     hermitian_lowest,
@@ -226,7 +227,7 @@ def lowest_eigenpair(
     energy, vec = float(vals[0]), vecs[:, 0]
     vec = vec / np.linalg.norm(vec)
     residual = float(np.linalg.norm(operator @ vec - energy * vec))
-    bound = 1e-9 * max(1.0, abs(energy))
+    bound = RESIDUAL_TOL * max(1.0, abs(energy))
     if residual > bound:
         raise ConvergenceError(
             f"restricted eigenpair residual exceeds {bound:.1e}", residual

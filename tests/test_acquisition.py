@@ -6,11 +6,10 @@ import numpy as np
 import pytest
 
 from assqd.acquisition import (
+    ACQUISITION_KINDS,
     CandidateScores,
     Frontier,
     coupling_map,
-    en_score,
-    first_order_amplitude,
     generate_candidates,
     score_candidates,
     score_two_hop,
@@ -38,11 +37,11 @@ def support(subspace, *states):
 
 
 def ranked(states, score):
-    """Scores with placeholder diagonals and couplings, for select_top_b."""
+    """Scores with placeholder diagonals, couplings and gaps, for select_top_b."""
     zeros = np.zeros(len(states))
     return CandidateScores(
         states=np.array(states, dtype=np.int64), diagonal=zeros,
-        coupling=zeros.astype(complex), score=np.array(score, dtype=float),
+        coupling=zeros.astype(complex), score=np.array(score, dtype=float), gap=zeros,
     )
 
 
@@ -69,7 +68,7 @@ class TestGenerateCandidates:
             )
             sub = Subspace(states)
             d = support(sub, *states[:3])
-            two_hop = score_two_hop("random", h, solve(h, states), d, sub, rng_seed=0)
+            two_hop = score_two_hop("random", h, solve(h, states), d, rng_seed=0)
             for cands in (generate_candidates(h, d, sub).states, two_hop.states):
                 assert not np.isin(cands, states).any()
 
@@ -79,7 +78,7 @@ class TestGenerateCandidates:
         d = support(sub, 0, 3)
         one = generate_candidates(ham, d, sub).states
         sol = solve(ham, (0, 3))
-        two = score_two_hop("random", ham, sol, d, sub, rng_seed=0).states
+        two = score_two_hop("random", ham, sol, d, rng_seed=0).states
         assert np.isin(one, two).all()
         assert len(two) > len(one)
 
@@ -132,35 +131,117 @@ class TestCoupling:
                 assert np.isclose(nu_k, coupling(h, sol, d, k), atol=1e-13)
 
 
+def _gap_fixture():
+    """D = {00} of a 2-qubit H with E_S = -1 and exact small numbers.
+
+    The candidates 01, 10 and 11 have H_kk = 1, -3 and 3, so gaps -2, 2
+    and -4, and couplings 2, 2j and 1.
+    """
+    h = parse_hamiltonian("-2.0 ZI\n1.0 ZZ\n2.0 XI\n2.0 IY\n1.0 XX\n")
+    sol = solve(h, (0,))
+    d = support(sol.subspace, 0)
+    return h, sol, d, generate_candidates(h, d, sol.subspace)
+
+
 class TestEnScore:
+    # The en key of score_candidates, |nu|^2 / |gap|, where the gap is
+    # E_S - H_kk with its size floored at eps and its sign kept.
     def test_direct_arithmetic(self):
-        assert en_score(-1.0, 1.0, 2.0, 1e-8) == 2.0
+        h, sol, d, cands = _gap_fixture()
+        assert sol.energy == -1.0
+        sc = score_candidates("en", h, sol, d, cands, eps=1e-8)
+        assert sc.states.tolist() == [1, 2, 3]
+        assert sc.diagonal.tolist() == [1.0, -3.0, 3.0]
+        assert sc.coupling.tolist() == [2.0, 2j, 1.0]
+        assert sc.gap.tolist() == [-2.0, 2.0, -4.0]
+        assert sc.score.tolist() == [2.0, 2.0, 0.25]
 
     def test_zero_coupling_zero_score(self):
-        assert en_score(-1.0, -1.0, 0.0, 1e-8) == 0.0
+        h, sol, d, cands = _gap_fixture()
+        # No pair of D lands on a candidate, so every nu is zero.
+        unreached = Frontier(cands.states, np.full_like(cands.pairs, -1))
+        sc = score_candidates("en", h, sol, d, unreached)
+        assert sc.coupling.tolist() == [0.0] * 3
+        assert sc.score.tolist() == [0.0] * 3
 
     def test_regularized_at_degeneracy(self):
-        assert np.isclose(en_score(3.0, 3.0, 1.0, 1e-8), 1e8)
+        # E_S = H_kk = 0: the gap is +eps and the score 1 / eps.
+        h = parse_hamiltonian("1.0 X\n")
+        sol = solve(h, (0,))
+        d = support(sol.subspace, 0)
+        sc = score_candidates("en", h, sol, d, generate_candidates(h, d, sol.subspace))
+        assert sc.gap.tolist() == [1e-8]
+        assert np.isclose(sc.score[0], 1e8)
+
+    def test_floor_keeps_sign(self):
+        # eps above every |E_S - H_kk|: every gap is +-eps.
+        h, sol, d, cands = _gap_fixture()
+        sc = score_candidates("en", h, sol, d, cands, eps=5.0)
+        assert sc.gap.tolist() == [-5.0, 5.0, -5.0]
+        assert sc.score.tolist() == [4.0 / 5.0, 4.0 / 5.0, 1.0 / 5.0]
+
+    def test_sign_follows_e_s_minus_diagonal(self):
+        ham, _ = build_model(ModelSpec(kind="tfim", n=6, seed=4))
+        sol = solve(ham, (0b011011, 0b100100, 0b010101))
+        d = dominant_support(sol, 1e-4)
+        sc = score_candidates("en", ham, sol, d, generate_candidates(ham, d, sol.subspace))
+        raw = sol.energy - sc.diagonal
+        assert (raw > 0).any() and (raw < 0).any()
+        assert np.array_equal(np.sign(sc.gap), np.sign(raw))
+        assert np.array_equal(np.abs(sc.gap), np.maximum(np.abs(raw), 1e-8))
 
     def test_bad_eps_rejected(self):
-        with pytest.raises(ValueError, match="eps"):
-            en_score(0.0, 1.0, 1.0, 0.0)
+        h, sol, d, cands = _gap_fixture()
+        for kind in ACQUISITION_KINDS:
+            for eps in (0.0, -1.0, float("nan")):
+                with pytest.raises(ValueError, match="eps"):
+                    score_candidates(kind, h, sol, d, cands, eps=eps, rng_seed=0)
 
 
 class TestFirstOrderAmplitude:
-    # The signed first-order correction, with en_score's floor on the
-    # gap's size: |amplitude|^2 times |gap| is the EN score.
+    # coupling / gap, the signed first-order correction that starts the
+    # loop's warm solves: |amplitude|^2 times |gap| is the EN score.
     def test_signed_and_floored(self):
-        got = first_order_amplitude(
-            -1.0, np.array([1.0, -3.0, -1.0 + 1e-12, -1.0 - 1e-12]),
-            np.array([2.0, 2.0, 1.0, 1j]), 1e-8)
-        assert got.tolist() == [-1.0, 1.0, -1e8, 1e8j]
+        h, sol, d, cands = _gap_fixture()
+        sc = score_candidates("en", h, sol, d, cands, eps=1e-8)
+        assert (sc.coupling / sc.gap).tolist() == [-1.0, 1j, -0.25]
+        floored = score_candidates("en", h, sol, d, cands, eps=5.0)
+        assert (floored.coupling / floored.gap).tolist() == [-0.4, 0.4j, -0.2]
 
     def test_matches_en_score(self):
-        h_kk, nu = np.array([0.5, -2.0, 4.0]), np.array([1.0 - 2j, 0.3, -1j])
-        amp = first_order_amplitude(-1.0, h_kk, nu, 1e-8)
-        score = en_score(-1.0, h_kk, nu, 1e-8)
-        assert np.allclose(np.abs(amp) ** 2 * np.abs(-1.0 - h_kk), score, rtol=1e-14)
+        ham, _ = build_model(ModelSpec(kind="heisenberg", n=6, seed=3))
+        sol = solve(ham, (0b000111, 0b001011, 0b010101))
+        d = dominant_support(sol, 1e-4)
+        for eps in (1e-8, 0.5):
+            sc = score_candidates(
+                "en", ham, sol, d, generate_candidates(ham, d, sol.subspace), eps=eps)
+            amp = sc.coupling / sc.gap
+            assert np.allclose(np.abs(amp) ** 2 * np.abs(sc.gap), sc.score, rtol=1e-14)
+
+
+class TestGap:
+    # Every consumer of E_S - H_kk reads scored.gap: the en and denom_only
+    # keys, the 2-hop stand-in and the expansion loop's warm start.
+    @pytest.mark.parametrize("hops", [1, 2])
+    @pytest.mark.parametrize("kind", ACQUISITION_KINDS)
+    def test_gap_aligned_and_bytes_equal_formula(self, kind, hops):
+        ham, _ = build_model(ModelSpec(kind="heisenberg", n=7, seed=5))
+        sol = solve(ham, (0b0000111, 0b0001011, 0b0100101, 0b1010001))
+        d = dominant_support(sol, 1e-4)
+        for eps in (1e-8, 0.5):
+            if hops == 1:
+                cands = generate_candidates(ham, d, sol.subspace)
+                sc = score_candidates(kind, ham, sol, d, cands, eps=eps, rng_seed=0)
+            else:
+                sc = score_two_hop(kind, ham, sol, d, eps=eps, rng_seed=0)
+            assert len(sc) > 0 and len(sc.gap) == len(sc.states)
+            assert np.array_equal(sc.diagonal, ham.diagonal(sc.states))
+            raw = sol.energy - sc.diagonal
+            ref = np.copysign(np.maximum(np.abs(raw), eps), raw)
+            assert sc.gap.dtype == ref.dtype and sc.gap.tobytes() == ref.tobytes()
+            picked = select_top_b(sc, 5)
+            at = np.searchsorted(sc.states, picked.states)
+            assert picked.gap.tobytes() == sc.gap[at].tobytes()
 
 
 class TestScoreCandidates:
@@ -175,7 +256,7 @@ class TestScoreCandidates:
         ham, sol, d, cands = self._setup()
         sc = score_candidates("en", ham, sol, d, cands, eps=1e-8)
         for diagonal, nu, score in zip(sc.diagonal, sc.coupling, sc.score):
-            assert np.isclose(score, en_score(sol.energy, diagonal, nu, 1e-8))
+            assert np.isclose(score, abs(nu) ** 2 / max(abs(sol.energy - diagonal), 1e-8))
 
     def test_coupling_only_squares_nu(self):
         ham, sol, d, cands = self._setup()
@@ -278,7 +359,7 @@ class TestScoreTwoHop:
         d = dominant_support(sol, 0.0)
         sub = sol.subspace
         one_hop = generate_candidates(ham, d, sub).states
-        scored = score_two_hop("en", ham, sol, d, sub)
+        scored = score_two_hop("en", ham, sol, d)
         assert np.all(np.diff(scored.states) > 0)
         assert np.isin(one_hop, scored.states).all()
         assert len(scored) > len(one_hop)
@@ -296,7 +377,7 @@ class TestScoreTwoHop:
         one_hop = generate_candidates(ham, d, sub)
         direct_scores = score_candidates("en", ham, sol, d, one_hop)
         direct = dict(zip(direct_scores.states.tolist(), direct_scores.score))
-        chained_scores = score_two_hop("en", ham, sol, d, sub)
+        chained_scores = score_two_hop("en", ham, sol, d)
         chained = dict(zip(chained_scores.states.tolist(), chained_scores.score))
         for state, score in direct.items():
             assert np.isclose(chained[state], score)
@@ -311,7 +392,7 @@ class TestScoreTwoHop:
         sub = sol.subspace
         one_hop = generate_candidates(h, d, sub)
         assert one_hop.states.tolist() == [0b011, 0b110]
-        scored = score_two_hop("en", h, sol, d, sub)
+        scored = score_two_hop("en", h, sol, d)
         assert 0b101 in scored.states
         at = scored.states.tolist().index(0b101)
         assert scored.score[at] > 0

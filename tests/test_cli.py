@@ -268,8 +268,10 @@ def test_out_of_range_value_is_a_usage_error(runner, args):
     ("run", "counts_file", "null"),
     ("run", "counts_file", '{"n": 2, "counts": {"01": 5, "01": 7}}'),
     ("run", "hamiltonian", "1.0 XQ\n"),
+    # Each coefficient is finite; the diagonal at 000 sums two of them.
+    ("run", "hamiltonian", "1e308 ZZI\n1e308 ZIZ\n1.0 XXI\n"),
 ], ids=["key-length", "non-binary", "non-positive", "past-int64", "json", "not-object",
-        "repeated-key", "hamiltonian"])
+        "repeated-key", "hamiltonian", "hamiltonian-past-float64"])
 def test_malformed_input_file_is_a_usage_error(runner, artifacts, tmp_path,
                                               verb, name, text):
     ham_path, counts_path = artifacts

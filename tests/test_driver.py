@@ -161,6 +161,36 @@ class TestRunAsSqd:
         for r in two.records:
             assert r.energy >= pairs.e0 - 1e-9
 
+    def test_warm_start_bytes_equal_first_order_formula(self, monkeypatch):
+        # K = 50, B = 100, T = 8 on Heisenberg n = 12: the subspace grows
+        # past DENSE_SOLVE_MAX, so the guesses reach Lanczos.
+        ham, _ = build_model(ModelSpec(kind="heisenberg", n=12, seed=0))
+        pairs = exact_lowest(ham)
+        counts = sample_counts(contaminated_distribution(pairs.psi0, pairs.psi1, 0.2),
+                               4000, seed=0)
+        picks, solves = [], []
+        real_select, real_solve = driver_mod.select_top_b, driver_mod.lowest_eigenpair
+
+        def select(scored, B):
+            picks.append(real_select(scored, B))
+            return picks[-1]
+
+        def solve(matrix, guess=None):
+            solves.append((guess, real_solve(matrix, guess)))
+            return solves[-1][1]
+
+        monkeypatch.setattr(driver_mod, "select_top_b", select)
+        monkeypatch.setattr(driver_mod, "lowest_eigenpair", solve)
+        config = RunConfig(K=50, B=100, T=8, seed=0)
+        run_as_sqd(ham, counts, config)
+        assert len(solves[-1][1].subspace) > subspace_mod.DENSE_SOLVE_MAX
+        assert len(solves) == len(picks) + 1 > 2
+        for (_, prev), (guess, _), picked in zip(solves, solves[1:], picks):
+            raw = prev.energy - picked.diagonal
+            amplitude = picked.coupling / np.copysign(np.maximum(np.abs(raw), config.eps), raw)
+            ref = np.concatenate([prev.coefficients, amplitude]).real
+            assert guess.dtype == ref.dtype and guess.tobytes() == ref.tobytes()
+
     def test_solver_failure_carries_partial_records(self, heisenberg8, monkeypatch):
         ham, _, counts = heisenberg8
         real = driver_mod.lowest_eigenpair

@@ -642,6 +642,17 @@ class TestDegenerateLevels:
         # The three copies of -12.5137 span three dimensions.
         assert np.linalg.matrix_rank(vecs[:, 1:], tol=1e-6) == 3
 
+    # The complex driver returns copies of one level that are not
+    # orthogonal (|V^H V - I| up to 1.5e-2 at n = 10, count 8, on the one
+    # block), so psi0 and psi1 of a degenerate ground space would not be
+    # an orthonormal pair.
+    @pytest.mark.parametrize("method", [None, "lanczos"])
+    @pytest.mark.parametrize("count", [4, 8])
+    @pytest.mark.parametrize("n", [8, 10])
+    def test_complex_clean_ring_vectors_are_orthonormal(self, n, count, method):
+        vecs = exact_lowest(_dm_ring(n), count=count, method=method).vectors
+        assert np.abs(vecs.conj().T @ vecs - np.eye(count)).max() <= 1e-10
+
 
 def _full_gather(ham: PauliHamiltonian, v: np.ndarray) -> np.ndarray:
     """H @ v as apply_hamiltonian formed it before: a gather over all 2^n states."""
@@ -700,6 +711,18 @@ def _with_dm_bond(ham: PauliHamiltonian, strength: float = 0.3) -> PauliHamilton
     """
     dm = [PauliTerm(0b11, 0b10, strength), PauliTerm(0b11, 0b01, -strength)]
     return PauliHamiltonian(ham.n, list(ham.terms) + dm)
+
+
+def _dm_ring(n: int, strength: float = 0.3) -> PauliHamiltonian:
+    """The clean Heisenberg ring plus D(X_i Y_j - Y_i X_j) on every bond.
+
+    Complex and translation invariant, so its levels come in copies.
+    """
+    terms = list(_clean_ring("heisenberg", n).terms)
+    for i in range(n):
+        bond, j = (1 << i) | (1 << (i + 1) % n), 1 << (i + 1) % n
+        terms += [PauliTerm(bond, j, strength), PauliTerm(bond, 1 << i, -strength)]
+    return PauliHamiltonian(n, terms)
 
 
 def _clean_ring(kind: str, n: int) -> PauliHamiltonian:

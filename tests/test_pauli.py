@@ -114,6 +114,21 @@ class TestPauliHamiltonian:
         assert h.neighbors(0) == set()
         assert h.diagonal(0) == 0.0
 
+    @pytest.mark.parametrize("words", [
+        ["ZZI", "ZIZ", "XXI"], ["ZZI", "ZZI"], ["XXI", "YYI", "IZZ"],
+    ], ids=["distinct", "merged", "off-diagonal"])
+    def test_summed_coefficients_past_float64_rejected(self, words):
+        # Each coefficient is finite, but matrix elements sum them.
+        terms = [PauliTerm.from_word(1e308, w) for w in words[:2]]
+        terms += [PauliTerm.from_word(1.0, w) for w in words[2:]]
+        with pytest.raises(ValueError, match="overflows float64"):
+            PauliHamiltonian(3, terms)
+
+    def test_summed_coefficients_at_float64_range_accepted(self):
+        h = PauliHamiltonian(3, [PauliTerm.from_word(8e307, "ZZI"),
+                                 PauliTerm.from_word(8e307, "ZIZ")])
+        assert h.diagonal(0) == 1.6e308
+
     def test_mask_exceeding_n_rejected(self):
         with pytest.raises(ValueError, match="exceed"):
             PauliHamiltonian(1, [PauliTerm(0b10, 0, 1.0)])

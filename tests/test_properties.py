@@ -353,7 +353,7 @@ def test_coupling_map_equals_literal_coupling(real, data):
         got = coupling_map(sol, dominant, candidates)
         candidates = candidates.states
     else:
-        scored = score_two_hop("random", ham, sol, dominant, sol.subspace, rng_seed=0)
+        scored = score_two_hop("random", ham, sol, dominant, rng_seed=0)
         candidates, got = scored.states, scored.coupling
     ref = np.array([coupling(ham, sol, dominant, k) for k in candidates.tolist()],
                    dtype=np.complex128)
@@ -441,7 +441,7 @@ def test_score_two_hop_bytes_equal_per_mask_loop(real, data):
     ham, sol, dominant = _solved(data, real)
     eps = data.draw(st.sampled_from([1e-8, 0.5]))
     kind = data.draw(st.sampled_from(ACQUISITION_KINDS))
-    got = score_two_hop(kind, ham, sol, dominant, sol.subspace, eps=eps, rng_seed=0)
+    got = score_two_hop(kind, ham, sol, dominant, eps=eps, rng_seed=0)
     ref = _two_hop_reference(kind, ham, sol, dominant, sol.subspace, eps)
     for array, expected in zip(
         (got.states, got.diagonal, got.coupling, got.score), ref
@@ -517,6 +517,7 @@ def test_select_top_b_matches_literal_sort(entries, B):
     scored = CandidateScores(
         states=np.array([s for s, _ in entries], dtype=np.int64), diagonal=zeros,
         coupling=zeros.astype(complex), score=np.array([v for _, v in entries]),
+        gap=zeros,
     )
     literal = [s for s, _ in sorted(entries, key=lambda e: (-e[1], e[0]))][:B]
     assert select_top_b(scored, B).states.tolist() == literal
@@ -538,7 +539,7 @@ def test_select_top_b_equals_lexsort_across_tie_blocks(data):
     edge = data.draw(st.sampled_from(edges.tolist() + [len(states)]))
     B = max(1, edge + data.draw(st.integers(-1, 1)))
     scored = CandidateScores(states=states, diagonal=score * 0.5,
-                             coupling=score + 1j * score, score=score)
+                             coupling=score + 1j * score, score=score, gap=score - 2.0)
     picked = select_top_b(scored, B)
     top = literal[:B]
     for got, ref in zip(dataclasses.astuple(picked), dataclasses.astuple(scored)):
