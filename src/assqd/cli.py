@@ -46,9 +46,9 @@ from .bench import (
     prepare_instance,
     rows_to_csv,
 )
-from .driver import METHOD_KINDS, RunConfig, run_as_sqd, trace_record
+from .driver import METHOD_KINDS, RunConfig, RunError, run_as_sqd, trace_record
 from .models import MIN_QUBITS, ModelSpec, build_model, metadata_record
-from .oracle import ORACLE_MAX_QUBITS, exact_lowest, save_eigenpairs
+from .oracle import ORACLE_MAX_QUBITS, ConvergenceError, exact_lowest, save_eigenpairs
 from .pauli import MAX_QUBITS, format_hamiltonian, load_hamiltonian
 from .sampling import counts_to_json, load_counts
 
@@ -131,7 +131,17 @@ def _instance(kind: str, n: int, seed: int):
     return ham, spec, disorder
 
 
-@click.group()
+class _Main(click.Group):
+    """Ends a solver failure as "Error: <message>" with exit code 1, not a traceback."""
+
+    def invoke(self, ctx: click.Context) -> Any:
+        try:
+            return super().invoke(ctx)
+        except (ConvergenceError, RunError) as exc:
+            raise click.ClickException(str(exc)) from exc
+
+
+@click.group(cls=_Main)
 @click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True,
               help="Disorder/sampling seed for single-instance verbs.")
 @click.option("--out", type=click.Path(dir_okay=False), default=None,

@@ -324,22 +324,15 @@ class PauliHamiltonian:
         return self._group_amplitude(k ^ j, j)
 
     @cached_property
-    def _diagonal_block(self) -> tuple[np.ndarray, np.ndarray]:
-        """The x_mask = 0 terms as an L x 1 block; their weights are real."""
-        return _term_block([self._groups.get(0, ())], np.float64)
-
-    @cached_property
-    def _offdiag_block(self) -> tuple[np.ndarray, np.ndarray]:
-        """Terms of every off-diagonal mask, column g holding offdiag_masks[g]."""
-        return _term_block((self._groups[x] for x in self.offdiag_masks), self.dtype)
-
-    @cached_property
     def _diagonal_tables(self) -> _SupportTables:
-        return _SupportTables(*self._diagonal_block)
+        """The x_mask = 0 terms as an L x 1 block; their weights are real."""
+        return _SupportTables(*_term_block([self._groups.get(0, ())], np.float64))
 
     @cached_property
     def _offdiag_tables(self) -> _SupportTables:
-        return _SupportTables(*self._offdiag_block)
+        """Terms of every off-diagonal mask, column g holding offdiag_masks[g]."""
+        groups = (self._groups[x] for x in self.offdiag_masks)
+        return _SupportTables(*_term_block(groups, self.dtype))
 
     def diagonal(self, states) -> np.ndarray:
         """<k|H|k> for every k in ``states``, float64, shaped like ``states``.

@@ -2,11 +2,13 @@
 
 The preparation model mixes the ground state with the first excited state:
 p(b) = (1 - eta) |<b|psi_0>|^2 + eta |<b|psi_1>|^2; eta and the mixed
-probabilities are checked when the mix is made, and the ProbabilityModel
-keeps only p.  Counts also arrive from outside (hardware
-exports) via a small JSON format; both paths land in the same
-CountsMultiset, whose shot total is the sum of its counts, and the
-initial subspace is always the top-K states by count.
+probabilities are checked when the mix is made.  Counts also arrive from
+outside (hardware exports) via a small JSON format; both paths land in the
+same CountsMultiset, whose shot total is the sum of its counts, and the
+initial subspace is always the top-K states by count.  Each state set, the
+ProbabilityModel's nonzero support and the CountsMultiset's drawn states,
+is an ascending, distinct int64 array with one aligned weight per state,
+so nothing past the mix needs a 2^n vector: counts reach n = MAX_QUBITS.
 
 Wire format: {"n": int, "bit_order": "qubit0_first" | "qubit0_last",
 "counts": {bitstring: positive int}}.  With qubit0_first (the default)
@@ -29,16 +31,28 @@ BIT_ORDERS = ("qubit0_first", "qubit0_last")
 NORMALIZATION_ATOL = 1e-10
 
 
-@dataclass(frozen=True)
-class ProbabilityModel:
-    """Normalized outcome distribution over all 2^n basis states."""
+def _check_states(states: np.ndarray, weights: np.ndarray, n: int) -> None:
+    """Refuse states that are not ascending int64 in [0, 2^n), one weight each."""
+    if not (isinstance(states, np.ndarray) and states.dtype == np.int64
+            and states.ndim == 1 and len(states) and 1 <= n <= MAX_QUBITS):
+        raise ValueError(f"states must be a nonempty 1-D int64 array, n in [1, {MAX_QUBITS}]")
+    # 1 << 63 overflows int64, so the largest state is shifted down instead.
+    if np.any(states[1:] <= states[:-1]) or states[0] < 0 or states[-1] >> n:
+        raise ValueError(f"states must be strictly ascending within [0, 2^{n})")
+    if not isinstance(weights, np.ndarray) or weights.shape != states.shape:
+        raise ValueError("weights must be an array of one weight per state")
 
+
+@dataclass(frozen=True, eq=False)
+class ProbabilityModel:
+    """Normalized outcome distribution: its support and their probabilities."""
+
+    states: np.ndarray
     probs: np.ndarray
+    n: int
 
     def __post_init__(self) -> None:
-        dim = int(self.probs.shape[0])
-        if dim < 2 or dim & (dim - 1):
-            raise ValueError(f"distribution length {dim} is not a power of two")
+        _check_states(self.states, self.probs, self.n)
         # A NaN fails every comparison, so test finiteness before the sign.
         if not np.all(np.isfinite(self.probs)):
             raise ValueError("probabilities must be finite")
@@ -48,25 +62,19 @@ class ProbabilityModel:
         if abs(total - 1.0) > NORMALIZATION_ATOL:
             raise ValueError(f"probabilities sum to {total!r}, not 1")
 
-    @property
-    def n(self) -> int:
-        return int(self.probs.shape[0]).bit_length() - 1
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CountsMultiset:
-    """Observed measurement outcomes: state value -> positive count."""
+    """Observed measurement outcomes: states and their positive counts."""
 
-    counts: dict[BasisState, int]
+    states: np.ndarray
+    counts: np.ndarray
     n: int
 
     def __post_init__(self) -> None:
-        limit = 1 << self.n
-        for state, count in self.counts.items():
-            if not 0 <= state < limit:
-                raise ValueError(f"state {state} out of range for n = {self.n}")
-            if count <= 0:
-                raise ValueError(f"count for state {state} must be positive")
+        _check_states(self.states, self.counts, self.n)
+        if self.counts.dtype != np.int64 or np.any(self.counts <= 0):
+            raise ValueError("counts must be positive int64")
 
 
 def contaminated_distribution(
@@ -77,6 +85,9 @@ def contaminated_distribution(
     psi1 = np.asarray(psi1)
     if psi0.shape != psi1.shape:
         raise ValueError("state vectors must share one dimension")
+    dim = psi0.size
+    if psi0.ndim != 1 or dim < 2 or dim & (dim - 1):
+        raise ValueError(f"state vectors must be 1-D of power-of-two length, got {psi0.shape}")
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"eta must be in [0, 1], got {eta}")
     # A non-finite or overflowing amplitude, or two zero vectors, is
@@ -86,23 +97,24 @@ def contaminated_distribution(
     total = probs.sum()
     if not (np.isfinite(probs).all() and total > 0.0):
         raise ValueError("mixed probabilities must be finite with a positive sum")
-    # Renormalize away float rounding; inputs are unit vectors.
-    return ProbabilityModel(probs / total)
+    # Renormalize away float rounding by the sum over all 2^n entries; a sum
+    # over the support alone would pair terms differently.  Zeros are dropped.
+    probs /= total
+    support = np.flatnonzero(probs)
+    return ProbabilityModel(support, probs[support], dim.bit_length() - 1)
 
 
 def sample_counts(model: ProbabilityModel, shots: int, seed: int) -> CountsMultiset:
-    """Draw shots outcomes by inverse CDF over the nonzero support."""
+    """Draw shots outcomes by inverse CDF over the model's states."""
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
-    support = np.flatnonzero(model.probs)
-    cdf = np.cumsum(model.probs[support])
+    cdf = np.cumsum(model.probs)
     cdf /= cdf[-1]
     rng = np.random.default_rng(seed)
     draws = np.searchsorted(cdf, rng.random(shots), side="right")
-    tallies = np.bincount(draws, minlength=support.shape[0])
-    drawn = np.flatnonzero(tallies)
-    counts = dict(zip(support[drawn].tolist(), tallies[drawn].tolist()))
-    return CountsMultiset(counts=counts, n=model.n)
+    tallies = np.bincount(draws, minlength=model.states.shape[0])
+    drawn = tallies > 0
+    return CountsMultiset(model.states[drawn], tallies[drawn], model.n)
 
 
 def _key_to_state(key: str, n: int, bit_order: str) -> BasisState:
@@ -138,16 +150,16 @@ def parse_counts(obj: dict[str, Any]) -> CountsMultiset:
         raise ValueError("counts object must contain a nonempty 'counts' map")
     # A key of length n in 0/1 names one state, and a decoded object holds
     # each key once, so each state comes from one key.
-    counts: dict[BasisState, int] = {}
+    pairs = []
     for key, value in raw.items():
         state = _key_to_state(key, n, bit_order)
         if isinstance(value, bool) or not isinstance(value, int) or value <= 0:
             raise ValueError(f"count for key {key!r} must be a positive integer")
-        # top_k ranks the tallies as int64.
         if value > np.iinfo(np.int64).max:
             raise ValueError(f"count for key {key!r} exceeds 2**63 - 1")
-        counts[state] = value
-    return CountsMultiset(counts=counts, n=n)
+        pairs.append((state, value))
+    states, counts = (np.array(column, dtype=np.int64) for column in zip(*sorted(pairs)))
+    return CountsMultiset(states, counts, n)
 
 
 def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
@@ -173,20 +185,15 @@ def load_counts(path: str) -> CountsMultiset:
 def counts_to_json(counts: CountsMultiset, bit_order: str = "qubit0_first") -> str:
     if bit_order not in BIT_ORDERS:
         raise ValueError(f"unknown bit_order {bit_order!r}")
-    keyed = {
-        _state_to_key(state, counts.n, bit_order): counts.counts[state]
-        for state in sorted(counts.counts)
-    }
+    keyed = {_state_to_key(state, counts.n, bit_order): count for state, count
+             in zip(counts.states.tolist(), counts.counts.tolist())}
     return json.dumps(
         {"n": counts.n, "bit_order": bit_order, "counts": keyed}, indent=2
     )
 
 
-def top_k(counts: CountsMultiset, K: int) -> list[BasisState]:
+def top_k(counts: CountsMultiset, K: int) -> np.ndarray:
     """The K most frequent states, ties broken by ascending state value."""
     if K < 1:
         raise ValueError(f"K must be >= 1, got {K}")
-    size = len(counts.counts)
-    states = np.fromiter(counts.counts.keys(), dtype=np.int64, count=size)
-    tallies = np.fromiter(counts.counts.values(), dtype=np.int64, count=size)
-    return states[np.lexsort((states, -tallies))[:K]].tolist()
+    return counts.states[np.lexsort((counts.states, -counts.counts))[:K]]

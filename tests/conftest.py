@@ -9,6 +9,7 @@ import assqd  # noqa: F401
 import numpy as np
 
 from assqd.pauli import BasisState, PauliHamiltonian, PauliTerm
+from assqd.sampling import CountsMultiset, ProbabilityModel
 from assqd.subspace import DominantSupport, RestrictedSolution
 
 # Largest n whose full 2^n x 2^n matrix dense_matrix builds.
@@ -65,3 +66,38 @@ def coupling(
     for s in dominant.states:
         total += sol.coefficients[sol.subspace.positions(s)] * ham.matrix_element(k, s)
     return total
+
+
+def counts_of(tally: dict[int, int], n: int) -> CountsMultiset:
+    """A CountsMultiset from a {state: count} map given in any key order."""
+    states = sorted(tally)
+    return CountsMultiset(
+        np.array(states, dtype=np.int64),
+        np.array([tally[s] for s in states], dtype=np.int64),
+        n,
+    )
+
+
+def tally_of(counts: CountsMultiset) -> dict[int, int]:
+    """The counts as a {state: count} map of Python ints."""
+    return dict(zip(counts.states.tolist(), counts.counts.tolist()))
+
+
+def same_counts(a: CountsMultiset, b: CountsMultiset) -> bool:
+    """Equal n and byte-equal state and count arrays."""
+    return (a.n == b.n and a.states.tobytes() == b.states.tobytes()
+            and a.counts.tobytes() == b.counts.tobytes())
+
+
+def dense_model(probs) -> ProbabilityModel:
+    """A ProbabilityModel listing all 2^n states, zero-probability ones too."""
+    probs = np.asarray(probs, dtype=np.float64)
+    states = np.arange(len(probs), dtype=np.int64)
+    return ProbabilityModel(states, probs, len(probs).bit_length() - 1)
+
+
+def dense_probs(model: ProbabilityModel) -> np.ndarray:
+    """The model's probabilities as a length-2^n vector."""
+    out = np.zeros(1 << model.n)
+    out[model.states] = model.probs
+    return out

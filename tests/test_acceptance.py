@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from conftest import dense_matrix, random_hamiltonian
+from conftest import counts_of, dense_matrix, random_hamiltonian
 
 from assqd.acquisition import generate_candidates, score_candidates
 from assqd.bench import (
@@ -34,7 +34,6 @@ from assqd.cli import main as cli_main
 from assqd.models import ModelSpec, build_model
 from assqd.oracle import exact_lowest
 from assqd.sampling import (
-    CountsMultiset,
     contaminated_distribution,
     counts_to_json,
     sample_counts,
@@ -299,11 +298,12 @@ def test_08_sampler_statistics_and_exact_totals():
         eig = exact_lowest(ham)
         model = contaminated_distribution(eig.psi0, eig.psi1, 0.2)
         counts = sample_counts(model, shots, seed=seed)
-        assert sum(counts.counts.values()) == shots, "counts do not sum to shots"
+        assert counts.counts.sum() == shots, "counts do not sum to shots"
         empirical = np.zeros(1 << 4)
-        for state, count in counts.counts.items():
-            empirical[state] = count / shots
-        tv = 0.5 * float(np.abs(empirical - model.probs).sum())
+        empirical[counts.states] = counts.counts / shots
+        exact = np.zeros(1 << 4)
+        exact[model.states] = model.probs
+        tv = 0.5 * float(np.abs(empirical - exact).sum())
         worst_tv = max(worst_tv, tv)
         assert tv <= 0.02, f"seed {seed}: TV distance {tv:.4f} > 0.02"
     print(f"PASS 08: worst TV distance {worst_tv:.4f} (tol 0.02) at {shots} shots; "
@@ -419,7 +419,7 @@ def test_11_noisy_ingest_recovers_ground_energy(tmp_path):
         tally[int(s)] = tally.get(int(s), 0) + 1
     counts_path = tmp_path / "device_counts.json"
     counts_path.write_text(
-        counts_to_json(CountsMultiset(counts=tally, n=8))
+        counts_to_json(counts_of(tally, n=8))
     )
 
     runner = CliRunner()

@@ -40,8 +40,8 @@ from assqd.driver import (
 )
 from assqd.models import ModelSpec, build_model, metadata_record
 from assqd.pauli import PauliHamiltonian, PauliTerm
-from assqd.sampling import CountsMultiset
 from assqd.subspace import Subspace
+from conftest import counts_of
 
 
 def _tiny_spec(**overrides) -> ExperimentSpec:
@@ -113,7 +113,7 @@ class TestInstancePreparation:
     def test_bundle_consistency(self):
         bundle = prepare_instance("heisenberg", 4, 0, 400, 0.2)
         assert bundle.ham.n == 4
-        assert sum(bundle.counts.counts.values()) == 400
+        assert bundle.counts.counts.sum() == 400
         assert bundle.pairs.e0 <= bundle.pairs.e1
         assert bundle.spec == ModelSpec(kind="heisenberg", n=4, seed=0)
         ham, disorder = build_model(bundle.spec)
@@ -248,7 +248,7 @@ class TestAblationSweep:
         ham = PauliHamiltonian(
             3, [PauliTerm(0, 1, 0.8), PauliTerm(0, 6, -1.3), PauliTerm(0, 7, 0.4)]
         )
-        counts = CountsMultiset(counts={0: 5, 3: 4, 5: 3, 6: 2}, n=3)
+        counts = counts_of({0: 5, 3: 4, 5: 3, 6: 2}, n=3)
         standard = run_standard_sqd(ham, counts, K=4)
         diag = run_as_sqd(ham, counts, RunConfig(K=4, kind="diag_only"))
         assert diag.final_energy == standard.final_energy
@@ -300,7 +300,7 @@ class TestHopsSweep:
 
     def test_diagonal_hamiltonian_arms_identical(self):
         ham = PauliHamiltonian(3, [PauliTerm(0, 3, -0.9), PauliTerm(0, 5, 0.2)])
-        counts = CountsMultiset(counts={1: 4, 2: 3, 4: 2}, n=3)
+        counts = counts_of({1: 4, 2: 3, 4: 2}, n=3)
         one = run_as_sqd(ham, counts, RunConfig(K=3, hops=1))
         two = run_as_sqd(ham, counts, RunConfig(K=3, hops=2))
         assert one.final_energy == two.final_energy

@@ -16,13 +16,15 @@ from click.testing import CliRunner
 
 import assqd
 import assqd.bench as bench_mod
+import assqd.cli as cli_mod
 from assqd.bench import CSV_COLUMNS, DEFAULT_ETA, default_shots, prepare_instance
 from assqd.cli import main
 from assqd.driver import RunError
 from assqd.models import ModelSpec, build_model
 from assqd.oracle import exact_lowest
 from assqd.pauli import parse_hamiltonian
-from assqd.sampling import CountsMultiset, counts_to_json, parse_counts
+from assqd.sampling import counts_to_json, parse_counts
+from conftest import counts_of
 
 
 @pytest.fixture()
@@ -117,7 +119,7 @@ class TestSampleVerb:
                      "--shots", "700"])
         counts = parse_counts(json.loads(result.output))
         assert counts.n == 4
-        assert sum(counts.counts.values()) == 700
+        assert counts.counts.sum() == 700
 
     def test_deterministic_per_seed(self, runner):
         args = ["--seed", "5", "sample", "heisenberg", "4", "--shots", "300"]
@@ -176,7 +178,7 @@ class TestRunVerb:
         ham_path, _ = artifacts
         wrong = tmp_path / "wrong.json"
         wrong.write_text(counts_to_json(
-            CountsMultiset(counts={0: 5}, n=6)))
+            counts_of({0: 5}, n=6)))
         result = runner.invoke(main, ["run", str(ham_path), str(wrong)])
         assert result.exit_code != 0
         assert "n=6" in result.output
@@ -195,8 +197,7 @@ class TestRunVerb:
         ham_path = tmp_path / "h22.txt"
         _invoke(runner, ["--out", str(ham_path), "model", "heisenberg", "22"])
         counts_path = tmp_path / "c22.json"
-        counts_path.write_text(counts_to_json(CountsMultiset(
-            counts={0b0101 << 18: 7, 0b1010: 5, 0b0110 << 9: 2}, n=22)))
+        counts_path.write_text(counts_to_json(counts_of({0b0101 << 18: 7, 0b1010: 5, 0b0110 << 9: 2}, n=22)))
         result = _invoke(runner, ["run", str(ham_path), str(counts_path), "-T", "1"])
         doc = json.loads(result.output)
         assert doc["err"] is None
@@ -307,11 +308,42 @@ def test_config_kind_is_the_method_run(runner, artifacts, verb, method):
     assert doc["config"]["kind"] == method
 
 
+class TestSolverFailure:
+    """A solver failure ends the command as "Error: ..." with exit code 1."""
+
+    def test_oracle_convergence_error_is_a_one_line_error(self, runner, tmp_path):
+        # Scaled by 1e5, the n = 8 chain's reference solve misses the fixed
+        # 1e-9 residual bound by a hair.
+        text = _invoke(runner, ["--seed", "0", "model", "heisenberg", "8"]).output
+        scaled = tmp_path / "h8x.txt"
+        scaled.write_text("".join(
+            f"{float(coeff) * 1e5!r} {pauli}\n"
+            for coeff, pauli in (line.split() for line in text.splitlines())))
+        counts = tmp_path / "c8.json"
+        _invoke(runner, ["--seed", "0", "--out", str(counts), "sample", "heisenberg",
+                         "8", "--shots", "500"])
+        result = runner.invoke(main, ["--seed", "0", "run", str(scaled), str(counts),
+                                      "-T", "2"])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.output.startswith("Error: ") and "residual" in result.output
+
+    def test_run_error_is_a_one_line_error(self, runner, artifacts, monkeypatch):
+        def fail(ham, counts, config):
+            raise RunError("initial solve failed: boom", ())
+
+        monkeypatch.setattr(cli_mod, "run_as_sqd", fail)
+        ham_path, counts_path = artifacts
+        result = runner.invoke(main, ["run", str(ham_path), str(counts_path), "--no-exact"])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.output == "Error: initial solve failed: boom\n"
+
+
 class TestIngestVerb:
     def test_beyond_oracle_limit_skips_reference(self, runner, tmp_path):
         path = tmp_path / "wide.json"
-        path.write_text(counts_to_json(CountsMultiset(
-            counts={0b0101 << 18: 7, 0b1010: 5, 0b0110 << 9: 2}, n=22)))
+        path.write_text(counts_to_json(counts_of({0b0101 << 18: 7, 0b1010: 5, 0b0110 << 9: 2}, n=22)))
         result = _invoke(runner, ["ingest", str(path), "-T", "1"])
         doc = json.loads(result.output)
         assert doc["model"]["n"] == 22
@@ -331,7 +363,7 @@ class TestIngestVerb:
             tally[int(s)] = tally.get(int(s), 0) + 1
         path = tmp_path / "hw.json"
         path.write_text(counts_to_json(
-            CountsMultiset(counts=tally, n=6)))
+            counts_of(tally, n=6)))
 
         result = _invoke(runner, ["--seed", "0", "ingest", str(path),
                                   "--kind", "heisenberg"])

@@ -24,8 +24,9 @@ from assqd.driver import (
 from assqd.models import DisorderInstance, ModelSpec, build_model, heisenberg_chain
 from assqd.oracle import exact_lowest
 from assqd.pauli import PauliHamiltonian, PauliTerm
-from assqd.sampling import CountsMultiset, contaminated_distribution, sample_counts
+from assqd.sampling import contaminated_distribution, sample_counts
 from assqd.subspace import build_restricted, lowest_eigenpair
+from conftest import counts_of
 
 
 def record_shape(trace):
@@ -48,14 +49,14 @@ def heisenberg8():
 class TestRunStandardSqd:
     def test_single_state_counts(self):
         ham, _ = build_model(ModelSpec(kind="heisenberg", n=4, seed=0))
-        counts = CountsMultiset(counts={5: 10}, n=4)
+        counts = counts_of({5: 10}, n=4)
         trace = run_standard_sqd(ham, counts, K=50)
         assert len(trace.records) == 1
         assert np.isclose(trace.final_energy, ham.diagonal(5))
 
     def test_full_basis_counts_reach_ground(self):
         ham, _ = build_model(ModelSpec(kind="tfim", n=5, seed=1))
-        counts = CountsMultiset(counts={s: 1 for s in range(32)}, n=5)
+        counts = counts_of({s: 1 for s in range(32)}, n=5)
         trace = run_standard_sqd(ham, counts, K=32)
         assert abs(trace.final_energy - exact_lowest(ham).e0) <= 1e-10
 
@@ -95,7 +96,7 @@ class TestMethodLabels:
 class TestRunAsSqd:
     def test_diagonal_hamiltonian_terminates_immediately(self):
         ham = PauliHamiltonian(3, [PauliTerm(0, m, 1.0) for m in (1, 2, 4)])
-        counts = CountsMultiset(counts={0: 5, 6: 3, 7: 2}, n=3)
+        counts = counts_of({0: 5, 6: 3, 7: 2}, n=3)
         trace = run_as_sqd(ham, counts, RunConfig(K=3, B=2, T=5))
         assert trace.termination == "empty-candidates"
         assert trace.records[-1].iteration == 1
@@ -105,7 +106,7 @@ class TestRunAsSqd:
 
     def test_two_site_singlet_recovery(self):
         ham = heisenberg_chain(2, 1.0, DisorderInstance((0.0, 0.0), 0))
-        counts = CountsMultiset(counts={1: 1}, n=2)
+        counts = counts_of({1: 1}, n=2)
         trace = run_as_sqd(ham, counts, RunConfig(K=1, B=4, T=2))
         assert np.isclose(trace.records[0].energy, -2.0)
         assert np.isclose(trace.records[1].energy, -6.0)
@@ -230,7 +231,7 @@ class TestRunRandomSqd:
 
     def test_oversized_b_matches_as_sqd_subspace(self):
         ham, _ = build_model(ModelSpec(kind="heisenberg", n=4, seed=2))
-        counts = CountsMultiset(counts={0: 5, 3: 4}, n=4)
+        counts = counts_of({0: 5, 3: 4}, n=4)
         config = RunConfig(K=2, B=500, T=3, seed=1)
         random_trace = run_random_sqd(ham, counts, config)
         as_trace = run_as_sqd(ham, counts, config)
@@ -333,8 +334,7 @@ class TestMaxQubits:
     def test_63_qubit_heisenberg_run(self, kind, hops):
         ham, _ = build_model(ModelSpec(kind="heisenberg", n=63, seed=0))
         top, high = 2**63 - 2, 1 << 62
-        counts = CountsMultiset(
-            counts={top: 5, high: 3, high | 0b1010: 2, high | 0b0101: 1},
+        counts = counts_of({top: 5, high: 3, high | 0b1010: 2, high | 0b0101: 1},
             n=63,
         )
         config = RunConfig(K=4, B=10, T=3, kind=kind, hops=hops, seed=1)
@@ -356,8 +356,7 @@ class TestMaxQubits:
     def test_63_qubit_run_past_the_solver_crossover(self, monkeypatch):
         ham, _ = build_model(ModelSpec(kind="heisenberg", n=63, seed=0))
         high = 1 << 62
-        counts = CountsMultiset(
-            counts={2**63 - 2: 5, high: 3, high | 0b1010: 2, high | 0b0101: 1},
+        counts = counts_of({2**63 - 2: 5, high: 3, high | 0b1010: 2, high | 0b0101: 1},
             n=63,
         )
         trace = run_as_sqd(ham, counts, RunConfig(K=4, B=100, T=5, seed=1))

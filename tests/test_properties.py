@@ -42,8 +42,10 @@ from assqd.pauli import MAX_QUBITS, PauliHamiltonian, PauliTerm
 from assqd.sampling import (
     BIT_ORDERS,
     CountsMultiset,
+    ProbabilityModel,
     counts_to_json,
     parse_counts,
+    sample_counts,
     top_k,
 )
 from assqd.subspace import (
@@ -55,7 +57,7 @@ from assqd.subspace import (
     lowest_eigenpair,
     sorted_positions,
 )
-from conftest import coupling, dense_matrix
+from conftest import counts_of, coupling, dense_matrix, same_counts
 
 # Derandomized and without an example database, so every run of the suite
 # checks the same examples and writes nothing.
@@ -550,7 +552,7 @@ def test_select_top_b_equals_lexsort_across_tie_blocks(data):
 def counts_multisets(draw, n: int) -> CountsMultiset:
     tallies = draw(st.dictionaries(st.integers(0, (1 << n) - 1),
                                    st.integers(1, 1000), min_size=1, max_size=20))
-    return CountsMultiset(counts=tallies, n=n)
+    return counts_of(tallies, n)
 
 
 # Few distinct tallies make ties common.
@@ -560,17 +562,108 @@ def counts_multisets(draw, n: int) -> CountsMultiset:
                        max_size=30),
        st.integers(1, 40))
 def test_top_k_matches_literal_sort(tallies, K):
-    counts = CountsMultiset(counts=tallies, n=MAX_QUBITS)
+    counts = counts_of(tallies, MAX_QUBITS)
     literal = [s for s, _ in sorted(tallies.items(), key=lambda e: (-e[1], e[0]))][:K]
-    assert top_k(counts, K) == literal
-    assert all(type(state) is int for state in top_k(counts, K))
+    picked = top_k(counts, K)
+    assert picked.dtype == np.int64 and picked.tolist() == literal
 
 
 @PROPERTY
 @given(st.data(), st.sampled_from(BIT_ORDERS))
 def test_counts_json_round_trip(data, bit_order):
     counts = data.draw(counts_multisets(data.draw(st.integers(1, MAX_QUBITS))))
-    assert parse_counts(json.loads(counts_to_json(counts, bit_order))) == counts
+    assert same_counts(parse_counts(json.loads(counts_to_json(counts, bit_order))), counts)
+
+
+def _state_lists(n: int, min_size: int = 1):
+    """Sorted lists of distinct states of n qubits."""
+    return st.lists(st.integers(0, (1 << n) - 1), min_size=min_size, max_size=8,
+                    unique=True).map(sorted)
+
+
+def _unit_weights(cls, size: int) -> np.ndarray:
+    """Valid weights for ``size`` states: unit counts or a uniform distribution."""
+    if cls is CountsMultiset:
+        return np.ones(size, dtype=np.int64)
+    return np.full(size, 1.0 / size)
+
+
+_STATE_SETS = st.sampled_from([CountsMultiset, ProbabilityModel])
+
+
+@PROPERTY
+@given(st.data(), st.sampled_from([1, MAX_QUBITS]), _STATE_SETS)
+def test_state_sets_refuse_states_out_of_order_or_range(data, n, cls):
+    states = data.draw(_state_lists(n, min_size=2))
+    # 2^63 is no int64, so at n = 63 no state can lie beyond the range.
+    flaw = data.draw(st.sampled_from(
+        ["unsorted", "repeated", "negative"] + (["beyond"] if n < MAX_QUBITS else [])))
+    if flaw == "unsorted":
+        states[0], states[1] = states[1], states[0]
+    elif flaw == "repeated":
+        states[1] = states[0]
+    elif flaw == "negative":
+        states[0] = data.draw(st.integers(-2**63, -1))
+    else:
+        states[-1] = data.draw(st.integers(1 << n, 2**63 - 1))
+    with pytest.raises(ValueError, match="strictly ascending within"):
+        cls(np.array(states, dtype=np.int64), _unit_weights(cls, len(states)), n)
+
+
+@PROPERTY
+@given(st.data(), st.sampled_from([1, MAX_QUBITS]), _STATE_SETS)
+def test_state_sets_refuse_misshapen_or_nonpositive_weights(data, n, cls):
+    states = np.array(data.draw(_state_lists(n)), dtype=np.int64)
+    weights = _unit_weights(cls, len(states))
+    flaw = data.draw(st.sampled_from(["short", "long", "2-D", "list", "sign"]))
+    match = "weights must"
+    if flaw == "short":
+        weights = weights[1:]
+    elif flaw == "long":
+        weights = np.append(weights, weights[:1])
+    elif flaw == "2-D":
+        weights = weights[None, :]
+    elif flaw == "list":
+        weights = weights.tolist()
+    elif cls is CountsMultiset:
+        weights[data.draw(st.integers(0, len(states) - 1))] = data.draw(st.integers(-9, 0))
+        match = "positive int64"
+    else:
+        weights[data.draw(st.integers(0, len(states) - 1))] = -0.25
+        match = "nonnegative"
+    with pytest.raises(ValueError, match=match):
+        cls(states, weights, n)
+
+
+@PROPERTY
+@given(_state_lists(MAX_QUBITS), st.integers(1, 5000), st.integers(0, 2**32),
+       st.sampled_from(BIT_ORDERS))
+def test_sparse_model_at_63_qubits_samples_its_support(states, shots, seed, bit_order):
+    states = np.array(states, dtype=np.int64)
+    weights = np.arange(1.0, len(states) + 1.0)
+    model = ProbabilityModel(states, weights / weights.sum(), MAX_QUBITS)
+    counts = sample_counts(model, shots, seed)
+    assert np.isin(counts.states, states).all()
+    assert counts.counts.sum() == shots
+    assert same_counts(counts, sample_counts(model, shots, seed))
+    assert same_counts(parse_counts(json.loads(counts_to_json(counts, bit_order))), counts)
+    assert top_k(counts, 1)[0] == counts.states[np.argmax(counts.counts)]
+
+
+@PROPERTY
+@given(st.data(), st.integers(1, 5000), st.integers(0, 2**32))
+def test_listed_zero_probability_states_move_no_bit(data, shots, seed):
+    n = data.draw(st.integers(1, MAX_QUBITS))
+    states = np.array(data.draw(_state_lists(n)), dtype=np.int64)
+    raw = np.array(data.draw(st.lists(st.sampled_from([0.0, 0.25, 1.0, 3.0]) | st.floats(0, 1),
+                                      min_size=len(states), max_size=len(states))))
+    assume(raw.sum() > 0)
+    probs = raw / raw.sum()
+    listed = ProbabilityModel(states, probs, n)
+    kept = probs > 0
+    support = ProbabilityModel(states[kept], probs[kept], n)
+    assert same_counts(sample_counts(listed, shots, seed),
+                       sample_counts(support, shots, seed))
 
 
 # Seven full runs per example: fewer examples keep the suite fast.  Two

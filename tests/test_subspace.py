@@ -16,8 +16,13 @@ from assqd.bench import make_row, prepare_instance
 from assqd.driver import RunConfig, RunError, run_as_sqd
 from assqd.models import ModelSpec, build_model
 from assqd.oracle import ConvergenceError, exact_lowest
-from assqd.pauli import PauliHamiltonian, PauliTerm, parse_hamiltonian
-from assqd.sampling import CountsMultiset
+from assqd.pauli import (
+    PauliHamiltonian,
+    PauliTerm,
+    _SupportTables,
+    _term_block,
+    parse_hamiltonian,
+)
 from assqd.subspace import (
     RestrictedMatrix,
     Subspace,
@@ -26,7 +31,7 @@ from assqd.subspace import (
     extend_restricted,
     lowest_eigenpair,
 )
-from conftest import dense_matrix, random_hamiltonian
+from conftest import counts_of, dense_matrix, random_hamiltonian
 
 
 def _with_odd_y(ham: PauliHamiltonian) -> PauliHamiltonian:
@@ -118,8 +123,9 @@ class TestBuildRestricted:
         column whose state is the smaller of the two (bit 0 set).
         """
         h = parse_hamiltonian("1.0 XX\n1.0 YY\n1.0 ZZ\n")
-        z_masks, weights = h._offdiag_block
-        h.__dict__["_offdiag_block"] = (
+        z_masks, weights = _term_block(
+            (h._groups[x] for x in h.offdiag_masks), h.dtype)
+        h.__dict__["_offdiag_tables"] = _SupportTables(
             np.vstack([z_masks, [[0], [0b01]]]),
             np.vstack([weights, [[skew / 2], [-skew / 2]]]),
         )
@@ -402,7 +408,7 @@ class TestRestrictedNonConvergence:
     @pytest.fixture(scope="class")
     def bundle(self):
         bundle = prepare_instance("heisenberg", 10, 0, 400, 0.2)
-        full = CountsMultiset(counts=dict.fromkeys(range(1024), 1), n=10)
+        full = counts_of(dict.fromkeys(range(1024), 1), n=10)
         return dataclasses.replace(bundle, counts=full)
 
     @pytest.fixture(autouse=True)
