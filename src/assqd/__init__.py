@@ -17,7 +17,6 @@ for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_name, "1")
 
 from assqd.pauli import (  # noqa: E402  (after the thread pin)
-    BasisState,
     PauliHamiltonian,
     PauliTerm,
     load_hamiltonian,
@@ -25,7 +24,6 @@ from assqd.pauli import (  # noqa: E402  (after the thread pin)
 )
 
 __all__ = [
-    "BasisState",
     "PauliHamiltonian",
     "PauliTerm",
     "load_hamiltonian",

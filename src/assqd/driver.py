@@ -114,7 +114,7 @@ class RunTrace:
     def __post_init__(self) -> None:
         energies = [r.energy for r in self.records]
         for earlier, later in zip(energies, energies[1:]):
-            if later > earlier + 1e-12:
+            if later > earlier + 1e-12 * max(1.0, abs(earlier)):
                 raise ValueError("trace energies must be non-increasing")
 
     @property

@@ -14,7 +14,8 @@ basis is sized to the pairs asked for (:func:`krylov_size`: 10 vectors
 for one or two pairs, 20 for eight).  When two returned energies tie,
 the lowest pair of the matrix deflated by the returned vectors is solved
 too, so a level with more copies than one start vector's Krylov space
-holds still gives the lowest energies.
+holds still gives the lowest energies; scipy composes that operator from
+:class:`_Product` and Q Q^H, Q an orthonormal basis of those vectors.
 
 :func:`exact_lowest` restricts H to blocks and diagonalises each, with
 the one solver over blocks, :func:`_lowest_over_blocks`, which solves a
@@ -377,26 +378,6 @@ class _Product(scipy.sparse.linalg.LinearOperator):
     _matvec = matvec
 
 
-class _Deflated(_Product):
-    """x -> ``matrix @ x + shift V (V^H x)``: the pairs in V moved up by ``shift``.
-
-    V's columns are eigenvectors of the Hermitian matrix, so their span and
-    its orthogonal complement are invariant, and the product leaves every
-    eigenpair of the complement as it is.  V is orthonormalised first, so
-    every eigenvalue in its span moves up by exactly ``shift``.
-    """
-
-    def __init__(self, matrix: scipy.sparse.sparray, vectors: np.ndarray, shift: float):
-        super().__init__(matrix)
-        self.basis = np.linalg.qr(vectors)[0]
-        self.shift = shift
-
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        return self.matrix @ x + self.shift * (self.basis @ (self.basis.conj().T @ x))
-
-    _matvec = matvec
-
-
 def hermitian_lowest(
     matrix: np.ndarray | scipy.sparse.sparray, count: int,
     guess: np.ndarray | None = None,
@@ -444,9 +425,9 @@ def hermitian_lowest(
     where it has three (clean Heisenberg n = 8 at count 4 gave -12.5137
     twice and -10.7985, not -12.5137 three times).  So while two returned
     energies lie within DEGENERACY_GAP, at most count times, the lowest
-    pair of x -> A x + 2 r V (V^H x) (:class:`_Deflated`, V the returned
-    vectors) is solved from the generator's next draw; it lies in the
-    complement of V, and when it lies more than RESIDUAL_TOL below the
+    pair of x -> A x + 2 r Q (Q^H x), Q an orthonormal basis of the
+    returned vectors, is solved from the generator's next draw; it lies in
+    the complement of Q, and when it lies more than RESIDUAL_TOL below the
     highest returned energy it replaces that pair.  The loop ends at the
     first solve that replaces none.  Energies without a tie never enter
     it, so their bits are the single solve's.  A level whose every copy
@@ -482,7 +463,7 @@ def hermitian_lowest(
     eig, which = ((scipy.sparse.linalg.eigs, "SR") if np.iscomplexobj(matrix)
                   else (scipy.sparse.linalg.eigsh, "SA"))
 
-    def arpack(operator: _Product, k: int, start: np.ndarray):
+    def arpack(operator: scipy.sparse.linalg.LinearOperator, k: int, start: np.ndarray):
         try:
             vals, vecs = eig(
                 operator, k=k, which=which, v0=start, ncv=krylov_size(dim, k),
@@ -513,8 +494,11 @@ def hermitian_lowest(
     for _ in range(count):
         if not np.any(np.diff(vals) < DEGENERACY_GAP):
             return vals, vecs
-        (val,), vec = arpack(
-            _Deflated(matrix, vecs, 2.0 * radius), 1, rng.standard_normal(dim))
+        # Q is an orthonormal basis of V, the returned vectors, so span(V)
+        # moves up by exactly 2r and its complement is untouched.
+        basis = scipy.sparse.linalg.aslinearoperator(np.linalg.qr(vecs)[0])
+        deflated = _Product(matrix) + 2.0 * radius * (basis @ basis.H)
+        (val,), vec = arpack(deflated, 1, rng.standard_normal(dim))
         if not val < vals[-1] - RESIDUAL_TOL:
             break
         vals[-1], vecs[:, -1] = val, vec[:, 0]

@@ -36,8 +36,6 @@ from typing import Iterable
 
 import numpy as np
 
-BasisState = int
-
 MAX_QUBITS = 63
 
 # Merged terms with |coefficient| below this are dropped at construction.
@@ -309,7 +307,7 @@ class PauliHamiltonian:
         """Matrix-element dtype: float64 when H is real, complex128 otherwise."""
         return np.float64 if self.is_real else np.complex128
 
-    def _group_amplitude(self, x_mask: int, state: BasisState) -> complex:
+    def _group_amplitude(self, x_mask: int, state: int) -> complex:
         """Sum of term amplitudes with this x_mask acting on |state>."""
         total = 0.0 + 0.0j
         for z_mask, weight in self._groups.get(x_mask, ()):
@@ -319,7 +317,7 @@ class PauliHamiltonian:
                 total += weight
         return total
 
-    def matrix_element(self, k: BasisState, j: BasisState) -> complex:
+    def matrix_element(self, k: int, j: int) -> complex:
         """<k|H|j>, summing only terms whose x_mask equals k XOR j."""
         return self._group_amplitude(k ^ j, j)
 
@@ -352,7 +350,7 @@ class PauliHamiltonian:
         """
         return self._offdiag_tables.sums(np.asarray(states, dtype=np.int64))
 
-    def neighbors(self, s: BasisState) -> set[BasisState]:
+    def neighbors(self, s: int) -> set[int]:
         """Basis states reachable from |s> by some off-diagonal term.
 
         Connectivity is per term: any nonzero x_mask contributes s XOR

@@ -24,7 +24,7 @@ from typing import Any
 
 import numpy as np
 
-from assqd.pauli import MAX_QUBITS, BasisState
+from assqd.pauli import MAX_QUBITS
 
 BIT_ORDERS = ("qubit0_first", "qubit0_last")
 
@@ -117,7 +117,7 @@ def sample_counts(model: ProbabilityModel, shots: int, seed: int) -> CountsMulti
     return CountsMultiset(model.states[drawn], tallies[drawn], model.n)
 
 
-def _key_to_state(key: str, n: int, bit_order: str) -> BasisState:
+def _key_to_state(key: str, n: int, bit_order: str) -> int:
     if len(key) != n:
         raise ValueError(f"key {key!r} has length {len(key)}, expected {n}")
     if any(ch not in "01" for ch in key):
@@ -127,7 +127,7 @@ def _key_to_state(key: str, n: int, bit_order: str) -> BasisState:
     return int(key, 2)
 
 
-def _state_to_key(state: BasisState, n: int, bit_order: str) -> str:
+def _state_to_key(state: int, n: int, bit_order: str) -> str:
     word = format(state, f"0{n}b")
     return word[::-1] if bit_order == "qubit0_first" else word
 

@@ -8,7 +8,7 @@ import assqd  # noqa: F401
 
 import numpy as np
 
-from assqd.pauli import BasisState, PauliHamiltonian, PauliTerm
+from assqd.pauli import PauliHamiltonian, PauliTerm
 from assqd.sampling import CountsMultiset, ProbabilityModel
 from assqd.subspace import DominantSupport, RestrictedSolution
 
@@ -55,7 +55,7 @@ def coupling(
     ham: PauliHamiltonian,
     sol: RestrictedSolution,
     dominant: DominantSupport,
-    k: BasisState,
+    k: int,
 ) -> complex:
     """nu_k = sum over the dominant support of c_s <k|H|s>, state by state.
 

@@ -340,6 +340,22 @@ class TestSolverFailure:
         assert result.output == "Error: initial solve failed: boom\n"
 
 
+def test_large_energy_run_ends_cleanly(runner, tmp_path):
+    # Scaled by 1e3, the n = 10 chain's energies near -18580 rise by
+    # 2.9e-11 in rounding at one step, which the trace's bound allows.
+    text = _invoke(runner, ["--seed", "0", "model", "heisenberg", "10"]).output
+    scaled = tmp_path / "h10x.txt"
+    scaled.write_text("".join(
+        f"{float(coeff) * 1e3!r} {pauli}\n"
+        for coeff, pauli in (line.split() for line in text.splitlines())))
+    counts = tmp_path / "c10.json"
+    _invoke(runner, ["--seed", "0", "--out", str(counts), "sample", "heisenberg", "10"])
+    result = _invoke(runner, ["--seed", "0", "run", str(scaled), str(counts),
+                              "-B", "100", "-T", "8"])
+    energies = [r["energy"] for r in json.loads(result.output)["records"]]
+    assert any(later > earlier for earlier, later in zip(energies, energies[1:]))
+
+
 class TestIngestVerb:
     def test_beyond_oracle_limit_skips_reference(self, runner, tmp_path):
         path = tmp_path / "wide.json"

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import json
 
 import numpy as np
@@ -325,6 +326,23 @@ class TestRunConfig:
                 final_subspace=Subspace((0, 1)),
                 termination="budget",
             )
+
+    # The bound scales with |E|: at the 350 -> 450-state step of the
+    # Heisenberg n = 10 chain with every coefficient x1e3 (seed 0, B = 100,
+    # T = 8), rounding raised the energy by 2.9e-11, 1.6e-15 relative.
+    @pytest.mark.parametrize("energies, accepted", [
+        ((-18580.145640208364, -18580.145640208335), True),
+        ((-1.0, -1.0 + 2e-12), False),
+    ])
+    def test_trace_bound_scales_with_energy(self, energies, accepted):
+        from assqd.driver import IterationRecord
+        from assqd.subspace import Subspace
+
+        records = tuple(IterationRecord(i, e, i + 1, i, 0.0) for i, e in enumerate(energies))
+        with (contextlib.nullcontext() if accepted
+              else pytest.raises(ValueError, match="non-increasing")):
+            RunTrace(method="as-en", records=records,
+                     final_subspace=Subspace((0, 1)), termination="budget")
 
 
 class TestMaxQubits:
