@@ -7,15 +7,19 @@ restricted solve of the expansion loop
 (:func:`assqd.subspace.lowest_eigenpair`) calls it too, and both pick the
 dense form up to DENSE_SOLVE_MAX = 170 states.  The restricted solve
 hands Lanczos a guess, which starts it beside a little of the seeded
-vector (WARM_MIX); the oracle never does.  ARPACK stops once every
-Ritz estimate is at most RESIDUAL_TOL / ARPACK_TOL_DIVISOR, a tenth of the
-residual the callers verify, not at machine precision, and its Krylov
-basis is sized to the pairs asked for (:func:`krylov_size`: 10 vectors
-for one or two pairs, 20 for eight).  When two returned energies tie,
-the lowest pair of the matrix deflated by the returned vectors is solved
-too, so a level with more copies than one start vector's Krylov space
-holds still gives the lowest energies; scipy composes that operator from
-:class:`_Product` and Q Q^H, Q an orthonormal basis of those vectors.
+vector (WARM_MIX); the oracle never does.  Both callers verify their
+pairs against one rule, :func:`residual_bound`: norm(H psi - E psi) at
+most max(RESIDUAL_TOL, ROUNDING_FACTOR eps r), r a bound on the matrix's
+largest absolute row sum, so 1e-9 up to r ~ 7.0e4 and a stable solver's
+rounding floor above it.  ARPACK stops once every Ritz estimate is at
+most a tenth (ARPACK_TOL_DIVISOR) of that bound, not at machine
+precision, and its Krylov basis is sized to the pairs asked for
+(:func:`krylov_size`: 10 vectors for one or two pairs, 20 for eight).
+When two returned energies tie, the lowest pair of the matrix deflated
+by the returned vectors is solved too, so a level with more copies than
+one start vector's Krylov space holds still gives the lowest energies;
+scipy composes that operator from :class:`_Product` and Q Q^H, Q an
+orthonormal basis of those vectors.
 
 :func:`exact_lowest` restricts H to blocks and diagonalises each, with
 the one solver over blocks, :func:`_lowest_over_blocks`, which solves a
@@ -58,8 +62,8 @@ with a transverse field (TFIM) is caught at |0...0>, in the first pass.  So the 
 asks for it and tests compare the two splits, while the command line
 always takes the one H picks.
 Every returned pair, sector pairs scattered back to 2^n vectors
-included, is verified against the residual bound
-``norm(H psi - E psi) <= RESIDUAL_TOL`` (1e-9) through
+included, is verified against :func:`residual_bound` of H's summed
+|coefficient|, which bounds every absolute row sum, through
 :func:`apply_hamiltonian`, a term-by-term product scattered from the
 vectors' joint support (all pairs in one call) that shares no code with
 the CSR builder or that kernel, so neither a silent misconvergence nor a
@@ -88,28 +92,40 @@ ORACLE_MAX_QUBITS = 20
 
 DEGENERACY_GAP = 1e-8
 
-# Largest residual norm(H psi - E psi) accepted for a returned eigenpair.
+# The least residual bound, which every matrix of row sums up to ~7.0e4 gets.
 RESIDUAL_TOL = 1e-9
+
+# A stable eigensolver's residual is O(eps r), r the matrix's largest
+# absolute row sum (Golub & Van Loan, Matrix Computations, 4th ed., 2013).
+# Oracle and restricted solves of Heisenberg and TFIM with every
+# coefficient scaled by 1e5 and 1e8 left 1.4-10.6 eps r, so 64 leaves a
+# 6x margin.
+ROUNDING_FACTOR = 64
+
+
+def residual_bound(radius: float) -> float:
+    """Largest norm(H psi - E psi) accepted for an eigenpair of H.
+
+    ``radius`` is r, a bound on H's largest absolute row sum, and so on
+    its norm.  The bound is max(RESIDUAL_TOL, ROUNDING_FACTOR eps r):
+    RESIDUAL_TOL up to r ~ 7.0e4, and above it the rounding floor of a
+    stable solver, which no fixed absolute bound allows for.  The oracle
+    and the restricted solve both check their pairs against it.
+    """
+    return max(RESIDUAL_TOL, ROUNDING_FACTOR * float(np.finfo(np.float64).eps) * radius)
+
 
 # Iteration cap for the Lanczos route, in ARPACK restart cycles.
 LANCZOS_MAXITER = 20_000
 
 # ARPACK stops once each Ritz estimate is at most tol * |theta| (ARPACK
 # Users' Guide, Lehoucq, Sorensen & Yang, 1998), and no |theta| exceeds
-# the largest absolute row sum r, so tol = RESIDUAL_TOL / (divisor * r)
-# puts every estimated residual at or below RESIDUAL_TOL / divisor.
-# Measured on 13 solves (CPU ms summed over medians of 7, one BLAS thread;
-# Heisenberg n = 16 sectors 7 and 9 for one pair and sector 8 for two, at
-# disorder seeds 0-2, and Heisenberg and TFIM n = 12 and 14 on the one CSR
-# matrix for two pairs), with the worst true residual norm(A v - theta v):
-#
-#   tol                    summed ms    worst residual
-#   0 (machine precision)     767           8e-14
-#   divisor 10                637           4e-11
-#   divisor 30                686           2e-11
-#   divisor 100               706           6e-12
-#
-# At 10 the worst true residual is still 25 times below RESIDUAL_TOL.
+# the largest absolute row sum r, so tol = residual_bound(r) / (divisor * r)
+# puts every estimated residual at or below a divisor-th of the bound.
+# Past r ~ 7.0e4 that tol is 6.4 eps, where RESIDUAL_TOL / (divisor * r)
+# would fall below eps from r ~ 4.5e5 on.  Of divisors 10, 30 and 100 and
+# tol = 0, 10 was fastest, its worst true residual still 25 times below
+# RESIDUAL_TOL (BENCH_arpack_tol.json, "divisor_scan").
 ARPACK_TOL_DIVISOR = 10
 
 
@@ -118,100 +134,40 @@ def krylov_size(dim: int, count: int) -> int:
 
     Most of a solve is ARPACK's own work on its basis, and each restart
     orthogonalises against all of it, so fewer vectors can cost less per
-    restart than the restarts they add.  Measured per count (CPU ms on an
-    Intel Xeon, one BLAS thread, medians of 5 summed over the middle
-    popcount sector of Heisenberg n = 14 and 16, disorder seeds 0-2):
-
-      count 1   ncv 8/9/10/12/20      59.1/56.6/56.7/56.9/71.4
-      count 2   ncv 8/10/12/14/20     100.2/101.6/104.1/99.1/109.9
-      count 8   ncv 17/18/20/22/24    194.4/190.7/176.7/177.9/191.1
-
-    and on the solves that the workloads make, ncv 10/12/14/16/20: the
-    oracle's sectors (Heisenberg n = 16 and 12, seeds 0-3, the middle
-    sector at count 2 and its neighbours at count 1) 229.4/238.5/238.8/
-    245.6/275.4 ms, and the 12 and 21 warm restricted solves past 170
-    states of as-en runs on Heisenberg n = 12, TFIM n = 14 and Heisenberg
-    n = 12 + 0.7 Y0 (seed 0) 7.48/7.88/7.95/8.24/9.06 ms at B/T = 20/10
-    and 19.05/19.57/20.76/21.07/22.88 ms at B/T = 100/8.  So counts 1
-    and 2 get 10 vectors, and count 8 keeps the 20 of scipy's default,
-    min(dim, max(2 count + 1, 20)).  Small blocks can go the other way:
-    sector blocks of 210 and 220 states at count 2 took 1.21-1.65 ms at
-    10 vectors against 1.11-1.59 at 20 (see DENSE_SOLVE_MAX).
+    restart than the restarts they add.  On the oracle's sector solves and
+    the warm restricted solves that the workloads make, 10 vectors were
+    the fastest for one and two pairs, and on the middle sectors of
+    Heisenberg n = 14 and 16 scipy's default of 20 for eight
+    (BENCH_krylov_size.json).  Small blocks can go the other way (sector
+    blocks of 210 and 220 states at count 2).
     """
     return min(dim, max(2 * count + 4, 10))
 
 
-# Dense eigensolve up to this matrix order, sparse Lanczos beyond.  Measured
-# per restricted solve (CPU ms on an Intel Xeon, one OpenBLAS thread, each
-# cell the median over 3 sessions of the median of 9 interleaved runs of
-# lowest_eigenpair, the dense route / cold ARPACK from the seeded vector /
-# warm ARPACK from the expansion loop's guess, at krylov_size's 10
-# vectors, on the solves of as-en runs at K = 50, B = 20, T = 10 and
-# B = 100, T = 8, counts from the 80/20 mix at seed 0):
-#
-#   m             130           150           170           190           250           850
-#   Heis. n = 12  .35/.64/.54   .51/.70/.55   .61/.72/.56   .75/.75/.63   1.3/.87/.65   31/1.5/1.0
-#   TFIM n = 14   .35/.62/.49   .51/.65/.55   .62/.67/.56   .76/.74/.57   1.3/.80/.59   31/1.4/.94
-#   Heis. + Y0    .83/.98/.75   1.2/1.0/.82   1.6/1.1/.78   2.1/1.1/.89   4.0/1.3/.94   122/2.3/1.9
-#
-# (Heis. + Y0: the Heisenberg chain plus 0.7 Y on qubit 0, complex.)  With
-# scipy's default of 20 vectors, real matrices crossed over at 170, where
-# dense and warm ARPACK tied (.61/.60 and .61/.59 ms in the same sessions);
-# at 10 vectors warm ARPACK leads there, and dense still leads at 150, so
-# the real crossover lies between 150 and 170, and the complex (odd-Y)
-# one between 110 and 130 (.57/.74 and .83/.75 ms; 130-150 at 20
-# vectors).  One limit serves both, and moving it would move E_est bits.
-# Cold ARPACK, all that the oracle runs, ties dense at 190 and leads from
-# 210 on these matrices.  Sector k of n qubits has C(n, k) states, so
-# oracle blocks of 171-250 states start at n = 10: C(10, 4) = 210 and
-# C(12, 3) = 220.  Measured on them (Heisenberg seeds 0-2, sectors 4 and
-# 6 of n = 10 and 3 and 9 of n = 12; dense / cold ARPACK, medians of 9
-# interleaved calls, ranges over the blocks and 3 sessions), the faster
-# route turns on the depth:
-#
-#   depth        1                     2                       8
-#   210 states   .82-.86 / .68-.81     .90-.93 / 1.28-1.50     1.24-1.27 / 1.36-1.60
-#   220 states   .90-.93 / .86-.90     .97-1.00 / 1.21-1.65    1.34-1.39 / 1.80-1.92
-#
-# The solver takes every sector but the first at depth 1, where ARPACK
-# leads by up to .15 ms a solve; at depth 2 and 8 dense leads, by up to
-# .7 ms.  Neither pays for a second limit.
+# Dense eigensolve up to this matrix order, sparse Lanczos beyond.  Warm
+# ARPACK overtakes dense between 150 and 170 states on the restricted
+# solves of real H and between 110 and 130 on complex (odd-Y) H; one limit
+# serves both, and moving it would move E_est bits.  Cold ARPACK, all that
+# the oracle runs, ties dense near 190 states; on the oracle's blocks of
+# 210 and 220 states (sectors of n = 10 and 12) it leads by up to .15 ms at
+# depth 1 and trails by up to .7 ms at depths 2 and 8, which does not pay
+# for a second limit (BENCH_warm_restricted.json, BENCH_krylov_size.json).
 DENSE_SOLVE_MAX = 170
 
 # Weight of the seeded random vector r that a warm start keeps beside its
 # guess g: ARPACK starts from g/|g| + WARM_MIX r/|r| (hermitian_lowest).
 # A block-diagonal H (Heisenberg conserves popcount, and so does H_S) can
 # hold its lowest pair in a block that g does not touch, and a start
-# vector's Krylov space stays in the blocks it touches: with WARM_MIX = 0,
-# ARPACK returned the touched block's pair on 20 of 20 block-diagonal
-# pairs of Heisenberg n = 12 sector matrices (real and complex), and on 0
-# of 20 at 1e-6, 1e-3 and 1e-1.  ARPACK products per warm solve at
-# krylov_size's 10 vectors (the 12 solves past 160 states above, forced
-# onto ARPACK, one sweep; cold 48.9 / 43.5 / 48.1):
-#
-#   WARM_MIX            0    1e-6   1e-4   1e-3   1e-2   1e-1   0.3
-#   Heisenberg n = 12  38.5  38.5   38.5   38.5   38.5   40.6   41.4
-#   TFIM n = 14        33.5  33.5   33.5   33.5   33.5   34.3   36.0
-#   Heisenberg + Y0    39.3  39.3   39.3   39.3   39.3   41.0   41.8
-#
-# (At scipy's default of 20 vectors: 38.5 / 33.5 / 38.5 up to 1e-3, cold
-# 46 / 43.5 / 46.)
+# vector's Krylov space stays in the blocks it touches: at WARM_MIX = 0
+# ARPACK missed the lower block on 20 of 20 such matrices, and at 1e-6,
+# 1e-3 and 1e-1 on none.  Up to 1e-2 the mix costs no ARPACK product, and
+# at 1e-1 a few (BENCH_warm_restricted.json).
 WARM_MIX = 1e-3
 
-# Power steps of the Collatz-Wielandt sector floor (_weighted_floor).
-# Measured on Heisenberg n = 16, disorder seeds 0-5 (one BLAS thread;
-# solves per oracle call, and the CPU time spent on the bound):
-#
-#   steps      count 2              count 8
-#   none     5-7 solves            9 solves
-#   10       3-5,  12-14 ms        7,  14-15 ms
-#   20       3,    17-20 ms        7,  20-24 ms
-#   30       3,    19-23 ms        5-7, 21-33 ms
-#   40       3,    19-27 ms        5-6, 25-32 ms
-#
-# Interleaved medians over the six seeds: count 2 took 211, 216 and 220
-# ms at 20, 30 and 40 steps, count 8 508, 499 and 485 ms.  Count 2 is the
-# one every sweep uses.
+# Power steps of the Collatz-Wielandt sector floor (_weighted_floor).  On
+# Heisenberg n = 16 at count 2, the count every sweep uses, 20 steps cut
+# the ARPACK solves from 5-7 to 3, as 30 and 40 do, for less time spent on
+# the bound (BENCH_weighted_floor.json, "floor_steps").
 FLOOR_STEPS = 20
 
 
@@ -406,18 +362,13 @@ def hermitian_lowest(
     ``matrix @ x`` without scipy's operator chain, with the bits that
     chain gives.  The Krylov basis holds :func:`krylov_size` vectors,
     min(dim, max(2 count + 4, 10)): 10 for the one- and two-pair solves
-    that every caller makes, where scipy's default of 20 spent more on
-    orthogonalising each restart against its basis than it saved in
-    restarts (a count-2 solve of Heisenberg n = 16 sector 8, disorder
-    seeds 0-3, takes 23-29 ms with 10 vectors and 27-33 ms with 20), and
-    20 at count 8, where 20 measured fastest (:func:`krylov_size` has the
-    table).  ARPACK stops at
-    tol = RESIDUAL_TOL / (ARPACK_TOL_DIVISOR r), r the largest absolute
-    row sum of the matrix, so every Ritz estimate ends at or below
-    RESIDUAL_TOL / ARPACK_TOL_DIVISOR: inside :func:`exact_lowest`'s bound
-    RESIDUAL_TOL and :func:`assqd.subspace.lowest_eigenpair`'s
-    RESIDUAL_TOL max(1, |E|), without the restarts that tol = 0 (machine
-    precision) spends on digits neither reads.
+    that every caller makes, and 20 at count 8.  ARPACK stops at
+    tol = residual_bound(r) / (ARPACK_TOL_DIVISOR r), r the largest
+    absolute row sum of the matrix, so every Ritz estimate ends at or
+    below a tenth of :func:`residual_bound`, the one rule that
+    :func:`exact_lowest` and :func:`assqd.subspace.lowest_eigenpair` both
+    check, without the restarts that tol = 0 (machine precision) spends
+    on digits neither reads.
 
     A Krylov space holds only its start vector's projection on each
     eigenspace, so on a degenerate spectrum Lanczos can return true
@@ -427,10 +378,10 @@ def hermitian_lowest(
     energies lie within DEGENERACY_GAP, at most count times, the lowest
     pair of x -> A x + 2 r Q (Q^H x), Q an orthonormal basis of the
     returned vectors, is solved from the generator's next draw; it lies in
-    the complement of Q, and when it lies more than RESIDUAL_TOL below the
-    highest returned energy it replaces that pair.  The loop ends at the
-    first solve that replaces none.  Energies without a tie never enter
-    it, so their bits are the single solve's.  A level whose every copy
+    the complement of Q, and when it lies more than residual_bound(r)
+    below the highest returned energy it replaces that pair.  The loop
+    ends at the first solve that replaces none.  Energies without a tie
+    never enter it, so their bits are the single solve's.  A level whose every copy
     but one the first solve misses shows no tie and stays missed (complex
     clean rings at count 4).  The copies of a level that ARPACK returns
     need not be orthogonal (complex clean rings with a Dzyaloshinskii-Moriya
@@ -438,7 +389,7 @@ def hermitian_lowest(
     each run of returned energies within DEGENERACY_GAP of the next has its
     vectors replaced by ``np.linalg.qr``'s orthonormal basis of their span;
     a pair without a tie keeps its bits.  The pairs are not residual-checked
-    here; callers check them against their own bound.
+    here; callers check them against :func:`residual_bound`.
     """
     if not scipy.sparse.issparse(matrix):
         return _lapack_lowest(np.asarray(matrix), count)
@@ -451,6 +402,7 @@ def hermitian_lowest(
     if not matrix.data.any():
         return np.zeros(count), np.eye(dim, count, dtype=matrix.dtype)
     radius = float(np.max(_magnitude(matrix) @ np.ones(dim)))
+    bound = residual_bound(radius)
     rng = np.random.default_rng(0)
     v0 = rng.standard_normal(dim)
     if guess is not None:
@@ -468,7 +420,7 @@ def hermitian_lowest(
             vals, vecs = eig(
                 operator, k=k, which=which, v0=start, ncv=krylov_size(dim, k),
                 maxiter=LANCZOS_MAXITER,
-                tol=RESIDUAL_TOL / (ARPACK_TOL_DIVISOR * radius), rng=rng,
+                tol=bound / (ARPACK_TOL_DIVISOR * radius), rng=rng,
             )
         except scipy.sparse.linalg.ArpackNoConvergence as exc:
             if len(exc.eigenvalues) == 0:
@@ -499,7 +451,7 @@ def hermitian_lowest(
         basis = scipy.sparse.linalg.aslinearoperator(np.linalg.qr(vecs)[0])
         deflated = _Product(matrix) + 2.0 * radius * (basis @ basis.H)
         (val,), vec = arpack(deflated, 1, rng.standard_normal(dim))
-        if not val < vals[-1] - RESIDUAL_TOL:
+        if not val < vals[-1] - bound:
             break
         vals[-1], vecs[:, -1] = val, vec[:, 0]
         order = np.argsort(vals, kind="stable")
@@ -685,12 +637,13 @@ def _lowest_over_blocks(
     again replaces its entries.  Blocks are taken in ascending order of
     their floor, ties by block.  The first gives its lowest min(count,
     size) pairs, each later one its lowest pair.  Once the list holds
-    count entries, the cut is the count-th entry's energy plus
-    RESIDUAL_TOL (for rounding), and a block with no eigenvalue at or
-    below it cannot hold a wanted pair: when its Gershgorin floor lies
-    above the cut, it and every block after it are skipped, and when the
-    bound of FLOOR_STEPS power steps (:func:`_weighted_floor`) does, it
-    alone is.
+    count entries, the cut is the count-th entry's energy plus the
+    residual bound (for rounding; :func:`residual_bound` of H's summed
+    |coefficient|, as :func:`exact_lowest` checks), and a block with no
+    eigenvalue at or below it cannot hold a wanted pair: when its
+    Gershgorin floor lies above the cut, it and every block after it are
+    skipped, and when the bound of FLOOR_STEPS power steps
+    (:func:`_weighted_floor`) does, it alone is.
 
     The eigenvalues a block has not given yet rank after its deepest
     solved pair, its last entry in the list, so they can reach the first
@@ -701,7 +654,7 @@ def _lowest_over_blocks(
     would begin by solving the first block again at depth min(count,
     size) whenever its pair ranks first, so solving it there at once
     saves a solve and reaches the same state.  When another block's lowest
-    energy lies within RESIDUAL_TOL of its lowest, the first block is
+    energy lies within that bound of its lowest, the first block is
     solved again at depth 1 before the loop, which restores that state.  A
     skipped block's pairs would all rank at count or later, so the result
     is the one that solving every block gives, to the bit.  The first
@@ -711,6 +664,8 @@ def _lowest_over_blocks(
     """
     ranked = []  # every solved pair as (energy, block, index), ascending
     vectors = {}
+    # Every absolute row sum of H is at most its summed |coefficient|.
+    bound = residual_bound(sum(abs(term.coefficient) for term in ham.terms))
 
     def solve(w: int, depth: int, cut: float | None = None) -> None:
         """Rank block w's lowest depth pairs, unless its weighted floor clears cut."""
@@ -728,13 +683,13 @@ def _lowest_over_blocks(
     for w in rest:
         cut = None
         if len(ranked) >= count:
-            cut = ranked[count - 1][0] + RESIDUAL_TOL
+            cut = ranked[count - 1][0] + bound
             if floors[w] > cut:
                 break
         solve(w, 1, cut)
     ground = next(e for e, w, _ in ranked if w == lead)
     if vectors[lead].shape[1] > 1 and any(
-        e <= ground + RESIDUAL_TOL for e, w, _ in ranked if w != lead
+        e <= ground + bound for e, w, _ in ranked if w != lead
     ):
         solve(lead, 1)
     while True:
@@ -763,6 +718,8 @@ def exact_lowest(
     (:func:`popcount_sectors`) at every n; an H that mixes the sectors,
     and any H under method="lanczos", is one block of all 2^n states,
     built once.  Either way :func:`_lowest_over_blocks` solves the blocks.
+    Every pair's residual must be within :func:`residual_bound` of H's
+    summed |coefficient|; the worst one otherwise raises ConvergenceError.
     """
     if ham.n > ORACLE_MAX_QUBITS:
         raise ValueError(f"oracle limited to n <= {ORACLE_MAX_QUBITS}, got {ham.n}")
@@ -781,9 +738,10 @@ def exact_lowest(
     unit = np.column_stack([vecs[:, i] / np.linalg.norm(vecs[:, i]) for i in range(count)])
     residuals = np.linalg.norm(apply_hamiltonian(ham, unit) - unit * vals, axis=0)
     worst = float(np.max(residuals))
-    if not worst <= RESIDUAL_TOL:
+    bound = residual_bound(sum(abs(term.coefficient) for term in ham.terms))
+    if not worst <= bound:
         raise ConvergenceError(
-            f"eigensolve exceeded residual tolerance {RESIDUAL_TOL:.1e}",
+            f"eigensolve exceeded residual tolerance {bound:.1e}",
             worst,
         )
     return EigenpairSet(

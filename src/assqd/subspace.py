@@ -36,11 +36,11 @@ import scipy.sparse
 
 from assqd.oracle import (
     DENSE_SOLVE_MAX,
-    RESIDUAL_TOL,
     ConvergenceError,
     fix_phase,
     hermitian_lowest,
     linked_arrays,
+    residual_bound,
 )
 from assqd.pauli import PauliHamiltonian
 
@@ -219,6 +219,9 @@ def lowest_eigenpair(
 
     ``guess``, one entry per basis state, starts the Lanczos route
     (:func:`assqd.oracle.hermitian_lowest`); the dense route ignores it.
+    The residual norm(H_S c - E c) must be within the oracle's own rule,
+    :func:`assqd.oracle.residual_bound` of the table's largest absolute
+    row sum, or ConvergenceError is raised.
     """
     operator = (
         matrix.dense() if len(matrix.basis) <= DENSE_SOLVE_MAX else matrix.sparse()
@@ -227,11 +230,16 @@ def lowest_eigenpair(
     energy, vec = float(vals[0]), vecs[:, 0]
     vec = vec / np.linalg.norm(vec)
     residual = float(np.linalg.norm(operator @ vec - energy * vec))
-    bound = RESIDUAL_TOL * max(1.0, abs(energy))
-    if residual > bound:
-        raise ConvergenceError(
-            f"restricted eigenpair residual exceeds {bound:.1e}", residual
-        )
+    # No bound lies below residual_bound(0.0), so the table's row sums, ~1%
+    # of a solve, are summed only for a residual above it.  Row j of the
+    # table holds column j of H_S and the entries that leave the basis, so
+    # its absolute sum bounds H_S's (Hermitian) row sums.
+    if residual > residual_bound(0.0):
+        bound = residual_bound(float(np.max(np.abs(matrix.table).sum(axis=1))))
+        if residual > bound:
+            raise ConvergenceError(
+                f"restricted eigenpair residual exceeds {bound:.1e}", residual
+            )
     return RestrictedSolution(energy=energy, coefficients=fix_phase(vec), matrix=matrix)
 
 

@@ -308,21 +308,32 @@ def test_config_kind_is_the_method_run(runner, artifacts, verb, method):
     assert doc["config"]["kind"] == method
 
 
+def _scaled_model(runner, tmp_path, n: int, scale: float):
+    """`model heisenberg n` at seed 0 with every coefficient times scale, as a file."""
+    text = _invoke(runner, ["--seed", "0", "model", "heisenberg", str(n)]).output
+    scaled = tmp_path / f"h{n}x.txt"
+    scaled.write_text("".join(
+        f"{float(coeff) * scale!r} {pauli}\n"
+        for coeff, pauli in (line.split() for line in text.splitlines())))
+    return scaled
+
+
+def _scaled_heisenberg_8(runner, tmp_path, scale: float) -> list[str]:
+    """The scaled n = 8 model's file and a 500-shot counts file, as `run` paths."""
+    counts = tmp_path / "c8.json"
+    _invoke(runner, ["--seed", "0", "--out", str(counts), "sample", "heisenberg",
+                     "8", "--shots", "500"])
+    return [str(_scaled_model(runner, tmp_path, 8, scale)), str(counts)]
+
+
 class TestSolverFailure:
     """A solver failure ends the command as "Error: ..." with exit code 1."""
 
     def test_oracle_convergence_error_is_a_one_line_error(self, runner, tmp_path):
-        # Scaled by 1e5, the n = 8 chain's reference solve misses the fixed
-        # 1e-9 residual bound by a hair.
-        text = _invoke(runner, ["--seed", "0", "model", "heisenberg", "8"]).output
-        scaled = tmp_path / "h8x.txt"
-        scaled.write_text("".join(
-            f"{float(coeff) * 1e5!r} {pauli}\n"
-            for coeff, pauli in (line.split() for line in text.splitlines())))
-        counts = tmp_path / "c8.json"
-        _invoke(runner, ["--seed", "0", "--out", str(counts), "sample", "heisenberg",
-                         "8", "--shots", "500"])
-        result = runner.invoke(main, ["--seed", "0", "run", str(scaled), str(counts),
+        # Scaled by 1e200, the n = 8 chain's coefficients are finite, but the
+        # norm of its reference solve's residual overflows to inf.
+        result = runner.invoke(main, ["--seed", "0", "run",
+                                      *_scaled_heisenberg_8(runner, tmp_path, 1e200),
                                       "-T", "2"])
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)
@@ -340,14 +351,22 @@ class TestSolverFailure:
         assert result.output == "Error: initial solve failed: boom\n"
 
 
+def test_rounding_floor_run_ends_cleanly(runner, tmp_path):
+    # Scaled by 1e5, the n = 8 chain's row sums pass 7.0e4, where the
+    # residual bound becomes the rounding floor 64 eps r: the reference
+    # solve's 1.03e-9 passes it.
+    result = _invoke(runner, ["--seed", "0", "run",
+                              *_scaled_heisenberg_8(runner, tmp_path, 1e5), "-T", "2"])
+    doc = json.loads(result.output)
+    ham, _ = build_model(ModelSpec(kind="heisenberg", n=8, seed=0))
+    assert doc["reference"]["e0"] == pytest.approx(1e5 * exact_lowest(ham).e0, rel=1e-12)
+    assert doc["final_energy"] >= doc["reference"]["e0"]
+
+
 def test_large_energy_run_ends_cleanly(runner, tmp_path):
     # Scaled by 1e3, the n = 10 chain's energies near -18580 rise by
     # 2.9e-11 in rounding at one step, which the trace's bound allows.
-    text = _invoke(runner, ["--seed", "0", "model", "heisenberg", "10"]).output
-    scaled = tmp_path / "h10x.txt"
-    scaled.write_text("".join(
-        f"{float(coeff) * 1e3!r} {pauli}\n"
-        for coeff, pauli in (line.split() for line in text.splitlines())))
+    scaled = _scaled_model(runner, tmp_path, 10, 1e3)
     counts = tmp_path / "c10.json"
     _invoke(runner, ["--seed", "0", "--out", str(counts), "sample", "heisenberg", "10"])
     result = _invoke(runner, ["--seed", "0", "run", str(scaled), str(counts),

@@ -256,9 +256,10 @@ class TestHermitianLowest:
             assert a_vals.tobytes() == b_vals.tobytes()
             assert a_vecs.tobytes() == b_vecs.tobytes()
 
-    # ARPACK's tolerance scales with the matrix's largest row sum, so its
-    # residual target stays absolute however large H is: a fixed relative
-    # tol of 1e-12 would leave ~2e-7 at E0 ~ -2e5.
+    # ARPACK's tolerance is residual_bound(r) / (10 r), r the matrix's
+    # largest row sum, so its residual target is RESIDUAL_TOL / 10 up to
+    # r ~ 7e4 and 6.4 eps r past it: a fixed relative tol of 1e-12 would
+    # leave ~2e-7 at E0 ~ -2e5.
     @pytest.mark.parametrize("scale", [1e3, 1e4])
     @pytest.mark.parametrize("route, n", [("one-matrix", 10), ("sector", 14)])
     def test_large_norm_passes_every_residual_check(self, monkeypatch, route, n, scale):
@@ -540,30 +541,30 @@ class TestExactLowest:
             assert fixed.tolist() == [1.0, 0.1]
 
     def test_residual_bound_enforced(self, monkeypatch):
+        # With no rounding floor the bound is RESIDUAL_TOL itself, below
+        # what rounding leaves (eps r > 1e-18).
         ham, _ = build_model(ModelSpec(kind="heisenberg", n=6, seed=3))
         monkeypatch.setattr(oracle_mod, "RESIDUAL_TOL", 1e-18)
+        monkeypatch.setattr(oracle_mod, "ROUNDING_FACTOR", 0)
         with pytest.raises(ConvergenceError, match="residual"):
             exact_lowest(ham)
 
     # TFIM mixes the sectors, so its pairs come from one block's solve;
     # Heisenberg's are merged from its sectors' solves, and the merged
-    # pair at the same rank is perturbed.
+    # pair at the same rank is perturbed.  The restricted solve's one pair
+    # is perturbed too.  At every scale the energy moves by 1e-6 times the
+    # scale, above the bound, which is the rounding floor from x1e5 on.
     @pytest.mark.parametrize("wrong", [0, 1, 3])
     def test_residual_check_covers_every_pair(self, wrong):
-        for kind, name in (("tfim", "hermitian_lowest"), ("heisenberg", "_lowest_over_blocks")):
-            ham, _ = build_model(ModelSpec(kind=kind, n=6, seed=3))
-            solve = getattr(oracle_mod, name)
-
-            def off_by_a_little(*args):
-                vals, vecs = solve(*args)
-                vals[wrong] += 1e-6
-                return vals, vecs
-
-            with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(oracle_mod, name, off_by_a_little)
-                with pytest.raises(ConvergenceError, match="residual") as caught:
-                    exact_lowest(ham, count=4)
-            assert caught.value.achieved_residual == pytest.approx(1e-6, rel=1e-3)
+        for scale in _SCALES:
+            shift = 1e-6 * scale
+            for kind, name in (("tfim", "hermitian_lowest"),
+                               ("heisenberg", "_lowest_over_blocks")):
+                ham = _scaled(build_model(ModelSpec(kind=kind, n=6, seed=3))[0], scale)
+                _assert_caught(oracle_mod, name, wrong, shift, lambda: exact_lowest(ham, count=4))
+                matrix = build_restricted(ham, Subspace(range(64)))
+                _assert_caught(subspace_mod, "hermitian_lowest", 0, shift,
+                               lambda: lowest_eigenpair(matrix))
 
     def test_count_validation(self):
         ham, _ = build_model(ModelSpec(kind="heisenberg", n=4, seed=0))
@@ -614,6 +615,103 @@ class TestExactLowest:
         assert list(pairs.energies) == sorted(pairs.energies)
         dense_vals = scipy.linalg.eigvalsh(dense_matrix(ham))[:4]
         assert np.allclose(pairs.energies, dense_vals, atol=1e-10)
+
+
+# Every coefficient times 1, 1e2, 1e5 and 1e8: the largest absolute row
+# sum r passes 7.0e4, where residual_bound turns from RESIDUAL_TOL to the
+# rounding floor 64 eps r, between 1e2 and 1e5.
+_SCALES = (1.0, 1e2, 1e5, 1e8)
+
+
+class TestResidualBound:
+    """One residual rule, residual_bound(r), for the oracle and the loop."""
+
+    @pytest.mark.parametrize("scale", _SCALES)
+    @pytest.mark.parametrize("n", [8, 12])
+    @pytest.mark.parametrize("kind", ["heisenberg", "tfim"])
+    def test_scaled_model_passes_the_oracle(self, kind, n, scale):
+        ham, _ = build_model(ModelSpec(kind=kind, n=n, seed=0))
+        pairs = exact_lowest(_scaled(ham, scale))
+        assert pairs.e0 == pytest.approx(scale * _lowest_energy(kind, n), rel=1e-12)
+
+    # B/T = 100/8 grows each subspace past DENSE_SOLVE_MAX but Heisenberg
+    # n = 8's, which stops at 140 states, so those runs solve on both
+    # routes; every scale picks the same states.
+    @pytest.mark.parametrize("scale", _SCALES[1:])
+    @pytest.mark.parametrize("n", [8, 12])
+    @pytest.mark.parametrize("kind", ["heisenberg", "tfim"])
+    def test_scaled_model_passes_an_as_en_run(self, monkeypatch, kind, n, scale):
+        ham, _ = build_model(ModelSpec(kind=kind, n=n, seed=0))
+        pairs = exact_lowest(ham)
+        counts = sample_counts(contaminated_distribution(pairs.psi0, pairs.psi1, 0.2), 1000, 0)
+        config = RunConfig(B=100, T=8)
+        unscaled = run_as_sqd(ham, counts, config)
+        routes = set()
+        solve = subspace_mod.hermitian_lowest
+
+        def spy(matrix, count, guess=None):
+            routes.add(scipy.sparse.issparse(matrix))
+            return solve(matrix, count, guess)
+
+        monkeypatch.setattr(subspace_mod, "hermitian_lowest", spy)
+        trace = run_as_sqd(_scaled(ham, scale), counts, config)
+        assert np.array_equal(trace.final_subspace.states, unscaled.final_subspace.states)
+        assert trace.final_energy == pytest.approx(scale * unscaled.final_energy, rel=1e-12)
+        assert routes == ({False} if (kind, n) == ("heisenberg", 8) else {False, True})
+
+    # Both radii stay below 7.0e4 on every workload instance, so the bound
+    # is RESIDUAL_TOL there and no bit moves.  The oracle's r is H's summed
+    # |coefficient|.  A restricted table's row is a state's diagonal and
+    # amplitude_table entries, so the largest absolute row sum over all 2^n
+    # states bounds every restricted table's r, and the summed
+    # |coefficient| bounds that.
+    @pytest.mark.parametrize("n", [10, 12, 14, 16])
+    @pytest.mark.parametrize("kind", ["heisenberg", "tfim"])
+    def test_bound_is_residual_tol_on_every_workload_instance(self, kind, n):
+        states = np.arange(1 << n, dtype=np.int64)
+        for seed in range(6):
+            ham, _ = build_model(ModelSpec(kind=kind, n=n, seed=seed))
+            summed = sum(abs(term.coefficient) for term in ham.terms)
+            amplitudes = np.abs(ham.amplitude_table(states)).sum(axis=0)
+            rows = float(np.max(np.abs(ham.diagonal(states)) + amplitudes))
+            assert rows <= summed
+            assert oracle_mod.residual_bound(summed) == RESIDUAL_TOL
+            assert oracle_mod.residual_bound(rows) == RESIDUAL_TOL
+
+    # The loop's bound once scaled with |E|: 1e-9 |E| let this 5e-9
+    # residual through at E ~ -10.
+    def test_restricted_solve_takes_the_oracle_bound(self):
+        ham, _ = build_model(ModelSpec(kind="heisenberg", n=6, seed=3))
+        matrix = build_restricted(ham, Subspace(range(64)))
+        assert lowest_eigenpair(matrix).energy < -5.0
+        _assert_caught(subspace_mod, "hermitian_lowest", 0, 5e-9, lambda: lowest_eigenpair(matrix))
+
+    # ARPACK's tol is a tenth of the bound over r: RESIDUAL_TOL / (10 r)
+    # below the crossover, and 6.4 eps past it, where RESIDUAL_TOL / (10 r)
+    # would fall below eps from r ~ 4.5e5 on.
+    @pytest.mark.parametrize("scale", _SCALES)
+    def test_arpack_tol_follows_the_bound(self, monkeypatch, scale):
+        handed = []
+        solver = scipy.sparse.linalg.eigsh
+
+        def spy(operator, *args, **kwargs):
+            handed.append(kwargs["tol"])
+            return solver(operator, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", spy)
+        ham, _ = build_model(ModelSpec(kind="tfim", n=8, seed=0))
+        matrix = _full_csr(_scaled(ham, scale))
+        radius = float(np.max(oracle_mod._magnitude(matrix) @ np.ones(256)))
+        hermitian_lowest(matrix, 2)
+        eps = np.finfo(np.float64).eps
+        expected = RESIDUAL_TOL / (10 * radius) if scale < 1e5 else 6.4 * eps
+        assert handed == [pytest.approx(expected, rel=1e-12, abs=0.0)]
+
+    def test_bound_is_the_rounding_floor_past_the_crossover(self):
+        floor = oracle_mod.ROUNDING_FACTOR * np.finfo(np.float64).eps
+        assert oracle_mod.residual_bound(7.0e4) == RESIDUAL_TOL
+        assert oracle_mod.residual_bound(7.1e4) == floor * 7.1e4
+        assert oracle_mod.residual_bound(1e200) == floor * 1e200
 
 
 class TestDegenerateLevels:
@@ -736,7 +834,7 @@ def _same_bytes_as_eigsh(matrix, count, guess=None) -> bool:
     vals, vecs = scipy.sparse.linalg.eigsh(
         matrix, k=count, which="SA", v0=v0, ncv=min(dim, max(2 * count + 4, 10)),
         maxiter=oracle_mod.LANCZOS_MAXITER,
-        tol=RESIDUAL_TOL / (oracle_mod.ARPACK_TOL_DIVISOR * radius),
+        tol=oracle_mod.residual_bound(radius) / (oracle_mod.ARPACK_TOL_DIVISOR * radius),
     )
     order = np.argsort(vals)
     got_vals, got_vecs = hermitian_lowest(matrix, count, guess)
@@ -785,17 +883,27 @@ def _clean_ring_spectrum(kind: str, n: int) -> np.ndarray:
     Heisenberg conserves popcount.  TFIM's ZZ and X terms carry no Y, so
     conjugating every qubit by a Hadamard swaps each term's x and z masks;
     the result, XX bonds and a Z field, conserves popcount parity and has
-    the same spectrum.  Each block's dense matrix is built term by term,
-    as dense_matrix builds the whole one; the terms of one x mask are
-    summed first, so XX + YY cancels on aligned bits before the entries
-    that would leave the block are dropped.
+    the same spectrum.
     """
     ham = _clean_ring(kind, n)
     if kind == "tfim":
         ham = PauliHamiltonian(n, [PauliTerm(t.z_mask, t.x_mask, t.coefficient)
                                    for t in ham.terms])
+    weights = np.bitwise_count(np.arange(1 << n, dtype=np.int64))
+    return _block_spectrum(ham, weights % 2 if kind == "tfim" else weights)
+
+
+def _block_spectrum(ham: PauliHamiltonian, keys: np.ndarray) -> np.ndarray:
+    """Every eigenvalue of a real H that keeps each set of states of one key.
+
+    keys[s] is state s's key.  Each block's dense matrix is built term by
+    term, as dense_matrix builds the whole one; the terms of one x mask
+    are summed first, so XX + YY cancels on aligned bits before the
+    entries that would leave the block are dropped.  Ascending, by dense
+    eigvalsh on each block.
+    """
+    n = ham.n
     states = np.arange(1 << n, dtype=np.int64)
-    keys = np.bitwise_count(states) % (2 if kind == "tfim" else n + 1)
     values = []
     for key in np.unique(keys):
         block = states[keys == key]
@@ -822,6 +930,45 @@ def _scaled(ham: PauliHamiltonian, factor: float) -> PauliHamiltonian:
     """ham with every coefficient multiplied by factor."""
     terms = [PauliTerm(t.x_mask, t.z_mask, t.coefficient * factor) for t in ham.terms]
     return PauliHamiltonian(ham.n, terms)
+
+
+def _assert_caught(module, name: str, at: int, shift: float, call) -> None:
+    """call() fails the residual check once module.name's energy ``at`` moves up by shift."""
+    solve = getattr(module, name)
+
+    def off(*args):
+        vals, vecs = solve(*args)
+        vals[at] += shift
+        return vals, vecs
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(module, name, off)
+        with pytest.raises(ConvergenceError, match="residual") as caught:
+            call()
+    assert caught.value.achieved_residual == pytest.approx(shift, rel=1e-3)
+
+
+@functools.cache
+def _lowest_energy(kind: str, n: int) -> float:
+    """E0 of the seed-0 model, from matrices built term by term.
+
+    Heisenberg's popcount blocks, at most C(12, 6) = 924 states, and
+    TFIM's 256 states at n = 8 go to dense eigvalsh.  TFIM mixes all
+    4096 states at n = 12, where eigvalsh takes ~6 s, so ARPACK solves
+    that matrix to machine precision (tol=0).
+    """
+    ham, _ = build_model(ModelSpec(kind=kind, n=n, seed=0))
+    states = np.arange(1 << n, dtype=np.int64)
+    if kind == "heisenberg":
+        return float(_block_spectrum(ham, np.bitwise_count(states))[0])
+    if n <= 8:
+        return float(scipy.linalg.eigvalsh(dense_matrix(ham))[0])
+    matrix = sum(
+        scipy.sparse.csr_array(
+            (term.weight.real * (1.0 - 2.0 * (np.bitwise_count(states & term.z_mask) & 1)),
+             (states ^ term.x_mask, states)), shape=(1 << n, 1 << n))
+        for term in ham.terms)
+    return float(scipy.sparse.linalg.eigsh(matrix, k=1, which="SA", tol=0)[0][0])
 
 
 def _full_csr(ham: PauliHamiltonian):
