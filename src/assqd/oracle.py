@@ -8,13 +8,14 @@ restricted solve of the expansion loop
 dense form up to DENSE_SOLVE_MAX = 170 states.  The restricted solve
 hands Lanczos a guess, which starts it beside a little of the seeded
 vector (WARM_MIX); the oracle never does.  Both callers verify their
-pairs against one rule, :func:`residual_bound`: norm(H psi - E psi) at
-most max(RESIDUAL_TOL, ROUNDING_FACTOR eps r), r a bound on the matrix's
-largest absolute row sum, so 1e-9 up to r ~ 7.0e4 and a stable solver's
-rounding floor above it.  ARPACK stops once every Ritz estimate is at
-most a tenth (ARPACK_TOL_DIVISOR) of that bound, not at machine
-precision, and its Krylov basis is sized to the pairs asked for
-(:func:`krylov_size`: 10 vectors for one or two pairs, 20 for eight).
+pairs in one function, :func:`verified_pairs`, against one rule,
+:func:`residual_bound`: norm(H psi - E psi) at most max(RESIDUAL_TOL,
+ROUNDING_FACTOR eps r), r a bound on the matrix's largest absolute row
+sum, so 1e-9 up to r ~ 7.0e4 and a stable solver's rounding floor above
+it.  ARPACK stops once every Ritz estimate is at most a tenth
+(ARPACK_TOL_DIVISOR) of that bound, not at machine precision, and its
+Krylov basis is sized to the pairs asked for (:func:`krylov_size`: 10
+vectors for one or two pairs, 20 for eight).
 When two returned energies tie, the lowest pair of the matrix deflated
 by the returned vectors is solved too, so a level with more copies than
 one start vector's Krylov space holds still gives the lowest energies;
@@ -62,12 +63,13 @@ with a transverse field (TFIM) is caught at |0...0>, in the first pass.  So the 
 asks for it and tests compare the two splits, while the command line
 always takes the one H picks.
 Every returned pair, sector pairs scattered back to 2^n vectors
-included, is verified against :func:`residual_bound` of H's summed
-|coefficient|, which bounds every absolute row sum, through
-:func:`apply_hamiltonian`, a term-by-term product scattered from the
-vectors' joint support (all pairs in one call) that shares no code with
-the CSR builder or that kernel, so neither a silent misconvergence nor a
-wrong matrix entry can leak into benchmark baselines.  The result is an
+included, passes :func:`verified_pairs` with r =
+:attr:`PauliHamiltonian.radius`, H's summed |coefficient|, which bounds
+every absolute row sum, and with :func:`apply_hamiltonian` as the
+product, a term-by-term product scattered from the vectors' joint
+support (all pairs in one call) that shares no code with the CSR builder
+or that kernel, so neither a silent misconvergence nor a wrong matrix
+entry can leak into benchmark baselines.  The result is an
 :class:`EigenpairSet`, which derives e0, e1 and the degeneracy flag
 (E1 - E0 < DEGENERACY_GAP) from its energies; the sweeps, ``assqd
 oracle`` and the trace records of ``assqd run`` and ``assqd ingest`` all
@@ -109,8 +111,8 @@ def residual_bound(radius: float) -> float:
     ``radius`` is r, a bound on H's largest absolute row sum, and so on
     its norm.  The bound is max(RESIDUAL_TOL, ROUNDING_FACTOR eps r):
     RESIDUAL_TOL up to r ~ 7.0e4, and above it the rounding floor of a
-    stable solver, which no fixed absolute bound allows for.  The oracle
-    and the restricted solve both check their pairs against it.
+    stable solver, which no fixed absolute bound allows for.
+    :func:`verified_pairs` checks every returned pair against it.
     """
     return max(RESIDUAL_TOL, ROUNDING_FACTOR * float(np.finfo(np.float64).eps) * radius)
 
@@ -261,13 +263,48 @@ def apply_hamiltonian(ham: PauliHamiltonian, v: np.ndarray) -> np.ndarray:
 
 
 def fix_phase(vec: np.ndarray) -> np.ndarray:
-    """Rotate so the largest-magnitude amplitude is real and positive."""
-    pivot = vec[int(np.argmax(np.abs(vec)))]
+    """Rotate so the largest-magnitude amplitude is real and positive.
+
+    A real vector is only multiplied by +-1, and its zero imaginary part
+    is never formed.
+    """
+    pivot = vec[np.abs(vec).argmax()]
     scale = abs(pivot)
     if scale == 0.0:
         return vec
-    rotated = vec * (np.conj(pivot) / scale)
-    return rotated.real if np.all(np.abs(rotated.imag) <= 1e-12) else rotated
+    rotated = vec * (pivot.conjugate() / scale)
+    if np.isrealobj(rotated) or (np.abs(rotated.imag) <= 1e-12).all():
+        return rotated.real
+    return rotated
+
+
+def _residuals(product, vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """norm(A v - E v) of each column v of ``vecs``, E its entry of ``vals``.
+
+    ``product`` maps a block of columns to A times them.  A residual past
+    float64's range is inf (or NaN), without numpy's overflow warning.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.linalg.norm(product(vecs) - vecs * vals, axis=0)
+
+
+def verified_pairs(product, vals: np.ndarray, vecs: np.ndarray, radius) -> list[np.ndarray]:
+    """The columns of ``vecs``, normalised and phase-fixed, once every pair passes.
+
+    ``product`` maps a block of columns to A times them, and ``radius()``
+    gives r, a bound on A's largest absolute row sum.  The worst residual
+    norm(A v - E v) must be at most RESIDUAL_TOL or else at most
+    :func:`residual_bound` of r, which is asked for only then; otherwise,
+    NaN included, ConvergenceError is raised.  Every pair the package
+    returns, the oracle's and the restricted solve's, passes here.
+    """
+    unit = vecs / [np.linalg.norm(vec) for vec in vecs.T]
+    worst = float(_residuals(product, vals, unit).max())
+    if not worst <= RESIDUAL_TOL:
+        bound = residual_bound(radius())
+        if not worst <= bound:
+            raise ConvergenceError(f"eigenpair residual exceeds {bound:.1e}", worst)
+    return [fix_phase(vec) for vec in unit.T]
 
 
 def _magnitude(matrix: scipy.sparse.sparray) -> scipy.sparse.sparray:
@@ -389,7 +426,7 @@ def hermitian_lowest(
     each run of returned energies within DEGENERACY_GAP of the next has its
     vectors replaced by ``np.linalg.qr``'s orthonormal basis of their span;
     a pair without a tie keeps its bits.  The pairs are not residual-checked
-    here; callers check them against :func:`residual_bound`.
+    here; callers pass them to :func:`verified_pairs`.
     """
     if not scipy.sparse.issparse(matrix):
         return _lapack_lowest(np.asarray(matrix), count)
@@ -428,14 +465,11 @@ def hermitian_lowest(
                     f"Lanczos found no eigenpairs within {LANCZOS_MAXITER} restarts",
                     float("inf"),
                 ) from exc
-            worst = max(
-                float(np.linalg.norm(operator.matvec(vec) - val * vec))
-                for val, vec in zip(exc.eigenvalues, exc.eigenvectors.T)
-            )
+            residuals = _residuals(operator.matmat, exc.eigenvalues, exc.eigenvectors)
             raise ConvergenceError(
                 f"Lanczos converged only {len(exc.eigenvalues)}/{k} pairs "
                 f"within {LANCZOS_MAXITER} restarts",
-                worst,
+                float(np.max(residuals)),
             ) from exc
         order = np.argsort(vals.real)
         return vals.real[order], vecs[:, order]
@@ -638,11 +672,11 @@ def _lowest_over_blocks(
     their floor, ties by block.  The first gives its lowest min(count,
     size) pairs, each later one its lowest pair.  Once the list holds
     count entries, the cut is the count-th entry's energy plus the
-    residual bound (for rounding; :func:`residual_bound` of H's summed
-    |coefficient|, as :func:`exact_lowest` checks), and a block with no
-    eigenvalue at or below it cannot hold a wanted pair: when its
-    Gershgorin floor lies above the cut, it and every block after it are
-    skipped, and when the bound of FLOOR_STEPS power steps
+    residual bound (for rounding; :func:`residual_bound` of
+    :attr:`PauliHamiltonian.radius`, as :func:`exact_lowest` checks), and
+    a block with no eigenvalue at or below it cannot hold a wanted pair:
+    when its Gershgorin floor lies above the cut, it and every block after
+    it are skipped, and when the bound of FLOOR_STEPS power steps
     (:func:`_weighted_floor`) does, it alone is.
 
     The eigenvalues a block has not given yet rank after its deepest
@@ -664,8 +698,7 @@ def _lowest_over_blocks(
     """
     ranked = []  # every solved pair as (energy, block, index), ascending
     vectors = {}
-    # Every absolute row sum of H is at most its summed |coefficient|.
-    bound = residual_bound(sum(abs(term.coefficient) for term in ham.terms))
+    bound = residual_bound(ham.radius)
 
     def solve(w: int, depth: int, cut: float | None = None) -> None:
         """Rank block w's lowest depth pairs, unless its weighted floor clears cut."""
@@ -717,9 +750,9 @@ def exact_lowest(
     An H that conserves popcount is solved sector by sector
     (:func:`popcount_sectors`) at every n; an H that mixes the sectors,
     and any H under method="lanczos", is one block of all 2^n states,
-    built once.  Either way :func:`_lowest_over_blocks` solves the blocks.
-    Every pair's residual must be within :func:`residual_bound` of H's
-    summed |coefficient|; the worst one otherwise raises ConvergenceError.
+    built once.  Either way :func:`_lowest_over_blocks` solves the blocks,
+    and :func:`verified_pairs` checks the pairs through
+    :func:`apply_hamiltonian`, with r = :attr:`PauliHamiltonian.radius`.
     """
     if ham.n > ORACLE_MAX_QUBITS:
         raise ValueError(f"oracle limited to n <= {ORACLE_MAX_QUBITS}, got {ham.n}")
@@ -734,20 +767,8 @@ def exact_lowest(
         split = [np.arange(1 << ham.n)], [0.0]
     vals, vecs = _lowest_over_blocks(ham, *split, count)
     del split  # freed before the residual check's 2^n-long work arrays
-
-    unit = np.column_stack([vecs[:, i] / np.linalg.norm(vecs[:, i]) for i in range(count)])
-    residuals = np.linalg.norm(apply_hamiltonian(ham, unit) - unit * vals, axis=0)
-    worst = float(np.max(residuals))
-    bound = residual_bound(sum(abs(term.coefficient) for term in ham.terms))
-    if not worst <= bound:
-        raise ConvergenceError(
-            f"eigensolve exceeded residual tolerance {bound:.1e}",
-            worst,
-        )
-    return EigenpairSet(
-        energies=tuple(float(v) for v in vals),
-        vectors=np.column_stack([fix_phase(vec) for vec in unit.T]),
-    )
+    vecs = verified_pairs(lambda x: apply_hamiltonian(ham, x), vals, vecs, lambda: ham.radius)
+    return EigenpairSet(energies=tuple(float(v) for v in vals), vectors=np.column_stack(vecs))
 
 
 def save_eigenpairs(path, pairs: EigenpairSet) -> None:

@@ -44,39 +44,20 @@ COEFF_CUTOFF = 1e-15
 _I_POWERS = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
 
 # Most (term rank, mask, state) entries one pass of the block kernel takes:
-# 512 KB per float64 temporary.  Larger passes leave the cache.  Measured
-# per diagonal evaluation (24-32 terms, CPU, one thread): 4096 states took
-# ~0.8 ms in one pass and ~0.4 ms in passes of this size, as in the
-# per-term loop the kernel replaced; the 65536 states of one n = 16 oracle
-# block took ~21 ms in one pass, ~9 ms in these and ~6 ms in that loop.
+# 512 KB per float64 temporary.  Larger passes leave the cache: one pass
+# over 4096 and over 65536 states took ~0.8 and ~21 ms, passes of this size
+# ~0.4 and ~9 ms; 2^15 to 2^17 time alike (BENCH_amplitude_table.json,
+# "kernel_block_sweep").
 KERNEL_BLOCK = 1 << 16
 
 # Widest group support, in bits, that gets a lookup table (the support is
 # the OR of the group's z-masks); a real table takes 8 * 2^bits bytes, a
-# complex one twice that.  Measured for one group reading b bits (the
-# diagonal of a Heisenberg ring on b qubits, 2b terms; CPU, one thread,
-# medians of 21 interleaved repeats, 9 past 16 bits), in ms:
-#
-#   bits  table KB  build  all 2^b states:      1500 states:
-#                          direct  looked up    direct  looked up
-#      8        2    0.29    0.03     0.01         (all states)
-#     10        8    0.39    0.09     0.02         (all states)
-#     12       32    0.60    0.72     0.05       0.24     0.02
-#     14      128    1.03    2.33     0.18       0.30     0.03
-#     15      256    1.55    4.54     0.56       0.22     0.04
-#     16      512    2.56    8.96     0.83       0.27     0.05
-#     17     1024    5.35   20.48     1.44       0.30     0.06
-#     18     2048   12.33   45.51     3.22       0.43     0.07
-#
-# Below ~12 bits a build is mostly its fixed cost per term, under 1 ms.
-# From 14 bits it costs under half of one direct pass over all 2^b states
-# (under a third at 16), and the oracle makes at least one such pass; at
-# 16 bits the expansion loop's lookups repay it within ~12 batches of 1500
-# states.  Past 16 bits the build and the table double per bit while a
-# batch saves no more, so a 17- or 18-bit table takes ~20 or ~35 such
-# batches and 1-2 MB; no workload runs n > 16, and those groups stay with
-# the kernel.  (Another run of this table read up to 1.8x these times on
-# the shared host.)
+# complex one twice that.  From 14 bits a build costs under half of one
+# direct pass over all 2^b states, which the oracle makes at least once,
+# and at 16 bits the expansion loop's lookups repay it within ~12 batches
+# of 1500 states.  Past 16 bits the build and the table double per bit
+# while a batch saves no more, and no workload runs n > 16
+# (BENCH_support_tables.json, "support_width", holds the measured rows).
 TABLE_MAX_BITS = 16
 
 _CHAR_TO_MASKS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
@@ -254,8 +235,9 @@ class PauliHamiltonian:
 
     Terms are canonicalized at construction: duplicates (same mask pair)
     are merged by summing coefficients, and merged terms with negligible
-    coefficient are dropped.  A Hamiltonian whose summed |coefficient|,
-    a bound on every matrix element, overflows float64 is refused.
+    coefficient are dropped.  ``radius``, the terms' summed |coefficient|,
+    bounds every absolute row sum of H, and so every matrix element; a
+    Hamiltonian whose radius overflows float64 is refused.
     Instances are immutable; the cached lookup structures make every
     operation safe for concurrent use.
     """
@@ -275,14 +257,15 @@ class PauliHamiltonian:
                 )
             key = (term.x_mask, term.z_mask)
             merged[key] = merged.get(key, 0.0) + term.coefficient
-        # Every matrix element is a signed sum of the merged coefficients.
-        if not np.isfinite(sum(abs(c) for c in merged.values())):
+        kept = {key: c for key, c in merged.items() if abs(c) >= COEFF_CUTOFF}
+        # Every matrix element is a signed sum of the kept coefficients.
+        radius = sum(abs(c) for c in kept.values())
+        if not np.isfinite(radius):
             raise ValueError("sum of |coefficient| overflows float64")
-        canon = tuple(
-            PauliTerm(x, z, c) for (x, z), c in merged.items() if abs(c) >= COEFF_CUTOFF
-        )
         object.__setattr__(self, "n", n)
+        canon = tuple(PauliTerm(x, z, c) for (x, z), c in kept.items())
         object.__setattr__(self, "terms", canon)
+        object.__setattr__(self, "radius", radius)
 
     @cached_property
     def _groups(self) -> dict[int, tuple[tuple[int, complex], ...]]:

@@ -34,14 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse
 
-from assqd.oracle import (
-    DENSE_SOLVE_MAX,
-    ConvergenceError,
-    fix_phase,
-    hermitian_lowest,
-    linked_arrays,
-    residual_bound,
-)
+from assqd.oracle import DENSE_SOLVE_MAX, hermitian_lowest, linked_arrays, verified_pairs
 from assqd.pauli import PauliHamiltonian
 
 HERMITICITY_ATOL = 1e-12
@@ -219,28 +212,21 @@ def lowest_eigenpair(
 
     ``guess``, one entry per basis state, starts the Lanczos route
     (:func:`assqd.oracle.hermitian_lowest`); the dense route ignores it.
-    The residual norm(H_S c - E c) must be within the oracle's own rule,
-    :func:`assqd.oracle.residual_bound` of the table's largest absolute
-    row sum, or ConvergenceError is raised.
+    :func:`assqd.oracle.verified_pairs` checks the pair, with r the
+    table's largest absolute row sum, which costs ~1% of a solve and is
+    summed only when the residual exceeds 1e-9.
     """
     operator = (
         matrix.dense() if len(matrix.basis) <= DENSE_SOLVE_MAX else matrix.sparse()
     )
     vals, vecs = hermitian_lowest(operator, 1, guess)
-    energy, vec = float(vals[0]), vecs[:, 0]
-    vec = vec / np.linalg.norm(vec)
-    residual = float(np.linalg.norm(operator @ vec - energy * vec))
-    # No bound lies below residual_bound(0.0), so the table's row sums, ~1%
-    # of a solve, are summed only for a residual above it.  Row j of the
-    # table holds column j of H_S and the entries that leave the basis, so
-    # its absolute sum bounds H_S's (Hermitian) row sums.
-    if residual > residual_bound(0.0):
-        bound = residual_bound(float(np.max(np.abs(matrix.table).sum(axis=1))))
-        if residual > bound:
-            raise ConvergenceError(
-                f"restricted eigenpair residual exceeds {bound:.1e}", residual
-            )
-    return RestrictedSolution(energy=energy, coefficients=fix_phase(vec), matrix=matrix)
+    # Row j of the table holds column j of H_S and the entries that leave
+    # the basis, so its absolute sum bounds H_S's (Hermitian) row sums.
+    (vec,) = verified_pairs(
+        lambda x: operator @ x, vals, vecs,
+        lambda: float(np.max(np.abs(matrix.table).sum(axis=1))),
+    )
+    return RestrictedSolution(energy=float(vals[0]), coefficients=vec, matrix=matrix)
 
 
 def dominant_support(sol: RestrictedSolution, tau: float) -> DominantSupport:

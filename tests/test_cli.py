@@ -329,14 +329,18 @@ def _scaled_heisenberg_8(runner, tmp_path, scale: float) -> list[str]:
 class TestSolverFailure:
     """A solver failure ends the command as "Error: ..." with exit code 1."""
 
-    def test_oracle_convergence_error_is_a_one_line_error(self, runner, tmp_path):
+    @pytest.mark.parametrize("extra", [[], ["--no-exact"]], ids=["oracle", "restricted"])
+    def test_oracle_convergence_error_is_a_one_line_error(self, runner, tmp_path, extra):
         # Scaled by 1e200, the n = 8 chain's coefficients are finite, but the
-        # norm of its reference solve's residual overflows to inf.
+        # norm of the residual overflows to inf: in the reference solve, or
+        # with --no-exact in the first restricted solve.  No numpy warning
+        # joins the one line.
         result = runner.invoke(main, ["--seed", "0", "run",
                                       *_scaled_heisenberg_8(runner, tmp_path, 1e200),
-                                      "-T", "2"])
+                                      "-T", "2", *extra])
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)
+        assert len(result.output.splitlines()) == 1
         assert result.output.startswith("Error: ") and "residual" in result.output
 
     def test_run_error_is_a_one_line_error(self, runner, artifacts, monkeypatch):

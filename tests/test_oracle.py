@@ -234,6 +234,22 @@ class TestHermitianLowest:
         assert np.array_equal(matrix.indices, indices)
         assert np.array_equal(matrix.data, data)
 
+    def test_partial_convergence_reports_the_worst_residual(self, monkeypatch):
+        # ARPACK out of restarts with one of two pairs, its energy 1e-3 off:
+        # the error carries that pair's residual norm.
+        solver = scipy.sparse.linalg.eigsh
+
+        def partial(operator, *args, **kwargs):
+            vals, vecs = solver(operator, *args, **kwargs)
+            raise scipy.sparse.linalg.ArpackNoConvergence(
+                "out of restarts", vals[:1] + 1e-3, vecs[:, :1])
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", partial)
+        ham, _ = build_model(ModelSpec(kind="tfim", n=8, seed=0))
+        with pytest.raises(ConvergenceError, match="converged only 1/2") as caught:
+            hermitian_lowest(_full_csr(ham), 2)
+        assert caught.value.achieved_residual == pytest.approx(1e-3, rel=1e-6)
+
     @pytest.mark.parametrize("fmt", ["coo", "lil", "dia"])
     def test_other_sparse_formats_rejected(self, fmt):
         ham, _ = build_model(ModelSpec(kind="heisenberg", n=6, seed=0))
@@ -706,6 +722,31 @@ class TestResidualBound:
         eps = np.finfo(np.float64).eps
         expected = RESIDUAL_TOL / (10 * radius) if scale < 1e5 else 6.4 * eps
         assert handed == [pytest.approx(expected, rel=1e-12, abs=0.0)]
+
+    # NaN compares false with every bound, so the check must be written as
+    # "not residual <= bound" to refuse it; both callers go through it.
+    @pytest.mark.parametrize("entry", ["vector", "energy"])
+    @pytest.mark.parametrize("module", [oracle_mod, subspace_mod], ids=["oracle", "restricted"])
+    def test_nan_pair_fails_both_callers(self, monkeypatch, module, entry):
+        ham, _ = build_model(ModelSpec(kind="heisenberg", n=8, seed=0))
+        solve = module.hermitian_lowest
+
+        def nan_pair(*args):
+            vals, vecs = solve(*args)
+            if entry == "vector":
+                vecs[:, 0] = np.nan
+            else:
+                vals[0] = np.nan
+            return vals, vecs
+
+        monkeypatch.setattr(module, "hermitian_lowest", nan_pair)
+        if module is oracle_mod:
+            call = functools.partial(exact_lowest, ham)
+        else:
+            call = functools.partial(lowest_eigenpair, build_restricted(ham, Subspace(range(20))))
+        with pytest.raises(ConvergenceError, match="residual") as caught:
+            call()
+        assert np.isnan(caught.value.achieved_residual)
 
     def test_bound_is_the_rounding_floor_past_the_crossover(self):
         floor = oracle_mod.ROUNDING_FACTOR * np.finfo(np.float64).eps

@@ -114,6 +114,15 @@ class TestPauliHamiltonian:
         assert h.neighbors(0) == set()
         assert h.diagonal(0) == 0.0
 
+    def test_radius_is_the_summed_coefficient(self):
+        # Duplicates merge and negligible terms drop before the sum.
+        h = parse_hamiltonian("1.0 XX\n1.0 XX\n-2.5 ZI\n1e-16 IZ\n")
+        assert h.radius == 4.5
+        rng = np.random.default_rng(7)
+        for n in (2, 5, 9):
+            h = random_hamiltonian(n, 40, rng)
+            assert h.radius == sum(abs(term.coefficient) for term in h.terms)
+
     @pytest.mark.parametrize("words", [
         ["ZZI", "ZIZ", "XXI"], ["ZZI", "ZZI"], ["XXI", "YYI", "IZZ"],
     ], ids=["distinct", "merged", "off-diagonal"])
