@@ -19,10 +19,14 @@ them, the gap too, which every consumer reads from there.
 experiment's 2-hop frontier is built and scored in one place,
 :func:`score_two_hop`: the same scores for every kind, except that under
 "en" the pure 2-hop states, whose nu is zero, get a chained stand-in.
-Both frontiers come from one ``np.unique(..., return_inverse=True)`` over
-the states stepped to, whose inverse gives every pair its index; the
-distinct states are tested against the subspace once, with
-:meth:`Subspace.positions`.
+Both frontiers come from :func:`_outside`, which finds the distinct
+states stepped to outside the subspace, ascending, and every pair's index
+among them.  Up to MARK_MAX_QUBITS = 16 qubits it reads a 2^n mark array
+of them and a 2^n map from state to index, with no sort; past that it
+sorts, with one ``np.unique(..., return_inverse=True)`` whose inverse
+gives every pair its index, and tests the distinct states against the
+subspace with :meth:`Subspace.positions`.  Both paths give the same
+arrays, byte for byte, and refuse a state outside [0, 2^n).
 
 :func:`coupling_map` gives nu by summing every (state, mask) term of D
 into the candidate its pair index names, reading D's amplitudes from the
@@ -43,6 +47,15 @@ from assqd.subspace import DominantSupport, RestrictedSolution, Subspace
 ACQUISITION_KINDS = ("en", "coupling_only", "denom_only", "diag_only", "random")
 
 DEFAULT_EPS = 1e-8
+
+# The frontier's set operations read 2^n mark arrays up to this many
+# qubits and sort past it.  On recorded as-en frontiers the marks take
+# 16-35 us a call against 62-95 us sorted at n = 10-16 (1-hop) and 22-91
+# against 97-402 us (2-hop); they still lead at n = 18, and their 2^n cost
+# loses to the sort at n = 20 (1-hop) and 22 (both).  16 is the largest n
+# a workload runs, where the mark array takes 64 KB and the index map
+# 512 KB (BENCH_dense_frontier.json).
+MARK_MAX_QUBITS = 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,17 +102,54 @@ class Frontier:
         return len(self.states)
 
 
-def _outside(subspace: Subspace, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _in_range(n: int, states: np.ndarray) -> np.ndarray:
+    """The states, refused with ValueError unless each lies in [0, 2^n).
+
+    A mark array would read a negative state from its far end, and a
+    sorted lookup would let through a state past 2^n whose low n bits
+    are a subspace state.
+    """
+    # 1 << 63 overflows int64, so the largest state is shifted down instead.
+    if states.size and (states.min() < 0 or states.max() >> n):
+        raise ValueError(f"states must lie in [0, 2^{n})")
+    return states
+
+
+def _marks(n: int, states: np.ndarray) -> np.ndarray:
+    """A 2^n boolean array, True at each of the given states."""
+    marks = np.zeros(1 << n, dtype=bool)
+    marks[states] = True
+    return marks
+
+
+def _outside(
+    n: int, subspace: Subspace, targets: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """The distinct targets outside the subspace, ascending, and where each lies.
 
     The second array, shaped like the targets, gives each target's index
-    among the first, or -1 for a target in the subspace.
+    among the first, or -1 for a target in the subspace.  Up to
+    MARK_MAX_QUBITS qubits the targets are marked and the subspace
+    unmarked on a 2^n array, whose marks, read in order, are the first
+    array; past that the targets are sorted.  A target or subspace state
+    outside [0, 2^n) raises ValueError.
     """
-    states, inverse = np.unique(targets.reshape(-1), return_inverse=True)
-    outside = subspace.positions(states) < 0
-    index = np.cumsum(outside) - 1
-    index[~outside] = -1
-    return states[outside], index[inverse].reshape(targets.shape)
+    _in_range(n, targets)
+    _in_range(n, subspace.states)
+    if n > MARK_MAX_QUBITS:
+        states, inverse = np.unique(targets.reshape(-1), return_inverse=True)
+        outside = subspace.positions(states) < 0
+        index = np.cumsum(outside) - 1
+        index[~outside] = -1
+        return states[outside], index[inverse].reshape(targets.shape)
+    marks = _marks(n, targets)
+    marks[subspace.states] = False
+    states = np.flatnonzero(marks)
+    # Only the targets' entries are read back, so only they are written.
+    index = np.empty(1 << n, dtype=np.int64)
+    index[targets] = -1
+    index[states] = np.arange(len(states))
+    return states, index[targets]
 
 
 def generate_candidates(
@@ -111,7 +161,7 @@ def generate_candidates(
 
     :func:`score_two_hop` steps once more from it.
     """
-    return Frontier(*_outside(subspace, _step(ham, dominant.states)))
+    return Frontier(*_outside(ham.n, subspace, _step(ham, dominant.states)))
 
 
 def coupling_map(
@@ -150,15 +200,27 @@ def score_candidates(
     eps: float = DEFAULT_EPS,
     rng_seed: int | None = None,
 ) -> CandidateScores:
-    """Score every candidate of the frontier under one variant, in its order."""
+    """Score every candidate of the frontier under one variant, in its order.
+
+    The candidates must lie in [0, 2^n) and outside the subspace, and the
+    subspace's states in [0, 2^n), or ValueError is raised.  Up to
+    MARK_MAX_QUBITS qubits the candidates are read off a 2^n mark array
+    of the subspace, past that looked up with :meth:`Subspace.positions`.
+    """
     if kind not in ACQUISITION_KINDS:
         raise ValueError(f"unknown acquisition kind {kind!r}")
     if kind == "random" and rng_seed is None:
         raise ValueError("random scoring requires rng_seed")
     if not eps > 0:
         raise ValueError(f"eps must be positive, got {eps}")
-    candidates = frontier.states
-    overlap = candidates[sol.subspace.positions(candidates) >= 0]
+    candidates = _in_range(ham.n, frontier.states)
+    subspace = sol.subspace
+    _in_range(ham.n, subspace.states)
+    if ham.n > MARK_MAX_QUBITS:
+        inside = subspace.positions(candidates) >= 0
+    else:
+        inside = _marks(ham.n, subspace.states)[candidates]
+    overlap = candidates[inside]
     if len(overlap):
         raise ValueError(f"candidates intersect the subspace: {overlap[:5].tolist()}")
     nu = coupling_map(sol, dominant, frontier)
@@ -201,7 +263,9 @@ def score_two_hop(
     subspace = sol.subspace
     one_hop = generate_candidates(ham, dominant, subspace)
     grid = _step(ham, one_hop.states)
-    states, index = _outside(subspace, np.concatenate([one_hop.states, grid.ravel()]))
+    states, index = _outside(
+        ham.n, subspace, np.concatenate([one_hop.states, grid.ravel()])
+    )
     at_one = index[:len(one_hop)]
     at_grid = index[len(one_hop):].reshape(grid.shape)
     # The -1 pad sends a pair that lands in the subspace to -1 again.

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import assqd.acquisition as acquisition
 from assqd.acquisition import (
     ACQUISITION_KINDS,
     CandidateScores,
@@ -36,6 +37,13 @@ def support(subspace, *states):
     return DominantSupport(states=states, rows=subspace.positions(states))
 
 
+def both_set_paths(monkeypatch):
+    """Run a loop body on 2^n mark arrays, then, with the limit lowered, on the sort."""
+    yield
+    monkeypatch.setattr(acquisition, "MARK_MAX_QUBITS", 0)
+    yield
+
+
 def ranked(states, score):
     """Scores with placeholder diagonals, couplings and gaps, for select_top_b."""
     zeros = np.zeros(len(states))
@@ -52,6 +60,18 @@ class TestGenerateCandidates:
         out = generate_candidates(ham, support(sub, 0), sub)
         assert out.states.tolist() == [0b011, 0b101, 0b110]
         assert out.pairs.tolist() == [[0, 1, 2]]
+
+    @pytest.mark.parametrize("state", [-1, 64, 85])
+    def test_out_of_range_state_rejected(self, monkeypatch, state):
+        # 85 = 64 + 21 aliases the subspace state 21 in its low six bits.
+        ham, _ = build_model(ModelSpec(kind="heisenberg", n=6, seed=0))
+        inside = Subspace((21, 42))
+        with_state = Subspace((21, 42, state))
+        for _ in both_set_paths(monkeypatch):
+            for sub, d in ((inside, support(inside, 21, state)),
+                           (with_state, support(with_state, 21))):
+                with pytest.raises(ValueError, match=r"\[0, 2\^6\)"):
+                    generate_candidates(ham, d, sub)
 
     def test_diagonal_hamiltonian_has_no_candidates(self):
         h = PauliHamiltonian(3, [PauliTerm(0, m, 1.0) for m in (1, 2, 4)])
@@ -295,11 +315,27 @@ class TestScoreCandidates:
         with pytest.raises(ValueError, match="kind"):
             score_candidates("best", ham, sol, d, cands)
 
-    def test_candidates_overlapping_subspace_rejected(self):
+    def test_candidates_overlapping_subspace_rejected(self, monkeypatch):
         ham, sol, d, cands = self._setup()
         overlapping = Frontier(np.append(cands.states, 0), cands.pairs)
-        with pytest.raises(ValueError, match="intersect"):
-            score_candidates("en", ham, sol, d, overlapping)
+        for _ in both_set_paths(monkeypatch):
+            with pytest.raises(ValueError, match="intersect"):
+                score_candidates("en", ham, sol, d, overlapping)
+
+    @pytest.mark.parametrize("state", [-1, 64, 85])
+    def test_out_of_range_state_rejected(self, monkeypatch, state):
+        # 85 = 64 + 21 aliases the subspace state 21 in its low six bits.
+        ham, _ = build_model(ModelSpec(kind="heisenberg", n=6, seed=0))
+        sol = solve(ham, (21, 42))
+        d = dominant_support(sol, 1e-4)
+        cands = generate_candidates(ham, d, sol.subspace)
+        outside = Frontier(np.append(cands.states, state), cands.pairs)
+        # build_restricted takes the state into a subspace; scoring must not.
+        sol_with = solve(ham, (21, 42, state))
+        for _ in both_set_paths(monkeypatch):
+            for s, frontier in ((sol, outside), (sol_with, cands)):
+                with pytest.raises(ValueError, match=r"\[0, 2\^6\)"):
+                    score_candidates("en", ham, s, support(s.subspace, 21), frontier)
 
     def test_scale_covariance(self):
         rng = np.random.default_rng(79)

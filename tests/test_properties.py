@@ -7,7 +7,9 @@ batch paths sum the same terms in the same order as the per-element
 references, so they must agree bit for bit.  Where a comparison is made on
 ``tobytes()``, the sign of a zero must agree too.  The set and scoring
 code is held to numpy's set routines and to the per-mask two-hop loop it
-replaced, kept here as the literal reference.
+replaced, kept here as the literal reference, also at n = 16 and 17,
+either side of the limit past which the frontier is sorted instead of
+marked on 2^n arrays.
 """
 
 from __future__ import annotations
@@ -23,9 +25,11 @@ import scipy.sparse.csgraph
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import assqd.acquisition as acquisition_mod
 import assqd.subspace as subspace_mod
 from assqd.acquisition import (
     ACQUISITION_KINDS,
+    MARK_MAX_QUBITS,
     CandidateScores,
     coupling_map,
     generate_candidates,
@@ -334,11 +338,14 @@ def test_warm_restricted_solve_finds_the_dense_energy(real, data):
 # Restricted solves on up to 16 states stay small at any n, so the scoring
 # properties also run on states of n = 63 qubits.
 _SCORING_SIZES = st.integers(1, 8) | st.just(MAX_QUBITS)
+# The frontier's set operations read mark arrays up to MARK_MAX_QUBITS and
+# sort past it, so its tests draw the sizes on both sides of that limit too.
+_FRONTIER_SIZES = _SCORING_SIZES | st.sampled_from([MARK_MAX_QUBITS, MARK_MAX_QUBITS + 1])
 
 
-def _solved(data, real):
+def _solved(data, real, sizes=_SCORING_SIZES):
     """A random H, its ground pair on up to 16 drawn states, and a drawn D."""
-    ham = data.draw(hamiltonians(real, sizes=_SCORING_SIZES))
+    ham = data.draw(hamiltonians(real, sizes=sizes))
     states = _states(data.draw, ham.n, min_size=1, max_size=16)
     sol = lowest_eigenpair(build_restricted(ham, Subspace(states)))
     dominant = dominant_support(sol, data.draw(st.sampled_from([0.0, 1e-4, 0.05])))
@@ -440,7 +447,7 @@ def _two_hop_reference(kind, ham, sol, dominant, subspace, eps):
 @pytest.mark.parametrize("real", [True, False])
 @given(data=st.data())
 def test_score_two_hop_bytes_equal_per_mask_loop(real, data):
-    ham, sol, dominant = _solved(data, real)
+    ham, sol, dominant = _solved(data, real, _FRONTIER_SIZES)
     eps = data.draw(st.sampled_from([1e-8, 0.5]))
     kind = data.draw(st.sampled_from(ACQUISITION_KINDS))
     got = score_two_hop(kind, ham, sol, dominant, eps=eps, rng_seed=0)
@@ -456,18 +463,36 @@ def _repeating_states(n: int):
     return st.lists(st.integers(0, min((1 << n) - 1, 15)), max_size=24)
 
 
+def _frontier_inputs(data, sizes):
+    """A random H, a subspace and a D drawn apart from it, with repeats."""
+    ham = data.draw(hamiltonians(sizes=sizes))
+    subspace = Subspace(np.unique(data.draw(_repeating_states(ham.n))).astype(np.int64))
+    states = np.array(data.draw(_repeating_states(ham.n)), dtype=np.int64)
+    return ham, subspace, DominantSupport(states, subspace.positions(states))
+
+
 @PROPERTY
 @given(st.data())
 def test_generate_candidates_equals_numpy_set_forms(data):
-    ham = data.draw(hamiltonians(sizes=_SCORING_SIZES))
-    subspace = Subspace(np.unique(data.draw(_repeating_states(ham.n))).astype(np.int64))
-    states = np.array(data.draw(_repeating_states(ham.n)), dtype=np.int64)
-    dominant = DominantSupport(states, subspace.positions(states))
+    ham, subspace, dominant = _frontier_inputs(data, _FRONTIER_SIZES)
     one_hop = np.setdiff1d(_frontier(ham, dominant.states), subspace.states)
     frontier = generate_candidates(ham, dominant, subspace)
     assert _bytes_equal(frontier.states, one_hop)
     steps = dominant.states[:, None] ^ np.array(ham.offdiag_masks, dtype=np.int64)
     assert _bytes_equal(frontier.pairs, sorted_positions(frontier.states, steps))
+
+
+@PROPERTY
+@given(st.data())
+def test_sort_path_bytes_equal_mark_path(data):
+    ham, subspace, dominant = _frontier_inputs(
+        data, st.integers(1, 8) | st.just(MARK_MAX_QUBITS))
+    marked = generate_candidates(ham, dominant, subspace)
+    # Every n is past a limit of 0, so this runs the sort path.
+    with mock.patch.object(acquisition_mod, "MARK_MAX_QUBITS", 0):
+        sorted_ = generate_candidates(ham, dominant, subspace)
+    assert _bytes_equal(sorted_.states, marked.states)
+    assert _bytes_equal(sorted_.pairs, marked.pairs)
 
 
 @PROPERTY
