@@ -26,7 +26,9 @@ of them and a 2^n map from state to index, with no sort; past that it
 sorts, with one ``np.unique(..., return_inverse=True)`` whose inverse
 gives every pair its index, and tests the distinct states against the
 subspace with :meth:`Subspace.positions`.  Both paths give the same
-arrays, byte for byte, and refuse a state outside [0, 2^n).
+arrays, byte for byte, and refuse a target outside [0, 2^n); the
+subspace's states are in range, since its matrix was made.  Every
+function reads H from the restricted matrix, the one it was built from.
 
 :func:`coupling_map` gives nu by summing every (state, mask) term of D
 into the candidate its pair index names, reading D's amplitudes from the
@@ -41,8 +43,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from assqd.pauli import PauliHamiltonian
-from assqd.subspace import DominantSupport, RestrictedSolution, Subspace
+from assqd.pauli import in_range
+from assqd.subspace import DominantSupport, RestrictedMatrix, RestrictedSolution
 
 ACQUISITION_KINDS = ("en", "coupling_only", "denom_only", "diag_only", "random")
 
@@ -82,9 +84,9 @@ class CandidateScores:
         return len(self.states)
 
 
-def _step(ham: PauliHamiltonian, states: np.ndarray) -> np.ndarray:
-    """s XOR x_mask for every state (rows) and off-diagonal mask (columns)."""
-    return states[:, None] ^ np.array(ham.offdiag_masks, dtype=np.int64)
+def _step(matrix: RestrictedMatrix, states: np.ndarray) -> np.ndarray:
+    """s XOR x_mask for every state (rows) and off-diagonal mask of H (columns)."""
+    return states[:, None] ^ np.array(matrix.ham.offdiag_masks, dtype=np.int64)
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,19 +104,6 @@ class Frontier:
         return len(self.states)
 
 
-def _in_range(n: int, states: np.ndarray) -> np.ndarray:
-    """The states, refused with ValueError unless each lies in [0, 2^n).
-
-    A mark array would read a negative state from its far end, and a
-    sorted lookup would let through a state past 2^n whose low n bits
-    are a subspace state.
-    """
-    # 1 << 63 overflows int64, so the largest state is shifted down instead.
-    if states.size and (states.min() < 0 or states.max() >> n):
-        raise ValueError(f"states must lie in [0, 2^{n})")
-    return states
-
-
 def _marks(n: int, states: np.ndarray) -> np.ndarray:
     """A 2^n boolean array, True at each of the given states."""
     marks = np.zeros(1 << n, dtype=bool)
@@ -123,19 +112,21 @@ def _marks(n: int, states: np.ndarray) -> np.ndarray:
 
 
 def _outside(
-    n: int, subspace: Subspace, targets: np.ndarray
+    matrix: RestrictedMatrix, targets: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """The distinct targets outside the subspace, ascending, and where each lies.
 
     The second array, shaped like the targets, gives each target's index
-    among the first, or -1 for a target in the subspace.  Up to
-    MARK_MAX_QUBITS qubits the targets are marked and the subspace
-    unmarked on a 2^n array, whose marks, read in order, are the first
-    array; past that the targets are sorted.  A target or subspace state
-    outside [0, 2^n) raises ValueError.
+    among the first, or -1 for a target in the matrix's basis, the
+    subspace.  Up to MARK_MAX_QUBITS qubits the targets are marked and the
+    subspace unmarked on a 2^n array, whose marks, read in order, are the
+    first array; past that the targets are sorted.  A target outside
+    [0, 2^n) raises ValueError: a mark array would read a negative one
+    from its far end, a sort let one past 2^n alias a subspace state.
     """
-    _in_range(n, targets)
-    _in_range(n, subspace.states)
+    n, subspace = matrix.ham.n, matrix.basis
+    if not in_range(n, targets):
+        raise ValueError(f"states must lie in [0, 2^{n})")
     if n > MARK_MAX_QUBITS:
         states, inverse = np.unique(targets.reshape(-1), return_inverse=True)
         outside = subspace.positions(states) < 0
@@ -152,16 +143,12 @@ def _outside(
     return states, index[targets]
 
 
-def generate_candidates(
-    ham: PauliHamiltonian,
-    dominant: DominantSupport,
-    subspace: Subspace,
-) -> Frontier:
+def generate_candidates(matrix: RestrictedMatrix, dominant: DominantSupport) -> Frontier:
     """The 1-hop frontier of D: its single-term neighbours outside the subspace.
 
     :func:`score_two_hop` steps once more from it.
     """
-    return Frontier(*_outside(ham.n, subspace, _step(ham, dominant.states)))
+    return Frontier(*_outside(matrix, _step(matrix, dominant.states)))
 
 
 def coupling_map(
@@ -176,10 +163,16 @@ def coupling_map(
     ``frontier.pairs`` names.  D's amplitudes are read by position from
     the restricted matrix's table, where <s XOR x|H|s> was kept when s
     joined the subspace.  Pairs are summed s-major in D's order, the order
-    of the tests' literal per-candidate sum ``coupling``.
+    of the tests' literal per-candidate sum ``coupling``.  D must lie in
+    the subspace, at its rows, or ValueError is raised.
     """
-    amps = sol.matrix.table[dominant.rows, 1:]
-    c = sol.coefficients[dominant.rows][:, None]
+    rows, states = dominant.rows, sol.subspace.states
+    # A row outside [0, m) would read from the far end or past the table.
+    inside = not rows.size or (rows.min() >= 0 and rows.max() < len(states))
+    if not (inside and np.array_equal(states[rows], dominant.states)):
+        raise ValueError("dominant states must lie in the subspace, at their rows")
+    amps = sol.matrix.table[rows, 1:]
+    c = sol.coefficients[rows][:, None]
     # Each real operation rounds on its own, as in the scalar products of
     # the tests' ``coupling``; numpy's vector complex multiply may fuse them.
     real = c.real * amps.real - c.imag * amps.imag
@@ -193,7 +186,6 @@ def coupling_map(
 
 def score_candidates(
     kind: str,
-    ham: PauliHamiltonian,
     sol: RestrictedSolution,
     dominant: DominantSupport,
     frontier: Frontier,
@@ -202,8 +194,8 @@ def score_candidates(
 ) -> CandidateScores:
     """Score every candidate of the frontier under one variant, in its order.
 
-    The candidates must lie in [0, 2^n) and outside the subspace, and the
-    subspace's states in [0, 2^n), or ValueError is raised.  Up to
+    H is the solution's matrix's.  The candidates must lie in [0, 2^n)
+    and outside the subspace, or ValueError is raised.  Up to
     MARK_MAX_QUBITS qubits the candidates are read off a 2^n mark array
     of the subspace, past that looked up with :meth:`Subspace.positions`.
     """
@@ -213,9 +205,9 @@ def score_candidates(
         raise ValueError("random scoring requires rng_seed")
     if not eps > 0:
         raise ValueError(f"eps must be positive, got {eps}")
-    candidates = _in_range(ham.n, frontier.states)
-    subspace = sol.subspace
-    _in_range(ham.n, subspace.states)
+    ham, subspace, candidates = sol.matrix.ham, sol.subspace, frontier.states
+    if not in_range(ham.n, candidates):
+        raise ValueError(f"states must lie in [0, 2^{ham.n})")
     if ham.n > MARK_MAX_QUBITS:
         inside = subspace.positions(candidates) >= 0
     else:
@@ -243,7 +235,6 @@ def score_candidates(
 
 def score_two_hop(
     kind: str,
-    ham: PauliHamiltonian,
     sol: RestrictedSolution,
     dominant: DominantSupport,
     eps: float = DEFAULT_EPS,
@@ -260,17 +251,14 @@ def score_two_hop(
 
         max over m in 1-hop:  |<k|H|m>|^2 |nu_m|^2 / (|gap_m| |gap_k|)
     """
-    subspace = sol.subspace
-    one_hop = generate_candidates(ham, dominant, subspace)
-    grid = _step(ham, one_hop.states)
-    states, index = _outside(
-        ham.n, subspace, np.concatenate([one_hop.states, grid.ravel()])
-    )
+    one_hop = generate_candidates(sol.matrix, dominant)
+    grid = _step(sol.matrix, one_hop.states)
+    states, index = _outside(sol.matrix, np.concatenate([one_hop.states, grid.ravel()]))
     at_one = index[:len(one_hop)]
     at_grid = index[len(one_hop):].reshape(grid.shape)
     # The -1 pad sends a pair that lands in the subspace to -1 again.
     frontier = Frontier(states, np.append(at_one, -1)[one_hop.pairs])
-    scored = score_candidates(kind, ham, sol, dominant, frontier, eps, rng_seed)
+    scored = score_candidates(kind, sol, dominant, frontier, eps, rng_seed)
     if kind != "en":
         return scored
     pure = np.ones(len(frontier), dtype=bool)
@@ -278,7 +266,7 @@ def score_two_hop(
     # The (1-hop state, mask) pairs that land on a pure 2-hop state.
     hit = np.append(pure, False)[at_grid]
     rows = np.nonzero(hit)[0]
-    amp_sq = np.abs(ham.amplitude_table(one_hop.states).T[hit]) ** 2
+    amp_sq = np.abs(sol.matrix.ham.amplitude_table(one_hop.states).T[hit]) ** 2
     nu_m_sq = np.abs(scored.coupling[at_one]) ** 2
     denom_m = np.abs(scored.gap[at_one])
     best = np.zeros(len(frontier))

@@ -12,8 +12,9 @@ seeded uniform draws, and the acquisition kinds rank by the EN score or
 one of its ablations.  run_standard_sqd and run_random_sqd are one-line
 shorthands for those kinds, and method_label/method_kind map a kind to
 the label that rows and traces carry ("standard", "random", "as-<kind>")
-and back.  The loop keeps one RestrictedSolution, which holds the
-restricted matrix and its subspace, and reads both from it.  Each solve
+and back.  Counts must be on H's qubit count.  H goes only to
+build_restricted: the loop keeps one RestrictedSolution, which holds the
+restricted matrix, its subspace and its H, and reads them from it.  Each solve
 after an extension starts from a guess, the last ground vector followed
 by each picked state's first-order amplitude nu_k / gap_k, from its
 scored coupling and gap, which Lanczos reaches the new ground pair from
@@ -175,7 +176,9 @@ def _record(
 def run_as_sqd(
     ham: PauliHamiltonian, counts: CountsMultiset, config: RunConfig
 ) -> RunTrace:
-    """The expansion loop, run as the configured kind."""
+    """The expansion loop, run as the configured kind, on counts of H's qubit count."""
+    if counts.n != ham.n:
+        raise ValueError(f"counts are for n={counts.n} but the Hamiltonian has n={ham.n}")
     start = time.perf_counter()
     matrix = build_restricted(ham, Subspace(top_k(counts, config.K)))
     try:
@@ -196,17 +199,15 @@ def run_as_sqd(
                 int(rng_master.integers(0, 2**63)) if config.kind == "random" else None
             )
             if config.hops == 2:
-                scored = score_two_hop(
-                    config.kind, ham, sol, dominant, config.eps, rng_seed
-                )
+                scored = score_two_hop(config.kind, sol, dominant, config.eps, rng_seed)
             else:
-                cands = generate_candidates(ham, dominant, sol.subspace)
+                cands = generate_candidates(sol.matrix, dominant)
                 scored = score_candidates(
-                    config.kind, ham, sol, dominant, cands, config.eps, rng_seed
+                    config.kind, sol, dominant, cands, config.eps, rng_seed
                 )
             if len(scored):
                 picked = select_top_b(scored, config.B)
-                matrix = extend_restricted(ham, sol.matrix, picked.states, picked.diagonal)
+                matrix = extend_restricted(sol.matrix, picked.states, picked.diagonal)
                 guess = np.concatenate([sol.coefficients, picked.coupling / picked.gap])
                 # nu is complex even for a real H; ARPACK's real driver
                 # takes a real start vector.

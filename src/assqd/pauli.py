@@ -63,6 +63,12 @@ TABLE_MAX_BITS = 16
 _CHAR_TO_MASKS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 
 
+def in_range(n: int, states: np.ndarray) -> bool:
+    """Whether every state of an int64 array lies in [0, 2^n)."""
+    # 1 << 63 overflows int64, so the largest state is shifted down instead.
+    return not states.size or bool(states.min() >= 0 and not states.max() >> n)
+
+
 @dataclass(frozen=True)
 class PauliTerm:
     """One weighted Pauli string, symplectically encoded."""

@@ -24,7 +24,7 @@ from typing import Any
 
 import numpy as np
 
-from assqd.pauli import MAX_QUBITS
+from assqd.pauli import MAX_QUBITS, in_range
 
 BIT_ORDERS = ("qubit0_first", "qubit0_last")
 
@@ -36,8 +36,7 @@ def _check_states(states: np.ndarray, weights: np.ndarray, n: int) -> None:
     if not (isinstance(states, np.ndarray) and states.dtype == np.int64
             and states.ndim == 1 and len(states) and 1 <= n <= MAX_QUBITS):
         raise ValueError(f"states must be a nonempty 1-D int64 array, n in [1, {MAX_QUBITS}]")
-    # 1 << 63 overflows int64, so the largest state is shifted down instead.
-    if np.any(states[1:] <= states[:-1]) or states[0] < 0 or states[-1] >> n:
+    if np.any(states[1:] <= states[:-1]) or not in_range(n, states):
         raise ValueError(f"states must be strictly ascending within [0, 2^{n})")
     if not isinstance(weights, np.ndarray) or weights.shape != states.shape:
         raise ValueError("weights must be an array of one weight per state")

@@ -9,10 +9,12 @@ per column (4.7 at m = 100 to 8.2 at m = 850 on the n = 12 Heisenberg
 chain).  It is kept as the m x (G + 1) table of kernel rows, one row per
 state (its diagonal, then :meth:`PauliHamiltonian.amplitude_table`),
 and a grid of the same shape linking each entry to its row of H_S, or to
--1 outside the basis; each entry is stored once.  An extension appends
-the new states' rows, whose diagonals the caller passes (the expansion
-loop has them from scoring), links the old states that step onto them,
-and rebuilds nothing.  The scorer reads the dominant support's
+-1 outside the basis; each entry is stored once.  The matrix carries
+the H it restricts, which only :func:`build_restricted` is handed, and
+refuses a basis state outside [0, 2^n) when it is made.  An extension
+appends the new states' rows, whose diagonals the caller passes (the
+expansion loop has them from scoring), links the old states that step
+onto them, and rebuilds nothing.  The scorer reads the dominant support's
 amplitudes from the table through :attr:`DominantSupport.rows` without
 evaluating them again.  State lookups sort and compare
 (:meth:`Subspace.positions`); none hashes.  The ground pair comes from
@@ -35,7 +37,7 @@ import numpy as np
 import scipy.sparse
 
 from assqd.oracle import DENSE_SOLVE_MAX, hermitian_lowest, linked_arrays, verified_pairs
-from assqd.pauli import PauliHamiltonian
+from assqd.pauli import PauliHamiltonian, in_range
 
 HERMITICITY_ATOL = 1e-12
 
@@ -77,9 +79,11 @@ class Subspace:
 class RestrictedMatrix:
     """H projected onto a subspace, as an amplitude table and its row links.
 
-    ``table`` holds one row per basis state s_j, in the subspace order:
-    entry [j, 0] holds <s_j|H|s_j> and [j, g + 1] <s_j XOR x|H|s_j> for
-    x = ``offdiag_masks[g]``.  ``links`` has the table's shape; entry
+    ``ham`` is the H restricted, which the expansion loop reads from here,
+    and every basis state lies in [0, 2^ham.n).  ``table`` holds one row
+    per basis state s_j, in the subspace order: entry [j, 0] holds
+    <s_j|H|s_j> and [j, g + 1] <s_j XOR x|H|s_j> for x =
+    ``ham.offdiag_masks[g]``.  ``links`` has the table's shape; entry
     [j, g] is the row of H_S that s_j XOR x is (s_j itself in column 0),
     or -1 where that state is outside the basis.  Entry (links[j, g], j)
     of H_S is table[j, g]; every other entry is zero.  An exact
@@ -88,14 +92,17 @@ class RestrictedMatrix:
     position.
     """
 
+    ham: PauliHamiltonian
     basis: Subspace
     table: np.ndarray
     links: np.ndarray
 
     def __post_init__(self) -> None:
         m = len(self.basis)
-        if self.table.ndim != 2 or self.table.shape[0] != m:
-            raise ValueError("table must have one row per basis state")
+        if not in_range(self.ham.n, self.basis.states):
+            raise ValueError(f"basis states must lie in [0, 2^{self.ham.n})")
+        if self.table.shape != (m, len(self.ham.offdiag_masks) + 1):
+            raise ValueError("table must have one row per basis state, one column per mask")
         if self.links.shape != self.table.shape:
             raise ValueError("links must have the table's shape")
         # scipy's sparse constructors do not bound-check their indices, so
@@ -158,17 +165,16 @@ def build_restricted(ham: PauliHamiltonian, subspace: Subspace) -> RestrictedMat
         raise ValueError("subspace is empty")
     shape = (0, len(ham.offdiag_masks) + 1)
     empty = RestrictedMatrix(
+        ham=ham,
         basis=Subspace(()),
         table=np.zeros(shape, dtype=ham.dtype),
         links=np.zeros(shape, dtype=np.int64),
     )
-    return extend_restricted(ham, empty, subspace.states, ham.diagonal(subspace.states))
+    return extend_restricted(empty, subspace.states, ham.diagonal(subspace.states))
 
 
-def extend_restricted(
-    ham: PauliHamiltonian, matrix: RestrictedMatrix, new_states, diagonal
-) -> RestrictedMatrix:
-    """Grow a restricted matrix in place of a full rebuild.
+def extend_restricted(matrix: RestrictedMatrix, new_states, diagonal) -> RestrictedMatrix:
+    """Grow a restricted matrix of ``matrix.ham`` in place of a full rebuild.
 
     ``new_states`` must be distinct and outside the basis (the extended
     :class:`Subspace` raises ValueError otherwise); ``diagonal`` holds
@@ -183,10 +189,10 @@ def extend_restricted(
     new = np.asarray(new_states, dtype=np.int64).reshape(-1)
     extended = Subspace(np.concatenate([matrix.basis.states, new]))
     old_m = len(matrix.basis)
-    masks = np.array((0,) + ham.offdiag_masks, dtype=np.int64)
+    masks = np.array((0,) + matrix.ham.offdiag_masks, dtype=np.int64)
     new_links = extended.positions(new[:, None] ^ masks)
     new_table = np.column_stack([
-        np.asarray(diagonal, dtype=np.float64), ham.amplitude_table(new).T,
+        np.asarray(diagonal, dtype=np.float64), matrix.ham.amplitude_table(new).T,
     ])
     table = np.concatenate([matrix.table, new_table])
     links = np.concatenate([matrix.links, new_links])
@@ -202,7 +208,7 @@ def extend_restricted(
     bound = HERMITICITY_ATOL + 1e-5 * np.abs(partner)
     if not np.all(np.abs(table[j, g] - partner) <= bound):
         raise ValueError("restricted matrix is not Hermitian")
-    return RestrictedMatrix(basis=extended, table=table, links=links)
+    return RestrictedMatrix(matrix.ham, extended, table, links)
 
 
 def lowest_eigenpair(

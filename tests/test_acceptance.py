@@ -332,20 +332,20 @@ def test_09_en_ranking_beats_bottom_ranked_additions():
         except ValueError:
             continue  # e.g. all-zero restriction of a sparse instance
         dominant = dominant_support(sol, tau=0.0)
-        candidates = generate_candidates(ham, dominant, subspace)
+        candidates = generate_candidates(matrix, dominant)
         if len(candidates) < 2:
             continue
-        scored = score_candidates("en", ham, sol, dominant, candidates)
+        scored = score_candidates("en", sol, dominant, candidates)
         # argmax/argmin keep max()/min()'s first-extremum tie order.
         best = int(scored.states[np.argmax(scored.score)])
         worst = int(scored.states[np.argmin(scored.score)])
         if best == worst:
             continue
         e_top = lowest_eigenpair(
-            extend_restricted(ham, matrix, [best], ham.diagonal([best]))
+            extend_restricted(matrix, [best], ham.diagonal([best]))
         ).energy
         e_bot = lowest_eigenpair(
-            extend_restricted(ham, matrix, [worst], ham.diagonal([worst]))
+            extend_restricted(matrix, [worst], ham.diagonal([worst]))
         ).energy
         trials += 1
         if e_top <= e_bot + 1e-12:

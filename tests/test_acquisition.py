@@ -56,8 +56,8 @@ def ranked(states, score):
 class TestGenerateCandidates:
     def test_heisenberg_ring_from_origin(self):
         ham = heisenberg_chain(3, 1.0, DisorderInstance((0.0,) * 3, 0))
-        sub = Subspace((0,))
-        out = generate_candidates(ham, support(sub, 0), sub)
+        matrix = build_restricted(ham, Subspace((0,)))
+        out = generate_candidates(matrix, support(matrix.basis, 0))
         assert out.states.tolist() == [0b011, 0b101, 0b110]
         assert out.pairs.tolist() == [[0, 1, 2]]
 
@@ -65,18 +65,18 @@ class TestGenerateCandidates:
     def test_out_of_range_state_rejected(self, monkeypatch, state):
         # 85 = 64 + 21 aliases the subspace state 21 in its low six bits.
         ham, _ = build_model(ModelSpec(kind="heisenberg", n=6, seed=0))
-        inside = Subspace((21, 42))
-        with_state = Subspace((21, 42, state))
+        matrix = build_restricted(ham, Subspace((21, 42)))
+        # No matrix holds the state, so only a support can step from it.
+        with pytest.raises(ValueError, match=r"\[0, 2\^6\)"):
+            build_restricted(ham, Subspace((21, 42, state)))
         for _ in both_set_paths(monkeypatch):
-            for sub, d in ((inside, support(inside, 21, state)),
-                           (with_state, support(with_state, 21))):
-                with pytest.raises(ValueError, match=r"\[0, 2\^6\)"):
-                    generate_candidates(ham, d, sub)
+            with pytest.raises(ValueError, match=r"\[0, 2\^6\)"):
+                generate_candidates(matrix, support(matrix.basis, 21, state))
 
     def test_diagonal_hamiltonian_has_no_candidates(self):
         h = PauliHamiltonian(3, [PauliTerm(0, m, 1.0) for m in (1, 2, 4)])
-        sub = Subspace((0,))
-        assert len(generate_candidates(h, support(sub, 0), sub)) == 0
+        matrix = build_restricted(h, Subspace((0,)))
+        assert len(generate_candidates(matrix, support(matrix.basis, 0))) == 0
 
     def test_disjoint_from_subspace(self):
         rng = np.random.default_rng(61)
@@ -86,19 +86,18 @@ class TestGenerateCandidates:
             states = tuple(
                 int(s) for s in rng.choice(1 << n, size=min(8, 1 << n), replace=False)
             )
-            sub = Subspace(states)
-            d = support(sub, *states[:3])
-            two_hop = score_two_hop("random", h, solve(h, states), d, rng_seed=0)
-            for cands in (generate_candidates(h, d, sub).states, two_hop.states):
+            sol = solve(h, states)
+            d = support(sol.subspace, *states[:3])
+            two_hop = score_two_hop("random", sol, d, rng_seed=0)
+            for cands in (generate_candidates(sol.matrix, d).states, two_hop.states):
                 assert not np.isin(cands, states).any()
 
     def test_two_hop_contains_one_hop(self):
         ham, _ = build_model(ModelSpec(kind="heisenberg", n=5, seed=2))
-        sub = Subspace((0, 3))
-        d = support(sub, 0, 3)
-        one = generate_candidates(ham, d, sub).states
         sol = solve(ham, (0, 3))
-        two = score_two_hop("random", ham, sol, d, rng_seed=0).states
+        d = support(sol.subspace, 0, 3)
+        one = generate_candidates(sol.matrix, d).states
+        two = score_two_hop("random", sol, d, rng_seed=0).states
         assert np.isin(one, two).all()
         assert len(two) > len(one)
 
@@ -145,7 +144,7 @@ class TestCoupling:
             states = tuple(int(s) for s in rng.choice(1 << n, size=6, replace=False))
             sol = solve(h, states)
             d = dominant_support(sol, 1e-4)
-            cands = generate_candidates(h, d, sol.subspace)
+            cands = generate_candidates(sol.matrix, d)
             nu = coupling_map(sol, d, cands)
             for k, nu_k in zip(cands.states.tolist(), nu):
                 assert np.isclose(nu_k, coupling(h, sol, d, k), atol=1e-13)
@@ -160,7 +159,7 @@ def _gap_fixture():
     h = parse_hamiltonian("-2.0 ZI\n1.0 ZZ\n2.0 XI\n2.0 IY\n1.0 XX\n")
     sol = solve(h, (0,))
     d = support(sol.subspace, 0)
-    return h, sol, d, generate_candidates(h, d, sol.subspace)
+    return h, sol, d, generate_candidates(sol.matrix, d)
 
 
 class TestEnScore:
@@ -169,7 +168,7 @@ class TestEnScore:
     def test_direct_arithmetic(self):
         h, sol, d, cands = _gap_fixture()
         assert sol.energy == -1.0
-        sc = score_candidates("en", h, sol, d, cands, eps=1e-8)
+        sc = score_candidates("en", sol, d, cands, eps=1e-8)
         assert sc.states.tolist() == [1, 2, 3]
         assert sc.diagonal.tolist() == [1.0, -3.0, 3.0]
         assert sc.coupling.tolist() == [2.0, 2j, 1.0]
@@ -180,7 +179,7 @@ class TestEnScore:
         h, sol, d, cands = _gap_fixture()
         # No pair of D lands on a candidate, so every nu is zero.
         unreached = Frontier(cands.states, np.full_like(cands.pairs, -1))
-        sc = score_candidates("en", h, sol, d, unreached)
+        sc = score_candidates("en", sol, d, unreached)
         assert sc.coupling.tolist() == [0.0] * 3
         assert sc.score.tolist() == [0.0] * 3
 
@@ -189,14 +188,14 @@ class TestEnScore:
         h = parse_hamiltonian("1.0 X\n")
         sol = solve(h, (0,))
         d = support(sol.subspace, 0)
-        sc = score_candidates("en", h, sol, d, generate_candidates(h, d, sol.subspace))
+        sc = score_candidates("en", sol, d, generate_candidates(sol.matrix, d))
         assert sc.gap.tolist() == [1e-8]
         assert np.isclose(sc.score[0], 1e8)
 
     def test_floor_keeps_sign(self):
         # eps above every |E_S - H_kk|: every gap is +-eps.
         h, sol, d, cands = _gap_fixture()
-        sc = score_candidates("en", h, sol, d, cands, eps=5.0)
+        sc = score_candidates("en", sol, d, cands, eps=5.0)
         assert sc.gap.tolist() == [-5.0, 5.0, -5.0]
         assert sc.score.tolist() == [4.0 / 5.0, 4.0 / 5.0, 1.0 / 5.0]
 
@@ -204,7 +203,7 @@ class TestEnScore:
         ham, _ = build_model(ModelSpec(kind="tfim", n=6, seed=4))
         sol = solve(ham, (0b011011, 0b100100, 0b010101))
         d = dominant_support(sol, 1e-4)
-        sc = score_candidates("en", ham, sol, d, generate_candidates(ham, d, sol.subspace))
+        sc = score_candidates("en", sol, d, generate_candidates(sol.matrix, d))
         raw = sol.energy - sc.diagonal
         assert (raw > 0).any() and (raw < 0).any()
         assert np.array_equal(np.sign(sc.gap), np.sign(raw))
@@ -215,7 +214,7 @@ class TestEnScore:
         for kind in ACQUISITION_KINDS:
             for eps in (0.0, -1.0, float("nan")):
                 with pytest.raises(ValueError, match="eps"):
-                    score_candidates(kind, h, sol, d, cands, eps=eps, rng_seed=0)
+                    score_candidates(kind, sol, d, cands, eps=eps, rng_seed=0)
 
 
 class TestFirstOrderAmplitude:
@@ -223,9 +222,9 @@ class TestFirstOrderAmplitude:
     # loop's warm solves: |amplitude|^2 times |gap| is the EN score.
     def test_signed_and_floored(self):
         h, sol, d, cands = _gap_fixture()
-        sc = score_candidates("en", h, sol, d, cands, eps=1e-8)
+        sc = score_candidates("en", sol, d, cands, eps=1e-8)
         assert (sc.coupling / sc.gap).tolist() == [-1.0, 1j, -0.25]
-        floored = score_candidates("en", h, sol, d, cands, eps=5.0)
+        floored = score_candidates("en", sol, d, cands, eps=5.0)
         assert (floored.coupling / floored.gap).tolist() == [-0.4, 0.4j, -0.2]
 
     def test_matches_en_score(self):
@@ -234,7 +233,7 @@ class TestFirstOrderAmplitude:
         d = dominant_support(sol, 1e-4)
         for eps in (1e-8, 0.5):
             sc = score_candidates(
-                "en", ham, sol, d, generate_candidates(ham, d, sol.subspace), eps=eps)
+                "en", sol, d, generate_candidates(sol.matrix, d), eps=eps)
             amp = sc.coupling / sc.gap
             assert np.allclose(np.abs(amp) ** 2 * np.abs(sc.gap), sc.score, rtol=1e-14)
 
@@ -250,10 +249,10 @@ class TestGap:
         d = dominant_support(sol, 1e-4)
         for eps in (1e-8, 0.5):
             if hops == 1:
-                cands = generate_candidates(ham, d, sol.subspace)
-                sc = score_candidates(kind, ham, sol, d, cands, eps=eps, rng_seed=0)
+                cands = generate_candidates(sol.matrix, d)
+                sc = score_candidates(kind, sol, d, cands, eps=eps, rng_seed=0)
             else:
-                sc = score_two_hop(kind, ham, sol, d, eps=eps, rng_seed=0)
+                sc = score_two_hop(kind, sol, d, eps=eps, rng_seed=0)
             assert len(sc) > 0 and len(sc.gap) == len(sc.states)
             assert np.array_equal(sc.diagonal, ham.diagonal(sc.states))
             raw = sol.energy - sc.diagonal
@@ -269,25 +268,25 @@ class TestScoreCandidates:
         ham, _ = build_model(ModelSpec(kind="heisenberg", n=5, seed=seed))
         sol = solve(ham, (0, 3, 5))
         d = dominant_support(sol, 1e-4)
-        cands = generate_candidates(ham, d, sol.subspace)
+        cands = generate_candidates(sol.matrix, d)
         return ham, sol, d, cands
 
     def test_en_matches_en_score_elementwise(self):
         ham, sol, d, cands = self._setup()
-        sc = score_candidates("en", ham, sol, d, cands, eps=1e-8)
+        sc = score_candidates("en", sol, d, cands, eps=1e-8)
         for diagonal, nu, score in zip(sc.diagonal, sc.coupling, sc.score):
             assert np.isclose(score, abs(nu) ** 2 / max(abs(sol.energy - diagonal), 1e-8))
 
     def test_coupling_only_squares_nu(self):
         ham, sol, d, cands = self._setup()
-        sc = score_candidates("coupling_only", ham, sol, d, cands)
+        sc = score_candidates("coupling_only", sol, d, cands)
         for nu, score in zip(sc.coupling, sc.score):
             assert np.isclose(score, abs(nu) ** 2)
             assert score >= 0
 
     def test_denom_only_ignores_coupling(self):
         ham, sol, d, cands = self._setup()
-        sc = score_candidates("denom_only", ham, sol, d, cands, eps=1e-8)
+        sc = score_candidates("denom_only", sol, d, cands, eps=1e-8)
         for diagonal, score in zip(sc.diagonal, sc.score):
             assert np.isclose(score, 1.0 / max(abs(sol.energy - diagonal), 1e-8))
 
@@ -299,28 +298,28 @@ class TestScoreCandidates:
 
     def test_random_same_seed_same_order(self):
         ham, sol, d, cands = self._setup()
-        a = score_candidates("random", ham, sol, d, cands, rng_seed=99)
-        b = score_candidates("random", ham, sol, d, cands, rng_seed=99)
+        a = score_candidates("random", sol, d, cands, rng_seed=99)
+        b = score_candidates("random", sol, d, cands, rng_seed=99)
         assert a.score.tolist() == b.score.tolist()
-        c = score_candidates("random", ham, sol, d, cands, rng_seed=100)
+        c = score_candidates("random", sol, d, cands, rng_seed=100)
         assert a.score.tolist() != c.score.tolist()
 
     def test_random_requires_seed(self):
         ham, sol, d, cands = self._setup()
         with pytest.raises(ValueError, match="rng_seed"):
-            score_candidates("random", ham, sol, d, cands)
+            score_candidates("random", sol, d, cands)
 
     def test_unknown_kind_rejected(self):
         ham, sol, d, cands = self._setup()
         with pytest.raises(ValueError, match="kind"):
-            score_candidates("best", ham, sol, d, cands)
+            score_candidates("best", sol, d, cands)
 
     def test_candidates_overlapping_subspace_rejected(self, monkeypatch):
         ham, sol, d, cands = self._setup()
         overlapping = Frontier(np.append(cands.states, 0), cands.pairs)
         for _ in both_set_paths(monkeypatch):
             with pytest.raises(ValueError, match="intersect"):
-                score_candidates("en", ham, sol, d, overlapping)
+                score_candidates("en", sol, d, overlapping)
 
     @pytest.mark.parametrize("state", [-1, 64, 85])
     def test_out_of_range_state_rejected(self, monkeypatch, state):
@@ -328,14 +327,26 @@ class TestScoreCandidates:
         ham, _ = build_model(ModelSpec(kind="heisenberg", n=6, seed=0))
         sol = solve(ham, (21, 42))
         d = dominant_support(sol, 1e-4)
-        cands = generate_candidates(ham, d, sol.subspace)
+        cands = generate_candidates(sol.matrix, d)
         outside = Frontier(np.append(cands.states, state), cands.pairs)
-        # build_restricted takes the state into a subspace; scoring must not.
-        sol_with = solve(ham, (21, 42, state))
+        # A subspace holding the state has no matrix, so no solution to score.
+        with pytest.raises(ValueError, match=r"\[0, 2\^6\)"):
+            solve(ham, (21, 42, state))
         for _ in both_set_paths(monkeypatch):
-            for s, frontier in ((sol, outside), (sol_with, cands)):
-                with pytest.raises(ValueError, match=r"\[0, 2\^6\)"):
-                    score_candidates("en", ham, s, support(s.subspace, 21), frontier)
+            with pytest.raises(ValueError, match=r"\[0, 2\^6\)"):
+                score_candidates("en", sol, d, outside)
+
+    def test_support_outside_subspace_rejected(self):
+        # Subspace.positions gives 240 row -1; nu would read the last row's
+        # amplitudes and coefficient, state 51's.
+        ham, _ = build_model(ModelSpec(kind="heisenberg", n=8, seed=0))
+        sol = solve(ham, (15, 51))
+        cands = generate_candidates(sol.matrix, support(sol.subspace, 240))
+        for d in (support(sol.subspace, 240),
+                  DominantSupport(np.array([15]), np.array([1])),
+                  DominantSupport(np.array([15]), np.array([2]))):
+            with pytest.raises(ValueError, match="dominant states"):
+                score_candidates("en", sol, d, cands)
 
     def test_scale_covariance(self):
         rng = np.random.default_rng(79)
@@ -352,13 +363,13 @@ class TestScoreCandidates:
             assert np.isclose(sol_scaled.energy, lam * sol.energy, atol=1e-9)
             d = dominant_support(sol, 1e-4)
             d_scaled = dominant_support(sol_scaled, 1e-4)
-            cands = generate_candidates(h, d, sol.subspace)
+            cands = generate_candidates(sol.matrix, d)
             if len(cands) == 0:
                 continue
-            cands_scaled = generate_candidates(scaled, d_scaled, sol_scaled.subspace)
+            cands_scaled = generate_candidates(sol_scaled.matrix, d_scaled)
             assert np.array_equal(cands.states, cands_scaled.states)
-            a = score_candidates("en", h, sol, d, cands)
-            b = score_candidates("en", scaled, sol_scaled, d_scaled, cands_scaled)
+            a = score_candidates("en", sol, d, cands)
+            b = score_candidates("en", sol_scaled, d_scaled, cands_scaled)
             assert (select_top_b(a, len(cands)).states.tolist()
                     == select_top_b(b, len(cands)).states.tolist())
             for x, y in zip(a.score, b.score):
@@ -374,10 +385,10 @@ class TestScoreCandidates:
             states = tuple(int(s) for s in rng.choice(32, size=5, replace=False))
             sol = solve(h, states)
             d = dominant_support(sol, 1e-4)
-            cands = generate_candidates(h, d, sol.subspace)
+            cands = generate_candidates(sol.matrix, d)
             if len(cands) < 2:
                 continue
-            scored = score_candidates("en", h, sol, d, cands)
+            scored = score_candidates("en", sol, d, cands)
             ranked = select_top_b(scored, len(scored)).states
             top, bottom = int(ranked[0]), int(ranked[-1])
             e_top = solve(h, states + (top,)).energy
@@ -393,9 +404,8 @@ class TestScoreTwoHop:
         ham, _ = build_model(ModelSpec(kind="heisenberg", n=5, seed=7))
         sol = solve(ham, (0,))
         d = dominant_support(sol, 0.0)
-        sub = sol.subspace
-        one_hop = generate_candidates(ham, d, sub).states
-        scored = score_two_hop("en", ham, sol, d)
+        one_hop = generate_candidates(sol.matrix, d).states
+        scored = score_two_hop("en", sol, d)
         assert np.all(np.diff(scored.states) > 0)
         assert np.isin(one_hop, scored.states).all()
         assert len(scored) > len(one_hop)
@@ -409,11 +419,10 @@ class TestScoreTwoHop:
         ham, _ = build_model(ModelSpec(kind="tfim", n=5, seed=3))
         sol = solve(ham, (0, 7))
         d = dominant_support(sol, 1e-4)
-        sub = sol.subspace
-        one_hop = generate_candidates(ham, d, sub)
-        direct_scores = score_candidates("en", ham, sol, d, one_hop)
+        one_hop = generate_candidates(sol.matrix, d)
+        direct_scores = score_candidates("en", sol, d, one_hop)
         direct = dict(zip(direct_scores.states.tolist(), direct_scores.score))
-        chained_scores = score_two_hop("en", ham, sol, d)
+        chained_scores = score_two_hop("en", sol, d)
         chained = dict(zip(chained_scores.states.tolist(), chained_scores.score))
         for state, score in direct.items():
             assert np.isclose(chained[state], score)
@@ -425,10 +434,9 @@ class TestScoreTwoHop:
         h = parse_hamiltonian(text)
         sol = solve(h, (0,))
         d = dominant_support(sol, 0.0)
-        sub = sol.subspace
-        one_hop = generate_candidates(h, d, sub)
+        one_hop = generate_candidates(sol.matrix, d)
         assert one_hop.states.tolist() == [0b011, 0b110]
-        scored = score_two_hop("en", h, sol, d)
+        scored = score_two_hop("en", sol, d)
         assert 0b101 in scored.states
         at = scored.states.tolist().index(0b101)
         assert scored.score[at] > 0

@@ -210,6 +210,18 @@ class TestRunAsSqd:
         assert len(excinfo.value.records) == 1
         assert excinfo.value.records[0].iteration == 0
 
+    @pytest.mark.parametrize("kind", METHOD_KINDS)
+    @pytest.mark.parametrize("counts_n", [8, 12])
+    def test_counts_of_another_qubit_count_rejected(self, kind, counts_n, monkeypatch):
+        # n = 12 counts reach states past 2^10; n = 8 counts lie within it,
+        # so no range check on the basis would refuse them.
+        ham, _ = build_model(ModelSpec(kind="heisenberg", n=10, seed=0))
+        counts = counts_of({3: 5, 60: 3, 3412 % (1 << counts_n): 2}, n=counts_n)
+        for name in ("build_restricted", "lowest_eigenpair"):
+            monkeypatch.setattr(driver_mod, name, lambda *_: pytest.fail("solved"))
+        with pytest.raises(ValueError, match=f"counts are for n={counts_n} "):
+            run_as_sqd(ham, counts, RunConfig(kind=kind, seed=0))
+
 
 class TestRunRandomSqd:
     def test_same_seed_identical_trace(self, heisenberg8):

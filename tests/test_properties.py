@@ -14,6 +14,7 @@ marked on 2^n arrays.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 from unittest import mock
@@ -54,6 +55,7 @@ from assqd.sampling import (
 )
 from assqd.subspace import (
     DominantSupport,
+    RestrictedMatrix,
     Subspace,
     build_restricted,
     dominant_support,
@@ -198,7 +200,7 @@ def test_restricted_assembly_equals_elementwise_matrix_elements(data):
     built = build_restricted(ham, Subspace(states))
     assert np.array_equal(built.dense(), ref)
     split = data.draw(st.integers(1, len(states)))
-    grown = extend_restricted(ham, build_restricted(ham, Subspace(states[:split])),
+    grown = extend_restricted(build_restricted(ham, Subspace(states[:split])),
                               states[split:], ham.diagonal(states[split:]))
     assert grown.basis.states.tolist() == states
     assert np.array_equal(grown.dense(), ref)
@@ -217,7 +219,7 @@ def test_restricted_csc_products_bytes_equal_sorted_csr(real, data):
     ham = data.draw(hamiltonians(real))
     states = _states(data.draw, ham.n, min_size=1)
     split = data.draw(st.integers(1, len(states)))
-    matrix = extend_restricted(ham, build_restricted(ham, Subspace(states[:split])),
+    matrix = extend_restricted(build_restricted(ham, Subspace(states[:split])),
                                states[split:], ham.diagonal(states[split:]))
     csc = matrix.sparse()
     csr = csc.tocsr()
@@ -280,7 +282,7 @@ def test_split_extension_across_the_solver_crossover(real, data):
     states = _states(data.draw, ham.n, min_size=4)
     split = data.draw(st.integers(2, len(states) - 1))
     base = build_restricted(ham, Subspace(states[:split]))
-    grown = extend_restricted(ham, base, states[split:], ham.diagonal(states[split:]))
+    grown = extend_restricted(base, states[split:], ham.diagonal(states[split:]))
     ref = np.array([[ham.matrix_element(a, b) for b in states] for a in states])
     assert np.array_equal(grown.dense(), ref)
     dense = lowest_eigenpair(grown)
@@ -358,11 +360,11 @@ def _solved(data, real, sizes=_SCORING_SIZES):
 def test_coupling_map_equals_literal_coupling(real, data):
     ham, sol, dominant = _solved(data, real)
     if data.draw(st.sampled_from([1, 2])) == 1:
-        candidates = generate_candidates(ham, dominant, sol.subspace)
+        candidates = generate_candidates(sol.matrix, dominant)
         got = coupling_map(sol, dominant, candidates)
         candidates = candidates.states
     else:
-        scored = score_two_hop("random", ham, sol, dominant, rng_seed=0)
+        scored = score_two_hop("random", sol, dominant, rng_seed=0)
         candidates, got = scored.states, scored.coupling
     ref = np.array([coupling(ham, sol, dominant, k) for k in candidates.tolist()],
                    dtype=np.complex128)
@@ -398,8 +400,8 @@ def test_one_hop_scores_bytes_equal_literal_coupling(real, data):
     ham, sol, dominant = _solved(data, real)
     eps = data.draw(st.sampled_from([1e-8, 0.5]))
     kind = data.draw(st.sampled_from(ACQUISITION_KINDS))
-    frontier = generate_candidates(ham, dominant, sol.subspace)
-    got = score_candidates(kind, ham, sol, dominant, frontier, eps=eps, rng_seed=0)
+    frontier = generate_candidates(sol.matrix, dominant)
+    got = score_candidates(kind, sol, dominant, frontier, eps=eps, rng_seed=0)
     ref = _literal_scores(kind, ham, sol, dominant, frontier.states, eps)
     for array, expected in zip(
         (got.states, got.diagonal, got.coupling, got.score), ref
@@ -450,7 +452,7 @@ def test_score_two_hop_bytes_equal_per_mask_loop(real, data):
     ham, sol, dominant = _solved(data, real, _FRONTIER_SIZES)
     eps = data.draw(st.sampled_from([1e-8, 0.5]))
     kind = data.draw(st.sampled_from(ACQUISITION_KINDS))
-    got = score_two_hop(kind, ham, sol, dominant, eps=eps, rng_seed=0)
+    got = score_two_hop(kind, sol, dominant, eps=eps, rng_seed=0)
     ref = _two_hop_reference(kind, ham, sol, dominant, sol.subspace, eps)
     for array, expected in zip(
         (got.states, got.diagonal, got.coupling, got.score), ref
@@ -464,19 +466,23 @@ def _repeating_states(n: int):
 
 
 def _frontier_inputs(data, sizes):
-    """A random H, a subspace and a D drawn apart from it, with repeats."""
+    """A random H, its matrix on a subspace and a D drawn apart from it, with repeats."""
     ham = data.draw(hamiltonians(sizes=sizes))
     subspace = Subspace(np.unique(data.draw(_repeating_states(ham.n))).astype(np.int64))
     states = np.array(data.draw(_repeating_states(ham.n)), dtype=np.int64)
-    return ham, subspace, DominantSupport(states, subspace.positions(states))
+    # An empty subspace has nothing to build: its matrix is the empty table.
+    shape = (0, len(ham.offdiag_masks) + 1)
+    matrix = build_restricted(ham, subspace) if len(subspace) else RestrictedMatrix(
+        ham, subspace, np.zeros(shape), np.zeros(shape, dtype=np.int64))
+    return ham, matrix, DominantSupport(states, subspace.positions(states))
 
 
 @PROPERTY
 @given(st.data())
 def test_generate_candidates_equals_numpy_set_forms(data):
-    ham, subspace, dominant = _frontier_inputs(data, _FRONTIER_SIZES)
-    one_hop = np.setdiff1d(_frontier(ham, dominant.states), subspace.states)
-    frontier = generate_candidates(ham, dominant, subspace)
+    ham, matrix, dominant = _frontier_inputs(data, _FRONTIER_SIZES)
+    one_hop = np.setdiff1d(_frontier(ham, dominant.states), matrix.basis.states)
+    frontier = generate_candidates(matrix, dominant)
     assert _bytes_equal(frontier.states, one_hop)
     steps = dominant.states[:, None] ^ np.array(ham.offdiag_masks, dtype=np.int64)
     assert _bytes_equal(frontier.pairs, sorted_positions(frontier.states, steps))
@@ -485,12 +491,12 @@ def test_generate_candidates_equals_numpy_set_forms(data):
 @PROPERTY
 @given(st.data())
 def test_sort_path_bytes_equal_mark_path(data):
-    ham, subspace, dominant = _frontier_inputs(
+    _, matrix, dominant = _frontier_inputs(
         data, st.integers(1, 8) | st.just(MARK_MAX_QUBITS))
-    marked = generate_candidates(ham, dominant, subspace)
+    marked = generate_candidates(matrix, dominant)
     # Every n is past a limit of 0, so this runs the sort path.
     with mock.patch.object(acquisition_mod, "MARK_MAX_QUBITS", 0):
-        sorted_ = generate_candidates(ham, dominant, subspace)
+        sorted_ = generate_candidates(matrix, dominant)
     assert _bytes_equal(sorted_.states, marked.states)
     assert _bytes_equal(sorted_.pairs, marked.pairs)
 
@@ -511,7 +517,7 @@ def test_stepwise_extension_bytes_equal_one_build(real, data):
     grown = build_restricted(ham, Subspace(states[:cuts[1]]))
     for lo, hi in zip(cuts[1:], cuts[2:]):
         step = states[lo:hi]
-        grown = extend_restricted(ham, grown, step, ham.diagonal(step))
+        grown = extend_restricted(grown, step, ham.diagonal(step))
     built = build_restricted(ham, Subspace(states))
     assert _bytes_equal(grown.basis.states, built.basis.states)
     assert _bytes_equal(grown.table, built.table)
@@ -521,12 +527,46 @@ def test_stepwise_extension_bytes_equal_one_build(real, data):
         assert _bytes_equal(getattr(grown.sparse(), field), getattr(built.sparse(), field))
     present = data.draw(st.sampled_from(states))
     with pytest.raises(ValueError, match="unique"):
-        extend_restricted(ham, grown, [present], ham.diagonal([present]))
+        extend_restricted(grown, [present], ham.diagonal([present]))
     if len(states) < 1 << ham.n:
         outside = data.draw(st.integers(0, (1 << ham.n) - 1).filter(
             lambda s: s not in states))
         with pytest.raises(ValueError, match="unique"):
-            extend_restricted(ham, grown, [outside] * 2, ham.diagonal([outside] * 2))
+            extend_restricted(grown, [outside] * 2, ham.diagonal([outside] * 2))
+
+
+def _int64(value: int) -> int:
+    """The int64 whose bits are value's low 64: 2^63 + s wraps to -2^63 + s."""
+    return (value + (1 << 63)) % (1 << 64) - (1 << 63)
+
+
+@PROPERTY
+@given(st.data())
+def test_matrix_refuses_exactly_the_states_outside_the_register(data):
+    ham = data.draw(hamiltonians(sizes=st.integers(1, MAX_QUBITS)))
+    n = ham.n
+    states = _states(data.draw, n, min_size=1, max_size=8)
+    alias = data.draw(st.sampled_from(states))
+    # 2^n + s has s's low n bits: it aliases the basis state s.
+    beyond = st.sampled_from([-1, _int64(1 << n), _int64((1 << n) + alias)])
+    if len(states) < 1 << n:
+        beyond |= st.integers(0, (1 << n) - 1).filter(lambda s: s not in states)
+    extra = data.draw(beyond)
+    inside = 0 <= extra < 1 << n
+    refused = contextlib.nullcontext() if inside else pytest.raises(
+        ValueError, match=rf"basis states must lie in \[0, 2\^{n}\)")
+    built = build_restricted(ham, Subspace(states))
+    with refused:
+        build_restricted(ham, Subspace(states + [extra]))
+    with refused:
+        extend_restricted(built, [extra], ham.diagonal([extra]))
+    # The same table and links over a basis with its last state replaced.
+    with refused:
+        RestrictedMatrix(ham, Subspace(states[:-1] + [extra]), built.table, built.links)
+    for width in (built.table.shape[1] - 1, built.table.shape[1] + 1):
+        with pytest.raises(ValueError, match="one column per mask"):
+            RestrictedMatrix(ham, built.basis, np.resize(built.table, (len(states), width)),
+                             np.zeros((len(states), width), dtype=np.int64))
 
 
 @PROPERTY

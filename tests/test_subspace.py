@@ -145,14 +145,14 @@ class TestBuildRestricted:
         with pytest.raises(ValueError, match="Hermitian"):
             build_restricted(h, Subspace((1, 2)))
         with pytest.raises(ValueError, match="Hermitian"):
-            extend_restricted(h, build_restricted(h, Subspace((0,))), [1, 2],
+            extend_restricted(build_restricted(h, Subspace((0,))), [1, 2],
                               h.diagonal([1, 2]))
         # Old |01>, new |10>: the new column is checked against the old one.
         with pytest.raises(ValueError, match="Hermitian"):
-            extend_restricted(h, build_restricted(h, Subspace((1,))), [2],
+            extend_restricted(build_restricted(h, Subspace((1,))), [2],
                               h.diagonal([2]))
         with pytest.raises(ValueError, match="Hermitian"):
-            extend_restricted(h, build_restricted(h, Subspace((2,))), [1],
+            extend_restricted(build_restricted(h, Subspace((2,))), [1],
                               h.diagonal([1]))
 
     # The check is np.allclose's: |a - b| <= 1e-12 + 1e-5 |b|, 2e-5 here.
@@ -179,7 +179,7 @@ class TestExtendRestricted:
             outside = np.setdiff1d(np.arange(64), base_states)
             extra = [int(s) for s in rng.choice(outside, size=8, replace=False)]
             base = build_restricted(h, Subspace(base_states))
-            grown = extend_restricted(h, base, extra, h.diagonal(extra))
+            grown = extend_restricted(base, extra, h.diagonal(extra))
             rebuilt = build_restricted(h, Subspace(base_states + tuple(extra)))
             assert grown.basis.states.tolist() == rebuilt.basis.states.tolist()
             assert np.allclose(grown.dense(), rebuilt.dense(), atol=1e-13)
@@ -189,7 +189,7 @@ class TestExtendRestricted:
         h = parse_hamiltonian("1.0 ZZZ\n")
         base = build_restricted(h, Subspace((0, 3)))
         with pytest.raises(ValueError, match="unique"):
-            extend_restricted(h, base, extra, h.diagonal(extra))
+            extend_restricted(base, extra, h.diagonal(extra))
 
 
 class TestMalformedRestrictedMatrix:
@@ -207,17 +207,16 @@ class TestMalformedRestrictedMatrix:
         links = matrix.links.copy()
         links[17, 1] = link
         with pytest.raises(ValueError, match="links"):
-            RestrictedMatrix(basis=matrix.basis, table=matrix.table, links=links)
+            RestrictedMatrix(matrix.ham, matrix.basis, matrix.table, links)
 
     def test_non_integer_links_rejected(self, matrix):
         with pytest.raises(ValueError, match="links"):
-            RestrictedMatrix(basis=matrix.basis, table=matrix.table,
-                             links=matrix.links.astype(np.float64))
+            RestrictedMatrix(matrix.ham, matrix.basis, matrix.table,
+                             matrix.links.astype(np.float64))
 
     def test_table_in_the_other_layout_rejected(self, matrix):
         with pytest.raises(ValueError, match="one row per basis state"):
-            RestrictedMatrix(basis=matrix.basis, table=matrix.table.T,
-                             links=matrix.links.T)
+            RestrictedMatrix(matrix.ham, matrix.basis, matrix.table.T, matrix.links.T)
 
 
 class TestLowestEigenpair:
@@ -229,14 +228,15 @@ class TestLowestEigenpair:
         assert np.allclose(sol.coefficients, expected)
 
     def test_one_by_one(self):
-        m = RestrictedMatrix(basis=Subspace((6,)), table=np.array([[4.5]]),
-                             links=np.array([[0]]))
+        m = RestrictedMatrix(parse_hamiltonian("4.5 III\n"), Subspace((6,)),
+                             table=np.array([[4.5]]), links=np.array([[0]]))
         sol = lowest_eigenpair(m)
         assert np.isclose(sol.energy, 4.5)
         assert np.allclose(sol.coefficients, [1.0])
 
     def test_diagonal_matrix(self):
-        m = RestrictedMatrix(basis=Subspace((0, 1, 2)),
+        m = RestrictedMatrix(parse_hamiltonian("-1.5 II\n4.0 ZI\n0.5 IZ\n"),
+                             Subspace((0, 1, 2)),
                              table=np.array([[3.0], [-5.0], [2.0]]),
                              links=np.arange(3)[:, None])
         sol = lowest_eigenpair(m)
@@ -362,8 +362,8 @@ class TestDominantSupport:
         c = c / np.linalg.norm(c)
         import assqd.subspace as sub
 
-        # Only the basis matters here; no entry of H is read.
-        matrix = sub.RestrictedMatrix(basis=Subspace(states),
+        # Only the basis matters here; no entry of H is read, so H is zero.
+        matrix = sub.RestrictedMatrix(PauliHamiltonian(4, ()), Subspace(states),
                                       table=np.zeros((len(states), 1)),
                                       links=np.arange(len(states))[:, None])
         return sub.RestrictedSolution(energy=0.0, coefficients=c, matrix=matrix)
