@@ -1,10 +1,10 @@
 """Candidate generation and perturbation-theoretic scoring.
 
 Candidates are the Hamiltonian-connected frontier of the dominant support
-D, as a :class:`Frontier`: the ascending int64 candidate states, and for
-every (state of D, off-diagonal mask) pair the index of the state it
-steps to among them, or -1 where that state is in the subspace.  Each
-candidate k gets the second-order score
+D, as a :class:`Frontier`: D itself, the ascending int64 candidate
+states, and for every (state of D, off-diagonal mask) pair the index of
+the state it steps to among them, or -1 where that state is in the
+subspace.  Each candidate k gets the second-order score
 
     a(k) = |nu_k|^2 / |gap_k|,   nu_k = sum_{s in D} c_s <k|H|s>,
     gap_k = E_S - H_kk with its size floored at eps and its sign kept
@@ -26,9 +26,18 @@ of them and a 2^n map from state to index, with no sort; past that it
 sorts, with one ``np.unique(..., return_inverse=True)`` whose inverse
 gives every pair its index, and tests the distinct states against the
 subspace with :meth:`Subspace.positions`.  Both paths give the same
-arrays, byte for byte, and refuse a target outside [0, 2^n); the
-subspace's states are in range, since its matrix was made.  Every
-function reads H from the restricted matrix, the one it was built from.
+arrays, byte for byte.  Every target steps from a state of D by one or
+two of H's masks, all in [0, 2^n), so it lies there too.
+
+A support carries its solution and a frontier its support, so each
+function takes one object and reads the solution, its matrix and H
+through it: ``generate_candidates(dominant)``, ``coupling_map(frontier)``,
+``score_candidates(kind, frontier, eps, rng_seed)`` and
+``score_two_hop(kind, dominant, eps, rng_seed)``; a frontier is scored
+only against the support it was stepped from.  Each object is checked
+once, where it is made: a :class:`DominantSupport` refuses a row outside
+the subspace, and a Frontier a state outside [0, 2^n) or inside the
+subspace, on the same two paths.
 
 :func:`coupling_map` gives nu by summing every (state, mask) term of D
 into the candidate its pair index names, reading D's amplitudes from the
@@ -44,7 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from assqd.pauli import in_range
-from assqd.subspace import DominantSupport, RestrictedMatrix, RestrictedSolution
+from assqd.subspace import DominantSupport, RestrictedMatrix
 
 ACQUISITION_KINDS = ("en", "coupling_only", "denom_only", "diag_only", "random")
 
@@ -93,12 +102,31 @@ def _step(matrix: RestrictedMatrix, states: np.ndarray) -> np.ndarray:
 class Frontier:
     """Candidate states, ascending, and where D's single-term steps land.
 
-    ``pairs[r, g]`` is the index in ``states`` of D's state r XOR
-    ``offdiag_masks[g]``, or -1 where that state is in the subspace.
+    ``dominant`` is the support D the frontier was made from, and through
+    it the solution it is scored against.  ``pairs[r, g]`` is the index in
+    ``states`` of D's state r XOR ``offdiag_masks[g]``, or -1 where that
+    state is in the subspace.  A state outside [0, 2^n) or inside the
+    subspace raises ValueError when the frontier is made.  Up to
+    MARK_MAX_QUBITS qubits the states are read off a 2^n mark array of the
+    subspace, past that looked up with :meth:`Subspace.positions`.
     """
 
+    dominant: DominantSupport
     states: np.ndarray
     pairs: np.ndarray
+
+    def __post_init__(self) -> None:
+        matrix = self.dominant.sol.matrix
+        n, subspace = matrix.ham.n, matrix.basis
+        if not in_range(n, self.states):
+            raise ValueError(f"states must lie in [0, 2^{n})")
+        if n > MARK_MAX_QUBITS:
+            inside = subspace.positions(self.states) >= 0
+        else:
+            inside = _marks(n, subspace.states)[self.states]
+        overlap = self.states[inside]
+        if len(overlap):
+            raise ValueError(f"candidates intersect the subspace: {overlap[:5].tolist()}")
 
     def __len__(self) -> int:
         return len(self.states)
@@ -120,13 +148,11 @@ def _outside(
     among the first, or -1 for a target in the matrix's basis, the
     subspace.  Up to MARK_MAX_QUBITS qubits the targets are marked and the
     subspace unmarked on a 2^n array, whose marks, read in order, are the
-    first array; past that the targets are sorted.  A target outside
-    [0, 2^n) raises ValueError: a mark array would read a negative one
-    from its far end, a sort let one past 2^n alias a subspace state.
+    first array; past that the targets are sorted.  Every target steps
+    from a support state by one or two of H's masks, all in [0, 2^n), so
+    it lies there too.
     """
     n, subspace = matrix.ham.n, matrix.basis
-    if not in_range(n, targets):
-        raise ValueError(f"states must lie in [0, 2^{n})")
     if n > MARK_MAX_QUBITS:
         states, inverse = np.unique(targets.reshape(-1), return_inverse=True)
         outside = subspace.positions(states) < 0
@@ -143,19 +169,16 @@ def _outside(
     return states, index[targets]
 
 
-def generate_candidates(matrix: RestrictedMatrix, dominant: DominantSupport) -> Frontier:
+def generate_candidates(dominant: DominantSupport) -> Frontier:
     """The 1-hop frontier of D: its single-term neighbours outside the subspace.
 
     :func:`score_two_hop` steps once more from it.
     """
-    return Frontier(*_outside(matrix, _step(matrix, dominant.states)))
+    matrix = dominant.sol.matrix
+    return Frontier(dominant, *_outside(matrix, _step(matrix, dominant.states)))
 
 
-def coupling_map(
-    sol: RestrictedSolution,
-    dominant: DominantSupport,
-    frontier: Frontier,
-) -> np.ndarray:
+def coupling_map(frontier: Frontier) -> np.ndarray:
     """nu for every candidate of the frontier at once, aligned with it.
 
     Cost is O(|D| * terms) rather than O(|candidates| * |D|): each
@@ -163,14 +186,10 @@ def coupling_map(
     ``frontier.pairs`` names.  D's amplitudes are read by position from
     the restricted matrix's table, where <s XOR x|H|s> was kept when s
     joined the subspace.  Pairs are summed s-major in D's order, the order
-    of the tests' literal per-candidate sum ``coupling``.  D must lie in
-    the subspace, at its rows, or ValueError is raised.
+    of the tests' literal per-candidate sum ``coupling``; D is the
+    frontier's own, so its rows are the ones its pairs were stepped from.
     """
-    rows, states = dominant.rows, sol.subspace.states
-    # A row outside [0, m) would read from the far end or past the table.
-    inside = not rows.size or (rows.min() >= 0 and rows.max() < len(states))
-    if not (inside and np.array_equal(states[rows], dominant.states)):
-        raise ValueError("dominant states must lie in the subspace, at their rows")
+    sol, rows = frontier.dominant.sol, frontier.dominant.rows
     amps = sol.matrix.table[rows, 1:]
     c = sol.coefficients[rows][:, None]
     # Each real operation rounds on its own, as in the scalar products of
@@ -186,18 +205,13 @@ def coupling_map(
 
 def score_candidates(
     kind: str,
-    sol: RestrictedSolution,
-    dominant: DominantSupport,
     frontier: Frontier,
     eps: float = DEFAULT_EPS,
     rng_seed: int | None = None,
 ) -> CandidateScores:
     """Score every candidate of the frontier under one variant, in its order.
 
-    H is the solution's matrix's.  The candidates must lie in [0, 2^n)
-    and outside the subspace, or ValueError is raised.  Up to
-    MARK_MAX_QUBITS qubits the candidates are read off a 2^n mark array
-    of the subspace, past that looked up with :meth:`Subspace.positions`.
+    E_S and H are those of the solution the frontier's support belongs to.
     """
     if kind not in ACQUISITION_KINDS:
         raise ValueError(f"unknown acquisition kind {kind!r}")
@@ -205,17 +219,9 @@ def score_candidates(
         raise ValueError("random scoring requires rng_seed")
     if not eps > 0:
         raise ValueError(f"eps must be positive, got {eps}")
-    ham, subspace, candidates = sol.matrix.ham, sol.subspace, frontier.states
-    if not in_range(ham.n, candidates):
-        raise ValueError(f"states must lie in [0, 2^{ham.n})")
-    if ham.n > MARK_MAX_QUBITS:
-        inside = subspace.positions(candidates) >= 0
-    else:
-        inside = _marks(ham.n, subspace.states)[candidates]
-    overlap = candidates[inside]
-    if len(overlap):
-        raise ValueError(f"candidates intersect the subspace: {overlap[:5].tolist()}")
-    nu = coupling_map(sol, dominant, frontier)
+    sol, candidates = frontier.dominant.sol, frontier.states
+    ham = sol.matrix.ham
+    nu = coupling_map(frontier)
     h_kk = ham.diagonal(candidates)
     raw = sol.energy - h_kk
     # |gap| is the floored size max(|raw|, eps) exactly, to the bit.
@@ -235,7 +241,6 @@ def score_candidates(
 
 def score_two_hop(
     kind: str,
-    sol: RestrictedSolution,
     dominant: DominantSupport,
     eps: float = DEFAULT_EPS,
     rng_seed: int | None = None,
@@ -251,14 +256,15 @@ def score_two_hop(
 
         max over m in 1-hop:  |<k|H|m>|^2 |nu_m|^2 / (|gap_m| |gap_k|)
     """
-    one_hop = generate_candidates(sol.matrix, dominant)
+    sol = dominant.sol
+    one_hop = generate_candidates(dominant)
     grid = _step(sol.matrix, one_hop.states)
     states, index = _outside(sol.matrix, np.concatenate([one_hop.states, grid.ravel()]))
     at_one = index[:len(one_hop)]
     at_grid = index[len(one_hop):].reshape(grid.shape)
     # The -1 pad sends a pair that lands in the subspace to -1 again.
-    frontier = Frontier(states, np.append(at_one, -1)[one_hop.pairs])
-    scored = score_candidates(kind, sol, dominant, frontier, eps, rng_seed)
+    frontier = Frontier(dominant, states, np.append(at_one, -1)[one_hop.pairs])
+    scored = score_candidates(kind, frontier, eps, rng_seed)
     if kind != "en":
         return scored
     pure = np.ones(len(frontier), dtype=bool)

@@ -3,13 +3,15 @@
 One loop serves every method.  run_as_sqd seeds the subspace from the
 top-K observed bitstrings, then repeats T times: solve the restricted
 problem, take the dominant support, score its candidate frontier under
-the configured kind, and add the best B.  The horizon picks the frontier:
-hops=1 scores the 1-hop frontier from generate_candidates, and hops=2
-hands the step to score_two_hop, which builds and scores the 2-hop
-frontier for every kind.  The kind is the only difference between
-methods: "standard" makes zero expansions, "random" ranks candidates by
-seeded uniform draws, and the acquisition kinds rank by the EN score or
-one of its ablations.  run_standard_sqd and run_random_sqd are one-line
+the configured kind, and add the best B.  The support carries the
+solution and the frontier its support, so each step hands on one object.
+The horizon picks the frontier: hops=1 scores
+generate_candidates(dominant) with score_candidates(kind, frontier, ...),
+and hops=2 hands the step to score_two_hop(kind, dominant, ...), which
+builds and scores the 2-hop frontier for every kind.  The kind is the
+only difference between methods: "standard" makes zero expansions,
+"random" ranks candidates by seeded uniform draws, and the acquisition
+kinds rank by the EN score or one of its ablations.  run_standard_sqd and run_random_sqd are one-line
 shorthands for those kinds, and method_label/method_kind map a kind to
 the label that rows and traces carry ("standard", "random", "as-<kind>")
 and back.  Counts must be on H's qubit count.  H goes only to
@@ -199,12 +201,10 @@ def run_as_sqd(
                 int(rng_master.integers(0, 2**63)) if config.kind == "random" else None
             )
             if config.hops == 2:
-                scored = score_two_hop(config.kind, sol, dominant, config.eps, rng_seed)
+                scored = score_two_hop(config.kind, dominant, config.eps, rng_seed)
             else:
-                cands = generate_candidates(sol.matrix, dominant)
-                scored = score_candidates(
-                    config.kind, sol, dominant, cands, config.eps, rng_seed
-                )
+                cands = generate_candidates(dominant)
+                scored = score_candidates(config.kind, cands, config.eps, rng_seed)
             if len(scored):
                 picked = select_top_b(scored, config.B)
                 matrix = extend_restricted(sol.matrix, picked.states, picked.diagonal)

@@ -14,8 +14,10 @@ the H it restricts, which only :func:`build_restricted` is handed, and
 refuses a basis state outside [0, 2^n) when it is made.  An extension
 appends the new states' rows, whose diagonals the caller passes (the
 expansion loop has them from scoring), links the old states that step
-onto them, and rebuilds nothing.  The scorer reads the dominant support's
-amplitudes from the table through :attr:`DominantSupport.rows` without
+onto them, and rebuilds nothing.  A :class:`DominantSupport` holds the
+solution it was taken from and its rows, refusing a row outside [0, m)
+when it is made; its states are the subspace's at those rows.  The
+scorer reads its amplitudes from the table through those rows without
 evaluating them again.  State lookups sort and compare
 (:meth:`Subspace.positions`); none hashes.  The ground pair comes from
 :func:`assqd.oracle.hermitian_lowest`, the solver the reference oracle
@@ -148,15 +150,25 @@ class RestrictedSolution:
 
 @dataclass(frozen=True, eq=False)
 class DominantSupport:
-    """States whose probability weight exceeds tau, in the subspace order.
+    """Rows of a solution's subspace: the states its expansion steps from.
 
     ``rows`` holds each state's position in the subspace, the row of the
     restricted matrix's table and the entry of the coefficients that
-    belong to it.
+    belong to it; a row outside [0, m) raises ValueError when the support
+    is made, so its states are always the subspace's states at its rows.
     """
 
-    states: np.ndarray
+    sol: RestrictedSolution
     rows: np.ndarray
+
+    def __post_init__(self) -> None:
+        m = len(self.sol.subspace)
+        if self.rows.size and (self.rows.min() < 0 or self.rows.max() >= m):
+            raise ValueError(f"support rows must lie in [0, {m})")
+
+    @property
+    def states(self) -> np.ndarray:
+        return self.sol.subspace.states[self.rows]
 
 
 def build_restricted(ham: PauliHamiltonian, subspace: Subspace) -> RestrictedMatrix:
@@ -243,4 +255,4 @@ def dominant_support(sol: RestrictedSolution, tau: float) -> DominantSupport:
     rows = np.flatnonzero(weights > tau)
     if len(rows) == 0:
         rows = np.array([int(np.argmax(weights))])
-    return DominantSupport(states=sol.subspace.states[rows], rows=rows)
+    return DominantSupport(sol, rows)

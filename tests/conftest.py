@@ -10,7 +10,7 @@ import numpy as np
 
 from assqd.pauli import PauliHamiltonian, PauliTerm
 from assqd.sampling import CountsMultiset, ProbabilityModel
-from assqd.subspace import DominantSupport, RestrictedSolution
+from assqd.subspace import DominantSupport
 
 # Largest n whose full 2^n x 2^n matrix dense_matrix builds.
 DENSE_MAX_QUBITS = 12
@@ -51,17 +51,14 @@ def dense_matrix(ham: PauliHamiltonian) -> np.ndarray:
     return out
 
 
-def coupling(
-    ham: PauliHamiltonian,
-    sol: RestrictedSolution,
-    dominant: DominantSupport,
-    k: int,
-) -> complex:
+def coupling(dominant: DominantSupport, k: int) -> complex:
     """nu_k = sum over the dominant support of c_s <k|H|s>, state by state.
 
-    The literal sum that :func:`assqd.acquisition.coupling_map` matches
-    bit for bit.
+    c and H are those of the support's solution.  The literal sum that
+    :func:`assqd.acquisition.coupling_map` matches bit for bit.
     """
+    sol = dominant.sol
+    ham = sol.matrix.ham
     total = 0.0 + 0.0j
     for s in dominant.states:
         total += sol.coefficients[sol.subspace.positions(s)] * ham.matrix_element(k, s)

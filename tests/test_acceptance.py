@@ -332,10 +332,10 @@ def test_09_en_ranking_beats_bottom_ranked_additions():
         except ValueError:
             continue  # e.g. all-zero restriction of a sparse instance
         dominant = dominant_support(sol, tau=0.0)
-        candidates = generate_candidates(matrix, dominant)
+        candidates = generate_candidates(dominant)
         if len(candidates) < 2:
             continue
-        scored = score_candidates("en", sol, dominant, candidates)
+        scored = score_candidates("en", candidates)
         # argmax/argmin keep max()/min()'s first-extremum tie order.
         best = int(scored.states[np.argmax(scored.score)])
         worst = int(scored.states[np.argmin(scored.score)])

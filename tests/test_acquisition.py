@@ -32,9 +32,9 @@ def solve(ham, states):
     return lowest_eigenpair(build_restricted(ham, Subspace(tuple(states))))
 
 
-def support(subspace, *states):
-    states = np.array(states, dtype=np.int64)
-    return DominantSupport(states=states, rows=subspace.positions(states))
+def support(sol, *states):
+    """The support of the solution's subspace at the given states."""
+    return DominantSupport(sol, sol.subspace.positions(np.array(states, dtype=np.int64)))
 
 
 def both_set_paths(monkeypatch):
@@ -56,27 +56,26 @@ def ranked(states, score):
 class TestGenerateCandidates:
     def test_heisenberg_ring_from_origin(self):
         ham = heisenberg_chain(3, 1.0, DisorderInstance((0.0,) * 3, 0))
-        matrix = build_restricted(ham, Subspace((0,)))
-        out = generate_candidates(matrix, support(matrix.basis, 0))
+        out = generate_candidates(support(solve(ham, (0,)), 0))
         assert out.states.tolist() == [0b011, 0b101, 0b110]
         assert out.pairs.tolist() == [[0, 1, 2]]
 
     @pytest.mark.parametrize("state", [-1, 64, 85])
-    def test_out_of_range_state_rejected(self, monkeypatch, state):
+    def test_out_of_range_state_rejected(self, state):
         # 85 = 64 + 21 aliases the subspace state 21 in its low six bits.
         ham, _ = build_model(ModelSpec(kind="heisenberg", n=6, seed=0))
-        matrix = build_restricted(ham, Subspace((21, 42)))
-        # No matrix holds the state, so only a support can step from it.
+        # No matrix holds the state, and a support names rows of a solved
+        # one: the state's row -1 is refused, as is the row past the end.
         with pytest.raises(ValueError, match=r"\[0, 2\^6\)"):
             build_restricted(ham, Subspace((21, 42, state)))
-        for _ in both_set_paths(monkeypatch):
-            with pytest.raises(ValueError, match=r"\[0, 2\^6\)"):
-                generate_candidates(matrix, support(matrix.basis, 21, state))
+        sol = solve(ham, (21, 42))
+        for rows in (sol.subspace.positions([21, state]), np.array([0, 2])):
+            with pytest.raises(ValueError, match=r"support rows must lie in \[0, 2\)"):
+                generate_candidates(DominantSupport(sol, rows))
 
     def test_diagonal_hamiltonian_has_no_candidates(self):
         h = PauliHamiltonian(3, [PauliTerm(0, m, 1.0) for m in (1, 2, 4)])
-        matrix = build_restricted(h, Subspace((0,)))
-        assert len(generate_candidates(matrix, support(matrix.basis, 0))) == 0
+        assert len(generate_candidates(support(solve(h, (0,)), 0))) == 0
 
     def test_disjoint_from_subspace(self):
         rng = np.random.default_rng(61)
@@ -87,17 +86,17 @@ class TestGenerateCandidates:
                 int(s) for s in rng.choice(1 << n, size=min(8, 1 << n), replace=False)
             )
             sol = solve(h, states)
-            d = support(sol.subspace, *states[:3])
-            two_hop = score_two_hop("random", sol, d, rng_seed=0)
-            for cands in (generate_candidates(sol.matrix, d).states, two_hop.states):
+            d = support(sol, *states[:3])
+            two_hop = score_two_hop("random", d, rng_seed=0)
+            for cands in (generate_candidates(d).states, two_hop.states):
                 assert not np.isin(cands, states).any()
 
     def test_two_hop_contains_one_hop(self):
         ham, _ = build_model(ModelSpec(kind="heisenberg", n=5, seed=2))
         sol = solve(ham, (0, 3))
-        d = support(sol.subspace, 0, 3)
-        one = generate_candidates(sol.matrix, d).states
-        two = score_two_hop("random", sol, d, rng_seed=0).states
+        d = support(sol, 0, 3)
+        one = generate_candidates(d).states
+        two = score_two_hop("random", d, rng_seed=0).states
         assert np.isin(one, two).all()
         assert len(two) > len(one)
 
@@ -106,15 +105,15 @@ class TestCoupling:
     def test_uncoupled_candidate_is_zero(self):
         h = parse_hamiltonian("1.0 XX\n1.0 YY\n1.0 ZZ\n")
         sol = solve(h, (1, 2))
-        d = support(sol.subspace, 1, 2)
-        assert coupling(h, sol, d, 0) == 0.0
+        d = support(sol, 1, 2)
+        assert coupling(d, 0) == 0.0
 
     def test_single_dominant_state_gives_matrix_element(self):
         ham, _ = build_model(ModelSpec(kind="heisenberg", n=4, seed=1))
         sol = solve(ham, (0,))
-        d = support(sol.subspace, 0)
+        d = support(sol, 0)
         for k in ham.neighbors(0):
-            assert np.isclose(coupling(ham, sol, d, k), ham.matrix_element(k, 0))
+            assert np.isclose(coupling(d, k), ham.matrix_element(k, 0))
 
     def test_full_support_matches_dense_inner_product(self):
         rng = np.random.default_rng(67)
@@ -134,7 +133,7 @@ class TestCoupling:
                     continue
                 reference = h_psi[k]
                 if d.states.tolist() == list(states):
-                    assert np.isclose(coupling(h, sol, d, k), reference, atol=1e-12)
+                    assert np.isclose(coupling(d, k), reference, atol=1e-12)
 
     def test_map_matches_per_candidate_sums(self):
         rng = np.random.default_rng(71)
@@ -144,10 +143,10 @@ class TestCoupling:
             states = tuple(int(s) for s in rng.choice(1 << n, size=6, replace=False))
             sol = solve(h, states)
             d = dominant_support(sol, 1e-4)
-            cands = generate_candidates(sol.matrix, d)
-            nu = coupling_map(sol, d, cands)
+            cands = generate_candidates(d)
+            nu = coupling_map(cands)
             for k, nu_k in zip(cands.states.tolist(), nu):
-                assert np.isclose(nu_k, coupling(h, sol, d, k), atol=1e-13)
+                assert np.isclose(nu_k, coupling(d, k), atol=1e-13)
 
 
 def _gap_fixture():
@@ -158,8 +157,8 @@ def _gap_fixture():
     """
     h = parse_hamiltonian("-2.0 ZI\n1.0 ZZ\n2.0 XI\n2.0 IY\n1.0 XX\n")
     sol = solve(h, (0,))
-    d = support(sol.subspace, 0)
-    return h, sol, d, generate_candidates(sol.matrix, d)
+    d = support(sol, 0)
+    return h, sol, d, generate_candidates(d)
 
 
 class TestEnScore:
@@ -168,7 +167,7 @@ class TestEnScore:
     def test_direct_arithmetic(self):
         h, sol, d, cands = _gap_fixture()
         assert sol.energy == -1.0
-        sc = score_candidates("en", sol, d, cands, eps=1e-8)
+        sc = score_candidates("en", cands, eps=1e-8)
         assert sc.states.tolist() == [1, 2, 3]
         assert sc.diagonal.tolist() == [1.0, -3.0, 3.0]
         assert sc.coupling.tolist() == [2.0, 2j, 1.0]
@@ -178,8 +177,8 @@ class TestEnScore:
     def test_zero_coupling_zero_score(self):
         h, sol, d, cands = _gap_fixture()
         # No pair of D lands on a candidate, so every nu is zero.
-        unreached = Frontier(cands.states, np.full_like(cands.pairs, -1))
-        sc = score_candidates("en", sol, d, unreached)
+        unreached = Frontier(d, cands.states, np.full_like(cands.pairs, -1))
+        sc = score_candidates("en", unreached)
         assert sc.coupling.tolist() == [0.0] * 3
         assert sc.score.tolist() == [0.0] * 3
 
@@ -187,15 +186,15 @@ class TestEnScore:
         # E_S = H_kk = 0: the gap is +eps and the score 1 / eps.
         h = parse_hamiltonian("1.0 X\n")
         sol = solve(h, (0,))
-        d = support(sol.subspace, 0)
-        sc = score_candidates("en", sol, d, generate_candidates(sol.matrix, d))
+        d = support(sol, 0)
+        sc = score_candidates("en", generate_candidates(d))
         assert sc.gap.tolist() == [1e-8]
         assert np.isclose(sc.score[0], 1e8)
 
     def test_floor_keeps_sign(self):
         # eps above every |E_S - H_kk|: every gap is +-eps.
         h, sol, d, cands = _gap_fixture()
-        sc = score_candidates("en", sol, d, cands, eps=5.0)
+        sc = score_candidates("en", cands, eps=5.0)
         assert sc.gap.tolist() == [-5.0, 5.0, -5.0]
         assert sc.score.tolist() == [4.0 / 5.0, 4.0 / 5.0, 1.0 / 5.0]
 
@@ -203,7 +202,7 @@ class TestEnScore:
         ham, _ = build_model(ModelSpec(kind="tfim", n=6, seed=4))
         sol = solve(ham, (0b011011, 0b100100, 0b010101))
         d = dominant_support(sol, 1e-4)
-        sc = score_candidates("en", sol, d, generate_candidates(sol.matrix, d))
+        sc = score_candidates("en", generate_candidates(d))
         raw = sol.energy - sc.diagonal
         assert (raw > 0).any() and (raw < 0).any()
         assert np.array_equal(np.sign(sc.gap), np.sign(raw))
@@ -214,7 +213,7 @@ class TestEnScore:
         for kind in ACQUISITION_KINDS:
             for eps in (0.0, -1.0, float("nan")):
                 with pytest.raises(ValueError, match="eps"):
-                    score_candidates(kind, sol, d, cands, eps=eps, rng_seed=0)
+                    score_candidates(kind, cands, eps=eps, rng_seed=0)
 
 
 class TestFirstOrderAmplitude:
@@ -222,9 +221,9 @@ class TestFirstOrderAmplitude:
     # loop's warm solves: |amplitude|^2 times |gap| is the EN score.
     def test_signed_and_floored(self):
         h, sol, d, cands = _gap_fixture()
-        sc = score_candidates("en", sol, d, cands, eps=1e-8)
+        sc = score_candidates("en", cands, eps=1e-8)
         assert (sc.coupling / sc.gap).tolist() == [-1.0, 1j, -0.25]
-        floored = score_candidates("en", sol, d, cands, eps=5.0)
+        floored = score_candidates("en", cands, eps=5.0)
         assert (floored.coupling / floored.gap).tolist() == [-0.4, 0.4j, -0.2]
 
     def test_matches_en_score(self):
@@ -232,8 +231,7 @@ class TestFirstOrderAmplitude:
         sol = solve(ham, (0b000111, 0b001011, 0b010101))
         d = dominant_support(sol, 1e-4)
         for eps in (1e-8, 0.5):
-            sc = score_candidates(
-                "en", sol, d, generate_candidates(sol.matrix, d), eps=eps)
+            sc = score_candidates("en", generate_candidates(d), eps=eps)
             amp = sc.coupling / sc.gap
             assert np.allclose(np.abs(amp) ** 2 * np.abs(sc.gap), sc.score, rtol=1e-14)
 
@@ -249,10 +247,10 @@ class TestGap:
         d = dominant_support(sol, 1e-4)
         for eps in (1e-8, 0.5):
             if hops == 1:
-                cands = generate_candidates(sol.matrix, d)
-                sc = score_candidates(kind, sol, d, cands, eps=eps, rng_seed=0)
+                cands = generate_candidates(d)
+                sc = score_candidates(kind, cands, eps=eps, rng_seed=0)
             else:
-                sc = score_two_hop(kind, sol, d, eps=eps, rng_seed=0)
+                sc = score_two_hop(kind, d, eps=eps, rng_seed=0)
             assert len(sc) > 0 and len(sc.gap) == len(sc.states)
             assert np.array_equal(sc.diagonal, ham.diagonal(sc.states))
             raw = sol.energy - sc.diagonal
@@ -268,25 +266,25 @@ class TestScoreCandidates:
         ham, _ = build_model(ModelSpec(kind="heisenberg", n=5, seed=seed))
         sol = solve(ham, (0, 3, 5))
         d = dominant_support(sol, 1e-4)
-        cands = generate_candidates(sol.matrix, d)
+        cands = generate_candidates(d)
         return ham, sol, d, cands
 
     def test_en_matches_en_score_elementwise(self):
         ham, sol, d, cands = self._setup()
-        sc = score_candidates("en", sol, d, cands, eps=1e-8)
+        sc = score_candidates("en", cands, eps=1e-8)
         for diagonal, nu, score in zip(sc.diagonal, sc.coupling, sc.score):
             assert np.isclose(score, abs(nu) ** 2 / max(abs(sol.energy - diagonal), 1e-8))
 
     def test_coupling_only_squares_nu(self):
         ham, sol, d, cands = self._setup()
-        sc = score_candidates("coupling_only", sol, d, cands)
+        sc = score_candidates("coupling_only", cands)
         for nu, score in zip(sc.coupling, sc.score):
             assert np.isclose(score, abs(nu) ** 2)
             assert score >= 0
 
     def test_denom_only_ignores_coupling(self):
         ham, sol, d, cands = self._setup()
-        sc = score_candidates("denom_only", sol, d, cands, eps=1e-8)
+        sc = score_candidates("denom_only", cands, eps=1e-8)
         for diagonal, score in zip(sc.diagonal, sc.score):
             assert np.isclose(score, 1.0 / max(abs(sol.energy - diagonal), 1e-8))
 
@@ -298,28 +296,28 @@ class TestScoreCandidates:
 
     def test_random_same_seed_same_order(self):
         ham, sol, d, cands = self._setup()
-        a = score_candidates("random", sol, d, cands, rng_seed=99)
-        b = score_candidates("random", sol, d, cands, rng_seed=99)
+        a = score_candidates("random", cands, rng_seed=99)
+        b = score_candidates("random", cands, rng_seed=99)
         assert a.score.tolist() == b.score.tolist()
-        c = score_candidates("random", sol, d, cands, rng_seed=100)
+        c = score_candidates("random", cands, rng_seed=100)
         assert a.score.tolist() != c.score.tolist()
 
     def test_random_requires_seed(self):
         ham, sol, d, cands = self._setup()
         with pytest.raises(ValueError, match="rng_seed"):
-            score_candidates("random", sol, d, cands)
+            score_candidates("random", cands)
 
     def test_unknown_kind_rejected(self):
         ham, sol, d, cands = self._setup()
         with pytest.raises(ValueError, match="kind"):
-            score_candidates("best", sol, d, cands)
+            score_candidates("best", cands)
 
+    # A frontier is checked where it is made, so no scorer meets a bad one.
     def test_candidates_overlapping_subspace_rejected(self, monkeypatch):
         ham, sol, d, cands = self._setup()
-        overlapping = Frontier(np.append(cands.states, 0), cands.pairs)
         for _ in both_set_paths(monkeypatch):
             with pytest.raises(ValueError, match="intersect"):
-                score_candidates("en", sol, d, overlapping)
+                Frontier(d, np.append(cands.states, 0), cands.pairs)
 
     @pytest.mark.parametrize("state", [-1, 64, 85])
     def test_out_of_range_state_rejected(self, monkeypatch, state):
@@ -327,26 +325,55 @@ class TestScoreCandidates:
         ham, _ = build_model(ModelSpec(kind="heisenberg", n=6, seed=0))
         sol = solve(ham, (21, 42))
         d = dominant_support(sol, 1e-4)
-        cands = generate_candidates(sol.matrix, d)
-        outside = Frontier(np.append(cands.states, state), cands.pairs)
+        cands = generate_candidates(d)
         # A subspace holding the state has no matrix, so no solution to score.
         with pytest.raises(ValueError, match=r"\[0, 2\^6\)"):
             solve(ham, (21, 42, state))
         for _ in both_set_paths(monkeypatch):
             with pytest.raises(ValueError, match=r"\[0, 2\^6\)"):
-                score_candidates("en", sol, d, outside)
+                Frontier(d, np.append(cands.states, state), cands.pairs)
 
     def test_support_outside_subspace_rejected(self):
-        # Subspace.positions gives 240 row -1; nu would read the last row's
-        # amplitudes and coefficient, state 51's.
+        # Subspace.positions gives 240 row -1, which would read the last
+        # row's amplitudes and coefficient, state 51's; row 2 is past both.
         ham, _ = build_model(ModelSpec(kind="heisenberg", n=8, seed=0))
         sol = solve(ham, (15, 51))
-        cands = generate_candidates(sol.matrix, support(sol.subspace, 240))
-        for d in (support(sol.subspace, 240),
-                  DominantSupport(np.array([15]), np.array([1])),
-                  DominantSupport(np.array([15]), np.array([2]))):
-            with pytest.raises(ValueError, match="dominant states"):
-                score_candidates("en", sol, d, cands)
+        for rows in (sol.subspace.positions([240]), np.array([2])):
+            with pytest.raises(ValueError, match=r"support rows must lie in \[0, 2\)"):
+                DominantSupport(sol, rows)
+        # A support's states are its solution's at its rows.
+        assert DominantSupport(sol, np.array([1])).states.tolist() == [51]
+
+    def test_unchecked_frontier_cannot_be_made(self, monkeypatch):
+        # coupling_map would couple a frontier holding a subspace state (15)
+        # or one past 2^8 (300) as any other; neither frontier can be made.
+        ham, _ = build_model(ModelSpec(kind="heisenberg", n=8, seed=0))
+        sol = solve(ham, (15, 51, 85, 170, 60, 195))
+        d = dominant_support(sol, 1e-4)
+        pairs = np.full((len(d.rows), len(ham.offdiag_masks)), -1)
+        for _ in both_set_paths(monkeypatch):
+            for states, match in (([15], "intersect"), ([300], r"\[0, 2\^8\)"),
+                                  ([15, 300], r"\[0, 2\^8\)")):
+                with pytest.raises(ValueError, match=match):
+                    Frontier(d, np.array(states, dtype=np.int64), pairs)
+
+    def test_frontier_scored_only_by_its_own_support(self):
+        # D and D' name the same two rows in either order.  A frontier of D
+        # scored with D' would move nu by up to 0.0585 and pick 31, not 30;
+        # each frontier carries its own support, and both pick 30.
+        ham, _ = build_model(ModelSpec(kind="tfim", n=8, seed=0))
+        sol = solve(ham, range(16))
+        d = DominantSupport(sol, np.array([14, 15]))
+        d_rev = DominantSupport(sol, np.array([15, 14]))
+        a, b = generate_candidates(d), generate_candidates(d_rev)
+        assert a.dominant is d and b.dominant is d_rev
+        assert np.array_equal(a.states, b.states)
+        assert np.array_equal(a.pairs, b.pairs[::-1])
+        sa, sb = score_candidates("en", a), score_candidates("en", b)
+        assert np.array_equal(sa.coupling, sb.coupling)
+        assert np.array_equal(sa.score, sb.score)
+        assert select_top_b(sa, 1).states.tolist() == [30]
+        assert select_top_b(sb, 1).states.tolist() == [30]
 
     def test_scale_covariance(self):
         rng = np.random.default_rng(79)
@@ -363,13 +390,13 @@ class TestScoreCandidates:
             assert np.isclose(sol_scaled.energy, lam * sol.energy, atol=1e-9)
             d = dominant_support(sol, 1e-4)
             d_scaled = dominant_support(sol_scaled, 1e-4)
-            cands = generate_candidates(sol.matrix, d)
+            cands = generate_candidates(d)
             if len(cands) == 0:
                 continue
-            cands_scaled = generate_candidates(sol_scaled.matrix, d_scaled)
+            cands_scaled = generate_candidates(d_scaled)
             assert np.array_equal(cands.states, cands_scaled.states)
-            a = score_candidates("en", sol, d, cands)
-            b = score_candidates("en", sol_scaled, d_scaled, cands_scaled)
+            a = score_candidates("en", cands)
+            b = score_candidates("en", cands_scaled)
             assert (select_top_b(a, len(cands)).states.tolist()
                     == select_top_b(b, len(cands)).states.tolist())
             for x, y in zip(a.score, b.score):
@@ -385,10 +412,10 @@ class TestScoreCandidates:
             states = tuple(int(s) for s in rng.choice(32, size=5, replace=False))
             sol = solve(h, states)
             d = dominant_support(sol, 1e-4)
-            cands = generate_candidates(sol.matrix, d)
+            cands = generate_candidates(d)
             if len(cands) < 2:
                 continue
-            scored = score_candidates("en", sol, d, cands)
+            scored = score_candidates("en", cands)
             ranked = select_top_b(scored, len(scored)).states
             top, bottom = int(ranked[0]), int(ranked[-1])
             e_top = solve(h, states + (top,)).energy
@@ -404,8 +431,8 @@ class TestScoreTwoHop:
         ham, _ = build_model(ModelSpec(kind="heisenberg", n=5, seed=7))
         sol = solve(ham, (0,))
         d = dominant_support(sol, 0.0)
-        one_hop = generate_candidates(sol.matrix, d).states
-        scored = score_two_hop("en", sol, d)
+        one_hop = generate_candidates(d).states
+        scored = score_two_hop("en", d)
         assert np.all(np.diff(scored.states) > 0)
         assert np.isin(one_hop, scored.states).all()
         assert len(scored) > len(one_hop)
@@ -419,10 +446,10 @@ class TestScoreTwoHop:
         ham, _ = build_model(ModelSpec(kind="tfim", n=5, seed=3))
         sol = solve(ham, (0, 7))
         d = dominant_support(sol, 1e-4)
-        one_hop = generate_candidates(sol.matrix, d)
-        direct_scores = score_candidates("en", sol, d, one_hop)
+        one_hop = generate_candidates(d)
+        direct_scores = score_candidates("en", one_hop)
         direct = dict(zip(direct_scores.states.tolist(), direct_scores.score))
-        chained_scores = score_two_hop("en", sol, d)
+        chained_scores = score_two_hop("en", d)
         chained = dict(zip(chained_scores.states.tolist(), chained_scores.score))
         for state, score in direct.items():
             assert np.isclose(chained[state], score)
@@ -434,9 +461,9 @@ class TestScoreTwoHop:
         h = parse_hamiltonian(text)
         sol = solve(h, (0,))
         d = dominant_support(sol, 0.0)
-        one_hop = generate_candidates(sol.matrix, d)
+        one_hop = generate_candidates(d)
         assert one_hop.states.tolist() == [0b011, 0b110]
-        scored = score_two_hop("en", sol, d)
+        scored = score_two_hop("en", d)
         assert 0b101 in scored.states
         at = scored.states.tolist().index(0b101)
         assert scored.score[at] > 0

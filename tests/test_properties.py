@@ -360,13 +360,13 @@ def _solved(data, real, sizes=_SCORING_SIZES):
 def test_coupling_map_equals_literal_coupling(real, data):
     ham, sol, dominant = _solved(data, real)
     if data.draw(st.sampled_from([1, 2])) == 1:
-        candidates = generate_candidates(sol.matrix, dominant)
-        got = coupling_map(sol, dominant, candidates)
+        candidates = generate_candidates(dominant)
+        got = coupling_map(candidates)
         candidates = candidates.states
     else:
-        scored = score_two_hop("random", sol, dominant, rng_seed=0)
+        scored = score_two_hop("random", dominant, rng_seed=0)
         candidates, got = scored.states, scored.coupling
-    ref = np.array([coupling(ham, sol, dominant, k) for k in candidates.tolist()],
+    ref = np.array([coupling(dominant, k) for k in candidates.tolist()],
                    dtype=np.complex128)
     assert np.array_equal(got, ref)
 
@@ -382,7 +382,7 @@ def test_dominant_rows_are_subspace_positions(real, data):
 def _literal_scores(kind, ham, sol, dominant, states, eps):
     """Every kind's score, with nu as coupling() per candidate."""
     h_kk = ham.diagonal(states)
-    nu = np.array([coupling(ham, sol, dominant, k) for k in states.tolist()],
+    nu = np.array([coupling(dominant, k) for k in states.tolist()],
                   dtype=np.complex128)
     gap = np.maximum(np.abs(sol.energy - h_kk), eps)
     score = {"en": lambda: np.abs(nu) ** 2 / gap,
@@ -400,8 +400,8 @@ def test_one_hop_scores_bytes_equal_literal_coupling(real, data):
     ham, sol, dominant = _solved(data, real)
     eps = data.draw(st.sampled_from([1e-8, 0.5]))
     kind = data.draw(st.sampled_from(ACQUISITION_KINDS))
-    frontier = generate_candidates(sol.matrix, dominant)
-    got = score_candidates(kind, sol, dominant, frontier, eps=eps, rng_seed=0)
+    frontier = generate_candidates(dominant)
+    got = score_candidates(kind, frontier, eps=eps, rng_seed=0)
     ref = _literal_scores(kind, ham, sol, dominant, frontier.states, eps)
     for array, expected in zip(
         (got.states, got.diagonal, got.coupling, got.score), ref
@@ -452,7 +452,7 @@ def test_score_two_hop_bytes_equal_per_mask_loop(real, data):
     ham, sol, dominant = _solved(data, real, _FRONTIER_SIZES)
     eps = data.draw(st.sampled_from([1e-8, 0.5]))
     kind = data.draw(st.sampled_from(ACQUISITION_KINDS))
-    got = score_two_hop(kind, sol, dominant, eps=eps, rng_seed=0)
+    got = score_two_hop(kind, dominant, eps=eps, rng_seed=0)
     ref = _two_hop_reference(kind, ham, sol, dominant, sol.subspace, eps)
     for array, expected in zip(
         (got.states, got.diagonal, got.coupling, got.score), ref
@@ -460,21 +460,18 @@ def test_score_two_hop_bytes_equal_per_mask_loop(real, data):
         assert _bytes_equal(array, expected)
 
 
-# Small state ranges make repeats and overlaps between the drawn sets common.
-def _repeating_states(n: int):
-    return st.lists(st.integers(0, min((1 << n) - 1, 15)), max_size=24)
-
-
 def _frontier_inputs(data, sizes):
-    """A random H, its matrix on a subspace and a D drawn apart from it, with repeats."""
+    """A random H, its matrix on a drawn subspace and a D of any rows of it.
+
+    The subspace's states lie in [0, 16), so the frontiers of its states
+    overlap; D's rows come in any order, with repeats, or not at all.
+    """
     ham = data.draw(hamiltonians(sizes=sizes))
-    subspace = Subspace(np.unique(data.draw(_repeating_states(ham.n))).astype(np.int64))
-    states = np.array(data.draw(_repeating_states(ham.n)), dtype=np.int64)
-    # An empty subspace has nothing to build: its matrix is the empty table.
-    shape = (0, len(ham.offdiag_masks) + 1)
-    matrix = build_restricted(ham, subspace) if len(subspace) else RestrictedMatrix(
-        ham, subspace, np.zeros(shape), np.zeros(shape, dtype=np.int64))
-    return ham, matrix, DominantSupport(states, subspace.positions(states))
+    states = st.integers(0, min((1 << ham.n) - 1, 15))
+    subspace = Subspace(np.unique(data.draw(st.lists(states, min_size=1, max_size=24))))
+    sol = lowest_eigenpair(build_restricted(ham, subspace))
+    rows = data.draw(st.lists(st.integers(0, len(subspace) - 1), max_size=24))
+    return ham, sol.matrix, DominantSupport(sol, np.array(rows, dtype=np.int64))
 
 
 @PROPERTY
@@ -482,10 +479,28 @@ def _frontier_inputs(data, sizes):
 def test_generate_candidates_equals_numpy_set_forms(data):
     ham, matrix, dominant = _frontier_inputs(data, _FRONTIER_SIZES)
     one_hop = np.setdiff1d(_frontier(ham, dominant.states), matrix.basis.states)
-    frontier = generate_candidates(matrix, dominant)
+    frontier = generate_candidates(dominant)
     assert _bytes_equal(frontier.states, one_hop)
     steps = dominant.states[:, None] ^ np.array(ham.offdiag_masks, dtype=np.int64)
     assert _bytes_equal(frontier.pairs, sorted_positions(frontier.states, steps))
+
+
+# Every target _outside meets steps from a support state by one or two of
+# H's masks, all in [0, 2^n), so it needs no range check of its own.
+@PROPERTY
+@pytest.mark.parametrize("real", [True, False])
+@given(data=st.data())
+def test_built_frontiers_lie_in_the_register_outside_the_subspace(real, data):
+    ham = data.draw(hamiltonians(real, sizes=st.integers(1, MAX_QUBITS)))
+    states = _states(data.draw, ham.n, min_size=1, max_size=16)
+    sol = lowest_eigenpair(build_restricted(ham, Subspace(states)))
+    rows = data.draw(st.lists(st.integers(0, len(states) - 1), max_size=16))
+    dominant = DominantSupport(sol, np.array(rows, dtype=np.int64))
+    one_hop = generate_candidates(dominant).states
+    two_hop = score_two_hop("random", dominant, rng_seed=0).states
+    for frontier in (one_hop, two_hop):
+        assert all(0 <= s < 1 << ham.n for s in frontier.tolist())
+        assert not np.isin(frontier, states).any()
 
 
 @PROPERTY
@@ -493,10 +508,10 @@ def test_generate_candidates_equals_numpy_set_forms(data):
 def test_sort_path_bytes_equal_mark_path(data):
     _, matrix, dominant = _frontier_inputs(
         data, st.integers(1, 8) | st.just(MARK_MAX_QUBITS))
-    marked = generate_candidates(matrix, dominant)
+    marked = generate_candidates(dominant)
     # Every n is past a limit of 0, so this runs the sort path.
     with mock.patch.object(acquisition_mod, "MARK_MAX_QUBITS", 0):
-        sorted_ = generate_candidates(matrix, dominant)
+        sorted_ = generate_candidates(dominant)
     assert _bytes_equal(sorted_.states, marked.states)
     assert _bytes_equal(sorted_.pairs, marked.pairs)
 

@@ -24,6 +24,7 @@ from assqd.pauli import (
     parse_hamiltonian,
 )
 from assqd.subspace import (
+    DominantSupport,
     RestrictedMatrix,
     Subspace,
     build_restricted,
@@ -395,6 +396,13 @@ class TestDominantSupport:
         sol = self._solution([1.0], (0,))
         with pytest.raises(ValueError, match="tau"):
             dominant_support(sol, 1.0)
+
+    def test_rows_outside_subspace_rejected(self):
+        sol = self._solution([0.6, 0.8], (5, 6))
+        for row in (-1, 2):
+            with pytest.raises(ValueError, match=r"support rows must lie in \[0, 2\)"):
+                DominantSupport(sol, np.array([0, row]))
+        assert DominantSupport(sol, np.array([1, 0])).states.tolist() == [6, 5]
 
 
 class TestRestrictedNonConvergence:
