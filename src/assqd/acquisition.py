@@ -15,29 +15,34 @@ energy correction.  Ablation variants keep one factor each
 seeded uniform draw.  One :class:`CandidateScores` of aligned arrays holds
 them, the gap too, which every consumer reads from there.
 
-:func:`generate_candidates` gives the 1-hop frontier.  The horizon
-experiment's 2-hop frontier is built and scored in one place,
-:func:`score_two_hop`: the same scores for every kind, except that under
-"en" the pure 2-hop states, whose nu is zero, get a chained stand-in.
-Both frontiers come from :func:`_outside`, which finds the distinct
-states stepped to outside the subspace, ascending, and every pair's index
-among them.  Up to MARK_MAX_QUBITS = 16 qubits it reads a 2^n mark array
-of them and a 2^n map from state to index, with no sort; past that it
+``Frontier(dominant, hops=1)`` takes only the support it steps from and
+its horizon, 1 or 2, and derives its states and pairs when it is made,
+so no frontier can disagree with its support.  :func:`generate_candidates`
+gives the 1-hop frontier, ``Frontier(dominant)``.  The horizon
+experiment's 2-hop frontier, ``Frontier(dominant, 2)``, also keeps where
+each 1-hop state lies in it and where that state's steps land, which
+:func:`score_two_hop` reads: the same scores for every kind, except that
+under "en" the pure 2-hop states, whose nu is zero, get a chained
+stand-in.  Both frontiers come from :func:`_outside`, which finds the
+distinct states stepped to outside the subspace, ascending, and every
+pair's index among them; it is the one place that chooses marks or a
+sort.  Up to MARK_MAX_QUBITS = 16 qubits it reads a 2^n mark array of
+them and a 2^n map from state to index, with no sort; past that it
 sorts, with one ``np.unique(..., return_inverse=True)`` whose inverse
 gives every pair its index, and tests the distinct states against the
 subspace with :meth:`Subspace.positions`.  Both paths give the same
 arrays, byte for byte.  Every target steps from a state of D by one or
-two of H's masks, all in [0, 2^n), so it lies there too.
+two of H's masks, all in [0, 2^n), and only targets outside the
+subspace are kept, so a frontier needs no check of its own.
 
 A support carries its solution and a frontier its support, so each
 function takes one object and reads the solution, its matrix and H
 through it: ``generate_candidates(dominant)``, ``coupling_map(frontier)``,
 ``score_candidates(kind, frontier, eps, rng_seed)`` and
 ``score_two_hop(kind, dominant, eps, rng_seed)``; a frontier is scored
-only against the support it was stepped from.  Each object is checked
-once, where it is made: a :class:`DominantSupport` refuses a row outside
-the subspace, and a Frontier a state outside [0, 2^n) or inside the
-subspace, on the same two paths.
+only against the support it was stepped from.  A
+:class:`DominantSupport` refuses, when it is made, a row outside the
+subspace or rows that are not strictly ascending.
 
 :func:`coupling_map` gives nu by summing every (state, mask) term of D
 into the candidate its pair index names, reading D's amplitudes from the
@@ -48,11 +53,10 @@ bit, to their literal per-candidate sum, ``coupling``.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from assqd.pauli import in_range
 from assqd.subspace import DominantSupport, RestrictedMatrix
 
 ACQUISITION_KINDS = ("en", "coupling_only", "denom_only", "diag_only", "random")
@@ -71,15 +75,14 @@ MARK_MAX_QUBITS = 16
 
 @dataclass(frozen=True, eq=False)
 class CandidateScores:
-    """Candidate states with their diagonals, couplings, ranking keys and gaps.
+    """Candidate states with their couplings, ranking keys and gaps.
 
-    The five arrays are aligned.  score is nonnegative for every variant
+    The four arrays are aligned.  score is nonnegative for every variant
     except diag_only, which ranks by the raw (possibly negative) key -H_kk.
     gap is E_S - H_kk with its size floored at eps and its sign kept.
     """
 
     states: np.ndarray
-    diagonal: np.ndarray
     coupling: np.ndarray
     score: np.ndarray
     gap: np.ndarray
@@ -100,43 +103,43 @@ def _step(matrix: RestrictedMatrix, states: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Frontier:
-    """Candidate states, ascending, and where D's single-term steps land.
+    """The states ``hops`` steps of H from D outside the subspace, ascending.
 
-    ``dominant`` is the support D the frontier was made from, and through
-    it the solution it is scored against.  ``pairs[r, g]`` is the index in
-    ``states`` of D's state r XOR ``offdiag_masks[g]``, or -1 where that
-    state is in the subspace.  A state outside [0, 2^n) or inside the
-    subspace raises ValueError when the frontier is made.  Up to
-    MARK_MAX_QUBITS qubits the states are read off a 2^n mark array of the
-    subspace, past that looked up with :meth:`Subspace.positions`.
+    ``dominant`` is the support D the frontier steps from, and through it
+    the solution it is scored against; ``hops`` is 1 or 2, and the rest
+    is computed when the frontier is made, by :func:`_outside`.
+    ``pairs[r, g]`` is the index in ``states`` of D's state r XOR
+    ``offdiag_masks[g]``, or -1 where that state is in the subspace.  At
+    hops = 2, ``at_one`` holds the index in ``states`` of each 1-hop state,
+    ascending, and ``at_grid[i, g]`` that of 1-hop state i XOR
+    ``offdiag_masks[g]``, or -1; both are None at hops = 1.
     """
 
     dominant: DominantSupport
-    states: np.ndarray
-    pairs: np.ndarray
+    hops: int = 1
+    states: np.ndarray = field(init=False)
+    pairs: np.ndarray = field(init=False)
+    at_one: np.ndarray | None = field(init=False)
+    at_grid: np.ndarray | None = field(init=False)
 
     def __post_init__(self) -> None:
+        if self.hops not in (1, 2):
+            raise ValueError(f"hops must be 1 or 2, got {self.hops}")
         matrix = self.dominant.sol.matrix
-        n, subspace = matrix.ham.n, matrix.basis
-        if not in_range(n, self.states):
-            raise ValueError(f"states must lie in [0, 2^{n})")
-        if n > MARK_MAX_QUBITS:
-            inside = subspace.positions(self.states) >= 0
-        else:
-            inside = _marks(n, subspace.states)[self.states]
-        overlap = self.states[inside]
-        if len(overlap):
-            raise ValueError(f"candidates intersect the subspace: {overlap[:5].tolist()}")
+        states, pairs = _outside(matrix, _step(matrix, self.dominant.states))
+        at_one = at_grid = None
+        if self.hops == 2:
+            grid = _step(matrix, states)
+            states, index = _outside(matrix, np.concatenate([states, grid.ravel()]))
+            at_one, at_grid = index[:len(grid)], index[len(grid):].reshape(grid.shape)
+            # The -1 pad sends a pair that lands in the subspace to -1 again.
+            pairs = np.append(at_one, -1)[pairs]
+        for name, value in (("states", states), ("pairs", pairs),
+                            ("at_one", at_one), ("at_grid", at_grid)):
+            object.__setattr__(self, name, value)
 
     def __len__(self) -> int:
         return len(self.states)
-
-
-def _marks(n: int, states: np.ndarray) -> np.ndarray:
-    """A 2^n boolean array, True at each of the given states."""
-    marks = np.zeros(1 << n, dtype=bool)
-    marks[states] = True
-    return marks
 
 
 def _outside(
@@ -159,7 +162,8 @@ def _outside(
         index = np.cumsum(outside) - 1
         index[~outside] = -1
         return states[outside], index[inverse].reshape(targets.shape)
-    marks = _marks(n, targets)
+    marks = np.zeros(1 << n, dtype=bool)
+    marks[targets] = True
     marks[subspace.states] = False
     states = np.flatnonzero(marks)
     # Only the targets' entries are read back, so only they are written.
@@ -170,12 +174,8 @@ def _outside(
 
 
 def generate_candidates(dominant: DominantSupport) -> Frontier:
-    """The 1-hop frontier of D: its single-term neighbours outside the subspace.
-
-    :func:`score_two_hop` steps once more from it.
-    """
-    matrix = dominant.sol.matrix
-    return Frontier(dominant, *_outside(matrix, _step(matrix, dominant.states)))
+    """The 1-hop frontier of D: its single-term neighbours outside the subspace."""
+    return Frontier(dominant)
 
 
 def coupling_map(frontier: Frontier) -> np.ndarray:
@@ -236,7 +236,7 @@ def score_candidates(
         score = -h_kk
     else:
         score = np.random.default_rng(rng_seed).random(len(candidates))
-    return CandidateScores(states=candidates, diagonal=h_kk, coupling=nu, score=score, gap=gap)
+    return CandidateScores(states=candidates, coupling=nu, score=score, gap=gap)
 
 
 def score_two_hop(
@@ -247,32 +247,27 @@ def score_two_hop(
 ) -> CandidateScores:
     """Score the 2-hop frontier under one variant, in ascending-state order.
 
-    The frontier is the 1-hop frontier plus one more step from each of its
-    states, outside the solution's subspace, built as the 1-hop one is,
-    with D's pairs carried over through the 1-hop states' places in it;
-    :func:`score_candidates` scores all of it.  Pure 2-hop states have
-    nu_k = 0 by construction, so under "en" they get a chained stand-in
-    instead: the best one-intermediate path value, over the scored gaps,
+    The frontier, ``Frontier(dominant, 2)``, is the 1-hop frontier plus
+    one more step from each of its states, outside the solution's
+    subspace; :func:`score_candidates` scores all of it.  Pure 2-hop
+    states have nu_k = 0 by construction, so under "en" they get a
+    chained stand-in instead: the best one-intermediate path value, over
+    the scored gaps,
 
         max over m in 1-hop:  |<k|H|m>|^2 |nu_m|^2 / (|gap_m| |gap_k|)
     """
-    sol = dominant.sol
-    one_hop = generate_candidates(dominant)
-    grid = _step(sol.matrix, one_hop.states)
-    states, index = _outside(sol.matrix, np.concatenate([one_hop.states, grid.ravel()]))
-    at_one = index[:len(one_hop)]
-    at_grid = index[len(one_hop):].reshape(grid.shape)
-    # The -1 pad sends a pair that lands in the subspace to -1 again.
-    frontier = Frontier(dominant, states, np.append(at_one, -1)[one_hop.pairs])
+    frontier = Frontier(dominant, 2)
     scored = score_candidates(kind, frontier, eps, rng_seed)
     if kind != "en":
         return scored
+    at_one, at_grid = frontier.at_one, frontier.at_grid
     pure = np.ones(len(frontier), dtype=bool)
     pure[at_one] = False
     # The (1-hop state, mask) pairs that land on a pure 2-hop state.
     hit = np.append(pure, False)[at_grid]
     rows = np.nonzero(hit)[0]
-    amp_sq = np.abs(sol.matrix.ham.amplitude_table(one_hop.states).T[hit]) ** 2
+    ham = dominant.sol.matrix.ham
+    amp_sq = np.abs(ham.amplitude_table(frontier.states[at_one]).T[hit]) ** 2
     nu_m_sq = np.abs(scored.coupling[at_one]) ** 2
     denom_m = np.abs(scored.gap[at_one])
     best = np.zeros(len(frontier))
@@ -305,6 +300,6 @@ def select_top_b(scored: CandidateScores, B: int) -> CandidateScores:
     ahead = np.flatnonzero(keys <= np.partition(keys, kth)[kth])
     top = ahead[np.lexsort((scored.states[ahead], keys[ahead]))[:B]]
     return CandidateScores(
-        states=scored.states[top], diagonal=scored.diagonal[top],
-        coupling=scored.coupling[top], score=scored.score[top], gap=scored.gap[top],
+        states=scored.states[top], coupling=scored.coupling[top],
+        score=scored.score[top], gap=scored.gap[top],
     )

@@ -4,20 +4,24 @@ One loop serves every method.  run_as_sqd seeds the subspace from the
 top-K observed bitstrings, then repeats T times: solve the restricted
 problem, take the dominant support, score its candidate frontier under
 the configured kind, and add the best B.  The support carries the
-solution and the frontier its support, so each step hands on one object.
-The horizon picks the frontier: hops=1 scores
-generate_candidates(dominant) with score_candidates(kind, frontier, ...),
-and hops=2 hands the step to score_two_hop(kind, dominant, ...), which
-builds and scores the 2-hop frontier for every kind.  The kind is the
-only difference between methods: "standard" makes zero expansions,
-"random" ranks candidates by seeded uniform draws, and the acquisition
-kinds rank by the EN score or one of its ablations.  run_standard_sqd and run_random_sqd are one-line
-shorthands for those kinds, and method_label/method_kind map a kind to
-the label that rows and traces carry ("standard", "random", "as-<kind>")
-and back.  Counts must be on H's qubit count.  H goes only to
-build_restricted: the loop keeps one RestrictedSolution, which holds the
-restricted matrix, its subspace and its H, and reads them from it.  Each solve
-after an extension starts from a guess, the last ground vector followed
+solution and the frontier its support, so each step hands on one object,
+and no call takes a value the package can derive.  The horizon picks the
+frontier: hops=1 scores generate_candidates(dominant), which is
+Frontier(dominant), with score_candidates(kind, frontier, ...), and
+hops=2 hands the step to score_two_hop(kind, dominant, ...), which scores
+Frontier(dominant, 2) for every kind.  The picked states join the
+restricted matrix by extend_restricted(sol.matrix, picked.states), which
+evaluates their diagonals and amplitudes from the matrix's own H.  The
+kind is the only difference between methods: "standard" makes zero
+expansions, "random" ranks candidates by seeded uniform draws, and the
+acquisition kinds rank by the EN score or one of its ablations.
+run_standard_sqd and run_random_sqd are one-line shorthands for those
+kinds, and method_label/method_kind map a kind to the label that rows
+and traces carry ("standard", "random", "as-<kind>") and back.  Counts
+must be on H's qubit count.  H goes only to build_restricted: the loop
+keeps one RestrictedSolution, which holds the restricted matrix, its
+subspace and its H, and reads them from it.  Each solve after an
+extension starts from a guess, the last ground vector followed
 by each picked state's first-order amplitude nu_k / gap_k, from its
 scored coupling and gap, which Lanczos reaches the new ground pair from
 in fewer products than from its seeded vector (the dense route ignores it).
@@ -207,7 +211,7 @@ def run_as_sqd(
                 scored = score_candidates(config.kind, cands, config.eps, rng_seed)
             if len(scored):
                 picked = select_top_b(scored, config.B)
-                matrix = extend_restricted(sol.matrix, picked.states, picked.diagonal)
+                matrix = extend_restricted(sol.matrix, picked.states)
                 guess = np.concatenate([sol.coefficients, picked.coupling / picked.gap])
                 # nu is complex even for a real H; ARPACK's real driver
                 # takes a real start vector.

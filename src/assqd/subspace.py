@@ -11,14 +11,16 @@ state (its diagonal, then :meth:`PauliHamiltonian.amplitude_table`),
 and a grid of the same shape linking each entry to its row of H_S, or to
 -1 outside the basis; each entry is stored once.  The matrix carries
 the H it restricts, which only :func:`build_restricted` is handed, and
-refuses a basis state outside [0, 2^n) when it is made.  An extension
-appends the new states' rows, whose diagonals the caller passes (the
-expansion loop has them from scoring), links the old states that step
-onto them, and rebuilds nothing.  A :class:`DominantSupport` holds the
-solution it was taken from and its rows, refusing a row outside [0, m)
-when it is made; its states are the subspace's at those rows.  The
-scorer reads its amplitudes from the table through those rows without
-evaluating them again.  State lookups sort and compare
+refuses a basis state outside [0, 2^n) when it is made.  An extension,
+``extend_restricted(matrix, new_states)``, appends the new states' rows,
+diagonals and amplitudes alike evaluated from ``matrix.ham``, links the
+old states that step onto them, and rebuilds nothing; so every entry of
+H_S comes from its H, and no caller hands the matrix a value of its own.
+A :class:`DominantSupport` holds the solution it was taken from and its
+rows, refusing a row outside [0, m) or rows that are not strictly
+ascending when it is made; its states are the subspace's at those rows.
+The scorer reads its amplitudes from the table through those rows
+without evaluating them again.  State lookups sort and compare
 (:meth:`Subspace.positions`); none hashes.  The ground pair comes from
 :func:`assqd.oracle.hermitian_lowest`, the solver the reference oracle
 uses: dense LAPACK on the scattered table up to DENSE_SOLVE_MAX states
@@ -156,6 +158,9 @@ class DominantSupport:
     restricted matrix's table and the entry of the coefficients that
     belong to it; a row outside [0, m) raises ValueError when the support
     is made, so its states are always the subspace's states at its rows.
+    So do rows that are not strictly ascending: a repeated row would be
+    summed twice into every coupling, and each set of rows has one
+    support, the ascending one, which :func:`dominant_support` gives.
     """
 
     sol: RestrictedSolution
@@ -165,6 +170,8 @@ class DominantSupport:
         m = len(self.sol.subspace)
         if self.rows.size and (self.rows.min() < 0 or self.rows.max() >= m):
             raise ValueError(f"support rows must lie in [0, {m})")
+        if np.any(self.rows[1:] <= self.rows[:-1]):
+            raise ValueError("support rows must be strictly ascending")
 
     @property
     def states(self) -> np.ndarray:
@@ -182,19 +189,18 @@ def build_restricted(ham: PauliHamiltonian, subspace: Subspace) -> RestrictedMat
         table=np.zeros(shape, dtype=ham.dtype),
         links=np.zeros(shape, dtype=np.int64),
     )
-    return extend_restricted(empty, subspace.states, ham.diagonal(subspace.states))
+    return extend_restricted(empty, subspace.states)
 
 
-def extend_restricted(matrix: RestrictedMatrix, new_states, diagonal) -> RestrictedMatrix:
+def extend_restricted(matrix: RestrictedMatrix, new_states) -> RestrictedMatrix:
     """Grow a restricted matrix of ``matrix.ham`` in place of a full rebuild.
 
     ``new_states`` must be distinct and outside the basis (the extended
-    :class:`Subspace` raises ValueError otherwise); ``diagonal`` holds
-    <s|H|s> for each, which the expansion loop already has from scoring
-    them.  Only the new rows are assembled, for every x_mask at once,
-    with their links.  An old state that steps onto a new one under some
-    x_mask is linked to it under that mask, since XOR is symmetric; its
-    table entry was read when it joined.  Each state reads its own
+    :class:`Subspace` raises ValueError otherwise).  Only the new rows are
+    assembled, <s|H|s> and every x_mask's amplitude at once from
+    ``matrix.ham``'s per-state kernels, with their links.  An old state
+    that steps onto a new one under some x_mask is linked to it under that
+    mask, since XOR is symmetric; its table entry was read when it joined.  Each state reads its own
     entries, so every entry (i, j) that involves a new state is checked
     for Hermiticity against (j, i), read from state i's row.
     """
@@ -203,9 +209,7 @@ def extend_restricted(matrix: RestrictedMatrix, new_states, diagonal) -> Restric
     old_m = len(matrix.basis)
     masks = np.array((0,) + matrix.ham.offdiag_masks, dtype=np.int64)
     new_links = extended.positions(new[:, None] ^ masks)
-    new_table = np.column_stack([
-        np.asarray(diagonal, dtype=np.float64), matrix.ham.amplitude_table(new).T,
-    ])
+    new_table = np.column_stack([matrix.ham.diagonal(new), matrix.ham.amplitude_table(new).T])
     table = np.concatenate([matrix.table, new_table])
     links = np.concatenate([matrix.links, new_links])
     j, g = np.nonzero(new_links >= 0)

@@ -341,12 +341,8 @@ def test_09_en_ranking_beats_bottom_ranked_additions():
         worst = int(scored.states[np.argmin(scored.score)])
         if best == worst:
             continue
-        e_top = lowest_eigenpair(
-            extend_restricted(matrix, [best], ham.diagonal([best]))
-        ).energy
-        e_bot = lowest_eigenpair(
-            extend_restricted(matrix, [worst], ham.diagonal([worst]))
-        ).energy
+        e_top = lowest_eigenpair(extend_restricted(matrix, [best])).energy
+        e_bot = lowest_eigenpair(extend_restricted(matrix, [worst])).energy
         trials += 1
         if e_top <= e_bot + 1e-12:
             wins += 1

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -33,8 +35,8 @@ def solve(ham, states):
 
 
 def support(sol, *states):
-    """The support of the solution's subspace at the given states."""
-    return DominantSupport(sol, sol.subspace.positions(np.array(states, dtype=np.int64)))
+    """The support of the solution's subspace at the given states, rows ascending."""
+    return DominantSupport(sol, np.sort(sol.subspace.positions(np.array(states, dtype=np.int64))))
 
 
 def both_set_paths(monkeypatch):
@@ -45,11 +47,11 @@ def both_set_paths(monkeypatch):
 
 
 def ranked(states, score):
-    """Scores with placeholder diagonals, couplings and gaps, for select_top_b."""
+    """Scores with placeholder couplings and gaps, for select_top_b."""
     zeros = np.zeros(len(states))
     return CandidateScores(
-        states=np.array(states, dtype=np.int64), diagonal=zeros,
-        coupling=zeros.astype(complex), score=np.array(score, dtype=float), gap=zeros,
+        states=np.array(states, dtype=np.int64), coupling=zeros.astype(complex),
+        score=np.array(score, dtype=float), gap=zeros,
     )
 
 
@@ -169,18 +171,21 @@ class TestEnScore:
         assert sol.energy == -1.0
         sc = score_candidates("en", cands, eps=1e-8)
         assert sc.states.tolist() == [1, 2, 3]
-        assert sc.diagonal.tolist() == [1.0, -3.0, 3.0]
+        assert h.diagonal(sc.states).tolist() == [1.0, -3.0, 3.0]
         assert sc.coupling.tolist() == [2.0, 2j, 1.0]
         assert sc.gap.tolist() == [-2.0, 2.0, -4.0]
         assert sc.score.tolist() == [2.0, 2.0, 0.25]
 
     def test_zero_coupling_zero_score(self):
-        h, sol, d, cands = _gap_fixture()
-        # No pair of D lands on a candidate, so every nu is zero.
-        unreached = Frontier(d, cands.states, np.full_like(cands.pairs, -1))
-        sc = score_candidates("en", unreached)
-        assert sc.coupling.tolist() == [0.0] * 3
-        assert sc.score.tolist() == [0.0] * 3
+        # XX and YY cancel from |00> to |11>: H steps D = {00} to 11 by the
+        # mask 11, and <11|H|00> = 0, so nu is zero while the gap is 1.
+        h = parse_hamiltonian("1.0 XX\n1.0 YY\n1.0 ZZ\n0.5 ZI\n")
+        d = support(solve(h, (0,)), 0)
+        sc = score_candidates("en", generate_candidates(d))
+        assert sc.states.tolist() == [3]
+        assert sc.gap.tolist() == [1.0]
+        assert sc.coupling.tolist() == [0.0]
+        assert sc.score.tolist() == [0.0]
 
     def test_regularized_at_degeneracy(self):
         # E_S = H_kk = 0: the gap is +eps and the score 1 / eps.
@@ -203,7 +208,7 @@ class TestEnScore:
         sol = solve(ham, (0b011011, 0b100100, 0b010101))
         d = dominant_support(sol, 1e-4)
         sc = score_candidates("en", generate_candidates(d))
-        raw = sol.energy - sc.diagonal
+        raw = sol.energy - ham.diagonal(sc.states)
         assert (raw > 0).any() and (raw < 0).any()
         assert np.array_equal(np.sign(sc.gap), np.sign(raw))
         assert np.array_equal(np.abs(sc.gap), np.maximum(np.abs(raw), 1e-8))
@@ -252,8 +257,7 @@ class TestGap:
             else:
                 sc = score_two_hop(kind, d, eps=eps, rng_seed=0)
             assert len(sc) > 0 and len(sc.gap) == len(sc.states)
-            assert np.array_equal(sc.diagonal, ham.diagonal(sc.states))
-            raw = sol.energy - sc.diagonal
+            raw = sol.energy - ham.diagonal(sc.states)
             ref = np.copysign(np.maximum(np.abs(raw), eps), raw)
             assert sc.gap.dtype == ref.dtype and sc.gap.tobytes() == ref.tobytes()
             picked = select_top_b(sc, 5)
@@ -272,7 +276,7 @@ class TestScoreCandidates:
     def test_en_matches_en_score_elementwise(self):
         ham, sol, d, cands = self._setup()
         sc = score_candidates("en", cands, eps=1e-8)
-        for diagonal, nu, score in zip(sc.diagonal, sc.coupling, sc.score):
+        for diagonal, nu, score in zip(ham.diagonal(sc.states), sc.coupling, sc.score):
             assert np.isclose(score, abs(nu) ** 2 / max(abs(sol.energy - diagonal), 1e-8))
 
     def test_coupling_only_squares_nu(self):
@@ -285,7 +289,7 @@ class TestScoreCandidates:
     def test_denom_only_ignores_coupling(self):
         ham, sol, d, cands = self._setup()
         sc = score_candidates("denom_only", cands, eps=1e-8)
-        for diagonal, score in zip(sc.diagonal, sc.score):
+        for diagonal, score in zip(ham.diagonal(sc.states), sc.score):
             assert np.isclose(score, 1.0 / max(abs(sol.energy - diagonal), 1e-8))
 
     def test_diag_only_ranks_lowest_diagonal_first(self):
@@ -312,26 +316,22 @@ class TestScoreCandidates:
         with pytest.raises(ValueError, match="kind"):
             score_candidates("best", cands)
 
-    # A frontier is checked where it is made, so no scorer meets a bad one.
-    def test_candidates_overlapping_subspace_rejected(self, monkeypatch):
-        ham, sol, d, cands = self._setup()
-        for _ in both_set_paths(monkeypatch):
-            with pytest.raises(ValueError, match="intersect"):
-                Frontier(d, np.append(cands.states, 0), cands.pairs)
-
     @pytest.mark.parametrize("state", [-1, 64, 85])
     def test_out_of_range_state_rejected(self, monkeypatch, state):
         # 85 = 64 + 21 aliases the subspace state 21 in its low six bits.
         ham, _ = build_model(ModelSpec(kind="heisenberg", n=6, seed=0))
         sol = solve(ham, (21, 42))
         d = dominant_support(sol, 1e-4)
-        cands = generate_candidates(d)
         # A subspace holding the state has no matrix, so no solution to score.
         with pytest.raises(ValueError, match=r"\[0, 2\^6\)"):
             solve(ham, (21, 42, state))
+        # A frontier derives its states, so none of them can be the state:
+        # all lie in [0, 2^6), outside the subspace.
         for _ in both_set_paths(monkeypatch):
-            with pytest.raises(ValueError, match=r"\[0, 2\^6\)"):
-                Frontier(d, np.append(cands.states, state), cands.pairs)
+            for hops in (1, 2):
+                states = Frontier(d, hops).states
+                assert len(states) and states.min() >= 0 and states.max() < 64
+                assert not np.isin(states, (21, 42)).any()
 
     def test_support_outside_subspace_rejected(self):
         # Subspace.positions gives 240 row -1, which would read the last
@@ -344,36 +344,43 @@ class TestScoreCandidates:
         # A support's states are its solution's at its rows.
         assert DominantSupport(sol, np.array([1])).states.tolist() == [51]
 
-    def test_unchecked_frontier_cannot_be_made(self, monkeypatch):
-        # coupling_map would couple a frontier holding a subspace state (15)
-        # or one past 2^8 (300) as any other; neither frontier can be made.
+    def test_unchecked_frontier_cannot_be_made(self):
+        # A frontier holding a subspace state (15) or one past 2^8 (300), or
+        # pairs of -7, which would score every nu 0, cannot be written: a
+        # frontier takes its support and horizon, and derives the rest.
         ham, _ = build_model(ModelSpec(kind="heisenberg", n=8, seed=0))
         sol = solve(ham, (15, 51, 85, 170, 60, 195))
         d = dominant_support(sol, 1e-4)
-        pairs = np.full((len(d.rows), len(ham.offdiag_masks)), -1)
-        for _ in both_set_paths(monkeypatch):
-            for states, match in (([15], "intersect"), ([300], r"\[0, 2\^8\)"),
-                                  ([15, 300], r"\[0, 2\^8\)")):
-                with pytest.raises(ValueError, match=match):
-                    Frontier(d, np.array(states, dtype=np.int64), pairs)
+        frontier = Frontier(d)
+        pairs = np.full_like(frontier.pairs, -7)
+        with pytest.raises(TypeError):
+            Frontier(d, frontier.states, pairs)
+        with pytest.raises(TypeError):
+            Frontier(d, states=np.array([15, 300]))
+        with pytest.raises(TypeError):
+            Frontier(d, pairs=pairs)
+        with pytest.raises(ValueError, match="init=False"):
+            dataclasses.replace(frontier, pairs=pairs)
+        for hops in (0, 3):
+            with pytest.raises(ValueError, match=f"hops must be 1 or 2, got {hops}"):
+                Frontier(d, hops)
+        assert np.abs(coupling_map(frontier)).max() > 0
 
     def test_frontier_scored_only_by_its_own_support(self):
-        # D and D' name the same two rows in either order.  A frontier of D
-        # scored with D' would move nu by up to 0.0585 and pick 31, not 30;
-        # each frontier carries its own support, and both pick 30.
+        # Rows (15, 14) name rows (14, 15) reversed, and rows (14, 14, 15)
+        # repeat 14, which coupling_map would sum twice: that moved nu by up
+        # to 0.523 and the top three picks to (30, 78, 46).  Neither support
+        # can be made, so each frontier steps from and is scored against
+        # the one support of its rows.
         ham, _ = build_model(ModelSpec(kind="tfim", n=8, seed=0))
         sol = solve(ham, range(16))
+        for rows in ([15, 14], [14, 14, 15]):
+            with pytest.raises(ValueError, match="strictly ascending"):
+                DominantSupport(sol, np.array(rows))
         d = DominantSupport(sol, np.array([14, 15]))
-        d_rev = DominantSupport(sol, np.array([15, 14]))
-        a, b = generate_candidates(d), generate_candidates(d_rev)
-        assert a.dominant is d and b.dominant is d_rev
-        assert np.array_equal(a.states, b.states)
-        assert np.array_equal(a.pairs, b.pairs[::-1])
-        sa, sb = score_candidates("en", a), score_candidates("en", b)
-        assert np.array_equal(sa.coupling, sb.coupling)
-        assert np.array_equal(sa.score, sb.score)
-        assert select_top_b(sa, 1).states.tolist() == [30]
-        assert select_top_b(sb, 1).states.tolist() == [30]
+        frontier = generate_candidates(d)
+        assert frontier.dominant is d
+        assert select_top_b(score_candidates("en", frontier), 3).states.tolist() == [30, 31, 143]
 
     def test_scale_covariance(self):
         rng = np.random.default_rng(79)

@@ -188,7 +188,7 @@ class TestRunAsSqd:
         assert len(solves[-1][1].subspace) > subspace_mod.DENSE_SOLVE_MAX
         assert len(solves) == len(picks) + 1 > 2
         for (_, prev), (guess, _), picked in zip(solves, solves[1:], picks):
-            raw = prev.energy - picked.diagonal
+            raw = prev.energy - ham.diagonal(picked.states)
             amplitude = picked.coupling / np.copysign(np.maximum(np.abs(raw), config.eps), raw)
             ref = np.concatenate([prev.coefficients, amplitude]).real
             assert guess.dtype == ref.dtype and guess.tobytes() == ref.tobytes()

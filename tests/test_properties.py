@@ -32,6 +32,7 @@ from assqd.acquisition import (
     ACQUISITION_KINDS,
     MARK_MAX_QUBITS,
     CandidateScores,
+    Frontier,
     coupling_map,
     generate_candidates,
     score_candidates,
@@ -200,8 +201,7 @@ def test_restricted_assembly_equals_elementwise_matrix_elements(data):
     built = build_restricted(ham, Subspace(states))
     assert np.array_equal(built.dense(), ref)
     split = data.draw(st.integers(1, len(states)))
-    grown = extend_restricted(build_restricted(ham, Subspace(states[:split])),
-                              states[split:], ham.diagonal(states[split:]))
+    grown = extend_restricted(build_restricted(ham, Subspace(states[:split])), states[split:])
     assert grown.basis.states.tolist() == states
     assert np.array_equal(grown.dense(), ref)
     # The kernel rows kept by position: row j is the basis state j.
@@ -219,8 +219,7 @@ def test_restricted_csc_products_bytes_equal_sorted_csr(real, data):
     ham = data.draw(hamiltonians(real))
     states = _states(data.draw, ham.n, min_size=1)
     split = data.draw(st.integers(1, len(states)))
-    matrix = extend_restricted(build_restricted(ham, Subspace(states[:split])),
-                               states[split:], ham.diagonal(states[split:]))
+    matrix = extend_restricted(build_restricted(ham, Subspace(states[:split])), states[split:])
     csc = matrix.sparse()
     csr = csc.tocsr()
     assert csc.format == "csc" and csr.has_sorted_indices
@@ -282,7 +281,7 @@ def test_split_extension_across_the_solver_crossover(real, data):
     states = _states(data.draw, ham.n, min_size=4)
     split = data.draw(st.integers(2, len(states) - 1))
     base = build_restricted(ham, Subspace(states[:split]))
-    grown = extend_restricted(base, states[split:], ham.diagonal(states[split:]))
+    grown = extend_restricted(base, states[split:])
     ref = np.array([[ham.matrix_element(a, b) for b in states] for a in states])
     assert np.array_equal(grown.dense(), ref)
     dense = lowest_eigenpair(grown)
@@ -380,7 +379,7 @@ def test_dominant_rows_are_subspace_positions(real, data):
 
 
 def _literal_scores(kind, ham, sol, dominant, states, eps):
-    """Every kind's score, with nu as coupling() per candidate."""
+    """Every kind's (states, coupling, score), with nu as coupling() per candidate."""
     h_kk = ham.diagonal(states)
     nu = np.array([coupling(dominant, k) for k in states.tolist()],
                   dtype=np.complex128)
@@ -390,7 +389,7 @@ def _literal_scores(kind, ham, sol, dominant, states, eps):
              "denom_only": lambda: 1.0 / gap,
              "diag_only": lambda: -h_kk,
              "random": lambda: np.random.default_rng(0).random(len(states))}[kind]()
-    return states, h_kk, nu, score
+    return states, nu, score
 
 
 @PROPERTY
@@ -403,9 +402,7 @@ def test_one_hop_scores_bytes_equal_literal_coupling(real, data):
     frontier = generate_candidates(dominant)
     got = score_candidates(kind, frontier, eps=eps, rng_seed=0)
     ref = _literal_scores(kind, ham, sol, dominant, frontier.states, eps)
-    for array, expected in zip(
-        (got.states, got.diagonal, got.coupling, got.score), ref
-    ):
+    for array, expected in zip((got.states, got.coupling, got.score), ref):
         assert _bytes_equal(array, expected)
 
 
@@ -417,7 +414,7 @@ def _frontier(ham: PauliHamiltonian, states: np.ndarray) -> np.ndarray:
 def _two_hop_reference(kind, ham, sol, dominant, subspace, eps):
     """score_two_hop over numpy's set routines, the "en" stand-in per mask.
 
-    Returns (states, diagonal, coupling, score) in ascending-state order.
+    Returns (states, coupling, score) in ascending-state order.
     """
     one_hop = np.setdiff1d(_frontier(ham, dominant.states), subspace.states)
     pure_two = np.setdiff1d(_frontier(ham, one_hop),
@@ -425,7 +422,8 @@ def _two_hop_reference(kind, ham, sol, dominant, subspace, eps):
     if kind != "en":
         return _literal_scores(kind, ham, sol, dominant,
                                np.union1d(one_hop, pure_two), eps)
-    _, h_mm, nu_m, _ = _literal_scores("en", ham, sol, dominant, one_hop, eps)
+    _, nu_m, _ = _literal_scores("en", ham, sol, dominant, one_hop, eps)
+    h_mm = ham.diagonal(one_hop)
     nu_m_sq = np.abs(nu_m) ** 2
     denom_m = np.maximum(np.abs(sol.energy - h_mm), eps)
     best = np.zeros(len(pure_two))
@@ -439,7 +437,6 @@ def _two_hop_reference(kind, ham, sol, dominant, subspace, eps):
     states = np.concatenate([one_hop, pure_two])
     order = np.argsort(states)
     return (states[order],
-            np.concatenate([h_mm, h_kk])[order],
             np.concatenate([nu_m, np.zeros(len(pure_two), complex)])[order],
             np.concatenate([np.abs(nu_m) ** 2 / denom_m,
                             best / np.maximum(np.abs(sol.energy - h_kk), eps)])[order])
@@ -454,9 +451,7 @@ def test_score_two_hop_bytes_equal_per_mask_loop(real, data):
     kind = data.draw(st.sampled_from(ACQUISITION_KINDS))
     got = score_two_hop(kind, dominant, eps=eps, rng_seed=0)
     ref = _two_hop_reference(kind, ham, sol, dominant, sol.subspace, eps)
-    for array, expected in zip(
-        (got.states, got.diagonal, got.coupling, got.score), ref
-    ):
+    for array, expected in zip((got.states, got.coupling, got.score), ref):
         assert _bytes_equal(array, expected)
 
 
@@ -464,14 +459,19 @@ def _frontier_inputs(data, sizes):
     """A random H, its matrix on a drawn subspace and a D of any rows of it.
 
     The subspace's states lie in [0, 16), so the frontiers of its states
-    overlap; D's rows come in any order, with repeats, or not at all.
+    overlap; D's rows are any ascending set of them, or none.
     """
     ham = data.draw(hamiltonians(sizes=sizes))
     states = st.integers(0, min((1 << ham.n) - 1, 15))
     subspace = Subspace(np.unique(data.draw(st.lists(states, min_size=1, max_size=24))))
     sol = lowest_eigenpair(build_restricted(ham, subspace))
-    rows = data.draw(st.lists(st.integers(0, len(subspace) - 1), max_size=24))
-    return ham, sol.matrix, DominantSupport(sol, np.array(rows, dtype=np.int64))
+    return ham, sol.matrix, DominantSupport(sol, _rows(data, len(subspace)))
+
+
+def _rows(data, m: int) -> np.ndarray:
+    """Any set of rows of an m-state subspace, ascending, as a support takes them."""
+    rows = data.draw(st.lists(st.integers(0, m - 1), max_size=16, unique=True))
+    return np.array(sorted(rows), dtype=np.int64)
 
 
 @PROPERTY
@@ -486,7 +486,8 @@ def test_generate_candidates_equals_numpy_set_forms(data):
 
 
 # Every target _outside meets steps from a support state by one or two of
-# H's masks, all in [0, 2^n), so it needs no range check of its own.
+# H's masks, all in [0, 2^n), so it needs no range check of its own, and a
+# frontier, which derives its states, none either.
 @PROPERTY
 @pytest.mark.parametrize("real", [True, False])
 @given(data=st.data())
@@ -494,13 +495,17 @@ def test_built_frontiers_lie_in_the_register_outside_the_subspace(real, data):
     ham = data.draw(hamiltonians(real, sizes=st.integers(1, MAX_QUBITS)))
     states = _states(data.draw, ham.n, min_size=1, max_size=16)
     sol = lowest_eigenpair(build_restricted(ham, Subspace(states)))
-    rows = data.draw(st.lists(st.integers(0, len(states) - 1), max_size=16))
-    dominant = DominantSupport(sol, np.array(rows, dtype=np.int64))
-    one_hop = generate_candidates(dominant).states
-    two_hop = score_two_hop("random", dominant, rng_seed=0).states
-    for frontier in (one_hop, two_hop):
-        assert all(0 <= s < 1 << ham.n for s in frontier.tolist())
-        assert not np.isin(frontier, states).any()
+    dominant = DominantSupport(sol, _rows(data, len(states)))
+    # The marks reach n <= MARK_MAX_QUBITS; a limit of 0 sorts at every n.
+    for limit in (MARK_MAX_QUBITS, 0):
+        with mock.patch.object(acquisition_mod, "MARK_MAX_QUBITS", limit):
+            one_hop, two_hop = Frontier(dominant, 1), Frontier(dominant, 2)
+        for frontier in (one_hop, two_hop):
+            assert frontier.dominant is dominant
+            assert all(0 <= s < 1 << ham.n for s in frontier.states.tolist())
+            assert not np.isin(frontier.states, states).any()
+        assert one_hop.at_one is None and one_hop.at_grid is None
+        assert _bytes_equal(two_hop.states[two_hop.at_one], one_hop.states)
 
 
 @PROPERTY
@@ -529,10 +534,14 @@ def test_stepwise_extension_bytes_equal_one_build(real, data):
                                 min_size=1, max_size=40, unique=True))
     cuts = data.draw(st.lists(st.integers(1, len(states)), max_size=4))
     cuts = [0] + sorted(set(cuts) - {len(states)}) + [len(states)]
+    # Column 0 is every state's H_kk, read by the matrix from its own H
+    # (in the table's dtype, complex for a complex H).
     grown = build_restricted(ham, Subspace(states[:cuts[1]]))
+    assert _bytes_equal(grown.table[:, 0], ham.diagonal(grown.basis.states).astype(ham.dtype))
     for lo, hi in zip(cuts[1:], cuts[2:]):
-        step = states[lo:hi]
-        grown = extend_restricted(grown, step, ham.diagonal(step))
+        grown = extend_restricted(grown, states[lo:hi])
+        assert _bytes_equal(grown.table[:, 0],
+                            ham.diagonal(grown.basis.states).astype(ham.dtype))
     built = build_restricted(ham, Subspace(states))
     assert _bytes_equal(grown.basis.states, built.basis.states)
     assert _bytes_equal(grown.table, built.table)
@@ -542,12 +551,12 @@ def test_stepwise_extension_bytes_equal_one_build(real, data):
         assert _bytes_equal(getattr(grown.sparse(), field), getattr(built.sparse(), field))
     present = data.draw(st.sampled_from(states))
     with pytest.raises(ValueError, match="unique"):
-        extend_restricted(grown, [present], ham.diagonal([present]))
+        extend_restricted(grown, [present])
     if len(states) < 1 << ham.n:
         outside = data.draw(st.integers(0, (1 << ham.n) - 1).filter(
             lambda s: s not in states))
         with pytest.raises(ValueError, match="unique"):
-            extend_restricted(grown, [outside] * 2, ham.diagonal([outside] * 2))
+            extend_restricted(grown, [outside] * 2)
 
 
 def _int64(value: int) -> int:
@@ -574,7 +583,7 @@ def test_matrix_refuses_exactly_the_states_outside_the_register(data):
     with refused:
         build_restricted(ham, Subspace(states + [extra]))
     with refused:
-        extend_restricted(built, [extra], ham.diagonal([extra]))
+        extend_restricted(built, [extra])
     # The same table and links over a basis with its last state replaced.
     with refused:
         RestrictedMatrix(ham, Subspace(states[:-1] + [extra]), built.table, built.links)
@@ -597,7 +606,7 @@ def test_matrix_refuses_exactly_the_states_outside_the_register(data):
 def test_select_top_b_matches_literal_sort(entries, B):
     zeros = np.zeros(len(entries))
     scored = CandidateScores(
-        states=np.array([s for s, _ in entries], dtype=np.int64), diagonal=zeros,
+        states=np.array([s for s, _ in entries], dtype=np.int64),
         coupling=zeros.astype(complex), score=np.array([v for _, v in entries]),
         gap=zeros,
     )
@@ -620,8 +629,8 @@ def test_select_top_b_equals_lexsort_across_tie_blocks(data):
     edges = np.flatnonzero(np.diff(score[literal])) + 1
     edge = data.draw(st.sampled_from(edges.tolist() + [len(states)]))
     B = max(1, edge + data.draw(st.integers(-1, 1)))
-    scored = CandidateScores(states=states, diagonal=score * 0.5,
-                             coupling=score + 1j * score, score=score, gap=score - 2.0)
+    scored = CandidateScores(states=states, coupling=score + 1j * score, score=score,
+                             gap=score - 2.0)
     picked = select_top_b(scored, B)
     top = literal[:B]
     for got, ref in zip(dataclasses.astuple(picked), dataclasses.astuple(scored)):

@@ -146,15 +146,12 @@ class TestBuildRestricted:
         with pytest.raises(ValueError, match="Hermitian"):
             build_restricted(h, Subspace((1, 2)))
         with pytest.raises(ValueError, match="Hermitian"):
-            extend_restricted(build_restricted(h, Subspace((0,))), [1, 2],
-                              h.diagonal([1, 2]))
+            extend_restricted(build_restricted(h, Subspace((0,))), [1, 2])
         # Old |01>, new |10>: the new column is checked against the old one.
         with pytest.raises(ValueError, match="Hermitian"):
-            extend_restricted(build_restricted(h, Subspace((1,))), [2],
-                              h.diagonal([2]))
+            extend_restricted(build_restricted(h, Subspace((1,))), [2])
         with pytest.raises(ValueError, match="Hermitian"):
-            extend_restricted(build_restricted(h, Subspace((2,))), [1],
-                              h.diagonal([1]))
+            extend_restricted(build_restricted(h, Subspace((2,))), [1])
 
     # The check is np.allclose's: |a - b| <= 1e-12 + 1e-5 |b|, 2e-5 here.
     @pytest.mark.parametrize("skew, hermitian", [
@@ -180,7 +177,7 @@ class TestExtendRestricted:
             outside = np.setdiff1d(np.arange(64), base_states)
             extra = [int(s) for s in rng.choice(outside, size=8, replace=False)]
             base = build_restricted(h, Subspace(base_states))
-            grown = extend_restricted(base, extra, h.diagonal(extra))
+            grown = extend_restricted(base, extra)
             rebuilt = build_restricted(h, Subspace(base_states + tuple(extra)))
             assert grown.basis.states.tolist() == rebuilt.basis.states.tolist()
             assert np.allclose(grown.dense(), rebuilt.dense(), atol=1e-13)
@@ -190,7 +187,25 @@ class TestExtendRestricted:
         h = parse_hamiltonian("1.0 ZZZ\n")
         base = build_restricted(h, Subspace((0, 3)))
         with pytest.raises(ValueError, match="unique"):
-            extend_restricted(base, extra, h.diagonal(extra))
+            extend_restricted(base, extra)
+
+    def test_takes_no_diagonal(self):
+        # Heisenberg n = 8, seed 0: the first en step from S = (15, 51, 85,
+        # 170) picks 101, 77 and 53.  Their diagonals shifted by -50 would
+        # give E_S = -58.09, below E0 = -15.08; the matrix reads every H_kk
+        # from its own H, so no caller can hand it one.
+        ham, _ = build_model(ModelSpec(kind="heisenberg", n=8, seed=0))
+        base = build_restricted(ham, Subspace((15, 51, 85, 170)))
+        picks = [101, 77, 53]
+        with pytest.raises(TypeError):
+            extend_restricted(base, picks, ham.diagonal(picks) - 50.0)
+        with pytest.raises(TypeError):
+            extend_restricted(base, picks, diagonal=ham.diagonal(picks) - 50.0)
+        grown = extend_restricted(base, picks)
+        assert grown.table[:, 0].tobytes() == ham.diagonal(grown.basis.states).tobytes()
+        energy = lowest_eigenpair(grown).energy
+        assert abs(energy - -11.3194059) < 1e-6
+        assert energy >= exact_lowest(ham).e0
 
 
 class TestMalformedRestrictedMatrix:
@@ -399,10 +414,18 @@ class TestDominantSupport:
 
     def test_rows_outside_subspace_rejected(self):
         sol = self._solution([0.6, 0.8], (5, 6))
-        for row in (-1, 2):
+        for rows in ([-1, 0], [0, 2]):
             with pytest.raises(ValueError, match=r"support rows must lie in \[0, 2\)"):
-                DominantSupport(sol, np.array([0, row]))
-        assert DominantSupport(sol, np.array([1, 0])).states.tolist() == [6, 5]
+                DominantSupport(sol, np.array(rows))
+        assert DominantSupport(sol, np.array([0, 1])).states.tolist() == [5, 6]
+
+    @pytest.mark.parametrize("rows", [[1, 0], [0, 0], [1, 1], [0, 1, 1]])
+    def test_rows_not_strictly_ascending_rejected(self, rows):
+        # A repeated row would be summed twice into every coupling, and a
+        # set of rows has one support: the ascending one.
+        sol = self._solution([0.6, 0.8], (5, 6))
+        with pytest.raises(ValueError, match="strictly ascending"):
+            DominantSupport(sol, np.array(rows))
 
 
 class TestRestrictedNonConvergence:
