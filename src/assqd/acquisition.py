@@ -17,13 +17,16 @@ them, the gap too, which every consumer reads from there.
 
 ``Frontier(dominant, hops=1)`` takes only the support it steps from and
 its horizon, 1 or 2, and derives its states and pairs when it is made,
-so no frontier can disagree with its support.  :func:`generate_candidates`
-gives the 1-hop frontier, ``Frontier(dominant)``.  The horizon
-experiment's 2-hop frontier, ``Frontier(dominant, 2)``, also keeps where
-each 1-hop state lies in it and where that state's steps land, which
-:func:`score_two_hop` reads: the same scores for every kind, except that
+so no frontier can disagree with its support; ``generate_candidates(
+dominant, hops=1)`` is that call.  The horizon experiment's 2-hop
+frontier also keeps where each 1-hop state lies in it and where that
+state's steps land.  :func:`score_candidates` is the one scorer, for a
+frontier of either horizon: every kind scores both alike, except that
 under "en" the pure 2-hop states, whose nu is zero, get a chained
-stand-in.  Both frontiers come from :func:`_outside`, which finds the
+stand-in from the nu and gap it has just formed, read through those
+two maps.  :func:`score_two_hop` is the one line
+``score_candidates(kind, generate_candidates(dominant, 2), eps,
+rng_seed)``.  Both frontiers come from :func:`_outside`, which finds the
 distinct states stepped to outside the subspace, ascending, and every
 pair's index among them; it is the one place that chooses marks or a
 sort.  Up to MARK_MAX_QUBITS = 16 qubits it reads a 2^n mark array of
@@ -37,10 +40,10 @@ subspace are kept, so a frontier needs no check of its own.
 
 A support carries its solution and a frontier its support, so each
 function takes one object and reads the solution, its matrix and H
-through it: ``generate_candidates(dominant)``, ``coupling_map(frontier)``,
-``score_candidates(kind, frontier, eps, rng_seed)`` and
-``score_two_hop(kind, dominant, eps, rng_seed)``; a frontier is scored
-only against the support it was stepped from.  A
+through it: ``generate_candidates(dominant, hops)``,
+``coupling_map(frontier)``, ``score_candidates(kind, frontier, eps,
+rng_seed)`` and ``score_two_hop(kind, dominant, eps, rng_seed)``; a
+frontier is scored only against the support it was stepped from.  A
 :class:`DominantSupport` refuses, when it is made, a row outside the
 subspace or rows that are not strictly ascending.
 
@@ -52,7 +55,6 @@ bit, to their literal per-candidate sum, ``coupling``.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -173,9 +175,9 @@ def _outside(
     return states, index[targets]
 
 
-def generate_candidates(dominant: DominantSupport) -> Frontier:
-    """The 1-hop frontier of D: its single-term neighbours outside the subspace."""
-    return Frontier(dominant)
+def generate_candidates(dominant: DominantSupport, hops: int = 1) -> Frontier:
+    """The frontier ``hops`` steps of H from D, outside the subspace."""
+    return Frontier(dominant, hops)
 
 
 def coupling_map(frontier: Frontier) -> np.ndarray:
@@ -212,6 +214,11 @@ def score_candidates(
     """Score every candidate of the frontier under one variant, in its order.
 
     E_S and H are those of the solution the frontier's support belongs to.
+    On a 2-hop frontier the pure 2-hop states have nu_k = 0 by
+    construction, so under "en" they get a chained stand-in instead, from
+    the nu and gap just formed: the best one-intermediate path value,
+
+        max over m in 1-hop:  |<k|H|m>|^2 |nu_m|^2 / (|gap_m| |gap_k|)
     """
     if kind not in ACQUISITION_KINDS:
         raise ValueError(f"unknown acquisition kind {kind!r}")
@@ -228,6 +235,19 @@ def score_candidates(
     gap = np.copysign(np.maximum(np.abs(raw), eps), raw)
     if kind == "en":
         score = np.abs(nu) ** 2 / np.abs(gap)
+        if frontier.hops == 2:
+            at_one, at_grid = frontier.at_one, frontier.at_grid
+            pure = np.ones(len(candidates), dtype=bool)
+            pure[at_one] = False
+            # The (1-hop state, mask) pairs that land on a pure 2-hop state.
+            hit = np.append(pure, False)[at_grid]
+            rows = np.nonzero(hit)[0]
+            amp_sq = np.abs(ham.amplitude_table(candidates[at_one]).T[hit]) ** 2
+            nu_m_sq = np.abs(nu[at_one]) ** 2
+            denom_m = np.abs(gap[at_one])
+            best = np.zeros(len(candidates))
+            np.maximum.at(best, at_grid[hit], amp_sq * nu_m_sq[rows] / denom_m[rows])
+            score[pure] = best[pure] / np.abs(gap[pure])
     elif kind == "coupling_only":
         score = np.abs(nu) ** 2
     elif kind == "denom_only":
@@ -245,36 +265,8 @@ def score_two_hop(
     eps: float = DEFAULT_EPS,
     rng_seed: int | None = None,
 ) -> CandidateScores:
-    """Score the 2-hop frontier under one variant, in ascending-state order.
-
-    The frontier, ``Frontier(dominant, 2)``, is the 1-hop frontier plus
-    one more step from each of its states, outside the solution's
-    subspace; :func:`score_candidates` scores all of it.  Pure 2-hop
-    states have nu_k = 0 by construction, so under "en" they get a
-    chained stand-in instead: the best one-intermediate path value, over
-    the scored gaps,
-
-        max over m in 1-hop:  |<k|H|m>|^2 |nu_m|^2 / (|gap_m| |gap_k|)
-    """
-    frontier = Frontier(dominant, 2)
-    scored = score_candidates(kind, frontier, eps, rng_seed)
-    if kind != "en":
-        return scored
-    at_one, at_grid = frontier.at_one, frontier.at_grid
-    pure = np.ones(len(frontier), dtype=bool)
-    pure[at_one] = False
-    # The (1-hop state, mask) pairs that land on a pure 2-hop state.
-    hit = np.append(pure, False)[at_grid]
-    rows = np.nonzero(hit)[0]
-    ham = dominant.sol.matrix.ham
-    amp_sq = np.abs(ham.amplitude_table(frontier.states[at_one]).T[hit]) ** 2
-    nu_m_sq = np.abs(scored.coupling[at_one]) ** 2
-    denom_m = np.abs(scored.gap[at_one])
-    best = np.zeros(len(frontier))
-    np.maximum.at(best, at_grid[hit], amp_sq * nu_m_sq[rows] / denom_m[rows])
-    score = scored.score.copy()
-    score[pure] = best[pure] / np.abs(scored.gap[pure])
-    return dataclasses.replace(scored, score=score)
+    """Score the 2-hop frontier of D under one variant, in ascending-state order."""
+    return score_candidates(kind, generate_candidates(dominant, 2), eps, rng_seed)
 
 
 def select_top_b(scored: CandidateScores, B: int) -> CandidateScores:

@@ -5,13 +5,15 @@ top-K observed bitstrings, then repeats T times: solve the restricted
 problem, take the dominant support, score its candidate frontier under
 the configured kind, and add the best B.  The support carries the
 solution and the frontier its support, so each step hands on one object,
-and no call takes a value the package can derive.  The horizon picks the
-frontier: hops=1 scores generate_candidates(dominant), which is
-Frontier(dominant), with score_candidates(kind, frontier, ...), and
-hops=2 hands the step to score_two_hop(kind, dominant, ...), which scores
-Frontier(dominant, 2) for every kind.  The picked states join the
-restricted matrix by extend_restricted(sol.matrix, picked.states), which
-evaluates their diagonals and amplitudes from the matrix's own H.  The
+and no call takes a value the package can derive.  Both horizons take
+one path: the step scores generate_candidates(dominant, hops), which is
+Frontier(dominant, hops), with score_candidates(kind, frontier, ...).
+At hops=2 that path is spelled score_two_hop(kind, dominant, ...), the
+one line score_candidates(kind, generate_candidates(dominant, 2), ...),
+whose name the benchmark's layer tracer (perfbench/layertrace.py) times
+on its own.  The picked states join the restricted matrix by
+extend_restricted(sol.matrix, picked.states), which evaluates their
+diagonals and amplitudes from the matrix's own H.  The
 kind is the only difference between methods: "standard" makes zero
 expansions, "random" ranks candidates by seeded uniform draws, and the
 acquisition kinds rank by the EN score or one of its ablations.
@@ -31,7 +33,9 @@ energy is its last record's; the loop ends early, with the reason
 recorded, when the candidate pool comes up empty.  trace_record turns a
 trace and its config, plus the reference EigenpairSet when there is one,
 into the JSON-ready record that `assqd run` and `assqd ingest` print; it
-computes err, the distance of the final energy from e0, itself.
+computes err, the distance of the final energy from e0, by floor_err,
+which refuses a final energy below e0 by more than rounding; the sweeps'
+make_row calls it too.
 """
 
 from __future__ import annotations
@@ -51,7 +55,7 @@ from assqd.acquisition import (
     score_two_hop,
     select_top_b,
 )
-from assqd.oracle import EigenpairSet
+from assqd.oracle import EigenpairSet, residual_bound
 from assqd.pauli import PauliHamiltonian
 from assqd.sampling import CountsMultiset, top_k
 from assqd.subspace import (
@@ -135,6 +139,24 @@ class RunError(RuntimeError):
     def __init__(self, message: str, records: tuple[IterationRecord, ...]):
         super().__init__(message)
         self.records = records
+
+
+def floor_err(trace: RunTrace, e0: float) -> float:
+    """The final energy's distance from e0, refused below the variational floor.
+
+    A subspace energy never lies below the exact ground energy but by
+    rounding, so the floor is e0 - residual_bound(|e0|): 1e-9 below e0 up
+    to |e0| ~ 7.0e4, which covers every built-in model, and a stable
+    solver's rounding floor above it (Heisenberg n = 8, seed 3, scaled by
+    1e8 reaches the whole space 5e-7 below e0 = -1.47e9).  The RunError
+    carries the run's records.
+    """
+    if trace.final_energy < e0 - residual_bound(abs(e0)):
+        raise RunError(
+            f"variational floor violated: E_est={trace.final_energy!r} < E0={e0!r}",
+            trace.records,
+        )
+    return abs(trace.final_energy - e0)
 
 
 def method_label(kind: str) -> str:
@@ -240,7 +262,8 @@ def trace_record(
 ) -> dict[str, Any]:
     """A run as a JSON-ready record: config, records, reference and error.
 
-    Without reference pairs, every reference field and err are null.
+    Without reference pairs, every reference field and err are null;
+    with them, a run below the variational floor is refused.
     """
     return {
         "method": trace.method,
@@ -253,5 +276,5 @@ def trace_record(
         "reference": {
             key: getattr(pairs, key, None) for key in ("e0", "e1", "degenerate_ground")
         },
-        "err": None if pairs is None else abs(trace.final_energy - pairs.e0),
+        "err": None if pairs is None else floor_err(trace, pairs.e0),
     }

@@ -6,8 +6,11 @@ from __future__ import annotations
 # test module may import numpy before it imports the package.
 import assqd  # noqa: F401
 
+import dataclasses
+
 import numpy as np
 
+from assqd.driver import RunTrace, run_as_sqd
 from assqd.pauli import PauliHamiltonian, PauliTerm
 from assqd.sampling import CountsMultiset, ProbabilityModel
 from assqd.subspace import DominantSupport
@@ -63,6 +66,13 @@ def coupling(dominant: DominantSupport, k: int) -> complex:
     for s in dominant.states:
         total += sol.coefficients[sol.subspace.positions(s)] * ham.matrix_element(k, s)
     return total
+
+
+def run_below_floor(ham, counts, config) -> RunTrace:
+    """run_as_sqd's trace with its last record below any ground energy of H."""
+    trace = run_as_sqd(ham, counts, config)
+    last = dataclasses.replace(trace.records[-1], energy=-1e6)
+    return dataclasses.replace(trace, records=trace.records[:-1] + (last,))
 
 
 def counts_of(tally: dict[int, int], n: int) -> CountsMultiset:

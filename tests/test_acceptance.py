@@ -145,7 +145,7 @@ def test_02_variational_floor_and_monotone_traces(sweep8, sweep1012, ablate12):
             ), f"{method} n={n} seed={seed}: trace not non-increasing"
             checked += 1
         for row in sweep["rows"]:
-            assert row.err >= -1e-9
+            assert row.E_est >= row.E0 - 1e-9
     print(f"PASS 02: floor >= E0 - 1e-9 and monotone within 1e-12 "
           f"across {checked} traces")
 
@@ -279,7 +279,7 @@ def test_07_one_hop_converges_no_slower_than_two_hop(hops12):
     assert one <= two, (
         f"1-hop median iterations-to-threshold {one} > 2-hop {two}"
     )
-    assert all(r.err >= -1e-9 for r in hops12["rows"])
+    assert all(r.E_est >= r.E0 - 1e-9 for r in hops12["rows"])
     label = lambda v: "unreached" if math.isinf(v) else f"{v:g}"
     print(f"PASS 07: n=12 median iterations to err<=1e-6 — "
           f"1-hop {label(one)} vs 2-hop {label(two)} (B=20)")

@@ -41,7 +41,7 @@ from assqd.driver import (
 from assqd.models import ModelSpec, build_model, metadata_record
 from assqd.pauli import PauliHamiltonian, PauliTerm
 from assqd.subspace import Subspace
-from conftest import counts_of
+from conftest import counts_of, run_below_floor
 
 
 def _tiny_spec(**overrides) -> ExperimentSpec:
@@ -173,6 +173,14 @@ class TestMakeRow:
         assert math.isnan(row.E_est) and math.isnan(row.err)
         assert row.terminated.startswith("error:")
 
+    def test_floor_violation_is_refused(self, monkeypatch):
+        # Raised past the catch that turns solver failures into rows, so a
+        # sweep stops on it.
+        bundle = prepare_instance("heisenberg", 4, 0, 400, 0.2)
+        monkeypatch.setattr(bench_mod, "run_as_sqd", run_below_floor)
+        with pytest.raises(RunError, match="^variational floor violated: E_est="):
+            make_row(bundle, "as-en", RunConfig(), shots=400, eta=0.2)
+
     def test_nan_rows_do_not_poison_medians(self):
         bundle = prepare_instance("heisenberg", 4, 0, 400, 0.2)
         good, _ = make_row(bundle, "standard", RunConfig(K=10), shots=400, eta=0.2)
@@ -205,7 +213,7 @@ class TestScalingSweep:
 
     def test_variational_floor_on_all_rows(self, sweep):
         rows, _ = sweep
-        assert all(row.err >= -1e-9 for row in rows)
+        assert all(row.E_est >= row.E0 - 1e-9 for row in rows)
 
     def test_rows_sorted_deterministically(self, sweep):
         rows, _ = sweep

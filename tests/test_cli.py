@@ -21,10 +21,10 @@ from assqd.bench import CSV_COLUMNS, DEFAULT_ETA, default_shots, prepare_instanc
 from assqd.cli import main
 from assqd.driver import RunError
 from assqd.models import ModelSpec, build_model
-from assqd.oracle import exact_lowest
+from assqd.oracle import exact_lowest, residual_bound
 from assqd.pauli import parse_hamiltonian
 from assqd.sampling import counts_to_json, parse_counts
-from conftest import counts_of
+from conftest import counts_of, run_below_floor
 
 
 @pytest.fixture()
@@ -308,9 +308,9 @@ def test_config_kind_is_the_method_run(runner, artifacts, verb, method):
     assert doc["config"]["kind"] == method
 
 
-def _scaled_model(runner, tmp_path, n: int, scale: float):
-    """`model heisenberg n` at seed 0 with every coefficient times scale, as a file."""
-    text = _invoke(runner, ["--seed", "0", "model", "heisenberg", str(n)]).output
+def _scaled_model(runner, tmp_path, n: int, scale: float, seed: int = 0):
+    """`model heisenberg n` at the seed with every coefficient times scale, as a file."""
+    text = _invoke(runner, ["--seed", str(seed), "model", "heisenberg", str(n)]).output
     scaled = tmp_path / f"h{n}x.txt"
     scaled.write_text("".join(
         f"{float(coeff) * scale!r} {pauli}\n"
@@ -318,12 +318,12 @@ def _scaled_model(runner, tmp_path, n: int, scale: float):
     return scaled
 
 
-def _scaled_heisenberg_8(runner, tmp_path, scale: float) -> list[str]:
+def _scaled_heisenberg_8(runner, tmp_path, scale: float, seed: int = 0) -> list[str]:
     """The scaled n = 8 model's file and a 500-shot counts file, as `run` paths."""
     counts = tmp_path / "c8.json"
     _invoke(runner, ["--seed", "0", "--out", str(counts), "sample", "heisenberg",
                      "8", "--shots", "500"])
-    return [str(_scaled_model(runner, tmp_path, 8, scale)), str(counts)]
+    return [str(_scaled_model(runner, tmp_path, 8, scale, seed)), str(counts)]
 
 
 class TestSolverFailure:
@@ -354,6 +354,17 @@ class TestSolverFailure:
         assert isinstance(result.exception, SystemExit)
         assert result.output == "Error: initial solve failed: boom\n"
 
+    @pytest.mark.parametrize("verb", ["run", "ingest"])
+    def test_floor_violation_is_a_one_line_error(self, runner, artifacts, monkeypatch, verb):
+        monkeypatch.setattr(cli_mod, "run_as_sqd", run_below_floor)
+        ham_path, counts_path = artifacts
+        files = [str(ham_path), str(counts_path)] if verb == "run" else [str(counts_path)]
+        result = runner.invoke(main, ["--seed", "0", verb, *files, "-T", "2"])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert len(result.output.splitlines()) == 1
+        assert result.output.startswith("Error: variational floor violated: E_est=-1000000.0 < E0=")
+
 
 def test_rounding_floor_run_ends_cleanly(runner, tmp_path):
     # Scaled by 1e5, the n = 8 chain's row sums pass 7.0e4, where the
@@ -365,6 +376,19 @@ def test_rounding_floor_run_ends_cleanly(runner, tmp_path):
     ham, _ = build_model(ModelSpec(kind="heisenberg", n=8, seed=0))
     assert doc["reference"]["e0"] == pytest.approx(1e5 * exact_lowest(ham).e0, rel=1e-12)
     assert doc["final_energy"] >= doc["reference"]["e0"]
+
+
+def test_rounding_below_e0_is_within_the_floor(runner, tmp_path):
+    # Scaled by 1e8, the n = 8 chain at seed 3 reaches the whole space and
+    # ends 5e-7 below E0 = -1.47e9 in rounding: within the floor's
+    # residual_bound(|E0|) = 64 eps |E0|, 2.1e-5, and past a fixed 1e-9.
+    result = _invoke(runner, ["--seed", "0", "run",
+                              *_scaled_heisenberg_8(runner, tmp_path, 1e8, seed=3),
+                              "-B", "300", "-T", "3"])
+    doc = json.loads(result.output)
+    e0 = doc["reference"]["e0"]
+    assert e0 - residual_bound(abs(e0)) <= doc["final_energy"] < e0 - 1e-9
+    assert doc["err"] == e0 - doc["final_energy"]
 
 
 def test_large_energy_run_ends_cleanly(runner, tmp_path):

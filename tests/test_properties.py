@@ -449,10 +449,12 @@ def test_score_two_hop_bytes_equal_per_mask_loop(real, data):
     ham, sol, dominant = _solved(data, real, _FRONTIER_SIZES)
     eps = data.draw(st.sampled_from([1e-8, 0.5]))
     kind = data.draw(st.sampled_from(ACQUISITION_KINDS))
-    got = score_two_hop(kind, dominant, eps=eps, rng_seed=0)
     ref = _two_hop_reference(kind, ham, sol, dominant, sol.subspace, eps)
-    for array, expected in zip((got.states, got.coupling, got.score), ref):
-        assert _bytes_equal(array, expected)
+    # The one scorer gives a 2-hop frontier its "en" stand-in itself.
+    for got in (score_two_hop(kind, dominant, eps=eps, rng_seed=0),
+                score_candidates(kind, Frontier(dominant, 2), eps=eps, rng_seed=0)):
+        for array, expected in zip((got.states, got.coupling, got.score), ref):
+            assert _bytes_equal(array, expected)
 
 
 def _frontier_inputs(data, sizes):
@@ -513,12 +515,14 @@ def test_built_frontiers_lie_in_the_register_outside_the_subspace(real, data):
 def test_sort_path_bytes_equal_mark_path(data):
     _, matrix, dominant = _frontier_inputs(
         data, st.integers(1, 8) | st.just(MARK_MAX_QUBITS))
-    marked = generate_candidates(dominant)
+    hops = data.draw(st.sampled_from([1, 2]))
+    marked = generate_candidates(dominant, hops)
     # Every n is past a limit of 0, so this runs the sort path.
     with mock.patch.object(acquisition_mod, "MARK_MAX_QUBITS", 0):
-        sorted_ = generate_candidates(dominant)
-    assert _bytes_equal(sorted_.states, marked.states)
-    assert _bytes_equal(sorted_.pairs, marked.pairs)
+        sorted_ = generate_candidates(dominant, hops)
+    assert sorted_.hops == marked.hops == hops
+    for name in ("states", "pairs") + (("at_one", "at_grid") if hops == 2 else ()):
+        assert _bytes_equal(getattr(sorted_, name), getattr(marked, name))
 
 
 @PROPERTY
