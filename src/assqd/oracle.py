@@ -29,9 +29,10 @@ block densely up to DENSE_SOLVE_MAX states and with ARPACK above that:
 - when H conserves popcount (Heisenberg with Z fields), at every n:
   one CSR block per popcount sector, each solved on its own and the
   pairs merged, so the largest matrix at n = 16 has C(16, 8) = 12870
-  rows, not 65536.  The blocks are solved in ascending order of their
-  Gershgorin floor, a lower bound on their eigenvalues, the first for
-  count pairs at once and the rest for one;
+  rows, not 65536.  One loop solves the blocks in ascending order of
+  their Gershgorin floor, a lower bound on their eigenvalues, the first
+  for count pairs at once, and so built and solved once, and the rest
+  for one;
   once count pairs are in hand, a block whose floor lies above the
   count-th lowest of them cannot hold a wanted pair, and it and every
   block after it are skipped.  A block whose Gershgorin floor falls short
@@ -386,7 +387,8 @@ def hermitian_lowest(
     inf entry raises ValueError, and a nonzero LAPACK ``info`` raises
     LinAlgError; a guess is ignored.  A sparse matrix from
     :func:`linked_arrays`, CSR or CSC (any other format raises TypeError
-    before any work), goes to
+    before any work, and a count that ARPACK cannot give, below 1 or at
+    least dim, or dim - 1 when complex, raises ValueError), goes to
     implicitly-restarted Lanczos (ARPACK ``eigsh``, or the ``eigs`` call
     it makes when complex) from a start vector r drawn from
     ``default_rng(0)``, or with a guess from guess/|guess| + WARM_MIX r/|r|
@@ -433,6 +435,9 @@ def hermitian_lowest(
     if matrix.format not in ("csr", "csc"):
         raise TypeError(f"sparse matrix must be CSR or CSC, got {matrix.format.upper()}")
     dim = matrix.shape[0]
+    # eigsh takes fewer than dim pairs, and eigs fewer than dim - 1.
+    if not 1 <= count < dim - np.iscomplexobj(matrix):
+        raise ValueError(f"cannot take {count} eigenpairs of a {matrix.shape} matrix")
     # ARPACK stops with "starting vector is zero" when A v0 = 0; every
     # vector is an eigenvector of the zero matrix.  (count_nonzero would
     # sort the caller's indices in place, which moves the product's bits.)
@@ -662,17 +667,16 @@ def _lowest_over_blocks(
     to rank or skip, and any floor serves).  Every block, the one block
     of all 2^n states too, is built by :func:`_csr_block` when a floor test
     or a solve needs it, and dropped once that test and solve are done, so
-    one block and ARPACK's basis are alive at a time.  A block needed
-    again (the first block's depth-1 solve, the deepening loop below) is
-    built again.
+    one block and ARPACK's basis are alive at a time.  A block that the
+    deepening loop below solves again is built again.
 
     Every solved pair is one entry (energy, block, index) of a list kept
     sorted, so by energy, ties by block and then by index; a block solved
-    again replaces its entries.  Blocks are taken in ascending order of
-    their floor, ties by block.  The first gives its lowest min(count,
-    size) pairs, each later one its lowest pair.  Once the list holds
-    count entries, the cut is the count-th entry's energy plus the
-    residual bound (for rounding; :func:`residual_bound` of
+    again replaces its entries.  One loop takes the blocks in ascending
+    order of their floor, ties by block: the first gives its lowest
+    min(count, size) pairs, each later one its lowest pair.  Once the
+    list holds count entries, the cut is the count-th entry's energy plus
+    the residual bound (for rounding; :func:`residual_bound` of
     :attr:`PauliHamiltonian.radius`, as :func:`exact_lowest` checks), and
     a block with no eigenvalue at or below it cannot hold a wanted pair:
     when its Gershgorin floor lies above the cut, it and every block after
@@ -684,17 +688,14 @@ def _lowest_over_blocks(
     count entries only when that entry is among the first count - 1.
     While some block's is, the block whose last entry comes first is
     solved again, deep enough to fill the entries below its last one up
-    to the count-th.  Had every block given one pair first, the loop
-    would begin by solving the first block again at depth min(count,
-    size) whenever its pair ranks first, so solving it there at once
-    saves a solve and reaches the same state.  When another block's lowest
-    energy lies within that bound of its lowest, the first block is
-    solved again at depth 1 before the loop, which restores that state.  A
-    skipped block's pairs would all rank at count or later, so the result
-    is the one that solving every block gives, to the bit.  The first
-    count entries give the energies, and each one's vector is scattered to
-    its block's states.  Blocks of at most DENSE_SOLVE_MAX states are
-    solved densely.
+    to the count-th.  The first block's last entry never is (it gave
+    count pairs, or all it has), so it is built and solved once.  A
+    skipped block's pairs would all rank at count or later and never
+    start a deepening, so skipping it moves no bit: the result is the one
+    that solving every block in the same order gives.  The first count
+    entries give the energies, and each one's vector is scattered to its
+    block's states.  Blocks of at most DENSE_SOLVE_MAX states are solved
+    densely.
     """
     ranked = []  # every solved pair as (energy, block, index), ascending
     vectors = {}
@@ -711,20 +712,11 @@ def _lowest_over_blocks(
         kept = [pair for pair in ranked if pair[1] != w]
         ranked[:] = sorted(kept + [(e, w, i) for i, e in enumerate(vals.tolist())])
 
-    lead, *rest = sorted(range(len(sectors)), key=floors.__getitem__)
-    solve(lead, count)
-    for w in rest:
-        cut = None
-        if len(ranked) >= count:
-            cut = ranked[count - 1][0] + bound
-            if floors[w] > cut:
-                break
-        solve(w, 1, cut)
-    ground = next(e for e, w, _ in ranked if w == lead)
-    if vectors[lead].shape[1] > 1 and any(
-        e <= ground + bound for e, w, _ in ranked if w != lead
-    ):
-        solve(lead, 1)
+    for w in sorted(range(len(sectors)), key=floors.__getitem__):
+        cut = ranked[count - 1][0] + bound if len(ranked) >= count else None
+        if cut is not None and floors[w] > cut:
+            break
+        solve(w, 1 if ranked else count, cut)
     while True:
         # Each block's last entry is its deepest pair, at index depth - 1.
         deepest = {w: (r, i) for r, (_, w, i) in enumerate(ranked)}

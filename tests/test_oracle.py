@@ -218,8 +218,17 @@ class TestDenseRoute:
             hermitian_lowest(matrix, 1)
 
     def test_count_beyond_the_order_raises(self):
-        with pytest.raises(ValueError, match="eigenpairs"):
-            hermitian_lowest(np.eye(3), 4)
+        # The sparse routes too: LAPACK gives up to dim pairs, eigsh fewer
+        # than dim and eigs fewer than dim - 1, and past that scipy warned
+        # and then raised TypeError.  Each route refuses before any work.
+        rng = np.random.default_rng(5)
+        for real in (True, False):
+            matrix = rng.standard_normal((5, 5)) + (0 if real else 1j) * rng.standard_normal((5, 5))
+            matrix = matrix + matrix.conj().T
+            for form, count in [("dense", 6), ("csr", 5 if real else 4), ("csc", 5 if real else 4)]:
+                given = matrix if form == "dense" else getattr(scipy.sparse, f"{form}_array")(matrix)
+                with pytest.raises(ValueError, match=f"cannot take {count} eigenpairs"):
+                    hermitian_lowest(given, count)
 
 
 class TestHermitianLowest:
@@ -1033,13 +1042,27 @@ def _no_floor(block, steps, cut):
     return -np.inf
 
 
+def _below_any_cut(floors: list[float]) -> list[float]:
+    """Floors in the order of ``floors``, ties by block, each below any cut.
+
+    The block of rank k in that order gets -1e300 (blocks - k), so the
+    solver takes the blocks in the same order, from the same first block,
+    and skips none by its Gershgorin floor.
+    """
+    order = sorted(range(len(floors)), key=floors.__getitem__)
+    low = [0.0] * len(floors)
+    for rank, w in enumerate(order):
+        low[w] = -1e300 * (len(floors) - rank)
+    return low
+
+
 def _no_pass_one_floor(monkeypatch):
-    """Hand the solver every sector with a floor of -inf."""
+    """Hand the solver every sector with a floor below any cut, in floor order."""
     split = oracle_mod.popcount_sectors
 
     def without_floors(ham):
         sectors, floors = split(ham)
-        return sectors, [-np.inf] * len(floors)
+        return sectors, _below_any_cut(floors)
 
     monkeypatch.setattr(oracle_mod, "popcount_sectors", without_floors)
 
@@ -1058,10 +1081,10 @@ def _sector_instance(kind: str, n: int, seed: int) -> PauliHamiltonian:
 
 
 def _assert_every_sector_gives_the_same_bits(ham: PauliHamiltonian, counts) -> None:
-    """The sector solve equals, to the bit, solving every sector depth 1 first.
+    """The sector solve equals, to the bit, solving every sector in floor order.
 
-    With every floor at -inf no block is skipped, and the first block in
-    floor order is sector 0, whose one state gives one pair.
+    With floors in the same order but below any cut, and no weighted
+    floor, no block is skipped, and the first block is the same.
     """
     sectors, floors = popcount_sectors(ham)
     for count in counts:
@@ -1069,7 +1092,7 @@ def _assert_every_sector_gives_the_same_bits(ham: PauliHamiltonian, counts) -> N
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(oracle_mod, "_weighted_floor", _no_floor)
             every_vals, every_vecs = oracle_mod._lowest_over_blocks(
-                ham, sectors, [-np.inf] * len(sectors), count
+                ham, sectors, _below_any_cut(floors), count
             )
         assert vals.tobytes() == every_vals.tobytes()
         assert vecs.tobytes() == every_vecs.tobytes()
@@ -1209,21 +1232,48 @@ class TestSectorRoute:
             ("zero-field ring", 11, 0, (2, 4)),
         ],
     )
-    def test_floors_and_first_depth_move_no_bit(self, kind, n, seed, counts):
-        # Heisenberg n = 15 seed 0 solves its lowest-floor sector again at
-        # depth 1; the odd zero-field ring ties E0 across two sectors.
+    def test_floor_skips_move_no_bit(self, kind, n, seed, counts):
+        # Heisenberg n = 15 seed 0's lowest-floor sector does not hold the
+        # ground pair; the odd zero-field ring ties E0 across two sectors.
         _assert_every_sector_gives_the_same_bits(_sector_instance(kind, n, seed), counts)
 
     @pytest.mark.skipif(
         not os.environ.get("ASSQD_ACCEPT_N16"),
         reason="the n = 14-16 seed grid is opt-in (set ASSQD_ACCEPT_N16=1; ~25 s)",
     )
-    def test_floors_and_first_depth_move_no_bit_on_the_seed_grid(self):
+    def test_floor_skips_move_no_bit_on_the_seed_grid(self):
         for kind, n in [("heisenberg", 14), ("heisenberg", 15), ("heisenberg", 16), ("dm", 14)]:
             for seed in range(6):
                 _assert_every_sector_gives_the_same_bits(
                     _sector_instance(kind, n, seed), (2, 8)
                 )
+
+    @pytest.mark.parametrize("n,count", [(9, 2), (9, 8), (15, 2), (15, 8)])
+    def test_lowest_floor_sector_is_built_and_solved_once(self, monkeypatch, n, count):
+        # At these odd n the lowest-floor sector does not hold the ground
+        # pair.  Only the deepening builds a sector again, once at most.
+        ham, _ = build_model(ModelSpec(kind="heisenberg", n=n, seed=0))
+        _, floors = popcount_sectors(ham)
+        lead = min(range(n + 1), key=floors.__getitem__)
+        built, solved = [], []
+        build = oracle_mod._csr_block
+
+        def record_block(h, states):
+            built.append(int(np.bitwise_count(states[0])))
+            return build(h, states)
+
+        def record_solve(matrix, depth):
+            solved.append(built[-1])
+            return hermitian_lowest(matrix, depth)
+
+        monkeypatch.setattr(oracle_mod, "_csr_block", record_block)
+        monkeypatch.setattr(oracle_mod, "hermitian_lowest", record_solve)
+        pairs = exact_lowest(ham, count=count)
+        assert built.count(lead) == solved.count(lead) == 1
+        assert max(built.count(w) for w in built) <= 2
+        monkeypatch.undo()
+        full = exact_lowest(ham, count=count, method="lanczos")
+        assert np.allclose(pairs.energies, full.energies, rtol=0.0, atol=1e-10)
 
     def test_fewer_solves_than_sectors(self, monkeypatch):
         n = 14
